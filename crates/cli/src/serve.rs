@@ -29,16 +29,23 @@
 //! `{"error":"<detail>","class":"<label>","exit_class":K}` with the same
 //! error taxonomy as the batch CLI, and leave the connection usable for
 //! the next submit.
+//!
+//! Framing: a response — however many lines — is assembled in one
+//! per-connection buffer and written once, on a socket with
+//! `TCP_NODELAY` set, so no line of a reply waits for the client's ACK of
+//! the one before it (DESIGN §16). A request line is decoded in one pass
+//! into reused buffers and may be at most 64 MiB; past that the server
+//! answers `invalid-input` and closes the connection.
 
 use crate::args::{parse_size, UsageError};
 use crate::error::{CliError, ErrorClass};
-use hashing_is_sorting::obs::json::{parse as parse_json, JsonValue};
+use hashing_is_sorting::obs::json::{write_u64_array, JsonValue, ParseError, Reader};
 use hashing_is_sorting::{
     AdmissionConfig, AdmissionController, AdmissionDenied, AdmissionOutcome, AdmissionRequest,
     AggSpec, AggStream, AggregateConfig, CancelToken, ExecEnv, ObsConfig, QueryGrant,
 };
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -47,6 +54,16 @@ use std::time::Duration;
 /// Result rows per `block` line; small enough that a slow client sees
 /// steady progress, large enough that framing cost stays negligible.
 const BLOCK_ROWS: usize = 1024;
+
+/// Longest request line accepted, terminator included. A line is read
+/// whole before admission is ever consulted, so without a bound any peer
+/// could make the server allocate without limit; this is far above what a
+/// client has reason to send in one `rows` chunk.
+const MAX_LINE_BYTES: usize = 64 << 20;
+
+/// Response text buffered before it is written out early. Only a result of
+/// tens of thousands of groups gets here; everything smaller is one write.
+const FLUSH_BYTES: usize = 256 << 10;
 
 /// Usage text shown by `hsa serve --help`.
 pub const SERVE_USAGE: &str = "\
@@ -199,49 +216,165 @@ struct ActiveQuery {
     scratch: Option<PathBuf>,
 }
 
+/// The operation a request line names.
+enum Op {
+    Submit,
+    Rows,
+    Finish,
+    Cancel,
+}
+
+/// One request line, decoded in a single pass over its text. `op` may be
+/// the last member of the line, so every operation's members are decoded
+/// wherever they stand and each handler reads its own; a member of the
+/// wrong type counts as absent, an unknown member is validated and
+/// dropped.
+#[derive(Default)]
+struct Request {
+    op: Option<Op>,
+    aggs: Option<JsonValue>,
+    threads: Option<u64>,
+    cache_kb: Option<u64>,
+    mem_budget: Option<u64>,
+    disk_budget: Option<u64>,
+    timeout_ms: Option<u64>,
+    query_id: Option<u64>,
+    /// `keys` was given; `true` if it was a `[u64]`, which then sits in
+    /// [`Conn::keys`].
+    keys: Option<bool>,
+    /// `cols` was given; `Some(n)` if it was a `[[u64]]` of `n` columns,
+    /// which then sit in `Conn::cols[..n]`.
+    cols: Option<Option<usize>>,
+}
+
+impl Request {
+    /// Decode `line`, landing a `rows` payload in the connection's reused
+    /// `keys`/`cols` buffers without an intermediate value tree.
+    fn decode(
+        line: &str,
+        keys: &mut Vec<u64>,
+        cols: &mut Vec<Vec<u64>>,
+    ) -> Result<Request, ParseError> {
+        let mut req = Request::default();
+        let mut reader = Reader::new(line);
+        reader.object(|r, member| {
+            match member {
+                "op" => {
+                    req.op = match r.str()?.as_deref() {
+                        Some("submit") => Some(Op::Submit),
+                        Some("rows") => Some(Op::Rows),
+                        Some("finish") => Some(Op::Finish),
+                        Some("cancel") => Some(Op::Cancel),
+                        _ => None,
+                    }
+                }
+                "aggs" => req.aggs = Some(r.value()?),
+                "threads" => req.threads = r.u64()?,
+                "cache_kb" => req.cache_kb = r.u64()?,
+                "mem_budget" => req.mem_budget = r.u64()?,
+                "disk_budget" => req.disk_budget = r.u64()?,
+                "timeout_ms" => req.timeout_ms = r.u64()?,
+                "query_id" => req.query_id = r.u64()?,
+                "keys" => {
+                    keys.clear();
+                    req.keys = Some(r.u64_array(keys)?);
+                }
+                "cols" => {
+                    let (mut n, mut all_u64) = (0, true);
+                    let is_array = r.array(|r| {
+                        if n == cols.len() {
+                            cols.push(Vec::new());
+                        }
+                        cols[n].clear();
+                        all_u64 &= r.u64_array(&mut cols[n])?;
+                        n += 1;
+                        Ok(())
+                    })?;
+                    req.cols = Some((is_array && all_u64).then_some(n));
+                }
+                _ => r.skip_value()?,
+            }
+            Ok(())
+        })?;
+        reader.finish()?;
+        Ok(req)
+    }
+
+    /// How many of the decoded columns a `rows` request carries for a
+    /// query that references `n_inputs` of them.
+    fn rows_shape(&self, n_inputs: usize) -> Result<usize, CliError> {
+        if self.keys != Some(true) {
+            return Err(CliError::invalid("rows needs \"keys\": [u64]"));
+        }
+        let n_cols = match self.cols {
+            None => 0,
+            Some(Some(n)) => n,
+            Some(None) => return Err(CliError::invalid("rows needs \"cols\": [[u64]]")),
+        };
+        if n_cols < n_inputs {
+            return Err(CliError::invalid(format!(
+                "query references {n_inputs} input column(s), got {n_cols}"
+            )));
+        }
+        Ok(n_cols)
+    }
+}
+
+/// One client connection: its socket, its query, and the buffers every
+/// request on it reuses.
+struct Conn<'s> {
+    state: &'s ServeState,
+    socket: TcpStream,
+    /// The response under construction. A reply — an ack, an error, or a
+    /// whole `block…done` stream — is assembled here and reaches the
+    /// socket in one write (see [`Conn::flush`]).
+    out: String,
+    active: Option<ActiveQuery>,
+    /// Payload of the current `rows` request.
+    keys: Vec<u64>,
+    cols: Vec<Vec<u64>>,
+}
+
 fn handle_conn(stream: TcpStream, state: &ServeState) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
+    // Every reply leaves in one write, so there is nothing for Nagle's
+    // algorithm to coalesce; left on, it holds the tail segment of a reply
+    // that spans several until the client's delayed ACK (~40 ms) arrives.
+    let _ = stream.set_nodelay(true);
+    let Ok(socket) = stream.try_clone() else { return };
     let mut reader = BufReader::new(stream);
-    let mut active: Option<ActiveQuery> = None;
-    let mut line = String::new();
+    let mut conn = Conn {
+        state,
+        socket,
+        out: String::new(),
+        active: None,
+        keys: Vec::new(),
+        cols: Vec::new(),
+    };
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        match (&mut reader).take(MAX_LINE_BYTES as u64).read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
-        if line.trim().is_empty() {
+        if line.len() == MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+            // The rest of the line cannot be skipped in bounded time, so
+            // the connection ends with the answer.
+            let err = CliError::invalid(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
+            conn.error(&err, None);
+            let _ = conn.flush();
+            break;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else { break };
+        if text.trim().is_empty() {
             continue;
         }
-        let request = match parse_json(&line) {
-            Ok(v) => v,
-            Err(e) => {
-                let err = CliError::invalid(format!("bad request JSON: {e}"));
-                if write_error(&mut writer, &err, None).is_err() {
-                    break;
-                }
-                continue;
-            }
-        };
-        let result = match request.get("op").and_then(JsonValue::as_str) {
-            Some("submit") => op_submit(&request, &mut active, state, &mut writer),
-            Some("rows") => op_rows(&request, &mut active, state, &mut writer),
-            Some("finish") => op_finish(&mut active, state, &mut writer),
-            Some("cancel") => op_cancel(&request, state, &mut writer),
-            _ => {
-                let err = CliError::invalid("missing or unknown \"op\"");
-                write_error(&mut writer, &err, active.as_ref().map(|a| a.id))
-            }
-        };
-        if result.is_err() {
+        if conn.handle(text).is_err() {
             break; // the socket is gone; cleanup below
         }
     }
     // Connection torn down with a query in flight: release everything.
-    if let Some(q) = active.take() {
+    if let Some(q) = conn.active.take() {
         cleanup_query(q, state);
     }
 }
@@ -258,242 +391,276 @@ fn cleanup_query(q: ActiveQuery, state: &ServeState) {
     }
 }
 
-fn op_submit(
-    request: &JsonValue,
-    active: &mut Option<ActiveQuery>,
-    state: &ServeState,
-    writer: &mut TcpStream,
-) -> std::io::Result<()> {
-    if active.is_some() {
-        let err = CliError::invalid("a query is already in flight on this connection");
-        return write_error(writer, &err, active.as_ref().map(|a| a.id));
-    }
-    let specs = match parse_specs(request) {
-        Ok(s) => s,
-        Err(e) => return write_error(writer, &e, None),
-    };
-    let n_inputs = specs.iter().filter_map(|s| s.input).map(|i| i + 1).max().unwrap_or(0);
-    let threads = match request.get("threads").and_then(JsonValue::as_u64) {
-        // A query cannot claim more slots than the server allots.
-        Some(n) => (n as usize).clamp(1, state.threads),
-        None => state.threads,
-    };
-    let mut cfg = AggregateConfig { threads, ..AggregateConfig::default() };
-    if let Some(kb) = request.get("cache_kb").and_then(JsonValue::as_u64) {
-        cfg.cache_bytes = (kb.max(1) as usize) << 10;
-    }
-    let admission = AdmissionRequest {
-        memory_bytes: request.get("mem_budget").and_then(JsonValue::as_u64),
-        disk_bytes: request.get("disk_budget").and_then(JsonValue::as_u64),
-        deadline: request.get("timeout_ms").and_then(JsonValue::as_u64).map(Duration::from_millis),
-    };
-    // First a non-blocking probe so the client hears "queued" instead of
-    // silence, then the bounded blocking wait.
-    let outcome = match state.admission.try_admit(&admission) {
-        AdmissionOutcome::Queued { active: n, waiting_for } => {
-            write_line(
-                writer,
-                &JsonValue::obj([
-                    ("ok", JsonValue::str("queued")),
-                    ("active", JsonValue::U64(n as u64)),
-                    ("waiting_for", JsonValue::str(waiting_for)),
-                ]),
-            )?;
-            state.admission.admit_blocking(&admission, Some(state.admit_timeout))
-        }
-        outcome => outcome,
-    };
-    let grant = match outcome {
-        AdmissionOutcome::Admitted(grant) => grant,
-        AdmissionOutcome::Denied(denied) => {
-            let class = match denied {
-                AdmissionDenied::ShuttingDown => ErrorClass::Internal,
-                _ => ErrorClass::Budget,
-            };
-            return write_error(writer, &CliError::new(class, format!("denied: {denied}")), None);
-        }
-        AdmissionOutcome::Queued { waiting_for, .. } => {
-            let err = CliError::new(
-                ErrorClass::Budget,
-                format!("admission timed out waiting for {waiting_for}"),
-            );
-            return write_error(writer, &err, None);
-        }
-    };
-    let mut env = ExecEnv::unrestricted()
-        .with_budget(grant.budget())
-        .with_disk_budget(grant.disk())
-        .with_cancel(grant.cancel());
-    // The query id is only known once the stream exists, but the spill
-    // store captures its directory at open — so scratch directories get
-    // a process-unique sequence number instead of the query id. Each is
-    // removed when its query completes, on every path.
-    let scratch = match &state.spill_dir {
-        Some(base) => {
-            // ORDERING: Relaxed — a unique-name counter, nothing else is
-            // published through it.
-            let n = SCRATCH_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let dir = base.join(format!("scratch-{}-{n}", std::process::id()));
-            if let Err(e) = std::fs::create_dir_all(&dir) {
-                let err = CliError::new(ErrorClass::Io, format!("cannot create scratch dir: {e}"));
-                return write_error(writer, &err, None);
-            }
-            env = env.with_spill_dir(&dir);
-            Some(dir)
-        }
-        None => None,
-    };
-    let agg = match AggStream::new(&specs, &cfg, &env, &ObsConfig::disabled()) {
-        Ok(s) => s,
-        Err(e) => {
-            if let Some(dir) = &scratch {
-                let _ = std::fs::remove_dir_all(dir);
-            }
-            return write_error(writer, &CliError::from(e), None);
-        }
-    };
-    let id = agg.query_id();
-    if let Ok(mut cancels) = state.cancels.lock() {
-        cancels.insert(id, grant.cancel());
-    }
-    *active = Some(ActiveQuery { id, stream: agg, _grant: grant, n_inputs, scratch });
-    write_line(
-        writer,
-        &JsonValue::obj([("ok", JsonValue::str("admitted")), ("query_id", JsonValue::U64(id))]),
-    )
-}
-
 /// Scratch-directory name counter shared by all connections.
 static SCRATCH_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-fn op_rows(
-    request: &JsonValue,
-    active: &mut Option<ActiveQuery>,
-    state: &ServeState,
-    writer: &mut TcpStream,
-) -> std::io::Result<()> {
-    let Some(q) = active.as_mut() else {
-        return write_error(writer, &CliError::invalid("no query in flight (submit first)"), None);
-    };
-    let Some(keys) = request.get("keys").and_then(u64_vec) else {
-        return write_error(writer, &CliError::invalid("rows needs \"keys\": [u64]"), Some(q.id));
-    };
-    let cols: Vec<Vec<u64>> = match request.get("cols") {
-        None => Vec::new(),
-        Some(v) => match v.as_array().map(|a| a.iter().map(u64_vec).collect::<Option<Vec<_>>>()) {
-            Some(Some(cols)) => cols,
-            _ => {
-                let err = CliError::invalid("rows needs \"cols\": [[u64]]");
-                return write_error(writer, &err, Some(q.id));
+impl Conn<'_> {
+    /// Answer one request line. `Err` means the socket failed.
+    fn handle(&mut self, line: &str) -> std::io::Result<()> {
+        match Request::decode(line, &mut self.keys, &mut self.cols) {
+            Err(e) => self.error(&CliError::invalid(format!("bad request JSON: {e}")), None),
+            Ok(req) => match req.op {
+                Some(Op::Submit) => self.op_submit(&req)?,
+                Some(Op::Rows) => self.op_rows(&req),
+                Some(Op::Finish) => self.op_finish()?,
+                Some(Op::Cancel) => self.op_cancel(&req),
+                None => {
+                    let err = CliError::invalid("missing or unknown \"op\"");
+                    self.error(&err, self.active.as_ref().map(|a| a.id));
+                }
+            },
+        }
+        self.flush()
+    }
+
+    /// Write out what the response buffer holds. Once per response, plus
+    /// where a response has to be seen before it is complete: the `queued`
+    /// notice ahead of the admission wait, and a result too large to hold
+    /// as text (every [`FLUSH_BYTES`]).
+    fn flush(&mut self) -> std::io::Result<()> {
+        let written = self.socket.write_all(self.out.as_bytes());
+        self.out.clear();
+        written
+    }
+
+    /// Append one response line.
+    fn reply(&mut self, value: &JsonValue) {
+        value.write_compact(&mut self.out);
+        self.out.push('\n');
+    }
+
+    /// Append one error line.
+    fn error(&mut self, err: &CliError, query_id: Option<u64>) {
+        let mut pairs = vec![
+            ("error".to_string(), JsonValue::str(&err.message)),
+            ("class".to_string(), JsonValue::str(err.class.label())),
+            ("exit_class".to_string(), JsonValue::U64(u64::from(err.class.exit_code()))),
+        ];
+        if let Some(id) = query_id {
+            pairs.push(("query_id".to_string(), JsonValue::U64(id)));
+        }
+        self.reply(&JsonValue::Object(pairs));
+    }
+
+    fn op_submit(&mut self, req: &Request) -> std::io::Result<()> {
+        let state = self.state;
+        if let Some(q) = &self.active {
+            let err = CliError::invalid("a query is already in flight on this connection");
+            self.error(&err, Some(q.id));
+            return Ok(());
+        }
+        let specs = match parse_specs(req.aggs.as_ref()) {
+            Ok(s) => s,
+            Err(e) => {
+                self.error(&e, None);
+                return Ok(());
             }
-        },
-    };
-    if cols.len() < q.n_inputs {
-        let err = CliError::invalid(format!(
-            "query references {} input column(s), got {}",
-            q.n_inputs,
-            cols.len()
-        ));
-        return write_error(writer, &err, Some(q.id));
-    }
-    let col_refs: Vec<&[u64]> = cols.iter().map(Vec::as_slice).collect();
-    match q.stream.push(&keys, &col_refs) {
-        Ok(()) => {
-            let ack = JsonValue::obj([
-                ("ok", JsonValue::str("rows")),
-                ("query_id", JsonValue::U64(q.id)),
-                ("pushed", JsonValue::U64(keys.len() as u64)),
-                ("total", JsonValue::U64(q.stream.rows_pushed())),
-            ]);
-            write_line(writer, &ack)
+        };
+        let n_inputs = specs.iter().filter_map(|s| s.input).map(|i| i + 1).max().unwrap_or(0);
+        let threads = match req.threads {
+            // A query cannot claim more slots than the server allots.
+            Some(n) => (n as usize).clamp(1, state.threads),
+            None => state.threads,
+        };
+        let mut cfg = AggregateConfig { threads, ..AggregateConfig::default() };
+        if let Some(kb) = req.cache_kb {
+            cfg.cache_bytes = (kb.max(1) as usize) << 10;
         }
-        Err(e) => {
-            // The stream is poisoned: tear the query down, keep the
-            // connection; the client may submit a fresh query.
-            let id = q.id;
-            let q = active.take().expect("checked in-flight above");
-            cleanup_query(q, state);
-            write_error(writer, &CliError::from(e), Some(id))
+        let admission = AdmissionRequest {
+            memory_bytes: req.mem_budget,
+            disk_bytes: req.disk_budget,
+            deadline: req.timeout_ms.map(Duration::from_millis),
+        };
+        // First a non-blocking probe so the client hears "queued" instead of
+        // silence, then the bounded blocking wait.
+        let outcome = match state.admission.try_admit(&admission) {
+            AdmissionOutcome::Queued { active: n, waiting_for } => {
+                self.reply(&JsonValue::obj([
+                    ("ok", JsonValue::str("queued")),
+                    ("active", JsonValue::U64(n as u64)),
+                    ("waiting_for", JsonValue::str(waiting_for)),
+                ]));
+                self.flush()?;
+                state.admission.admit_blocking(&admission, Some(state.admit_timeout))
+            }
+            outcome => outcome,
+        };
+        let grant = match outcome {
+            AdmissionOutcome::Admitted(grant) => grant,
+            AdmissionOutcome::Denied(denied) => {
+                let class = match denied {
+                    AdmissionDenied::ShuttingDown => ErrorClass::Internal,
+                    _ => ErrorClass::Budget,
+                };
+                self.error(&CliError::new(class, format!("denied: {denied}")), None);
+                return Ok(());
+            }
+            AdmissionOutcome::Queued { waiting_for, .. } => {
+                let err = CliError::new(
+                    ErrorClass::Budget,
+                    format!("admission timed out waiting for {waiting_for}"),
+                );
+                self.error(&err, None);
+                return Ok(());
+            }
+        };
+        let mut env = ExecEnv::unrestricted()
+            .with_budget(grant.budget())
+            .with_disk_budget(grant.disk())
+            .with_cancel(grant.cancel());
+        // The query id is only known once the stream exists, but the spill
+        // store captures its directory at open — so scratch directories get
+        // a process-unique sequence number instead of the query id. Each is
+        // removed when its query completes, on every path.
+        let scratch = match &state.spill_dir {
+            Some(base) => {
+                // ORDERING: Relaxed — a unique-name counter, nothing else is
+                // published through it.
+                let n = SCRATCH_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let dir = base.join(format!("scratch-{}-{n}", std::process::id()));
+                if let Err(e) = std::fs::create_dir_all(&dir) {
+                    let err =
+                        CliError::new(ErrorClass::Io, format!("cannot create scratch dir: {e}"));
+                    self.error(&err, None);
+                    return Ok(());
+                }
+                env = env.with_spill_dir(&dir);
+                Some(dir)
+            }
+            None => None,
+        };
+        let agg = match AggStream::new(&specs, &cfg, &env, &ObsConfig::disabled()) {
+            Ok(s) => s,
+            Err(e) => {
+                if let Some(dir) = &scratch {
+                    let _ = std::fs::remove_dir_all(dir);
+                }
+                self.error(&CliError::from(e), None);
+                return Ok(());
+            }
+        };
+        let id = agg.query_id();
+        if let Ok(mut cancels) = state.cancels.lock() {
+            cancels.insert(id, grant.cancel());
         }
-    }
-}
-
-fn op_finish(
-    active: &mut Option<ActiveQuery>,
-    state: &ServeState,
-    writer: &mut TcpStream,
-) -> std::io::Result<()> {
-    let Some(q) = active.take() else {
-        return write_error(writer, &CliError::invalid("no query in flight (submit first)"), None);
-    };
-    let ActiveQuery { id, stream, _grant, scratch, .. } = q;
-    let finished = stream.finish();
-    // The query is over either way: free the id and the scratch space
-    // before streaming results (the output is already materialized).
-    if let Ok(mut cancels) = state.cancels.lock() {
-        cancels.remove(&id);
-    }
-    if let Some(dir) = &scratch {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-    let (out, report) = match finished {
-        Ok(v) => v,
-        Err(e) => return write_error(writer, &CliError::from(e), Some(id)),
-    };
-    drop(_grant);
-    // Sorted-key order makes served output deterministic — bit-identical
-    // across runs and to a sequential execution of the same query.
-    let rows = out.sorted_rows();
-    let n_cols = rows.first().map(|(_, vals)| vals.len()).unwrap_or(0);
-    for block in rows.chunks(BLOCK_ROWS) {
-        let keys = JsonValue::u64_array(block.iter().map(|(k, _)| *k));
-        let cols = JsonValue::Array(
-            (0..n_cols)
-                .map(|c| JsonValue::u64_array(block.iter().map(|(_, vals)| vals[c])))
-                .collect(),
-        );
-        let line = JsonValue::obj([("block", JsonValue::obj([("keys", keys), ("cols", cols)]))]);
-        write_line(writer, &line)?;
-    }
-    let done = JsonValue::obj([(
-        "done",
-        JsonValue::obj([
+        self.active = Some(ActiveQuery { id, stream: agg, _grant: grant, n_inputs, scratch });
+        self.reply(&JsonValue::obj([
+            ("ok", JsonValue::str("admitted")),
             ("query_id", JsonValue::U64(id)),
-            ("groups", JsonValue::U64(out.n_groups() as u64)),
-            ("report", report.to_json()),
-        ]),
-    )]);
-    write_line(writer, &done)
-}
+        ]));
+        Ok(())
+    }
 
-fn op_cancel(
-    request: &JsonValue,
-    state: &ServeState,
-    writer: &mut TcpStream,
-) -> std::io::Result<()> {
-    let Some(id) = request.get("query_id").and_then(JsonValue::as_u64) else {
-        return write_error(writer, &CliError::invalid("cancel needs \"query_id\""), None);
-    };
-    let token = state.cancels.lock().ok().and_then(|c| c.get(&id).cloned());
-    match token {
-        Some(token) => {
-            token.cancel();
-            write_line(
-                writer,
-                &JsonValue::obj([
+    fn op_rows(&mut self, req: &Request) {
+        let Some(mut q) = self.active.take() else {
+            return self.error(&CliError::invalid("no query in flight (submit first)"), None);
+        };
+        let n_cols = match req.rows_shape(q.n_inputs) {
+            Ok(n) => n,
+            Err(e) => {
+                self.error(&e, Some(q.id));
+                self.active = Some(q);
+                return;
+            }
+        };
+        let cols: Vec<&[u64]> = self.cols[..n_cols].iter().map(Vec::as_slice).collect();
+        match q.stream.push(&self.keys, &cols) {
+            Ok(()) => {
+                self.reply(&JsonValue::obj([
+                    ("ok", JsonValue::str("rows")),
+                    ("query_id", JsonValue::U64(q.id)),
+                    ("pushed", JsonValue::U64(self.keys.len() as u64)),
+                    ("total", JsonValue::U64(q.stream.rows_pushed())),
+                ]));
+                self.active = Some(q);
+            }
+            Err(e) => {
+                // The stream is poisoned: tear the query down, keep the
+                // connection; the client may submit a fresh query.
+                let id = q.id;
+                cleanup_query(q, self.state);
+                self.error(&CliError::from(e), Some(id));
+            }
+        }
+    }
+
+    fn op_finish(&mut self) -> std::io::Result<()> {
+        let Some(q) = self.active.take() else {
+            self.error(&CliError::invalid("no query in flight (submit first)"), None);
+            return Ok(());
+        };
+        let ActiveQuery { id, stream, _grant, scratch, .. } = q;
+        let finished = stream.finish();
+        // The query is over either way: free the id and the scratch space
+        // before streaming results (the output is already materialized).
+        if let Ok(mut cancels) = self.state.cancels.lock() {
+            cancels.remove(&id);
+        }
+        if let Some(dir) = &scratch {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        let (out, report) = match finished {
+            Ok(v) => v,
+            Err(e) => {
+                self.error(&CliError::from(e), Some(id));
+                return Ok(());
+            }
+        };
+        drop(_grant);
+        // Sorted-key order makes served output deterministic — bit-identical
+        // across runs and to a sequential execution of the same query. The
+        // blocks are written column by column through the sort permutation,
+        // straight from the output's columns.
+        let mut order: Vec<usize> = (0..out.n_groups()).collect();
+        order.sort_unstable_by_key(|&row| out.keys[row]);
+        for block in order.chunks(BLOCK_ROWS) {
+            self.out.push_str("{\"block\":{\"keys\":");
+            write_u64_array(&mut self.out, block.iter().map(|&row| out.keys[row]));
+            self.out.push_str(",\"cols\":[");
+            for (c, col) in out.states.iter().enumerate() {
+                if c > 0 {
+                    self.out.push(',');
+                }
+                write_u64_array(&mut self.out, block.iter().map(|&row| col[row]));
+            }
+            self.out.push_str("]}}\n");
+            if self.out.len() >= FLUSH_BYTES {
+                self.flush()?;
+            }
+        }
+        self.reply(&JsonValue::obj([(
+            "done",
+            JsonValue::obj([
+                ("query_id", JsonValue::U64(id)),
+                ("groups", JsonValue::U64(out.n_groups() as u64)),
+                ("report", report.to_json()),
+            ]),
+        )]));
+        Ok(())
+    }
+
+    fn op_cancel(&mut self, req: &Request) {
+        let Some(id) = req.query_id else {
+            return self.error(&CliError::invalid("cancel needs \"query_id\""), None);
+        };
+        let token = self.state.cancels.lock().ok().and_then(|c| c.get(&id).cloned());
+        match token {
+            Some(token) => {
+                token.cancel();
+                self.reply(&JsonValue::obj([
                     ("ok", JsonValue::str("cancelled")),
                     ("query_id", JsonValue::U64(id)),
-                ]),
-            )
+                ]));
+            }
+            None => self.error(&CliError::invalid(format!("no live query {id}")), None),
         }
-        None => write_error(writer, &CliError::invalid(format!("no live query {id}")), None),
     }
 }
 
 /// Parse `"aggs": [["count"],["sum",0],...]` into specs. An omitted or
 /// empty list is `DISTINCT` over the keys.
-fn parse_specs(request: &JsonValue) -> Result<Vec<AggSpec>, CliError> {
-    let Some(aggs) = request.get("aggs") else { return Ok(Vec::new()) };
+fn parse_specs(aggs: Option<&JsonValue>) -> Result<Vec<AggSpec>, CliError> {
+    let Some(aggs) = aggs else { return Ok(Vec::new()) };
     let Some(entries) = aggs.as_array() else {
         return Err(CliError::invalid("\"aggs\" must be an array of [fn, col?] pairs"));
     };
@@ -515,32 +682,6 @@ fn parse_specs(request: &JsonValue) -> Result<Vec<AggSpec>, CliError> {
         });
     }
     Ok(specs)
-}
-
-fn u64_vec(v: &JsonValue) -> Option<Vec<u64>> {
-    v.as_array()?.iter().map(JsonValue::as_u64).collect()
-}
-
-fn write_line(writer: &mut TcpStream, value: &JsonValue) -> std::io::Result<()> {
-    let mut text = value.to_string_compact();
-    text.push('\n');
-    writer.write_all(text.as_bytes())
-}
-
-fn write_error(
-    writer: &mut TcpStream,
-    err: &CliError,
-    query_id: Option<u64>,
-) -> std::io::Result<()> {
-    let mut pairs = vec![
-        ("error".to_string(), JsonValue::str(&err.message)),
-        ("class".to_string(), JsonValue::str(err.class.label())),
-        ("exit_class".to_string(), JsonValue::U64(u64::from(err.class.exit_code()))),
-    ];
-    if let Some(id) = query_id {
-        pairs.push(("query_id".to_string(), JsonValue::U64(id)));
-    }
-    write_line(writer, &JsonValue::Object(pairs))
 }
 
 #[cfg(test)]
@@ -588,12 +729,13 @@ mod tests {
 
     #[test]
     fn spec_parsing_accepts_the_protocol_forms() {
-        let req = parse_json(r#"{"aggs":[["count"],["sum",0],["avg",1]]}"#).unwrap();
-        let specs = parse_specs(&req).unwrap();
+        let decode = |line| Request::decode(line, &mut Vec::new(), &mut Vec::new()).unwrap();
+        let req = decode(r#"{"aggs":[["count"],["sum",0],["avg",1]]}"#);
+        let specs = parse_specs(req.aggs.as_ref()).unwrap();
         assert_eq!(specs.len(), 3);
-        let req = parse_json(r#"{"aggs":[["median",0]]}"#).unwrap();
-        assert!(parse_specs(&req).is_err());
-        let req = parse_json(r#"{}"#).unwrap();
-        assert!(parse_specs(&req).unwrap().is_empty(), "no aggs = DISTINCT");
+        let req = decode(r#"{"aggs":[["median",0]]}"#);
+        assert!(parse_specs(req.aggs.as_ref()).is_err());
+        let req = decode(r#"{}"#);
+        assert!(parse_specs(req.aggs.as_ref()).unwrap().is_empty(), "no aggs = DISTINCT");
     }
 }

@@ -340,3 +340,60 @@ fn spilled_queries_leave_no_scratch_files() {
     assert!(leftovers.is_empty(), "leaked scratch files: {leftovers:?}");
     let _ = std::fs::remove_dir_all(&scratch);
 }
+
+/// A reply of several lines must not stall between them. Written line by
+/// line on a socket with Nagle's algorithm on, the `done` line waits for
+/// the client's delayed ACK of the block before it — about 40 ms on every
+/// query but a connection's first. The client here leaves `TCP_NODELAY`
+/// off, as most do; the minimum over five queries keeps a slow host from
+/// failing the test.
+#[test]
+fn done_follows_the_result_blocks_without_an_ack_wait() {
+    let addr = start_server(default_args());
+    let (keys, vals) = test_data(5_000);
+    let mut client = Client::connect(addr);
+    let mut gaps = Vec::new();
+    for _ in 0..6 {
+        client.submit(SUBMIT);
+        client.push_ok(&keys, &[&vals]);
+        client.send(r#"{"op":"finish"}"#);
+        let first_block = client.recv();
+        assert!(first_block.get("block").is_some(), "{first_block:?}");
+        let block_at = std::time::Instant::now();
+        while client.recv().get("done").is_none() {}
+        gaps.push(block_at.elapsed());
+    }
+    let best = gaps[1..].iter().min().unwrap();
+    assert!(*best < Duration::from_millis(20), "first block → done gaps: {gaps:?}");
+}
+
+/// A request line is read whole before anything looks at it, so its length
+/// is bounded: past 64 MiB without a newline the server answers once and
+/// closes, whoever the peer is and whatever admission would have said.
+#[test]
+fn an_endless_request_line_is_refused_and_the_connection_closed() {
+    let addr = start_server(default_args());
+    let mut client = Client::connect(addr);
+    let chunk = vec![b' '; 1 << 20];
+    for _ in 0..64 {
+        client.writer.write_all(&chunk).expect("send");
+    }
+    let reply = client.recv();
+    let err = reply.get("error").and_then(JsonValue::as_str).expect("refusal");
+    assert!(err.contains("request line exceeds 67108864 bytes"), "error: {err}");
+    assert_eq!(reply.get("class").and_then(JsonValue::as_str), Some("invalid-input"));
+    assert_eq!(reply.get("exit_class").and_then(JsonValue::as_u64), Some(5));
+    let mut rest = String::new();
+    assert_eq!(client.reader.read_line(&mut rest).expect("eof"), 0, "left open: {rest:?}");
+
+    // A line of exactly the limit, newline included, is still a request.
+    let mut client = Client::connect(addr);
+    for _ in 0..63 {
+        client.writer.write_all(&chunk).expect("send");
+    }
+    client.writer.write_all(&chunk[..(1 << 20) - 18]).expect("send");
+    client.send(r#"{"op":"finish"}  "#);
+    let reply = client.recv();
+    let err = reply.get("error").and_then(JsonValue::as_str).expect("no query in flight");
+    assert!(err.contains("no query in flight"), "error: {err}");
+}

@@ -280,8 +280,12 @@ pub(crate) fn process_view(
     Ok(())
 }
 
-/// Emit a completed bucket's table as final groups.
-fn emit_final_from_table(ctx: &Ctx, table: &mut AggTable, obs: &Obs) -> Result<(), AggError> {
+/// Emit a table that absorbed its whole input as final groups.
+pub(crate) fn emit_final_from_table(
+    ctx: &Ctx,
+    table: &mut AggTable,
+    obs: &Obs,
+) -> Result<(), AggError> {
     let pt = obs.phase_start(table.level(), Phase::Output);
     let groups = table.len() as u64;
     let out_bytes = (table.len() * 8 * (1 + table.n_cols())) as u64;

@@ -74,6 +74,13 @@ impl SharedBuckets {
         }
     }
 
+    /// True if no run was pushed: no table filled and nothing was
+    /// partitioned, so whatever the input held still sits in the worker
+    /// tables. Only meaningful once the pushing scopes have quiesced.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.buckets.iter().all(|b| b.lock().0.is_empty())
+    }
+
     /// Consume into `(digit, bucket, reservation)` triples for the
     /// non-empty buckets.
     pub(crate) fn into_nonempty(

@@ -7,7 +7,9 @@
 //! counters) persists across pushes, sealing cache-sized runs into the
 //! shared level-1 buckets exactly as the one-shot driver does.
 //! [`AggStream::finish`] then seals the leftover worker tables and runs
-//! the recursion of Algorithm 2 unchanged.
+//! the recursion of Algorithm 2 unchanged — unless a single table
+//! absorbed the whole input, in which case its groups are already final
+//! and are emitted as they stand.
 //!
 //! The one-shot entry points ([`crate::aggregate`] and friends) are
 //! one-chunk wrappers over this type, so the slice path and a
@@ -20,9 +22,11 @@
 //! level, rows in, groups out — stay exact.
 
 use crate::driver::{
-    contain_panics, process_bucket, store_for, validate_specs, Ctx, TablePool, WorkerState,
+    contain_panics, emit_final_from_table, process_bucket, store_for, validate_specs, Ctx,
+    TablePool, WorkerState,
 };
 use crate::exec::ExecEnv;
+use crate::hashing::seal_into;
 use crate::output::{Collector, GroupByOutput};
 use crate::report::{ObsConfig, RunReport};
 use crate::sink::SharedBuckets;
@@ -31,7 +35,7 @@ use crate::view::RunView;
 use crate::AggregateConfig;
 use hsa_agg::{plan, AggSpec, Plan, StateOp};
 use hsa_fault::{AggError, CancelToken};
-use hsa_hashtbl::identity_of;
+use hsa_hashtbl::{identity_of, AggTable};
 use hsa_obs::{
     BudgetProbe, Counter, Hist, Phase, PhaseCell, ProfileTree, ProgressGauge, ProgressSampler,
     Recorder, Tracer,
@@ -286,6 +290,8 @@ impl AggStream {
 
     /// End of input: seal the leftover worker tables, recurse into the
     /// buckets (phase 2), and return the grouped result plus the report.
+    /// When one worker table holds every group and no run was ever
+    /// produced, the table is emitted directly and phase 2 has no work.
     pub fn finish(self) -> Result<(GroupByOutput, RunReport), AggError> {
         let AggStream {
             ctx,
@@ -302,21 +308,30 @@ impl AggStream {
             ..
         } = self;
 
-        // Seal every worker's leftover table into the level-1 buckets.
         // All push scopes have quiesced, so recording into each worker's
         // shard from here preserves the sharding contract.
-        for (w_idx, w) in workers.into_iter().enumerate() {
-            if let Some(mut table) = w.into_inner().table {
-                if !table.is_empty() {
-                    crate::hashing::seal_into(
-                        &mut table,
-                        &mut &shared,
-                        ctx.gate(),
-                        &ctx.obs(w_idx),
-                    )?;
+        let tables: Vec<(usize, AggTable)> = workers
+            .into_iter()
+            .enumerate()
+            .filter_map(|(w_idx, w)| Some((w_idx, w.into_inner().table?)))
+            .collect();
+        // One table absorbed the whole input and nothing ever left it:
+        // its groups are final — "the recursion stops automatically"
+        // (§5), the level-0 instance of the rule `process_bucket` applies
+        // at every deeper level. Otherwise the leftover tables are sealed
+        // into the level-1 buckets as one more set of runs.
+        let live = tables.iter().filter(|(_, t)| !t.is_empty()).count();
+        let stops_here = live == 1 && shared.is_empty();
+        for (w_idx, mut table) in tables {
+            if !table.is_empty() {
+                let obs = ctx.obs(w_idx);
+                if stops_here {
+                    emit_final_from_table(&ctx, &mut table, &obs)?;
+                } else {
+                    seal_into(&mut table, &mut &shared, ctx.gate(), &obs)?;
                 }
-                ctx.pool.put(table);
             }
+            ctx.pool.put(table);
         }
 
         // Phase 2: recurse into the buckets, one task each.
@@ -515,6 +530,94 @@ mod tests {
         let (out, report) = stream.finish().unwrap();
         assert_eq!(out.n_groups(), 0);
         assert_eq!(report.rows_in, 0);
+    }
+
+    /// Hash `keys`/`vals` into worker `w`'s table directly, as a morsel
+    /// claimed by that worker would — the scheduler decides which workers
+    /// claim morsels of a real push, a test of the finish rule cannot.
+    fn feed_worker(stream: &AggStream, w: usize, keys: &[u64], vals: &[u64]) {
+        let mut guard = stream.workers[w].lock();
+        let ws = &mut *guard;
+        let view = RunView::Borrowed { keys, cols: vec![vals, vals], aggregated: false };
+        crate::driver::process_view(
+            &stream.ctx,
+            &view,
+            0,
+            &mut ws.table,
+            &mut ws.mode,
+            &mut ws.epoch_rows,
+            &mut ws.map32,
+            &mut ws.map8,
+            &mut &stream.shared,
+            &stream.ctx.obs(w),
+        )
+        .unwrap();
+    }
+
+    fn count_sum_stream(threads: usize, env: &ExecEnv) -> AggStream {
+        let specs = [hsa_agg::AggSpec::count(), hsa_agg::AggSpec::sum(0)];
+        let cfg = AggregateConfig { threads, ..cfg() };
+        AggStream::new(&specs, &cfg, env, &ObsConfig::disabled()).unwrap()
+    }
+
+    #[test]
+    fn one_live_table_is_emitted_without_a_seal() {
+        let keys: Vec<u64> = (0..5_000u64).map(|i| i % 200).collect();
+        let stream = count_sum_stream(2, &ExecEnv::unrestricted());
+        feed_worker(&stream, 1, &keys, &keys);
+        let (out, report) = stream.finish().unwrap();
+        assert_eq!(out.n_groups(), 200);
+        assert_eq!(report.stats.seals, 0);
+        assert_eq!(report.stats.passes_used(), 1, "level-0 rows only");
+    }
+
+    #[test]
+    fn two_live_tables_still_seal_and_merge() {
+        let keys: Vec<u64> = (0..5_000u64).map(|i| i % 200).collect();
+        let stream = count_sum_stream(2, &ExecEnv::unrestricted());
+        // The same groups in both tables: neither is final on its own.
+        feed_worker(&stream, 0, &keys, &keys);
+        feed_worker(&stream, 1, &keys, &keys);
+        let (out, report) = stream.finish().unwrap();
+        assert_eq!(report.stats.seals, 2);
+        assert_eq!(report.stats.passes_used(), 2, "level 1 merges the two run sets");
+        let rows = out.sorted_rows();
+        assert_eq!(rows.len(), 200);
+        assert_eq!(rows[7], (7, vec![50, 2 * 25 * 7]));
+    }
+
+    #[test]
+    fn a_run_in_the_shared_buckets_keeps_the_seal_path() {
+        // More groups than one table holds: it seals mid-input, so the
+        // leftover table's groups may continue in the sealed runs.
+        let keys: Vec<u64> = (0..20_000u64).map(|i| i % 5_000).collect();
+        let mut stream = AggStream::new(
+            &[hsa_agg::AggSpec::count()],
+            &AggregateConfig { threads: 1, strategy: Strategy::HashingOnly, ..cfg() },
+            &ExecEnv::unrestricted(),
+            &ObsConfig::disabled(),
+        )
+        .unwrap();
+        stream.push(&keys, &[]).unwrap();
+        let (out, report) = stream.finish().unwrap();
+        assert!(report.stats.seals >= 2, "mid-input seal plus the leftover: {:?}", report.stats);
+        assert!(report.stats.hash_rows_per_level[1] > 0);
+        assert_eq!(out.n_groups(), 5_000);
+        assert!(out.states[0].iter().all(|&c| c == 4));
+    }
+
+    #[test]
+    fn direct_emit_under_a_denied_output_reservation_is_typed_and_drains() {
+        let keys: Vec<u64> = (0..5_000u64).map(|i| i % 500).collect();
+        // Room for the worker table and 1 KiB more; the 500 groups' output
+        // block needs 12 000 bytes.
+        let table = cfg().table_config(2).mem_bytes(2);
+        let budget = hsa_fault::MemoryBudget::limited(table + 1024);
+        let mut stream = count_sum_stream(1, &ExecEnv::unrestricted().with_budget(budget.clone()));
+        stream.push(&keys, &[&keys]).unwrap();
+        let e = stream.finish().unwrap_err();
+        assert!(matches!(e, AggError::BudgetExceeded { requested: 12_000, .. }), "{e:?}");
+        assert_eq!(budget.outstanding(), 0, "the failed finish released the table");
     }
 
     #[test]

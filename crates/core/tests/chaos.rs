@@ -26,19 +26,12 @@ use hsa_core::{
 };
 use std::path::{Path, PathBuf};
 
+mod common;
+
 /// `sorted_rows()` of one run: the bit-identity comparison unit.
 type Rows = Vec<(u64, Vec<u64>)>;
 /// Outcome of one injected run: sorted rows + stats, or the typed error.
 type Outcome = Result<(Rows, hsa_core::OpStats), AggError>;
-
-const ROWS: u64 = 20_000;
-const GROUPS: u64 = 48;
-
-fn workload() -> (Vec<u64>, Vec<u64>) {
-    let keys: Vec<u64> = (0..ROWS).map(|i| (i.wrapping_mul(2654435761)) % GROUPS).collect();
-    let vals: Vec<u64> = (0..ROWS).collect();
-    (keys, vals)
-}
 
 fn specs() -> Vec<AggSpec> {
     vec![AggSpec::count(), AggSpec::sum(0)]
@@ -69,7 +62,7 @@ impl Chaos {
     fn new(tag: &str) -> Self {
         let dir = std::env::temp_dir().join(format!("hsa-chaos-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let (keys, vals) = workload();
+        let (keys, vals) = common::mid_input_seal_workload();
         // The memory budget admits the worker tables but denies the seal
         // reservations, so the run cannot complete without spilling.
         let budget = MemoryBudget::limited(96 << 10);
@@ -77,6 +70,7 @@ impl Chaos {
         let mut chaos = Self { dir, keys, vals, budget, disk, baseline: Vec::new() };
         let (out, stats) = chaos.run(FaultInjector::none()).expect("un-injected baseline");
         assert!(stats.spilled_runs() > 0, "chaos workload does not spill: {stats:?}");
+        assert!(stats.seals >= 2, "chaos workload does not seal mid-input: {stats:?}");
         assert!(stats.spilled_runs() <= 256, "sweep would be too slow: {stats:?}");
         assert_eq!(stats.restored_runs, stats.spilled_runs(), "every run is read back");
         chaos.baseline = out;

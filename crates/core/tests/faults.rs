@@ -21,8 +21,14 @@ use hsa_core::{
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+mod common;
+
 const ROWS: usize = 20_000;
-const GROUPS: u64 = 501;
+/// More groups than the 512 one 64 KiB table of [`config`] holds: tables
+/// seal mid-input, so the run has bucket tasks to inject into whichever
+/// workers claim the morsels (an input that fits one table is emitted
+/// without a task when only one worker ran).
+const GROUPS: u64 = 1_009;
 
 fn workload() -> (Vec<u64>, Vec<u64>) {
     let keys: Vec<u64> = (0..ROWS as u64).map(|i| (i.wrapping_mul(2654435761)) % GROUPS).collect();
@@ -273,17 +279,16 @@ fn spill_dir_turns_exhaustion_into_success() {
 /// depends on spilling: each must surface as `SpillFailed`, leak nothing,
 /// and leave the budget reusable.
 ///
-/// The workload keeps the sweep short by design: 48 distinct keys touch at
-/// most 48 hash digits, the table never fills mid-run (so the only seals
-/// are the leftover flushes), and the budget is sized to admit the worker
+/// The workload keeps the sweep short by design: a few dozen distinct
+/// keys touch as many hash digits, the table seals once mid-run and once
+/// as the leftover flush, and the budget is sized to admit the worker
 /// tables but deny the seal reservations — every spill write of the run is
-/// one of a few dozen leftover-seal digit flushes.
+/// one of those two seals' digit flushes.
 #[test]
 fn sweep_failing_every_spill() {
     let dir = std::env::temp_dir().join(format!("hsa-fault-spill-sweep-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let keys: Vec<u64> = (0..20_000u64).map(|i| (i.wrapping_mul(2654435761)) % 48).collect();
-    let vals: Vec<u64> = (0..20_000u64).collect();
+    let (keys, vals) = common::mid_input_seal_workload();
     let cfg = AggregateConfig { threads: 1, ..config() };
     let budget = MemoryBudget::limited(96 << 10);
 

@@ -200,3 +200,34 @@ fn streaming_spills_under_budget_and_matches() {
     assert_eq!(leftover, 0, "spill files must not outlive the stream");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// When one cache-sized table absorbs the whole input "the recursion
+/// stops automatically" (§5) at level 0: no seal, no level-1 rows — and
+/// the groups are the ones every other route to the answer produces.
+#[test]
+fn single_table_input_stops_at_level_zero() {
+    let mut rng = Rng(0x0051_0b57);
+    let specs = [AggSpec::count(), AggSpec::sum(0)];
+    // 300 groups sit well inside the 512-group fill limit of the table.
+    let (keys, vals) = workload(&mut rng, 30_000, 300);
+    let adaptive = Strategy::Adaptive(AdaptiveParams::default());
+
+    let one = small_cfg(adaptive, 1);
+    let (rows, stats) = run_streamed(&keys, &vals, &specs, &one, &[(0, keys.len())]);
+    assert_eq!(stats.seals, 0, "stats: {stats:?}");
+    assert_eq!(stats.passes_used(), 1, "stats: {stats:?}");
+    assert_eq!(stats.hash_rows_per_level[0], keys.len() as u64);
+    assert_eq!(stats.total_hash_rows() + stats.total_part_rows(), keys.len() as u64);
+
+    // Two workers may or may not both claim morsels; either way the
+    // output is the same.
+    let two = small_cfg(adaptive, 2);
+    let (rows2, _) = run_streamed(&keys, &vals, &specs, &two, &[(0, keys.len())]);
+    assert_eq!(rows2, rows);
+    for _ in 0..3 {
+        let cuts = random_cuts(&mut rng, keys.len());
+        let (chunked, s) = run_streamed(&keys, &vals, &specs, &one, &cuts);
+        assert_eq!(chunked, rows);
+        assert_eq!(s.seals, 0, "chunking must not introduce a seal: {s:?}");
+    }
+}

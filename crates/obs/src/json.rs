@@ -1,12 +1,15 @@
 //! Dependency-free JSON: a value tree with a compact writer, plus a small
-//! strict parser used by tests and tools to validate emitted documents.
+//! strict parser — one pull [`Reader`] that both the tree [`parse`]
+//! (tests and tools validating emitted documents) and the typed request
+//! decoder of `hsa serve` are built on.
 //!
 //! This is deliberately not a serde replacement: reports are built
 //! explicitly as [`JsonValue`] trees and written with [`JsonValue::write`].
 //! Numbers are kept in two lanes — `U64` for exact counters (row counts up
 //! to 2⁶⁴ must not round-trip through `f64`) and `F64` for derived ratios.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// A JSON document fragment.
@@ -93,8 +96,13 @@ impl JsonValue {
     /// Serialize compactly (no whitespace).
     pub fn to_string_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write_compact(&mut out);
         out
+    }
+
+    /// Append the compact form to `out` (a caller's reusable buffer).
+    pub fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
     }
 
     /// Serialize with `indent`-space indentation.
@@ -109,9 +117,7 @@ impl JsonValue {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
+            JsonValue::U64(v) => push_u64(out, *v),
             JsonValue::I64(v) => {
                 let _ = write!(out, "{v}");
             }
@@ -141,6 +147,31 @@ impl JsonValue {
             }
         }
     }
+}
+
+/// Append `[v,v,…]`, the compact form of [`JsonValue::u64_array`], without
+/// building the tree.
+pub fn write_u64_array(
+    out: &mut String,
+    vals: impl IntoIterator<Item = u64, IntoIter: ExactSizeIterator>,
+) {
+    write_seq(out, None, 0, '[', ']', vals.into_iter(), |out, v, _| push_u64(out, v));
+}
+
+/// Decimal digits of `v`; result columns are millions of these, and the
+/// `fmt` machinery costs several times the digits themselves.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 fn write_seq<T>(
@@ -192,7 +223,7 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 /// Parse error with byte offset.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte offset of the failure.
     pub at: usize,
@@ -212,29 +243,165 @@ impl std::error::Error for ParseError {}
 /// value plus trailing whitespace. Used by tests to assert that every
 /// serializer in the workspace emits valid JSON.
 pub fn parse(text: &str) -> Result<JsonValue, ParseError> {
-    let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != bytes.len() {
-        return Err(p.err("trailing data"));
-    }
+    let mut r = Reader::new(text);
+    let v = r.value()?;
+    r.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// Containers nested deeper than this are rejected: the reader recurses
+/// per level, and a line of a hundred thousand `[` must not be able to
+/// overflow the stack of the thread parsing it.
+const MAX_DEPTH: u32 = 128;
+
+/// Strict pull reader over one JSON document — the one lexer of this
+/// module. [`parse`] builds its tree with it; a typed decoder calls the
+/// same methods to land values where it wants them (a `u64` array
+/// straight into a caller-owned `Vec<u64>`) without a [`JsonValue`] per
+/// element.
+///
+/// Every value method consumes exactly one value, leading whitespace
+/// included. The typed ones ([`Reader::str`], [`Reader::u64`],
+/// [`Reader::u64_array`], [`Reader::object`], [`Reader::array`]) answer
+/// `None`/`false` when the value is well-formed JSON of another type —
+/// it is still consumed and validated — so the caller chooses between
+/// ignoring and rejecting it, as `value.get(k).and_then(as_u64)` let it.
+/// What [`parse`] rejects the reader rejects, with the same error.
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
+    depth: u32,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Self { text, pos: 0, depth: 0 }
+    }
+
+    /// End of document: only whitespace may remain.
+    pub fn finish(mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing data"));
+        }
+        Ok(())
+    }
+
+    /// The next value as a tree.
+    pub fn value(&mut self) -> Result<JsonValue, ParseError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'n') => self.eat_lit("null", JsonValue::Null),
+            Some(b't') => self.eat_lit("true", JsonValue::Bool(true)),
+            Some(b'f') => self.eat_lit("false", JsonValue::Bool(false)),
+            Some(b'"') => Ok(JsonValue::Str(self.string()?.into_owned())),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Ok(JsonValue::Array(items))
+            }
+            Some(b'{') => {
+                let mut pairs = Vec::new();
+                self.object(|r, key| {
+                    pairs.push((key.to_string(), r.value()?));
+                    Ok(())
+                })?;
+                Ok(JsonValue::Object(pairs))
+            }
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            _ => Err(self.err("expected a value")),
+        }
+    }
+
+    /// Consume and validate the next value without keeping it.
+    pub fn skip_value(&mut self) -> Result<(), ParseError> {
+        self.value().map(drop)
+    }
+
+    /// Walk the members of an object, calling `member` with each key
+    /// after its `:`; `member` must consume the member's value. Duplicate
+    /// keys are rejected. `false` if the next value is not an object.
+    pub fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), ParseError>,
+    ) -> Result<bool, ParseError> {
+        let mut seen = BTreeSet::new();
+        self.container(b'{', b'}', |r| {
+            let key = r.string()?;
+            if seen.contains(&key) {
+                return Err(r.err(&format!("duplicate key {key:?}")));
+            }
+            r.skip_ws();
+            r.eat(b':')?;
+            member(r, &key)?;
+            seen.insert(key);
+            Ok(())
+        })
+    }
+
+    /// Walk the elements of an array; `element` must consume one value
+    /// per call. `false` if the next value is not an array.
+    pub fn array(
+        &mut self,
+        element: impl FnMut(&mut Self) -> Result<(), ParseError>,
+    ) -> Result<bool, ParseError> {
+        self.container(b'[', b']', element)
+    }
+
+    /// The next value as a string: borrowed from the input unless it
+    /// holds an escape.
+    pub fn str(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
+        self.skip_ws();
+        if self.peek() == Some(b'"') {
+            return self.string().map(Some);
+        }
+        self.skip_value().map(|()| None)
+    }
+
+    /// The next value as an exact unsigned integer.
+    pub fn u64(&mut self) -> Result<Option<u64>, ParseError> {
+        self.skip_ws();
+        match self.plain_u64() {
+            Some(v) => Ok(Some(v)),
+            None => Ok(self.value()?.as_u64()),
+        }
+    }
+
+    /// Append the next value, an array of exact unsigned integers, to
+    /// `out`. `false` — with `out` as it was — if the value is anything
+    /// else, an array with one non-`u64` member included.
+    pub fn u64_array(&mut self, out: &mut Vec<u64>) -> Result<bool, ParseError> {
+        self.skip_ws();
+        let (start, len) = (self.pos, out.len());
+        if self.plain_u64_array(out) {
+            return Ok(true);
+        }
+        // Not an array of plain digit runs (another type, `-0`, twenty
+        // digits, or malformed): re-read it as a tree, so it is judged
+        // exactly as `parse` judges it.
+        self.pos = start;
+        out.truncate(len);
+        let tree = self.value()?;
+        let members = tree.as_array().map(|a| a.iter().map(JsonValue::as_u64));
+        match members.and_then(|m| m.collect::<Option<Vec<u64>>>()) {
+            Some(vals) => {
+                out.extend(vals);
+                Ok(true)
+            }
+            None => Ok(false),
+        }
+    }
+
     fn err(&self, msg: &str) -> ParseError {
         ParseError { at: self.pos, msg: msg.to_string() }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -253,7 +420,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_lit(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -261,75 +428,49 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, ParseError> {
-        match self.peek() {
-            Some(b'n') => self.eat_lit("null", JsonValue::Null),
-            Some(b't') => self.eat_lit("true", JsonValue::Bool(true)),
-            Some(b'f') => self.eat_lit("false", JsonValue::Bool(false)),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, ParseError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
+    /// The shared grammar of `[a, b]` and `{k: v}`: brackets, separators
+    /// and the depth bound; `item` consumes one element or member.
+    fn container(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), ParseError>,
+    ) -> Result<bool, ParseError> {
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
+        if self.peek() != Some(open) {
+            return self.skip_value().map(|()| false);
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
+        self.pos += 1;
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
         }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, ParseError> {
-        self.eat(b'{')?;
-        let mut pairs = Vec::new();
-        let mut seen = BTreeMap::new();
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(JsonValue::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            if seen.insert(key.clone(), ()).is_some() {
-                return Err(self.err(&format!("duplicate key {key:?}")));
-            }
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            pairs.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(pairs));
+        } else {
+            loop {
+                self.skip_ws();
+                item(self)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(c) if c == close => {
+                        self.pos += 1;
+                        break;
+                    }
+                    _ => {
+                        let msg = format!("expected ',' or {:?}", close as char);
+                        return Err(self.err(&msg));
+                    }
                 }
-                _ => return Err(self.err("expected ',' or '}'")),
             }
         }
+        self.depth -= 1;
+        Ok(true)
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
@@ -338,16 +479,19 @@ impl<'a> Parser<'a> {
             while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8"))?,
-            );
+            // The run stops at an ASCII byte, so it ends on a char boundary.
+            let run = &self.text[start..self.pos];
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    if out.is_empty() {
+                        return Ok(Cow::Borrowed(run));
+                    }
+                    out.push_str(run);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
+                    out.push_str(run);
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -360,9 +504,8 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
@@ -383,7 +526,59 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// A run of at most 19 digits — which cannot overflow — that does not
+    /// go on as a fraction or exponent. `pos` moves only on success.
+    fn plain_u64(&mut self) -> Option<u64> {
+        let rest = &self.text.as_bytes()[self.pos..];
+        let mut v = 0u64;
+        let mut n = 0;
+        for &b in rest.iter().take(19) {
+            let d = b.wrapping_sub(b'0');
+            if d > 9 {
+                break;
+            }
+            v = v * 10 + u64::from(d);
+            n += 1;
+        }
+        if n == 0 || matches!(rest.get(n), Some(b'0'..=b'9' | b'.' | b'e' | b'E')) {
+            return None;
+        }
+        self.pos += n;
+        Some(v)
+    }
+
+    /// `[d, d, …]` of plain digit runs; `false` (wherever `pos` got to) on
+    /// anything else.
+    fn plain_u64_array(&mut self, out: &mut Vec<u64>) -> bool {
+        if self.peek() != Some(b'[') {
+            return false;
+        }
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return true;
+        }
+        loop {
+            self.skip_ws();
+            let Some(v) = self.plain_u64() else { return false };
+            out.push(v);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return true;
+                }
+                _ => return false,
+            }
+        }
+    }
+
     fn number(&mut self) -> Result<JsonValue, ParseError> {
+        if let Some(v) = self.plain_u64() {
+            return Ok(JsonValue::U64(v));
+        }
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -409,8 +604,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| ParseError { at: start, msg: "bad number".to_string() })?;
+        let text = &self.text[start..self.pos];
         if !float {
             if let Ok(v) = text.parse::<u64>() {
                 return Ok(JsonValue::U64(v));
@@ -482,6 +676,211 @@ mod tests {
         assert_eq!(v.get("b").and_then(|b| b.as_str()), Some("xA"));
         assert_eq!(v.get("a").unwrap().as_array().unwrap()[0].as_u64(), Some(1));
         assert_eq!(v.get("a").unwrap().as_array().unwrap()[1].as_f64(), Some(-25.0));
+    }
+
+    /// Documents the typed getters are differentially tested on: what the
+    /// other tests of this module parse, the `rejects_garbage` list, and
+    /// the integer edge cases.
+    const CORPUS: &[&str] = &[
+        "null",
+        "true",
+        "18446744073709551615",
+        "18446744073709551616",
+        "00000000000000000000007",
+        "-42",
+        "-0",
+        "2.5",
+        "1e3",
+        "\"hello \\\"world\\\"\\n\\tλ\"",
+        "\"x\\u0041\"",
+        "[]",
+        "{}",
+        "[1,2,3]",
+        " [ 1 ,\n2\t,\r3 ] ",
+        "[18446744073709551615,0]",
+        "[1,18446744073709551616]",
+        "[1,-0]",
+        "[1,-2]",
+        "[1,2.0]",
+        "[1,\"x\"]",
+        "[[1],[2]]",
+        "{\"counts\":[1,2,3],\"nested\":{\"x\":0.5},\"s\":\"v\"}",
+        " {\n\t\"a\" : [ 1 , -2.5e1 ] , \"b\":\"x\\u0041\" }\n",
+        "{\"op\":\"rows\",\"keys\":[1,2,1],\"cols\":[[10,20,30]]}",
+        "",
+        "{",
+        "[1,",
+        "[1,]",
+        "[1 2]",
+        "tru",
+        "\"unterminated",
+        "{\"a\":1,\"a\":2}",
+        "{\"a\":1,\"\\u0061\":2}",
+        "1 2",
+        "[1,2] x",
+        "-",
+        "[1,2",
+    ];
+
+    /// Run one typed getter over the whole of `doc`.
+    fn typed<T>(
+        doc: &str,
+        get: impl FnOnce(&mut Reader<'_>) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        let mut r = Reader::new(doc);
+        let got = get(&mut r)?;
+        r.finish()?;
+        Ok(got)
+    }
+
+    #[test]
+    fn typed_getters_agree_with_the_tree_on_the_corpus() {
+        for doc in CORPUS {
+            let tree = parse(doc);
+            // What the tree says a getter must answer: its error, or `f`
+            // of its value.
+            fn want<T>(
+                tree: &Result<JsonValue, ParseError>,
+                f: impl Fn(&JsonValue) -> T,
+            ) -> Result<T, ParseError> {
+                tree.as_ref().map(f).map_err(Clone::clone)
+            }
+
+            assert_eq!(typed(doc, |r| r.u64()), want(&tree, JsonValue::as_u64), "{doc:?}");
+
+            let got = typed(doc, |r| Ok(r.str()?.map(Cow::into_owned)));
+            assert_eq!(got, want(&tree, |v| v.as_str().map(str::to_string)), "{doc:?}");
+
+            let mut vals = vec![99];
+            let got = typed(doc, |r| r.u64_array(&mut vals));
+            let as_u64s = |v: &JsonValue| -> Option<Vec<u64>> {
+                v.as_array()?.iter().map(JsonValue::as_u64).collect()
+            };
+            match want(&tree, as_u64s) {
+                Ok(Some(members)) => {
+                    assert_eq!(got, Ok(true), "{doc:?}");
+                    assert_eq!(vals[0], 99, "{doc:?}: appends, never clears");
+                    assert_eq!(vals[1..], members, "{doc:?}");
+                }
+                Ok(None) => {
+                    assert_eq!(got, Ok(false), "{doc:?}");
+                    assert_eq!(vals, [99], "{doc:?}: a mismatch leaves the vector alone");
+                }
+                Err(e) => assert_eq!(got, Err(e), "{doc:?}"),
+            }
+
+            let mut keys = Vec::new();
+            let got = typed(doc, |r| {
+                r.object(|r, key| {
+                    keys.push(key.to_string());
+                    r.skip_value()
+                })
+            });
+            assert_eq!(got, want(&tree, |v| matches!(v, JsonValue::Object(_))), "{doc:?}");
+            if let Ok(JsonValue::Object(pairs)) = &tree {
+                assert_eq!(keys, pairs.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>());
+            }
+
+            let mut elements = Vec::new();
+            let got = typed(doc, |r| {
+                r.array(|r| {
+                    elements.push(r.value()?);
+                    Ok(())
+                })
+            });
+            assert_eq!(got, want(&tree, |v| v.as_array().is_some()), "{doc:?}");
+            if let Ok(JsonValue::Array(items)) = &tree {
+                assert_eq!(&elements, items, "{doc:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn u64_max_reads_exactly_and_one_more_is_not_a_u64() {
+        assert_eq!(typed("18446744073709551615", |r| r.u64()), Ok(Some(u64::MAX)));
+        assert_eq!(typed("18446744073709551616", |r| r.u64()), Ok(None));
+        let mut vals = Vec::new();
+        assert_eq!(typed("[18446744073709551615]", |r| r.u64_array(&mut vals)), Ok(true));
+        assert_eq!(vals, [u64::MAX]);
+        assert_eq!(typed("[18446744073709551616]", |r| r.u64_array(&mut vals)), Ok(false));
+        assert_eq!(vals, [u64::MAX]);
+    }
+
+    /// `(op, keys, cols)` of a `rows` request.
+    type RowsLine = (String, Vec<u64>, Vec<Vec<u64>>);
+
+    /// A typed decode of one `rows` request, as `hsa serve` does it.
+    fn decode_rows(line: &str) -> Result<RowsLine, ParseError> {
+        let (mut op, mut keys, mut cols) = (String::new(), Vec::new(), Vec::new());
+        typed(line, |r| {
+            r.object(|r, key| {
+                match key {
+                    "op" => op = r.str()?.map(Cow::into_owned).unwrap_or_default(),
+                    "keys" => assert!(r.u64_array(&mut keys)?),
+                    "cols" => {
+                        let is_array = r.array(|r| {
+                            cols.push(Vec::new());
+                            assert!(r.u64_array(cols.last_mut().unwrap())?);
+                            Ok(())
+                        })?;
+                        assert!(is_array);
+                    }
+                    _ => r.skip_value()?,
+                }
+                Ok(())
+            })
+        })?;
+        Ok((op, keys, cols))
+    }
+
+    #[test]
+    fn member_order_and_whitespace_do_not_change_a_rows_line() {
+        let members = [
+            "\"op\":\"rows\"",
+            "\"keys\":[1,2,1]",
+            "\"cols\":[[10,20,30],[]]",
+            "\"x\":{\"y\":[null]}",
+        ];
+        let want = ("rows".to_string(), vec![1, 2, 1], vec![vec![10, 20, 30], vec![]]);
+        let mut seen = 0;
+        for a in 0..4 {
+            for b in (0..4).filter(|&b| b != a) {
+                for c in (0..4).filter(|&c| c != a && c != b) {
+                    let d = 6 - a - b - c;
+                    let [a, b, c, d] = [a, b, c, d].map(|i| members[i]);
+                    assert_eq!(decode_rows(&format!("{{{a},{b},{c},{d}}}")).unwrap(), want);
+                    let spaced = format!(" {{ {a} ,\t{b}\r\n, {c} , {d} }} \n")
+                        .replace(':', " : ")
+                        .replace('[', "[ ")
+                        .replace(']', " ]");
+                    assert_eq!(decode_rows(&spaced).unwrap(), want, "{spaced:?}");
+                    seen += 1;
+                }
+            }
+        }
+        assert_eq!(seen, 24);
+        let dup = "{\"keys\":[1],\"op\":\"rows\",\"keys\":[2]}";
+        assert_eq!(decode_rows(dup).unwrap_err(), parse(dup).unwrap_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&deep(MAX_DEPTH as usize)).is_ok());
+        let e = parse(&deep(MAX_DEPTH as usize + 1)).unwrap_err();
+        assert_eq!(e.msg, "nesting too deep");
+        // Far past any stack the recursion could have used.
+        assert!(parse(&"[".repeat(1 << 20)).is_err());
+        assert!(parse(&"{\"a\":".repeat(1 << 20)).is_err());
+    }
+
+    #[test]
+    fn u64_array_writer_matches_the_tree_writer() {
+        for vals in [vec![], vec![0], vec![7, 10, 99, 100], vec![u64::MAX, 0, u64::MAX - 1]] {
+            let mut out = String::from("x");
+            write_u64_array(&mut out, vals.iter().copied());
+            assert_eq!(out[1..], JsonValue::u64_array(vals).to_string_compact());
+        }
     }
 
     #[test]

@@ -24,6 +24,7 @@ import json
 import socket
 import sys
 import threading
+import time
 
 HOST, PORT = sys.argv[1], int(sys.argv[2])
 
@@ -96,11 +97,21 @@ def expected(keys, vals):
 
 def run_query(keys, vals, chunk=4096, extra=None):
     c = Conn()
+    t0 = time.monotonic()
     qid = submit(c, extra)
     for at in range(0, len(keys), chunk):
         r = push(c, keys[at : at + chunk], vals[at : at + chunk])
         assert r.get("ok") == "rows", f"push failed: {r}"
+    pushed = time.monotonic()
     rows, done = finish(c)
+    end = time.monotonic()
+    # A framing stall (a reply held back for the peer's delayed ACK) shows
+    # here as tens of milliseconds of finish→done on a query this small.
+    print(
+        f"query {qid}: {len(keys)} rows in, {len(rows)} groups out, "
+        f"submit→done {(end - t0) * 1e3:.1f} ms (finish→done {(end - pushed) * 1e3:.1f} ms)",
+        flush=True,
+    )
     c.close()
     return qid, rows, done
 
