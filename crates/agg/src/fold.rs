@@ -3,8 +3,8 @@
 //!
 //! The key pass leaves a mapping vector (row → slot); each state column is
 //! then folded in its own tight loop. [`fold_column`] is that loop with
-//! kernel dispatch: scalar reference, prefetch-pipelined, or AVX2
-//! gather/SIMD — all bit-identical, chosen per run by the driver.
+//! kernel dispatch: the scalar reference or the prefetching batched path
+//! — bit-identical, chosen per run by the driver.
 
 use crate::StateOp;
 use hsa_kernels::{fold_mapped, FoldOp, KernelKind};
@@ -21,7 +21,7 @@ pub fn fold_op(op: StateOp) -> FoldOp {
 }
 
 /// Fold `vals` into `col` through `mapping` with `op`, using the kernel
-/// tier `kind`. `aggregated` selects apply vs merge semantics exactly like
+/// path `kind`. `aggregated` selects apply vs merge semantics exactly like
 /// [`StateOp::combine`]: raw rows are applied, partial aggregates merged.
 #[inline]
 pub fn fold_column(
@@ -49,7 +49,7 @@ mod tests {
             s ^= s << 17;
             s
         };
-        for kind in hsa_kernels::available_kinds() {
+        for kind in [KernelKind::Scalar, KernelKind::Batched] {
             for &op in &ops {
                 for aggregated in [false, true] {
                     let slots = 64usize;

@@ -1,16 +1,16 @@
-//! Ablation: the hot-loop kernel tiers (batching, prefetch, SIMD).
+//! Ablation: the two hot-loop kernel paths (scalar reference vs batched).
 //!
 //! Isolates the two kernels the operator's `HASHING` pass spends its time
-//! in and measures each implementation tier directly:
+//! in and measures both paths of each directly:
 //!
 //! * **probe** — hash a key and find its slot in the cache-sized table:
 //!   `scalar` is the row-at-a-time `insert_key` walk, `batched` hashes 16
-//!   keys ahead and prefetches their home slots but resolves with the
-//!   scalar-width scan, `batched+simd` adds the SIMD occupied/key compare.
+//!   keys ahead and prefetches their home slots before resolving.
 //! * **fold** — apply a mapped value column into the slot-indexed state
 //!   column: `scalar` is the reference loop, `batched` adds lookahead
-//!   prefetching of the destination slots, `batched+simd` gathers and
-//!   combines 4 lanes at a time (AVX2; clamps to `batched` without it).
+//!   prefetching of the destination slots.
+//!
+//! `speedup` is scalar ÷ batched.
 //!
 //! The table is sized to hold K groups at 25% fill, so small K stays cache
 //! resident and K ≥ 2²⁰ is genuinely out of cache — the regime the
@@ -24,9 +24,11 @@
 use hsa_bench::*;
 use hsa_datagen::{generate, Distribution};
 use hsa_hash::{Hasher64, Murmur2, FANOUT};
-use hsa_hashtbl::{AggTable, Insert, TableConfig};
-use hsa_kernels::{detect_best, fold_mapped, FoldOp, KernelKind};
+use hsa_hashtbl::{AggTable, TableConfig};
+use hsa_kernels::{fold_mapped, FoldOp, KernelKind};
 use std::hint::black_box;
+
+const KINDS: [KernelKind; 2] = [KernelKind::Scalar, KernelKind::Batched];
 
 /// Slots for K groups at 25% fill with headroom, so the warm table never
 /// reports `Full` (capacity = slots/4 = 2K > K).
@@ -34,21 +36,8 @@ fn slots_for(k: u64) -> usize {
     ((8 * k).next_power_of_two() as usize).max(2 * FANOUT)
 }
 
-fn probe_scalar(keys: &[u64], table: &mut AggTable) -> u64 {
-    let hasher = Murmur2::default();
-    let mut hits = 0u64;
-    for &key in keys {
-        match table.insert_key(key, hasher.hash_u64(key)) {
-            Insert::New(_) | Insert::Hit(_) => hits += 1,
-            Insert::Full => unreachable!("table sized to never fill"),
-        }
-    }
-    hits
-}
-
-fn probe_batched(keys: &[u64], table: &mut AggTable, kind: KernelKind) -> u64 {
-    let hasher = Murmur2::default();
-    let b = table.insert_batch_distinct(hasher, keys, kind);
+fn probe(keys: &[u64], table: &mut AggTable, kind: KernelKind) -> u64 {
+    let b = table.insert_batch_distinct(Murmur2::default(), keys, kind);
     assert!(!b.full, "table sized to never fill");
     b.consumed as u64
 }
@@ -57,20 +46,16 @@ fn main() {
     let mut out = Sidecar::from_args("ablation_kernels");
     let rows_log2: u32 = arg(1).unwrap_or(23);
     let n = 1usize << rows_log2;
-    let best = detect_best();
     let repeats = repeats_for(n).min(5);
 
-    println!("# Ablation: kernel tiers (probe + fold), uniform, N = 2^{rows_log2}, 1 thread");
-    println!("# best supported tier: {}", best.label());
+    println!("# Ablation: kernel paths (probe + fold), uniform, N = 2^{rows_log2}, 1 thread");
     out.header(&cells![
         "log2(K)",
         "probe scalar ns",
         "probe batched ns",
-        "probe batched+simd ns",
         "probe speedup",
         "fold scalar ns",
         "fold batched ns",
-        "fold batched+simd ns",
         "fold speedup",
     ]);
 
@@ -78,49 +63,39 @@ fn main() {
         let keys = generate(Distribution::Uniform, n, k, 42);
         let slots = slots_for(k);
 
-        // ---- probe tiers: warm the table, then every probe is a hit.
-        let mut probe_ns = Vec::new();
-        for tier in [None, Some(KernelKind::Scalar), Some(best)] {
+        // ---- probe: warm the table, then every probe is a hit.
+        let probe_ns = KINDS.map(|kind| {
             let mut table =
                 AggTable::new(TableConfig { total_slots: slots, fill_percent: 25 }, 0, &[]);
-            match tier {
-                None => probe_scalar(&keys, &mut table),
-                Some(kind) => probe_batched(&keys, &mut table, kind),
-            };
-            let (secs, hits) = median_secs(repeats, || match tier {
-                None => probe_scalar(black_box(&keys), &mut table),
-                Some(kind) => probe_batched(black_box(&keys), &mut table, kind),
-            });
+            probe(&keys, &mut table, kind);
+            let (secs, hits) = median_secs(repeats, || probe(black_box(&keys), &mut table, kind));
             assert_eq!(hits, n as u64);
-            probe_ns.push(element_time_ns(secs, 1, n, 1));
-        }
+            element_time_ns(secs, 1, n, 1)
+        });
 
-        // ---- fold tiers: sum a value column into slot-indexed state.
+        // ---- fold: sum a value column into slot-indexed state.
         let mapping: Vec<u32> = keys
             .iter()
             .map(|&key| (Murmur2::default().hash_u64(key) % slots as u64) as u32)
             .collect();
         let vals: Vec<u64> = (0..n as u64).collect();
         let mut col = vec![0u64; slots];
-        let mut fold_ns = Vec::new();
-        for kind in [KernelKind::Scalar, KernelKind::Sse2.min(best), best] {
+        let fold_ns = KINDS.map(|kind| {
             let (secs, ()) = median_secs(repeats, || {
                 fold_mapped(kind, FoldOp::Sum, false, black_box(&mut col), &mapping, &vals)
             });
-            fold_ns.push(element_time_ns(secs, 1, n, 1));
-        }
+            element_time_ns(secs, 1, n, 1)
+        });
         black_box(&col);
 
         out.row(&cells![
             k.ilog2(),
             format!("{:.2}", probe_ns[0]),
             format!("{:.2}", probe_ns[1]),
-            format!("{:.2}", probe_ns[2]),
-            format!("{:.2}", probe_ns[0] / probe_ns[2]),
+            format!("{:.2}", probe_ns[0] / probe_ns[1]),
             format!("{:.2}", fold_ns[0]),
             format!("{:.2}", fold_ns[1]),
-            format!("{:.2}", fold_ns[2]),
-            format!("{:.2}", fold_ns[0] / fold_ns[2]),
+            format!("{:.2}", fold_ns[0] / fold_ns[1]),
         ]);
     }
 }

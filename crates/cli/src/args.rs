@@ -98,9 +98,6 @@ aggregates (repeatable):
 options:
   --threads <n>           worker threads (default: all cores)
   --strategy <s>          adaptive | hashing | partition:<passes>
-  --kernel <k>            hot-loop kernel tier: auto | scalar | sse2 | avx2
-                          (default: auto — best the CPU supports; requests
-                          above that are clamped down)
   --mem-budget <size>     cap operator working memory (bytes; K/M/G
                           suffixes accepted, e.g. 512M)
   --timeout-ms <n>        abort the aggregation after <n> milliseconds
@@ -207,10 +204,6 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<CliArgs, Usa
             "--strategy" => {
                 let v = take_value(&mut args, "--strategy")?;
                 config.strategy = parse_strategy(&v)?;
-            }
-            "--kernel" => {
-                let v = take_value(&mut args, "--kernel")?;
-                config.kernel = v.parse().map_err(UsageError)?;
             }
             "--stats" => show_stats = true,
             "--explain" => explain = true,
@@ -403,22 +396,14 @@ mod tests {
     }
 
     #[test]
-    fn kernel_flag() {
-        use hsa_core::KernelPref;
+    fn kernel_flag_is_unknown() {
+        // The kernel path is not a user-facing choice: the CLI always runs
+        // the default and the flag is rejected like any other typo.
         let a = parse(&["f.csv", "--group-by", "k"]).unwrap();
-        assert_eq!(a.config.kernel, KernelPref::Auto);
-        for (arg, want) in [
-            ("auto", KernelPref::Auto),
-            ("scalar", KernelPref::Scalar),
-            ("sse2", KernelPref::Sse2),
-            ("avx2", KernelPref::Avx2),
-        ] {
-            let a = parse(&["f.csv", "--group-by", "k", "--kernel", arg]).unwrap();
-            assert_eq!(a.config.kernel, want, "--kernel {arg}");
-        }
-        let e = parse(&["f.csv", "--group-by", "k", "--kernel", "avx1024"]).unwrap_err();
-        assert!(e.0.contains("avx1024"), "{e}");
-        assert!(parse(&["f.csv", "--group-by", "k", "--kernel"]).is_err());
+        assert_eq!(a.config.kernel, hsa_core::KernelPref::Auto);
+        let e = parse(&["f.csv", "--group-by", "k", "--kernel", "scalar"]).unwrap_err();
+        assert!(e.0.contains("unknown option") && e.0.contains("--kernel"), "{e}");
+        assert!(!USAGE.contains("--kernel"));
     }
 
     #[test]

@@ -48,9 +48,12 @@ fn help_is_zero_and_prints_usage() {
 
 #[test]
 fn usage_error_is_invalid_input() {
-    let out = hsa(&["--frobnicate"]);
-    assert_eq!(code(&out), 5, "stderr: {}", stderr(&out));
-    assert!(stderr(&out).contains("--frobnicate"), "{}", stderr(&out));
+    // `--kernel` was a flag once; it is rejected like any unknown one.
+    for args in [&["--frobnicate"][..], &["--kernel", "scalar"]] {
+        let out = hsa(args);
+        assert_eq!(code(&out), 5, "stderr: {}", stderr(&out));
+        assert!(stderr(&out).contains(args[0]), "{}", stderr(&out));
+    }
 }
 
 #[test]

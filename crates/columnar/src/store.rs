@@ -98,9 +98,9 @@
 //! to zero and parked — descriptor kept open — for the next spill to
 //! reuse, because inode creation rather than data bytes dominates small
 //! spills on some filesystems; whatever is still parked unlinks when the
-//! store drops. `FileStore::new` sweeps the directory for spill files
-//! orphaned by dead processes (liveness via a per-pid lock file, plus
-//! `/proc` on Linux).
+//! store drops. `FileStore::with_config` sweeps the directory for spill
+//! files orphaned by dead processes (liveness via a per-pid lock file,
+//! plus `/proc` on Linux).
 
 use crate::chunked::ChunkedVec;
 use crate::codec::{self, SpillCodec};
@@ -904,24 +904,8 @@ pub struct FileStore {
 }
 
 impl FileStore {
-    /// Open (creating if needed) a spill directory with no fault
-    /// injection, no disk limit, and the default [`SpillConfig`].
-    pub fn new(dir: impl Into<PathBuf>) -> Result<Self, AggError> {
-        Self::with_env(dir, FaultInjector::none(), DiskBudget::unlimited())
-    }
-
-    /// Open a spill directory wired to an execution environment with the
-    /// default [`SpillConfig`]; see [`FileStore::with_config`].
-    pub fn with_env(
-        dir: impl Into<PathBuf>,
-        faults: FaultInjector,
-        disk: DiskBudget,
-    ) -> Result<Self, AggError> {
-        Self::with_config(dir, faults, disk, SpillConfig::default())
-    }
-
-    /// Open a spill directory wired to an execution environment: spill
-    /// writes reserve against `disk`, storage-level faults come from
+    /// Open (creating if needed) a spill directory wired to an execution
+    /// environment: spill writes reserve against `disk`, storage-level faults come from
     /// `faults`, `config` picks the codec and I/O thread count, and the
     /// directory is swept for scratch files orphaned by dead processes
     /// before any new file is written.
@@ -1702,21 +1686,16 @@ impl RunStore {
     /// Storage backed by a spill directory (created if missing), with no
     /// fault injection, no disk limit, and the default [`SpillConfig`].
     pub fn spilling_to(dir: impl Into<PathBuf>) -> Result<Self, AggError> {
-        Ok(Self { file: Some(Arc::new(FileStore::new(dir)?)) })
+        Self::spilling_with_config(
+            dir,
+            FaultInjector::none(),
+            DiskBudget::unlimited(),
+            SpillConfig::default(),
+        )
     }
 
     /// Storage backed by a spill directory wired to an execution
-    /// environment (fault injector + disk budget) with the default
-    /// [`SpillConfig`]; see [`FileStore::with_env`].
-    pub fn spilling_with(
-        dir: impl Into<PathBuf>,
-        faults: FaultInjector,
-        disk: DiskBudget,
-    ) -> Result<Self, AggError> {
-        Ok(Self { file: Some(Arc::new(FileStore::with_env(dir, faults, disk)?)) })
-    }
-
-    /// Storage backed by a spill directory with an explicit
+    /// environment (fault injector + disk budget) with an explicit
     /// [`SpillConfig`]; see [`FileStore::with_config`].
     pub fn spilling_with_config(
         dir: impl Into<PathBuf>,
@@ -1846,6 +1825,11 @@ mod tests {
             cfg(SpillCodec::Auto, 0),
         )
         .unwrap()
+    }
+
+    /// A default-configured store wired to `faults` and `disk`.
+    fn env_store(dir: &Path, faults: FaultInjector, disk: DiskBudget) -> RunStore {
+        RunStore::spilling_with_config(dir, faults, disk, SpillConfig::default()).unwrap()
     }
 
     fn handle_path(handle: &RunHandle) -> PathBuf {
@@ -2015,7 +1999,7 @@ mod tests {
     fn disk_budget_denial_is_typed_and_leaves_no_file() {
         let dir = temp_dir("diskdenied");
         let disk = DiskBudget::limited(64);
-        let store = RunStore::spilling_with(&dir, FaultInjector::none(), disk.clone()).unwrap();
+        let store = env_store(&dir, FaultInjector::none(), disk.clone());
         let err = store.spill(sample_run()).unwrap_err();
         assert!(matches!(err, AggError::DiskBudgetExceeded { .. }), "{err:?}");
         assert_eq!(disk.outstanding(), 0);
@@ -2054,8 +2038,7 @@ mod tests {
     fn transient_write_faults_retry_to_success() {
         for kind in [SpillFaultKind::WriteEio, SpillFaultKind::WriteShort] {
             let dir = temp_dir(&format!("retry-{kind:?}"));
-            let store =
-                RunStore::spilling_with(&dir, injected(kind, 1), DiskBudget::unlimited()).unwrap();
+            let store = env_store(&dir, injected(kind, 1), DiskBudget::unlimited());
             let run = sample_run();
             let back = store.spill(run.clone()).unwrap().into_run().unwrap();
             assert_eq!(back.keys.to_vec(), run.keys.to_vec(), "{kind:?}");
@@ -2074,9 +2057,7 @@ mod tests {
     fn enospc_write_fault_is_permanent_and_unlinks_the_partial_file() {
         let dir = temp_dir("enospc");
         let disk = DiskBudget::limited(1 << 20);
-        let store =
-            RunStore::spilling_with(&dir, injected(SpillFaultKind::WriteEnospc, 1), disk.clone())
-                .unwrap();
+        let store = env_store(&dir, injected(SpillFaultKind::WriteEnospc, 1), disk.clone());
         // Async store: the submission succeeds, the failure surfaces when
         // the handle is consumed.
         let handle = store.spill(sample_run()).unwrap();
@@ -2099,9 +2080,7 @@ mod tests {
     fn async_write_failure_surfaces_at_the_next_submission_and_at_drain() {
         let dir = temp_dir("asyncfail");
         let disk = DiskBudget::limited(1 << 20);
-        let store =
-            RunStore::spilling_with(&dir, injected(SpillFaultKind::WriteEnospc, 1), disk.clone())
-                .unwrap();
+        let store = env_store(&dir, injected(SpillFaultKind::WriteEnospc, 1), disk.clone());
         let doomed = store.spill(sample_run()).unwrap();
         settle(&doomed);
         // The *next* submission reports the earlier failure...
@@ -2124,12 +2103,7 @@ mod tests {
     #[test]
     fn transient_read_fault_retries_to_success() {
         let dir = temp_dir("readretry");
-        let store = RunStore::spilling_with(
-            &dir,
-            injected(SpillFaultKind::ReadEio, 1),
-            DiskBudget::unlimited(),
-        )
-        .unwrap();
+        let store = env_store(&dir, injected(SpillFaultKind::ReadEio, 1), DiskBudget::unlimited());
         let run = sample_run();
         let back = store.spill(run.clone()).unwrap().into_run().unwrap();
         assert_eq!(back.keys.to_vec(), run.keys.to_vec());
@@ -2144,12 +2118,8 @@ mod tests {
     #[test]
     fn bit_flip_on_read_surfaces_as_extent_crc_corruption() {
         let dir = temp_dir("bitflip");
-        let store = RunStore::spilling_with(
-            &dir,
-            injected(SpillFaultKind::ReadBitFlip, 1),
-            DiskBudget::unlimited(),
-        )
-        .unwrap();
+        let store =
+            env_store(&dir, injected(SpillFaultKind::ReadBitFlip, 1), DiskBudget::unlimited());
         let err = store.spill(sample_run()).unwrap().into_run().unwrap_err();
         match err {
             AggError::SpillCorrupt { what, extent, .. } => {
@@ -2168,12 +2138,8 @@ mod tests {
     #[test]
     fn bit_flip_in_a_compressed_extent_is_still_detected() {
         let dir = temp_dir("bitflip-comp");
-        let store = RunStore::spilling_with(
-            &dir,
-            injected(SpillFaultKind::ReadBitFlip, 1),
-            DiskBudget::unlimited(),
-        )
-        .unwrap();
+        let store =
+            env_store(&dir, injected(SpillFaultKind::ReadBitFlip, 1), DiskBudget::unlimited());
         // Every extent of this run compresses (delta/RLE), so the flip
         // necessarily lands in an encoded payload.
         let err = store.spill(compressible_run(10_000)).unwrap().into_run().unwrap_err();
@@ -2192,12 +2158,8 @@ mod tests {
     #[test]
     fn truncate_on_read_surfaces_as_corruption() {
         let dir = temp_dir("truncate");
-        let store = RunStore::spilling_with(
-            &dir,
-            injected(SpillFaultKind::ReadTruncate, 1),
-            DiskBudget::unlimited(),
-        )
-        .unwrap();
+        let store =
+            env_store(&dir, injected(SpillFaultKind::ReadTruncate, 1), DiskBudget::unlimited());
         let err = store.spill(sample_run()).unwrap().into_run().unwrap_err();
         match err {
             AggError::SpillCorrupt { what, .. } => assert_eq!(what, "truncated"),
@@ -2316,8 +2278,8 @@ mod tests {
         let other = dir.join("run-00000000.bin");
         fs::write(&other, b"legacy").unwrap();
 
-        let store = FileStore::new(&dir).unwrap();
-        let stats = store.io_stats();
+        let store = RunStore::spilling_to(&dir).unwrap();
+        let stats = store.io_stats().unwrap();
         assert_eq!(stats.reclaimed_files, 1, "exactly the dead pid's file");
         assert_eq!(stats.reclaimed_bytes, 256);
         assert!(!dead.exists());
@@ -2347,8 +2309,8 @@ mod tests {
         let live = dir.join("hsarun-1-00000000.bin");
         fs::write(&live, b"live").unwrap();
 
-        let store = FileStore::new(&dir).unwrap();
-        assert_eq!(store.io_stats().reclaimed_files, 1);
+        let store = RunStore::spilling_to(&dir).unwrap();
+        assert_eq!(store.io_stats().unwrap().reclaimed_files, 1);
         assert!(!stale.exists());
         assert!(!dir.join(lock_name(pid)).exists(), "stale lock swept too");
         assert!(live.exists(), "files of live processes are spared");

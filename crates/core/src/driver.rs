@@ -131,8 +131,7 @@ pub(crate) struct Ctx {
     /// Live progress cells read by the `--progress` sampler thread
     /// (disabled unless a sampler is running).
     pub(crate) gauge: ProgressGauge,
-    /// Kernel tier resolved once per invocation from `cfg.kernel` (and the
-    /// `HSA_KERNEL` override), clamped to what the CPU supports.
+    /// Kernel path resolved once per invocation from `cfg.kernel`.
     pub(crate) kind: KernelKind,
     /// Run store the budget degrades into: spills to `env.spill_dir` when
     /// configured, otherwise memory-only (denials stay denials).
@@ -521,8 +520,8 @@ pub fn aggregate(
     specs: &[AggSpec],
     cfg: &AggregateConfig,
 ) -> (GroupByOutput, OpStats) {
-    let (out, report) = aggregate_observed(keys, inputs, specs, cfg, &ObsConfig::disabled());
-    (out, report.stats)
+    try_aggregate(keys, inputs, specs, cfg, &ExecEnv::unrestricted())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Fallible [`aggregate`]: validates the input instead of panicking and
@@ -539,22 +538,6 @@ pub fn try_aggregate(
     Ok((out, report.stats))
 }
 
-/// [`aggregate`] with the full observability layer: returns a
-/// [`RunReport`] carrying per-worker deep metrics and (optionally) the
-/// Chrome task timeline, as selected by `obs_cfg`. With
-/// [`ObsConfig::disabled`] the extra cost is a null check per recording
-/// site.
-pub fn aggregate_observed(
-    keys: &[u64],
-    inputs: &[&[u64]],
-    specs: &[AggSpec],
-    cfg: &AggregateConfig,
-    obs_cfg: &ObsConfig,
-) -> (GroupByOutput, RunReport) {
-    try_aggregate_observed(keys, inputs, specs, cfg, &ExecEnv::unrestricted(), obs_cfg)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Reject specs that `plan` cannot lower: everything but COUNT needs an
 /// input column. The `AggSpec` constructors always set one, but the
 /// fields are public.
@@ -567,9 +550,12 @@ pub(crate) fn validate_specs(specs: &[AggSpec]) -> Result<(), AggError> {
     Ok(())
 }
 
-/// Fallible [`aggregate_observed`]: typed errors instead of panics, plus
-/// the robustness controls of `env`. One-chunk wrapper over
-/// [`crate::AggStream`], so the streaming and slice paths cannot diverge.
+/// [`try_aggregate`] with the full observability layer: returns a
+/// [`RunReport`] carrying per-worker deep metrics and (optionally) the
+/// Chrome task timeline, as selected by `obs_cfg`. With
+/// [`ObsConfig::disabled`] the extra cost is a null check per recording
+/// site. One-chunk wrapper over [`crate::AggStream`], so the streaming
+/// and slice paths cannot diverge.
 pub fn try_aggregate_observed(
     keys: &[u64],
     inputs: &[&[u64]],
@@ -657,35 +643,6 @@ pub(crate) fn store_for(env: &ExecEnv) -> Result<RunStore, AggError> {
 /// for its architecture-neutral comparison with prior work (§6.4).
 pub fn distinct(keys: &[u64], cfg: &AggregateConfig) -> (GroupByOutput, OpStats) {
     aggregate(keys, &[], &[], cfg)
-}
-
-/// Fallible [`distinct`] running under `env`'s robustness controls.
-pub fn try_distinct(
-    keys: &[u64],
-    cfg: &AggregateConfig,
-    env: &ExecEnv,
-) -> Result<(GroupByOutput, OpStats), AggError> {
-    try_aggregate(keys, &[], &[], cfg, env)
-}
-
-/// [`distinct`] with the full observability layer (see
-/// [`aggregate_observed`]).
-pub fn distinct_observed(
-    keys: &[u64],
-    cfg: &AggregateConfig,
-    obs_cfg: &ObsConfig,
-) -> (GroupByOutput, RunReport) {
-    aggregate_observed(keys, &[], &[], cfg, obs_cfg)
-}
-
-/// Fallible [`distinct_observed`].
-pub fn try_distinct_observed(
-    keys: &[u64],
-    cfg: &AggregateConfig,
-    env: &ExecEnv,
-    obs_cfg: &ObsConfig,
-) -> Result<(GroupByOutput, RunReport), AggError> {
-    try_aggregate_observed(keys, &[], &[], cfg, env, obs_cfg)
 }
 
 #[cfg(test)]

@@ -19,8 +19,8 @@ use crate::view::RunView;
 use hsa_agg::StateOp;
 use hsa_columnar::{ChunkedVec, Run, RunHandle};
 use hsa_fault::{AggError, Reservation};
-use hsa_hash::{Hasher64, Murmur2};
-use hsa_hashtbl::{AggTable, Insert};
+use hsa_hash::Murmur2;
+use hsa_hashtbl::{AggTable, BatchInsert};
 use hsa_kernels::KernelKind;
 use hsa_obs::{Counter, Hist, Phase};
 
@@ -152,7 +152,7 @@ pub(crate) fn hash_run(
     let aggregated = view.aggregated();
     let n = view.len();
     let level = table.level();
-    let batched = kind != KernelKind::Scalar;
+    let batched = kind == KernelKind::Batched;
     let mut row = from_row;
 
     // One phase span covers the whole call, not each aligned block: deep
@@ -171,47 +171,18 @@ pub(crate) fn hash_run(
         let groups_before = table.len() as u64;
 
         mapping.clear();
-        let mut table_full = false;
-        let consumed;
-        if batched {
-            // Batched key pass: hash a block of keys up front, prefetch
-            // their home slots, then resolve probes with the SIMD scan.
-            let b = if ops.is_empty() {
-                table.insert_batch_distinct(hasher, keys, kind)
-            } else {
-                table.insert_batch(hasher, keys, kind, mapping)
-            };
-            consumed = b.consumed;
-            table_full = b.full;
-        } else if ops.is_empty() {
-            // DISTINCT fast path: no state columns, no mapping needed.
-            let mut done = 0usize;
-            for &key in keys {
-                match table.insert_key(key, hasher.hash_u64(key)) {
-                    Insert::New(_) | Insert::Hit(_) => done += 1,
-                    Insert::Full => {
-                        table_full = true;
-                        break;
-                    }
-                }
-            }
-            consumed = done;
+        // Key pass: `kind` picks the row-at-a-time reference loop or the
+        // hash + prefetch pipeline inside the table; DISTINCT needs no
+        // mapping.
+        let BatchInsert { consumed, full: table_full } = if ops.is_empty() {
+            table.insert_batch_distinct(hasher, keys, kind)
         } else {
-            for &key in keys {
-                match table.insert_key(key, hasher.hash_u64(key)) {
-                    Insert::New(slot) | Insert::Hit(slot) => mapping.push(slot),
-                    Insert::Full => {
-                        table_full = true;
-                        break;
-                    }
-                }
-            }
-            consumed = mapping.len();
-        }
+            table.insert_batch(hasher, keys, kind, mapping)
+        };
 
         // Fold the block's values into the state columns, one column at a
-        // time (tight loops; the mapping is cache resident). The kernel
-        // tiers are bit-identical; `Scalar` is the reference loop.
+        // time (tight loops; the mapping is cache resident). The two
+        // kernel paths are bit-identical; `Scalar` is the reference loop.
         for (i, &op) in ops.iter().enumerate() {
             let vals = &view.col_tail(i, row)[..consumed];
             let col = table.col_mut(i);
@@ -267,7 +238,8 @@ mod tests {
     use crate::stats::AtomicStats;
     use hsa_columnar::RunStore;
     use hsa_fault::{FaultInjector, MemoryBudget};
-    use hsa_hashtbl::TableConfig;
+    use hsa_hash::Hasher64;
+    use hsa_hashtbl::{Insert, TableConfig};
     use std::collections::BTreeMap;
 
     /// An unrestricted gate for driving the routine directly.

@@ -59,8 +59,7 @@ mod view;
 
 pub use adaptive::{AdaptiveParams, Strategy};
 pub use driver::{
-    aggregate, aggregate_observed, distinct, distinct_observed, merge_partials, try_aggregate,
-    try_aggregate_observed, try_distinct, try_distinct_observed, try_merge_partials,
+    aggregate, distinct, merge_partials, try_aggregate, try_aggregate_observed, try_merge_partials,
 };
 pub use exec::ExecEnv;
 pub use hsa_kernels::{KernelKind, KernelPref};
@@ -95,10 +94,10 @@ pub struct AggregateConfig {
     /// Rows per level-0 morsel — the work-stealing granule of the main
     /// loop (§3.2).
     pub morsel_rows: usize,
-    /// Kernel tier preference for the hot loops (`HASHING` probe and fold).
-    /// [`KernelPref::Auto`] picks the best ISA the CPU supports; forcing
-    /// [`KernelPref::Scalar`] runs the row-at-a-time reference loops. The
-    /// `HSA_KERNEL` environment variable overrides this at selection time.
+    /// Kernel path for the hot loops (`HASHING` probe and fold).
+    /// [`KernelPref::Auto`] runs the batched hash + prefetch pipeline;
+    /// [`KernelPref::Scalar`] forces the row-at-a-time reference loops,
+    /// which is how tests select the path every result is compared to.
     pub kernel: KernelPref,
 }
 

@@ -80,9 +80,9 @@ pub struct RunReport {
     pub groups_out: u64,
     /// Worker threads used.
     pub threads: usize,
-    /// Kernel tier the hot loops ran with (`"scalar"`, `"sse2"`, `"avx2"`)
-    /// — the resolved [`crate::KernelKind`], after CPU detection and any
-    /// `--kernel` / `HSA_KERNEL` override.
+    /// Kernel path the hot loops ran with (`"batched"` or `"scalar"`) —
+    /// the [`crate::KernelKind`] resolved from
+    /// [`crate::AggregateConfig::kernel`].
     pub kernel: String,
     /// Wall-clock duration of the whole invocation.
     pub wall_nanos: u64,
@@ -395,7 +395,7 @@ mod tests {
             rows_in: 1500,
             groups_out: 40,
             threads: 2,
-            kernel: "sse2".to_string(),
+            kernel: "batched".to_string(),
             wall_nanos: 5_000_000,
             stats,
             pool: Some(pool),
@@ -414,7 +414,7 @@ mod tests {
         assert_eq!(parsed.get("query_id").unwrap().as_u64(), Some(7));
         assert_eq!(parsed.get("rows_in").unwrap().as_u64(), Some(1500));
         assert_eq!(parsed.get("groups_out").unwrap().as_u64(), Some(40));
-        assert_eq!(parsed.get("kernel").unwrap().as_str(), Some("sse2"));
+        assert_eq!(parsed.get("kernel").unwrap().as_str(), Some("batched"));
         let stats = parsed.get("stats").unwrap();
         assert_eq!(stats.get("seals").unwrap().as_u64(), Some(4));
         assert_eq!(stats.get("kernel_batched_rows").unwrap().as_u64(), Some(1200));
@@ -445,7 +445,7 @@ mod tests {
         let text = report.pretty();
         assert!(text.contains("query id           7"));
         assert!(text.contains("rows in            1500"));
-        assert!(text.contains("kernel             sse2  (batched rows 1200   scalar rows 0)"));
+        assert!(text.contains("kernel             batched  (batched rows 1200   scalar rows 0)"));
         assert!(text.contains("passes used        2"));
         assert!(text.contains("spill              runs 3"));
         assert!(text.contains("steals 1"));

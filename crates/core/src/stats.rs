@@ -160,7 +160,7 @@ pub struct OpStats {
     /// `AggError::WorkerPanic` instead of unwinding the caller).
     pub contained_panics: u64,
     /// Rows whose `HASHING` hot loops ran through the batched
-    /// (prefetch-pipelined / SIMD) kernels.
+    /// (prefetch-pipelined) kernels.
     pub kernel_batched_rows: u64,
     /// Rows whose `HASHING` hot loops ran through the scalar reference
     /// kernels.

@@ -7,7 +7,9 @@
 //! one group, and keys at `u64::MAX` (the growable table's floor probe).
 
 use hsa_agg::AggSpec;
-use hsa_core::{try_aggregate, AdaptiveParams, AggregateConfig, ExecEnv, MemoryBudget, Strategy};
+use hsa_core::{
+    try_aggregate, AdaptiveParams, AggregateConfig, ExecEnv, KernelPref, MemoryBudget, Strategy,
+};
 use std::collections::BTreeMap;
 
 /// xorshift64* — deterministic, dependency-free.
@@ -80,6 +82,9 @@ fn config(rng: &mut Rng) -> AggregateConfig {
         threads: 1 + rng.below(3) as usize,
         strategy: strategy(rng),
         morsel_rows: 1 << (8 + rng.below(6)),
+        // Half the cases run on the row-at-a-time reference loops, so the
+        // whole suite covers both kernel paths.
+        kernel: [KernelPref::Auto, KernelPref::Scalar][rng.below(2) as usize],
         ..AggregateConfig::default()
     }
 }
@@ -157,13 +162,12 @@ fn saturated_keys_hit_the_table_floor() {
     }
 }
 
-/// The kernel tiers must be bit-identical: the same workload run with the
-/// forced-scalar reference loops and with every batched/SIMD tier must
+/// The two kernel paths must be bit-identical: the same workload run with
+/// the forced-scalar reference loops and with the batched path must
 /// produce the same groups, the same state bits, and (single-threaded, so
 /// scheduling is deterministic) the same row/seal/switch statistics.
 #[test]
 fn kernel_tiers_are_bit_identical() {
-    use hsa_core::KernelPref;
     let mut rng = Rng(0xC0FFEE);
     for round in 0..12 {
         let rows = [0, 1, 100, 4096, 20_000][(round % 5) as usize];
@@ -185,43 +189,29 @@ fn kernel_tiers_are_bit_identical() {
         };
 
         let (scalar_rows, scalar_stats) = run(KernelPref::Scalar);
-        if hsa_kernels::select(KernelPref::Scalar) == hsa_core::KernelKind::Scalar {
-            assert_eq!(
-                scalar_stats.kernel_batched_rows, 0,
-                "forced scalar must not take the batched path"
-            );
-        }
-        for pref in [KernelPref::Auto, KernelPref::Sse2, KernelPref::Avx2] {
-            let (rows, stats) = run(pref);
-            assert_eq!(rows, scalar_rows, "{pref:?} output diverged under {cfg:?}");
-            assert_eq!(
-                stats.hash_rows_per_level, scalar_stats.hash_rows_per_level,
-                "{pref:?} hash rows diverged under {cfg:?}"
-            );
-            assert_eq!(
-                stats.part_rows_per_level, scalar_stats.part_rows_per_level,
-                "{pref:?} part rows diverged under {cfg:?}"
-            );
-            assert_eq!(stats.seals, scalar_stats.seals, "{pref:?} seals diverged under {cfg:?}");
-            assert_eq!(
-                stats.switches_to_partitioning, scalar_stats.switches_to_partitioning,
-                "{pref:?} switches diverged under {cfg:?}"
-            );
-            // `select` folds in what the preference actually resolves to —
-            // the CPU clamp on non-x86_64 targets and the `HSA_KERNEL`
-            // override CI uses to force the scalar tier suite-wide.
-            if hsa_kernels::select(pref) == hsa_core::KernelKind::Scalar {
-                assert_eq!(
-                    stats.kernel_batched_rows, 0,
-                    "{pref:?} resolved to scalar yet took the batched path"
-                );
-            } else {
-                assert_eq!(
-                    stats.kernel_scalar_rows, 0,
-                    "{pref:?} must not take the scalar path on a batched run"
-                );
-            }
-        }
+        assert_eq!(
+            scalar_stats.kernel_batched_rows, 0,
+            "forced scalar must not take the batched path"
+        );
+        let (rows, stats) = run(KernelPref::Auto);
+        assert_eq!(rows, scalar_rows, "batched output diverged under {cfg:?}");
+        assert_eq!(
+            stats.hash_rows_per_level, scalar_stats.hash_rows_per_level,
+            "hash rows diverged under {cfg:?}"
+        );
+        assert_eq!(
+            stats.part_rows_per_level, scalar_stats.part_rows_per_level,
+            "part rows diverged under {cfg:?}"
+        );
+        assert_eq!(stats.seals, scalar_stats.seals, "seals diverged under {cfg:?}");
+        assert_eq!(
+            stats.switches_to_partitioning, scalar_stats.switches_to_partitioning,
+            "switches diverged under {cfg:?}"
+        );
+        assert_eq!(
+            stats.kernel_scalar_rows, 0,
+            "the default must not take the scalar path on a batched run"
+        );
     }
 }
 
@@ -233,7 +223,7 @@ fn distinct_matches_a_set() {
         let shape = rng.below(5);
         let keys = key_column(&mut rng, shape, rows);
         let cfg = config(&mut rng);
-        let (out, _) = hsa_core::try_distinct(&keys, &cfg, &ExecEnv::unrestricted())
+        let (out, _) = try_aggregate(&keys, &[], &[], &cfg, &ExecEnv::unrestricted())
             .unwrap_or_else(|e| panic!("{cfg:?}: {e}"));
         let expect: BTreeSet<u64> = keys.iter().copied().collect();
         let got: Vec<u64> = out.sorted_rows().into_iter().map(|(k, _)| k).collect();

@@ -4,10 +4,21 @@
 
 use hsa_agg::AggSpec;
 use hsa_core::{
-    aggregate_observed, distinct_observed, AdaptiveParams, AggStream, AggregateConfig, ExecEnv,
-    ObsConfig, Strategy,
+    try_aggregate_observed, AdaptiveParams, AggStream, AggregateConfig, ExecEnv, GroupByOutput,
+    ObsConfig, RunReport, Strategy,
 };
 use hsa_obs::{json, Counter, Hist, Phase};
+
+/// The observed entry point under an unrestricted environment.
+fn observed(
+    keys: &[u64],
+    inputs: &[&[u64]],
+    specs: &[AggSpec],
+    cfg: &AggregateConfig,
+    obs: &ObsConfig,
+) -> (GroupByOutput, RunReport) {
+    try_aggregate_observed(keys, inputs, specs, cfg, &ExecEnv::unrestricted(), obs).unwrap()
+}
 
 /// Small cache + morsels so seals, switches, and recursion all happen at
 /// test input sizes.
@@ -31,7 +42,7 @@ fn deep_metrics_are_nontrivial_on_an_adaptive_run() {
     // Distinct keys, K ≫ table capacity: α = 1 at every seal, so the
     // adaptive strategy must seal, switch, partition, and recurse.
     let keys = distinct_keys(200_000);
-    let (out, report) = distinct_observed(&keys, &adaptive_cfg(), &ObsConfig::full());
+    let (out, report) = observed(&keys, &[], &[], &adaptive_cfg(), &ObsConfig::full());
     assert_eq!(out.n_groups(), 200_000);
 
     let stats = &report.stats;
@@ -78,7 +89,7 @@ fn deep_metrics_are_nontrivial_on_an_adaptive_run() {
 #[test]
 fn trace_is_valid_chrome_json_with_span_events() {
     let keys = distinct_keys(100_000);
-    let (_, report) = distinct_observed(&keys, &adaptive_cfg(), &ObsConfig::full());
+    let (_, report) = observed(&keys, &[], &[], &adaptive_cfg(), &ObsConfig::full());
     let trace = report.trace_json.expect("trace requested");
     let parsed = json::parse(&trace).expect("trace must be valid JSON");
     let events = parsed.get("traceEvents").unwrap().as_array().unwrap();
@@ -105,13 +116,8 @@ fn trace_is_valid_chrome_json_with_span_events() {
 #[test]
 fn disabled_observability_adds_no_sections() {
     let keys = distinct_keys(50_000);
-    let (_, report) = aggregate_observed(
-        &keys,
-        &[],
-        &[AggSpec::count()],
-        &adaptive_cfg(),
-        &ObsConfig::disabled(),
-    );
+    let (_, report) =
+        observed(&keys, &[], &[AggSpec::count()], &adaptive_cfg(), &ObsConfig::disabled());
     assert!(report.metrics.is_none());
     assert!(report.pool.is_none());
     assert!(report.trace_json.is_none());
@@ -127,7 +133,7 @@ fn disabled_observability_adds_no_sections() {
 fn profile_conserves_rows_across_levels() {
     // Distinct keys force seals, switches, and multi-level recursion.
     let keys = distinct_keys(200_000);
-    let (_, report) = distinct_observed(&keys, &adaptive_cfg(), &ObsConfig::full());
+    let (_, report) = observed(&keys, &[], &[], &adaptive_cfg(), &ObsConfig::full());
     let profile = report.profile.as_ref().expect("profile rides with metrics");
 
     // Level 0 consumed every input row exactly once, by hashing or
@@ -169,7 +175,7 @@ fn explain_attributes_nearly_all_wall_time_single_threaded() {
     let keys = distinct_keys(400_000);
     let cfg = AggregateConfig { threads: 1, ..adaptive_cfg() };
     let obs = ObsConfig { metrics: true, ..ObsConfig::disabled() };
-    let (_, report) = distinct_observed(&keys, &cfg, &obs);
+    let (_, report) = observed(&keys, &[], &[], &cfg, &obs);
     let profile = report.profile.as_ref().expect("profile rides with metrics");
     assert_eq!(profile.threads, 1);
     let coverage = profile.coverage();
@@ -277,7 +283,7 @@ fn progress_sampler_runs_and_stops_through_a_stream() {
 fn report_json_of_a_real_run_parses_and_cross_checks() {
     let keys = distinct_keys(80_000);
     let vals: Vec<u64> = (0..80_000).collect();
-    let (out, report) = aggregate_observed(
+    let (out, report) = observed(
         &keys,
         &[&vals],
         &[AggSpec::count(), AggSpec::sum(0)],

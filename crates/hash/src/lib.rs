@@ -4,19 +4,13 @@
 //! among practitioners" and found that for small elements **MurmurHash2** is
 //! the fastest while still distributing well enough that, at a 25% fill rate,
 //! collisions in the cache-sized linear-probing table are rare. This crate
-//! provides that hash plus the alternatives one would compare it against:
+//! provides that hash and the one alternative a paper figure needs:
 //!
 //! * [`Murmur2`] — MurmurHash2-64A, the paper's choice,
-//! * [`Murmur3Finalizer`] — the 64-bit finalizer (`fmix64`) of MurmurHash3,
-//!   a very cheap high-quality mix for already-64-bit keys,
-//! * [`Multiplicative`] — Knuth/Fibonacci multiplicative hashing, the scheme
-//!   used by the original Cieslewicz & Ross implementations before the paper
-//!   replaced it with MurmurHash2 (§6.4),
-//! * [`Fnv1a`] — FNV-1a, a common byte-stream hash,
 //! * [`Identity`] — no-op hash, used to partition by *key* bits instead of
 //!   hash bits (the `key` variants in Figure 3).
 //!
-//! All hashers implement [`Hasher64`], which hashes a single `u64` key (the
+//! Both implement [`Hasher64`], which hashes a single `u64` key (the
 //! paper's rows are 64-bit integer columns) and arbitrary byte strings.
 //!
 //! # Radix digits
@@ -27,15 +21,9 @@
 //! here so that every crate agrees on the bucket geometry (§4.2: "this scheme
 //! works best with 256 partitions").
 
-mod fnv;
-mod multiplicative;
 mod murmur2;
-mod murmur3;
 
-pub use fnv::Fnv1a;
-pub use multiplicative::Multiplicative;
 pub use murmur2::Murmur2;
-pub use murmur3::Murmur3Finalizer;
 
 /// Number of bits consumed per radix pass.
 pub const DIGIT_BITS: u32 = 8;

@@ -298,14 +298,14 @@ impl AggTable {
         Insert::Full
     }
 
-    /// Batched [`Self::insert_key`] over a slice of keys, recording the
-    /// resolved slot of every absorbed key into `mapping` (the §3.3
-    /// mapping vector). Keys are hashed [`BATCH`] at a time; the home
-    /// cache lines (key array and occupancy word) of the whole batch are
-    /// prefetched before the first probe resolves, so the probes' cache
-    /// misses overlap instead of serializing. Outcomes, slot assignments,
-    /// and probe metrics are bit-identical to the scalar loop — `kind`
-    /// only selects how the probe scan compares keys.
+    /// [`Self::insert_key`] over a slice of keys, recording the resolved
+    /// slot of every absorbed key into `mapping` (the §3.3 mapping
+    /// vector). `kind` picks the path: `Scalar` is the `insert_key` loop
+    /// itself; `Batched` hashes keys [`BATCH`] at a time and prefetches the
+    /// home cache lines (key array and occupancy word) of the whole batch
+    /// before the first probe resolves, so the probes' cache misses overlap
+    /// instead of serializing. Outcomes, slot assignments, and probe
+    /// metrics are bit-identical between the two.
     #[inline]
     pub fn insert_batch<H: Hasher64>(
         &mut self,
@@ -337,6 +337,39 @@ impl AggTable {
         kind: KernelKind,
         mapping: &mut Vec<u32>,
     ) -> BatchInsert {
+        match kind {
+            KernelKind::Scalar => self.insert_rows::<H, RECORD>(hasher, keys, mapping),
+            KernelKind::Batched => self.insert_pipelined::<H, RECORD>(hasher, keys, mapping),
+        }
+    }
+
+    /// The reference path: one [`Self::insert_key`] per row.
+    fn insert_rows<H: Hasher64, const RECORD: bool>(
+        &mut self,
+        hasher: H,
+        keys: &[u64],
+        mapping: &mut Vec<u32>,
+    ) -> BatchInsert {
+        for (i, &key) in keys.iter().enumerate() {
+            match self.insert_key(key, hasher.hash_u64(key)) {
+                Insert::New(slot) | Insert::Hit(slot) => {
+                    if RECORD {
+                        mapping.push(slot);
+                    }
+                }
+                Insert::Full => return BatchInsert { consumed: i, full: true },
+            }
+        }
+        BatchInsert { consumed: keys.len(), full: false }
+    }
+
+    /// The batched path: hash ahead, prefetch, then resolve.
+    fn insert_pipelined<H: Hasher64, const RECORD: bool>(
+        &mut self,
+        hasher: H,
+        keys: &[u64],
+        mapping: &mut Vec<u32>,
+    ) -> BatchInsert {
         let n = keys.len();
         // Rolling [`BATCH`]-deep pipeline: key `i + BATCH` is hashed and
         // its home lines prefetched while key `i` resolves, so every
@@ -359,7 +392,7 @@ impl AggTable {
                 prefetch_read(&self.keys, ahead);
                 prefetch_read(&self.occ, ahead >> 6);
             }
-            match self.probe_resolve(keys[i], home, kind) {
+            match self.probe_resolve(keys[i], home) {
                 Insert::New(slot) | Insert::Hit(slot) => {
                     if RECORD {
                         mapping.push(slot);
@@ -394,7 +427,7 @@ impl AggTable {
     /// order (home → block end, wrap to block base), the metrics, and the
     /// block-overflow `Full`.
     #[inline]
-    fn probe_resolve(&mut self, key: u64, home: usize, kind: KernelKind) -> Insert {
+    fn probe_resolve(&mut self, key: u64, home: usize) -> Insert {
         if self.len >= self.capacity {
             return Insert::Full;
         }
@@ -416,7 +449,7 @@ impl AggTable {
             }
             return Insert::Hit(home as u32);
         }
-        self.probe_collision(key, home, kind)
+        self.probe_collision(key, home)
     }
 
     /// The collision continuation of [`Self::probe_resolve`], kept out of
@@ -425,7 +458,7 @@ impl AggTable {
     /// time, in exactly the walk's order: home → block end, wrap to block
     /// base.
     #[inline(never)]
-    fn probe_collision(&mut self, key: u64, home: usize, kind: KernelKind) -> Insert {
+    fn probe_collision(&mut self, key: u64, home: usize) -> Insert {
         let block_base = home & !(self.block_slots - 1);
         let block_end = block_base + self.block_slots;
         let segments = [(home + 1, block_end, 1), (block_base, home, block_end - home)];
@@ -438,7 +471,7 @@ impl AggTable {
                 // traffic the scalar walk never incurs.
                 let n = (((s | 7) + 1).min(end)) - s;
                 let occ = self.occ_bits(s, n);
-                match probe_scan(kind, &self.keys[s..s + n], occ, key) {
+                match probe_scan(&self.keys[s..s + n], occ, key) {
                     Some((i, true)) => {
                         if let Some(m) = &mut self.metrics {
                             m.record((step_base + (s - start) + i) as u64, false);
@@ -813,7 +846,7 @@ mod tests {
     #[test]
     fn insert_batch_matches_insert_key_on_random_workloads() {
         let h = Murmur2::default();
-        for kind in hsa_kernels::available_kinds() {
+        for kind in [KernelKind::Scalar, KernelKind::Batched] {
             let mut r = xorshift(0xBADC0DE ^ kind as u64);
             for round in 0..20 {
                 let slots = [2 * FANOUT, 1 << 10, 1 << 12][round % 3];
@@ -857,7 +890,7 @@ mod tests {
         // ZeroHash funnels everything into block 0: the block overflows
         // while the table is nearly empty, in both paths at the same key.
         let cfg = TableConfig { total_slots: FANOUT * 8, fill_percent: 100 };
-        for kind in hsa_kernels::available_kinds() {
+        for kind in [KernelKind::Scalar, KernelKind::Batched] {
             let keys: Vec<u64> = (0..40).collect();
             let mut a = AggTable::new(cfg, 0, &[]);
             let mut b = AggTable::new(cfg, 0, &[]);
@@ -876,7 +909,7 @@ mod tests {
         let h = Murmur2::default();
         let mut r = xorshift(77);
         let keys: Vec<u64> = (0..3000).map(|_| r() % 500).collect();
-        for kind in hsa_kernels::available_kinds() {
+        for kind in [KernelKind::Scalar, KernelKind::Batched] {
             let mut a = AggTable::new(small(), 2, &[]);
             let mut b = AggTable::new(small(), 2, &[]);
             let mut mapping = Vec::new();
@@ -896,7 +929,7 @@ mod tests {
         use std::collections::BTreeSet;
         let h = Murmur2::default();
         let cfg = TableConfig { total_slots: 2 * FANOUT, fill_percent: 25 };
-        for kind in hsa_kernels::available_kinds() {
+        for kind in [KernelKind::Scalar, KernelKind::Batched] {
             let keys: Vec<u64> = (0..2000u64).collect();
             let mut t = AggTable::new(cfg, 0, &[]);
             let mut seen: BTreeSet<u64> = BTreeSet::new();

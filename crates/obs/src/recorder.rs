@@ -84,10 +84,10 @@ metric_enum! {
         /// Worker panics contained by the scope and surfaced as errors.
         ContainedPanics => "contained_panics",
         /// Rows whose HASHING hot loops ran through the batched
-        /// (prefetch-pipelined / SIMD) kernels.
+        /// (prefetch-pipelined) kernels.
         KernelBatchedRows => "kernel_batched_rows",
         /// Rows whose HASHING hot loops ran through the scalar reference
-        /// kernels (forced via `--kernel scalar` or `HSA_KERNEL`).
+        /// kernels (forced via `AggregateConfig::kernel`).
         KernelScalarRows => "kernel_scalar_rows",
         /// Runs flushed to the spill directory after a denied reservation
         /// was downgraded to out-of-core storage.

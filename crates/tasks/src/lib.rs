@@ -42,8 +42,7 @@ pub mod sync;
 mod util;
 
 pub use runtime::{
-    scope, scope_observed, try_scope_observed, PoolMetrics, QueryHandle, QueryId, Runtime, Scope,
-    TaskPanic, WorkerPoolMetrics,
+    scope, PoolMetrics, QueryHandle, QueryId, Runtime, Scope, TaskPanic, WorkerPoolMetrics,
 };
 pub use util::{chunk_ranges, scoped_map};
 
@@ -164,7 +163,7 @@ mod tests {
 
     #[test]
     fn try_scope_contains_panic_and_reports_message() {
-        let (result, _metrics) = try_scope_observed(2, |s| {
+        let (result, _metrics) = Runtime::global().admit(2).try_scope_observed(|s| {
             s.spawn(|_| panic!("injected failure {}", 7));
             "root result"
         });
@@ -184,7 +183,7 @@ mod tests {
                 self.0.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let (result, _) = try_scope_observed(1, |s| {
+        let (result, _) = Runtime::global().admit(1).try_scope_observed(|s| {
             for _ in 0..100 {
                 let ran = &ran;
                 let guard = CountDrop(&dropped);
@@ -202,13 +201,13 @@ mod tests {
 
     #[test]
     fn try_scope_is_reusable_after_containment() {
-        let (r1, _) = try_scope_observed(4, |s| {
+        let (r1, _) = Runtime::global().admit(4).try_scope_observed(|s| {
             s.spawn(|_| panic!("one-off"));
         });
         assert!(r1.is_err());
         // A fresh scope on the same thread works fine afterwards.
         let counter = AtomicUsize::new(0);
-        let (r2, _) = try_scope_observed(4, |s| {
+        let (r2, _) = Runtime::global().admit(4).try_scope_observed(|s| {
             for _ in 0..100 {
                 let counter = &counter;
                 s.spawn(move |_| {
@@ -222,7 +221,7 @@ mod tests {
 
     #[test]
     fn try_scope_keeps_first_panic_message() {
-        let (result, _) = try_scope_observed(1, |s| {
+        let (result, _) = Runtime::global().admit(1).try_scope_observed(|s| {
             s.spawn(|_| panic!("second"));
             s.spawn(|_| panic!("first")); // LIFO: runs first
         });
@@ -232,7 +231,7 @@ mod tests {
 
     #[test]
     fn try_scope_reports_non_string_payloads() {
-        let (result, _) = try_scope_observed(1, |s| {
+        let (result, _) = Runtime::global().admit(1).try_scope_observed(|s| {
             s.spawn(|_| std::panic::panic_any(42usize));
         });
         assert_eq!(result.unwrap_err().message, "non-string panic payload");
@@ -304,7 +303,7 @@ mod tests {
             }
         }
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            try_scope_observed(1, |s| {
+            Runtime::global().admit(1).try_scope_observed(|s| {
                 for _ in 0..50 {
                     let guard = CountDrop(&dropped);
                     s.spawn(move |_| {

@@ -555,8 +555,22 @@ impl QueryHandle {
     /// it spawns (transitively) execute on the submitting thread and on
     /// free shared workers, capped at this handle's slot count. Returns
     /// after the root closure has returned *and* every spawned task has
-    /// finished, with panic containment as in the free
-    /// [`try_scope_observed`].
+    /// finished, together with the per-slot scheduling metrics of the
+    /// completed scope (steals, failed steal scans, idle time, task
+    /// counts).
+    ///
+    /// Panics are *contained*: when a task panics, the scope is marked
+    /// failed, every still-queued task is drained (popped and dropped
+    /// without running — their captured state, including memory
+    /// reservations, is released by the drop), already running tasks
+    /// finish, and the first panic's payload message is returned as
+    /// `Err(TaskPanic)`. The shared workers survive and move on to other
+    /// queries — containment is per-query, so one query's failure never
+    /// perturbs another's results or counters — and the caller keeps a
+    /// usable process and its own state: the operator driver turns this
+    /// into [`AggError::WorkerPanic`] and returns its tables to the pool.
+    ///
+    /// [`AggError::WorkerPanic`]: https://docs.rs/hsa-fault
     pub fn try_scope_observed<'env, R, F>(&self, root: F) -> (Result<R, TaskPanic>, PoolMetrics)
     where
         F: FnOnce(&Scope<'_, 'env>) -> R,
@@ -633,40 +647,5 @@ where
     F: FnOnce(&Scope<'_, 'env>) -> R,
     R: Send,
 {
-    scope_observed(threads, root).0
-}
-
-/// [`scope`], additionally returning the per-slot scheduling metrics of
-/// the completed scope (steals, failed steal scans, idle time, task
-/// counts).
-pub fn scope_observed<'env, R, F>(threads: usize, root: F) -> (R, PoolMetrics)
-where
-    F: FnOnce(&Scope<'_, 'env>) -> R,
-    R: Send,
-{
-    Runtime::global().admit(threads).scope_observed(root)
-}
-
-/// [`scope_observed`] with panic *containment* instead of propagation.
-///
-/// When a task panics, the scope is marked failed, every still-queued task
-/// is drained (popped and dropped without running — their captured state,
-/// including memory reservations, is released by the drop), already
-/// running tasks finish, and the first panic's payload message is returned
-/// as `Err(TaskPanic)`. The shared workers survive and move on to other
-/// queries — containment is per-query, so one query's failure never
-/// perturbs another's results or counters — and the caller keeps a usable
-/// process and its own state: the operator driver turns this into
-/// [`AggError::WorkerPanic`] and returns its tables to the pool.
-///
-/// [`AggError::WorkerPanic`]: https://docs.rs/hsa-fault
-pub fn try_scope_observed<'env, R, F>(
-    threads: usize,
-    root: F,
-) -> (Result<R, TaskPanic>, PoolMetrics)
-where
-    F: FnOnce(&Scope<'_, 'env>) -> R,
-    R: Send,
-{
-    Runtime::global().admit(threads).try_scope_observed(root)
+    Runtime::global().admit(threads).scope_observed(root).0
 }

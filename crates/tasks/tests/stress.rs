@@ -60,7 +60,7 @@ fn shared_workers_participate_under_single_producer_load() {
     // attempt; the stealing observation only has to happen once.
     let mut stole = false;
     for _ in 0..20 {
-        let (_, metrics) = hsa_tasks::scope_observed(THREADS, |s| {
+        let (_, metrics) = hsa_tasks::Runtime::global().admit(THREADS).scope_observed(|s| {
             for _ in 0..TASKS {
                 s.spawn(|_| {
                     std::hint::black_box(fibonacci(12));
@@ -123,7 +123,7 @@ fn concurrent_queries_have_exact_isolated_accounting() {
 #[test]
 fn one_panicking_task_poisons_the_scope_but_everything_drains() {
     let ran = AtomicU64::new(0);
-    let (result, metrics) = hsa_tasks::try_scope_observed(THREADS, |s| {
+    let (result, metrics) = hsa_tasks::Runtime::global().admit(THREADS).try_scope_observed(|s| {
         for i in 0..TASKS {
             let ran = &ran;
             s.spawn(move |_| {

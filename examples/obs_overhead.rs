@@ -7,7 +7,7 @@
 //! cargo run --release --example obs_overhead [rows_log2]
 //! ```
 
-use hashing_is_sorting::{distinct_observed, AggregateConfig, ObsConfig};
+use hashing_is_sorting::{try_aggregate_observed, AggregateConfig, ExecEnv, ObsConfig};
 use std::time::Instant;
 
 fn median_secs(repeats: usize, mut f: impl FnMut()) -> f64 {
@@ -41,7 +41,9 @@ fn main() {
     let mut base = None;
     for (name, obs) in &configs {
         let secs = median_secs(repeats, || {
-            let (out, _) = distinct_observed(&keys, &cfg, obs);
+            let (out, _) =
+                try_aggregate_observed(&keys, &[], &[], &cfg, &ExecEnv::unrestricted(), obs)
+                    .expect("unrestricted run");
             assert_eq!(out.n_groups(), n / 8);
         });
         let base = *base.get_or_insert(secs);

@@ -43,8 +43,7 @@ mod query;
 pub use hsa_agg::{AggFn, AggSpec};
 pub use hsa_columnar::{encode_composite, Column, Dictionary, Table, TableError};
 pub use hsa_core::{
-    aggregate, aggregate_observed, distinct, distinct_observed, merge_partials, try_aggregate,
-    try_aggregate_observed, try_distinct, try_distinct_observed, try_merge_partials,
+    aggregate, distinct, merge_partials, try_aggregate, try_aggregate_observed, try_merge_partials,
     AdaptiveParams, AdmissionConfig, AdmissionController, AdmissionDenied, AdmissionOutcome,
     AdmissionRequest, AggError, AggStream, AggregateConfig, CancelReason, CancelToken, DiskBudget,
     DiskReservation, ExecEnv, FaultInjector, FaultPlan, GroupByOutput, KernelKind, KernelPref,
@@ -78,13 +77,11 @@ pub mod xmem {
 
 /// Low-level building blocks, exposed for benchmarking and extension.
 pub mod kernels {
-    pub use hsa_hash::{
-        digit, Fnv1a, Hasher64, Identity, Multiplicative, Murmur2, Murmur3Finalizer, FANOUT,
-    };
+    pub use hsa_hash::{digit, Hasher64, Identity, Murmur2, FANOUT};
     pub use hsa_hashtbl::{identity_of, AggTable, GrowTable, Insert, TableConfig};
     pub use hsa_kernels::{
-        available_kinds, detect_best, fold_mapped, prefetch_read, prefetch_write, probe_scan,
-        select, FoldOp, KernelKind, KernelPref, BATCH, FOLD_PREFETCH_AHEAD,
+        fold_mapped, prefetch_read, prefetch_write, probe_scan, select, FoldOp, KernelKind,
+        KernelPref, BATCH, FOLD_PREFETCH_AHEAD,
     };
     pub use hsa_partition::{
         memcpy_nt, partition_keys, partition_keys_mapped, partition_naive, partition_overalloc,

@@ -11,8 +11,8 @@ use hashing_is_sorting::kernels::{
 };
 use hashing_is_sorting::obs::{Counter, Hist, Histogram, Recorder};
 use hashing_is_sorting::{
-    aggregate, aggregate_observed, AdaptiveParams, AggSpec, AggregateConfig, ObsConfig,
-    Strategy as Routing,
+    aggregate, try_aggregate_observed, AdaptiveParams, AggSpec, AggregateConfig, ExecEnv,
+    ObsConfig, Strategy as Routing,
 };
 use std::collections::BTreeMap;
 
@@ -225,13 +225,15 @@ fn metrics_account_for_every_row() {
             Routing::Adaptive(AdaptiveParams::default()),
             Routing::Adaptive(AdaptiveParams { alpha0: g.below(5_000) as f64 / 100.0, c: 0.5 }),
         ][g.below(4) as usize];
-        let (_, report) = aggregate_observed(
+        let (_, report) = try_aggregate_observed(
             &keys,
             &[],
             &[AggSpec::count()],
             &tiny_cfg(strategy),
+            &ExecEnv::unrestricted(),
             &ObsConfig::full(),
-        );
+        )
+        .unwrap();
         let st = &report.stats;
         let level0 = st.hash_rows_per_level.first().copied().unwrap_or(0)
             + st.part_rows_per_level.first().copied().unwrap_or(0);
