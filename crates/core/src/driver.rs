@@ -4,13 +4,15 @@
 //!
 //! 1. **Main loop** (level 0): the input is cut into morsels that worker
 //!    threads claim by work-stealing. Each worker keeps a persistent hash
-//!    table and strategy state; the runs it produces go to 256 shared,
-//!    mutex-guarded level-1 buckets.
+//!    table, strategy state and partition writer; sealed tables go to 256
+//!    shared, mutex-guarded level-1 buckets as they fill, partitioned rows
+//!    stay in the worker's writer and join the buckets at end of input.
 //! 2. **Recursion** (levels ≥ 1): one task per non-empty bucket. A bucket
 //!    task processes its runs through the strategy-selected routines into
-//!    task-local sub-buckets; if nothing spilled, the bucket's table holds
-//!    the final groups of this hash prefix and is emitted. Sub-buckets are
-//!    spawned as new tasks — completely independent, no synchronization.
+//!    task-local sub-buckets (one writer per task for what it partitions);
+//!    if no run left the task, the bucket's table holds the final groups
+//!    of this hash prefix and is emitted. Sub-buckets are spawned as new
+//!    tasks — completely independent, no synchronization.
 //!
 //! Two hard floors guarantee termination regardless of hash behavior: the
 //! recursion depth is bounded by the 8 radix digits of a 64-bit hash, and
@@ -26,7 +28,7 @@ use crate::exec::{is_degradable, ExecEnv, Gate};
 use crate::hashing::{hash_run, seal_into, HashOutcome};
 use crate::obs::{flush_table_metrics, Obs};
 use crate::output::{Collector, GroupByOutput};
-use crate::partitioning::partition_run;
+use crate::partitioning::{partition_run, RunWriter};
 use crate::report::{ObsConfig, RunReport};
 use crate::sink::{LocalBuckets, RunSink};
 use crate::stats::{AtomicStats, OpStats};
@@ -188,7 +190,9 @@ pub(crate) struct WorkerState {
     pub(crate) mode: ModeState,
     pub(crate) epoch_rows: u64,
     pub(crate) map32: Vec<u32>,
-    pub(crate) map8: Vec<u8>,
+    /// Everything this worker has partitioned and not yet handed to the
+    /// level-1 buckets; `None` until the worker first partitions.
+    pub(crate) writer: Option<RunWriter>,
 }
 
 impl WorkerState {
@@ -198,7 +202,7 @@ impl WorkerState {
             mode: ModeState::new(strategy),
             epoch_rows: 0,
             map32: Vec::new(),
-            map8: Vec::new(),
+            writer: None,
         }
     }
 }
@@ -213,7 +217,7 @@ pub(crate) fn process_view(
     mode: &mut ModeState,
     epoch_rows: &mut u64,
     map32: &mut Vec<u32>,
-    map8: &mut Vec<u8>,
+    writer: &mut Option<RunWriter>,
     sink: &mut impl RunSink,
     obs: &Obs,
 ) -> Result<(), AggError> {
@@ -236,11 +240,11 @@ pub(crate) fn process_view(
                             &[("level", level as u64)],
                         );
                         return partition_run(
+                            writer,
                             view,
                             row,
                             level,
                             ctx.ops.len(),
-                            map8,
                             sink,
                             ctx.gate(),
                             obs,
@@ -267,7 +271,7 @@ pub(crate) fn process_view(
             }
         } else {
             let rows = (view.len() - row) as u64;
-            partition_run(view, row, level, ctx.ops.len(), map8, sink, ctx.gate(), obs)?;
+            partition_run(writer, view, row, level, ctx.ops.len(), sink, ctx.gate(), obs)?;
             if mode.on_partitioned(rows) {
                 ctx.stats.count_switch_to_hashing();
                 obs.recorder.add(obs.worker, Counter::SwitchesToHashing, 1);
@@ -423,7 +427,7 @@ pub(crate) fn process_bucket<'env>(
     let mut mode = ModeState::new(ctx.cfg.strategy);
     let mut epoch_rows = 0u64;
     let mut map32 = Vec::new();
-    let mut map8 = Vec::new();
+    let mut writer = None;
     let mut local = LocalBuckets::new();
 
     // Restore prefetch: overlap the next run's disk read + decode with
@@ -458,12 +462,20 @@ pub(crate) fn process_bucket<'env>(
             &mut mode,
             &mut epoch_rows,
             &mut map32,
-            &mut map8,
+            &mut writer,
             &mut local,
             &obs,
         ) {
             // A non-empty table is dropped rather than pooled; its memory
             // stays reserved by the pool until the operator unwinds.
+            ctx.fail(e);
+            return;
+        }
+    }
+    // The bucket is consumed: what it partitioned leaves as one run per
+    // digit (and kind), not one per input run.
+    if let Some(mut writer) = writer {
+        if let Err(e) = writer.hand_off(&mut local, ctx.gate(), &obs) {
             ctx.fail(e);
             return;
         }

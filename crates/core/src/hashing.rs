@@ -155,16 +155,21 @@ pub(crate) fn hash_run(
     let batched = kind == KernelKind::Batched;
     let mut row = from_row;
 
-    // One phase span covers the whole call, not each aligned block: deep
-    // levels hash thousands of tiny blocks and per-block clock reads are
-    // measurable. Seals (and their spills) triggered mid-loop open nested
-    // spans; the nested-time accounting keeps this span's exclusive time
-    // pure hash-insert.
+    // One phase span and one stats publication cover the whole call, not
+    // each aligned block: deep levels hash thousands of tiny blocks, where
+    // per-block clock reads are measurable and per-block adds to the
+    // shared stats cells bounce their cache lines between the workers.
+    // Seals (and their spills) triggered mid-loop open nested spans; the
+    // nested-time accounting keeps this span's exclusive time pure
+    // hash-insert.
     let pt = obs.phase_start(level, Phase::HashInsert);
     let mut span_in = 0u64;
     let mut span_out = 0u64;
 
-    while row < n {
+    let outcome = loop {
+        if row == n {
+            break HashOutcome::Done;
+        }
         let block_len = view.aligned_block_len(row, ops.len());
         debug_assert!(block_len > 0, "empty aligned block at row {row}/{n}");
         let keys = &view.key_tail(row)[..block_len];
@@ -190,14 +195,6 @@ pub(crate) fn hash_run(
         }
 
         *epoch_rows += consumed as u64;
-        gate.stats.add_hash_rows(level, consumed as u64);
-        gate.stats.add_kernel_rows(batched, consumed as u64);
-        obs.recorder.add(obs.worker, Counter::HashRows, consumed as u64);
-        obs.recorder.add(
-            obs.worker,
-            if batched { Counter::KernelBatchedRows } else { Counter::KernelScalarRows },
-            consumed as u64,
-        );
         row += consumed;
         // rows_out accumulates the *new* groups: summed per level this
         // yields the level's observed reduction factor α = rows_in/rows_out.
@@ -220,14 +217,21 @@ pub(crate) fn hash_run(
                     "switch_to_partitioning",
                     &[("level", level as u64), ("alpha_x100", (alpha * 100.0) as u64)],
                 );
-                obs.phase_end(pt, span_in, span_out, 0);
-                return Ok(HashOutcome::Switched { next_row: row });
+                break HashOutcome::Switched { next_row: row };
             }
             // Retry the row that hit the full table with the fresh one.
         }
-    }
+    };
+    gate.stats.add_hash_rows(level, span_in);
+    gate.stats.add_kernel_rows(batched, span_in);
+    obs.recorder.add(obs.worker, Counter::HashRows, span_in);
+    obs.recorder.add(
+        obs.worker,
+        if batched { Counter::KernelBatchedRows } else { Counter::KernelScalarRows },
+        span_in,
+    );
     obs.phase_end(pt, span_in, span_out, 0);
-    Ok(HashOutcome::Done)
+    Ok(outcome)
 }
 
 #[cfg(test)]

@@ -92,7 +92,9 @@ pub struct AggregateConfig {
     /// Fill rate at which a hash table is considered full (paper: 25%).
     pub fill_percent: usize,
     /// Rows per level-0 morsel — the work-stealing granule of the main
-    /// loop (§3.2).
+    /// loop (§3.2) and the interval at which cancellation is polled. It
+    /// does not cut runs: what a worker partitions stays in its writer
+    /// across morsels.
     pub morsel_rows: usize,
     /// Kernel path for the hot loops (`HASHING` probe and fold).
     /// [`KernelPref::Auto`] runs the batched hash + prefetch pipeline;

@@ -5,6 +5,13 @@
 //! then scattered by replaying the digits (§3.3). The 256 outputs become
 //! runs of the next level, preserving the `aggregated` flag of the source
 //! (partitioning never aggregates — that is exactly its trade-off).
+//!
+//! The outputs outlive the call: a [`RunWriter`] belongs to whoever
+//! partitions — a level-0 worker for the whole stream, a bucket task for
+//! its whole bucket — and keeps appending to the same 256 partitions, so a
+//! run is as long as its owner's share of the digit, however the input was
+//! cut into morsels and pushes. Runs leave the writer when its owner is
+//! done ([`RunWriter::hand_off`]), or earlier when the budget says so.
 
 use crate::exec::Gate;
 use crate::obs::Obs;
@@ -14,134 +21,206 @@ use hsa_columnar::{Run, RunHandle};
 use hsa_fault::{AggError, Reservation};
 use hsa_hash::{Murmur2, FANOUT};
 use hsa_obs::{Counter, Hist, Phase};
-use hsa_partition::{
-    partition_keys_mapped_observed, partition_keys_observed, scatter_by_digits_observed,
-    swc_pass_bytes, PartitionMetrics,
-};
+use hsa_partition::PartitionWriter;
 
-/// Upper estimate of the bytes one partitioning pass materializes: the SWC
-/// buffer lines, the output chunks for keys and each state column (chunk
-/// slack doubles the payload bound), and per-digit chunk headers.
-fn partition_bytes_upper(rows: usize, n_cols: usize) -> u64 {
-    let per_value = 8 * (1 + n_cols as u64);
-    swc_pass_bytes(n_cols) + 2 * rows as u64 * per_value + FANOUT as u64 * 64 * per_value
+/// Most run bytes one spill batch of a flush carries. A submitted batch is
+/// memory nobody accounts until the store's I/O worker has written it —
+/// its reservation is returned so the writer can refill — and the store
+/// bounds its queue in *batches*: the submitter blocks when two are
+/// waiting. That only bounds the bytes in flight if a batch is bounded.
+const SPILL_BATCH_BYTES: u64 = 8 << 20;
+
+/// One owner's `PARTITIONING` outputs at one level, with the budget
+/// reservation that pays for them.
+///
+/// The reservation follows the writer's memory: after every append, and
+/// once more when the partial lines are flushed at a hand-off, it is
+/// topped up to what the writer holds, and every run that leaves takes a
+/// slice equal to its own `mem_bytes()` along. Dropping a writer with rows
+/// still in it (a failed stream) releases all of it.
+pub(crate) struct RunWriter {
+    parts: PartitionWriter,
+    /// Radix level of the appended rows; runs leave at `level + 1`.
+    level: u32,
+    /// Whether the buffered rows are partial aggregates. A run never
+    /// mixes the two kinds, so a change of kind hands the content off.
+    aggregated: bool,
+    res: Reservation,
 }
 
-/// Partition rows `[from_row..]` of `view` into next-level runs.
+impl RunWriter {
+    fn new(level: u32, n_cols: usize, aggregated: bool) -> Self {
+        Self { parts: PartitionWriter::new(n_cols), level, aggregated, res: Reservation::empty() }
+    }
+
+    /// Bring the reservation up to `bytes`. `Ok(false)` is a denial the
+    /// caller may spill around (degradable, spill directory configured),
+    /// already counted as a downgrade; any other denial is the error.
+    fn cover(&mut self, bytes: u64, gate: Gate<'_>, obs: &Obs) -> Result<bool, AggError> {
+        let grown = bytes.saturating_sub(self.res.bytes());
+        if grown == 0 {
+            return Ok(true);
+        }
+        match gate.reserve(grown, obs) {
+            Ok(more) => {
+                self.res.merge(more);
+                Ok(true)
+            }
+            Err(e) if gate.can_spill(&e) => {
+                gate.stats.count_budget_downgrade();
+                obs.recorder.add(obs.worker, Counter::BudgetDowngrades, 1);
+                obs.tracer.instant(
+                    obs.worker,
+                    "partition_spill",
+                    &[("level", self.level as u64), ("rows", self.parts.len() as u64)],
+                );
+                Ok(false)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    fn record_flush_traffic(&mut self, obs: &Obs) -> u64 {
+        let pm = self.parts.take_metrics();
+        obs.recorder.add(obs.worker, Counter::SwcFlushes, pm.swc_flushes);
+        obs.recorder.add(obs.worker, Counter::SwcFlushBytes, pm.swc_flush_bytes);
+        pm.swc_flush_bytes
+    }
+
+    /// Move every buffered row to `sink` as runs of the next level, one
+    /// per non-empty digit. `resident` runs stay in memory and each takes
+    /// the slice of the reservation that covers it; the writer keeps
+    /// paying for its write-combining lines. Otherwise — or when the last
+    /// bytes the drain allocated are denied, degradably — the runs go to
+    /// the spill store, as one batch (one file, one fault ordinal) per
+    /// [`SPILL_BATCH_BYTES`], and the whole reservation is given back.
+    /// Returns the bytes the partial lines flushed.
+    fn flush(
+        &mut self,
+        resident: bool,
+        sink: &mut impl RunSink,
+        gate: Gate<'_>,
+        obs: &Obs,
+    ) -> Result<u64, AggError> {
+        let rows = self.parts.len() as u64;
+        let (level, aggregated) = (self.level + 1, self.aggregated);
+        let mut runs = Vec::new();
+        self.parts.drain(|digit, keys, cols| {
+            let source_rows = keys.len() as u64;
+            runs.push((digit, Run { keys, cols, aggregated, source_rows, level }));
+        });
+        let line_bytes = self.record_flush_traffic(obs);
+        if let Some(longest) = runs.iter().map(|(_, run)| run.len()).max() {
+            // Per-digit skew: largest partition as % of the mean (100 = even).
+            obs.recorder.observe(
+                obs.worker,
+                Hist::PartitionSkewPct,
+                longest as u64 * FANOUT as u64 * 100 / rows,
+            );
+        }
+        // Flushing the partial lines may have opened new chunks.
+        let held = self.parts.mem_bytes() + runs.iter().map(|(_, r)| r.mem_bytes()).sum::<u64>();
+        if resident && self.cover(held, gate, obs)? {
+            for (digit, run) in runs {
+                let run_res = self.res.take(run.mem_bytes());
+                sink.push_run(digit, RunHandle::Mem(run), run_res);
+            }
+            return Ok(line_bytes);
+        }
+        let mut runs = runs.into_iter().peekable();
+        while runs.peek().is_some() {
+            let (mut digits, mut batch, mut bytes) = (Vec::new(), Vec::new(), 0);
+            while let Some((digit, run)) = runs.next_if(|_| bytes < SPILL_BATCH_BYTES) {
+                bytes += run.mem_bytes();
+                digits.push(digit);
+                batch.push(run);
+            }
+            let handles = gate.spill_batch(batch, obs)?;
+            drop(self.res.take(bytes));
+            for (digit, handle) in digits.into_iter().zip(handles) {
+                sink.push_run(digit, handle, Reservation::empty());
+            }
+        }
+        self.res = Reservation::empty();
+        Ok(line_bytes)
+    }
+
+    /// The owner is done (or the kind of rows changes): hand every
+    /// buffered row to `sink`, resident if the budget allows.
+    pub(crate) fn hand_off(
+        &mut self,
+        sink: &mut impl RunSink,
+        gate: Gate<'_>,
+        obs: &Obs,
+    ) -> Result<(), AggError> {
+        if self.parts.is_empty() {
+            return Ok(());
+        }
+        let pt = obs.phase_start(self.level, Phase::Partition);
+        let line_bytes = self.flush(true, sink, gate, obs)?;
+        obs.phase_end(pt, 0, 0, line_bytes);
+        Ok(())
+    }
+}
+
+/// Partition rows `[from_row..]` of `view` into `writer`, creating it on
+/// first use.
 ///
-/// Reserves an upper estimate of the pass's memory first; each emitted run
-/// carries an exact-sized slice of the reservation and the remainder is
-/// released on return. When the reservation is denied degradably and a
-/// spill directory is configured, the denial is downgraded: the pass runs
-/// on transient (unaccounted) memory and every output run is flushed to
-/// the spill store immediately, so nothing stays resident past the pass.
-/// Hard denials and runs without a spill directory still surface
-/// `BudgetExceeded`.
+/// The rows stay in the writer; `sink` only receives runs when the writer
+/// has to let go of some: buffered rows of the other kind (`aggregated`
+/// differs) are handed off first, and when the budget denies the bytes
+/// the append allocated — degradably, with a spill directory configured —
+/// the denial is downgraded and the writer's whole content goes to the
+/// spill store as one batch. Hard denials and runs without a spill
+/// directory surface `BudgetExceeded` with nothing pushed.
+///
+/// The writer is the one growth site that reserves *after* allocating:
+/// which partitions grow depends on digits it has not computed yet, and
+/// no bound short of a full chunk per partition holds for a single
+/// append. The overshoot is at most one view's payload plus chunk slack.
 #[allow(clippy::too_many_arguments)] // the driver's task context, passed flat
 pub(crate) fn partition_run(
+    writer: &mut Option<RunWriter>,
     view: &RunView<'_>,
     from_row: usize,
     level: u32,
     n_cols: usize,
-    mapping: &mut Vec<u8>,
     sink: &mut impl RunSink,
     gate: Gate<'_>,
     obs: &Obs,
 ) -> Result<(), AggError> {
-    let rows = view.len() - from_row;
+    let rows = (view.len() - from_row) as u64;
     if rows == 0 {
         return Ok(());
     }
-    let pt = obs.phase_start(level, Phase::Partition);
-    let mut res = match gate.reserve(partition_bytes_upper(rows, n_cols), obs) {
-        Ok(res) => Some(res),
-        Err(e) if gate.can_spill(&e) => {
-            gate.stats.count_budget_downgrade();
-            obs.recorder.add(obs.worker, Counter::BudgetDowngrades, 1);
-            obs.tracer.instant(
-                obs.worker,
-                "partition_spill",
-                &[("level", level as u64), ("rows", rows as u64)],
-            );
-            None
-        }
-        Err(e) => return Err(e),
-    };
-    let hasher = Murmur2::default();
-    let t0 = obs.tracer.now();
-    let mut pm = PartitionMetrics::default();
-
-    // Key pass. Skip the mapping entirely for DISTINCT-style queries.
-    let mut key_parts = if n_cols == 0 {
-        partition_keys_observed(view.key_slices(from_row), hasher, level, &mut pm)
-    } else {
-        mapping.clear();
-        mapping.reserve(rows);
-        partition_keys_mapped_observed(view.key_slices(from_row), hasher, level, mapping, &mut pm)
-    };
-
-    // Value passes: scatter every state column by the recorded digits.
-    let mut col_parts: Vec<_> = (0..n_cols)
-        .map(|i| scatter_by_digits_observed(mapping, view.col_slices(i, from_row), &mut pm))
-        .collect();
-
-    gate.stats.add_part_rows(level, rows as u64);
-    obs.recorder.add(obs.worker, Counter::PartRows, rows as u64);
-    obs.recorder.add(obs.worker, Counter::SwcFlushes, pm.swc_flushes);
-    obs.recorder.add(obs.worker, Counter::SwcFlushBytes, pm.swc_flush_bytes);
-    if obs.recorder.is_enabled() {
-        // Per-digit skew: largest partition as % of the mean (100 = even).
-        let max_len = key_parts.iter().map(|p| p.len()).max().unwrap_or(0) as u64;
-        obs.recorder.observe(
-            obs.worker,
-            Hist::PartitionSkewPct,
-            max_len * key_parts.len() as u64 * 100 / rows as u64,
-        );
+    let aggregated = view.aggregated();
+    let w = writer.get_or_insert_with(|| RunWriter::new(level, n_cols, aggregated));
+    debug_assert_eq!(w.level, level, "a writer serves one level");
+    if w.aggregated != aggregated {
+        w.hand_off(sink, gate, obs)?;
+        w.aggregated = aggregated;
     }
+    let pt = obs.phase_start(level, Phase::Partition);
+    let t0 = obs.tracer.now();
+    w.parts.append(Murmur2::default(), level, view.key_slices(from_row), |i| {
+        view.col_slices(i, from_row)
+    });
+    gate.stats.add_part_rows(level, rows);
+    obs.recorder.add(obs.worker, Counter::PartRows, rows);
+    let mut flush_bytes = w.record_flush_traffic(obs);
     obs.tracer.span_args(
         obs.worker,
         "partition_run",
         t0,
-        &[("rows", rows as u64), ("level", level as u64)],
+        &[("rows", rows), ("level", level as u64)],
     );
 
-    let aggregated = view.aggregated();
-    // In the spill-downgrade case the pass's output runs flush as ONE
-    // batch into a single shared spill file: the pass is one logical
-    // flush, and per-digit files would pay an inode creation each — the
-    // dominant cost of small spills on some filesystems. The collected
-    // batch is the pass's own transient output, which the downgrade
-    // already runs on unaccounted memory.
-    let mut spill_digits: Vec<usize> = Vec::new();
-    let mut spill_runs: Vec<Run> = Vec::new();
-    for digit in 0..key_parts.len() {
-        if key_parts[digit].is_empty() {
-            continue;
-        }
-        let keys = std::mem::take(&mut key_parts[digit]);
-        let n = keys.len();
-        let cols = col_parts.iter_mut().map(|cp| std::mem::take(&mut cp[digit])).collect();
-        let run = Run { keys, cols, aggregated, source_rows: n as u64, level: level + 1 };
-        match &mut res {
-            Some(res) => {
-                let run_res = res.take(run.mem_bytes());
-                sink.push_run(digit, RunHandle::Mem(run), run_res);
-            }
-            None => {
-                spill_digits.push(digit);
-                spill_runs.push(run);
-            }
-        }
+    if !w.cover(w.parts.mem_bytes(), gate, obs)? {
+        flush_bytes += w.flush(false, sink, gate, obs)?;
     }
-    if !spill_runs.is_empty() {
-        let handles = gate.spill_batch(spill_runs, obs)?;
-        for (digit, handle) in spill_digits.into_iter().zip(handles) {
-            sink.push_run(digit, handle, Reservation::empty());
-        }
-    }
-    // Spill time inside the emit loop was attributed to its own phase by
-    // the nested-time accounting; this cell holds the pure partition cost.
-    obs.phase_end(pt, rows as u64, rows as u64, pm.swc_flush_bytes);
+    // Spill time was attributed to its own phase by the nested-time
+    // accounting; this cell holds the pure partition cost.
+    obs.phase_end(pt, rows, rows, flush_bytes);
     Ok(())
 }
 
@@ -150,8 +229,8 @@ mod tests {
     use super::*;
     use crate::sink::LocalBuckets;
     use crate::stats::AtomicStats;
-    use hsa_columnar::RunStore;
-    use hsa_fault::{FaultInjector, MemoryBudget};
+    use hsa_columnar::{RunStore, SpillConfig};
+    use hsa_fault::{DiskBudget, FaultInjector, MemoryBudget};
     use hsa_hash::{digit, Hasher64};
 
     macro_rules! open_gate {
@@ -165,29 +244,46 @@ mod tests {
         };
     }
 
+    fn raw_view<'a>(keys: &'a [u64], cols: Vec<&'a [u64]>) -> RunView<'a> {
+        RunView::Borrowed { keys, cols, aggregated: false }
+    }
+
+    /// Partition `view[from_row..]` at level 0 into `writer`.
+    fn partition(
+        writer: &mut Option<RunWriter>,
+        view: &RunView<'_>,
+        from_row: usize,
+        n_cols: usize,
+        sink: &mut LocalBuckets,
+        gate: Gate<'_>,
+    ) -> Result<(), AggError> {
+        partition_run(writer, view, from_row, 0, n_cols, sink, gate, &Obs::disabled())
+    }
+
+    fn hand_off(writer: &mut Option<RunWriter>, sink: &mut LocalBuckets, gate: Gate<'_>) {
+        writer.as_mut().expect("a writer exists").hand_off(sink, gate, &Obs::disabled()).unwrap();
+    }
+
     #[test]
-    fn partitions_raw_input_with_columns() {
+    fn rows_stay_in_the_writer_until_handed_off() {
         let keys: Vec<u64> = (0..10_000u64).map(|i| i * 2654435761 % 1000).collect();
         let vals: Vec<u64> = (0..10_000).collect();
-        let view = RunView::Borrowed { keys: &keys, cols: vec![&vals], aggregated: false };
         let mut sink = LocalBuckets::new();
         let stats = AtomicStats::default();
-        let mut mapping = Vec::new();
-        partition_run(
-            &view,
-            0,
-            0,
-            1,
-            &mut mapping,
-            &mut sink,
-            open_gate!(&stats),
-            &Obs::disabled(),
-        )
-        .unwrap();
+        let mut writer = None;
+        // Two morsels of one worker: one writer, one run per digit.
+        for range in [0..6_000usize, 6_000..10_000] {
+            let view = raw_view(&keys[range.clone()], vec![&vals[range]]);
+            partition(&mut writer, &view, 0, 1, &mut sink, open_gate!(&stats)).unwrap();
+            assert!(sink.is_empty(), "an append must not emit runs");
+        }
+        assert_eq!(stats.snapshot().part_rows_per_level[0], 10_000);
+        hand_off(&mut writer, &mut sink, open_gate!(&stats));
 
         let h = Murmur2::default();
         let mut total = 0usize;
         for (d, bucket, _res) in sink.into_nonempty() {
+            assert_eq!(bucket.len(), 1, "digit {d}: morsels must not cut runs");
             for handle in bucket {
                 let run = handle.into_run().unwrap();
                 assert!(!run.aggregated);
@@ -205,139 +301,218 @@ mod tests {
             }
         }
         assert_eq!(total, keys.len());
-        assert_eq!(stats.snapshot().part_rows_per_level[0], 10_000);
     }
 
     #[test]
     fn partitions_suffix_only() {
         let keys: Vec<u64> = (0..1000).collect();
-        let view = RunView::Borrowed { keys: &keys, cols: vec![], aggregated: false };
         let mut sink = LocalBuckets::new();
         let stats = AtomicStats::default();
-        let mut mapping = Vec::new();
-        partition_run(
-            &view,
-            900,
-            0,
-            0,
-            &mut mapping,
-            &mut sink,
-            open_gate!(&stats),
-            &Obs::disabled(),
-        )
-        .unwrap();
+        let mut writer = None;
+        partition(&mut writer, &raw_view(&keys, vec![]), 900, 0, &mut sink, open_gate!(&stats))
+            .unwrap();
+        hand_off(&mut writer, &mut sink, open_gate!(&stats));
         let total: usize =
             sink.into_nonempty().map(|(_, b, _)| b.iter().map(RunHandle::len).sum::<usize>()).sum();
         assert_eq!(total, 100);
     }
 
     #[test]
-    fn empty_suffix_is_noop() {
+    fn empty_suffix_builds_no_writer() {
         let keys: Vec<u64> = (0..10).collect();
-        let view = RunView::Borrowed { keys: &keys, cols: vec![], aggregated: false };
         let mut sink = LocalBuckets::new();
         let stats = AtomicStats::default();
-        let mut mapping = Vec::new();
-        partition_run(
-            &view,
-            10,
-            0,
-            0,
-            &mut mapping,
-            &mut sink,
-            open_gate!(&stats),
-            &Obs::disabled(),
-        )
-        .unwrap();
+        let mut writer = None;
+        partition(&mut writer, &raw_view(&keys, vec![]), 10, 0, &mut sink, open_gate!(&stats))
+            .unwrap();
+        assert!(writer.is_none());
         assert!(sink.is_empty());
     }
 
     #[test]
-    fn aggregated_flag_is_preserved() {
+    fn a_run_never_mixes_raw_and_aggregated_rows() {
         use hsa_columnar::ChunkedVec;
-        let run = Run {
-            keys: ChunkedVec::from_slice(&[1, 2, 3]),
-            cols: vec![ChunkedVec::from_slice(&[5, 5, 5])],
-            aggregated: true,
-            source_rows: 30,
-            level: 1,
+        let sealed = |keys: &[u64]| {
+            RunView::Owned(Run {
+                keys: ChunkedVec::from_slice(keys),
+                cols: vec![ChunkedVec::from_slice(&vec![5; keys.len()])],
+                aggregated: true,
+                source_rows: 30,
+                level: 1,
+            })
         };
-        let view = RunView::Owned(run);
+        let raw_keys: Vec<u64> = (100..400).collect();
         let mut sink = LocalBuckets::new();
         let stats = AtomicStats::default();
-        let mut mapping = Vec::new();
-        partition_run(
-            &view,
-            0,
-            1,
-            1,
-            &mut mapping,
-            &mut sink,
-            open_gate!(&stats),
-            &Obs::disabled(),
-        )
-        .unwrap();
+        let mut writer = None;
+        let obs = Obs::disabled();
+        let mut part = |view: &RunView<'_>, sink: &mut LocalBuckets| {
+            partition_run(&mut writer, view, 0, 1, 1, sink, open_gate!(&stats), &obs).unwrap()
+        };
+        part(&sealed(&[1, 2, 3]), &mut sink);
+        part(&sealed(&[4, 5]), &mut sink);
+        assert!(sink.is_empty(), "same kind: keeps buffering");
+        // The other kind arrives: the aggregated rows leave first.
+        part(&raw_view(&raw_keys, vec![&raw_keys]), &mut sink);
+        assert!(!sink.is_empty());
+        hand_off(&mut writer, &mut sink, open_gate!(&stats));
+        let (mut agg_rows, mut raw_rows) = (0, 0);
         for (_, bucket, _res) in sink.into_nonempty() {
             for r in bucket {
-                assert!(r.aggregated(), "partitioning must not clear the flag");
                 assert_eq!(r.level(), 2);
-            }
-        }
-    }
-
-    #[test]
-    fn denied_budget_aborts_the_pass() {
-        let keys: Vec<u64> = (0..1000).collect();
-        let view = RunView::Borrowed { keys: &keys, cols: vec![], aggregated: false };
-        let mut sink = LocalBuckets::new();
-        let stats = AtomicStats::default();
-        let mut mapping = Vec::new();
-        let budget = MemoryBudget::limited(100);
-        let faults = FaultInjector::none();
-        let store = RunStore::in_memory();
-        let gate = Gate { budget: &budget, faults: &faults, stats: &stats, store: &store };
-        let err = partition_run(&view, 0, 0, 0, &mut mapping, &mut sink, gate, &Obs::disabled())
-            .unwrap_err();
-        assert!(matches!(err, AggError::BudgetExceeded { limit: 100, .. }));
-        assert!(sink.is_empty());
-        assert_eq!(budget.outstanding(), 0);
-    }
-
-    #[test]
-    fn denied_pass_spills_every_output_when_a_dir_is_configured() {
-        let dir = std::env::temp_dir().join(format!("hsa-part-spill-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let keys: Vec<u64> = (0..2000u64).map(|i| i * 2654435761 % 500).collect();
-        let vals: Vec<u64> = (0..2000).collect();
-        let view = RunView::Borrowed { keys: &keys, cols: vec![&vals], aggregated: false };
-        let mut sink = LocalBuckets::new();
-        let stats = AtomicStats::default();
-        let mut mapping = Vec::new();
-        let budget = MemoryBudget::limited(100);
-        let faults = FaultInjector::none();
-        let store = RunStore::spilling_to(&dir).unwrap();
-        let gate = Gate { budget: &budget, faults: &faults, stats: &stats, store: &store };
-        partition_run(&view, 0, 0, 1, &mut mapping, &mut sink, gate, &Obs::disabled()).unwrap();
-        assert_eq!(budget.outstanding(), 0);
-
-        let h = Murmur2::default();
-        let mut total = 0usize;
-        for (d, bucket, res) in sink.into_nonempty() {
-            assert_eq!(res.bytes(), 0, "spilled runs hold no reservation");
-            for handle in bucket {
-                assert!(handle.is_spilled());
-                let run = handle.into_run().unwrap();
-                run.check_consistent().unwrap();
-                total += run.len();
-                for k in run.keys.to_vec() {
-                    assert_eq!(digit(h.hash_u64(k), 0), d);
+                let run = r.into_run().unwrap();
+                if run.aggregated {
+                    assert!(run.keys.iter().all(|k| k <= 5), "raw keys in an aggregated run");
+                    agg_rows += run.len();
+                } else {
+                    assert!(run.keys.iter().all(|k| k >= 100), "partials in a raw run");
+                    raw_rows += run.len();
                 }
             }
         }
-        assert_eq!(total, keys.len());
+        assert_eq!((agg_rows, raw_rows), (5, 300));
+    }
+
+    #[test]
+    fn runs_leave_with_their_exact_share_of_the_reservation() {
+        let keys: Vec<u64> = (0..5_000).collect();
+        let budget = MemoryBudget::limited(1 << 30);
+        let faults = FaultInjector::none();
+        let stats = AtomicStats::default();
+        let store = RunStore::in_memory();
+        let gate = Gate { budget: &budget, faults: &faults, stats: &stats, store: &store };
+        let mut sink = LocalBuckets::new();
+        let mut writer = None;
+        partition(&mut writer, &raw_view(&keys, vec![&keys]), 0, 1, &mut sink, gate).unwrap();
+        let held = writer.as_ref().map(|w| w.parts.mem_bytes());
+        assert_eq!(Some(budget.outstanding()), held, "the reservation is the writer's memory");
+        hand_off(&mut writer, &mut sink, gate);
+        assert!(budget.outstanding() >= held.unwrap(), "a hand-off moves bytes, it frees none");
+        for (_, bucket, res) in sink.into_nonempty() {
+            let bytes = |h: &RunHandle| match h {
+                RunHandle::Mem(run) => run.mem_bytes(),
+                RunHandle::Spilled(..) => 0,
+            };
+            assert_eq!(res.bytes(), bucket.iter().map(bytes).sum::<u64>());
+        }
+        // Runs gone: the writer still pays for its lines and scratch.
+        assert_eq!(budget.outstanding(), writer.as_ref().unwrap().parts.mem_bytes());
+        drop(writer);
+        assert_eq!(budget.outstanding(), 0);
+    }
+
+    #[test]
+    fn denied_budget_fails_with_nothing_pushed_and_a_drop_returns_the_bytes() {
+        let keys: Vec<u64> = (0..20_000).collect();
+        let mut sink = LocalBuckets::new();
+        let stats = AtomicStats::default();
+        // Room for the first morsel's chunks, not for the second's.
+        let budget = MemoryBudget::limited(200 << 10);
+        let faults = FaultInjector::none();
+        let store = RunStore::in_memory();
+        let gate = Gate { budget: &budget, faults: &faults, stats: &stats, store: &store };
+        let mut writer = None;
+        partition(&mut writer, &raw_view(&keys[..10_000], vec![]), 0, 0, &mut sink, gate).unwrap();
+        assert!(budget.outstanding() > 0);
+        let err = partition(&mut writer, &raw_view(&keys, vec![]), 10_000, 0, &mut sink, gate)
+            .unwrap_err();
+        assert!(matches!(err, AggError::BudgetExceeded { limit, .. } if limit == 200 << 10));
+        assert!(sink.is_empty());
+        assert_eq!(stats.snapshot().budget_downgrades, 0);
+        // The stream is poisoned here; dropping it drops the writer.
+        drop(writer);
+        assert_eq!(budget.outstanding(), 0);
+    }
+
+    #[test]
+    fn a_denial_spills_the_whole_content_as_one_batch() {
+        let dir = std::env::temp_dir().join(format!("hsa-part-spill-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let keys: Vec<u64> = (0..30_000u64).map(|i| i * 2654435761 % 7_000).collect();
+        let vals: Vec<u64> = (0..30_000).collect();
+        let mut sink = LocalBuckets::new();
+        let stats = AtomicStats::default();
+        let budget = MemoryBudget::limited(400 << 10);
+        let faults = FaultInjector::none();
+        // In-line I/O: the batch's file exists when the call returns.
+        let store = RunStore::spilling_with_config(
+            &dir,
+            faults.clone(),
+            DiskBudget::unlimited(),
+            SpillConfig { io_threads: 0, ..SpillConfig::default() },
+        )
+        .unwrap();
+        let gate = Gate { budget: &budget, faults: &faults, stats: &stats, store: &store };
+        let spill_files = || {
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .flatten()
+                .filter(|e| e.file_name().to_string_lossy().ends_with(".bin"))
+                .count()
+        };
+        let mut writer = None;
+        let mut part = |range: std::ops::Range<usize>, sink: &mut LocalBuckets| {
+            let view = raw_view(&keys[range.clone()], vec![&vals[range]]);
+            partition(&mut writer, &view, 0, 1, sink, gate).unwrap();
+        };
+
+        part(0..10_000, &mut sink);
+        assert!(sink.is_empty() && budget.outstanding() > 0, "the first morsel fits");
+        // The second morsel's chunks do not: both morsels leave together.
+        part(10_000..20_000, &mut sink);
         let s = stats.snapshot();
-        assert!(s.spilled_runs() > 0);
-        assert_eq!(s.budget_downgrades, 1);
+        assert_eq!((s.budget_denials, s.budget_downgrades), (1, 1));
+        assert_eq!(spill_files(), 1, "one denial, one batch, one file");
+        assert!(s.spilled_runs() <= FANOUT as u64);
+        assert_eq!(budget.outstanding(), 0, "the flush released everything");
+        // The writer carries on from empty within the same budget.
+        part(20_000..30_000, &mut sink);
+        assert_eq!(stats.snapshot().budget_denials, 1);
+        hand_off(&mut writer, &mut sink, gate);
+        drop(writer);
+
+        let h = Murmur2::default();
+        let (mut spilled_rows, mut resident_rows) = (0usize, 0usize);
+        for (d, bucket, _res) in sink.into_nonempty() {
+            assert!(bucket.len() <= 2, "digit {d}: one spilled run, one resident");
+            for handle in bucket {
+                let spilled = handle.is_spilled();
+                let run = handle.into_run().unwrap();
+                run.check_consistent().unwrap();
+                for (k, v) in run.keys.iter().zip(run.cols[0].iter()) {
+                    assert_eq!(digit(h.hash_u64(k), 0), d);
+                    assert_eq!(k, v * 2654435761 % 7_000);
+                }
+                *(if spilled { &mut spilled_rows } else { &mut resident_rows }) += run.len();
+            }
+        }
+        assert_eq!((spilled_rows, resident_rows), (20_000, 10_000));
+        assert_eq!(budget.outstanding(), 0);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_injected_denial_is_not_downgraded() {
+        use hsa_fault::FaultPlan;
+        let dir = std::env::temp_dir().join(format!("hsa-part-inject-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let keys: Vec<u64> = (0..1_000).collect();
+        let mut sink = LocalBuckets::new();
+        let stats = AtomicStats::default();
+        let budget = MemoryBudget::limited(1 << 30);
+        let faults = FaultInjector::new(FaultPlan { fail_alloc: Some(1), ..FaultPlan::none() });
+        let store = RunStore::spilling_to(&dir).unwrap();
+        let gate = Gate { budget: &budget, faults: &faults, stats: &stats, store: &store };
+        let mut writer = None;
+        let err =
+            partition(&mut writer, &raw_view(&keys, vec![]), 0, 0, &mut sink, gate).unwrap_err();
+        assert!(matches!(err, AggError::BudgetExceeded { limit: 0, .. }));
+        assert!(sink.is_empty());
+        assert_eq!(stats.snapshot().spilled_runs(), 0);
+        drop(writer);
+        assert_eq!(budget.outstanding(), 0);
+        drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

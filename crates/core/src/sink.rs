@@ -24,20 +24,22 @@ pub(crate) trait RunSink {
     fn push_run(&mut self, digit: usize, run: RunHandle, res: Reservation);
 }
 
-/// Task-local buckets (no synchronization).
+/// Task-local buckets (no synchronization). The 256 slots are built when
+/// the first run arrives: most bucket tasks end the recursion and never
+/// push one.
 pub(crate) struct LocalBuckets {
     buckets: Vec<(Vec<RunHandle>, Reservation)>,
 }
 
 impl LocalBuckets {
     pub(crate) fn new() -> Self {
-        Self { buckets: (0..FANOUT).map(|_| (Vec::new(), Reservation::empty())).collect() }
+        Self { buckets: Vec::new() }
     }
 
     /// True if no run was pushed — i.e. the bucket was fully aggregated in
     /// a single table and the recursion ends here.
     pub(crate) fn is_empty(&self) -> bool {
-        self.buckets.iter().all(|(b, _)| b.is_empty())
+        self.buckets.is_empty()
     }
 
     /// Consume into `(digit, bucket, reservation)` triples for the
@@ -56,6 +58,9 @@ impl LocalBuckets {
 impl RunSink for LocalBuckets {
     fn push_run(&mut self, digit: usize, run: RunHandle, res: Reservation) {
         debug_assert!(!run.is_empty());
+        if self.buckets.is_empty() {
+            self.buckets.resize_with(FANOUT, || (Vec::new(), Reservation::empty()));
+        }
         let (bucket, held) = &mut self.buckets[digit];
         bucket.push(run);
         held.merge(res);

@@ -4,10 +4,11 @@
 //! caller can feed the input in bounded chunks instead of one slice:
 //! every [`AggStream::push`] runs one work-stealing morsel scope over the
 //! chunk while the per-worker state (hash table, strategy mode, epoch
-//! counters) persists across pushes, sealing cache-sized runs into the
-//! shared level-1 buckets exactly as the one-shot driver does.
-//! [`AggStream::finish`] then seals the leftover worker tables and runs
-//! the recursion of Algorithm 2 unchanged — unless a single table
+//! counters, partition writer) persists across pushes: full tables seal
+//! cache-sized runs into the shared level-1 buckets, partitioned rows
+//! collect in the worker's own writer. [`AggStream::finish`] then hands
+//! the writers' runs to the buckets, seals the leftover worker tables and
+//! runs the recursion of Algorithm 2 unchanged — unless a single table
 //! absorbed the whole input, in which case its groups are already final
 //! and are emitted as they stand.
 //!
@@ -64,10 +65,11 @@ use std::time::Instant;
 /// ```
 ///
 /// Ingestion is bounded: each chunk's rows are absorbed into cache-sized
-/// tables or partitioned into runs before `push` returns, and with a
-/// memory budget plus a spill directory configured on the [`ExecEnv`],
-/// sealed runs that exceed the budget are flushed to disk — the resident
-/// set stays bounded regardless of the total input size.
+/// tables or partitioned into the workers' runs before `push` returns, and
+/// with a memory budget plus a spill directory configured on the
+/// [`ExecEnv`], sealed and partitioned runs that exceed the budget are
+/// flushed to disk — the resident set stays bounded regardless of the
+/// total input size.
 ///
 /// A stream that returned an error is poisoned; drop it (budget
 /// reservations and spill files are released on drop).
@@ -260,7 +262,7 @@ impl AggStream {
                         &mut ws.mode,
                         &mut ws.epoch_rows,
                         &mut ws.map32,
-                        &mut ws.map8,
+                        &mut ws.writer,
                         &mut sink,
                         &obs,
                     ) {
@@ -309,17 +311,24 @@ impl AggStream {
         } = self;
 
         // All push scopes have quiesced, so recording into each worker's
-        // shard from here preserves the sharding contract.
-        let tables: Vec<(usize, AggTable)> = workers
-            .into_iter()
-            .enumerate()
-            .filter_map(|(w_idx, w)| Some((w_idx, w.into_inner().table?)))
-            .collect();
-        // One table absorbed the whole input and nothing ever left it:
-        // its groups are final — "the recursion stops automatically"
-        // (§5), the level-0 instance of the rule `process_bucket` applies
-        // at every deeper level. Otherwise the leftover tables are sealed
-        // into the level-1 buckets as one more set of runs.
+        // shard from here preserves the sharding contract. First, what
+        // the workers partitioned joins the level-1 buckets: one run per
+        // worker and digit, however many morsels and pushes fed it.
+        let mut tables: Vec<(usize, AggTable)> = Vec::new();
+        for (w_idx, w) in workers.into_iter().enumerate() {
+            let ws = w.into_inner();
+            if let Some(mut writer) = ws.writer {
+                writer.hand_off(&mut &shared, ctx.gate(), &ctx.obs(w_idx))?;
+            }
+            tables.extend(ws.table.map(|t| (w_idx, t)));
+        }
+        // One table absorbed the whole input and nothing ever left it (no
+        // sealed run, and the writers above handed over no partitioned
+        // row): its groups are final — "the recursion stops
+        // automatically" (§5), the level-0 instance of the rule
+        // `process_bucket` applies at every deeper level. Otherwise the
+        // leftover tables are sealed into the level-1 buckets as one more
+        // set of runs.
         let live = tables.iter().filter(|(_, t)| !t.is_empty()).count();
         let stops_here = live == 1 && shared.is_empty();
         for (w_idx, mut table) in tables {
@@ -547,7 +556,7 @@ mod tests {
             &mut ws.mode,
             &mut ws.epoch_rows,
             &mut ws.map32,
-            &mut ws.map8,
+            &mut ws.writer,
             &mut &stream.shared,
             &stream.ctx.obs(w),
         )
@@ -607,6 +616,56 @@ mod tests {
     }
 
     #[test]
+    fn partitioned_runs_are_cut_by_workers_not_by_morsels() {
+        use hsa_columnar::{ChunkedVec, RunHandle, DEFAULT_CHUNK_LEN};
+        const THREADS: usize = 2;
+        // 512 morsels of 4096 rows, partitioned only: 8192 rows a digit.
+        let keys: Vec<u64> =
+            (0..1u64 << 21).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+        let cfg = AggregateConfig {
+            threads: THREADS,
+            strategy: Strategy::PartitionAlways { passes: 1 },
+            ..cfg()
+        };
+        let specs = [hsa_agg::AggSpec::count()];
+        let mut stream =
+            AggStream::new(&specs, &cfg, &ExecEnv::unrestricted(), &ObsConfig::disabled()).unwrap();
+        stream.push(&keys, &[]).unwrap();
+        assert!(stream.shared.is_empty(), "rows wait in the workers' writers");
+        for (w, ws) in stream.workers.iter().enumerate() {
+            if let Some(writer) = ws.lock().writer.as_mut() {
+                writer
+                    .hand_off(&mut &stream.shared, stream.ctx.gate(), &stream.ctx.obs(w))
+                    .unwrap();
+            }
+        }
+        let AggStream { shared, .. } = stream;
+
+        // A chunked column grows 64, 64, 128, … up to the full chunk
+        // length and every chunk but the last is filled to that size.
+        let chunk_lens = |c: &ChunkedVec<u64>| c.chunks().map(<[u64]>::len).collect::<Vec<_>>();
+        let mut rows = 0;
+        for (digit, bucket, _res) in shared.into_nonempty() {
+            assert!(bucket.len() <= THREADS, "digit {digit}: {} runs", bucket.len());
+            for handle in bucket {
+                let RunHandle::Mem(run) = handle else { panic!("nothing spills here") };
+                assert!(!run.aggregated);
+                let lens = chunk_lens(&run.keys);
+                assert_eq!(lens, chunk_lens(&run.cols[0]), "columns are cut alike");
+                let (tail, body) = lens.split_last().unwrap();
+                let mut ramp = 0usize;
+                for &len in body {
+                    assert_eq!(len, ramp.next_power_of_two().clamp(64, DEFAULT_CHUNK_LEN));
+                    ramp += len;
+                }
+                assert!(*tail <= ramp.next_power_of_two().clamp(64, DEFAULT_CHUNK_LEN));
+                rows += run.len();
+            }
+        }
+        assert_eq!(rows, keys.len());
+    }
+
+    #[test]
     fn direct_emit_under_a_denied_output_reservation_is_typed_and_drains() {
         let keys: Vec<u64> = (0..5_000u64).map(|i| i % 500).collect();
         // Room for the worker table and 1 KiB more; the 500 groups' output
@@ -624,8 +683,12 @@ mod tests {
     fn budget_with_spill_dir_stays_bounded_and_correct() {
         let dir = std::env::temp_dir().join(format!("hsa-stream-spill-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let keys: Vec<u64> = (0..60_000u64).map(|i| i * 2654435761 % 20_000).collect();
-        let vals: Vec<u64> = (0..60_000).collect();
+        // ≈2.4 MiB of rows whose runs, with chunk slack, the two tables and
+        // the output blocks, cannot all be resident in 4 MiB. (The writers
+        // reserve what they hold, not twice their payload up front, so
+        // the 60 000 rows this test used to push now fit.)
+        let keys: Vec<u64> = (0..150_000u64).map(|i| i * 2654435761 % 50_000).collect();
+        let vals: Vec<u64> = (0..150_000).collect();
         let specs = [hsa_agg::AggSpec::sum(0)];
         let (whole, _) = crate::aggregate(&keys, &[&vals], &specs, &cfg());
 

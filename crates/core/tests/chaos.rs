@@ -24,7 +24,7 @@ use hsa_core::{
     try_aggregate, AggError, AggregateConfig, DiskBudget, ExecEnv, FaultInjector, FaultPlan,
     MemoryBudget, SpillCodec, SpillConfig, SpillFault, SpillFaultKind,
 };
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 mod common;
 
@@ -95,7 +95,7 @@ impl Chaos {
         let r = try_aggregate(&self.keys, &[&self.vals], &specs(), &config(), &env);
         assert_eq!(self.budget.outstanding(), 0, "memory reservations leaked");
         assert_eq!(self.disk.outstanding(), 0, "disk reservations leaked");
-        assert_dir_empty(&self.dir);
+        common::assert_dir_empty(&self.dir);
         r.map(|(out, stats)| (out.sorted_rows(), stats))
     }
 
@@ -122,15 +122,6 @@ impl Chaos {
         }
         panic!("{kind:?}: sweep did not terminate");
     }
-}
-
-fn assert_dir_empty(dir: &Path) {
-    // The per-query `FileStore` has dropped by now, retiring its liveness
-    // lock, so a correct run leaves literally nothing behind.
-    let leftover: Vec<String> = std::fs::read_dir(dir)
-        .map(|d| d.flatten().map(|e| e.file_name().to_string_lossy().into_owned()).collect())
-        .unwrap_or_default();
-    assert!(leftover.is_empty(), "scratch files leaked: {leftover:?}");
 }
 
 #[test]

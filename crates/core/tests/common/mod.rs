@@ -1,6 +1,8 @@
-//! The workload shared by the spill sweeps (`chaos.rs`, `faults.rs`).
+//! The workload and the scratch-directory check shared by the spill
+//! sweeps (`chaos.rs`, `faults.rs`).
 
 use hsa_hash::{digit, Hasher64, Murmur2};
+use std::path::Path;
 
 const ROWS: u64 = 20_000;
 /// Keys carrying almost all rows; few, so a seal emits few digit runs and
@@ -25,4 +27,13 @@ pub fn mid_input_seal_workload() -> (Vec<u64>, Vec<u64>) {
         *slot = key;
     }
     (keys, (0..ROWS).collect())
+}
+
+/// The query's `FileStore` has dropped by now, retiring its liveness lock,
+/// so a correct run leaves literally nothing behind.
+pub fn assert_dir_empty(dir: &Path) {
+    let leftover: Vec<String> = std::fs::read_dir(dir)
+        .map(|d| d.flatten().map(|e| e.file_name().to_string_lossy().into_owned()).collect())
+        .unwrap_or_default();
+    assert!(leftover.is_empty(), "scratch files leaked: {leftover:?}");
 }

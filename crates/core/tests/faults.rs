@@ -333,6 +333,154 @@ fn sweep_failing_every_spill() {
     panic!("spill sweep did not terminate");
 }
 
+/// Partition-only workload for the partition writer's budget path: every
+/// row is partitioned at level 0 by one worker's writer and grow-merged at
+/// level 1, so the writer's reservations and spill batches are most of
+/// the run's injection sites. The keys touch [`WRITER_DIGITS`] level-0
+/// digits only, which keeps the ordinal sweeps short.
+fn writer_workload() -> (Vec<u64>, Vec<u64>, AggregateConfig) {
+    use hsa_hash::{digit, Hasher64, Murmur2};
+    let hasher = Murmur2::default();
+    let groups: Vec<u64> =
+        (0u64..).filter(|&k| digit(hasher.hash_u64(k), 0) < WRITER_DIGITS).take(2_000).collect();
+    let keys = (0..ROWS).map(|i| groups[i.wrapping_mul(2654435761) % groups.len()]).collect();
+    let vals = (0..ROWS as u64).collect();
+    let cfg = AggregateConfig {
+        strategy: Strategy::PartitionAlways { passes: 1 },
+        threads: 1,
+        ..config()
+    };
+    (keys, vals, cfg)
+}
+
+const WRITER_DIGITS: usize = 32;
+/// Holds about half of [`writer_workload`]'s partitioned rows.
+const WRITER_BUDGET: u64 = 512 << 10;
+
+/// A denied writer with a spill directory lets go of everything it holds
+/// — runs as long as the worker's share so far, not one morsel's — and
+/// carries on from an empty budget; without a directory the same denial
+/// is the query's error.
+#[test]
+fn a_denied_partition_writer_spills_its_whole_content() {
+    let dir = std::env::temp_dir().join(format!("hsa-fault-writer-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (keys, vals, cfg) = writer_workload();
+    let budget = MemoryBudget::limited(WRITER_BUDGET);
+
+    let env = ExecEnv::unrestricted().with_budget(budget.clone());
+    match try_aggregate(&keys, &[&vals], &specs(), &cfg, &env) {
+        Err(AggError::BudgetExceeded { limit, .. }) => assert_eq!(limit, WRITER_BUDGET),
+        other => panic!("no spill directory: got {other:?}"),
+    }
+    assert_eq!(budget.outstanding(), 0, "the failed stream's writer kept bytes");
+
+    let (out, stats) = try_aggregate(&keys, &[&vals], &specs(), &cfg, &spill_env(&budget, &dir))
+        .expect("the same budget with a spill directory");
+    assert_matches_reference(&out, &keys, &vals);
+    assert_eq!(budget.outstanding(), 0);
+    common::assert_dir_empty(&dir);
+    assert_eq!(stats.part_rows_per_level[0], ROWS as u64);
+    assert_eq!(stats.restored_runs, stats.spilled_runs(), "every spilled run is read back");
+    assert!(stats.budget_downgrades > 0, "the budget never denied the writer: {stats:?}");
+    // One batch per denial: at most one run per digit each time …
+    assert!(
+        stats.spilled_runs() <= WRITER_DIGITS as u64 * stats.budget_downgrades,
+        "a denial spilled more than the writer's one run per digit: {stats:?}"
+    );
+    // … and each holds several morsels' rows of its digit.
+    let morsel_share = (config().morsel_rows / WRITER_DIGITS * 8 * 3) as u64;
+    assert!(
+        stats.spilled_bytes > 2 * morsel_share * stats.spilled_runs(),
+        "spilled runs are no longer than a morsel's share: {stats:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The allocation and spill ordinals reach the writer's own sites: its
+/// top-up after every morsel, its hand-off, and each spill batch.
+#[test]
+fn sweep_failing_every_partition_writer_site() {
+    let dir = std::env::temp_dir().join(format!("hsa-fault-writer-sweep-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (keys, vals, cfg) = writer_workload();
+    let budget = MemoryBudget::limited(WRITER_BUDGET);
+    let run = |plan: FaultPlan| {
+        let env = spill_env(&budget, &dir).with_faults(FaultInjector::new(plan));
+        let r = try_aggregate(&keys, &[&vals], &specs(), &cfg, &env);
+        assert_eq!(budget.outstanding(), 0, "reservations leaked across the call");
+        common::assert_dir_empty(&dir);
+        r.map(|(out, stats)| {
+            assert_matches_reference(&out, &keys, &vals);
+            stats
+        })
+    };
+    let clean = run(FaultPlan::none()).expect("un-injected run");
+    assert!(clean.budget_downgrades > 0 && clean.spilled_runs() > 0, "{clean:?}");
+
+    let sweep =
+        |what: &str, plan_of: &dyn Fn(u64) -> FaultPlan, fired: &dyn Fn(&AggError) -> bool| {
+            for n in 1..10_000 {
+                match run(plan_of(n)) {
+                    // Past the last site of the run: nothing fired.
+                    Ok(_) => return n - 1,
+                    Err(e) if fired(&e) => {
+                        run(FaultPlan::none()).expect("clean run after an injected failure");
+                    }
+                    Err(other) => panic!("injected {what} failure {n} surfaced as {other:?}"),
+                }
+            }
+            panic!("{what} sweep did not terminate");
+        };
+    let allocs =
+        sweep("allocation", &|n| FaultPlan { fail_alloc: Some(n), ..FaultPlan::none() }, &|e| {
+            matches!(e, AggError::BudgetExceeded { limit: 0, .. })
+        });
+    let morsels = (ROWS / config().morsel_rows) as u64;
+    assert!(allocs > morsels, "only {allocs} reservations: the writer's were not reached");
+    let spills = sweep(
+        "spill",
+        &|n| FaultPlan { fail_spill: Some(n), ..FaultPlan::none() },
+        &|e| matches!(e, AggError::SpillFailed { message } if message.contains("injected fault")),
+    );
+    assert_eq!(spills, clean.budget_downgrades, "one spill batch per denial");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A stream dropped between pushes — poisoned or abandoned — with rows
+/// both spilled and still in its writer gives back every byte and file.
+#[test]
+fn dropping_a_stream_mid_input_leaks_neither_bytes_nor_files() {
+    use hsa_core::{AggStream, ObsConfig, SpillConfig};
+    let dir = std::env::temp_dir().join(format!("hsa-fault-writer-drop-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (keys, vals, cfg) = writer_workload();
+    let budget = MemoryBudget::limited(WRITER_BUDGET);
+    // In-line I/O: a spilled batch is a file by the time `push` returns.
+    let env = spill_env(&budget, &dir)
+        .with_spill_config(SpillConfig { io_threads: 0, ..SpillConfig::default() });
+    let mut stream = AggStream::new(&specs(), &cfg, &env, &ObsConfig::disabled()).unwrap();
+    let scratch = || {
+        std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".bin"))
+            .count()
+    };
+    let mut pushes = keys.chunks(4096).zip(vals.chunks(4096));
+    while scratch() == 0 {
+        let (k, v) = pushes.next().expect("the budget denies the writer before the input ends");
+        stream.push(k, &[v]).unwrap();
+    }
+    let (k, v) = pushes.next().expect("input left after the first spill");
+    stream.push(k, &[v]).unwrap();
+    assert!(budget.outstanding() > 0, "the writer holds the rows pushed since the spill");
+    drop(stream);
+    assert_eq!(budget.outstanding(), 0);
+    common::assert_dir_empty(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn hand_built_spec_without_input_is_rejected() {
     let spec = hsa_agg::AggSpec { func: hsa_agg::AggFn::Sum, input: None };

@@ -192,10 +192,16 @@ fn profile_tracks_spill_restore_and_the_budget_high_water() {
     let env = ExecEnv::unrestricted().with_budget(budget.clone()).with_spill_dir(&dir);
     let cfg = adaptive_cfg();
     let specs = [AggSpec::count()];
+    // Three copies of the key set: ≈5.5 MiB of intermediate rows against
+    // ≈1.8 MiB of output. (The partition writers reserve what they hold,
+    // not twice a morsel's payload up front, so one copy would fit.)
+    let push_all = |stream: &mut AggStream| {
+        for chunk in keys.chunks(8192).cycle().take(3 * keys.len().div_ceil(8192)) {
+            stream.push(chunk, &[]).unwrap();
+        }
+    };
     let mut stream = AggStream::new(&specs, &cfg, &env, &ObsConfig::full()).unwrap();
-    for chunk in keys.chunks(8192) {
-        stream.push(chunk, &[]).unwrap();
-    }
+    push_all(&mut stream);
     let (out, report) = stream.finish().unwrap();
     assert_eq!(out.n_groups(), 120_000);
     assert!(report.stats.spilled_runs() > 0, "budgeted run must spill");
@@ -245,9 +251,7 @@ fn profile_tracks_spill_restore_and_the_budget_high_water() {
         io_threads: 0,
     });
     let mut sync_stream = AggStream::new(&specs, &cfg, &sync_env, &ObsConfig::full()).unwrap();
-    for chunk in keys.chunks(8192) {
-        sync_stream.push(chunk, &[]).unwrap();
-    }
+    push_all(&mut sync_stream);
     let (sync_out, sync_report) = sync_stream.finish().unwrap();
     assert_eq!(sync_out.sorted_rows(), out.sorted_rows());
     assert_eq!(sync_report.stats.overlapped_io_nanos, 0);

@@ -8,9 +8,11 @@
 
 use hsa_agg::AggSpec;
 use hsa_core::{
-    try_aggregate, AdaptiveParams, AggStream, AggregateConfig, ExecEnv, MemoryBudget, ObsConfig,
-    OpStats, Strategy,
+    try_aggregate, try_merge_partials, AdaptiveParams, AggStream, AggregateConfig, ExecEnv,
+    MemoryBudget, ObsConfig, OpStats, Strategy,
 };
+use hsa_obs::{Counter, Phase};
+use std::collections::BTreeMap;
 
 /// xorshift64* — deterministic, dependency-free.
 struct Rng(u64);
@@ -229,5 +231,99 @@ fn single_table_input_stops_at_level_zero() {
         let (chunked, s) = run_streamed(&keys, &vals, &specs, &one, &cuts);
         assert_eq!(chunked, rows);
         assert_eq!(s.seals, 0, "chunking must not introduce a seal: {s:?}");
+    }
+}
+
+/// A run's length is set by how much its owner partitioned, so the grain
+/// the input arrives in — morsel length, worker count, push cuts, raw rows
+/// or pre-aggregated partials — must be invisible in the output and in the
+/// row accounting: every level consumes exactly the rows the level above
+/// produced, and the budget reads zero at the end.
+#[test]
+fn morsel_worker_and_push_grain_are_invisible() {
+    const N: usize = 40_000;
+    let mut rng = Rng(0x0060_7a11);
+    let specs = [AggSpec::count(), AggSpec::sum(0), AggSpec::min(0), AggSpec::max(0)];
+    // Nearly as many groups as rows: ADAPTIVE hashes, seals, switches to
+    // PARTITIONING and recurses, so sealed and partitioned runs meet in
+    // the same buckets.
+    let (keys, vals) = workload(&mut rng, N, 25_000);
+    let mut oracle: BTreeMap<u64, [u64; 4]> = BTreeMap::new();
+    for (&k, &v) in keys.iter().zip(&vals) {
+        let e = oracle.entry(k).or_insert([0, 0, u64::MAX, 0]);
+        *e = [e[0] + 1, e[1] + v, e[2].min(v), e[3].max(v)];
+    }
+    let expect: Vec<(u64, Vec<u64>)> = oracle.into_iter().map(|(k, s)| (k, s.to_vec())).collect();
+
+    for (case, morsel_rows) in [1 << 8, 1 << 12, 1 << 16, N].into_iter().enumerate() {
+        for threads in [1, 2, 4] {
+            let strategy = strategies()[(case + threads) % 4];
+            let cfg = AggregateConfig { morsel_rows, ..small_cfg(strategy, threads) };
+            let tag = format!("morsel {morsel_rows} threads {threads} {strategy:?}");
+            let budget = MemoryBudget::limited(1 << 32);
+            let env = ExecEnv::unrestricted().with_budget(budget.clone());
+            let cuts = random_cuts(&mut rng, N);
+
+            // Raw rows, pushed in random cuts.
+            let obs = ObsConfig { metrics: true, ..ObsConfig::disabled() };
+            let mut stream = AggStream::new(&specs, &cfg, &env, &obs).unwrap();
+            for &(a, b) in &cuts {
+                stream.push(&keys[a..b], &[&vals[a..b]]).unwrap();
+            }
+            let (out, report) = stream.finish().unwrap();
+            assert_eq!(out.sorted_rows(), expect, "{tag}: raw output");
+            assert_eq!(budget.outstanding(), 0, "{tag}: raw run leaked reservations");
+            let stats = &report.stats;
+            assert_eq!(
+                stats.hash_rows_per_level[0] + stats.part_rows_per_level[0],
+                N as u64,
+                "{tag}: level 0 consumes every row once"
+            );
+            // Every partitioned value crossed a write-combining line once,
+            // whichever call flushed it.
+            let metrics = report.metrics.as_ref().expect("metrics requested").merged();
+            let profile = report.profile.as_ref().expect("profile rides with metrics");
+            let line_bytes = stats.total_part_rows() * 8 * (1 + specs.len() as u64);
+            assert_eq!(metrics.counter(Counter::SwcFlushBytes), line_bytes, "{tag}");
+            let cell_bytes: u64 =
+                (0..profile.levels_used()).map(|l| profile.cell(l, Phase::Partition).bytes).sum();
+            assert_eq!(cell_bytes, line_bytes, "{tag}: partition cells");
+            for lvl in 0..profile.levels_used() {
+                let hashed = profile.cell(lvl, Phase::HashInsert).rows_in;
+                let partitioned = profile.cell(lvl, Phase::Partition).rows_in;
+                assert_eq!(hashed, stats.hash_rows_per_level[lvl], "{tag}: level {lvl}");
+                assert_eq!(partitioned, stats.part_rows_per_level[lvl], "{tag}: level {lvl}");
+                if lvl > 0 {
+                    let from_above = profile.cell(lvl - 1, Phase::Seal).rows_out
+                        + profile.cell(lvl - 1, Phase::Partition).rows_out;
+                    let merged = profile.cell(lvl, Phase::GrowMerge).rows_in;
+                    assert_eq!(
+                        hashed + partitioned + merged,
+                        from_above,
+                        "{tag}: rows entering level {lvl}"
+                    );
+                }
+            }
+
+            // The same cuts aggregated one by one, then merged: the
+            // stream's rows are partial aggregates.
+            let partials: Vec<_> = cuts
+                .iter()
+                .map(|&(a, b)| {
+                    try_aggregate(&keys[a..b], &[&vals[a..b]], &specs, &cfg, &env).unwrap().0
+                })
+                .collect();
+            let partial_rows: usize = partials.iter().map(|p| p.n_groups()).sum();
+            let refs: Vec<_> = partials.iter().collect();
+            let (merged, stats) = try_merge_partials(&refs, &specs, &cfg, &env).unwrap();
+            assert_eq!(merged.sorted_rows(), expect, "{tag}: merged output");
+            assert_eq!(
+                stats.hash_rows_per_level[0] + stats.part_rows_per_level[0],
+                partial_rows as u64,
+                "{tag}: level 0 consumes every partial once"
+            );
+            drop((partials, merged, out));
+            assert_eq!(budget.outstanding(), 0, "{tag}: merge leaked reservations");
+        }
     }
 }

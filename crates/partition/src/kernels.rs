@@ -1,7 +1,7 @@
 //! The partitioning kernel variants of the Figure 3 ablation.
 
 use crate::swc::SwcBuffers;
-use crate::{empty_parts, PartitionMetrics, Parts};
+use crate::{empty_parts, Parts};
 use hsa_columnar::ChunkedVec;
 use hsa_hash::{digit, Hasher64, FANOUT};
 
@@ -104,24 +104,13 @@ pub(crate) fn partition_unrolled_into<H: Hasher64>(
     }
 }
 
-/// Production entry point: partition a run's key column (given as chunk
-/// slices) and return the 256 partitions. When `mapping_out` is provided it
-/// receives one radix digit per input row, in input order.
+/// Partition a key column (given as chunk slices) into its 256 partitions
+/// with the production kernel — the one-shot form of the key pass the
+/// operator runs through a [`PartitionWriter`](crate::PartitionWriter).
 pub fn partition_keys<'a, H: Hasher64>(
     key_chunks: impl Iterator<Item = &'a [u64]>,
     hasher: H,
     level: u32,
-) -> Parts {
-    partition_keys_observed(key_chunks, hasher, level, &mut PartitionMetrics::default())
-}
-
-/// [`partition_keys`] that also accumulates the pass's write-combining
-/// flush traffic into `metrics`.
-pub fn partition_keys_observed<'a, H: Hasher64>(
-    key_chunks: impl Iterator<Item = &'a [u64]>,
-    hasher: H,
-    level: u32,
-    metrics: &mut PartitionMetrics,
 ) -> Parts {
     let mut parts = empty_parts();
     let mut bufs = SwcBuffers::new();
@@ -129,35 +118,17 @@ pub fn partition_keys_observed<'a, H: Hasher64>(
         partition_unrolled_into(chunk, hasher, level, &mut bufs, &mut parts, |_| {});
     }
     bufs.drain(&mut parts);
-    bufs.add_metrics_to(metrics);
     parts
 }
 
 /// Like [`partition_keys`] but also emits the digit mapping vector needed
-/// to scatter the aggregate columns afterwards (§3.3).
+/// to scatter the aggregate columns afterwards (§3.3): `mapping_out`
+/// receives one radix digit per input row, in input order.
 pub fn partition_keys_mapped<'a, H: Hasher64>(
     key_chunks: impl Iterator<Item = &'a [u64]>,
     hasher: H,
     level: u32,
     mapping_out: &mut Vec<u8>,
-) -> Parts {
-    partition_keys_mapped_observed(
-        key_chunks,
-        hasher,
-        level,
-        mapping_out,
-        &mut PartitionMetrics::default(),
-    )
-}
-
-/// [`partition_keys_mapped`] that also accumulates the pass's
-/// write-combining flush traffic into `metrics`.
-pub fn partition_keys_mapped_observed<'a, H: Hasher64>(
-    key_chunks: impl Iterator<Item = &'a [u64]>,
-    hasher: H,
-    level: u32,
-    mapping_out: &mut Vec<u8>,
-    metrics: &mut PartitionMetrics,
 ) -> Parts {
     let mut parts = empty_parts();
     let mut bufs = SwcBuffers::new();
@@ -167,7 +138,6 @@ pub fn partition_keys_mapped_observed<'a, H: Hasher64>(
         });
     }
     bufs.drain(&mut parts);
-    bufs.add_metrics_to(metrics);
     parts
 }
 

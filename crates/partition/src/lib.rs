@@ -24,18 +24,24 @@
 //! [`hsa_columnar::ChunkedVec`] (list of arrays), which the paper measures
 //! at ~2% below over-allocated flat output — the price of not needing
 //! virtual-memory tricks.
+//!
+//! The functions above are one-shot: fresh outputs per call, which is what
+//! the ablation measures. The operator runs the same `2lvl` + `map` loops
+//! through a [`PartitionWriter`], whose outputs persist across calls so a
+//! partition grows for as long as its owner keeps appending (§3.2).
 
 mod kernels;
 mod scatter;
 mod swc;
+mod writer;
 
 pub use kernels::{
-    partition_keys, partition_keys_mapped, partition_keys_mapped_observed, partition_keys_observed,
-    partition_naive, partition_overalloc, partition_swc, partition_swc_with_mode,
-    partition_unrolled, partition_unrolled_with_mode,
+    partition_keys, partition_keys_mapped, partition_naive, partition_overalloc, partition_swc,
+    partition_swc_with_mode, partition_unrolled, partition_unrolled_with_mode,
 };
-pub use scatter::{scatter_by_digits, scatter_by_digits_observed};
+pub use scatter::scatter_by_digits;
 pub use swc::{memcpy_nt, FlushMode, PartitionMetrics, LINE_U64S};
+pub use writer::PartitionWriter;
 
 use hsa_columnar::ChunkedVec;
 use hsa_hash::FANOUT;
@@ -46,14 +52,6 @@ pub type Parts = Vec<ChunkedVec<u64>>;
 /// Fresh empty partitions.
 pub fn empty_parts() -> Parts {
     (0..FANOUT).map(|_| ChunkedVec::new()).collect()
-}
-
-/// Fixed buffer bytes one partitioning pass holds in software-write-
-/// combining state: one 64-byte line per partition for the key pass plus
-/// one per partition for each scattered state column. The operator's
-/// memory budget charges this up front per pass.
-pub fn swc_pass_bytes(n_state_cols: usize) -> u64 {
-    ((1 + n_state_cols) * FANOUT * LINE_U64S * 8) as u64
 }
 
 #[cfg(test)]

@@ -8,7 +8,24 @@
 //! row ("their memory access pattern is equivalent", §4.2).
 
 use crate::swc::SwcBuffers;
-use crate::{empty_parts, PartitionMetrics, Parts};
+use crate::{empty_parts, Parts};
+use hsa_columnar::ChunkedVec;
+
+/// Route `values` through `bufs` into `parts` by their recorded `digits`
+/// (one per value) — the replay loop shared by the one-shot scatter and
+/// the [`PartitionWriter`](crate::PartitionWriter).
+#[inline]
+pub(crate) fn scatter_into(
+    digits: &[u8],
+    values: &[u64],
+    bufs: &mut SwcBuffers,
+    parts: &mut [ChunkedVec<u64>],
+) {
+    debug_assert_eq!(digits.len(), values.len());
+    for (&d, &v) in digits.iter().zip(values) {
+        bufs.push(d as usize, v, &mut parts[d as usize]);
+    }
+}
 
 /// Scatter one value column into 256 partitions according to the digit
 /// mapping produced by
@@ -19,29 +36,15 @@ pub fn scatter_by_digits<'a>(
     digits: &[u8],
     value_chunks: impl Iterator<Item = &'a [u64]>,
 ) -> Parts {
-    scatter_by_digits_observed(digits, value_chunks, &mut PartitionMetrics::default())
-}
-
-/// [`scatter_by_digits`] that also accumulates the pass's write-combining
-/// flush traffic into `metrics`.
-pub fn scatter_by_digits_observed<'a>(
-    digits: &[u8],
-    value_chunks: impl Iterator<Item = &'a [u64]>,
-    metrics: &mut PartitionMetrics,
-) -> Parts {
     let mut parts = empty_parts();
     let mut bufs = SwcBuffers::new();
     let mut offset = 0usize;
     for chunk in value_chunks {
-        let ds = &digits[offset..offset + chunk.len()];
-        for (&d, &v) in ds.iter().zip(chunk) {
-            bufs.push(d as usize, v, &mut parts[d as usize]);
-        }
+        scatter_into(&digits[offset..offset + chunk.len()], chunk, &mut bufs, &mut parts);
         offset += chunk.len();
     }
     assert_eq!(offset, digits.len(), "value column shorter than mapping");
     bufs.drain(&mut parts);
-    bufs.add_metrics_to(metrics);
     parts
 }
 

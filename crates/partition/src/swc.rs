@@ -99,12 +99,13 @@ impl SwcBuffers {
         }
     }
 
-    /// Accumulate this buffer's flush traffic into `m`. Call after
-    /// draining; counters keep accumulating if the buffer is reused.
-    pub(crate) fn add_metrics_to(&self, m: &mut PartitionMetrics) {
+    /// Move this buffer's flush traffic since the previous call into `m`.
+    pub(crate) fn take_metrics_into(&mut self, m: &mut PartitionMetrics) {
         m.swc_flushes += self.flushes;
         m.swc_flush_bytes += self.flushes * (LINE_U64S as u64 * 8) + self.drained_values * 8;
         m.streaming |= self.streaming;
+        self.flushes = 0;
+        self.drained_values = 0;
     }
 
     /// Append `value` to partition `d`, flushing the line into `dst` when
@@ -312,10 +313,12 @@ mod tests {
         }
         bufs.drain(&mut dst);
         let mut m = PartitionMetrics::default();
-        bufs.add_metrics_to(&mut m);
+        bufs.take_metrics_into(&mut m);
         assert_eq!(m.swc_flushes, 2); // 16 of 20 values left in full lines
         assert_eq!(m.swc_flush_bytes, 20 * 8); // ... but every byte is counted
         assert!(!m.streaming);
+        bufs.take_metrics_into(&mut m);
+        assert_eq!(m.swc_flush_bytes, 20 * 8, "taken counters start over");
     }
 
     #[test]
