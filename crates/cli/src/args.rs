@@ -55,7 +55,7 @@ pub struct CliArgs {
     /// through the streaming API instead of one slice.
     pub chunk_rows: Option<usize>,
     /// Per-extent spill compression policy (`--spill-compress`): `auto`
-    /// (default), `delta`, `rle`, or `off`.
+    /// (default) or `off`.
     pub spill_codec: Option<SpillCodec>,
     /// Background spill I/O worker threads (`--spill-io-threads`); 0
     /// makes spill writes and restores fully synchronous.
@@ -113,7 +113,7 @@ options:
                           the CSV itself is still parsed in memory)
   --spill-compress <c>    per-extent spill compression: auto (default,
                           per extent the smaller of delta and rle, raw
-                          when neither shrinks), delta, rle, or off
+                          when neither shrinks) or off
   --spill-io-threads <n>  background spill I/O workers overlapping spill
                           writes and restore prefetch with compute
                           (default 1; 0 = fully synchronous I/O)
@@ -242,9 +242,10 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<CliArgs, Usa
             }
             "--spill-compress" => {
                 let v = take_value(&mut args, "--spill-compress")?;
-                spill_codec = Some(SpillCodec::parse(&v).ok_or_else(|| {
-                    UsageError(format!("unknown codec {v:?} (auto | delta | rle | off)"))
-                })?);
+                spill_codec = Some(
+                    SpillCodec::parse(&v)
+                        .ok_or_else(|| UsageError(format!("unknown codec {v:?} (auto | off)")))?,
+                );
             }
             "--spill-io-threads" => {
                 let v = take_value(&mut args, "--spill-io-threads")?;
@@ -501,24 +502,25 @@ mod tests {
             "--group-by",
             "k",
             "--spill-compress",
-            "rle",
+            "off",
             "--spill-io-threads",
             "2",
         ])
         .unwrap();
-        assert_eq!(a.spill_codec, Some(SpillCodec::Rle));
+        assert_eq!(a.spill_codec, Some(SpillCodec::Off));
         assert_eq!(a.spill_io_threads, Some(2));
-        for (arg, want) in
-            [("auto", SpillCodec::Auto), ("delta", SpillCodec::Delta), ("off", SpillCodec::Off)]
-        {
+        for (arg, want) in [("auto", SpillCodec::Auto), ("raw", SpillCodec::Off)] {
             let a = parse(&["f.csv", "--group-by", "k", "--spill-compress", arg]).unwrap();
             assert_eq!(a.spill_codec, Some(want), "--spill-compress {arg}");
         }
         let zero = parse(&["f.csv", "--group-by", "k", "--spill-io-threads", "0"]).unwrap();
         assert_eq!(zero.spill_io_threads, Some(0), "0 selects synchronous I/O");
 
-        let e = parse(&["f.csv", "--group-by", "k", "--spill-compress", "zip"]).unwrap_err();
-        assert!(e.0.contains("zip"), "{e}");
+        // The forced single-codec policies are gone with their spellings.
+        for gone in ["zip", "delta", "rle"] {
+            let e = parse(&["f.csv", "--group-by", "k", "--spill-compress", gone]).unwrap_err();
+            assert!(e.0.contains(gone), "{e}");
+        }
         assert!(parse(&["f.csv", "--group-by", "k", "--spill-compress"]).is_err());
         assert!(parse(&["f.csv", "--group-by", "k", "--spill-io-threads", "many"]).is_err());
         assert!(parse(&["f.csv", "--group-by", "k", "--spill-io-threads"]).is_err());

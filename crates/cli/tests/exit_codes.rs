@@ -48,11 +48,16 @@ fn help_is_zero_and_prints_usage() {
 
 #[test]
 fn usage_error_is_invalid_input() {
-    // `--kernel` was a flag once; it is rejected like any unknown one.
-    for args in [&["--frobnicate"][..], &["--kernel", "scalar"]] {
+    // `--kernel` was a flag once, `delta` a `--spill-compress` value;
+    // they are rejected like any unknown one, naming what was not known.
+    for (args, named) in [
+        (&["--frobnicate"][..], "--frobnicate"),
+        (&["--kernel", "scalar"], "--kernel"),
+        (&["f.csv", "--group-by", "k", "--spill-compress", "delta"], "delta"),
+    ] {
         let out = hsa(args);
         assert_eq!(code(&out), 5, "stderr: {}", stderr(&out));
-        assert!(stderr(&out).contains(args[0]), "{}", stderr(&out));
+        assert!(stderr(&out).contains(named), "{}", stderr(&out));
     }
 }
 

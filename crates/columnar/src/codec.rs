@@ -19,8 +19,8 @@
 //! * **RLE (2)** — `(varint value, varint run length)` pairs. Constant
 //!   columns (COUNT state, partition digits) collapse to a few bytes.
 //!
-//! [`SpillCodec`] is the *policy* (what the writer may pick, including
-//! `Auto`); the codec *byte* in the extent descriptor records what was
+//! [`SpillCodec`] is the *policy* (whether the writer may compress at
+//! all); the codec *byte* in the extent descriptor records what was
 //! actually used, so readers never consult the policy. Encoding never
 //! loses information: `decode(encode(words))` is the identity for every
 //! input, and auto-selection only picks an encoding that is strictly
@@ -41,10 +41,6 @@ pub enum SpillCodec {
     /// actually shrinks the payload.
     #[default]
     Auto,
-    /// Delta + varint, escaping to Raw when it would grow the extent.
-    Delta,
-    /// Run-length coding, escaping to Raw when it would grow the extent.
-    Rle,
     /// No compression: every extent is written Raw (HSARUN02-shaped
     /// payloads inside the HSARUN03 frame).
     Off,
@@ -55,8 +51,6 @@ impl SpillCodec {
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "auto" => Some(SpillCodec::Auto),
-            "delta" => Some(SpillCodec::Delta),
-            "rle" => Some(SpillCodec::Rle),
             "off" | "raw" => Some(SpillCodec::Off),
             _ => None,
         }
@@ -67,8 +61,6 @@ impl fmt::Display for SpillCodec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             SpillCodec::Auto => "auto",
-            SpillCodec::Delta => "delta",
-            SpillCodec::Rle => "rle",
             SpillCodec::Off => "off",
         })
     }
@@ -203,8 +195,6 @@ pub(crate) fn encode(words: &[u64], policy: SpillCodec, out: &mut Vec<u8>) -> u8
     let raw_len = words.len() * 8;
     let (delta_len, rle_len) = match policy {
         SpillCodec::Off => (usize::MAX, usize::MAX),
-        SpillCodec::Delta => (candidate_sizes(words).0, usize::MAX),
-        SpillCodec::Rle => (usize::MAX, candidate_sizes(words).1),
         SpillCodec::Auto => candidate_sizes(words),
     };
     if delta_len < raw_len && delta_len <= rle_len {
@@ -302,11 +292,27 @@ mod tests {
         codec
     }
 
+    /// Every wire codec on `words`, whether or not a policy would pick
+    /// it: both policies through `encode`, then the two compressing
+    /// encoders called directly (they may grow the payload; `encode`
+    /// is what never lets that reach a file).
+    fn round_trip_all(words: &[u64]) {
+        round_trip(words, SpillCodec::Auto);
+        round_trip(words, SpillCodec::Off);
+        type Encoder = fn(&[u64], &mut Vec<u8>);
+        for (codec, encoder) in [(CODEC_DELTA, encode_delta as Encoder), (CODEC_RLE, encode_rle)] {
+            let (mut enc, mut back) = (Vec::new(), Vec::new());
+            encoder(words, &mut enc);
+            decode(codec, &enc, words.len(), &mut back).unwrap();
+            assert_eq!(back, words, "codec {codec} round trip");
+        }
+    }
+
     /// The adversarial distribution lattice from the issue: constant,
     /// strictly increasing, saw-tooth, u64::MAX deltas, single-element,
-    /// empty — under every policy.
+    /// empty — under every policy and every wire codec.
     #[test]
-    fn adversarial_distributions_round_trip_under_every_policy() {
+    fn adversarial_distributions_round_trip_under_every_codec() {
         let n = if cfg!(miri) { 64 } else { 4096 };
         let cases: Vec<Vec<u64>> = vec![
             vec![],
@@ -321,9 +327,7 @@ mod tests {
             (0..n as u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect(),
         ];
         for words in &cases {
-            for policy in [SpillCodec::Auto, SpillCodec::Delta, SpillCodec::Rle, SpillCodec::Off] {
-                round_trip(words, policy);
-            }
+            round_trip_all(words);
         }
     }
 
@@ -336,8 +340,6 @@ mod tests {
         assert_eq!(round_trip(&constant, SpillCodec::Auto), CODEC_RLE);
         let random: Vec<u64> = (0..n).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
         assert_eq!(round_trip(&random, SpillCodec::Auto), CODEC_RAW);
-        assert_eq!(round_trip(&random, SpillCodec::Delta), CODEC_RAW, "delta escapes to raw");
-        assert_eq!(round_trip(&random, SpillCodec::Rle), CODEC_RAW, "rle escapes to raw");
         assert_eq!(round_trip(&sorted, SpillCodec::Off), CODEC_RAW);
     }
 
@@ -346,9 +348,7 @@ mod tests {
         // Wrapping differences of ±u64::MAX exercise the zigzag fold at
         // both ends of the i64 range.
         let words = [0u64, u64::MAX, 0, u64::MAX, 1, u64::MAX - 1];
-        for policy in [SpillCodec::Auto, SpillCodec::Delta, SpillCodec::Rle] {
-            round_trip(&words, policy);
-        }
+        round_trip_all(&words);
         assert_eq!(unzigzag(zigzag(i64::MIN)), i64::MIN);
         assert_eq!(unzigzag(zigzag(i64::MAX)), i64::MAX);
         assert_eq!(unzigzag(zigzag(0)), 0);
@@ -376,7 +376,7 @@ mod tests {
         assert!(decode(CODEC_RAW, &[0; 7], 1, &mut out).is_err());
         // Delta truncated mid-varint.
         let mut enc = Vec::new();
-        encode(&[0, u64::MAX / 3], SpillCodec::Delta, &mut enc);
+        encode_delta(&[0, u64::MAX / 3], &mut enc);
         assert!(decode(CODEC_DELTA, &enc[..enc.len() - 1], 2, &mut Vec::new()).is_err());
         // Delta with trailing bytes.
         enc.push(0);
@@ -398,7 +398,7 @@ mod tests {
     }
 
     /// Seeded-random fuzz: every encoding decodes back exactly, across
-    /// policies and lengths including extent-boundary straddlers.
+    /// codecs and lengths including extent-boundary straddlers.
     #[test]
     fn random_round_trip_fuzz() {
         let mut state = 0x1234_5678_9abc_def0u64;
@@ -419,9 +419,7 @@ mod tests {
                     _ => u64::MAX - next() % 2,        // extremes
                 })
                 .collect();
-            for policy in [SpillCodec::Auto, SpillCodec::Delta, SpillCodec::Rle, SpillCodec::Off] {
-                round_trip(&words, policy);
-            }
+            round_trip_all(&words);
         }
     }
 }

@@ -30,18 +30,20 @@ mod chunked;
 mod codec;
 mod crc;
 mod dictionary;
+mod format;
+mod io;
 mod mapping;
 mod run;
 mod store;
+mod sweep;
 mod table;
 
 pub use chunked::{ChunkedVec, DEFAULT_CHUNK_LEN};
 pub use codec::SpillCodec;
 pub use crc::{crc32c, Crc32c};
 pub use dictionary::{encode_composite, Dictionary};
+pub use format::EXTENT_WORDS;
 pub use mapping::Mapping;
 pub use run::{Bucket, Run};
-pub use store::{
-    FileStore, RunHandle, RunStore, SpillConfig, SpilledRun, StoreIoStats, EXTENT_WORDS,
-};
+pub use store::{FileStore, RunHandle, RunStore, SpillConfig, SpilledRun, StoreIoStats};
 pub use table::{Column, Table, TableError};

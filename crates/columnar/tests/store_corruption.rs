@@ -13,9 +13,9 @@
 //! requires `into_run` to answer with `AggError::SpillCorrupt` **every**
 //! time: the acceptance bar is 100% detection, not "usually caught".
 //!
-//! All stores here run with `io_threads: 0` (synchronous in-line I/O):
-//! the tests mutate scratch files directly, so the file must be complete
-//! on disk the moment `spill` returns.
+//! All stores here run with `io_threads: 0` (the submitting thread does
+//! the write): the tests mutate scratch files directly, so the file must
+//! be complete on disk the moment `spill_batch` returns.
 
 use hsa_columnar::{crc32c, Run, RunHandle, RunStore, SpillCodec, SpillConfig, EXTENT_WORDS};
 use hsa_fault::{AggError, DiskBudget, FaultInjector};
@@ -41,7 +41,7 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Synchronous store: files are sealed on disk when `spill` returns.
+/// No I/O workers: files are sealed on disk when `spill_batch` returns.
 fn sync_store(dir: &Path) -> RunStore {
     RunStore::spilling_with_config(
         dir,
@@ -81,7 +81,7 @@ fn build_compressible_run(rows: usize, n_cols: usize) -> Run {
 
 /// Spill `run` and return the handle plus the scratch file's path.
 fn spill(store: &RunStore, run: &Run) -> (RunHandle, PathBuf) {
-    let handle = store.spill(run.clone()).unwrap();
+    let handle = store.spill_batch(vec![run.clone()]).unwrap().pop().unwrap();
     let path = match &handle {
         RunHandle::Spilled(_, s) => s.path().to_path_buf(),
         RunHandle::Mem(_) => panic!("spilling store returned a resident handle"),

@@ -8,7 +8,7 @@
 //! (including 0 and `u64::MAX`), reading a spill file back yields exactly
 //! the run that was written.
 
-use hsa_columnar::{Run, RunStore, EXTENT_WORDS};
+use hsa_columnar::{Run, RunHandle, RunStore, EXTENT_WORDS};
 use std::path::PathBuf;
 
 /// xorshift64* — deterministic, dependency-free.
@@ -29,6 +29,11 @@ fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hsa-roundtrip-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Spill one run as a batch of its own.
+fn spill(store: &RunStore, run: Run) -> RunHandle {
+    store.spill_batch(vec![run]).unwrap().pop().unwrap()
 }
 
 fn build_run(rng: &mut Rng, rows: usize, n_cols: usize, aggregated: bool, level: u32) -> Run {
@@ -79,7 +84,7 @@ fn every_accepted_run_shape_round_trips() {
                 for level in levels {
                     let run = build_run(&mut rng, rows, n_cols, aggregated, level);
                     assert!(run.check_consistent().is_ok());
-                    let handle = store.spill(run.clone()).unwrap();
+                    let handle = spill(&store, run.clone());
                     assert_eq!(handle.len(), rows);
                     assert_eq!(handle.n_cols(), n_cols);
                     assert_eq!(handle.aggregated(), aggregated);
@@ -98,21 +103,19 @@ fn every_accepted_run_shape_round_trips() {
         }
     }
 
-    // Restores consume the scratch files: anything left besides the
-    // store's liveness lock is a parked reuse-pool file, truncated to
-    // zero bytes (live spill bytes may not linger once reclaimed).
+    // Restores consume the scratch files: only the store's liveness
+    // lock is left, and that retires with the store.
     let lingering = std::fs::read_dir(&dir)
         .map(|d| {
             d.flatten()
                 .filter(|e| e.file_name().to_str().is_none_or(|n| !n.ends_with(".lock")))
-                .filter(|e| e.metadata().map(|m| m.len() > 0).unwrap_or(true))
                 .count()
         })
         .unwrap_or(0);
-    assert_eq!(lingering, 0, "reclaimed spill files must be truncated empty");
+    assert_eq!(lingering, 0, "a consumed run's file must be unlinked");
     drop(store);
     let leftover = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
-    assert_eq!(leftover, 0, "dropping the store retires its lock and parked files");
+    assert_eq!(leftover, 0, "dropping the store retires its lock");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -131,7 +134,7 @@ fn concurrent_spills_do_not_collide() {
                 for _ in 0..iters {
                     let rows = (rng.next() % max_rows) as usize;
                     let run = build_run(&mut rng, rows, 2, false, 1);
-                    let back = store.spill(run.clone()).unwrap().into_run().unwrap();
+                    let back = spill(store, run.clone()).into_run().unwrap();
                     assert_eq!(back.keys, run.keys);
                     assert_eq!(back.cols, run.cols);
                 }

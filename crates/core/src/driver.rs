@@ -432,7 +432,7 @@ pub(crate) fn process_bucket<'env>(
 
     // Restore prefetch: overlap the next run's disk read + decode with
     // the hashing/partitioning of the current one (no-op for resident
-    // handles and synchronous stores).
+    // handles; a store without I/O workers decodes here and now).
     let mut handles = bucket.into_iter().peekable();
     if let Some(first) = handles.peek() {
         first.prefetch();

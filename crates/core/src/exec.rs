@@ -32,8 +32,8 @@ pub struct ExecEnv {
     /// `AggError::DiskBudgetExceeded`. Unlimited by default.
     pub disk: DiskBudget,
     /// Spill I/O shape: per-extent compression codec and the number of
-    /// background I/O worker threads (0 = fully synchronous writes and
-    /// restores). Defaults to `Auto` compression with one worker.
+    /// background I/O worker threads (0 = writes and restores run on the
+    /// calling thread). Defaults to `Auto` compression with one worker.
     pub spill: SpillConfig,
 }
 
@@ -113,16 +113,19 @@ impl Gate<'_> {
         is_degradable(e) && self.store.can_spill()
     }
 
-    /// Flush a batch of runs into **one** shared spill file, returning
-    /// their handles in order, applying fault injection first and
-    /// recording spill observability. The runs are consumed: with a
-    /// background I/O worker the store hands their columns to the writer
-    /// thread without copying them, and they are released only once the
-    /// file is on disk.
+    /// Flush a batch of runs to the spill store, returning their handles
+    /// in order, applying fault injection first and recording spill
+    /// observability. The runs are consumed: with a background I/O worker
+    /// the store hands their columns to the writer thread without copying
+    /// them, and they are released only once they are on disk. The call
+    /// returns when the store has accepted the last of them, which it
+    /// delays while too many accepted bytes are still unwritten — so the
+    /// caller's reservation for the runs may be released on return.
     ///
-    /// Producers that flush many runs at one moment (a sealed table's
-    /// per-digit sub-runs) use this to pay one file creation per flush —
-    /// on filesystems where inode creation dominates small writes, that
+    /// Producers hand over everything they flush at one moment (a sealed
+    /// table's per-digit sub-runs, a partition writer's whole content):
+    /// the store lays it out in a few shared files instead of one per run
+    /// — on filesystems where inode creation dominates small writes, that
     /// is the difference between spilling being viable and not. One
     /// injected-fault ordinal and one observability span cover the whole
     /// batch (it is one logical write); per-run byte and count stats are
@@ -154,9 +157,9 @@ impl Gate<'_> {
 
     /// Materialize a handle's rows, reading spilled runs back from disk
     /// (timed and counted). Resident handles pass through untouched.
-    /// When the handle was [`RunHandle::prefetch`]ed, the store's I/O
-    /// worker has already decoded the file and this only collects the
-    /// parked result — the recorded restore time is then the *wait*, not
+    /// When the handle was [`RunHandle::prefetch`]ed, the rows have
+    /// already been decoded and this only collects the parked result —
+    /// the recorded restore time is then the *wait*, not
     /// the full decode.
     ///
     /// Restored rows are transient working-set memory of the consuming

@@ -85,8 +85,8 @@ pub(crate) fn seal_into(
     );
     let next_level = table.level() + 1;
     // In the spill-downgrade case the sealed sub-runs are collected and
-    // flushed as ONE batch into a single shared spill file: the seal is
-    // one logical flush, and per-digit files would pay an inode creation
+    // flushed as ONE batch into a shared spill file: the seal is one
+    // logical flush, and per-digit files would pay an inode creation
     // each — the dominant cost of small spills on some filesystems. The
     // batch is transient double-residency of the table's own content
     // (the table is cleared by the seal), bounded by the table the

@@ -23,13 +23,6 @@ use hsa_hash::{Murmur2, FANOUT};
 use hsa_obs::{Counter, Hist, Phase};
 use hsa_partition::PartitionWriter;
 
-/// Most run bytes one spill batch of a flush carries. A submitted batch is
-/// memory nobody accounts until the store's I/O worker has written it —
-/// its reservation is returned so the writer can refill — and the store
-/// bounds its queue in *batches*: the submitter blocks when two are
-/// waiting. That only bounds the bytes in flight if a batch is bounded.
-const SPILL_BATCH_BYTES: u64 = 8 << 20;
-
 /// One owner's `PARTITIONING` outputs at one level, with the budget
 /// reservation that pays for them.
 ///
@@ -92,9 +85,10 @@ impl RunWriter {
     /// the slice of the reservation that covers it; the writer keeps
     /// paying for its write-combining lines. Otherwise — or when the last
     /// bytes the drain allocated are denied, degradably — the runs go to
-    /// the spill store, as one batch (one file, one fault ordinal) per
-    /// [`SPILL_BATCH_BYTES`], and the whole reservation is given back.
-    /// Returns the bytes the partial lines flushed.
+    /// the spill store as one batch (one fault ordinal; the store cuts it
+    /// into files and holds the call while too many of its bytes are
+    /// still unwritten), and the whole reservation is given back. Returns
+    /// the bytes the partial lines flushed.
     fn flush(
         &mut self,
         resident: bool,
@@ -127,21 +121,12 @@ impl RunWriter {
             }
             return Ok(line_bytes);
         }
-        let mut runs = runs.into_iter().peekable();
-        while runs.peek().is_some() {
-            let (mut digits, mut batch, mut bytes) = (Vec::new(), Vec::new(), 0);
-            while let Some((digit, run)) = runs.next_if(|_| bytes < SPILL_BATCH_BYTES) {
-                bytes += run.mem_bytes();
-                digits.push(digit);
-                batch.push(run);
-            }
-            let handles = gate.spill_batch(batch, obs)?;
-            drop(self.res.take(bytes));
-            for (digit, handle) in digits.into_iter().zip(handles) {
-                sink.push_run(digit, handle, Reservation::empty());
-            }
-        }
+        let (digits, runs): (Vec<usize>, Vec<Run>) = runs.into_iter().unzip();
+        let handles = gate.spill_batch(runs, obs)?;
         self.res = Reservation::empty();
+        for (digit, handle) in digits.into_iter().zip(handles) {
+            sink.push_run(digit, handle, Reservation::empty());
+        }
         Ok(line_bytes)
     }
 
@@ -424,72 +409,99 @@ mod tests {
         assert_eq!(budget.outstanding(), 0);
     }
 
+    /// One denial, one batch: a single gate ordinal however many segment
+    /// files the store cuts the flush into — one for a flush of a few
+    /// hundred KiB, two or more (a storage ordinal each) once the content
+    /// outgrows a segment.
     #[test]
     fn a_denial_spills_the_whole_content_as_one_batch() {
-        let dir = std::env::temp_dir().join(format!("hsa-part-spill-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let keys: Vec<u64> = (0..30_000u64).map(|i| i * 2654435761 % 7_000).collect();
-        let vals: Vec<u64> = (0..30_000).collect();
-        let mut sink = LocalBuckets::new();
-        let stats = AtomicStats::default();
-        let budget = MemoryBudget::limited(400 << 10);
-        let faults = FaultInjector::none();
-        // In-line I/O: the batch's file exists when the call returns.
-        let store = RunStore::spilling_with_config(
-            &dir,
-            faults.clone(),
-            DiskBudget::unlimited(),
-            SpillConfig { io_threads: 0, ..SpillConfig::default() },
-        )
-        .unwrap();
-        let gate = Gate { budget: &budget, faults: &faults, stats: &stats, store: &store };
-        let spill_files = || {
-            std::fs::read_dir(&dir)
-                .unwrap()
-                .flatten()
-                .filter(|e| e.file_name().to_string_lossy().ends_with(".bin"))
-                .count()
-        };
-        let mut writer = None;
-        let mut part = |range: std::ops::Range<usize>, sink: &mut LocalBuckets| {
-            let view = raw_view(&keys[range.clone()], vec![&vals[range]]);
-            partition(&mut writer, &view, 0, 1, sink, gate).unwrap();
-        };
+        use hsa_fault::{FaultPlan, SpillFault, SpillFaultKind};
+        // (rows per morsel, distinct keys, budget, segment files)
+        for (part, modulus, limit, files) in
+            [(10_000usize, 7_000u64, 400u64 << 10, 1..=1), (300_000, 700_001, 12 << 20, 2..=3)]
+        {
+            let dir = std::env::temp_dir().join(format!("hsa-part-spill-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let keys: Vec<u64> = (0..3 * part as u64).map(|i| i * 2654435761 % modulus).collect();
+            let vals: Vec<u64> = (0..3 * part as u64).collect();
+            let mut sink = LocalBuckets::new();
+            let stats = AtomicStats::default();
+            let budget = MemoryBudget::limited(limit);
+            // The second gate ordinal fails, and the second storage write
+            // is retried: a flush that took an ordinal per file would trip
+            // over the first, and one that wrote a single file never
+            // reaches the second.
+            let faults = FaultInjector::new(FaultPlan {
+                fail_spill: Some(2),
+                spill_io: Some(SpillFault { nth: 2, kind: SpillFaultKind::WriteEio }),
+                ..FaultPlan::none()
+            });
+            // In-line I/O: the batch's files exist when the call returns.
+            let store = RunStore::spilling_with_config(
+                &dir,
+                faults.clone(),
+                DiskBudget::unlimited(),
+                SpillConfig { io_threads: 0, ..SpillConfig::default() },
+            )
+            .unwrap();
+            let gate = Gate { budget: &budget, faults: &faults, stats: &stats, store: &store };
+            let spill_files = || {
+                std::fs::read_dir(&dir)
+                    .unwrap()
+                    .flatten()
+                    .filter(|e| e.file_name().to_string_lossy().ends_with(".bin"))
+                    .count()
+            };
+            let mut writer = None;
+            let mut part_of = |nth: usize, sink: &mut LocalBuckets| {
+                let range = nth * part..(nth + 1) * part;
+                let view = raw_view(&keys[range.clone()], vec![&vals[range]]);
+                partition(&mut writer, &view, 0, 1, sink, gate).unwrap();
+            };
 
-        part(0..10_000, &mut sink);
-        assert!(sink.is_empty() && budget.outstanding() > 0, "the first morsel fits");
-        // The second morsel's chunks do not: both morsels leave together.
-        part(10_000..20_000, &mut sink);
-        let s = stats.snapshot();
-        assert_eq!((s.budget_denials, s.budget_downgrades), (1, 1));
-        assert_eq!(spill_files(), 1, "one denial, one batch, one file");
-        assert!(s.spilled_runs() <= FANOUT as u64);
-        assert_eq!(budget.outstanding(), 0, "the flush released everything");
-        // The writer carries on from empty within the same budget.
-        part(20_000..30_000, &mut sink);
-        assert_eq!(stats.snapshot().budget_denials, 1);
-        hand_off(&mut writer, &mut sink, gate);
-        drop(writer);
+            part_of(0, &mut sink);
+            assert!(sink.is_empty() && budget.outstanding() > 0, "the first morsel fits");
+            // The second morsel's chunks do not: both morsels leave together.
+            part_of(1, &mut sink);
+            let s = stats.snapshot();
+            assert_eq!((s.budget_denials, s.budget_downgrades), (1, 1));
+            assert!(
+                files.contains(&spill_files()),
+                "{} files for {part}-row morsels",
+                spill_files()
+            );
+            assert_eq!(faults.spill_io_fired(), spill_files().min(2) as u64 - 1);
+            assert!(s.spilled_runs() <= FANOUT as u64);
+            assert_eq!(budget.outstanding(), 0, "the flush released everything");
+            // The writer carries on from empty within the same budget.
+            part_of(2, &mut sink);
+            assert_eq!(stats.snapshot().budget_denials, 1);
+            hand_off(&mut writer, &mut sink, gate);
+            drop(writer);
 
-        let h = Murmur2::default();
-        let (mut spilled_rows, mut resident_rows) = (0usize, 0usize);
-        for (d, bucket, _res) in sink.into_nonempty() {
-            assert!(bucket.len() <= 2, "digit {d}: one spilled run, one resident");
-            for handle in bucket {
-                let spilled = handle.is_spilled();
-                let run = handle.into_run().unwrap();
-                run.check_consistent().unwrap();
-                for (k, v) in run.keys.iter().zip(run.cols[0].iter()) {
-                    assert_eq!(digit(h.hash_u64(k), 0), d);
-                    assert_eq!(k, v * 2654435761 % 7_000);
+            let h = Murmur2::default();
+            let (mut spilled_rows, mut resident_rows) = (0usize, 0usize);
+            for (d, bucket, _res) in sink.into_nonempty() {
+                assert!(bucket.len() <= 2, "digit {d}: one spilled run, one resident");
+                for handle in bucket {
+                    let spilled = handle.is_spilled();
+                    let run = handle.into_run().unwrap();
+                    run.check_consistent().unwrap();
+                    // Handles came back in digit order, across segments:
+                    // every run sits in the bucket of its own digit.
+                    for (k, v) in run.keys.iter().zip(run.cols[0].iter()) {
+                        assert_eq!(digit(h.hash_u64(k), 0), d);
+                        assert_eq!(k, v * 2654435761 % modulus);
+                    }
+                    *(if spilled { &mut spilled_rows } else { &mut resident_rows }) += run.len();
                 }
-                *(if spilled { &mut spilled_rows } else { &mut resident_rows }) += run.len();
             }
+            assert_eq!((spilled_rows, resident_rows), (2 * part, part));
+            assert_eq!(budget.outstanding(), 0);
+            assert_eq!(spill_files(), 0, "consumed runs left files behind");
+            drop(store);
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        assert_eq!((spilled_rows, resident_rows), (20_000, 10_000));
-        assert_eq!(budget.outstanding(), 0);
-        drop(store);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

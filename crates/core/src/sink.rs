@@ -173,7 +173,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hsa-sink-spill-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = hsa_columnar::RunStore::spilling_to(&dir).unwrap();
-        let spilled = store.spill(Run::from_rows(&[1, 2], &[&[3, 4]])).unwrap();
+        let spilled =
+            store.spill_batch(vec![Run::from_rows(&[1, 2], &[&[3, 4]])]).unwrap().pop().unwrap();
         let mut b = LocalBuckets::new();
         b.push_run(7, spilled, Reservation::empty());
         let triples: Vec<_> = b.into_nonempty().collect();

@@ -140,7 +140,7 @@ pub struct ProfileTree {
     /// Nanoseconds of spill/restore I/O that ran on the store's
     /// background workers concurrently with compute (worker time minus
     /// the time compute threads spent blocked waiting on tickets). 0 with
-    /// synchronous spill I/O (`io_threads: 0`) or no spilling.
+    /// a spill store without I/O workers (`io_threads: 0`) or no spilling.
     pub overlapped_io_nanos: u64,
     cells: [[PhaseCell; Phase::COUNT]; PROFILE_LEVELS],
 }
