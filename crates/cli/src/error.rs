@@ -81,10 +81,12 @@ impl fmt::Display for CliError {
 impl std::error::Error for CliError {}
 
 impl From<AggError> for CliError {
+    // Exhaustive on purpose — no wildcard arm, and clippy (`-D warnings`
+    // in CI) rejects one, whether it would hide several variants or one:
+    // a new `AggError` variant does not compile until it picks its class
+    // (and exit code) here explicitly.
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
     fn from(e: AggError) -> Self {
-        // Exhaustive on purpose — no wildcard arm. A new `AggError`
-        // variant must pick its class (and exit code) here explicitly;
-        // `hsa-lint`'s taxonomy check and the compiler both enforce it.
         let class = match &e {
             AggError::BudgetExceeded { .. } | AggError::DiskBudgetExceeded { .. } => {
                 ErrorClass::Budget

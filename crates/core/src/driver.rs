@@ -26,12 +26,12 @@
 use crate::adaptive::{ModeState, Strategy};
 use crate::exec::{is_degradable, ExecEnv, Gate};
 use crate::hashing::{hash_run, seal_into, HashOutcome};
-use crate::obs::{flush_table_metrics, Obs};
+use crate::obs::Obs;
 use crate::output::{Collector, GroupByOutput};
 use crate::partitioning::{partition_run, RunWriter};
 use crate::report::{ObsConfig, RunReport};
 use crate::sink::{LocalBuckets, RunSink};
-use crate::stats::{AtomicStats, OpStats};
+use crate::stats::OpStats;
 use crate::stream::AggStream;
 use crate::view::RunView;
 use crate::AggregateConfig;
@@ -41,7 +41,7 @@ use hsa_fault::{AggError, CancelToken, Reservation};
 use hsa_hash::MAX_LEVEL;
 use hsa_hashtbl::{AggTable, GrowTable, TableConfig};
 use hsa_kernels::KernelKind;
-use hsa_obs::{Counter, Phase, ProgressGauge, Recorder, Tracer};
+use hsa_obs::{Counter, LevelCounter, Phase, ProgressGauge, Recorder, Tracer};
 use hsa_tasks::sync::Mutex;
 use hsa_tasks::{PoolMetrics, Scope};
 use std::time::Instant;
@@ -90,10 +90,8 @@ impl TablePool {
                     let mut t = AggTable::new(cfg, level, &self.identities);
                     t.set_metrics_enabled(self.metrics);
                     if cfg.total_slots < self.cfg.total_slots {
-                        gate.stats.count_budget_downgrade();
-                        obs.recorder.add(obs.worker, Counter::BudgetDowngrades, 1);
-                        obs.tracer.instant(
-                            obs.worker,
+                        obs.event(
+                            Counter::BudgetDowngrades,
                             "table_downgrade",
                             &[("slots", cfg.total_slots as u64)],
                         );
@@ -127,7 +125,8 @@ pub(crate) struct Ctx {
     pub(crate) ops: Vec<StateOp>,
     pub(crate) pool: TablePool,
     pub(crate) collector: Collector,
-    pub(crate) stats: AtomicStats,
+    /// Where every event of this query is counted, one shard per worker
+    /// (deep metrics on top when `ObsConfig::metrics` asked for them).
     pub(crate) recorder: Recorder,
     pub(crate) tracer: Tracer,
     /// Live progress cells read by the `--progress` sampler thread
@@ -143,19 +142,16 @@ pub(crate) struct Ctx {
 }
 
 impl Ctx {
-    /// The observability handle for a task running as `worker`.
-    pub(crate) fn obs(&self, worker: usize) -> Obs {
-        Obs::new(self.recorder.clone(), self.tracer.clone(), self.gauge.clone(), worker)
+    /// The observability handle for a task running as `worker`. Under
+    /// the recorder's sharding contract: call it as the thread acting as
+    /// that worker, or — for worker 0 — while no worker runs.
+    pub(crate) fn obs(&self, worker: usize) -> Obs<'_> {
+        Obs::new(&self.recorder, &self.tracer, &self.gauge, worker)
     }
 
     /// The allocation gate tasks reserve memory through.
     pub(crate) fn gate(&self) -> Gate<'_> {
-        Gate {
-            budget: &self.env.budget,
-            faults: &self.env.faults,
-            stats: &self.stats,
-            store: &self.store,
-        }
+        Gate { budget: &self.env.budget, faults: &self.env.faults, store: &self.store }
     }
 
     /// Record the first error; subsequent errors are dropped.
@@ -176,8 +172,7 @@ impl Ctx {
     /// Poll the cancel token; counts the observation when it has tripped.
     pub(crate) fn check_cancel(&self, obs: &Obs) -> Result<(), AggError> {
         if let Some(reason) = self.cancel.cancelled() {
-            self.stats.count_cancellation();
-            obs.recorder.add(obs.worker, Counter::Cancellations, 1);
+            obs.count(Counter::Cancellations, 1);
             return Err(AggError::Cancelled(reason));
         }
         Ok(())
@@ -207,20 +202,17 @@ impl WorkerState {
     }
 }
 
-/// Process one run/morsel through the strategy-selected routines.
-#[allow(clippy::too_many_arguments)]
+/// Process one run/morsel through the strategy-selected routines, into
+/// and out of the state of the worker (level 0) or bucket task running it.
 pub(crate) fn process_view(
     ctx: &Ctx,
     view: &RunView<'_>,
     level: u32,
-    table_slot: &mut Option<AggTable>,
-    mode: &mut ModeState,
-    epoch_rows: &mut u64,
-    map32: &mut Vec<u32>,
-    writer: &mut Option<RunWriter>,
+    ws: &mut WorkerState,
     sink: &mut impl RunSink,
     obs: &Obs,
 ) -> Result<(), AggError> {
+    let WorkerState { table: table_slot, mode, epoch_rows, map32, writer } = ws;
     let mut row = 0;
     while row < view.len() {
         if mode.use_hashing(level) {
@@ -232,23 +224,12 @@ pub(crate) fn process_view(
                         // Even the smallest table was denied: degrade to
                         // partitioning, which needs only the fixed SWC
                         // buffers plus the output it would produce anyway.
-                        ctx.stats.count_budget_downgrade();
-                        obs.recorder.add(obs.worker, Counter::BudgetDowngrades, 1);
-                        obs.tracer.instant(
-                            obs.worker,
+                        obs.event(
+                            Counter::BudgetDowngrades,
                             "forced_partitioning",
                             &[("level", level as u64)],
                         );
-                        return partition_run(
-                            writer,
-                            view,
-                            row,
-                            level,
-                            ctx.ops.len(),
-                            sink,
-                            ctx.gate(),
-                            obs,
-                        );
+                        return partition_run(writer, view, row, level, sink, ctx.gate(), obs);
                     }
                     Err(e) => return Err(e),
                 },
@@ -271,11 +252,13 @@ pub(crate) fn process_view(
             }
         } else {
             let rows = (view.len() - row) as u64;
-            partition_run(writer, view, row, level, ctx.ops.len(), sink, ctx.gate(), obs)?;
+            partition_run(writer, view, row, level, sink, ctx.gate(), obs)?;
             if mode.on_partitioned(rows) {
-                ctx.stats.count_switch_to_hashing();
-                obs.recorder.add(obs.worker, Counter::SwitchesToHashing, 1);
-                obs.tracer.instant(obs.worker, "switch_to_hashing", &[("level", level as u64)]);
+                obs.event(
+                    Counter::SwitchesToHashing,
+                    "switch_to_hashing",
+                    &[("level", level as u64)],
+                );
             }
             return Ok(());
         }
@@ -299,7 +282,7 @@ pub(crate) fn emit_final_from_table(
         let block_res = res.take((keys.len() * 8 * (1 + cols.len())) as u64);
         ctx.collector.push_block(keys, cols, block_res);
     });
-    flush_table_metrics(obs, table);
+    obs.flush_table_metrics(table);
     obs.phase_end(pt, groups, groups, out_bytes);
     Ok(())
 }
@@ -310,16 +293,10 @@ pub(crate) fn emit_final_from_table(
 /// Spilled runs are restored one at a time, right before their rows are
 /// folded in, so at most one restored run is resident at any moment.
 fn grow_merge(ctx: &Ctx, bucket: Vec<RunHandle>, obs: &Obs) -> Result<(), AggError> {
-    ctx.stats.count_fallback_merge();
-    obs.recorder.add(obs.worker, Counter::FallbackMerges, 1);
-    obs.tracer.instant(
-        obs.worker,
-        "fallback_merge",
-        &[("rows", bucket.iter().map(RunHandle::len).sum::<usize>() as u64)],
-    );
+    let rows: usize = bucket.iter().map(RunHandle::len).sum();
+    obs.event(Counter::FallbackMerges, "fallback_merge", &[("rows", rows as u64)]);
     let level = bucket.first().map_or(0, RunHandle::level);
     let pt = obs.phase_start(level, Phase::GrowMerge);
-    let rows: usize = bucket.iter().map(RunHandle::len).sum();
     let capacity = rows.clamp(16, 1 << 20);
     let mut res =
         ctx.gate().reserve(GrowTable::mem_bytes_upper(capacity, rows, ctx.ops.len()), obs)?;
@@ -399,15 +376,13 @@ pub(crate) fn process_bucket<'env>(
         ctx.fail(e);
         return;
     }
-    let trace_t0 = obs.tracer.now();
+    let trace_t0 = obs.now();
     let bucket_rows: u64 = bucket.iter().map(|r| r.len() as u64).sum();
-    let end_span = |obs: &Obs| {
-        obs.tracer.span_args(
-            obs.worker,
-            "bucket",
-            trace_t0,
-            &[("level", level as u64), ("rows", bucket_rows)],
-        );
+    // A task that ran to its end: its time joins the level's, its span
+    // the timeline. Tasks that fail record neither.
+    let done = |obs: &Obs| {
+        obs.count_at(LevelCounter::TaskNanos, level, t0.elapsed().as_nanos() as u64);
+        obs.span("bucket", trace_t0, &[("level", level as u64), ("rows", bucket_rows)]);
     };
     let final_hash_pass = matches!(
         ctx.cfg.strategy,
@@ -418,16 +393,11 @@ pub(crate) fn process_bucket<'env>(
             ctx.fail(e);
             return;
         }
-        ctx.stats.add_level_nanos(level.min(MAX_LEVEL), t0.elapsed().as_nanos() as u64);
-        end_span(&obs);
+        done(&obs);
         return;
     }
 
-    let mut table_slot: Option<AggTable> = None;
-    let mut mode = ModeState::new(ctx.cfg.strategy);
-    let mut epoch_rows = 0u64;
-    let mut map32 = Vec::new();
-    let mut writer = None;
+    let mut ws = WorkerState::new(ctx.cfg.strategy);
     let mut local = LocalBuckets::new();
 
     // Restore prefetch: overlap the next run's disk read + decode with
@@ -454,18 +424,7 @@ pub(crate) fn process_bucket<'env>(
             panic!("inconsistent run entering level {level}: {msg}");
         }
         let view = RunView::Owned(run);
-        if let Err(e) = process_view(
-            ctx,
-            &view,
-            level,
-            &mut table_slot,
-            &mut mode,
-            &mut epoch_rows,
-            &mut map32,
-            &mut writer,
-            &mut local,
-            &obs,
-        ) {
+        if let Err(e) = process_view(ctx, &view, level, &mut ws, &mut local, &obs) {
             // A non-empty table is dropped rather than pooled; its memory
             // stays reserved by the pool until the operator unwinds.
             ctx.fail(e);
@@ -474,7 +433,7 @@ pub(crate) fn process_bucket<'env>(
     }
     // The bucket is consumed: what it partitioned leaves as one run per
     // digit (and kind), not one per input run.
-    if let Some(mut writer) = writer {
+    if let Some(mut writer) = ws.writer {
         if let Err(e) = writer.hand_off(&mut local, ctx.gate(), &obs) {
             ctx.fail(e);
             return;
@@ -484,20 +443,19 @@ pub(crate) fn process_bucket<'env>(
     if local.is_empty() {
         // The entire bucket was absorbed by one table: its groups are
         // final — "the recursion stops automatically" (§5).
-        if let Some(mut table) = table_slot {
+        if let Some(mut table) = ws.table {
             if let Err(e) = emit_final_from_table(ctx, &mut table, &obs) {
                 ctx.fail(e);
                 return;
             }
             ctx.pool.put(table);
         }
-        ctx.stats.add_level_nanos(level, t0.elapsed().as_nanos() as u64);
-        end_span(&obs);
+        done(&obs);
         return;
     }
 
     // Something spilled: the leftover table content is one more run set.
-    if let Some(mut table) = table_slot {
+    if let Some(mut table) = ws.table {
         if !table.is_empty() {
             if let Err(e) = seal_into(&mut table, &mut local, ctx.gate(), &obs) {
                 ctx.fail(e);
@@ -506,8 +464,7 @@ pub(crate) fn process_bucket<'env>(
         }
         ctx.pool.put(table);
     }
-    ctx.stats.add_level_nanos(level, t0.elapsed().as_nanos() as u64);
-    end_span(&obs);
+    done(&obs);
     for (_digit, sub, sub_res) in local.into_nonempty() {
         scope.spawn(move |s| process_bucket(ctx, s, sub, sub_res, level + 1));
     }
@@ -565,9 +522,9 @@ pub(crate) fn validate_specs(specs: &[AggSpec]) -> Result<(), AggError> {
 /// [`try_aggregate`] with the full observability layer: returns a
 /// [`RunReport`] carrying per-worker deep metrics and (optionally) the
 /// Chrome task timeline, as selected by `obs_cfg`. With
-/// [`ObsConfig::disabled`] the extra cost is a null check per recording
-/// site. One-chunk wrapper over [`crate::AggStream`], so the streaming
-/// and slice paths cannot diverge.
+/// [`ObsConfig::disabled`] only the counters behind [`OpStats`] are kept.
+/// One-chunk wrapper over [`crate::AggStream`], so the streaming and
+/// slice paths cannot diverge.
 pub fn try_aggregate_observed(
     keys: &[u64],
     inputs: &[&[u64]],
@@ -628,8 +585,7 @@ pub(crate) fn contain_panics(
     match result {
         Ok(()) => Ok(pm),
         Err(p) => {
-            ctx.stats.count_contained_panic();
-            ctx.recorder.add(0, Counter::ContainedPanics, 1);
+            ctx.obs(0).count(Counter::ContainedPanics, 1);
             Err(AggError::WorkerPanic { message: p.message })
         }
     }

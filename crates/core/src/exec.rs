@@ -2,10 +2,9 @@
 //! spill store the budget can degrade into.
 
 use crate::obs::Obs;
-use crate::stats::AtomicStats;
 use hsa_columnar::{Run, RunHandle, RunStore, SpillConfig};
 use hsa_fault::{AggError, CancelToken, DiskBudget, FaultInjector, MemoryBudget, Reservation};
-use hsa_obs::{Counter, Hist, Phase};
+use hsa_obs::{Counter, Hist, LevelCounter, Phase};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -81,14 +80,13 @@ impl ExecEnv {
 }
 
 /// The allocation gate the routines reserve memory through: budget +
-/// injector + spill store + the stats the denials are counted in.
-/// Borrowed from the driver context and passed to every pass that
-/// materializes runs.
+/// injector + spill store. Borrowed from the driver context and passed to
+/// every pass that materializes runs; what happens at the gate is counted
+/// through the caller's [`Obs`].
 #[derive(Clone, Copy)]
 pub(crate) struct Gate<'a> {
     pub(crate) budget: &'a MemoryBudget,
     pub(crate) faults: &'a FaultInjector,
-    pub(crate) stats: &'a AtomicStats,
     pub(crate) store: &'a RunStore,
 }
 
@@ -99,11 +97,12 @@ impl Gate<'_> {
     /// zero-byte budget denies everything, so degradation is moot there
     /// too).
     pub(crate) fn reserve(&self, bytes: u64, obs: &Obs) -> Result<Reservation, AggError> {
-        if self.faults.should_fail_alloc() {
-            self.count_denial(obs);
-            return Err(AggError::BudgetExceeded { requested: bytes, limit: 0, reserved: 0 });
-        }
-        self.budget.try_reserve(bytes).inspect_err(|_| self.count_denial(obs))
+        let granted = if self.faults.should_fail_alloc() {
+            Err(AggError::BudgetExceeded { requested: bytes, limit: 0, reserved: 0 })
+        } else {
+            self.budget.try_reserve(bytes)
+        };
+        granted.inspect_err(|_| obs.count(Counter::BudgetDenials, 1))
     }
 
     /// Whether a denied reservation at a run-materialization site may be
@@ -128,8 +127,7 @@ impl Gate<'_> {
     /// — on filesystems where inode creation dominates small writes, that
     /// is the difference between spilling being viable and not. One
     /// injected-fault ordinal and one observability span cover the whole
-    /// batch (it is one logical write); per-run byte and count stats are
-    /// still recorded individually.
+    /// batch (it is one logical write); the counters still see every run.
     pub(crate) fn spill_batch(
         &self,
         runs: Vec<Run>,
@@ -142,15 +140,10 @@ impl Gate<'_> {
         let pt = obs.phase_start(level, Phase::Spill);
         let t0 = Instant::now();
         let handles = self.store.spill_batch(runs)?;
-        let mut total = 0u64;
-        for handle in &handles {
-            let bytes = handle.spilled_bytes();
-            self.stats.count_spilled_run(level, bytes);
-            total += bytes;
-        }
-        obs.recorder.add(obs.worker, Counter::SpilledRuns, handles.len() as u64);
-        obs.recorder.add(obs.worker, Counter::SpilledBytes, total);
-        obs.recorder.observe(obs.worker, Hist::SpillNanos, t0.elapsed().as_nanos() as u64);
+        let total: u64 = handles.iter().map(RunHandle::spilled_bytes).sum();
+        obs.count_at(LevelCounter::SpilledRuns, level, handles.len() as u64);
+        obs.count(Counter::SpilledBytes, total);
+        obs.observe(Hist::SpillNanos, t0.elapsed().as_nanos() as u64);
         obs.phase_end(pt, 0, 0, total);
         Ok(handles)
     }
@@ -175,17 +168,11 @@ impl Gate<'_> {
         let pt = obs.phase_start(handle.level(), Phase::Restore);
         let t0 = Instant::now();
         let run = handle.into_run()?;
-        self.stats.count_restored_run(bytes);
-        obs.recorder.add(obs.worker, Counter::RestoredRuns, 1);
-        obs.recorder.add(obs.worker, Counter::RestoredBytes, bytes);
-        obs.recorder.observe(obs.worker, Hist::RestoreNanos, t0.elapsed().as_nanos() as u64);
+        obs.count(Counter::RestoredRuns, 1);
+        obs.count(Counter::RestoredBytes, bytes);
+        obs.observe(Hist::RestoreNanos, t0.elapsed().as_nanos() as u64);
         obs.phase_end(pt, 0, run.len() as u64, bytes);
         Ok(run)
-    }
-
-    fn count_denial(&self, obs: &Obs) {
-        self.stats.count_budget_denial();
-        obs.recorder.add(obs.worker, Counter::BudgetDenials, 1);
     }
 }
 
@@ -199,6 +186,7 @@ pub(crate) fn is_degradable(e: &AggError) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::testing::TestObs;
     use hsa_fault::FaultPlan;
 
     #[test]
@@ -223,12 +211,12 @@ mod tests {
 
     #[test]
     fn gate_counts_denials_and_marks_injected() {
-        let stats = AtomicStats::default();
+        let rec = TestObs::new();
         let budget = MemoryBudget::limited(100);
         let faults = FaultInjector::new(FaultPlan { fail_alloc: Some(1), ..FaultPlan::none() });
         let store = RunStore::in_memory();
-        let gate = Gate { budget: &budget, faults: &faults, stats: &stats, store: &store };
-        let obs = Obs::disabled();
+        let gate = Gate { budget: &budget, faults: &faults, store: &store };
+        let obs = rec.obs();
 
         let injected = gate.reserve(10, &obs).unwrap_err();
         assert!(!is_degradable(&injected), "injected failures must surface");
@@ -241,7 +229,7 @@ mod tests {
         assert!(!gate.can_spill(&real), "no spill dir: denial stays a denial");
         drop(ok);
 
-        assert_eq!(stats.snapshot().budget_denials, 2);
+        assert_eq!(rec.stats().budget_denials, 2);
         assert_eq!(budget.outstanding(), 0);
     }
 
@@ -249,12 +237,12 @@ mod tests {
     fn gate_spills_and_restores_through_a_file_store() {
         let dir = std::env::temp_dir().join(format!("hsa-gate-spill-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let stats = AtomicStats::default();
+        let rec = TestObs::new();
         let budget = MemoryBudget::unlimited();
         let faults = FaultInjector::none();
         let store = RunStore::spilling_to(&dir).unwrap();
-        let gate = Gate { budget: &budget, faults: &faults, stats: &stats, store: &store };
-        let obs = Obs::disabled();
+        let gate = Gate { budget: &budget, faults: &faults, store: &store };
+        let obs = rec.obs();
 
         let denied = AggError::BudgetExceeded { requested: 1, limit: 64, reserved: 64 };
         assert!(gate.can_spill(&denied));
@@ -266,7 +254,7 @@ mod tests {
         assert_eq!(back.keys, run.keys);
         assert_eq!(back.cols, run.cols);
 
-        let s = stats.snapshot();
+        let s = rec.stats();
         assert_eq!(s.spilled_runs(), 1);
         assert_eq!(s.restored_runs, 1);
         assert_eq!(s.spilled_bytes, s.restored_bytes);
@@ -278,12 +266,12 @@ mod tests {
     fn injected_spill_failure_surfaces_as_spill_error() {
         let dir = std::env::temp_dir().join(format!("hsa-gate-spillfail-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let stats = AtomicStats::default();
+        let rec = TestObs::new();
         let budget = MemoryBudget::unlimited();
         let faults = FaultInjector::new(FaultPlan { fail_spill: Some(1), ..FaultPlan::none() });
         let store = RunStore::spilling_to(&dir).unwrap();
-        let gate = Gate { budget: &budget, faults: &faults, stats: &stats, store: &store };
-        let obs = Obs::disabled();
+        let gate = Gate { budget: &budget, faults: &faults, store: &store };
+        let obs = rec.obs();
 
         let run = Run::from_rows(&[1], &[]);
         let err = gate.spill_batch(vec![run.clone()], &obs).unwrap_err();

@@ -13,7 +13,7 @@
 
 use crate::adaptive::{ModeState, SealDecision};
 use crate::exec::Gate;
-use crate::obs::{flush_table_metrics, Obs};
+use crate::obs::Obs;
 use crate::sink::RunSink;
 use crate::view::RunView;
 use hsa_agg::StateOp;
@@ -22,7 +22,7 @@ use hsa_fault::{AggError, Reservation};
 use hsa_hash::Murmur2;
 use hsa_hashtbl::{AggTable, BatchInsert};
 use hsa_kernels::KernelKind;
-use hsa_obs::{Counter, Hist, Phase};
+use hsa_obs::{Counter, Hist, LevelCounter, Phase};
 
 /// Outcome of hashing (part of) a run.
 #[derive(Debug, PartialEq, Eq)]
@@ -67,10 +67,8 @@ pub(crate) fn seal_into(
     let mut res = match gate.reserve(seal_bytes_upper(groups, table.n_cols()), obs) {
         Ok(res) => Some(res),
         Err(e) if gate.can_spill(&e) => {
-            gate.stats.count_budget_downgrade();
-            obs.recorder.add(obs.worker, Counter::BudgetDowngrades, 1);
-            obs.tracer.instant(
-                obs.worker,
+            obs.event(
+                Counter::BudgetDowngrades,
                 "seal_spill",
                 &[("level", table.level() as u64), ("groups", groups)],
             );
@@ -78,11 +76,7 @@ pub(crate) fn seal_into(
         }
         Err(e) => return Err(e),
     };
-    obs.recorder.observe(
-        obs.worker,
-        Hist::SealFillPct,
-        groups * 100 / table.total_slots().max(1) as u64,
-    );
+    obs.observe(Hist::SealFillPct, groups * 100 / table.total_slots().max(1) as u64);
     let next_level = table.level() + 1;
     // In the spill-downgrade case the sealed sub-runs are collected and
     // flushed as ONE batch into a shared spill file: the seal is one
@@ -118,10 +112,12 @@ pub(crate) fn seal_into(
             sink.push_run(digit, handle, Reservation::empty());
         }
     }
-    gate.stats.count_seal();
-    obs.recorder.add(obs.worker, Counter::TablesSealed, 1);
-    flush_table_metrics(obs, table);
-    obs.tracer.instant(obs.worker, "seal", &[("level", next_level as u64 - 1), ("groups", groups)]);
+    obs.event(
+        Counter::TablesSealed,
+        "seal",
+        &[("level", next_level as u64 - 1), ("groups", groups)],
+    );
+    obs.flush_table_metrics(table);
     // Spill time inside the seal was attributed to its own phase by the
     // nested-time accounting; this cell holds the pure seal cost.
     obs.phase_end(pt, groups, groups, 0);
@@ -155,13 +151,11 @@ pub(crate) fn hash_run(
     let batched = kind == KernelKind::Batched;
     let mut row = from_row;
 
-    // One phase span and one stats publication cover the whole call, not
-    // each aligned block: deep levels hash thousands of tiny blocks, where
-    // per-block clock reads are measurable and per-block adds to the
-    // shared stats cells bounce their cache lines between the workers.
-    // Seals (and their spills) triggered mid-loop open nested spans; the
-    // nested-time accounting keeps this span's exclusive time pure
-    // hash-insert.
+    // One phase span covers the whole call, not each aligned block: deep
+    // levels hash thousands of tiny blocks, where per-block clock reads
+    // are measurable. Seals (and their spills) triggered mid-loop open
+    // nested spans; the nested-time accounting keeps this span's
+    // exclusive time pure hash-insert.
     let pt = obs.phase_start(level, Phase::HashInsert);
     let mut span_in = 0u64;
     let mut span_out = 0u64;
@@ -205,15 +199,13 @@ pub(crate) fn hash_run(
             // The reduction factor the strategy judges (§5): rows absorbed
             // this epoch per group produced.
             let alpha = *epoch_rows as f64 / table.len().max(1) as f64;
-            obs.recorder.record_alpha(obs.worker, alpha);
+            obs.alpha(alpha);
             let decision = mode.on_seal(*epoch_rows, table.len(), table.total_slots());
             seal_into(table, sink, gate, obs)?;
             *epoch_rows = 0;
             if decision == SealDecision::SwitchToPartitioning {
-                gate.stats.count_switch_to_partitioning();
-                obs.recorder.add(obs.worker, Counter::SwitchesToPartitioning, 1);
-                obs.tracer.instant(
-                    obs.worker,
+                obs.event(
+                    Counter::SwitchesToPartitioning,
                     "switch_to_partitioning",
                     &[("level", level as u64), ("alpha_x100", (alpha * 100.0) as u64)],
                 );
@@ -222,11 +214,8 @@ pub(crate) fn hash_run(
             // Retry the row that hit the full table with the fresh one.
         }
     };
-    gate.stats.add_hash_rows(level, span_in);
-    gate.stats.add_kernel_rows(batched, span_in);
-    obs.recorder.add(obs.worker, Counter::HashRows, span_in);
-    obs.recorder.add(
-        obs.worker,
+    obs.count_at(LevelCounter::HashRows, level, span_in);
+    obs.count(
         if batched { Counter::KernelBatchedRows } else { Counter::KernelScalarRows },
         span_in,
     );
@@ -238,8 +227,8 @@ pub(crate) fn hash_run(
 mod tests {
     use super::*;
     use crate::adaptive::Strategy;
+    use crate::obs::testing::TestObs;
     use crate::sink::LocalBuckets;
-    use crate::stats::AtomicStats;
     use hsa_columnar::RunStore;
     use hsa_fault::{FaultInjector, MemoryBudget};
     use hsa_hash::Hasher64;
@@ -248,11 +237,10 @@ mod tests {
 
     /// An unrestricted gate for driving the routine directly.
     macro_rules! open_gate {
-        ($stats:expr) => {
+        () => {
             Gate {
                 budget: &MemoryBudget::unlimited(),
                 faults: &FaultInjector::none(),
-                stats: $stats,
                 store: &RunStore::in_memory(),
             }
         };
@@ -271,7 +259,7 @@ mod tests {
     ) -> (BTreeMap<u64, Vec<u64>>, u64) {
         // Hash everything with HashingOnly, sealing as needed, then merge
         // sealed runs plus the final table via a reference fold.
-        let stats = AtomicStats::default();
+        let rec = TestObs::new();
         let mut t = table(slots, ops);
         let mut mode = ModeState::new(Strategy::HashingOnly);
         let mut epoch = 0u64;
@@ -287,13 +275,13 @@ mod tests {
             &mut epoch,
             &mut mapping,
             &mut sink,
-            open_gate!(&stats),
-            &Obs::disabled(),
+            open_gate!(),
+            &rec.obs(),
             hsa_kernels::select(Default::default()),
         )
         .unwrap();
         assert_eq!(out, HashOutcome::Done);
-        seal_into(&mut t, &mut sink, open_gate!(&stats), &Obs::disabled()).unwrap();
+        seal_into(&mut t, &mut sink, open_gate!(), &rec.obs()).unwrap();
 
         // Merge all emitted runs with the super-aggregate.
         let mut merged: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
@@ -314,7 +302,7 @@ mod tests {
                 }
             }
         }
-        (merged, stats.snapshot().seals)
+        (merged, rec.stats().seals)
     }
 
     #[test]
@@ -348,7 +336,7 @@ mod tests {
     fn aggregated_input_uses_merge() {
         // Feed partial COUNT states: two runs carrying counts 3 and 4 for
         // the same key must merge to 7.
-        let stats = AtomicStats::default();
+        let rec = TestObs::new();
         let ops = [StateOp::Count];
         let mut t = table(1 << 12, &ops);
         let mut mode = ModeState::new(Strategy::HashingOnly);
@@ -378,14 +366,14 @@ mod tests {
                 &mut epoch,
                 &mut mapping,
                 &mut sink,
-                open_gate!(&stats),
-                &Obs::disabled(),
+                open_gate!(),
+                &rec.obs(),
                 hsa_kernels::select(Default::default()),
             )
             .unwrap();
             assert_eq!(out, HashOutcome::Done);
         }
-        seal_into(&mut t, &mut sink, open_gate!(&stats), &Obs::disabled()).unwrap();
+        seal_into(&mut t, &mut sink, open_gate!(), &rec.obs()).unwrap();
         let mut total = None;
         for (_, bucket, _res) in sink.into_nonempty() {
             for handle in bucket {
@@ -400,7 +388,7 @@ mod tests {
     #[test]
     fn switch_decision_stops_mid_run() {
         // Adaptive with a huge α₀ forces a switch at the first seal.
-        let stats = AtomicStats::default();
+        let rec = TestObs::new();
         let ops: [StateOp; 0] = [];
         let mut t = table(1 << 12, &ops);
         let mut mode = ModeState::new(Strategy::Adaptive(crate::AdaptiveParams {
@@ -421,8 +409,8 @@ mod tests {
             &mut epoch,
             &mut mapping,
             &mut sink,
-            open_gate!(&stats),
-            &Obs::disabled(),
+            open_gate!(),
+            &rec.obs(),
             hsa_kernels::select(Default::default()),
         )
         .unwrap()
@@ -438,27 +426,27 @@ mod tests {
 
     #[test]
     fn seal_fails_cleanly_on_denied_budget() {
-        let stats = AtomicStats::default();
+        let rec = TestObs::new();
         let ops = [StateOp::Sum];
         let mut t = table(1 << 10, &ops);
         t.insert_key(7, Murmur2::default().hash_u64(7));
         let budget = MemoryBudget::limited(1);
         let faults = FaultInjector::none();
         let store = RunStore::in_memory();
-        let gate = Gate { budget: &budget, faults: &faults, stats: &stats, store: &store };
+        let gate = Gate { budget: &budget, faults: &faults, store: &store };
         let mut sink = LocalBuckets::new();
-        let err = seal_into(&mut t, &mut sink, gate, &Obs::disabled()).unwrap_err();
+        let err = seal_into(&mut t, &mut sink, gate, &rec.obs()).unwrap_err();
         assert!(matches!(err, AggError::BudgetExceeded { limit: 1, .. }));
         assert!(sink.is_empty(), "no run may be emitted on a denied seal");
         assert_eq!(budget.outstanding(), 0);
-        assert_eq!(stats.snapshot().budget_denials, 1);
+        assert_eq!(rec.stats().budget_denials, 1);
     }
 
     #[test]
     fn denied_seal_downgrades_to_spill_when_a_dir_is_configured() {
         let dir = std::env::temp_dir().join(format!("hsa-seal-spill-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let stats = AtomicStats::default();
+        let rec = TestObs::new();
         let ops = [StateOp::Sum];
         let mut t = table(1 << 10, &ops);
         let h = Murmur2::default();
@@ -477,9 +465,9 @@ mod tests {
         let budget = MemoryBudget::limited(1);
         let faults = FaultInjector::none();
         let store = RunStore::spilling_to(&dir).unwrap();
-        let gate = Gate { budget: &budget, faults: &faults, stats: &stats, store: &store };
+        let gate = Gate { budget: &budget, faults: &faults, store: &store };
         let mut sink = LocalBuckets::new();
-        seal_into(&mut t, &mut sink, gate, &Obs::disabled()).unwrap();
+        seal_into(&mut t, &mut sink, gate, &rec.obs()).unwrap();
         assert_eq!(budget.outstanding(), 0, "spilled runs hold no reservation");
         let mut rows = BTreeMap::new();
         for (_, bucket, res) in sink.into_nonempty() {
@@ -493,7 +481,7 @@ mod tests {
             }
         }
         assert_eq!(rows, BTreeMap::from([(7, 70), (8, 80), (9, 90)]));
-        let s = stats.snapshot();
+        let s = rec.stats();
         assert!(s.spilled_runs() > 0);
         assert!(s.spilled_bytes > 0);
         assert_eq!(s.budget_denials, 1);

@@ -1,11 +1,16 @@
 //! The per-task observability handle.
 //!
-//! [`Obs`] bundles the handles to the (possibly disabled) metrics
-//! [`Recorder`], timeline [`Tracer`], and live [`ProgressGauge`] with the
-//! worker index of the task currently running. The handles are each a
-//! single `Option<Arc>` — cloning one per task is a few refcount bumps —
-//! and every recording call on a disabled handle is one null check, so
-//! the routines are instrumented unconditionally.
+//! [`Obs`] is the one handle a routine records through: it borrows the
+//! query's [`Recorder`], [`Tracer`] and [`ProgressGauge`] from the driver
+//! context and carries the worker index of the task currently running, so
+//! building one per task touches no shared reference count and every
+//! recording call lands in the calling worker's own shard. An event is
+//! recorded by one call: [`Obs::count`] / [`Obs::count_at`] for the
+//! always-on counter cells `OpStats` is lowered from, [`Obs::event`] when
+//! the event also marks the timeline. Histograms, α samples and phase
+//! cells are the recorder's deep part and the tracer and gauge are off
+//! unless asked for; recording into an absent one is a null check, so the
+//! routines are instrumented unconditionally.
 //!
 //! # Phase timing
 //!
@@ -13,22 +18,21 @@
 //! operator (see [`Phase`]) and record **exclusive** time: the `nested`
 //! cell accumulates the total duration of every completed phase on this
 //! task, so an enclosing phase can subtract the time its children already
-//! claimed (a spill inside a seal lands in `spill`, not twice). When both
-//! the recorder and the gauge are disabled, `phase_start` returns `None`
-//! without reading the clock — the disabled path stays two null checks.
+//! claimed (a spill inside a seal lands in `spill`, not twice). When
+//! neither the deep metrics nor the gauge are on, `phase_start` returns
+//! `None` without reading the clock.
 
 use hsa_hashtbl::AggTable;
-use hsa_obs::{Counter, Hist, Phase, PhaseCell, ProgressGauge, Recorder, Tracer};
+use hsa_obs::{Counter, Hist, LevelCounter, Phase, PhaseCell, ProgressGauge, Recorder, Tracer};
 use std::cell::Cell;
 use std::time::Instant;
 
 /// Observability context of one task: where to record, and as whom.
-#[derive(Clone)]
-pub(crate) struct Obs {
-    pub(crate) recorder: Recorder,
-    pub(crate) tracer: Tracer,
-    pub(crate) gauge: ProgressGauge,
-    pub(crate) worker: usize,
+pub(crate) struct Obs<'a> {
+    recorder: &'a Recorder,
+    tracer: &'a Tracer,
+    gauge: &'a ProgressGauge,
+    worker: usize,
     /// Total nanoseconds of phases completed on this task so far; the
     /// delta across a phase's lifetime is its children's time.
     nested: Cell<u64>,
@@ -42,28 +46,63 @@ pub(crate) struct PhaseTimer {
     nested0: u64,
 }
 
-impl Obs {
+impl<'a> Obs<'a> {
     pub(crate) fn new(
-        recorder: Recorder,
-        tracer: Tracer,
-        gauge: ProgressGauge,
+        recorder: &'a Recorder,
+        tracer: &'a Tracer,
+        gauge: &'a ProgressGauge,
         worker: usize,
     ) -> Self {
         Self { recorder, tracer, gauge, worker, nested: Cell::new(0) }
     }
 
-    /// A handle that records nothing (unit tests drive the routines
-    /// without a driver context).
-    #[cfg(test)]
-    pub(crate) fn disabled() -> Self {
-        Self::new(Recorder::disabled(), Tracer::disabled(), ProgressGauge::disabled(), 0)
+    /// Add `n` to counter `c`.
+    #[inline]
+    pub(crate) fn count(&self, c: Counter, n: u64) {
+        self.recorder.add(self.worker, c, n);
+    }
+
+    /// Add `n` to per-level counter `c` at `level`.
+    #[inline]
+    pub(crate) fn count_at(&self, c: LevelCounter, level: u32, n: u64) {
+        self.recorder.add_level(self.worker, c, level, n);
+    }
+
+    /// One occurrence of an event that is both counted and marked on the
+    /// timeline as the instant `name`.
+    pub(crate) fn event(&self, c: Counter, name: &'static str, args: &[(&'static str, u64)]) {
+        self.count(c, 1);
+        self.tracer.instant(self.worker, name, args);
+    }
+
+    /// Record `value` into histogram `h` (deep metrics).
+    #[inline]
+    pub(crate) fn observe(&self, h: Hist, value: u64) {
+        self.recorder.observe(self.worker, h, value);
+    }
+
+    /// Record the reduction factor observed at one seal (deep metrics).
+    #[inline]
+    pub(crate) fn alpha(&self, alpha: f64) {
+        self.recorder.record_alpha(self.worker, alpha);
+    }
+
+    /// Timeline clock: the start to pass back into [`Obs::span`].
+    #[inline]
+    pub(crate) fn now(&self) -> u64 {
+        self.tracer.now()
+    }
+
+    /// Mark the timeline span `name` from `start` (an [`Obs::now`]) to now.
+    pub(crate) fn span(&self, name: &'static str, start: u64, args: &[(&'static str, u64)]) {
+        self.tracer.span_args(self.worker, name, start, args);
     }
 
     /// Begin timing one phase at `level`. Returns `None` — without
-    /// touching the clock — when neither metrics nor progress is enabled.
+    /// touching the clock — when neither deep metrics nor progress is on.
     #[inline]
     pub(crate) fn phase_start(&self, level: u32, phase: Phase) -> Option<PhaseTimer> {
-        if !self.recorder.is_enabled() && !self.gauge.is_enabled() {
+        if !self.recorder.is_deep() && !self.gauge.is_enabled() {
             return None;
         }
         self.gauge.set_state(self.worker, level, phase);
@@ -100,11 +139,23 @@ impl Obs {
     pub(crate) fn phase_scope(&self, level: u32, phase: Phase) -> PhaseScope<'_> {
         PhaseScope { obs: self, timer: self.phase_start(level, phase) }
     }
+
+    /// Flush a table's locally collected probe metrics into the recorder.
+    /// Called at seal time; a table without metrics enabled contributes
+    /// nothing.
+    pub(crate) fn flush_table_metrics(&self, table: &mut AggTable) {
+        if let Some(m) = table.take_metrics() {
+            self.count(Counter::TableInserts, m.inserts);
+            self.count(Counter::ProbeSteps, m.probe_steps);
+            self.recorder.merge_hist(self.worker, Hist::ProbeLen, &m.probe_len);
+            self.recorder.merge_hist(self.worker, Hist::BlockDisplacement, &m.displacement);
+        }
+    }
 }
 
 /// RAII wrapper completing a phase on drop (see [`Obs::phase_scope`]).
 pub(crate) struct PhaseScope<'a> {
-    obs: &'a Obs,
+    obs: &'a Obs<'a>,
     timer: Option<PhaseTimer>,
 }
 
@@ -114,14 +165,34 @@ impl Drop for PhaseScope<'_> {
     }
 }
 
-/// Flush a table's locally collected probe metrics into the recorder
-/// (worker-sharded, so this is plain adds). Called at seal time; a table
-/// without metrics enabled contributes nothing.
-pub(crate) fn flush_table_metrics(obs: &Obs, table: &mut AggTable) {
-    if let Some(m) = table.take_metrics() {
-        obs.recorder.add(obs.worker, Counter::TableInserts, m.inserts);
-        obs.recorder.add(obs.worker, Counter::ProbeSteps, m.probe_steps);
-        obs.recorder.merge_hist(obs.worker, Hist::ProbeLen, &m.probe_len);
-        obs.recorder.merge_hist(obs.worker, Hist::BlockDisplacement, &m.displacement);
+/// What the routines' unit tests record into when they run without a
+/// driver context: one counters-only shard, read back as [`OpStats`].
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+    use crate::stats::OpStats;
+
+    pub(crate) struct TestObs {
+        recorder: Recorder,
+        tracer: Tracer,
+        gauge: ProgressGauge,
+    }
+
+    impl TestObs {
+        pub(crate) fn new() -> Self {
+            Self {
+                recorder: Recorder::counters(1),
+                tracer: Tracer::disabled(),
+                gauge: ProgressGauge::disabled(),
+            }
+        }
+
+        pub(crate) fn obs(&self) -> Obs<'_> {
+            Obs::new(&self.recorder, &self.tracer, &self.gauge, 0)
+        }
+
+        pub(crate) fn stats(&self) -> OpStats {
+            OpStats::lower(&self.recorder.snapshot().merged(), 0, 0)
+        }
     }
 }

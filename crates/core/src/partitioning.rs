@@ -20,7 +20,7 @@ use crate::view::RunView;
 use hsa_columnar::{Run, RunHandle};
 use hsa_fault::{AggError, Reservation};
 use hsa_hash::{Murmur2, FANOUT};
-use hsa_obs::{Counter, Hist, Phase};
+use hsa_obs::{Counter, Hist, LevelCounter, Phase};
 use hsa_partition::PartitionWriter;
 
 /// One owner's `PARTITIONING` outputs at one level, with the budget
@@ -60,10 +60,8 @@ impl RunWriter {
                 Ok(true)
             }
             Err(e) if gate.can_spill(&e) => {
-                gate.stats.count_budget_downgrade();
-                obs.recorder.add(obs.worker, Counter::BudgetDowngrades, 1);
-                obs.tracer.instant(
-                    obs.worker,
+                obs.event(
+                    Counter::BudgetDowngrades,
                     "partition_spill",
                     &[("level", self.level as u64), ("rows", self.parts.len() as u64)],
                 );
@@ -75,8 +73,8 @@ impl RunWriter {
 
     fn record_flush_traffic(&mut self, obs: &Obs) -> u64 {
         let pm = self.parts.take_metrics();
-        obs.recorder.add(obs.worker, Counter::SwcFlushes, pm.swc_flushes);
-        obs.recorder.add(obs.worker, Counter::SwcFlushBytes, pm.swc_flush_bytes);
+        obs.count(Counter::SwcFlushes, pm.swc_flushes);
+        obs.count(Counter::SwcFlushBytes, pm.swc_flush_bytes);
         pm.swc_flush_bytes
     }
 
@@ -106,11 +104,7 @@ impl RunWriter {
         let line_bytes = self.record_flush_traffic(obs);
         if let Some(longest) = runs.iter().map(|(_, run)| run.len()).max() {
             // Per-digit skew: largest partition as % of the mean (100 = even).
-            obs.recorder.observe(
-                obs.worker,
-                Hist::PartitionSkewPct,
-                longest as u64 * FANOUT as u64 * 100 / rows,
-            );
+            obs.observe(Hist::PartitionSkewPct, longest as u64 * FANOUT as u64 * 100 / rows);
         }
         // Flushing the partial lines may have opened new chunks.
         let held = self.parts.mem_bytes() + runs.iter().map(|(_, r)| r.mem_bytes()).sum::<u64>();
@@ -163,13 +157,11 @@ impl RunWriter {
 /// which partitions grow depends on digits it has not computed yet, and
 /// no bound short of a full chunk per partition holds for a single
 /// append. The overshoot is at most one view's payload plus chunk slack.
-#[allow(clippy::too_many_arguments)] // the driver's task context, passed flat
 pub(crate) fn partition_run(
     writer: &mut Option<RunWriter>,
     view: &RunView<'_>,
     from_row: usize,
     level: u32,
-    n_cols: usize,
     sink: &mut impl RunSink,
     gate: Gate<'_>,
     obs: &Obs,
@@ -179,26 +171,20 @@ pub(crate) fn partition_run(
         return Ok(());
     }
     let aggregated = view.aggregated();
-    let w = writer.get_or_insert_with(|| RunWriter::new(level, n_cols, aggregated));
+    let w = writer.get_or_insert_with(|| RunWriter::new(level, view.n_cols(), aggregated));
     debug_assert_eq!(w.level, level, "a writer serves one level");
     if w.aggregated != aggregated {
         w.hand_off(sink, gate, obs)?;
         w.aggregated = aggregated;
     }
     let pt = obs.phase_start(level, Phase::Partition);
-    let t0 = obs.tracer.now();
+    let t0 = obs.now();
     w.parts.append(Murmur2::default(), level, view.key_slices(from_row), |i| {
         view.col_slices(i, from_row)
     });
-    gate.stats.add_part_rows(level, rows);
-    obs.recorder.add(obs.worker, Counter::PartRows, rows);
+    obs.count_at(LevelCounter::PartRows, level, rows);
     let mut flush_bytes = w.record_flush_traffic(obs);
-    obs.tracer.span_args(
-        obs.worker,
-        "partition_run",
-        t0,
-        &[("rows", rows), ("level", level as u64)],
-    );
+    obs.span("partition_run", t0, &[("rows", rows), ("level", level as u64)]);
 
     if !w.cover(w.parts.mem_bytes(), gate, obs)? {
         flush_bytes += w.flush(false, sink, gate, obs)?;
@@ -212,18 +198,17 @@ pub(crate) fn partition_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::testing::TestObs;
     use crate::sink::LocalBuckets;
-    use crate::stats::AtomicStats;
     use hsa_columnar::{RunStore, SpillConfig};
     use hsa_fault::{DiskBudget, FaultInjector, MemoryBudget};
     use hsa_hash::{digit, Hasher64};
 
     macro_rules! open_gate {
-        ($stats:expr) => {
+        () => {
             Gate {
                 budget: &MemoryBudget::unlimited(),
                 faults: &FaultInjector::none(),
-                stats: $stats,
                 store: &RunStore::in_memory(),
             }
         };
@@ -238,15 +223,20 @@ mod tests {
         writer: &mut Option<RunWriter>,
         view: &RunView<'_>,
         from_row: usize,
-        n_cols: usize,
         sink: &mut LocalBuckets,
         gate: Gate<'_>,
+        rec: &TestObs,
     ) -> Result<(), AggError> {
-        partition_run(writer, view, from_row, 0, n_cols, sink, gate, &Obs::disabled())
+        partition_run(writer, view, from_row, 0, sink, gate, &rec.obs())
     }
 
-    fn hand_off(writer: &mut Option<RunWriter>, sink: &mut LocalBuckets, gate: Gate<'_>) {
-        writer.as_mut().expect("a writer exists").hand_off(sink, gate, &Obs::disabled()).unwrap();
+    fn hand_off(
+        writer: &mut Option<RunWriter>,
+        sink: &mut LocalBuckets,
+        gate: Gate<'_>,
+        rec: &TestObs,
+    ) {
+        writer.as_mut().expect("a writer exists").hand_off(sink, gate, &rec.obs()).unwrap();
     }
 
     #[test]
@@ -254,16 +244,16 @@ mod tests {
         let keys: Vec<u64> = (0..10_000u64).map(|i| i * 2654435761 % 1000).collect();
         let vals: Vec<u64> = (0..10_000).collect();
         let mut sink = LocalBuckets::new();
-        let stats = AtomicStats::default();
+        let rec = TestObs::new();
         let mut writer = None;
         // Two morsels of one worker: one writer, one run per digit.
         for range in [0..6_000usize, 6_000..10_000] {
             let view = raw_view(&keys[range.clone()], vec![&vals[range]]);
-            partition(&mut writer, &view, 0, 1, &mut sink, open_gate!(&stats)).unwrap();
+            partition(&mut writer, &view, 0, &mut sink, open_gate!(), &rec).unwrap();
             assert!(sink.is_empty(), "an append must not emit runs");
         }
-        assert_eq!(stats.snapshot().part_rows_per_level[0], 10_000);
-        hand_off(&mut writer, &mut sink, open_gate!(&stats));
+        assert_eq!(rec.stats().part_rows_per_level[0], 10_000);
+        hand_off(&mut writer, &mut sink, open_gate!(), &rec);
 
         let h = Murmur2::default();
         let mut total = 0usize;
@@ -292,11 +282,11 @@ mod tests {
     fn partitions_suffix_only() {
         let keys: Vec<u64> = (0..1000).collect();
         let mut sink = LocalBuckets::new();
-        let stats = AtomicStats::default();
+        let rec = TestObs::new();
         let mut writer = None;
-        partition(&mut writer, &raw_view(&keys, vec![]), 900, 0, &mut sink, open_gate!(&stats))
+        partition(&mut writer, &raw_view(&keys, vec![]), 900, &mut sink, open_gate!(), &rec)
             .unwrap();
-        hand_off(&mut writer, &mut sink, open_gate!(&stats));
+        hand_off(&mut writer, &mut sink, open_gate!(), &rec);
         let total: usize =
             sink.into_nonempty().map(|(_, b, _)| b.iter().map(RunHandle::len).sum::<usize>()).sum();
         assert_eq!(total, 100);
@@ -306,9 +296,9 @@ mod tests {
     fn empty_suffix_builds_no_writer() {
         let keys: Vec<u64> = (0..10).collect();
         let mut sink = LocalBuckets::new();
-        let stats = AtomicStats::default();
+        let rec = TestObs::new();
         let mut writer = None;
-        partition(&mut writer, &raw_view(&keys, vec![]), 10, 0, &mut sink, open_gate!(&stats))
+        partition(&mut writer, &raw_view(&keys, vec![]), 10, &mut sink, open_gate!(), &rec)
             .unwrap();
         assert!(writer.is_none());
         assert!(sink.is_empty());
@@ -328,11 +318,11 @@ mod tests {
         };
         let raw_keys: Vec<u64> = (100..400).collect();
         let mut sink = LocalBuckets::new();
-        let stats = AtomicStats::default();
+        let rec = TestObs::new();
         let mut writer = None;
-        let obs = Obs::disabled();
+        let obs = rec.obs();
         let mut part = |view: &RunView<'_>, sink: &mut LocalBuckets| {
-            partition_run(&mut writer, view, 0, 1, 1, sink, open_gate!(&stats), &obs).unwrap()
+            partition_run(&mut writer, view, 0, 1, sink, open_gate!(), &obs).unwrap()
         };
         part(&sealed(&[1, 2, 3]), &mut sink);
         part(&sealed(&[4, 5]), &mut sink);
@@ -340,7 +330,7 @@ mod tests {
         // The other kind arrives: the aggregated rows leave first.
         part(&raw_view(&raw_keys, vec![&raw_keys]), &mut sink);
         assert!(!sink.is_empty());
-        hand_off(&mut writer, &mut sink, open_gate!(&stats));
+        hand_off(&mut writer, &mut sink, open_gate!(), &rec);
         let (mut agg_rows, mut raw_rows) = (0, 0);
         for (_, bucket, _res) in sink.into_nonempty() {
             for r in bucket {
@@ -363,15 +353,15 @@ mod tests {
         let keys: Vec<u64> = (0..5_000).collect();
         let budget = MemoryBudget::limited(1 << 30);
         let faults = FaultInjector::none();
-        let stats = AtomicStats::default();
+        let rec = TestObs::new();
         let store = RunStore::in_memory();
-        let gate = Gate { budget: &budget, faults: &faults, stats: &stats, store: &store };
+        let gate = Gate { budget: &budget, faults: &faults, store: &store };
         let mut sink = LocalBuckets::new();
         let mut writer = None;
-        partition(&mut writer, &raw_view(&keys, vec![&keys]), 0, 1, &mut sink, gate).unwrap();
+        partition(&mut writer, &raw_view(&keys, vec![&keys]), 0, &mut sink, gate, &rec).unwrap();
         let held = writer.as_ref().map(|w| w.parts.mem_bytes());
         assert_eq!(Some(budget.outstanding()), held, "the reservation is the writer's memory");
-        hand_off(&mut writer, &mut sink, gate);
+        hand_off(&mut writer, &mut sink, gate, &rec);
         assert!(budget.outstanding() >= held.unwrap(), "a hand-off moves bytes, it frees none");
         for (_, bucket, res) in sink.into_nonempty() {
             let bytes = |h: &RunHandle| match h {
@@ -390,20 +380,21 @@ mod tests {
     fn denied_budget_fails_with_nothing_pushed_and_a_drop_returns_the_bytes() {
         let keys: Vec<u64> = (0..20_000).collect();
         let mut sink = LocalBuckets::new();
-        let stats = AtomicStats::default();
+        let rec = TestObs::new();
         // Room for the first morsel's chunks, not for the second's.
         let budget = MemoryBudget::limited(200 << 10);
         let faults = FaultInjector::none();
         let store = RunStore::in_memory();
-        let gate = Gate { budget: &budget, faults: &faults, stats: &stats, store: &store };
+        let gate = Gate { budget: &budget, faults: &faults, store: &store };
         let mut writer = None;
-        partition(&mut writer, &raw_view(&keys[..10_000], vec![]), 0, 0, &mut sink, gate).unwrap();
+        partition(&mut writer, &raw_view(&keys[..10_000], vec![]), 0, &mut sink, gate, &rec)
+            .unwrap();
         assert!(budget.outstanding() > 0);
-        let err = partition(&mut writer, &raw_view(&keys, vec![]), 10_000, 0, &mut sink, gate)
+        let err = partition(&mut writer, &raw_view(&keys, vec![]), 10_000, &mut sink, gate, &rec)
             .unwrap_err();
         assert!(matches!(err, AggError::BudgetExceeded { limit, .. } if limit == 200 << 10));
         assert!(sink.is_empty());
-        assert_eq!(stats.snapshot().budget_downgrades, 0);
+        assert_eq!(rec.stats().budget_downgrades, 0);
         // The stream is poisoned here; dropping it drops the writer.
         drop(writer);
         assert_eq!(budget.outstanding(), 0);
@@ -425,7 +416,7 @@ mod tests {
             let keys: Vec<u64> = (0..3 * part as u64).map(|i| i * 2654435761 % modulus).collect();
             let vals: Vec<u64> = (0..3 * part as u64).collect();
             let mut sink = LocalBuckets::new();
-            let stats = AtomicStats::default();
+            let rec = TestObs::new();
             let budget = MemoryBudget::limited(limit);
             // The second gate ordinal fails, and the second storage write
             // is retried: a flush that took an ordinal per file would trip
@@ -444,7 +435,7 @@ mod tests {
                 SpillConfig { io_threads: 0, ..SpillConfig::default() },
             )
             .unwrap();
-            let gate = Gate { budget: &budget, faults: &faults, stats: &stats, store: &store };
+            let gate = Gate { budget: &budget, faults: &faults, store: &store };
             let spill_files = || {
                 std::fs::read_dir(&dir)
                     .unwrap()
@@ -456,14 +447,14 @@ mod tests {
             let mut part_of = |nth: usize, sink: &mut LocalBuckets| {
                 let range = nth * part..(nth + 1) * part;
                 let view = raw_view(&keys[range.clone()], vec![&vals[range]]);
-                partition(&mut writer, &view, 0, 1, sink, gate).unwrap();
+                partition(&mut writer, &view, 0, sink, gate, &rec).unwrap();
             };
 
             part_of(0, &mut sink);
             assert!(sink.is_empty() && budget.outstanding() > 0, "the first morsel fits");
             // The second morsel's chunks do not: both morsels leave together.
             part_of(1, &mut sink);
-            let s = stats.snapshot();
+            let s = rec.stats();
             assert_eq!((s.budget_denials, s.budget_downgrades), (1, 1));
             assert!(
                 files.contains(&spill_files()),
@@ -475,8 +466,8 @@ mod tests {
             assert_eq!(budget.outstanding(), 0, "the flush released everything");
             // The writer carries on from empty within the same budget.
             part_of(2, &mut sink);
-            assert_eq!(stats.snapshot().budget_denials, 1);
-            hand_off(&mut writer, &mut sink, gate);
+            assert_eq!(rec.stats().budget_denials, 1);
+            hand_off(&mut writer, &mut sink, gate, &rec);
             drop(writer);
 
             let h = Murmur2::default();
@@ -511,17 +502,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let keys: Vec<u64> = (0..1_000).collect();
         let mut sink = LocalBuckets::new();
-        let stats = AtomicStats::default();
+        let rec = TestObs::new();
         let budget = MemoryBudget::limited(1 << 30);
         let faults = FaultInjector::new(FaultPlan { fail_alloc: Some(1), ..FaultPlan::none() });
         let store = RunStore::spilling_to(&dir).unwrap();
-        let gate = Gate { budget: &budget, faults: &faults, stats: &stats, store: &store };
+        let gate = Gate { budget: &budget, faults: &faults, store: &store };
         let mut writer = None;
         let err =
-            partition(&mut writer, &raw_view(&keys, vec![]), 0, 0, &mut sink, gate).unwrap_err();
+            partition(&mut writer, &raw_view(&keys, vec![]), 0, &mut sink, gate, &rec).unwrap_err();
         assert!(matches!(err, AggError::BudgetExceeded { limit: 0, .. }));
         assert!(sink.is_empty());
-        assert_eq!(stats.snapshot().spilled_runs(), 0);
+        assert_eq!(rec.stats().spilled_runs(), 0);
         drop(writer);
         assert_eq!(budget.outstanding(), 0);
         drop(store);

@@ -1,11 +1,12 @@
 //! Structured run reports: everything one operator invocation can tell
 //! about itself, in one machine-readable value.
 //!
-//! [`RunReport`] combines the always-on [`OpStats`] with the opt-in deep
-//! metrics ([`hsa_obs::MetricsSnapshot`]), the scheduler counters
-//! ([`hsa_tasks::PoolMetrics`]) and the rendered Chrome trace. It
-//! serializes to JSON with the dependency-free writer in `hsa_obs::json`
-//! and pretty-prints for the CLI's `--stats`.
+//! [`RunReport`] carries the views of the query's recorder cells — the
+//! always-present [`OpStats`], and with `metrics` on the per-worker
+//! [`hsa_obs::MetricsSnapshot`] and the [`ProfileTree`] — beside the
+//! scheduler counters ([`hsa_tasks::PoolMetrics`]) and the rendered
+//! Chrome trace. It serializes to JSON with the dependency-free writer in
+//! `hsa_obs::json` and pretty-prints for the CLI's `--stats`.
 
 use crate::stats::OpStats;
 use hsa_obs::json::JsonValue;
@@ -15,7 +16,7 @@ use hsa_obs::{
 use hsa_tasks::{PoolMetrics, WorkerPoolMetrics};
 
 /// Version of the [`RunReport::to_json`] schema, emitted as
-/// `report_version`. Stability contract (see DESIGN.md §13): adding new
+/// `report_version`. Stability contract (see DESIGN.md §8): adding new
 /// members does **not** bump this — consumers must ignore unknown keys;
 /// renaming, removing, or reinterpreting an existing member does.
 ///
@@ -27,8 +28,9 @@ pub const REPORT_VERSION: u64 = 2;
 /// What the observed operator entry points should collect.
 #[derive(Clone, Debug)]
 pub struct ObsConfig {
-    /// Collect the deep per-worker metrics (probe lengths, SWC flushes,
-    /// per-switch α, phase attribution, ...).
+    /// Collect the deep per-worker metrics (probe-length and fill
+    /// histograms, per-switch α, phase attribution, scheduler counters)
+    /// and return the per-worker counters beside the [`OpStats`] totals.
     pub metrics: bool,
     /// Record the task timeline (Chrome trace events).
     pub trace: bool,
@@ -43,7 +45,7 @@ pub struct ObsConfig {
 }
 
 impl ObsConfig {
-    /// Collect nothing beyond the always-on [`OpStats`].
+    /// Collect nothing beyond the counters [`OpStats`] is lowered from.
     pub fn disabled() -> Self {
         Self {
             metrics: false,
@@ -86,7 +88,7 @@ pub struct RunReport {
     pub kernel: String,
     /// Wall-clock duration of the whole invocation.
     pub wall_nanos: u64,
-    /// The always-on per-level statistics.
+    /// The always-present statistics, lowered from the merged counters.
     pub stats: OpStats,
     /// Scheduler counters (None when deep metrics were off).
     pub pool: Option<PoolMetrics>,
@@ -386,7 +388,7 @@ mod tests {
                 },
             ],
         };
-        let rec = hsa_obs::Recorder::enabled(2);
+        let rec = hsa_obs::Recorder::deep(2);
         rec.add(0, Counter::TableInserts, 1000);
         rec.observe(0, Hist::ProbeLen, 0);
         rec.record_alpha(1, 3.5);
@@ -474,7 +476,7 @@ mod tests {
     #[test]
     fn profile_section_round_trips_in_json() {
         use hsa_obs::{Phase, PhaseCell, Recorder};
-        let rec = Recorder::enabled(1);
+        let rec = Recorder::deep(1);
         rec.phase(
             0,
             0,

@@ -23,22 +23,23 @@
 //! level, rows in, groups out — stay exact.
 
 use crate::driver::{
-    contain_panics, emit_final_from_table, process_bucket, store_for, validate_specs, Ctx,
-    TablePool, WorkerState,
+    contain_panics, emit_final_from_table, process_bucket, process_view, store_for, validate_specs,
+    Ctx, TablePool, WorkerState,
 };
 use crate::exec::ExecEnv;
 use crate::hashing::seal_into;
+use crate::obs::Obs;
 use crate::output::{Collector, GroupByOutput};
 use crate::report::{ObsConfig, RunReport};
 use crate::sink::SharedBuckets;
-use crate::stats::AtomicStats;
+use crate::stats::OpStats;
 use crate::view::RunView;
 use crate::AggregateConfig;
 use hsa_agg::{plan, AggSpec, Plan, StateOp};
 use hsa_fault::{AggError, CancelToken};
 use hsa_hashtbl::{identity_of, AggTable};
 use hsa_obs::{
-    BudgetProbe, Counter, Hist, Phase, PhaseCell, ProfileTree, ProgressGauge, ProgressSampler,
+    BudgetProbe, Counter, Hist, LevelCounter, Phase, ProfileTree, ProgressGauge, ProgressSampler,
     Recorder, Tracer,
 };
 use hsa_tasks::sync::Mutex;
@@ -82,7 +83,6 @@ pub struct AggStream {
     /// stream's work carries one `QueryId` from open to report.
     handle: QueryHandle,
     threads: usize,
-    observed: bool,
     shared: SharedBuckets,
     workers: Vec<Mutex<WorkerState>>,
     pool_metrics: PoolMetrics,
@@ -149,11 +149,12 @@ impl AggStream {
             let budget = env.budget.clone();
             let probe: BudgetProbe =
                 Box::new(move || budget.limit().map(|limit| (budget.outstanding(), limit)));
-            ProgressSampler::start_tagged(
+            ProgressSampler::start(
                 gauge.clone(),
                 interval,
                 Some(probe),
                 Some(handle.id().to_string()),
+                Box::new(|line| eprintln!("{line}")),
             )
         });
         let ctx = Ctx {
@@ -163,8 +164,7 @@ impl AggStream {
             ops,
             pool: TablePool::new(table_cfg, identities, observed),
             collector: Collector::new(lowered.cols.len()),
-            stats: AtomicStats::default(),
-            recorder: if observed { Recorder::enabled(threads) } else { Recorder::disabled() },
+            recorder: if observed { Recorder::deep(threads) } else { Recorder::counters(threads) },
             tracer: if obs_cfg.trace {
                 Tracer::enabled(threads, obs_cfg.trace_capacity)
             } else {
@@ -182,7 +182,6 @@ impl AggStream {
             input_aggregated,
             handle,
             threads,
-            observed,
             shared: SharedBuckets::new(),
             workers,
             pool_metrics: PoolMetrics::default(),
@@ -242,38 +241,26 @@ impl AggStream {
                         ctx.fail(e);
                         return;
                     }
-                    let trace_t0 = obs.tracer.now();
+                    let trace_t0 = obs.now();
                     let rows = range.len() as u64;
-                    obs.recorder.add(obs.worker, Counter::MorselsClaimed, 1);
-                    obs.recorder.observe(obs.worker, Hist::MorselRows, rows);
-                    let mut guard = workers[s2.worker_index()].lock();
-                    let ws = &mut *guard;
+                    obs.count(Counter::MorselsClaimed, 1);
+                    obs.observe(Hist::MorselRows, rows);
+                    let mut ws = workers[s2.worker_index()].lock();
                     let view = RunView::Borrowed {
                         keys: &keys[range.clone()],
                         cols: raw_cols.iter().map(|c| &c[range.clone()]).collect(),
                         aggregated: input_aggregated,
                     };
                     let mut sink = shared;
-                    if let Err(e) = crate::driver::process_view(
-                        ctx,
-                        &view,
-                        0,
-                        &mut ws.table,
-                        &mut ws.mode,
-                        &mut ws.epoch_rows,
-                        &mut ws.map32,
-                        &mut ws.writer,
-                        &mut sink,
-                        &obs,
-                    ) {
+                    if let Err(e) = process_view(ctx, &view, 0, &mut ws, &mut sink, &obs) {
                         ctx.fail(e);
                         return;
                     }
                     if ctx.env.faults.should_cancel_after(rows) {
                         ctx.cancel.cancel();
                     }
-                    ctx.stats.add_level_nanos(0, t0.elapsed().as_nanos() as u64);
-                    obs.tracer.span_args(obs.worker, "morsel", trace_t0, &[("rows", rows)]);
+                    obs.count_at(LevelCounter::TaskNanos, 0, t0.elapsed().as_nanos() as u64);
+                    obs.span("morsel", trace_t0, &[("rows", rows)]);
                 });
             }
         });
@@ -302,7 +289,6 @@ impl AggStream {
             workers,
             handle,
             threads,
-            observed,
             mut pool_metrics,
             rows_in,
             wall0,
@@ -356,6 +342,9 @@ impl AggStream {
         }
         ctx.check_cancel(&ctx.obs(0))?;
 
+        // The views beyond `OpStats` are returned when the deep part was
+        // collected (`ObsConfig::metrics`).
+        let observed = ctx.recorder.is_deep();
         let pool = observed.then(|| {
             pool_metrics.merge(&pm2);
             pool_metrics
@@ -369,73 +358,58 @@ impl AggStream {
         // store — surface it rather than returning a silently short
         // result.
         ctx.store.drain()?;
-        // The budget owns its peak, not the stats cells; read it before
-        // the context is torn apart below. Same for the disk budget and
-        // the run store's I/O robustness counters.
-        let high_water = ctx.env.budget.high_water();
-        let disk_high_water = ctx.env.disk.high_water();
-        let disk_denials = ctx.env.disk.denials();
-        let store_io = ctx.store.io_stats().unwrap_or_default();
-
-        let kind = ctx.kind;
-        let Ctx { collector, stats, recorder, tracer, .. } = ctx;
-        let out_t0 = Instant::now();
-        let output = collector.into_output(lowered);
-        // The final lowering is single-threaded post-quiescence work;
-        // attribute it to worker 0's level-0 output cell directly.
-        recorder.phase(
-            0,
-            0,
-            Phase::Output,
-            PhaseCell {
-                nanos: out_t0.elapsed().as_nanos() as u64,
-                calls: 1,
-                rows_in: output.n_groups() as u64,
-                rows_out: output.n_groups() as u64,
-                bytes: 0,
-            },
-        );
-        let mut stats = stats.snapshot();
-        stats.budget_high_water_bytes = high_water;
-        stats.disk_high_water_bytes = disk_high_water;
-        stats.disk_budget_denials = disk_denials;
-        stats.spill_retries = store_io.spill_retries;
-        stats.restore_retries = store_io.restore_retries;
-        stats.spill_io_abandons = store_io.io_abandons;
-        stats.spill_reclaimed_files = store_io.reclaimed_files;
-        stats.spill_reclaimed_bytes = store_io.reclaimed_bytes;
-        stats.spill_encoded_bytes = store_io.encoded_bytes;
+        // The workers have quiesced, so shard 0 is the caller's to write:
+        // the final lowering is its level-0 output phase, and what the
+        // disk budget and the run store counted themselves joins the
+        // counters here, once. (Field borrows, not `ctx.obs(0)`: the
+        // collector is about to move out of the context.)
+        let obs = Obs::new(&ctx.recorder, &ctx.tracer, &ctx.gauge, 0);
+        let pt = obs.phase_start(0, Phase::Output);
+        let output = ctx.collector.into_output(lowered);
+        let groups = output.n_groups() as u64;
+        obs.phase_end(pt, groups, groups, 0);
+        let io = ctx.store.io_stats().unwrap_or_default();
+        obs.count(Counter::SpillRetries, io.spill_retries);
+        obs.count(Counter::RestoreRetries, io.restore_retries);
+        obs.count(Counter::SpillAbandons, io.io_abandons);
+        obs.count(Counter::SpillReclaimedFiles, io.reclaimed_files);
+        obs.count(Counter::SpillReclaimedBytes, io.reclaimed_bytes);
+        obs.count(Counter::SpillEncodedBytes, io.encoded_bytes);
         // Background I/O time that did *not* stall a compute thread is
         // the overlap the async pipeline bought.
-        stats.overlapped_io_nanos = store_io.async_io_nanos.saturating_sub(store_io.io_wait_nanos);
-        stats.spill_io_wait_nanos = store_io.io_wait_nanos;
-        // Store-level counters live outside the per-worker recorder;
-        // post-quiescence, recording them into shard 0 is race-free.
-        recorder.add(0, Counter::SpillRetries, store_io.spill_retries);
-        recorder.add(0, Counter::RestoreRetries, store_io.restore_retries);
-        recorder.add(0, Counter::SpillAbandons, store_io.io_abandons);
-        recorder.add(0, Counter::SpillReclaimedFiles, store_io.reclaimed_files);
-        recorder.add(0, Counter::DiskBudgetDenials, disk_denials);
-        recorder.add(0, Counter::SpillEncodedBytes, store_io.encoded_bytes);
-        recorder.add(0, Counter::OverlappedIoNanos, stats.overlapped_io_nanos);
-        recorder.add(0, Counter::SpillIoWaitNanos, store_io.io_wait_nanos);
+        obs.count(Counter::OverlappedIoNanos, io.async_io_nanos.saturating_sub(io.io_wait_nanos));
+        obs.count(Counter::SpillIoWaitNanos, io.io_wait_nanos);
+        obs.count(Counter::DiskBudgetDenials, ctx.env.disk.denials());
+        // The query ends here; what follows only reads the cells out.
         let wall_nanos = wall0.elapsed().as_nanos() as u64;
-        let metrics = observed.then(|| recorder.snapshot());
+        let snapshot = ctx.recorder.snapshot();
+        let stats = OpStats::lower(
+            &snapshot.merged(),
+            ctx.env.budget.high_water(),
+            ctx.env.disk.high_water(),
+        );
+        let metrics = observed.then_some(snapshot);
         let profile = metrics.as_ref().map(|m| {
-            ProfileTree::build(m, wall_nanos, threads, high_water, stats.overlapped_io_nanos)
+            ProfileTree::build(
+                m,
+                wall_nanos,
+                threads,
+                stats.budget_high_water_bytes,
+                stats.overlapped_io_nanos,
+            )
         });
         let report = RunReport {
             query_id: handle.id().as_u64(),
             rows_in,
-            groups_out: output.n_groups() as u64,
+            groups_out: groups,
             threads,
-            kernel: kind.label().to_string(),
+            kernel: ctx.kind.label().to_string(),
             wall_nanos,
             stats,
             pool,
             metrics,
             profile,
-            trace_json: tracer.is_enabled().then(|| tracer.to_chrome_json()),
+            trace_json: ctx.tracer.is_enabled().then(|| ctx.tracer.to_chrome_json()),
         };
         Ok((output, report))
     }
@@ -545,22 +519,10 @@ mod tests {
     /// claimed by that worker would — the scheduler decides which workers
     /// claim morsels of a real push, a test of the finish rule cannot.
     fn feed_worker(stream: &AggStream, w: usize, keys: &[u64], vals: &[u64]) {
-        let mut guard = stream.workers[w].lock();
-        let ws = &mut *guard;
+        let mut ws = stream.workers[w].lock();
         let view = RunView::Borrowed { keys, cols: vec![vals, vals], aggregated: false };
-        crate::driver::process_view(
-            &stream.ctx,
-            &view,
-            0,
-            &mut ws.table,
-            &mut ws.mode,
-            &mut ws.epoch_rows,
-            &mut ws.map32,
-            &mut ws.writer,
-            &mut &stream.shared,
-            &stream.ctx.obs(w),
-        )
-        .unwrap();
+        process_view(&stream.ctx, &view, 0, &mut ws, &mut &stream.shared, &stream.ctx.obs(w))
+            .unwrap();
     }
 
     fn count_sum_stream(threads: usize, env: &ExecEnv) -> AggStream {
@@ -684,15 +646,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hsa-stream-spill-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         // ≈2.4 MiB of rows whose runs, with chunk slack, the two tables and
-        // the output blocks, cannot all be resident in 4 MiB. (The writers
-        // reserve what they hold, not twice their payload up front, so
-        // the 60 000 rows this test used to push now fit.)
+        // the 0.8 MiB of output blocks peak just under 4 MiB when nothing
+        // bounds them: 3 MiB is clear of that and of the resident floor.
         let keys: Vec<u64> = (0..150_000u64).map(|i| i * 2654435761 % 50_000).collect();
         let vals: Vec<u64> = (0..150_000).collect();
         let specs = [hsa_agg::AggSpec::sum(0)];
         let (whole, _) = crate::aggregate(&keys, &[&vals], &specs, &cfg());
 
-        let budget = hsa_fault::MemoryBudget::limited(4 << 20);
+        let budget = hsa_fault::MemoryBudget::limited(3 << 20);
         let env = ExecEnv::unrestricted().with_budget(budget.clone()).with_spill_dir(&dir);
         let mut stream = AggStream::new(&specs, &cfg(), &env, &ObsConfig::disabled()).unwrap();
         for chunk in keys.chunks(8192).zip(vals.chunks(8192)) {
@@ -701,7 +662,7 @@ mod tests {
         let (out, report) = stream.finish().unwrap();
         assert_eq!(out.sorted_rows(), whole.sorted_rows());
         assert_eq!(budget.outstanding(), 0, "output blocks released with the stream");
-        // With a 4 MiB budget over ~1 MiB tables this input must spill.
+        // With a 3 MiB budget this input must spill.
         assert!(report.stats.spilled_runs() > 0, "stats: {:?}", report.stats);
         assert_eq!(report.stats.restored_runs, report.stats.spilled_runs());
         let _ = std::fs::remove_dir_all(&dir);

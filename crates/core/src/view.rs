@@ -35,6 +35,14 @@ impl RunView<'_> {
         }
     }
 
+    /// Number of state columns.
+    pub(crate) fn n_cols(&self) -> usize {
+        match self {
+            RunView::Borrowed { cols, .. } => cols.len(),
+            RunView::Owned(r) => r.cols.len(),
+        }
+    }
+
     /// Whether rows are partial aggregates (super-aggregate needed).
     pub(crate) fn aggregated(&self) -> bool {
         match self {

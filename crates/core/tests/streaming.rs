@@ -11,7 +11,7 @@ use hsa_core::{
     try_aggregate, try_merge_partials, AdaptiveParams, AggStream, AggregateConfig, ExecEnv,
     MemoryBudget, ObsConfig, OpStats, Strategy,
 };
-use hsa_obs::{Counter, Phase};
+use hsa_obs::{Counter, LevelCounter, Phase};
 use std::collections::BTreeMap;
 
 /// xorshift64* — deterministic, dependency-free.
@@ -238,10 +238,15 @@ fn single_table_input_stops_at_level_zero() {
 /// the input arrives in — morsel length, worker count, push cuts, raw rows
 /// or pre-aggregated partials — must be invisible in the output and in the
 /// row accounting: every level consumes exactly the rows the level above
-/// produced, and the budget reads zero at the end.
+/// produced, every spilled run comes back, and the budget reads zero at
+/// the end. Whether deep metrics are collected must be invisible too: the
+/// statistics are lowered from counters that are always on, and with
+/// metrics the per-worker shards sum to them.
 #[test]
 fn morsel_worker_and_push_grain_are_invisible() {
     const N: usize = 40_000;
+    let dir = std::env::temp_dir().join(format!("hsa-stream-grain-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let mut rng = Rng(0x0060_7a11);
     let specs = [AggSpec::count(), AggSpec::sum(0), AggSpec::min(0), AggSpec::max(0)];
     // Nearly as many groups as rows: ADAPTIVE hashes, seals, switches to
@@ -254,54 +259,116 @@ fn morsel_worker_and_push_grain_are_invisible() {
         *e = [e[0] + 1, e[1] + v, e[2].min(v), e[3].max(v)];
     }
     let expect: Vec<(u64, Vec<u64>)> = oracle.into_iter().map(|(k, s)| (k, s.to_vec())).collect();
+    // What a run counts, as opposed to what it times.
+    let counted = |s: &OpStats| {
+        let mut s = s.clone();
+        s.task_nanos_per_level.clear();
+        s.overlapped_io_nanos = 0;
+        s.spill_io_wait_nanos = 0;
+        s
+    };
 
     for (case, morsel_rows) in [1 << 8, 1 << 12, 1 << 16, N].into_iter().enumerate() {
         for threads in [1, 2, 4] {
             let strategy = strategies()[(case + threads) % 4];
             let cfg = AggregateConfig { morsel_rows, ..small_cfg(strategy, threads) };
             let tag = format!("morsel {morsel_rows} threads {threads} {strategy:?}");
+            // One worker makes the budget's verdicts repeatable, so that
+            // is where the rows are made to spill: 2 MiB holds the 1 MiB
+            // of output blocks but not the intermediate runs beside them.
             let budget = MemoryBudget::limited(1 << 32);
             let env = ExecEnv::unrestricted().with_budget(budget.clone());
+            let spills = threads == 1;
+            let (raw_budget, raw_env) = if spills {
+                let tight = MemoryBudget::limited(2 << 20);
+                (tight.clone(), ExecEnv::unrestricted().with_budget(tight).with_spill_dir(&dir))
+            } else {
+                (budget.clone(), env.clone())
+            };
             let cuts = random_cuts(&mut rng, N);
 
-            // Raw rows, pushed in random cuts.
-            let obs = ObsConfig { metrics: true, ..ObsConfig::disabled() };
-            let mut stream = AggStream::new(&specs, &cfg, &env, &obs).unwrap();
-            for &(a, b) in &cuts {
-                stream.push(&keys[a..b], &[&vals[a..b]]).unwrap();
-            }
-            let (out, report) = stream.finish().unwrap();
-            assert_eq!(out.sorted_rows(), expect, "{tag}: raw output");
-            assert_eq!(budget.outstanding(), 0, "{tag}: raw run leaked reservations");
-            let stats = &report.stats;
-            assert_eq!(
-                stats.hash_rows_per_level[0] + stats.part_rows_per_level[0],
-                N as u64,
-                "{tag}: level 0 consumes every row once"
-            );
-            // Every partitioned value crossed a write-combining line once,
-            // whichever call flushed it.
-            let metrics = report.metrics.as_ref().expect("metrics requested").merged();
-            let profile = report.profile.as_ref().expect("profile rides with metrics");
-            let line_bytes = stats.total_part_rows() * 8 * (1 + specs.len() as u64);
-            assert_eq!(metrics.counter(Counter::SwcFlushBytes), line_bytes, "{tag}");
-            let cell_bytes: u64 =
-                (0..profile.levels_used()).map(|l| profile.cell(l, Phase::Partition).bytes).sum();
-            assert_eq!(cell_bytes, line_bytes, "{tag}: partition cells");
-            for lvl in 0..profile.levels_used() {
-                let hashed = profile.cell(lvl, Phase::HashInsert).rows_in;
-                let partitioned = profile.cell(lvl, Phase::Partition).rows_in;
-                assert_eq!(hashed, stats.hash_rows_per_level[lvl], "{tag}: level {lvl}");
-                assert_eq!(partitioned, stats.part_rows_per_level[lvl], "{tag}: level {lvl}");
-                if lvl > 0 {
-                    let from_above = profile.cell(lvl - 1, Phase::Seal).rows_out
-                        + profile.cell(lvl - 1, Phase::Partition).rows_out;
-                    let merged = profile.cell(lvl, Phase::GrowMerge).rows_in;
-                    assert_eq!(
-                        hashed + partitioned + merged,
-                        from_above,
-                        "{tag}: rows entering level {lvl}"
-                    );
+            // Raw rows, pushed in random cuts: unobserved, then observed.
+            let mut unobserved = None;
+            for metrics in [false, true] {
+                let tag = format!("{tag} metrics {metrics}");
+                let obs = ObsConfig { metrics, ..ObsConfig::disabled() };
+                let mut stream = AggStream::new(&specs, &cfg, &raw_env, &obs).unwrap();
+                for &(a, b) in &cuts {
+                    stream.push(&keys[a..b], &[&vals[a..b]]).unwrap();
+                }
+                let (out, report) = stream.finish().unwrap();
+                assert_eq!(out.sorted_rows(), expect, "{tag}: raw output");
+                drop(out);
+                assert_eq!(raw_budget.outstanding(), 0, "{tag}: raw run leaked reservations");
+                let stats = &report.stats;
+                assert_eq!(
+                    stats.hash_rows_per_level[0] + stats.part_rows_per_level[0],
+                    N as u64,
+                    "{tag}: level 0 consumes every row once"
+                );
+                assert_eq!(stats.spilled_runs() > 0, spills, "{tag}: {stats:?}");
+                assert_eq!(stats.restored_runs, stats.spilled_runs(), "{tag}");
+                assert_eq!(stats.restored_bytes, stats.spilled_bytes, "{tag}");
+                if !metrics {
+                    assert!(report.metrics.is_none() && report.profile.is_none(), "{tag}");
+                    unobserved = Some(counted(stats));
+                    continue;
+                }
+                if threads == 1 {
+                    // One worker claims the morsels in order: the run
+                    // repeats exactly, observed or not.
+                    assert_eq!(Some(counted(stats)), unobserved, "{tag}: observing changed counts");
+                }
+
+                // The shards sum to the totals, level by level.
+                let snapshot = report.metrics.as_ref().expect("metrics requested");
+                let shard_sum = |c: LevelCounter| -> Vec<u64> {
+                    let cells = snapshot.workers.iter().map(|w| w.level_counter(c));
+                    cells.fold(vec![0; stats.hash_rows_per_level.len()], |mut sum, cells| {
+                        sum.iter_mut().zip(cells).for_each(|(s, c)| *s += c);
+                        sum
+                    })
+                };
+                assert_eq!(snapshot.workers.len(), threads, "{tag}");
+                assert_eq!(shard_sum(LevelCounter::HashRows), stats.hash_rows_per_level, "{tag}");
+                assert_eq!(shard_sum(LevelCounter::PartRows), stats.part_rows_per_level, "{tag}");
+                assert_eq!(shard_sum(LevelCounter::TaskNanos), stats.task_nanos_per_level, "{tag}");
+                assert_eq!(
+                    shard_sum(LevelCounter::SpilledRuns),
+                    stats.spilled_runs_per_level,
+                    "{tag}"
+                );
+                let shard_total =
+                    |c: Counter| snapshot.workers.iter().map(|w| w.counter(c)).sum::<u64>();
+                assert_eq!(shard_total(Counter::TablesSealed), stats.seals, "{tag}");
+                assert_eq!(shard_total(Counter::RestoredRuns), stats.restored_runs, "{tag}");
+                assert_eq!(shard_total(Counter::BudgetDenials), stats.budget_denials, "{tag}");
+
+                // Every partitioned value crossed a write-combining line
+                // once, whichever call flushed it.
+                let metrics = snapshot.merged();
+                let profile = report.profile.as_ref().expect("profile rides with metrics");
+                let line_bytes = stats.total_part_rows() * 8 * (1 + specs.len() as u64);
+                assert_eq!(metrics.counter(Counter::SwcFlushBytes), line_bytes, "{tag}");
+                let cell_bytes: u64 = (0..profile.levels_used())
+                    .map(|l| profile.cell(l, Phase::Partition).bytes)
+                    .sum();
+                assert_eq!(cell_bytes, line_bytes, "{tag}: partition cells");
+                for lvl in 0..profile.levels_used() {
+                    let hashed = profile.cell(lvl, Phase::HashInsert).rows_in;
+                    let partitioned = profile.cell(lvl, Phase::Partition).rows_in;
+                    assert_eq!(hashed, stats.hash_rows_per_level[lvl], "{tag}: level {lvl}");
+                    assert_eq!(partitioned, stats.part_rows_per_level[lvl], "{tag}: level {lvl}");
+                    if lvl > 0 {
+                        let from_above = profile.cell(lvl - 1, Phase::Seal).rows_out
+                            + profile.cell(lvl - 1, Phase::Partition).rows_out;
+                        let merged = profile.cell(lvl, Phase::GrowMerge).rows_in;
+                        assert_eq!(
+                            hashed + partitioned + merged,
+                            from_above,
+                            "{tag}: rows entering level {lvl}"
+                        );
+                    }
                 }
             }
 
@@ -322,8 +389,11 @@ fn morsel_worker_and_push_grain_are_invisible() {
                 partial_rows as u64,
                 "{tag}: level 0 consumes every partial once"
             );
-            drop((partials, merged, out));
+            drop((partials, merged));
             assert_eq!(budget.outstanding(), 0, "{tag}: merge leaked reservations");
         }
     }
+    let leftover = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
+    assert_eq!(leftover, 0, "spill files must not outlive their streams");
+    let _ = std::fs::remove_dir_all(&dir);
 }

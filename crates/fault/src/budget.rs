@@ -1,20 +1,8 @@
 //! Shared atomic memory accounting with RAII release.
 
+use crate::account::Account;
 use crate::error::AggError;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-#[derive(Debug)]
-struct BudgetInner {
-    /// Hard limit in bytes.
-    limit: u64,
-    /// Bytes currently reserved.
-    reserved: AtomicU64,
-    /// Reservations denied over the budget's lifetime.
-    denials: AtomicU64,
-    /// Highest value `reserved` ever reached (monotonic).
-    high_water: AtomicU64,
-}
 
 /// A shared memory budget: every structure that grows reserves its bytes
 /// here *before* allocating and releases them when it is dropped.
@@ -30,9 +18,9 @@ struct BudgetInner {
 /// tracked; the invariant that matters is that reservations are balanced —
 /// whatever an invocation reserves is released by the time it returns,
 /// on every path including errors, cancellation, and contained panics.
-#[derive(Clone, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct MemoryBudget {
-    inner: Option<Arc<BudgetInner>>,
+    inner: Option<Arc<Account>>,
 }
 
 impl MemoryBudget {
@@ -43,14 +31,7 @@ impl MemoryBudget {
 
     /// A budget of `limit_bytes` shared by all clones.
     pub fn limited(limit_bytes: u64) -> Self {
-        Self {
-            inner: Some(Arc::new(BudgetInner {
-                limit: limit_bytes,
-                reserved: AtomicU64::new(0),
-                denials: AtomicU64::new(0),
-                high_water: AtomicU64::new(0),
-            })),
-        }
+        Self { inner: Some(Arc::new(Account::new(limit_bytes))) }
     }
 
     /// Whether this budget enforces a limit.
@@ -60,17 +41,14 @@ impl MemoryBudget {
 
     /// The limit in bytes (`None` when unlimited).
     pub fn limit(&self) -> Option<u64> {
-        self.inner.as_ref().map(|i| i.limit)
+        self.inner.as_ref().map(|i| i.limit())
     }
 
     /// Bytes currently reserved (0 when unlimited). After an operator
     /// invocation returns — `Ok` or `Err` — this is back to whatever it
     /// was before the call; the fault-injection suite asserts it.
     pub fn outstanding(&self) -> u64 {
-        // ORDERING: Acquire; site: balance; pairs-with: reserved.rmw —
-        // a balance observed after an operator returns reflects every
-        // reservation that operator made and dropped.
-        self.inner.as_ref().map_or(0, |i| i.reserved.load(Ordering::Acquire))
+        self.inner.as_ref().map_or(0, |i| i.outstanding())
     }
 
     /// Highest concurrently reserved byte count this budget ever saw
@@ -78,16 +56,12 @@ impl MemoryBudget {
     /// over the budget's lifetime; read it after the operator has
     /// returned to learn the run's peak accounted footprint.
     pub fn high_water(&self) -> u64 {
-        // ORDERING: Relaxed — a monotonic statistic read after the fact;
-        // no other memory is published through it.
-        self.inner.as_ref().map_or(0, |i| i.high_water.load(Ordering::Relaxed))
+        self.inner.as_ref().map_or(0, |i| i.high_water())
     }
 
     /// Reservations denied so far (0 when unlimited).
     pub fn denials(&self) -> u64 {
-        // ORDERING: Relaxed — a monotonic statistics counter; no other
-        // memory is published through it.
-        self.inner.as_ref().map_or(0, |i| i.denials.load(Ordering::Relaxed))
+        self.inner.as_ref().map_or(0, |i| i.denials())
     }
 
     /// Reserve `bytes`, failing with [`AggError::BudgetExceeded`] if the
@@ -97,65 +71,13 @@ impl MemoryBudget {
         let Some(inner) = &self.inner else {
             return Ok(Reservation { budget: None, bytes });
         };
-        // ORDERING: Relaxed — only a hint seeding the CAS loop; the
-        // compare_exchange below revalidates against the real value.
-        let mut current = inner.reserved.load(Ordering::Relaxed);
-        loop {
-            let new = current.saturating_add(bytes);
-            if new > inner.limit {
-                // ORDERING: Relaxed — statistics counter (see `denials`).
-                inner.denials.fetch_add(1, Ordering::Relaxed);
-                return Err(AggError::BudgetExceeded {
-                    requested: bytes,
-                    limit: inner.limit,
-                    reserved: current,
-                });
-            }
-            // ORDERING: AcqRel/Relaxed; site: rmw; pairs-with: reserved.balance —
-            // success chains reserve/release RMWs into a single
-            // modification order the Acquire readers observe; the failed
-            // side only retries, the value is not acted on.
-            match inner.reserved.compare_exchange_weak(
-                current,
-                new,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    // ORDERING: Relaxed — the high-water max-CAS is a
-                    // monotonic statistic; no other memory rides on it and
-                    // it is read only after the fact, so no ordering with
-                    // the reserve CAS above is needed.
-                    let mut hw = inner.high_water.load(Ordering::Relaxed);
-                    while new > hw {
-                        match inner.high_water.compare_exchange_weak(
-                            hw,
-                            new,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        ) {
-                            Ok(_) => break,
-                            Err(observed) => hw = observed,
-                        }
-                    }
-                    return Ok(Reservation { budget: Some(Arc::clone(inner)), bytes });
-                }
-                Err(observed) => current = observed,
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for MemoryBudget {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            None => write!(f, "MemoryBudget::unlimited"),
-            Some(i) => f
-                .debug_struct("MemoryBudget")
-                .field("limit", &i.limit)
-                // ORDERING: Relaxed — debug snapshot, no synchronization.
-                .field("reserved", &i.reserved.load(Ordering::Relaxed))
-                .finish(),
+        match inner.try_add(bytes) {
+            Ok(()) => Ok(Reservation { budget: Some(Arc::clone(inner)), bytes }),
+            Err(d) => Err(AggError::BudgetExceeded {
+                requested: bytes,
+                limit: d.limit,
+                reserved: d.reserved,
+            }),
         }
     }
 }
@@ -166,7 +88,7 @@ impl std::fmt::Debug for MemoryBudget {
 /// ownership do the bookkeeping.
 #[derive(Debug, Default)]
 pub struct Reservation {
-    budget: Option<Arc<BudgetInner>>,
+    budget: Option<Arc<Account>>,
     bytes: u64,
 }
 
@@ -214,12 +136,8 @@ impl Reservation {
 
 impl Drop for Reservation {
     fn drop(&mut self) {
-        if let Some(inner) = &self.budget {
-            // ORDERING: AcqRel; site: rmw; pairs-with: reserved.balance —
-            // the release side of the reserve CAS; an Acquire read of the
-            // balance afterwards sees the bytes returned (outstanding()
-            // == 0 after drops is asserted by the fault suite).
-            inner.reserved.fetch_sub(self.bytes, Ordering::AcqRel);
+        if let Some(account) = &self.budget {
+            account.sub(self.bytes);
         }
     }
 }

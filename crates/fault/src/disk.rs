@@ -7,21 +7,10 @@
 //! panic — and the reservation rides the spilled run, releasing when the
 //! scratch file is deleted.
 
+use crate::account::Account;
 use crate::error::AggError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-#[derive(Debug)]
-struct DiskInner {
-    /// Hard limit in bytes.
-    limit: u64,
-    /// Bytes currently reserved.
-    reserved: AtomicU64,
-    /// Reservations denied over the budget's lifetime.
-    denials: AtomicU64,
-    /// Highest value `reserved` ever reached (monotonic).
-    high_water: AtomicU64,
-}
 
 /// A shared spill-disk budget. Cloning shares the account; the unlimited
 /// budget is a `None` and costs a null check per spill.
@@ -31,9 +20,9 @@ struct DiskInner {
 /// footprint in bytes. The balance invariant matches the memory budget:
 /// whatever an operator invocation reserves is released by the time its
 /// runs are dropped, on every path including errors.
-#[derive(Clone, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct DiskBudget {
-    inner: Option<Arc<DiskInner>>,
+    inner: Option<Arc<Account>>,
 }
 
 impl DiskBudget {
@@ -44,14 +33,7 @@ impl DiskBudget {
 
     /// A budget of `limit_bytes` of spill space shared by all clones.
     pub fn limited(limit_bytes: u64) -> Self {
-        Self {
-            inner: Some(Arc::new(DiskInner {
-                limit: limit_bytes,
-                reserved: AtomicU64::new(0),
-                denials: AtomicU64::new(0),
-                high_water: AtomicU64::new(0),
-            })),
-        }
+        Self { inner: Some(Arc::new(Account::new(limit_bytes))) }
     }
 
     /// Whether this budget enforces a limit.
@@ -61,32 +43,25 @@ impl DiskBudget {
 
     /// The limit in bytes (`None` when unlimited).
     pub fn limit(&self) -> Option<u64> {
-        self.inner.as_ref().map(|i| i.limit)
+        self.inner.as_ref().map(|i| i.limit())
     }
 
     /// Bytes currently reserved (0 when unlimited). Balanced back to its
     /// pre-invocation value once every spilled run is dropped; the chaos
     /// suite asserts it.
     pub fn outstanding(&self) -> u64 {
-        // ORDERING: Acquire; site: balance; pairs-with: reserved.rmw —
-        // a balance observed after an operator returns reflects every
-        // reservation that operator made and dropped.
-        self.inner.as_ref().map_or(0, |i| i.reserved.load(Ordering::Acquire))
+        self.inner.as_ref().map_or(0, |i| i.outstanding())
     }
 
     /// Highest concurrently reserved byte count this budget ever saw
     /// (0 when unlimited). Monotonic: the peak on-disk spill footprint.
     pub fn high_water(&self) -> u64 {
-        // ORDERING: Relaxed — a monotonic statistic read after the fact;
-        // no other memory is published through it.
-        self.inner.as_ref().map_or(0, |i| i.high_water.load(Ordering::Relaxed))
+        self.inner.as_ref().map_or(0, |i| i.high_water())
     }
 
     /// Reservations denied so far (0 when unlimited).
     pub fn denials(&self) -> u64 {
-        // ORDERING: Relaxed — a monotonic statistics counter; no other
-        // memory is published through it.
-        self.inner.as_ref().map_or(0, |i| i.denials.load(Ordering::Relaxed))
+        self.inner.as_ref().map_or(0, |i| i.denials())
     }
 
     /// Reserve `bytes` of spill space, failing with
@@ -96,67 +71,16 @@ impl DiskBudget {
         let Some(inner) = &self.inner else {
             return Ok(DiskReservation { budget: None, bytes: AtomicU64::new(bytes) });
         };
-        // ORDERING: Relaxed — only a hint seeding the CAS loop; the
-        // compare_exchange below revalidates against the real value.
-        let mut current = inner.reserved.load(Ordering::Relaxed);
-        loop {
-            let new = current.saturating_add(bytes);
-            if new > inner.limit {
-                // ORDERING: Relaxed — statistics counter (see `denials`).
-                inner.denials.fetch_add(1, Ordering::Relaxed);
-                return Err(AggError::DiskBudgetExceeded {
-                    requested: bytes,
-                    limit: inner.limit,
-                    reserved: current,
-                });
-            }
-            // ORDERING: AcqRel/Relaxed; site: rmw; pairs-with: reserved.balance —
-            // success chains reserve/release RMWs into a single
-            // modification order the Acquire readers observe; the failed
-            // side only retries, the value is not acted on.
-            match inner.reserved.compare_exchange_weak(
-                current,
-                new,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    // ORDERING: Relaxed — the high-water max-CAS is a
-                    // monotonic statistic; no other memory rides on it and
-                    // it is read only after the fact.
-                    let mut hw = inner.high_water.load(Ordering::Relaxed);
-                    while new > hw {
-                        match inner.high_water.compare_exchange_weak(
-                            hw,
-                            new,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        ) {
-                            Ok(_) => break,
-                            Err(observed) => hw = observed,
-                        }
-                    }
-                    return Ok(DiskReservation {
-                        budget: Some(Arc::clone(inner)),
-                        bytes: AtomicU64::new(bytes),
-                    });
-                }
-                Err(observed) => current = observed,
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for DiskBudget {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            None => write!(f, "DiskBudget::unlimited"),
-            Some(i) => f
-                .debug_struct("DiskBudget")
-                .field("limit", &i.limit)
-                // ORDERING: Relaxed — debug snapshot, no synchronization.
-                .field("reserved", &i.reserved.load(Ordering::Relaxed))
-                .finish(),
+        match inner.try_add(bytes) {
+            Ok(()) => Ok(DiskReservation {
+                budget: Some(Arc::clone(inner)),
+                bytes: AtomicU64::new(bytes),
+            }),
+            Err(d) => Err(AggError::DiskBudgetExceeded {
+                requested: bytes,
+                limit: d.limit,
+                reserved: d.reserved,
+            }),
         }
     }
 }
@@ -172,7 +96,7 @@ impl std::fmt::Debug for DiskBudget {
 /// difference once the actual encoded size is known.
 #[derive(Debug, Default)]
 pub struct DiskReservation {
-    budget: Option<Arc<DiskInner>>,
+    budget: Option<Arc<Account>>,
     bytes: AtomicU64,
 }
 
@@ -202,11 +126,8 @@ impl DiskReservation {
         let old = self.bytes.fetch_min(new_bytes, Ordering::AcqRel);
         let released = old.saturating_sub(new_bytes);
         if released > 0 {
-            if let Some(inner) = &self.budget {
-                // ORDERING: AcqRel; site: rmw; pairs-with: reserved.balance —
-                // the release side of the reserve CAS (see `Drop`); an
-                // Acquire balance read afterwards sees the bytes returned.
-                inner.reserved.fetch_sub(released, Ordering::AcqRel);
+            if let Some(account) = &self.budget {
+                account.sub(released);
             }
         }
     }
@@ -214,13 +135,10 @@ impl DiskReservation {
 
 impl Drop for DiskReservation {
     fn drop(&mut self) {
-        if let Some(inner) = &self.budget {
-            // ORDERING: AcqRel; site: rmw; pairs-with: reserved.balance —
-            // the release side of the reserve CAS; an Acquire read of the
-            // balance afterwards sees the bytes returned (outstanding()
-            // == 0 after drops is asserted by the chaos suite). `get_mut`
-            // on the count needs no ordering: drop has exclusive access.
-            inner.reserved.fetch_sub(*self.bytes.get_mut(), Ordering::AcqRel);
+        if let Some(account) = &self.budget {
+            // `get_mut` on the count needs no ordering: drop has exclusive
+            // access.
+            account.sub(*self.bytes.get_mut());
         }
     }
 }

@@ -33,6 +33,7 @@
 //! disabled: the unlimited budget, the never-cancelled token, and the
 //! empty fault plan are all a `None` behind an `Option<Arc<_>>`.
 
+mod account;
 mod admission;
 mod budget;
 mod cancel;

@@ -34,9 +34,6 @@ pub enum Check {
     /// A budget-returning RAII guard reaches `mem::forget`,
     /// `ManuallyDrop::new`, or `Box::leak` outside tests.
     RaiiLeak,
-    /// An `AggError` variant with no explicit `ErrorClass` arm in the CLI
-    /// error module.
-    Taxonomy,
 }
 
 impl Check {
@@ -51,7 +48,6 @@ impl Check {
             Check::Atomics => "atomics",
             Check::LockOrder => "lock-order",
             Check::RaiiLeak => "raii-leak",
-            Check::Taxonomy => "taxonomy",
         }
     }
 }

@@ -38,9 +38,6 @@
 //! 8. **raii-leak** — budget-carrying guards (`Reservation`,
 //!    `DiskReservation`, `QueryGrant`, `QueryHandle`) must not reach
 //!    `mem::forget` / `ManuallyDrop::new` / `Box::leak` outside tests.
-//! 9. **taxonomy** — every `AggError` variant has an explicit
-//!    `ErrorClass` arm in `crates/cli/src/error.rs`, so each failure's
-//!    exit code is chosen, not defaulted.
 //!
 //! The binary walks `src/` and `crates/*/src` from the workspace root,
 //! prints `path:line: [check] message` findings (or a stable JSON report
@@ -53,7 +50,6 @@ mod checks;
 mod locks;
 mod raii;
 mod scan;
-mod taxonomy;
 
 pub use atomics::{check_annotations, check_pairing, extract_sites, parse_annotation, AtomicSite};
 pub use checks::{
@@ -63,7 +59,6 @@ pub use checks::{
 pub use locks::LockGraph;
 pub use raii::{check_raii_leaks, GUARDED_TYPES};
 pub use scan::{scan, SourceLine};
-pub use taxonomy::Taxonomy;
 
 use std::fs;
 use std::io;
@@ -158,7 +153,6 @@ pub fn run(root: &Path) -> io::Result<Vec<Finding>> {
     // Workspace-wide accumulators: the v2 checks reason across files, so
     // per-file scans feed them and `finish()` runs after the walk.
     let mut lock_graph = LockGraph::default();
-    let mut taxonomy = Taxonomy::default();
     let mut sites: Vec<AtomicSite> = Vec::new();
 
     for src_root in source_roots(root)? {
@@ -178,14 +172,12 @@ pub fn run(root: &Path) -> io::Result<Vec<Finding>> {
             findings.extend(check_cold_paths(&path, &lines));
             findings.extend(check_raii_leaks(&path, &lines));
             lock_graph.add_file(&path, &lines);
-            taxonomy.add_file(&path, &lines);
         }
     }
 
     findings.extend(check_annotations(&sites));
     findings.extend(check_pairing(&sites));
     findings.extend(lock_graph.finish());
-    findings.extend(taxonomy.finish());
 
     for manifest in manifests(root)? {
         let path = rel(root, &manifest);

@@ -33,8 +33,7 @@ fn main() -> ExitCode {
                      §12 and §17: SAFETY comments on unsafe, machine-checked ORDERING\n\
                      protocol annotations on weak atomics (pairing + publication),\n\
                      an acyclic workspace lock graph, no leaked budget reservations,\n\
-                     an exhaustive AggError -> ErrorClass taxonomy, frozen panic\n\
-                     debt, std-only manifests, cold-path markers.\n\n\
+                     frozen panic debt, std-only manifests, cold-path markers.\n\n\
                      --print-allow  print regenerated lint-allow.txt contents and exit\n\
                      --format json  machine-readable findings (schema_version 1)"
                 );

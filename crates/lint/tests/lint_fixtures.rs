@@ -197,30 +197,17 @@ fn forgotten_reservation_is_a_raii_leak_finding() {
 }
 
 #[test]
-fn unmapped_error_variant_is_a_taxonomy_finding() {
-    let root = fixture("unmapped_error");
-    let findings = run(&root).unwrap();
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].check, Check::Taxonomy);
-    assert_eq!(findings[0].path, "crates/fault/src/lib.rs");
-    assert_eq!(findings[0].line, 5);
-    assert!(findings[0].message.contains("`AggError::SpillFailed`"), "{}", findings[0].message);
-
-    assert_eq!(lint_bin(&root).status.code(), Some(1));
-}
-
-#[test]
 fn json_output_is_stable_and_parseable_by_shape() {
     // Findings run: schema_version, count, and the finding fields all
     // appear; exit code still signals findings.
-    let out = lint_bin_json(&fixture("unmapped_error"));
+    let out = lint_bin_json(&fixture("leaked_reservation"));
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("\"schema_version\": 1"), "{stdout}");
     assert!(stdout.contains("\"count\": 1"), "{stdout}");
-    assert!(stdout.contains("\"check\": \"taxonomy\""), "{stdout}");
+    assert!(stdout.contains("\"check\": \"raii-leak\""), "{stdout}");
     assert!(stdout.contains("\"path\": \"crates/fault/src/lib.rs\""), "{stdout}");
-    assert!(stdout.contains("\"line\": 5"), "{stdout}");
+    assert!(stdout.contains("\"line\": 12"), "{stdout}");
 
     // Clean run: empty findings array, exit 0.
     let out = lint_bin_json(&fixture("clean"));

@@ -19,8 +19,8 @@ pub struct Histogram {
 
 impl Histogram {
     /// Empty histogram.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Self { buckets: [0; HIST_BUCKETS], count: 0, sum: 0, max: 0 }
     }
 
     /// Bucket index of `value`.

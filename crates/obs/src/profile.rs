@@ -3,10 +3,10 @@
 //! The operator's recursion is a tree — query → pass/level → phase — and
 //! the paper's "hashing is sorting" claim is only checkable at runtime if
 //! wall-clock and rows can be attributed to each node of that tree. Phase
-//! time is recorded through the sharded [`crate::Recorder`] (one
-//! [`PhaseCell`] per `(worker, level, phase)`), so the hot path pays the
-//! same cost as any other metric: two clock reads per phase when enabled,
-//! one null check when disabled.
+//! time is recorded through the deep part of the sharded
+//! [`crate::Recorder`] (one [`PhaseCell`] per `(worker, level, phase)`), so
+//! the hot path pays the same cost as any other deep metric: two clock
+//! reads per phase when collected, one null check when not.
 //!
 //! Phase cells store **exclusive** (self) time: when a seal spills a run
 //! mid-flight, the spill's nanoseconds land in the `spill` cell and are
@@ -99,6 +99,9 @@ pub struct PhaseCell {
 }
 
 impl PhaseCell {
+    pub(crate) const EMPTY: PhaseCell =
+        PhaseCell { nanos: 0, calls: 0, rows_in: 0, rows_out: 0, bytes: 0 };
+
     /// Fold `other` into `self`.
     pub fn add(&mut self, other: &PhaseCell) {
         self.nanos += other.nanos;
@@ -382,7 +385,7 @@ mod tests {
 
     #[test]
     fn build_merges_workers_and_levels_sum() {
-        let r = Recorder::enabled(2);
+        let r = Recorder::deep(2);
         r.phase(0, 0, Phase::HashInsert, delta(100, 1000, 250, 0));
         r.phase(1, 0, Phase::HashInsert, delta(300, 3000, 750, 0));
         r.phase(0, 0, Phase::Seal, delta(50, 1000, 1000, 0));
@@ -410,7 +413,7 @@ mod tests {
 
     #[test]
     fn deep_levels_clamp_into_the_last_slot() {
-        let r = Recorder::enabled(1);
+        let r = Recorder::deep(1);
         r.phase(0, 200, Phase::Partition, delta(5, 10, 10, 0));
         let t = ProfileTree::build(&r.snapshot(), 100, 1, 0, 0);
         assert_eq!(t.cell(PROFILE_LEVELS - 1, Phase::Partition).nanos, 5);
@@ -419,18 +422,18 @@ mod tests {
 
     #[test]
     fn coverage_is_leaf_time_over_wall_times_threads() {
-        let r = Recorder::enabled(2);
+        let r = Recorder::deep(2);
         r.phase(0, 0, Phase::HashInsert, delta(900, 0, 0, 0));
         r.phase(1, 0, Phase::Partition, delta(500, 0, 0, 0));
         let t = ProfileTree::build(&r.snapshot(), 1000, 2, 0, 0);
         assert!((t.coverage() - 0.7).abs() < 1e-12);
-        let empty = ProfileTree::build(&Recorder::disabled().snapshot(), 0, 1, 0, 0);
+        let empty = ProfileTree::build(&Recorder::counters(1).snapshot(), 0, 1, 0, 0);
         assert_eq!(empty.coverage(), 0.0);
     }
 
     #[test]
     fn overlap_fraction_is_zero_for_synchronous_io() {
-        let r = Recorder::enabled(1);
+        let r = Recorder::deep(1);
         r.phase(0, 0, Phase::Spill, delta(100, 50, 0, 4096));
         r.phase(0, 1, Phase::Restore, delta(60, 0, 50, 4096));
         let t = ProfileTree::build(&r.snapshot(), 1000, 1, 0, 0);
@@ -440,7 +443,7 @@ mod tests {
 
     #[test]
     fn overlap_fraction_is_overlapped_over_total_io() {
-        let r = Recorder::enabled(1);
+        let r = Recorder::deep(1);
         r.phase(0, 0, Phase::Spill, delta(100, 50, 0, 4096));
         r.phase(0, 1, Phase::Restore, delta(60, 0, 50, 4096));
         // 480 ns of background I/O ran while compute threads spent 160 ns
@@ -457,7 +460,7 @@ mod tests {
     #[test]
     fn render_golden() {
         // Timings are inputs, so the rendering is fully deterministic.
-        let r = Recorder::enabled(1);
+        let r = Recorder::deep(1);
         r.phase(0, 0, Phase::HashInsert, delta(600_000, 8000, 2000, 0));
         r.phase(0, 0, Phase::Seal, delta(200_000, 2000, 2000, 0));
         r.phase(0, 1, Phase::Output, delta(200_000, 2000, 2000, 0));
@@ -475,7 +478,7 @@ query · wall 1.00 ms · 1 thread · 100.0% of 1×wall attributed to leaf phases
 
     #[test]
     fn json_round_trips_and_omits_empty_cells() {
-        let r = Recorder::enabled(1);
+        let r = Recorder::deep(1);
         r.phase(0, 0, Phase::HashInsert, delta(100, 10, 5, 0));
         let t = ProfileTree::build(&r.snapshot(), 500, 1, 123, 0);
         let parsed = crate::json::parse(&t.to_json().to_string_pretty(2)).unwrap();

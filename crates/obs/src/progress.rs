@@ -9,8 +9,8 @@
 //! once per phase boundary rather than per row, so the hot path cost is a
 //! couple of relaxed stores per block. The [`ProgressSampler`] owns a
 //! thread that reads the gauge every interval and emits one line per tick
-//! through a pluggable sink (stderr by default); dropping the sampler —
-//! including during a panic unwind — signals and joins the thread.
+//! through the caller's sink; dropping the sampler — including during a
+//! panic unwind — signals and joins the thread.
 
 use crate::profile::Phase;
 use crate::CachePadded;
@@ -114,7 +114,7 @@ fn unpack(packed: u64) -> Option<(u32, Phase)> {
 /// budget, or `None` when the budget is unlimited.
 pub type BudgetProbe = Box<dyn Fn() -> Option<(u64, u64)> + Send>;
 
-/// Line sink for heartbeat output (stderr unless overridden for tests).
+/// Line sink for heartbeat output (the engine passes stderr).
 pub type ProgressSink = Box<dyn Fn(&str) + Send>;
 
 struct Shutdown {
@@ -130,42 +130,12 @@ pub struct ProgressSampler {
 }
 
 impl ProgressSampler {
-    /// Start a sampler over `gauge`, emitting to stderr.
-    pub fn start(gauge: ProgressGauge, interval: Duration, budget: Option<BudgetProbe>) -> Self {
-        Self::start_tagged(gauge, interval, budget, None)
-    }
-
-    /// [`Self::start`] with a query tag: every heartbeat line leads with
-    /// `[progress q<tag>]` so concurrently running queries on one shared
-    /// runtime stay attributable. The tag is a plain string (the engine
+    /// Start a sampler over `gauge`: one heartbeat line per `interval`
+    /// through `sink`. With a `query` tag every line leads with
+    /// `[progress q<tag>]`, so queries running concurrently on one shared
+    /// runtime stay attributable; the tag is a plain string (the engine
     /// passes its query id) so this crate stays scheduler-agnostic.
-    pub fn start_tagged(
-        gauge: ProgressGauge,
-        interval: Duration,
-        budget: Option<BudgetProbe>,
-        query: Option<String>,
-    ) -> Self {
-        Self::start_tagged_with_sink(
-            gauge,
-            interval,
-            budget,
-            query,
-            Box::new(|line| eprintln!("{line}")),
-        )
-    }
-
-    /// [`Self::start`] with a custom sink (used by tests to capture lines).
-    pub fn start_with_sink(
-        gauge: ProgressGauge,
-        interval: Duration,
-        budget: Option<BudgetProbe>,
-        sink: ProgressSink,
-    ) -> Self {
-        Self::start_tagged_with_sink(gauge, interval, budget, None, sink)
-    }
-
-    /// [`Self::start_tagged`] with a custom sink.
-    pub fn start_tagged_with_sink(
+    pub fn start(
         gauge: ProgressGauge,
         interval: Duration,
         budget: Option<BudgetProbe>,
@@ -355,10 +325,11 @@ mod tests {
         g.set_state(1, 0, Phase::HashInsert);
         let lines = Arc::new(Mutex::new(Vec::new()));
         let sink_lines = Arc::clone(&lines);
-        let mut sampler = ProgressSampler::start_with_sink(
+        let mut sampler = ProgressSampler::start(
             g.clone(),
             Duration::from_millis(5),
             Some(Box::new(|| Some((1 << 20, 4 << 20)))),
+            Some("7".to_string()),
             Box::new(move |line| {
                 if let Ok(mut v) = sink_lines.lock() {
                     v.push(line.to_string());
@@ -376,6 +347,7 @@ mod tests {
         let lines = lines.lock().unwrap();
         assert!(!lines.is_empty(), "sampler never ticked");
         let line = &lines[0];
+        assert!(line.starts_with("[progress q7]"), "line: {line}");
         assert!(line.contains("rows"), "line: {line}");
         assert!(line.contains("hash_insert@L0×2"), "line: {line}");
         assert!(line.contains("budget 1.0/4.0 MiB"), "line: {line}");
@@ -387,9 +359,10 @@ mod tests {
         let ticks = Arc::new(AtomicU64::new(0));
         let sink_ticks = Arc::clone(&ticks);
         let result = std::panic::catch_unwind(move || {
-            let _sampler = ProgressSampler::start_with_sink(
+            let _sampler = ProgressSampler::start(
                 g,
                 Duration::from_millis(2),
+                None,
                 None,
                 Box::new(move |_| {
                     sink_ticks.fetch_add(1, Ordering::Relaxed);
@@ -428,33 +401,5 @@ mod tests {
         assert!(line.starts_with("[progress q42]"), "line: {line}");
         let untagged = heartbeat(Duration::from_secs(1), 10, 10.0, &[None], None, None);
         assert!(untagged.starts_with("[progress]"), "line: {untagged}");
-    }
-
-    #[test]
-    fn tagged_sampler_emits_tagged_lines() {
-        let g = ProgressGauge::enabled(1);
-        let lines = Arc::new(Mutex::new(Vec::new()));
-        let sink_lines = Arc::clone(&lines);
-        let mut sampler = ProgressSampler::start_tagged_with_sink(
-            g,
-            Duration::from_millis(5),
-            None,
-            Some("7".to_string()),
-            Box::new(move |line| {
-                if let Ok(mut v) = sink_lines.lock() {
-                    v.push(line.to_string());
-                }
-            }),
-        );
-        for _ in 0..200 {
-            if !lines.lock().unwrap().is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        sampler.stop();
-        let lines = lines.lock().unwrap();
-        assert!(!lines.is_empty(), "sampler never ticked");
-        assert!(lines[0].starts_with("[progress q7]"), "line: {}", lines[0]);
     }
 }

@@ -1,20 +1,36 @@
-//! The per-worker sharded metrics recorder.
+//! The per-worker sharded recorder: the one place an operator event is
+//! counted.
 //!
-//! One shard per worker, each a cache-line-padded block of plain `u64`
-//! counters and [`Histogram`]s. Recording is a handful of unsynchronized
-//! adds into the worker's own shard — the design the paper's own
-//! per-thread hash tables use, applied to metrics. Shards are merged into
-//! one [`MetricsSnapshot`] after the operator has quiesced.
+//! One cache-line-padded shard per worker. Every shard has an always-on
+//! part — the flat [`Counter`] cells and the per-level [`LevelCounter`]
+//! cells, ≈ 0.5 KB of plain `u64`s that the operator's statistics are
+//! lowered from — and, when built with [`Recorder::deep`], a deep part:
+//! [`Histogram`]s, phase cells and α samples. Recording is a handful of
+//! unsynchronized adds into the worker's own shard — the design the
+//! paper's own per-thread hash tables use, applied to metrics. Shards are
+//! merged into one [`MetricsSnapshot`] after the operator has quiesced.
 //!
-//! A disabled recorder carries no shards; every recording call is a single
-//! null check, so instrumented code needs no `if enabled` of its own.
+//! A [`Recorder::counters`] recorder allocates no deep part; the deep
+//! recording calls are a null check on it, so instrumented code needs no
+//! `if enabled` of its own.
+//!
+//! # Sharding contract
+//!
+//! The cells are plain memory, not atomics, and every query records into
+//! them: while workers run, shard `i` is written only by the thread
+//! currently acting as worker `i` (the work-stealing pool's
+//! `worker_index` gives exactly this); the thread that drives the query
+//! writes — shard 0, or a worker's shard on its behalf — only while no
+//! worker runs, and [`Recorder::snapshot`] reads only then. No call
+//! touches another worker's shard and none takes a lock; the `SAFETY:`
+//! comments below all cite this paragraph. It is the contract under which
+//! the operator's per-worker hash tables are sound.
 
 use crate::hist::Histogram;
 use crate::json::JsonValue;
 use crate::profile::{Phase, PhaseCell, PROFILE_LEVELS};
 use crate::CachePadded;
 use std::cell::UnsafeCell;
-use std::sync::Arc;
 
 /// Per-switch α samples kept verbatim per worker; later switches are still
 /// counted in the aggregate sum/count once the list is full.
@@ -47,7 +63,7 @@ macro_rules! metric_enum {
 }
 
 metric_enum! {
-    /// Monotonic per-worker counters.
+    /// Monotonic per-worker counters (always on).
     Counter {
         /// Level-0 morsels this worker claimed.
         MorselsClaimed => "morsels_claimed",
@@ -59,13 +75,9 @@ metric_enum! {
         SwitchesToHashing => "switches_to_hashing",
         /// Buckets merged by the growable fallback table.
         FallbackMerges => "fallback_merges",
-        /// Rows consumed by the HASHING routine.
-        HashRows => "hash_rows",
-        /// Rows consumed by the PARTITIONING routine.
-        PartRows => "part_rows",
-        /// Hash-table key inserts (new + hit).
+        /// Hash-table key inserts (new + hit); deep metrics only.
         TableInserts => "table_inserts",
-        /// Total linear-probe steps beyond the home slot.
+        /// Total linear-probe steps beyond the home slot; deep metrics only.
         ProbeSteps => "probe_steps",
         /// Software-write-combining cache lines flushed.
         SwcFlushes => "swc_flushes",
@@ -89,9 +101,6 @@ metric_enum! {
         /// Rows whose HASHING hot loops ran through the scalar reference
         /// kernels (forced via `AggregateConfig::kernel`).
         KernelScalarRows => "kernel_scalar_rows",
-        /// Runs flushed to the spill directory after a denied reservation
-        /// was downgraded to out-of-core storage.
-        SpilledRuns => "spilled_runs",
         /// Bytes written to spill files.
         SpilledBytes => "spilled_bytes",
         /// Spilled runs read back into memory for consumption.
@@ -108,6 +117,8 @@ metric_enum! {
         /// Orphaned spill files of dead processes reclaimed when the
         /// spill directory was opened.
         SpillReclaimedFiles => "spill_reclaimed_files",
+        /// Bytes those reclaimed files occupied.
+        SpillReclaimedBytes => "spill_reclaimed_bytes",
         /// Spill-space reservations denied by the disk budget.
         DiskBudgetDenials => "disk_budget_denials",
         /// Bytes spill files actually occupied on disk after per-extent
@@ -119,6 +130,23 @@ metric_enum! {
         /// Nanoseconds compute threads spent blocked on in-flight
         /// background spill I/O.
         SpillIoWaitNanos => "spill_io_wait_nanos",
+    }
+}
+
+metric_enum! {
+    /// Per-worker counters kept per recursion level (always on). Reports
+    /// show each as its sum over the levels under the same label.
+    LevelCounter {
+        /// Rows consumed by the HASHING routine.
+        HashRows => "hash_rows",
+        /// Rows consumed by the PARTITIONING routine.
+        PartRows => "part_rows",
+        /// Elapsed nanoseconds of the tasks that ran at the level (CPU
+        /// time: tasks of different levels run concurrently).
+        TaskNanos => "task_nanos",
+        /// Runs flushed to the spill directory after a denied reservation
+        /// was downgraded to out-of-core storage.
+        SpilledRuns => "spilled_runs",
     }
 }
 
@@ -144,10 +172,9 @@ metric_enum! {
     }
 }
 
-/// One worker's metric cells. Plain data; merged at snapshot time.
+/// The deep part of a shard: what `metrics: true` buys beyond the counters.
 #[derive(Clone, Debug)]
-pub(crate) struct WorkerShard {
-    counters: [u64; Counter::COUNT],
+struct DeepCells {
     hists: [Histogram; Hist::COUNT],
     phases: [[PhaseCell; Phase::COUNT]; PROFILE_LEVELS],
     alphas: Vec<f64>,
@@ -155,91 +182,132 @@ pub(crate) struct WorkerShard {
     alpha_sum: f64,
 }
 
-impl Default for WorkerShard {
-    fn default() -> Self {
+impl DeepCells {
+    const fn new() -> Self {
         Self {
-            counters: [0; Counter::COUNT],
-            hists: std::array::from_fn(|_| Histogram::new()),
-            phases: [[PhaseCell::default(); Phase::COUNT]; PROFILE_LEVELS],
+            hists: [const { Histogram::new() }; Hist::COUNT],
+            phases: [[PhaseCell::EMPTY; Phase::COUNT]; PROFILE_LEVELS],
             alphas: Vec::new(),
             alpha_count: 0,
             alpha_sum: 0.0,
         }
     }
+
+    fn merge_from(&mut self, other: &DeepCells) {
+        for (a, b) in self.hists.iter_mut().zip(&other.hists) {
+            a.merge(b);
+        }
+        for (a, b) in self.phases.iter_mut().flatten().zip(other.phases.iter().flatten()) {
+            a.add(b);
+        }
+        let room = MAX_ALPHAS_PER_WORKER.saturating_sub(self.alphas.len());
+        self.alphas.extend(other.alphas.iter().take(room).copied());
+        self.alpha_count += other.alpha_count;
+        self.alpha_sum += other.alpha_sum;
+    }
 }
 
-struct Inner {
-    shards: Vec<CachePadded<UnsafeCell<WorkerShard>>>,
+/// What a shard without a deep part reads as.
+static NO_DEEP: DeepCells = DeepCells::new();
+
+/// One worker's cells. Plain data; merged at snapshot time.
+#[derive(Clone, Debug)]
+struct WorkerShard {
+    counters: [u64; Counter::COUNT],
+    levels: [[u64; PROFILE_LEVELS]; LevelCounter::COUNT],
+    deep: Option<Box<DeepCells>>,
 }
 
-// SAFETY: shard `i` is only written by the thread currently acting as
-// worker `i` (the crate-level sharding contract), and `snapshot` reads
-// only after those threads have quiesced.
-unsafe impl Sync for Inner {}
-unsafe impl Send for Inner {}
+impl WorkerShard {
+    fn new(deep: bool) -> Self {
+        Self {
+            counters: [0; Counter::COUNT],
+            levels: [[0; PROFILE_LEVELS]; LevelCounter::COUNT],
+            deep: deep.then(|| Box::new(DeepCells::new())),
+        }
+    }
+}
 
-/// Cheap cloneable handle to the sharded metrics, or a no-op when built
-/// with [`Recorder::disabled`].
-#[derive(Clone)]
+/// The sharded cells of one query. Owned by the query's context; tasks
+/// record through a shared reference under the sharding contract.
 pub struct Recorder {
-    inner: Option<Arc<Inner>>,
+    shards: Box<[CachePadded<UnsafeCell<WorkerShard>>]>,
+    deep: bool,
 }
+
+// SAFETY: a shard is written only by the thread acting as its worker and
+// read only after the writers have quiesced (module doc, "Sharding
+// contract"), so no two threads ever access one shard's cells at the same
+// time; `deep` and the slice itself are never written after construction.
+unsafe impl Sync for Recorder {}
 
 impl Recorder {
-    /// A recorder whose every operation is a null check.
-    pub fn disabled() -> Self {
-        Self { inner: None }
+    /// A recorder with the always-on counter cells only, one shard per
+    /// worker; the deep recording calls are null checks on it.
+    pub fn counters(workers: usize) -> Self {
+        Self::new(workers, false)
     }
 
-    /// A recorder with one shard per worker.
-    pub fn enabled(workers: usize) -> Self {
+    /// A recorder that also collects the deep part: histograms, phase
+    /// cells and α samples.
+    pub fn deep(workers: usize) -> Self {
+        Self::new(workers, true)
+    }
+
+    fn new(workers: usize, deep: bool) -> Self {
         let shards = (0..workers.max(1))
-            .map(|_| CachePadded(UnsafeCell::new(WorkerShard::default())))
+            .map(|_| CachePadded(UnsafeCell::new(WorkerShard::new(deep))))
             .collect();
-        Self { inner: Some(Arc::new(Inner { shards })) }
+        Self { shards, deep }
     }
 
-    /// Whether metrics are actually collected.
+    /// Whether the deep part is collected.
     #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Number of shards (0 when disabled).
-    pub fn workers(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.shards.len())
+    pub fn is_deep(&self) -> bool {
+        self.deep
     }
 
     #[inline]
     #[allow(clippy::mut_from_ref)] // exclusive access per the sharding contract
-    fn shard(&self, worker: usize) -> Option<&mut WorkerShard> {
-        let inner = self.inner.as_deref()?;
-        // SAFETY: per the sharding contract, `worker` is exclusively owned
-        // by the calling thread while the operator runs.
-        Some(unsafe { &mut *inner.shards[worker].0.get() })
+    fn shard(&self, worker: usize) -> &mut WorkerShard {
+        // SAFETY: per the sharding contract, shard `worker` is accessed by
+        // no other thread while the calling thread acts as that worker (or
+        // writes it post-quiescence), and no reference into it outlives
+        // the recording call that took it.
+        unsafe { &mut *self.shards[worker].0.get() }
     }
 
     /// Add `n` to counter `c` of `worker`.
     #[inline]
     pub fn add(&self, worker: usize, c: Counter, n: u64) {
-        if let Some(shard) = self.shard(worker) {
-            shard.counters[c as usize] += n;
-        }
+        self.shard(worker).counters[c as usize] += n;
+    }
+
+    /// Add `n` to the `level` cell of per-level counter `c` of `worker`.
+    /// Levels beyond [`PROFILE_LEVELS`] clamp into the last slot.
+    #[inline]
+    pub fn add_level(&self, worker: usize, c: LevelCounter, level: u32, n: u64) {
+        self.shard(worker).levels[c as usize][(level as usize).min(PROFILE_LEVELS - 1)] += n;
+    }
+
+    #[inline]
+    fn deep_cells(&self, worker: usize) -> Option<&mut DeepCells> {
+        self.shard(worker).deep.as_deref_mut()
     }
 
     /// Record `value` into histogram `h` of `worker`.
     #[inline]
     pub fn observe(&self, worker: usize, h: Hist, value: u64) {
-        if let Some(shard) = self.shard(worker) {
-            shard.hists[h as usize].record(value);
+        if let Some(deep) = self.deep_cells(worker) {
+            deep.hists[h as usize].record(value);
         }
     }
 
     /// Fold a locally collected histogram into histogram `h` of `worker`
     /// (used to flush per-table collectors at seal time).
     pub fn merge_hist(&self, worker: usize, h: Hist, other: &Histogram) {
-        if let Some(shard) = self.shard(worker) {
-            shard.hists[h as usize].merge(other);
+        if let Some(deep) = self.deep_cells(worker) {
+            deep.hists[h as usize].merge(other);
         }
     }
 
@@ -247,35 +315,31 @@ impl Recorder {
     /// beyond [`PROFILE_LEVELS`] clamp into the last slot.
     #[inline]
     pub fn phase(&self, worker: usize, level: u32, phase: Phase, delta: PhaseCell) {
-        if let Some(shard) = self.shard(worker) {
+        if let Some(deep) = self.deep_cells(worker) {
             let level = (level as usize).min(PROFILE_LEVELS - 1);
-            shard.phases[level][phase as usize].add(&delta);
+            deep.phases[level][phase as usize].add(&delta);
         }
     }
 
     /// Record the reduction factor observed at one adaptive switch.
     #[inline]
     pub fn record_alpha(&self, worker: usize, alpha: f64) {
-        if let Some(shard) = self.shard(worker) {
-            if shard.alphas.len() < MAX_ALPHAS_PER_WORKER {
-                shard.alphas.push(alpha);
+        if let Some(deep) = self.deep_cells(worker) {
+            if deep.alphas.len() < MAX_ALPHAS_PER_WORKER {
+                deep.alphas.push(alpha);
             }
-            shard.alpha_count += 1;
-            shard.alpha_sum += alpha;
+            deep.alpha_count += 1;
+            deep.alpha_sum += alpha;
         }
     }
 
-    /// Merge all shards into a snapshot. Must only be called after the
-    /// recording threads have quiesced. A disabled recorder yields an
-    /// empty (all-zero) snapshot.
+    /// Copy all shards into a snapshot. Must only be called after the
+    /// recording threads have quiesced.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let Some(inner) = self.inner.as_deref() else {
-            return MetricsSnapshot::default();
-        };
-        // SAFETY: quiescence is the caller's contract; we only read.
-        let workers: Vec<WorkerSnapshot> = inner
+        let workers = self
             .shards
             .iter()
+            // SAFETY: quiescence is the caller's contract; we only read.
             .map(|s| WorkerSnapshot { shard: unsafe { &*s.0.get() }.clone() })
             .collect();
         MetricsSnapshot { workers }
@@ -283,7 +347,7 @@ impl Recorder {
 }
 
 /// Immutable copy of one worker's shard.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct WorkerSnapshot {
     shard: WorkerShard,
 }
@@ -294,69 +358,74 @@ impl WorkerSnapshot {
         self.shard.counters[c as usize]
     }
 
-    /// Histogram `h`.
+    /// The per-level cells of counter `c`, index = recursion level.
+    pub fn level_counter(&self, c: LevelCounter) -> &[u64; PROFILE_LEVELS] {
+        &self.shard.levels[c as usize]
+    }
+
+    /// Counter `c` summed over the levels.
+    pub fn level_total(&self, c: LevelCounter) -> u64 {
+        self.level_counter(c).iter().sum()
+    }
+
+    fn deep(&self) -> &DeepCells {
+        self.shard.deep.as_deref().unwrap_or(&NO_DEEP)
+    }
+
+    /// Histogram `h` (empty without the deep part).
     pub fn hist(&self, h: Hist) -> &Histogram {
-        &self.shard.hists[h as usize]
+        &self.deep().hists[h as usize]
     }
 
     /// The `(level, phase)` profiling cell. Levels beyond
     /// [`PROFILE_LEVELS`] clamp into the last slot.
     pub fn phase_cell(&self, level: usize, phase: Phase) -> &PhaseCell {
-        &self.shard.phases[level.min(PROFILE_LEVELS - 1)][phase as usize]
+        &self.deep().phases[level.min(PROFILE_LEVELS - 1)][phase as usize]
     }
 
     /// Recorded per-switch α values (bounded; see [`Self::alpha_count`]).
     pub fn alphas(&self) -> &[f64] {
-        &self.shard.alphas
+        &self.deep().alphas
     }
 
     /// Total switches that recorded an α (may exceed `alphas().len()`).
     pub fn alpha_count(&self) -> u64 {
-        self.shard.alpha_count
+        self.deep().alpha_count
     }
 
     /// Sum of all recorded α values.
     pub fn alpha_sum(&self) -> f64 {
-        self.shard.alpha_sum
+        self.deep().alpha_sum
     }
 
     fn merge_from(&mut self, other: &WorkerSnapshot) {
         for (a, b) in self.shard.counters.iter_mut().zip(&other.shard.counters) {
             *a += b;
         }
-        for (a, b) in self.shard.hists.iter_mut().zip(&other.shard.hists) {
-            a.merge(b);
+        let levels = self.shard.levels.iter_mut().flatten();
+        for (a, b) in levels.zip(other.shard.levels.iter().flatten()) {
+            *a += b;
         }
-        for (arow, brow) in self.shard.phases.iter_mut().zip(&other.shard.phases) {
-            for (a, b) in arow.iter_mut().zip(brow) {
-                a.add(b);
-            }
+        if let Some(deep) = &other.shard.deep {
+            self.shard.deep.get_or_insert_with(|| Box::new(DeepCells::new())).merge_from(deep);
         }
-        let room = MAX_ALPHAS_PER_WORKER.saturating_sub(self.shard.alphas.len());
-        self.shard.alphas.extend(other.shard.alphas.iter().take(room).copied());
-        self.shard.alpha_count += other.shard.alpha_count;
-        self.shard.alpha_sum += other.shard.alpha_sum;
     }
 
-    /// True if every cell is zero.
-    pub fn is_zero(&self) -> bool {
-        self.shard.counters.iter().all(|&c| c == 0)
-            && self.shard.hists.iter().all(Histogram::is_empty)
-            && self.shard.phases.iter().flatten().all(PhaseCell::is_empty)
-            && self.shard.alpha_count == 0
-    }
-
-    /// JSON object with one member per counter, histogram, and the α list.
+    /// JSON object with one member per counter (per-level counters as
+    /// their totals), histogram, and the α list.
     pub fn to_json(&self) -> JsonValue {
         let mut pairs: Vec<(String, JsonValue)> = Counter::ALL
             .iter()
             .map(|&c| (c.label().to_string(), JsonValue::U64(self.counter(c))))
             .collect();
+        for &c in LevelCounter::ALL {
+            pairs.push((c.label().to_string(), JsonValue::U64(self.level_total(c))));
+        }
         for &h in Hist::ALL {
             pairs.push((h.label().to_string(), self.hist(h).to_json()));
         }
-        let phases: Vec<(String, JsonValue)> = self
-            .shard
+        let deep = self.deep();
+        let phases: Vec<(String, JsonValue)> = deep
             .phases
             .iter()
             .enumerate()
@@ -373,15 +442,15 @@ impl WorkerSnapshot {
         pairs.push(("phases".to_string(), JsonValue::Object(phases)));
         pairs.push((
             "alphas".to_string(),
-            JsonValue::Array(self.shard.alphas.iter().map(|&a| JsonValue::F64(a)).collect()),
+            JsonValue::Array(deep.alphas.iter().map(|&a| JsonValue::F64(a)).collect()),
         ));
-        pairs.push(("alpha_count".to_string(), JsonValue::U64(self.shard.alpha_count)));
-        pairs.push(("alpha_sum".to_string(), JsonValue::F64(self.shard.alpha_sum)));
+        pairs.push(("alpha_count".to_string(), JsonValue::U64(deep.alpha_count)));
+        pairs.push(("alpha_sum".to_string(), JsonValue::F64(deep.alpha_sum)));
         JsonValue::Object(pairs)
     }
 }
 
-/// All workers' metrics, frozen after a run.
+/// All workers' cells, frozen after a run.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// Per-worker snapshots, index = worker index.
@@ -391,17 +460,11 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// All workers folded into one.
     pub fn merged(&self) -> WorkerSnapshot {
-        let mut out = WorkerSnapshot::default();
+        let mut out = WorkerSnapshot { shard: WorkerShard::new(false) };
         for w in &self.workers {
             out.merge_from(w);
         }
         out
-    }
-
-    /// True if nothing was recorded anywhere (always true for a disabled
-    /// recorder's snapshot).
-    pub fn is_zero(&self) -> bool {
-        self.workers.iter().all(WorkerSnapshot::is_zero)
     }
 
     /// JSON: `{"merged": {...}, "workers": [{...}, ...]}`.
@@ -421,44 +484,61 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_recorder_is_all_zero() {
-        let r = Recorder::disabled();
-        r.add(0, Counter::HashRows, 100);
+    fn counters_only_recorder_counts_and_drops_the_deep_calls() {
+        let r = Recorder::counters(2);
+        r.add(1, Counter::TablesSealed, 3);
+        r.add_level(0, LevelCounter::HashRows, 2, 100);
         r.observe(0, Hist::ProbeLen, 5);
         r.record_alpha(0, 3.0);
-        assert!(!r.is_enabled());
-        assert!(r.snapshot().is_zero());
-        assert_eq!(r.snapshot().workers.len(), 0);
+        r.phase(1, 0, Phase::Seal, PhaseCell { nanos: 9, calls: 1, ..PhaseCell::EMPTY });
+        assert!(!r.is_deep());
+        let snap = r.snapshot();
+        assert_eq!(snap.workers.len(), 2);
+        let m = snap.merged();
+        assert_eq!(m.counter(Counter::TablesSealed), 3);
+        assert_eq!(m.level_counter(LevelCounter::HashRows)[2], 100);
+        assert!(m.hist(Hist::ProbeLen).is_empty());
+        assert_eq!(m.alpha_count(), 0);
+        assert!(m.phase_cell(0, Phase::Seal).is_empty());
+    }
+
+    #[test]
+    fn the_always_on_part_of_a_shard_stays_small() {
+        // What every query pays per worker, observed or not.
+        assert!(std::mem::size_of::<WorkerShard>() <= 640);
     }
 
     #[test]
     fn sharded_counts_merge() {
-        let r = Recorder::enabled(3);
-        r.add(0, Counter::HashRows, 10);
-        r.add(1, Counter::HashRows, 20);
-        r.add(2, Counter::PartRows, 5);
+        let r = Recorder::deep(3);
+        r.add(0, Counter::SwcFlushes, 10);
+        r.add(1, Counter::SwcFlushes, 20);
+        r.add_level(2, LevelCounter::PartRows, 0, 5);
+        r.add_level(0, LevelCounter::PartRows, 1, 7);
+        r.add_level(1, LevelCounter::TaskNanos, 200, 1);
         r.observe(1, Hist::ProbeLen, 2);
         r.record_alpha(2, 1.5);
         r.record_alpha(2, 2.5);
         let snap = r.snapshot();
         assert_eq!(snap.workers.len(), 3);
-        assert_eq!(snap.workers[0].counter(Counter::HashRows), 10);
+        assert_eq!(snap.workers[0].counter(Counter::SwcFlushes), 10);
         let m = snap.merged();
-        assert_eq!(m.counter(Counter::HashRows), 30);
-        assert_eq!(m.counter(Counter::PartRows), 5);
+        assert_eq!(m.counter(Counter::SwcFlushes), 30);
+        assert_eq!(m.level_counter(LevelCounter::PartRows)[..2], [5, 7]);
+        assert_eq!(m.level_total(LevelCounter::PartRows), 12);
+        assert_eq!(m.level_counter(LevelCounter::TaskNanos)[PROFILE_LEVELS - 1], 1, "clamped");
         assert_eq!(m.hist(Hist::ProbeLen).count(), 1);
         assert_eq!(m.alpha_count(), 2);
         assert_eq!(m.alphas(), &[1.5, 2.5]);
         assert!((m.alpha_sum() - 4.0).abs() < 1e-12);
-        assert!(!snap.is_zero());
     }
 
     #[test]
     fn parallel_workers_record_without_interference() {
-        let r = Recorder::enabled(4);
+        let r = Recorder::deep(4);
         std::thread::scope(|s| {
             for w in 0..4usize {
-                let r = r.clone();
+                let r = &r;
                 s.spawn(move || {
                     for i in 0..10_000u64 {
                         r.add(w, Counter::TableInserts, 1);
@@ -477,7 +557,7 @@ mod tests {
 
     #[test]
     fn alpha_list_is_bounded() {
-        let r = Recorder::enabled(1);
+        let r = Recorder::deep(1);
         for i in 0..(MAX_ALPHAS_PER_WORKER + 100) {
             r.record_alpha(0, i as f64);
         }
@@ -488,7 +568,7 @@ mod tests {
 
     #[test]
     fn phase_cells_shard_and_merge() {
-        let r = Recorder::enabled(2);
+        let r = Recorder::deep(2);
         let d = |nanos, rows_in| PhaseCell { nanos, calls: 1, rows_in, rows_out: 0, bytes: 0 };
         r.phase(0, 0, Phase::HashInsert, d(100, 1000));
         r.phase(1, 0, Phase::HashInsert, d(50, 500));
@@ -500,7 +580,6 @@ mod tests {
         assert_eq!(m.phase_cell(0, Phase::HashInsert).nanos, 150);
         assert_eq!(m.phase_cell(0, Phase::HashInsert).calls, 2);
         assert_eq!(m.phase_cell(3, Phase::Restore).nanos, 9);
-        assert!(!snap.is_zero());
 
         let text = snap.to_json().to_string_pretty(2);
         let parsed = crate::json::parse(&text).unwrap();
@@ -513,23 +592,26 @@ mod tests {
     #[test]
     fn labels_are_unique() {
         let mut seen = std::collections::BTreeSet::new();
-        for &c in Counter::ALL {
-            assert!(seen.insert(c.label()), "dup {}", c.label());
-        }
-        for &h in Hist::ALL {
-            assert!(seen.insert(h.label()), "dup {}", h.label());
+        let counters = Counter::ALL.iter().map(|c| c.label());
+        let levels = LevelCounter::ALL.iter().map(|c| c.label());
+        let hists = Hist::ALL.iter().map(|h| h.label());
+        for label in counters.chain(levels).chain(hists) {
+            assert!(seen.insert(label), "dup {label}");
         }
     }
 
     #[test]
     fn snapshot_json_is_valid() {
-        let r = Recorder::enabled(2);
+        let r = Recorder::deep(2);
         r.add(0, Counter::SwcFlushes, 3);
+        r.add_level(1, LevelCounter::SpilledRuns, 1, 4);
+        r.add_level(1, LevelCounter::SpilledRuns, 2, 2);
         r.observe(1, Hist::SealFillPct, 25);
         let text = r.snapshot().to_json().to_string_pretty(2);
         let parsed = crate::json::parse(&text).unwrap();
         let merged = parsed.get("merged").unwrap();
         assert_eq!(merged.get("swc_flushes").unwrap().as_u64(), Some(3));
+        assert_eq!(merged.get("spilled_runs").unwrap().as_u64(), Some(6), "levels are summed");
         assert_eq!(merged.get("seal_fill_pct").unwrap().get("count").unwrap().as_u64(), Some(1));
         assert_eq!(parsed.get("workers").unwrap().as_array().unwrap().len(), 2);
     }

@@ -2,8 +2,8 @@
 //!
 //! Each worker appends complete-span (`"ph":"X"`) and instant
 //! (`"ph":"i"`) events into its own bounded, cache-line-padded buffer —
-//! the same sharding model as the metrics recorder, so tracing adds no
-//! atomics to the hot path. Once a buffer is full further events are
+//! the same sharding model (and contract, see `recorder.rs`) as the
+//! recorder, so tracing adds no atomics to the hot path. Once a buffer is full further events are
 //! counted as dropped rather than grown; the timeline stays bounded no
 //! matter how long the run is.
 //!

@@ -1,11 +1,12 @@
 //! Concurrency stress for the sharded recorder and tracer: one thread per
 //! worker shard hammering its own cells (the sharding contract), with the
-//! merged snapshot checked for exact totals. Runs under plain `cargo test`
-//! and in the ThreadSanitizer CI job — if the `UnsafeCell` sharding or the
-//! cache-padding layout were wrong, concurrent writers would corrupt
-//! adjacent shards and the balances below would drift.
+//! merged snapshot checked for exact totals — on the always-on counter
+//! cells every query records into, and on the deep part. Runs under plain
+//! `cargo test` and in the ThreadSanitizer CI job — if the `UnsafeCell`
+//! sharding or the cache-padding layout were wrong, concurrent writers
+//! would corrupt adjacent shards and the balances below would drift.
 
-use hsa_obs::{Counter, Hist, Recorder, Tracer};
+use hsa_obs::{Counter, Hist, LevelCounter, Recorder, Tracer};
 
 const WORKERS: usize = 8;
 #[cfg(not(miri))]
@@ -17,13 +18,13 @@ const OPS: u64 = 256;
 
 #[test]
 fn per_worker_recorder_shards_do_not_interfere() {
-    let rec = Recorder::enabled(WORKERS);
+    let rec = Recorder::deep(WORKERS);
     std::thread::scope(|s| {
         for w in 0..WORKERS {
             let rec = &rec;
             s.spawn(move || {
                 for i in 0..OPS {
-                    rec.add(w, Counter::HashRows, 1);
+                    rec.add_level(w, LevelCounter::HashRows, (i % 4) as u32, 1);
                     rec.add(w, Counter::ProbeSteps, i % 3);
                     rec.observe(w, Hist::ProbeLen, i % 17);
                     if i % 64 == 0 {
@@ -36,13 +37,15 @@ fn per_worker_recorder_shards_do_not_interfere() {
     let snap = rec.snapshot();
     let merged = snap.merged();
     // Exact balance: no lost or smeared updates across shards.
-    assert_eq!(merged.counter(Counter::HashRows), WORKERS as u64 * OPS);
+    assert_eq!(merged.level_total(LevelCounter::HashRows), WORKERS as u64 * OPS);
+    assert_eq!(merged.level_counter(LevelCounter::HashRows)[4..], [0; 5]);
     let expected_steps: u64 = (0..OPS).map(|i| i % 3).sum();
     assert_eq!(merged.counter(Counter::ProbeSteps), WORKERS as u64 * expected_steps);
     assert_eq!(merged.hist(Hist::ProbeLen).count(), WORKERS as u64 * OPS);
     assert_eq!(merged.alpha_count(), WORKERS as u64 * OPS.div_ceil(64));
     // Untouched metrics stay zero — a smeared write would land somewhere.
-    assert_eq!(merged.counter(Counter::SpilledRuns), 0);
+    assert_eq!(merged.level_total(LevelCounter::SpilledRuns), 0);
+    assert_eq!(merged.counter(Counter::SpilledBytes), 0);
     assert_eq!(merged.hist(Hist::SpillNanos).count(), 0);
 }
 
@@ -76,22 +79,35 @@ fn tracer_shards_account_for_every_event() {
 }
 
 #[test]
-fn disabled_recorder_is_safe_under_the_same_load() {
-    // The disabled fast path must stay a null check even when hammered
-    // from many threads against arbitrary worker indices.
-    let rec = Recorder::disabled();
+fn counter_cells_are_exact_without_the_deep_part() {
+    // The path every query takes, observed or not: plain adds into the
+    // worker's own counter cells, the deep calls a null check beside them.
+    let rec = Recorder::counters(WORKERS);
     let tracer = Tracer::disabled();
     std::thread::scope(|s| {
         for w in 0..WORKERS {
             let (rec, tracer) = (&rec, &tracer);
             s.spawn(move || {
                 for i in 0..OPS {
-                    rec.add(w, Counter::HashRows, i);
+                    rec.add(w, Counter::TablesSealed, 1);
+                    rec.add_level(w, LevelCounter::TaskNanos, w as u32, i);
+                    rec.observe(w, Hist::ProbeLen, i);
+                    rec.record_alpha(w, 1.0);
                     tracer.instant(w, "noop", &[]);
                 }
             });
         }
     });
-    assert!(rec.snapshot().is_zero());
+    let snap = rec.snapshot();
+    let nanos: u64 = (0..OPS).sum();
+    for (w, shard) in snap.workers.iter().enumerate() {
+        assert_eq!(shard.counter(Counter::TablesSealed), OPS);
+        assert_eq!(shard.level_counter(LevelCounter::TaskNanos)[w], nanos);
+        assert_eq!(shard.level_total(LevelCounter::TaskNanos), nanos, "one level per worker");
+    }
+    let merged = snap.merged();
+    assert_eq!(merged.counter(Counter::TablesSealed), WORKERS as u64 * OPS);
+    assert!(merged.hist(Hist::ProbeLen).is_empty());
+    assert_eq!(merged.alpha_count(), 0);
     assert_eq!(tracer.event_count(), 0);
 }

@@ -7,8 +7,8 @@
 #                     (each seeded with one known violation)
 # 2. hsa-lint      — workspace safety analyzer (SAFETY/ORDERING protocol
 #                    annotations, atomic pairing, lock-order graph, RAII
-#                    leaks, error taxonomy, frozen panic debt, std-only
-#                    manifests, cold-path markers; DESIGN.md §12 and §17)
+#                    leaks, frozen panic debt, std-only manifests,
+#                    cold-path markers; DESIGN.md §12 and §17)
 # 3. JSON smoke    — the --format json report parses and carries the
 #                    stable schema_version
 # 4. rustfmt       — formatting, check-only
