@@ -102,6 +102,8 @@ impl Table {
 
     /// Add a column, panicking on the errors of [`Table::try_add_column`]
     /// (examples keep error handling out of the way).
+    // The documented panicking wrapper; `try_add_column` is the fallible form.
+    #[allow(clippy::panic)]
     pub fn add_column(&mut self, name: impl Into<String>, data: Vec<u64>) -> &mut Self {
         match self.try_add_column(name, data) {
             Ok(_) => self,
@@ -127,6 +129,8 @@ impl Table {
     /// Borrow a column's values, panicking on unknown names (examples keep
     /// error handling out of the way; library users get `column`). The
     /// panic message lists the available columns.
+    // The documented panicking wrapper; `column` is the fallible form.
+    #[allow(clippy::panic)]
     pub fn col(&self, name: &str) -> &[u64] {
         &self
             .column(name)

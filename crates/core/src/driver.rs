@@ -369,6 +369,8 @@ pub(crate) fn process_bucket<'env>(
     // overhead (restore plumbing, views, pooling, run teardown) — and the
     // guard records it on error exits and contained panics too.
     let _driver = obs.phase_scope(level, Phase::Driver);
+    // The injected fault *is* a panic: it exercises the containment path.
+    #[allow(clippy::panic)]
     if ctx.env.faults.should_panic_in_task() {
         panic!("injected fault: task panic");
     }
@@ -419,7 +421,9 @@ pub(crate) fn process_bucket<'env>(
                 return;
             }
         };
+        // Debug builds only: an inconsistent run is a bug in this crate, not bad input.
         #[cfg(debug_assertions)]
+        #[allow(clippy::panic)]
         if let Err(msg) = run.check_consistent() {
             panic!("inconsistent run entering level {level}: {msg}");
         }
@@ -483,6 +487,8 @@ pub(crate) fn process_bucket<'env>(
 /// Panics on invalid input. For a non-panicking variant with memory
 /// budgets and cancellation, see [`try_aggregate`]; for bounded-chunk
 /// ingestion, see [`crate::AggStream`].
+// The documented panicking wrapper; `try_aggregate` is the fallible form.
+#[allow(clippy::panic)]
 pub fn aggregate(
     keys: &[u64],
     inputs: &[&[u64]],
@@ -545,6 +551,8 @@ pub fn try_aggregate_observed(
 /// SUM). All partials must come from the same aggregate `specs`.
 ///
 /// Panics on mismatched specs; see [`try_merge_partials`].
+// The documented panicking wrapper; `try_merge_partials` is the fallible form.
+#[allow(clippy::panic)]
 pub fn merge_partials(
     partials: &[&GroupByOutput],
     specs: &[AggSpec],

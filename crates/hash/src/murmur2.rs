@@ -72,6 +72,8 @@ impl Hasher64 for Murmur2 {
 
         let mut chunks = bytes.chunks_exact(8);
         for chunk in &mut chunks {
+            // `chunks_exact(8)` yields only 8-byte slices, so the conversion cannot fail.
+            #[allow(clippy::expect_used)]
             let k = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
             h = mix_block(h, k);
         }

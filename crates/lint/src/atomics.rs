@@ -1,10 +1,8 @@
-//! Atomic protocol pairing: the cross-file half of the `ORDERING` story.
-//!
-//! v1 of the analyzer checked that an `// ORDERING:` comment *exists* next
-//! to every weak atomic. This module checks that the claimed protocol is
-//! *coherent*: it promotes the comments to a machine-readable grammar,
-//! extracts every atomic field and its load/store/RMW orderings across all
-//! scoped crates, and verifies the pairings the comments claim.
+//! The `ORDERING` protocol check: every weak atomic access in the scoped
+//! crates carries an `// ORDERING:` comment, and the protocol the comments
+//! claim is *coherent*. The comments follow a machine-readable grammar;
+//! this module extracts every atomic field and its load/store/RMW
+//! orderings across all scoped crates and verifies the pairings claimed.
 //!
 //! # The grammar
 //!
@@ -23,7 +21,9 @@
 //!
 //! # What is checked
 //!
-//! 1. every annotation parses (unparseable grammar is a finding);
+//! 1. every weak (non-`SeqCst`) access has an annotation, and it parses
+//!    (a missing comment or unparseable grammar is a finding — one per
+//!    access, at the operation's line, however its arguments wrap);
 //! 2. declared orderings match the site (stale comments are findings);
 //! 3. a `Relaxed`-only access must not claim publication (a `pairs-with`
 //!    clause or "publishes" prose on a Relaxed access is a finding —
@@ -38,7 +38,7 @@
 //! `pending`), which makes checks 4–5 heuristic in the presence of
 //! same-named fields on different structs: two such fields are pooled, so
 //! the analysis can miss an unpaired store but never invents a pairing
-//! site that does not exist. DESIGN.md §17 spells out the sound/heuristic
+//! site that does not exist. DESIGN.md §12 spells out the sound/heuristic
 //! split.
 
 use crate::checks::{Check, Finding};
@@ -133,7 +133,7 @@ pub struct AtomicSite {
     /// Every ordering token in the call's argument span.
     pub ords: BTreeSet<Ord>,
     /// The parsed annotation, its parse error, or `None` when the site has
-    /// no `ORDERING:` comment at all (v1's presence check owns that case).
+    /// no `ORDERING:` comment at all.
     pub ann: Option<Result<Annotation, String>>,
 }
 
@@ -142,7 +142,9 @@ impl AtomicSite {
         self.ords.contains(&o)
     }
 
-    /// Weak = any non-SeqCst ordering (the annotation trigger).
+    /// Weak = any non-SeqCst ordering (the annotation trigger; `SeqCst` is
+    /// the conservative default, and demanding a comment for it would only
+    /// invite downgrades).
     fn is_weak(&self) -> bool {
         self.ords.iter().any(|o| *o != Ord::SeqCst)
     }
@@ -243,7 +245,8 @@ fn is_tag(s: &str) -> bool {
 }
 
 /// Extract every atomic access (and bare ordering token) from one scanned
-/// file. Test code is skipped, mirroring the v1 presence check.
+/// file. Test code is skipped (tests use `Relaxed` counters to assert
+/// totals, not to synchronize).
 pub fn extract_sites(path: &str, lines: &[SourceLine]) -> Vec<AtomicSite> {
     // Flatten the code channel so call spans can cross line breaks
     // (rustfmt wraps `compare_exchange` argument lists).
@@ -436,7 +439,8 @@ fn annotation_for(lines: &[SourceLine], idx: usize) -> Option<Result<Annotation,
         }
         let t = l.code.trim();
         let carrier = !t.is_empty() && !t.ends_with(';') && !t.ends_with('}');
-        let sibling = crate::checks::has_weak_ordering_code(&l.code);
+        let sibling =
+            ALL_ORDS.iter().any(|o| *o != Ord::SeqCst && !find_word(&l.code, o.name()).is_empty());
         if carrier
             || (sibling && {
                 extra_hops += 1;
@@ -451,16 +455,23 @@ fn annotation_for(lines: &[SourceLine], idx: usize) -> Option<Result<Annotation,
     None
 }
 
-/// Per-file annotation validity findings (checks 1–3 of the module docs).
+/// Per-site annotation findings (checks 1–3 of the module docs).
 pub fn check_annotations(sites: &[AtomicSite]) -> Vec<Finding> {
     let mut out = Vec::new();
     for s in sites {
         if !s.is_weak() {
             continue;
         }
-        let Some(ann) = &s.ann else { continue }; // v1 owns "missing entirely"
-        let ann = match ann {
-            Err(why) => {
+        let ann = match &s.ann {
+            None => {
+                out.push(finding(
+                    s,
+                    "non-SeqCst atomic ordering without an `// ORDERING:` justification"
+                        .to_string(),
+                ));
+                continue;
+            }
+            Some(Err(why)) => {
                 out.push(finding(
                     s,
                     format!(
@@ -470,7 +481,7 @@ pub fn check_annotations(sites: &[AtomicSite]) -> Vec<Finding> {
                 ));
                 continue;
             }
-            Ok(ann) => ann,
+            Some(Ok(ann)) => ann,
         };
         for &o in &ann.declared {
             if !s.has(o) {
@@ -644,6 +655,24 @@ self.reserved.compare_exchange(
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].op, OpKind::Bare);
         assert!(s[0].field.is_none());
+    }
+
+    #[test]
+    fn unannotated_wrapped_cas_is_one_finding_at_the_operation() {
+        let src = "\
+fn f() {
+    x.compare_exchange_weak(
+        cur,
+        new,
+        Ordering::AcqRel,
+        Ordering::Relaxed,
+    );
+}
+";
+        let f = check_annotations(&sites(src));
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].line, 2);
+        assert!(f[0].message.contains("without an `// ORDERING:`"), "{}", f[0].message);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! * `x.lock()` acquires the mutex named by the receiver's final
 //!   identifier (`self.inner.ledger.lock()` → `ledger`). The repo's two
 //!   mutex types (std's and `hsa-tasks`' poison-ignoring wrapper) share
-//!   the call shape.
-//! * `x.read()` / `x.write()` (argument-less, so I/O calls never match)
-//!   acquire `x` when `x` is a declared `RwLock` field.
+//!   the call shape. (The workspace declares no `RwLock`, so `.read()` /
+//!   `.write()` are not acquisitions here; should one appear, no other
+//!   check catches it — `RwLock` is std, so not the manifest check either
+//!   — and this scan must learn the shape first.)
 //! * `let g = x.lock();` holds the guard until its enclosing block closes
 //!   or an explicit `drop(g)`; `x.lock().f()` without a binding is a
 //!   temporary, released at the end of the statement.
@@ -49,8 +50,6 @@ pub struct LockEdge {
 /// Workspace-wide accumulator: feed every file, then `finish`.
 #[derive(Default)]
 pub struct LockGraph {
-    /// Declared `RwLock` field names (enables `.read()`/`.write()`).
-    rwlock_fields: BTreeSet<String>,
     /// crate key -> fn name -> locks its body acquires directly.
     fns: BTreeMap<String, BTreeMap<String, BTreeSet<String>>>,
     /// Files held back for the second (edge-building) pass.
@@ -104,33 +103,15 @@ const NEVER_RESOLVED: &[&str] = &[
 ];
 
 impl LockGraph {
-    /// Record one scanned file (pass 1: declarations + per-fn bodies).
+    /// Record one scanned file (pass 1: per-fn bodies and what each
+    /// acquires directly).
     pub fn add_file(&mut self, path: &str, lines: &[SourceLine]) {
-        for l in lines {
-            if l.in_test {
-                continue;
-            }
-            // `name: RwLock<...>` field declarations.
-            if let Some((lhs, rhs)) = l.code.split_once(':') {
-                if rhs.trim_start().starts_with("RwLock<")
-                    || rhs.trim_start().starts_with("sync::RwLock<")
-                    || rhs.trim_start().starts_with("std::sync::RwLock<")
-                {
-                    let name = lhs.trim().trim_start_matches("pub ").trim();
-                    if is_ident(name) {
-                        self.rwlock_fields.insert(name.to_string());
-                    }
-                }
-            }
-        }
         let bodies = split_functions(lines);
         let key = crate_key(path);
         for b in &bodies {
             let mut direct = BTreeSet::new();
             for (_, code) in &b.lines {
-                for acq in direct_acquisitions(code, &self.rwlock_fields) {
-                    direct.insert(acq);
-                }
+                direct.extend(direct_acquisitions(code));
             }
             if !direct.is_empty() {
                 self.fns
@@ -144,24 +125,21 @@ impl LockGraph {
         self.files.push((path.to_string(), bodies));
     }
 
-    /// Build the edge set and report one finding per lock-order cycle.
-    pub fn finish(self) -> Vec<Finding> {
+    /// Build the edge set; returns how many distinct `from → to` pairs it
+    /// holds and one finding per lock-order cycle.
+    pub fn finish(self) -> (usize, Vec<Finding>) {
         let mut edges: BTreeSet<LockEdge> = BTreeSet::new();
         for (path, bodies) in &self.files {
             let key = crate_key(path);
             let fn_map = self.fns.get(&key);
             for b in bodies {
-                collect_edges(path, b, &self.rwlock_fields, fn_map, &mut edges);
+                collect_edges(path, b, fn_map, &mut edges);
             }
         }
-        findings_from_cycles(&edges)
+        let pairs: BTreeSet<(&str, &str)> =
+            edges.iter().map(|e| (e.from.as_str(), e.to.as_str())).collect();
+        (pairs.len(), findings_from_cycles(&edges))
     }
-}
-
-fn is_ident(s: &str) -> bool {
-    !s.is_empty()
-        && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-        && !s.chars().next().is_some_and(|c| c.is_ascii_digit())
 }
 
 /// Split a file into function bodies by brace depth: a `fn name(` line
@@ -229,23 +207,17 @@ fn fn_name(code: &str) -> Option<String> {
 }
 
 /// Direct lock acquisitions on one code line: the lock names.
-fn direct_acquisitions(code: &str, rwlocks: &BTreeSet<String>) -> Vec<String> {
+fn direct_acquisitions(code: &str) -> Vec<String> {
+    const LOCK: &str = ".lock()";
     let mut out = Vec::new();
-    for (pat, rw_only) in [(".lock()", false), (".read()", true), (".write()", true)] {
-        let mut from = 0usize;
-        while let Some(found) = code[from..].find(pat) {
-            let at = from + found;
-            from = at + pat.len();
-            if let Some(name) = receiver_name(code, at) {
-                // `self.lock()` is a method call, not a field acquisition;
-                // the caller resolves it through the same-crate fn map.
-                if name == "self" || name == "Self" {
-                    continue;
-                }
-                if !rw_only || rwlocks.contains(&name) {
-                    out.push(name);
-                }
-            }
+    let mut from = 0usize;
+    while let Some(found) = code[from..].find(LOCK) {
+        let at = from + found;
+        from = at + LOCK.len();
+        // `self.lock()` is a method call, not a field acquisition; the
+        // caller resolves it through the same-crate fn map.
+        if let Some(name) = receiver_name(code, at).filter(|n| n != "self" && n != "Self") {
+            out.push(name);
         }
     }
     out
@@ -294,7 +266,6 @@ struct Held {
 fn collect_edges(
     path: &str,
     body: &FnBody,
-    rwlocks: &BTreeSet<String>,
     fn_map: Option<&BTreeMap<String, BTreeSet<String>>>,
     edges: &mut BTreeSet<LockEdge>,
 ) {
@@ -303,7 +274,7 @@ fn collect_edges(
     for (number, code) in &body.lines {
         // Acquisitions on this line, with `self.lock()` resolved one hop
         // through a same-crate `fn lock` when one exists.
-        let mut acquired = direct_acquisitions(code, rwlocks);
+        let mut acquired = direct_acquisitions(code);
         if acquired.is_empty() && code.contains("self.lock()") {
             if let Some(locks) = fn_map.and_then(|m| m.get("lock")) {
                 acquired = locks.iter().cloned().collect();
@@ -524,7 +495,7 @@ mod tests {
         for (path, src) in files {
             g.add_file(path, &scan(src));
         }
-        g.finish()
+        g.finish().1
     }
 
     #[test]
@@ -644,28 +615,6 @@ fn release(&self) {
         let f = graph(&[("crates/fault/src/admission.rs", src)]);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("ledger") && f[0].message.contains("waiters"));
-    }
-
-    #[test]
-    fn rwlock_read_write_only_match_declared_fields() {
-        let src = "\
-struct S {
-    table: RwLock<u32>,
-}
-fn a(&self) {
-    let g = self.table.read();
-    self.m.lock().push(1);
-}
-fn b(&self) {
-    let g = self.m.lock();
-    let h = self.table.write();
-}
-";
-        let f = graph(&[("crates/x/src/lib.rs", src)]);
-        assert_eq!(f.len(), 1, "{f:?}");
-        // `file.read(&mut buf)`-style I/O has arguments and never matches.
-        let io = "fn c(f: &mut File) {\n    let g = self.m.lock();\n    f.read(&mut buf);\n}\n";
-        assert!(graph(&[("crates/x/src/io.rs", io)]).is_empty());
     }
 
     #[test]

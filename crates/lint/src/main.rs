@@ -1,4 +1,4 @@
-//! CLI entry point: `cargo run -p hsa-lint [-- <root>] [--print-allow]`.
+//! CLI entry point: `cargo run -p hsa-lint [-- <root>]`.
 //!
 //! Exit codes: 0 = clean, 1 = findings, 2 = usage or I/O error.
 
@@ -7,35 +7,19 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut print_allow = false;
-    let mut json = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--print-allow" => print_allow = true,
-            "--format" => match args.next().as_deref() {
-                Some("json") => json = true,
-                Some("text") => json = false,
-                other => {
-                    eprintln!(
-                        "hsa-lint: --format wants `text` or `json`, got {:?}",
-                        other.unwrap_or("nothing")
-                    );
-                    return ExitCode::from(2);
-                }
-            },
             "--help" | "-h" => {
                 println!(
-                    "hsa-lint — workspace safety analyzer\n\n\
-                     USAGE: hsa-lint [ROOT] [--print-allow] [--format text|json]\n\n\
+                    "hsa-lint — workspace protocol analyzer\n\n\
+                     USAGE: hsa-lint [ROOT]\n\n\
                      Walks src/ and crates/*/src from ROOT (default: the enclosing\n\
-                     workspace) and enforces the invariants documented in DESIGN.md\n\
-                     §12 and §17: SAFETY comments on unsafe, machine-checked ORDERING\n\
-                     protocol annotations on weak atomics (pairing + publication),\n\
-                     an acyclic workspace lock graph, no leaked budget reservations,\n\
-                     frozen panic debt, std-only manifests, cold-path markers.\n\n\
-                     --print-allow  print regenerated lint-allow.txt contents and exit\n\
-                     --format json  machine-readable findings (schema_version 1)"
+                     workspace) and enforces the invariants DESIGN.md §12 leaves to\n\
+                     it: machine-checked ORDERING protocol annotations on weak atomics\n\
+                     (presence, pairing, publication), an acyclic workspace lock\n\
+                     graph, std-only manifests, cold-path markers. What clippy can\n\
+                     say (SAFETY comments, panic-free library code, leaked guards) is\n\
+                     clippy's: run scripts/lint.sh for both."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -69,36 +53,22 @@ fn main() -> ExitCode {
         }
     };
 
-    if print_allow {
-        return match hsa_lint::print_allow(&root) {
-            Ok(text) => {
-                print!("{text}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("hsa-lint: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
     match hsa_lint::run(&root) {
-        Ok(findings) => {
-            if json {
-                print!("{}", hsa_lint::render_json(&root.display().to_string(), &findings));
-            } else if findings.is_empty() {
-                println!("hsa-lint: clean ({})", root.display());
-            } else {
-                for f in &findings {
-                    println!("{f}");
-                }
+        Ok(report) if report.findings.is_empty() => {
+            println!(
+                "hsa-lint: clean ({}: {} atomic sites, {} lock-order edges)",
+                root.display(),
+                report.atomic_sites,
+                report.lock_edges
+            );
+            ExitCode::SUCCESS
+        }
+        Ok(report) => {
+            for f in &report.findings {
+                println!("{f}");
             }
-            if findings.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("hsa-lint: {} finding(s)", findings.len());
-                ExitCode::FAILURE
-            }
+            eprintln!("hsa-lint: {} finding(s)", report.findings.len());
+            ExitCode::FAILURE
         }
         Err(e) => {
             eprintln!("hsa-lint: {e}");

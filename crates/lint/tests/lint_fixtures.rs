@@ -14,64 +14,22 @@ fn lint_bin(root: &Path) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_hsa-lint")).arg(root).output().expect("spawn hsa-lint")
 }
 
-fn lint_bin_json(root: &Path) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_hsa-lint"))
-        .arg(root)
-        .args(["--format", "json"])
-        .output()
-        .expect("spawn hsa-lint")
-}
-
 #[test]
 fn clean_tree_has_no_findings_and_exits_zero() {
     let root = fixture("clean");
-    assert_eq!(run(&root).unwrap(), vec![]);
+    assert_eq!(run(&root).unwrap().findings, vec![]);
 
     let out = lint_bin(&root);
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("clean"), "stdout: {stdout}");
-}
-
-#[test]
-fn missing_safety_comment_is_flagged_at_the_unsafe_line() {
-    let root = fixture("missing_safety");
-    let findings = run(&root).unwrap();
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].check, Check::Safety);
-    assert_eq!(findings[0].path, "crates/bad/src/lib.rs");
-    assert_eq!(findings[0].line, 4);
-
-    let out = lint_bin(&root);
-    assert_eq!(out.status.code(), Some(1));
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("crates/bad/src/lib.rs:4: [safety]"), "stdout: {stdout}");
-}
-
-#[test]
-fn stray_unwrap_is_flagged_but_frozen_debt_is_not() {
-    let root = fixture("stray_unwrap");
-    let findings = run(&root).unwrap();
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].check, Check::Panic);
-    assert_eq!(findings[0].path, "crates/bad/src/lib.rs");
-    assert_eq!(findings[0].line, 4);
-    assert!(findings[0].message.contains(".unwrap()"), "{}", findings[0].message);
-
-    assert_eq!(lint_bin(&root).status.code(), Some(1));
-}
-
-#[test]
-fn print_allow_regenerates_current_debt() {
-    let text = hsa_lint::print_allow(&fixture("stray_unwrap")).unwrap();
-    assert!(text.contains("crates/bad/src/frozen.rs panic 1"), "{text}");
-    assert!(text.contains("crates/bad/src/lib.rs panic 1"), "{text}");
+    assert!(stdout.contains("0 atomic sites, 0 lock-order edges"), "stdout: {stdout}");
 }
 
 #[test]
 fn smuggled_dependency_is_flagged_in_the_manifest() {
     let root = fixture("smuggled_dep");
-    let findings = run(&root).unwrap();
+    let findings = run(&root).unwrap().findings;
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].check, Check::Deps);
     assert_eq!(findings[0].path, "crates/bad/Cargo.toml");
@@ -84,17 +42,19 @@ fn smuggled_dependency_is_flagged_in_the_manifest() {
 #[test]
 fn weak_ordering_is_flagged_only_in_scoped_crates() {
     let root = fixture("weak_ordering");
-    let findings = run(&root).unwrap();
+    let findings = run(&root).unwrap().findings;
     assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].check, Check::Ordering);
+    // Only the scoped crate's load is a finding; `crates/other` is silent.
+    assert_eq!(findings[0].check, Check::Atomics);
     assert_eq!(findings[0].path, "crates/tasks/src/lib.rs");
     assert_eq!(findings[0].line, 4);
+    assert!(findings[0].message.contains("without an `// ORDERING:`"), "{}", findings[0].message);
 }
 
 #[test]
 fn lost_cold_path_markers_are_flagged() {
     let root = fixture("cold_path");
-    let findings = run(&root).unwrap();
+    let findings = run(&root).unwrap().findings;
     assert_eq!(findings.len(), 2, "{findings:?}");
     assert_eq!(findings[0].check, Check::ColdPath);
     assert_eq!(findings[0].path, "crates/hashtbl/src/fixed.rs");
@@ -107,20 +67,9 @@ fn lost_cold_path_markers_are_flagged() {
 }
 
 #[test]
-fn malformed_allowlist_entries_are_findings() {
-    let root = fixture("bad_allowlist");
-    let findings = run(&root).unwrap();
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].check, Check::Panic);
-    assert_eq!(findings[0].path, "lint-allow.txt");
-    assert_eq!(findings[0].line, 2);
-    assert!(findings[0].message.contains("malformed"), "{}", findings[0].message);
-}
-
-#[test]
 fn unpaired_release_store_is_flagged() {
     let root = fixture("unpaired_release");
-    let findings = run(&root).unwrap();
+    let findings = run(&root).unwrap().findings;
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].check, Check::Atomics);
     assert_eq!(findings[0].path, "crates/tasks/src/lib.rs");
@@ -133,7 +82,7 @@ fn unpaired_release_store_is_flagged() {
 #[test]
 fn relaxed_annotation_claiming_publication_is_flagged() {
     let root = fixture("relaxed_publication");
-    let findings = run(&root).unwrap();
+    let findings = run(&root).unwrap().findings;
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].check, Check::Atomics);
     assert_eq!(findings[0].path, "crates/tasks/src/lib.rs");
@@ -146,7 +95,7 @@ fn relaxed_annotation_claiming_publication_is_flagged() {
 #[test]
 fn dangling_pairs_with_tag_is_flagged_once() {
     let root = fixture("dangling_pairs_with");
-    let findings = run(&root).unwrap();
+    let findings = run(&root).unwrap().findings;
     // The release/observe-side pair resolves; only the phantom
     // `flag.publish` reference is a finding.
     assert_eq!(findings.len(), 1, "{findings:?}");
@@ -165,7 +114,7 @@ fn dangling_pairs_with_tag_is_flagged_once() {
 #[test]
 fn cross_crate_lock_order_cycle_is_one_deadlock_finding() {
     let root = fixture("lock_cycle");
-    let findings = run(&root).unwrap();
+    let findings = run(&root).unwrap().findings;
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].check, Check::LockOrder);
     // Anchored at the first witness edge (sorted by from/to):
@@ -180,55 +129,6 @@ fn cross_crate_lock_order_cycle_is_one_deadlock_finding() {
 }
 
 #[test]
-fn forgotten_reservation_is_a_raii_leak_finding() {
-    let root = fixture("leaked_reservation");
-    let findings = run(&root).unwrap();
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].check, Check::RaiiLeak);
-    assert_eq!(findings[0].path, "crates/fault/src/lib.rs");
-    assert_eq!(findings[0].line, 12);
-    assert!(
-        findings[0].message.contains("`mem::forget` reaches `Reservation`"),
-        "{}",
-        findings[0].message
-    );
-
-    assert_eq!(lint_bin(&root).status.code(), Some(1));
-}
-
-#[test]
-fn json_output_is_stable_and_parseable_by_shape() {
-    // Findings run: schema_version, count, and the finding fields all
-    // appear; exit code still signals findings.
-    let out = lint_bin_json(&fixture("leaked_reservation"));
-    assert_eq!(out.status.code(), Some(1));
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("\"schema_version\": 1"), "{stdout}");
-    assert!(stdout.contains("\"count\": 1"), "{stdout}");
-    assert!(stdout.contains("\"check\": \"raii-leak\""), "{stdout}");
-    assert!(stdout.contains("\"path\": \"crates/fault/src/lib.rs\""), "{stdout}");
-    assert!(stdout.contains("\"line\": 12"), "{stdout}");
-
-    // Clean run: empty findings array, exit 0.
-    let out = lint_bin_json(&fixture("clean"));
-    assert_eq!(out.status.code(), Some(0));
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("\"schema_version\": 1"), "{stdout}");
-    assert!(stdout.contains("\"count\": 0"), "{stdout}");
-    assert!(stdout.contains("\"findings\": []"), "{stdout}");
-}
-
-#[test]
-fn bad_format_value_is_a_usage_error() {
-    let out = Command::new(env!("CARGO_BIN_EXE_hsa-lint"))
-        .arg(fixture("clean"))
-        .args(["--format", "yaml"])
-        .output()
-        .expect("spawn hsa-lint");
-    assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
 fn nonexistent_root_is_a_usage_error() {
     let out = lint_bin(&fixture("no_such_fixture"));
     assert_eq!(out.status.code(), Some(2));
@@ -240,6 +140,8 @@ fn the_real_workspace_is_clean() {
     // runs. Walk up from the lint crate to the enclosing workspace root.
     let root = hsa_lint::find_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("enclosing workspace root");
-    let findings = run(&root).unwrap();
-    assert_eq!(findings, vec![], "the tree no longer passes hsa-lint");
+    let report = run(&root).unwrap();
+    assert_eq!(report.findings, vec![], "the tree no longer passes hsa-lint");
+    // Clean must not mean blind: the tree has weak atomics and nested locks.
+    assert!(report.atomic_sites > 0 && report.lock_edges > 0, "{report:?}");
 }

@@ -78,6 +78,10 @@ struct Inner {
 // worker `i` (the crate-level sharding contract), and serialization reads
 // only after those threads have quiesced.
 unsafe impl Sync for Inner {}
+// SAFETY: sending differs from sharing in that no two threads touch a
+// buffer at once: a move hands every `UnsafeCell` over whole, and what the
+// cells own — `Vec`s of `&'static str` and integers, a counter — is `Send`
+// with no tie to the thread that built it, as are `capacity` and `epoch`.
 unsafe impl Send for Inner {}
 
 /// Cheap cloneable handle to the per-worker timeline buffers, or a no-op

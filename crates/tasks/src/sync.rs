@@ -84,6 +84,8 @@ fn take_mut<T>(slot: &mut T, f: impl FnOnce(T) -> T) {
         let new = f(old);
         std::ptr::write(slot, new);
     }
+    // Disarms the abort guard — a zero-sized type with nothing to release.
+    #[allow(clippy::mem_forget)]
     std::mem::forget(guard);
 }
 

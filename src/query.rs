@@ -114,6 +114,8 @@ impl<'t> Query<'t> {
     /// Panics on unknown column names (mirroring [`Table::col`]); at least
     /// one grouping column is required. [`Query::try_run`] returns these
     /// as typed errors instead.
+    // The documented panicking wrapper; `try_run` is the fallible form.
+    #[allow(clippy::panic)]
     pub fn run(self) -> QueryResult {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -132,6 +134,8 @@ impl<'t> Query<'t> {
     /// while the result is identical to [`Query::run`].
     ///
     /// Panics exactly like [`Query::run`]; see [`Query::try_run_streaming`].
+    // The documented panicking wrapper; `try_run_streaming` is the fallible form.
+    #[allow(clippy::panic)]
     pub fn run_streaming(self, chunk_rows: usize) -> QueryResult {
         self.try_run_streaming(chunk_rows).unwrap_or_else(|e| panic!("{e}"))
     }
