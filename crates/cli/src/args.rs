@@ -115,7 +115,7 @@ options:
                           per extent the smaller of delta and rle, raw
                           when neither shrinks) or off
   --spill-io-threads <n>  background spill I/O workers overlapping spill
-                          writes and restore prefetch with compute
+                          writes and restore read-ahead with compute
                           (default 1; 0 = fully synchronous I/O)
   --stats                 print the full run report (per-level passes,
                           probe lengths, SWC flushes, switch alphas, ...)

@@ -1,26 +1,41 @@
 //! The spill store's one I/O path: jobs, the tickets their outcomes are
 //! published on, and the executor that runs them.
 //!
-//! Every write and every prefetch is a [`Job`]; [`Executor::submit`] is
-//! the only way one runs, and [`run_job`] the only code that runs it —
-//! on a worker thread when the executor has any, on the submitting thread
-//! when it has none (`io_threads: 0`, or no worker could be spawned).
-//! The two differ in exactly one thing: who receives a write's failure.
-//! A job run by its submitter returns it; a job run by a worker has
-//! nobody to return it to, so the failure is parked in the store's
-//! first-error slot (and on the job's tickets) for the next
-//! synchronization point to surface.
+//! Every segment write is a [`WriteJob`]; [`Executor::submit`] is the
+//! only way one runs, and [`run_write`] the only code that runs it — on a
+//! worker thread when the executor has any, on the submitting thread when
+//! it has none (`io_threads: 0`, or no worker could be spawned). The two
+//! differ in exactly one thing: who receives a write's failure. A job run
+//! by its submitter returns it; a job run by a worker has nobody to
+//! return it to, so the failure is parked in the store's first-error slot
+//! (and on the job's tickets) for the next synchronization point to
+//! surface.
+//!
+//! Restores are read ahead of their consumer from a *plan*: the runs of
+//! one recursion level in the order they will be consumed
+//! ([`Executor::plan`]). A worker with no write to do decodes the plan's
+//! next run and parks it on the run's ticket, for as long as parked and
+//! in-decode runs fit the read window. Writes always go first — they free
+//! memory, and a read that is paced by its consumer must never hold one
+//! up. A consumer that reaches a run before a worker did takes it out of
+//! the plan and decodes it itself ([`Executor::claim`]); either way
+//! [`StoreCore::perform_read`] is the one code path that reads.
 //!
 //! # Backpressure
 //!
-//! The queue is bounded in *bytes* of run payload, queued or being
-//! written ([`QUEUE_BYTES`]): a submitted run is memory no budget accounts
-//! until a worker has written it, so what must be bounded is how much of
-//! it exists, not how many jobs it is cut into. A submitter that out-runs
-//! the disk blocks until enough bytes retire — write-behind sized against
-//! a fixed grant, in the external-sort tradition. A job larger than the
-//! whole bound is admitted alone. Workers never submit, so the executor
-//! cannot deadlock on its own queue.
+//! The executor holds a bounded number of *bytes* of run payload
+//! ([`QUEUE_BYTES`]): runs submitted and not yet written, plus runs read
+//! ahead and not yet collected. Neither is memory any budget accounts, so
+//! what must be bounded is how much of it exists, not how many jobs it is
+//! cut into. A submitter that out-runs the disk blocks until enough bytes
+//! retire — write-behind sized against a fixed grant, in the external-sort
+//! tradition — and read-ahead stops at a fixed fraction of the same grant
+//! (`Shared::read_window`). A write waits only for other writes, which
+//! workers retire on their own: parked reads retire when their consumer
+//! collects them, and that consumer may be the submitter. A job larger
+//! than what is left of the bound is therefore admitted once no write is
+//! ahead of it. Workers never submit, so the executor cannot deadlock on
+//! its own queue.
 
 use crate::codec::SpillCodec;
 use crate::format::{read_run, ReadError, SpillWriter, HEADER_BYTES};
@@ -37,9 +52,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Most run-payload bytes a store's executor holds at once, queued or
-/// being written. Everything else about spill memory follows from it —
-/// see [`Executor::segment_bytes`].
+/// Most run-payload bytes a store's executor holds at once: runs queued
+/// or being written, and runs read ahead of their consumer. Everything
+/// else about spill memory follows from it — see
+/// [`Executor::segment_bytes`] and `Shared::read_window`.
 pub(crate) const QUEUE_BYTES: u64 = 24 << 20;
 
 /// Recover a poisoned lock: ticket, queue and error state stay usable
@@ -62,11 +78,13 @@ pub(crate) enum TicketState {
     WriteFailed(AggError),
     /// The stream is on disk; no I/O in flight.
     Written,
-    /// A prefetch read is queued or running.
+    /// A worker took the run from the plan and is decoding it.
     ReadPending,
-    /// A prefetch finished; the decoded run (or its error) is parked
-    /// here for the consumer.
-    ReadDone(Box<Result<Run, AggError>>),
+    /// The read-ahead finished; the decoded run (or its error) is parked
+    /// here for the consumer, still charged to the executor's bound.
+    ReadDone(Box<Result<Run, AggError>>, Charge),
+    /// The consumer took the run — parked rows, or the read itself.
+    Taken,
 }
 
 impl TicketState {
@@ -111,6 +129,44 @@ impl IoTicket {
             g = wait(&self.cv, g);
         }
         (g, t0.elapsed().as_nanos() as u64)
+    }
+
+    /// True while no worker has started reading the run and no consumer
+    /// has taken it: only then can the plan still name it.
+    pub(crate) fn is_unread(&self) -> bool {
+        matches!(*lock(&self.state), TicketState::WritePending | TicketState::Written)
+    }
+}
+
+/// Bytes of one read-ahead run held against the executor's bound, from
+/// the moment a worker takes the run off the plan until whoever ends up
+/// with the decoded rows — the consumer, or the dropped handle's ticket —
+/// lets go of them.
+pub(crate) struct Charge {
+    shared: Arc<Shared>,
+    bytes: u64,
+}
+
+impl std::fmt::Debug for Charge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Charge").field("bytes", &self.bytes).finish_non_exhaustive()
+    }
+}
+
+impl Drop for Charge {
+    fn drop(&mut self) {
+        let mut q = lock(&self.shared.queue);
+        q.in_flight -= self.bytes;
+        q.reading -= self.bytes;
+        // A worker that filled the window is asleep, and waking it costs
+        // this thread more than collecting the run did: leave it until
+        // half the window is open, so one wake reads several runs.
+        let refill = !q.plan.is_empty() && q.reading <= self.shared.read_window() / 2;
+        drop(q);
+        if refill {
+            self.shared.work.notify_one();
+        }
+        self.shared.room.notify_all();
     }
 }
 
@@ -170,6 +226,11 @@ impl SpillMeta {
     pub(crate) fn path(&self) -> &Path {
         &self.file.path
     }
+
+    /// Memory the decoded run will occupy, known before reading it.
+    pub(crate) fn decoded_bytes(&self) -> u64 {
+        (self.rows * (1 + self.n_cols) * 8) as u64
+    }
 }
 
 /// One run of a segment write: payload, placement, and the ticket its
@@ -180,72 +241,71 @@ pub(crate) struct WriteItem {
     pub(crate) ticket: Arc<IoTicket>,
 }
 
-/// One unit of spill I/O.
-pub(crate) enum Job {
-    /// Write every run of `batch` into its shared segment file as one
-    /// sequential stream, then settle each ticket.
-    Write {
-        batch: Vec<WriteItem>,
-        inject: Option<SpillFaultKind>,
-        reservation: Arc<DiskReservation>,
-    },
-    /// Prefetch: decode `meta`'s stream into a parked `ReadDone`.
-    Read { meta: SpillMeta, inject: Option<SpillFaultKind>, ticket: Arc<IoTicket> },
+/// One segment write: every run of `batch` goes into its shared segment
+/// file as one sequential stream, then each ticket settles.
+pub(crate) struct WriteJob {
+    pub(crate) batch: Vec<WriteItem>,
+    pub(crate) inject: Option<SpillFaultKind>,
+    pub(crate) reservation: Arc<DiskReservation>,
 }
 
-/// Execute one job and publish its outcome on its tickets. A read's
-/// outcome — rows or error — belongs to the run's consumer and is only
-/// parked on the ticket; a write's failure is also returned.
+/// One entry of the read-ahead plan.
+struct PlannedRead {
+    meta: SpillMeta,
+    ticket: Arc<IoTicket>,
+    /// The bucket the run belongs to; a bucket's entries are adjacent.
+    bucket: u64,
+}
+
+/// Execute one write and publish its outcome on its tickets; its failure
+/// is also returned.
 ///
 /// `on_worker` is the job's start time when a worker runs it: the
 /// duration then counts as I/O a compute thread could overlap with, and
-/// a write's failure — which a worker has nobody to return to — is parked
-/// in the first-error slot *before* the tickets publish, so whoever sees a
+/// the failure — which a worker has nobody to return to — is parked in
+/// the first-error slot *before* the tickets publish, so whoever sees a
 /// failed ticket finds the slot already set.
-fn run_job(core: &StoreCore, job: Job, on_worker: Option<Instant>) -> Result<(), AggError> {
-    let clock = || {
-        if let Some(t0) = on_worker {
-            // ORDERING: Relaxed — monotonic statistics counter.
-            core.async_io_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-    };
-    match job {
-        Job::Write { batch, inject, reservation } => {
-            let result = core.perform_write(&batch, inject, &reservation);
-            clock();
-            if let (Err(e), Some(_)) = (&result, on_worker) {
-                core.note_error(e);
-            }
-            // Release the payload memory, this side's reservation clone
-            // and this side's file references *before* publishing any
-            // terminal state: a consumer that observed completion must
-            // also observe both budgets drained (the chaos suite asserts
-            // exactly that), and finds the handles the only remaining
-            // owners of the segment file, so dropping the last handle
-            // unlinks it deterministically.
-            let tickets: Vec<Arc<IoTicket>> = batch.into_iter().map(|item| item.ticket).collect();
-            drop(reservation);
-            for ticket in tickets {
-                debug_assert!(matches!(*ticket.lock(), TicketState::WritePending));
-                // The whole segment shares the file and the fate of its
-                // write: on failure every handle reports the same error.
-                ticket.set(match &result {
-                    Ok(()) => TicketState::Written,
-                    Err(e) => TicketState::WriteFailed(e.clone()),
-                });
-            }
-            result
-        }
-        Job::Read { meta, inject, ticket } => {
-            let read = core.perform_read(&meta, inject);
-            clock();
-            // The job's file reference drops before the result publishes,
-            // as on the write side.
-            drop(meta);
-            ticket.set(TicketState::ReadDone(Box::new(read)));
-            Ok(())
+fn run_write(core: &StoreCore, job: WriteJob, on_worker: Option<Instant>) -> Result<(), AggError> {
+    let WriteJob { batch, inject, reservation } = job;
+    let result = core.perform_write(&batch, inject, &reservation);
+    if let Some(t0) = on_worker {
+        core.clock_worker(t0);
+        if let Err(e) = &result {
+            core.note_error(e);
         }
     }
+    // Release the payload memory, this side's reservation clone and this
+    // side's file references *before* publishing any terminal state: a
+    // consumer that observed completion must also observe both budgets
+    // drained (the chaos suite asserts exactly that), and finds the
+    // handles the only remaining owners of the segment file, so dropping
+    // the last handle unlinks it deterministically.
+    let tickets: Vec<Arc<IoTicket>> = batch.into_iter().map(|item| item.ticket).collect();
+    drop(reservation);
+    for ticket in tickets {
+        debug_assert!(matches!(*ticket.lock(), TicketState::WritePending));
+        // The whole segment shares the file and the fate of its write: on
+        // failure every handle reports the same error.
+        ticket.set(match &result {
+            Ok(()) => TicketState::Written,
+            Err(e) => TicketState::WriteFailed(e.clone()),
+        });
+    }
+    result
+}
+
+/// Decode one planned run on a worker and park the outcome — rows or
+/// error, it belongs to the run's consumer — on its ticket, together with
+/// the charge for the memory the rows hold.
+fn run_read(core: &StoreCore, read: PlannedRead, charge: Charge) {
+    let t0 = Instant::now();
+    let PlannedRead { meta, ticket, .. } = read;
+    let outcome = core.perform_read(&meta);
+    core.clock_worker(t0);
+    // The worker's file reference drops before the result publishes, as
+    // on the write side.
+    drop(meta);
+    ticket.set(TicketState::ReadDone(Box::new(outcome), charge));
 }
 
 /// The store state every job runs against, shared between the owning
@@ -276,6 +336,13 @@ pub(crate) struct StoreCore {
 }
 
 impl StoreCore {
+    /// Count a worker's time on one job as I/O a compute thread could
+    /// overlap with.
+    fn clock_worker(&self, t0: Instant) {
+        // ORDERING: Relaxed — monotonic statistics counter.
+        self.async_io_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    }
+
     /// Record a failure for deferred surfacing; only the
     /// first error is kept (later ones are usually the same root cause,
     /// and the handle that owns each failure still reports it directly).
@@ -392,11 +459,12 @@ impl StoreCore {
     /// extent), verified end to end by [`read_run`]. Transient I/O errors
     /// retry; verification failures are permanent and surface as
     /// [`AggError::SpillCorrupt`].
-    pub(crate) fn perform_read(
-        &self,
-        meta: &SpillMeta,
-        injected: Option<SpillFaultKind>,
-    ) -> Result<Run, AggError> {
+    ///
+    /// Every run is read through here exactly once, by a worker going
+    /// down the plan or by its consumer, and the read's fault ordinal is
+    /// taken here: one read is one ordinal whichever thread performs it.
+    pub(crate) fn perform_read(&self, meta: &SpillMeta) -> Result<Run, AggError> {
+        let injected = self.faults.spill_read_fault();
         // The offset is published by the writer before the ticket
         // settles, and reads are gated on the settled ticket; an unset
         // cell (impossible on the normal path) degrades to offset 0,
@@ -480,16 +548,73 @@ fn truncate_in_place(path: &Path, offset: u64) {
     }
 }
 
-/// The executor's queue: jobs (with their payload bytes) waiting for a
-/// worker, and the payload bytes of every job admitted and not yet
-/// finished.
+/// The executor's queue: writes (with their payload bytes) waiting for a
+/// worker, the read-ahead plan, and the bytes of every admitted write not
+/// yet finished and every read-ahead run not yet collected.
 struct Queue {
-    jobs: VecDeque<(Job, u64)>,
+    jobs: VecDeque<(WriteJob, u64)>,
+    /// Spilled runs in the order their consumers will ask for them.
+    plan: VecDeque<PlannedRead>,
+    /// Buckets ever planned (the next bucket's id).
+    buckets: u64,
     in_flight: u64,
+    /// The part of `in_flight` that is read-ahead: runs being decoded by
+    /// a worker or parked on their tickets.
+    reading: u64,
     /// Set once, by [`Executor::join`]: workers finish the queue and exit.
     closed: bool,
     #[cfg(test)]
     peak_in_flight: u64,
+}
+
+impl Queue {
+    fn admit(&mut self, bytes: u64) {
+        self.in_flight += bytes;
+        #[cfg(test)]
+        {
+            self.peak_in_flight = self.peak_in_flight.max(self.in_flight);
+        }
+    }
+
+    /// Take the plan's next run if it can be read now — it is on disk and
+    /// its rows fit both the read window and the bound (a run larger than
+    /// either is admitted alone, like an oversized write) — marking its
+    /// ticket `ReadPending` and charging its bytes.
+    fn next_read(&mut self, shared: &Arc<Shared>) -> Option<(PlannedRead, Charge)> {
+        loop {
+            let front = self.plan.front()?;
+            let bytes = front.meta.decoded_bytes();
+            if (self.reading > 0 && self.reading + bytes > shared.read_window())
+                || (self.in_flight > 0 && self.in_flight + bytes > shared.bound)
+            {
+                return None;
+            }
+            // The one place a ticket is locked under the queue lock:
+            // taking the entry and marking its ticket are one step to a
+            // `claim`, which therefore either finds the entry or finds
+            // the ticket already `ReadPending`. Nothing takes the queue
+            // lock while holding a ticket's.
+            let mut state = front.ticket.lock();
+            match *state {
+                TicketState::Written => *state = TicketState::ReadPending,
+                // Another worker is still writing the run's segment; it
+                // looks at the plan itself when it is done.
+                TicketState::WritePending => return None,
+                // Nothing to read: the write failed (the consumer gets
+                // the error from the ticket), or the run was planned twice.
+                _ => {
+                    drop(state);
+                    self.plan.pop_front();
+                    continue;
+                }
+            }
+            drop(state);
+            self.admit(bytes);
+            self.reading += bytes;
+            let charge = Charge { shared: Arc::clone(shared), bytes };
+            return self.plan.pop_front().map(|read| (read, charge));
+        }
+    }
 }
 
 struct Shared {
@@ -502,8 +627,19 @@ struct Shared {
     room: Condvar,
 }
 
-/// Runs the store's jobs: on its workers behind a byte-bounded queue, or
-/// — with no workers — on the thread that submits them.
+impl Shared {
+    /// Most bytes of decoded runs read ahead of their consumers, parked or
+    /// being decoded: a twelfth of the bound (2 MiB — a handful of
+    /// buckets of the operator's per-digit runs; the measured gain is
+    /// flat from two buckets to thirty-two, so the window stays small and
+    /// the bound stays the writes').
+    fn read_window(&self) -> u64 {
+        self.bound / 12
+    }
+}
+
+/// Runs the store's I/O: on its workers behind a byte-bounded queue, or
+/// — with no workers — on the thread that asks for it.
 pub(crate) struct Executor {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -516,16 +652,20 @@ impl std::fmt::Debug for Executor {
 }
 
 impl Executor {
-    /// Spawn up to `threads` workers against `core`, admitting at most
+    /// Spawn up to `threads` workers against `core`, holding at most
     /// `bound` payload bytes at once. A worker that cannot be spawned is
-    /// done without; with none at all every job runs on its submitter.
+    /// done without; with none at all every write runs on its submitter
+    /// and every read on its consumer.
     pub(crate) fn new(core: Arc<StoreCore>, threads: usize, bound: u64) -> Self {
         let shared = Arc::new(Shared {
             core,
             bound,
             queue: Mutex::new(Queue {
                 jobs: VecDeque::new(),
+                plan: VecDeque::new(),
+                buckets: 0,
                 in_flight: 0,
+                reading: 0,
                 closed: false,
                 #[cfg(test)]
                 peak_in_flight: 0,
@@ -548,27 +688,78 @@ impl Executor {
     }
 
     /// Run `job`, which keeps `bytes` of run payload in memory until it
-    /// has run (a read keeps none): here and now when there is no worker
-    /// — its failure is then the return value — or by handing it to the
-    /// workers, blocking first until its payload fits under the bound (a
-    /// job that can never fit waits for an empty executor instead).
-    pub(crate) fn submit(&self, job: Job, bytes: u64) -> Result<(), AggError> {
+    /// has run: here and now when there is no worker — its failure is
+    /// then the return value — or by handing it to the workers, blocking
+    /// first until its payload fits under the bound. Only writes ahead of
+    /// it are waited for (a job that cannot fit even then goes in alone):
+    /// read-ahead bytes retire when their consumer collects them, which
+    /// may be this very thread.
+    pub(crate) fn submit(&self, job: WriteJob, bytes: u64) -> Result<(), AggError> {
         if self.workers.is_empty() {
-            return run_job(&self.shared.core, job, None);
+            return run_write(&self.shared.core, job, None);
         }
         let mut q = lock(&self.shared.queue);
-        while q.in_flight > 0 && q.in_flight + bytes > self.shared.bound {
+        while q.in_flight > q.reading && q.in_flight + bytes > self.shared.bound {
             q = wait(&self.shared.room, q);
         }
-        q.in_flight += bytes;
-        #[cfg(test)]
-        {
-            q.peak_in_flight = q.peak_in_flight.max(q.in_flight);
-        }
+        q.admit(bytes);
         q.jobs.push_back((job, bytes));
         drop(q);
         self.shared.work.notify_one();
         Ok(())
+    }
+
+    /// Put the runs of `buckets` at the front of the read-ahead plan:
+    /// buckets in the order they will be consumed, each bucket's runs in
+    /// order. Without workers there is nobody to read ahead and nothing
+    /// is planned.
+    pub(crate) fn plan<B>(&self, buckets: impl IntoIterator<Item = B>)
+    where
+        B: IntoIterator<Item = (SpillMeta, Arc<IoTicket>)>,
+    {
+        if self.workers.is_empty() {
+            return;
+        }
+        let mut q = lock(&self.shared.queue);
+        let mut at = 0;
+        for bucket in buckets {
+            let id = q.buckets;
+            q.buckets += 1;
+            for (meta, ticket) in bucket {
+                q.plan.insert(at, PlannedRead { meta, ticket, bucket: id });
+                at += 1;
+            }
+        }
+        drop(q);
+        if at > 0 {
+            self.shared.work.notify_one();
+        }
+    }
+
+    /// Take `ticket`'s run out of the plan, if it is still there, so that
+    /// no worker starts on it: its consumer got there first and reads it
+    /// itself, or its handle is going away. `consuming` says which: a
+    /// consumer is inside the run's bucket and wants the rest of it next,
+    /// so the bucket's remaining runs move to the front of the plan — a
+    /// bucket taken out of order (by a thief) keeps its overlap.
+    pub(crate) fn claim(&self, ticket: &Arc<IoTicket>, consuming: bool) {
+        let mut q = lock(&self.shared.queue);
+        let Some(at) = q.plan.iter().position(|read| Arc::ptr_eq(&read.ticket, ticket)) else {
+            return;
+        };
+        let Some(claimed) = q.plan.remove(at) else { return };
+        if consuming && at > 0 {
+            let mut moved = 0;
+            while q.plan.get(at + moved).is_some_and(|read| read.bucket == claimed.bucket) {
+                if let Some(read) = q.plan.remove(at + moved) {
+                    q.plan.insert(moved, read);
+                }
+                moved += 1;
+            }
+        }
+        drop(q);
+        // The entry's file reference goes outside the lock.
+        drop(claimed);
     }
 
     /// Most run payload the store puts in one segment file (a single
@@ -585,7 +776,7 @@ impl Executor {
         (q.in_flight, q.peak_in_flight)
     }
 
-    /// Let the workers finish everything queued, then join them. After
+    /// Let the workers finish every queued write, then join them. After
     /// this no thread of the store is running and all its I/O has landed
     /// (or failed and unlinked).
     pub(crate) fn join(&mut self) {
@@ -603,23 +794,39 @@ impl Drop for Executor {
     }
 }
 
-fn worker_loop(shared: &Shared) {
+/// What a worker does next: writes first — they free memory, and a read
+/// paced by its consumer must never hold one up — then the plan.
+enum Work {
+    Write(WriteJob, u64),
+    Read(PlannedRead, Charge),
+}
+
+fn worker_loop(shared: &Arc<Shared>) {
     loop {
-        let (job, bytes) = {
+        let work = {
             let mut q = lock(&shared.queue);
             loop {
-                if let Some(entry) = q.jobs.pop_front() {
-                    break entry;
+                if let Some((job, bytes)) = q.jobs.pop_front() {
+                    break Work::Write(job, bytes);
                 }
                 if q.closed {
                     return;
                 }
+                if let Some((read, charge)) = q.next_read(shared) {
+                    break Work::Read(read, charge);
+                }
                 q = wait(&shared.work, q);
             }
         };
-        // A failed write is already parked where its consumers will look.
-        let _ = run_job(&shared.core, job, Some(Instant::now()));
-        lock(&shared.queue).in_flight -= bytes;
-        shared.room.notify_all();
+        match work {
+            Work::Write(job, bytes) => {
+                // A failed write is already parked where its consumers
+                // will look.
+                let _ = run_write(&shared.core, job, Some(Instant::now()));
+                lock(&shared.queue).in_flight -= bytes;
+                shared.room.notify_all();
+            }
+            Work::Read(read, charge) => run_read(&shared.core, read, charge),
+        }
     }
 }

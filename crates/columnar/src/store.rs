@@ -39,8 +39,14 @@
 //! `io_threads: 0`, runs it then and there. Submission blocks while more
 //! than a fixed number of payload *bytes* is waiting to be written; that
 //! bound is what keeps memory the budget no longer accounts finite.
-//! Symmetrically, [`RunHandle::prefetch`] submits the decode of the
-//! *next* spilled run while the current one is being merged. Every run
+//! Symmetrically, [`RunStore::plan_restores`] tells the store which runs
+//! are about to be consumed, in which order, and the I/O workers decode
+//! ahead of the consumer inside a byte window cut from the same bound;
+//! [`RunHandle::into_run`] collects a run read ahead, or reads it itself
+//! when it gets there first. Either way a run is read once, by the
+//! executor's one read routine, which is also where the restore's fault
+//! ordinal is taken (`StoreCore::perform_read`) — one read is one
+//! ordinal whichever thread performs it. Every run
 //! carries a ticket; consuming the handle synchronizes on it. A write
 //! error nobody was waiting for is recorded as the store's first error
 //! and surfaces at the next synchronization point: the next submission,
@@ -64,7 +70,7 @@
 use crate::codec::SpillCodec;
 use crate::format::stream_size_upper;
 use crate::io::{
-    lock, Executor, IoTicket, Job, SpillFile, SpillMeta, StoreCore, TicketState, WriteItem,
+    lock, Executor, IoTicket, SpillFile, SpillMeta, StoreCore, TicketState, WriteItem, WriteJob,
     QUEUE_BYTES,
 };
 use crate::run::Run;
@@ -228,7 +234,7 @@ impl FileStore {
     /// or a handle's `into_run`); without them it is this call's error.
     /// An error drops the handles of the segments already submitted, so a
     /// batch fails or succeeds as a unit.
-    fn write_batch(&self, runs: Vec<Run>) -> Result<Vec<SpilledRun>, AggError> {
+    fn write_batch(self: &Arc<Self>, runs: Vec<Run>) -> Result<Vec<SpilledRun>, AggError> {
         self.drain()?;
         let mut handles = Vec::with_capacity(runs.len());
         let mut runs = runs.into_iter().peekable();
@@ -249,7 +255,11 @@ impl FileStore {
 
     /// Reserve and name one segment file and build the job that writes
     /// `runs` into it, appending their handles to `handles`.
-    fn segment_job(&self, runs: Vec<Run>, handles: &mut Vec<SpilledRun>) -> Result<Job, AggError> {
+    fn segment_job(
+        self: &Arc<Self>,
+        runs: Vec<Run>,
+        handles: &mut Vec<SpilledRun>,
+    ) -> Result<WriteJob, AggError> {
         let nominals: Vec<u64> = runs.iter().map(stream_size_upper).collect();
         let reservation = Arc::new(self.core.disk.try_reserve(nominals.iter().sum())?);
         // ORDERING: Relaxed — the RMW's atomicity alone makes sequence
@@ -278,60 +288,34 @@ impl FileStore {
             meta: item.meta.clone(),
             _reservation: Arc::clone(&reservation),
             ticket: Arc::clone(&item.ticket),
+            store: Arc::clone(self),
         }));
         // One storage-level fault ordinal per segment file, consumed at
         // submit time: the injected misbehaviour hits the first attempt
         // only, so a transient flavor exercises exactly one retry.
         let inject = self.core.faults.spill_write_fault();
-        Ok(Job::Write { batch, inject, reservation })
+        Ok(WriteJob { batch, inject, reservation })
     }
 
-    /// Submit the decode of `spilled` so the consumer's later `into_run`
-    /// finds the rows already parked.
-    ///
-    /// Only a settled, not yet prefetched run is read ahead: a hint on a
-    /// ticket whose write is still in flight is ignored, and `into_run`
-    /// then waits for the write and decodes itself.
-    fn prefetch(&self, spilled: &SpilledRun) {
-        let mut g = spilled.ticket.lock();
-        if !matches!(*g, TicketState::Written) {
-            return;
-        }
-        *g = TicketState::ReadPending;
-        drop(g);
-        // The read fault ordinal is consumed at submit, mirroring the
-        // write side: prefetch order = injection order.
-        let inject = self.core.faults.spill_read_fault();
-        let job =
-            Job::Read { meta: spilled.meta.clone(), inject, ticket: Arc::clone(&spilled.ticket) };
-        // A queued read holds no rows, and its outcome is parked on the
-        // ticket, never returned.
-        let _ = self.exec.submit(job, 0);
-    }
-
-    /// Read a spilled run back into memory, synchronizing with any
-    /// in-flight write or prefetch on its ticket first.
+    /// Read a spilled run back into memory: collect the rows a worker
+    /// read ahead (waiting for a read in flight), or — when no worker has
+    /// started on the run — take it out of the plan and decode it here,
+    /// after any write still in flight on its ticket.
     fn read(&self, spilled: &SpilledRun) -> Result<Run, AggError> {
-        let (mut g, waited) = spilled.ticket.wait_idle();
+        let (state, waited) = spilled.take_ticket(true);
         if waited > 0 {
             // ORDERING: Relaxed — statistics counter.
             self.core.io_wait_nanos.fetch_add(waited, Ordering::Relaxed);
         }
-        match std::mem::replace(&mut *g, TicketState::Written) {
-            TicketState::ReadDone(parked) => *parked,
+        match state {
+            TicketState::ReadDone(parked, _charge) => *parked,
             TicketState::WriteFailed(e) => Err(e),
-            TicketState::Written => {
-                drop(g);
-                // Not prefetched: decode in-line on the consumer, with
-                // this restore's fault ordinal.
-                let inject = self.core.faults.spill_read_fault();
-                self.core.perform_read(&spilled.meta, inject)
-            }
-            // `wait_idle` cannot return a pending state; keep the error
-            // typed rather than panicking in release builds.
-            state @ (TicketState::WritePending | TicketState::ReadPending) => {
-                debug_assert!(false, "wait_idle returned pending state {state:?}");
-                *g = state;
+            TicketState::Written => self.core.perform_read(&spilled.meta),
+            // `wait_idle` cannot return a pending state, and a handle is
+            // consumed once; keep the error typed rather than panicking
+            // in release builds.
+            TicketState::WritePending | TicketState::ReadPending | TicketState::Taken => {
+                debug_assert!(false, "unreadable ticket state {state:?}");
                 Err(AggError::SpillFailed {
                     message: "spill ticket still in flight after wait".to_string(),
                 })
@@ -355,8 +339,9 @@ impl Drop for FileStore {
 /// Carries the metadata the driver needs to schedule the run without
 /// touching disk (row count, level, aggregation flag). Owns a share of
 /// its segment file and of the segment's disk-budget reservation, and the
-/// ticket of any in-flight I/O: dropping the handle waits for the I/O
-/// to settle and gives its shares back; the last handle of a segment
+/// ticket of any in-flight I/O: dropping the handle takes the run out of
+/// the read-ahead plan, waits for the I/O to settle, lets go of rows read
+/// ahead for it and gives its shares back; the last handle of a segment
 /// thereby unlinks the file and releases the bytes — exactly once, on
 /// every path, including a restore that errored mid-read.
 #[derive(Debug)]
@@ -368,6 +353,9 @@ pub struct SpilledRun {
     /// `shrink_to` on completion/failure).
     _reservation: Arc<DiskReservation>,
     ticket: Arc<IoTicket>,
+    /// Declared — so dropped — last: the store's liveness lock must not
+    /// retire before this handle's share of the segment file has.
+    store: Arc<FileStore>,
 }
 
 impl SpilledRun {
@@ -384,19 +372,35 @@ impl SpilledRun {
     pub fn path(&self) -> &Path {
         self.meta.path()
     }
+
+    /// Take the run out of the read-ahead plan if no worker has started
+    /// on it (`consuming`: see [`Executor::claim`]), wait out any I/O in
+    /// flight on its ticket, and take what the ticket holds, leaving it
+    /// `Taken`. Returns the nanoseconds spent waiting as well. The state
+    /// is handed out with the ticket's lock released: a parked run's
+    /// charge must not retire under it.
+    fn take_ticket(&self, consuming: bool) -> (TicketState, u64) {
+        if self.ticket.is_unread() {
+            self.store.exec.claim(&self.ticket, consuming);
+        }
+        let (mut guard, waited) = self.ticket.wait_idle();
+        (std::mem::replace(&mut *guard, TicketState::Taken), waited)
+    }
 }
 
 impl Drop for SpilledRun {
     fn drop(&mut self) {
-        // Wait out any in-flight job first: the job released the run
-        // payload, its reservation clone and its file references before
-        // publishing a terminal state, so after this wait our `meta.file`
-        // reference may be the last one — dropping it (a field) then
-        // unlinks the segment file, with siblings keeping it alive until
-        // the last of them retires. The disk reservation releases the
-        // same way, so file and bytes retire together.
-        let (guard, _) = self.ticket.wait_idle();
-        drop(guard);
+        // An unconsumed run leaves the plan (and with it the plan's file
+        // reference), then any in-flight job is waited out: the job
+        // released the run payload, its reservation clone and its file
+        // references before publishing a terminal state, so after this
+        // wait our `meta.file` reference may be the last one — dropping
+        // it (a field) then unlinks the segment file, with siblings
+        // keeping it alive until the last of them retires. The disk
+        // reservation releases the same way, so file and bytes retire
+        // together. Rows read ahead and never collected go here, their
+        // charge with them.
+        drop(self.take_ticket(false));
     }
 }
 
@@ -406,7 +410,7 @@ pub enum RunHandle {
     /// The run is resident; the handle owns its rows.
     Mem(Run),
     /// The run was flushed to a [`FileStore`]; the handle owns the file.
-    Spilled(Arc<FileStore>, SpilledRun),
+    Spilled(SpilledRun),
 }
 
 impl RunHandle {
@@ -414,7 +418,7 @@ impl RunHandle {
     pub fn len(&self) -> usize {
         match self {
             RunHandle::Mem(run) => run.len(),
-            RunHandle::Spilled(_, s) => s.meta.rows,
+            RunHandle::Spilled(s) => s.meta.rows,
         }
     }
 
@@ -427,7 +431,7 @@ impl RunHandle {
     pub fn n_cols(&self) -> usize {
         match self {
             RunHandle::Mem(run) => run.n_cols(),
-            RunHandle::Spilled(_, s) => s.meta.n_cols,
+            RunHandle::Spilled(s) => s.meta.n_cols,
         }
     }
 
@@ -435,7 +439,7 @@ impl RunHandle {
     pub fn aggregated(&self) -> bool {
         match self {
             RunHandle::Mem(run) => run.aggregated,
-            RunHandle::Spilled(_, s) => s.meta.aggregated,
+            RunHandle::Spilled(s) => s.meta.aggregated,
         }
     }
 
@@ -443,7 +447,7 @@ impl RunHandle {
     pub fn source_rows(&self) -> u64 {
         match self {
             RunHandle::Mem(run) => run.source_rows,
-            RunHandle::Spilled(_, s) => s.meta.source_rows,
+            RunHandle::Spilled(s) => s.meta.source_rows,
         }
     }
 
@@ -451,7 +455,7 @@ impl RunHandle {
     pub fn level(&self) -> u32 {
         match self {
             RunHandle::Mem(run) => run.level,
-            RunHandle::Spilled(_, s) => s.meta.level,
+            RunHandle::Spilled(s) => s.meta.level,
         }
     }
 
@@ -466,22 +470,13 @@ impl RunHandle {
     pub fn spilled_bytes(&self) -> u64 {
         match self {
             RunHandle::Mem(_) => 0,
-            RunHandle::Spilled(_, s) => s.bytes(),
-        }
-    }
-
-    /// Hint that this handle will be consumed soon: submit its decode so
-    /// the eventual [`into_run`](Self::into_run) finds the rows already
-    /// in memory. No-op for resident handles, for a run whose write is
-    /// still in flight, and for every call after the first.
-    pub fn prefetch(&self) {
-        if let RunHandle::Spilled(store, s) = self {
-            store.prefetch(s);
+            RunHandle::Spilled(s) => s.bytes(),
         }
     }
 
     /// Materialize the run, reading it back from disk if it was spilled
-    /// (or collecting the rows a prefetch already parked).
+    /// (or collecting the rows the store already read ahead, see
+    /// [`RunStore::plan_restores`]).
     ///
     /// Consumes the handle; for spilled runs the scratch file is deleted
     /// once the returned [`Run`] is built — or once the restore has
@@ -495,7 +490,7 @@ impl RunHandle {
     pub fn into_run(self) -> Result<Run, AggError> {
         match self {
             RunHandle::Mem(run) => Ok(run),
-            RunHandle::Spilled(store, spilled) => store.read(&spilled),
+            RunHandle::Spilled(spilled) => spilled.store.read(&spilled),
         }
     }
 }
@@ -584,7 +579,29 @@ impl RunStore {
             });
         };
         let spilled = store.write_batch(runs)?;
-        Ok(spilled.into_iter().map(|s| RunHandle::Spilled(Arc::clone(store), s)).collect())
+        Ok(spilled.into_iter().map(RunHandle::Spilled).collect())
+    }
+
+    /// Announce which runs are about to be restored: `buckets` in the
+    /// order they will be consumed, each bucket's handles in order. The
+    /// store's I/O workers then read ahead of the consumer — down this
+    /// plan, after any pending write, for as long as the decoded runs
+    /// nobody has collected yet fit a fixed fraction of the byte bound
+    /// that also paces writes — and `into_run` finds the rows parked. A
+    /// run consumed before a worker reached it is read by its consumer
+    /// and the rest of its bucket moves to the front of the plan, so a
+    /// bucket taken out of turn still overlaps. A later call plans ahead
+    /// of an earlier one (a task's sub-buckets run before its siblings).
+    /// Resident handles, memory-only stores and stores without I/O
+    /// workers plan nothing.
+    pub fn plan_restores<'a>(&self, buckets: impl IntoIterator<Item = &'a [RunHandle]>) {
+        let Some(store) = &self.file else { return };
+        store.exec.plan(buckets.into_iter().map(|bucket| {
+            bucket.iter().filter_map(|handle| match handle {
+                RunHandle::Spilled(s) => Some((s.meta.clone(), Arc::clone(&s.ticket))),
+                RunHandle::Mem(_) => None,
+            })
+        }));
     }
 }
 
@@ -694,20 +711,58 @@ mod tests {
         numbered_runs(1)[0].mem_bytes()
     }
 
-    fn handle_path(handle: &RunHandle) -> PathBuf {
+    fn spilled(handle: &RunHandle) -> &SpilledRun {
         match handle {
-            RunHandle::Spilled(_, s) => s.path().to_path_buf(),
+            RunHandle::Spilled(s) => s,
             RunHandle::Mem(_) => unreachable!("expected a spilled handle"),
         }
+    }
+
+    fn handle_path(handle: &RunHandle) -> PathBuf {
+        spilled(handle).path().to_path_buf()
     }
 
     /// Block until `handle`'s in-flight I/O (if any) has settled,
     /// without consuming it — test-only window into the ticket.
     fn settle(handle: &RunHandle) {
-        if let RunHandle::Spilled(_, s) = handle {
-            let (guard, _) = s.ticket.wait_idle();
-            drop(guard);
+        let (guard, _) = spilled(handle).ticket.wait_idle();
+        drop(guard);
+    }
+
+    /// Whether a worker read `handle`'s run ahead and parked it.
+    fn is_parked(handle: &RunHandle) -> bool {
+        matches!(*spilled(handle).ticket.lock(), TicketState::ReadDone(..))
+    }
+
+    /// What one [`numbered_runs`] run is charged while it is read ahead.
+    const DECODED_BYTES: u64 = RUN_ROWS * 2 * 8;
+
+    /// A store with one worker whose read window is `window_runs`
+    /// numbered runs, and `n` such runs written to it and on disk.
+    fn windowed_store(
+        dir: &Path,
+        window_runs: u64,
+        n: u64,
+    ) -> (RunStore, Arc<FileStore>, Vec<RunHandle>) {
+        let file = small_store(dir, FaultInjector::none(), 1, 12 * window_runs * DECODED_BYTES);
+        let store = RunStore { file: Some(Arc::clone(&file)) };
+        let handles = store.spill_batch(numbered_runs(n)).unwrap();
+        handles.iter().for_each(settle);
+        wait_for_in_flight(&file, 0);
+        (store, file, handles)
+    }
+
+    /// Spin until the executor holds exactly `bytes` — with the writes on
+    /// disk, until the worker has read ahead that much and gone idle.
+    fn wait_for_in_flight(store: &FileStore, bytes: u64) {
+        while store.exec.queue_bytes().0 != bytes {
+            std::thread::yield_now();
         }
+    }
+
+    /// First key of the `i`-th [`numbered_runs`] run.
+    fn first_key(i: usize) -> Option<u64> {
+        Some(i as u64 * RUN_ROWS)
     }
 
     #[test]
@@ -790,7 +845,6 @@ mod tests {
         assert_eq!(handle.spilled_bytes(), 0);
         assert_eq!(handle.len(), len);
         assert_eq!(handle.level(), level);
-        handle.prefetch(); // no-op for resident runs
         assert_eq!(handle.into_run().unwrap().len(), len);
     }
 
@@ -1040,9 +1094,7 @@ mod tests {
                 .unwrap();
                 let handles: Vec<_> =
                     runs.iter().map(|r| spill(&store, r.clone()).unwrap()).collect();
-                for h in &handles {
-                    h.prefetch();
-                }
+                store.plan_restores([handles.as_slice()]);
                 for (h, want) in handles.into_iter().zip(&expected) {
                     let got = rows_of(&h.into_run().unwrap());
                     assert_eq!(&got, want, "codec {codec} io_threads {io_threads}");
@@ -1054,32 +1106,74 @@ mod tests {
         }
     }
 
+    /// In-order consumption: the worker reads down the plan until the
+    /// window is full and no further, and every collected run opens room
+    /// for the next one.
     #[cfg(not(miri))]
     #[test]
-    fn prefetch_parks_rows_and_counts_background_nanos() {
-        let dir = temp_dir("prefetch");
-        let store = RunStore::spilling_to(&dir).unwrap();
-        let run = sample_run();
-        // Prefetch while the write may still be in flight: read ahead or
-        // ignored, the rows come back either way.
-        let racing = spill(&store, run.clone()).unwrap();
-        racing.prefetch();
-        assert_eq!(rows_of(&racing.into_run().unwrap()), rows_of(&run));
-        // Prefetch on a settled handle: a read job.
-        let settled = spill(&store, run.clone()).unwrap();
-        settle(&settled);
-        settled.prefetch();
-        settled.prefetch(); // idempotent
-        assert_eq!(rows_of(&settled.into_run().unwrap()), rows_of(&run));
+    fn a_plan_is_read_ahead_in_order_up_to_the_window_and_no_further() {
+        let dir = temp_dir("plan-window");
+        let (store, file, handles) = windowed_store(&dir, 3, 8);
+        store.plan_restores([handles.as_slice()]);
+        wait_for_in_flight(&file, 3 * DECODED_BYTES);
+        // Charged when the worker takes it, parked when it is decoded.
+        while !is_parked(&handles[2]) {
+            std::thread::yield_now();
+        }
+        let parked: Vec<bool> = handles.iter().map(is_parked).collect();
+        assert_eq!(parked, [true, true, true, false, false, false, false, false]);
+        for (i, handle) in handles.into_iter().enumerate() {
+            assert_eq!(handle.into_run().unwrap().keys.get(0), first_key(i));
+        }
+        wait_for_in_flight(&file, 0);
+        let (_, peak) = file.exec.queue_bytes();
+        assert!(peak <= 12 * 3 * DECODED_BYTES, "peak {peak} over the bound");
         let stats = store.io_stats().unwrap();
         assert!(stats.async_io_nanos > 0, "worker time was recorded: {stats:?}");
-        drop(store);
+        drop((store, file));
+        assert_eq!(spill_files_in(&dir), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A consumer that reaches a run before the worker reads it itself,
+    /// in any order, with the same rows — and entering a bucket out of
+    /// turn moves the rest of that bucket to the front of the plan.
+    #[cfg(not(miri))]
+    #[test]
+    fn out_of_order_and_consumer_first_restores_return_the_same_rows() {
+        let dir = temp_dir("plan-order");
+        let (store, file, handles) = windowed_store(&dir, 2, 6);
+        let (first, second) = handles.split_at(3);
+        store.plan_restores([first, second]);
+        wait_for_in_flight(&file, 2 * DECODED_BYTES);
+        let mut handles: Vec<Option<RunHandle>> = handles.into_iter().map(Some).collect();
+        let take = |handles: &mut [Option<RunHandle>], i: usize| {
+            let run = handles[i].take().unwrap().into_run().unwrap();
+            assert_eq!(run.keys.get(0), first_key(i));
+        };
+        // Runs 0 and 1 are parked, the plan reads [2 | 3 4 5]. Enter the
+        // second bucket at its head: nobody has read run 3, so this
+        // thread does, and 4 and 5 now come before 2.
+        take(&mut handles, 3);
+        assert_eq!(file.exec.queue_bytes().0, 2 * DECODED_BYTES, "a claimed read is not charged");
+        take(&mut handles, 0);
+        while !handles[4].as_ref().is_some_and(is_parked) {
+            std::thread::yield_now();
+        }
+        assert!(!handles[2].as_ref().is_some_and(is_parked), "the entered bucket goes first");
+        // Last to first from here: parked and unread runs alike.
+        for i in [5, 4, 2, 1] {
+            take(&mut handles, i);
+        }
+        wait_for_in_flight(&file, 0);
+        drop((store, file, handles));
+        assert_eq!(spill_files_in(&dir), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[cfg(not(miri))]
     #[test]
-    fn concurrent_spills_and_prefetches_from_many_threads_round_trip() {
+    fn concurrent_spills_and_planned_restores_from_many_threads_round_trip() {
         let dir = temp_dir("mt");
         let store = RunStore::spilling_with_config(
             &dir,
@@ -1097,7 +1191,7 @@ mod tests {
                         let want = rows_of(&run);
                         let handle = spill(&store, run).unwrap();
                         if i % 2 == 0 {
-                            handle.prefetch();
+                            store.plan_restores([std::slice::from_ref(&handle)]);
                         }
                         assert_eq!(rows_of(&handle.into_run().unwrap()), want);
                     }
@@ -1166,25 +1260,108 @@ mod tests {
     }
 
     #[test]
-    fn a_prefetch_on_a_write_pending_ticket_is_a_no_op_and_into_run_still_returns_the_rows() {
-        for io_threads in [0usize, 1] {
-            let dir = temp_dir(&format!("pending-prefetch-{io_threads}"));
-            let store = small_store(&dir, FaultInjector::none(), io_threads, 1 << 20);
-            let run = compressible_run(300);
-            // Build the segment's job but hold it back: the ticket is
-            // write-pending for as long as we like.
-            let mut handles = Vec::new();
-            let job = store.segment_job(vec![run.clone()], &mut handles).unwrap();
-            let handle = RunHandle::Spilled(Arc::clone(&store), handles.pop().unwrap());
-            handle.prefetch();
-            let RunHandle::Spilled(_, spilled) = &handle else { unreachable!() };
-            assert!(matches!(*spilled.ticket.lock(), TicketState::WritePending), "hint ignored");
-            store.exec.submit(job, run.mem_bytes()).unwrap();
-            assert_eq!(rows_of(&handle.into_run().unwrap()), rows_of(&run));
-            assert_eq!(spill_files_in(&dir), 0);
-            drop(store);
-            let _ = fs::remove_dir_all(&dir);
+    fn a_plan_over_write_pending_tickets_waits_for_the_writes_and_then_reads() {
+        let dir = temp_dir("pending-plan");
+        let store = small_store(&dir, FaultInjector::none(), 1, 1 << 20);
+        let run = compressible_run(300);
+        // Build the segment's job but hold it back: the ticket is
+        // write-pending for as long as we like.
+        let mut handles = Vec::new();
+        let job = store.segment_job(vec![run.clone()], &mut handles).unwrap();
+        let handle = RunHandle::Spilled(handles.pop().unwrap());
+        RunStore { file: Some(Arc::clone(&store)) }.plan_restores([std::slice::from_ref(&handle)]);
+        assert!(matches!(*spilled(&handle).ticket.lock(), TicketState::WritePending));
+        assert_eq!(store.exec.queue_bytes().0, 0, "nothing is read before it is written");
+        store.exec.submit(job, run.mem_bytes()).unwrap();
+        while !is_parked(&handle) {
+            std::thread::yield_now();
         }
+        assert_eq!(rows_of(&handle.into_run().unwrap()), rows_of(&run));
+        assert_eq!(spill_files_in(&dir), 0);
+        drop(store);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The one-thread deadlock shape: the window is full of runs only
+    /// this thread can collect, and this thread submits a write that does
+    /// not fit beside them. It must go through — writes wait for writes
+    /// only — and be written ahead of any further read.
+    #[cfg(not(miri))]
+    #[test]
+    fn a_write_is_never_stuck_behind_read_ahead_its_submitter_would_have_to_collect() {
+        let dir = temp_dir("plan-write-first");
+        let (store, file, handles) = windowed_store(&dir, 4, 6);
+        let bound = 12 * 4 * DECODED_BYTES;
+        store.plan_restores([handles.as_slice()]);
+        wait_for_in_flight(&file, 4 * DECODED_BYTES);
+        let big: Vec<u64> = (0..44 * RUN_ROWS).collect();
+        let big = Run::from_rows(&big, &[&big]);
+        assert!(big.mem_bytes() <= bound && big.mem_bytes() + 4 * DECODED_BYTES > bound);
+        let written = spill(&store, big).unwrap();
+        settle(&written);
+        assert!(matches!(*spilled(&written).ticket.lock(), TicketState::Written));
+        assert!(!is_parked(&handles[4]), "the window stayed shut meanwhile");
+        assert_eq!(written.into_run().unwrap().len() as u64, 44 * RUN_ROWS);
+        for (i, handle) in handles.into_iter().enumerate() {
+            assert_eq!(handle.into_run().unwrap().keys.get(0), first_key(i));
+        }
+        drop((store, file));
+        assert_eq!(spill_files_in(&dir), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn with_zero_workers_a_plan_is_a_no_op_and_into_run_decodes_inline() {
+        let dir = temp_dir("plan-inline");
+        let file = small_store(&dir, FaultInjector::none(), 0, 12 * 2 * DECODED_BYTES);
+        let store = RunStore { file: Some(Arc::clone(&file)) };
+        let handles = store.spill_batch(numbered_runs(4)).unwrap();
+        store.plan_restores([handles.as_slice()]);
+        assert_eq!(file.exec.queue_bytes(), (0, 0));
+        for (i, handle) in handles.into_iter().enumerate() {
+            assert!(matches!(*spilled(&handle).ticket.lock(), TicketState::Written));
+            assert_eq!(handle.into_run().unwrap().keys.get(0), first_key(i));
+        }
+        assert_eq!(store.io_stats().unwrap().async_io_nanos, 0);
+        drop((store, file));
+        assert_eq!(spill_files_in(&dir), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Planned handles dropped unconsumed — parked, being read, or still
+    /// in the plan — leave nothing behind: no charged bytes, no scratch
+    /// file, no disk reservation.
+    #[cfg(not(miri))]
+    #[test]
+    fn planned_handles_dropped_unconsumed_leave_no_bytes_no_file_and_no_reservation() {
+        let dir = temp_dir("plan-drop");
+        let disk = DiskBudget::limited(1 << 30);
+        let config = cfg(SpillCodec::Auto, 1);
+        let bound = 12 * 2 * DECODED_BYTES;
+        let file = FileStore::open(dir.clone(), FaultInjector::none(), disk.clone(), config, bound);
+        let file = Arc::new(file.unwrap());
+        let store = RunStore { file: Some(Arc::clone(&file)) };
+        let handles = store.spill_batch(numbered_runs(6)).unwrap();
+        // Planned while the writes may still be in flight; dropped while
+        // the worker may be anywhere in the plan.
+        store.plan_restores([handles.as_slice()]);
+        drop(handles);
+        // A write's bytes retire just after its tickets settle.
+        wait_for_in_flight(&file, 0);
+        assert_eq!(spill_files_in(&dir), 0);
+        assert_eq!(disk.outstanding(), 0);
+        // And again from the settled state: two parked, four planned.
+        let handles = store.spill_batch(numbered_runs(6)).unwrap();
+        handles.iter().for_each(settle);
+        wait_for_in_flight(&file, 0);
+        store.plan_restores([handles.as_slice()]);
+        wait_for_in_flight(&file, 2 * DECODED_BYTES);
+        drop(handles);
+        assert_eq!(file.exec.queue_bytes().0, 0, "parked bytes outlived their handles");
+        assert_eq!(spill_files_in(&dir), 0);
+        assert_eq!(disk.outstanding(), 0);
+        drop((store, file));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1223,7 +1400,7 @@ mod tests {
                 handles.iter().map(|h| h.path().to_path_buf()).collect();
             assert_eq!(files.len(), 10, "segment files");
             for (i, spilled) in handles.into_iter().enumerate() {
-                let run = RunHandle::Spilled(Arc::clone(&store), spilled).into_run().unwrap();
+                let run = RunHandle::Spilled(spilled).into_run().unwrap();
                 assert_eq!(run.keys.get(0), Some(i as u64 * RUN_ROWS), "handle {i} out of order");
                 assert_eq!(run.len() as u64, RUN_ROWS);
             }
@@ -1267,10 +1444,29 @@ mod tests {
             assert!(done_rx.try_recv().is_err(), "the submitter ran past the bound");
             assert_eq!(store.exec.queue_bytes().0, bound);
             drop(stall);
-            let handles = done_rx.recv().expect("a blocked submitter wakes when bytes retire");
-            assert_eq!(handles.len(), 24);
         });
+        let handles = done_rx.recv().expect("a blocked submitter wakes when bytes retire");
+        assert_eq!(handles.len(), 24);
         drop(first);
+
+        // Runs read ahead are held against the same bound: with one
+        // parked for this thread (a run is larger than this store's
+        // window, so it is read ahead alone) the writes that follow still
+        // stop at the bound, and none of them waits for the parked run.
+        let planned: Vec<RunHandle> = handles.into_iter().map(RunHandle::Spilled).collect();
+        planned.iter().for_each(settle);
+        wait_for_in_flight(&store, 0);
+        RunStore { file: Some(Arc::clone(&store)) }.plan_restores([planned.as_slice()]);
+        wait_for_in_flight(&store, DECODED_BYTES);
+        let more: Vec<_> = numbered_runs(24)
+            .into_iter()
+            .flat_map(|run| store.write_batch(vec![run]).unwrap())
+            .collect();
+        for (i, handle) in planned.into_iter().enumerate() {
+            assert_eq!(handle.into_run().unwrap().keys.get(0), first_key(i));
+        }
+        drop(more);
+        wait_for_in_flight(&store, 0);
         let peak = store.exec.queue_bytes().1;
         assert!(peak <= bound, "peak {peak} over the bound {bound}");
 
@@ -1283,16 +1479,12 @@ mod tests {
         let mut runs = numbered_runs(4);
         runs.insert(2, big);
         let handles = store.write_batch(runs).unwrap();
-        let rows: Vec<usize> = handles
-            .into_iter()
-            .map(|s| RunHandle::Spilled(Arc::clone(&store), s).into_run().unwrap().len())
-            .collect();
+        let rows: Vec<usize> =
+            handles.into_iter().map(|s| RunHandle::Spilled(s).into_run().unwrap().len()).collect();
         let (small, large) = (RUN_ROWS as usize, 40 * RUN_ROWS as usize);
         assert_eq!(rows, [small, small, large, small, small]);
         // A job's bytes retire just after its tickets settle.
-        while store.exec.queue_bytes().0 > 0 {
-            std::thread::yield_now();
-        }
+        wait_for_in_flight(&store, 0);
         assert_eq!(store.exec.queue_bytes(), (0, big_bytes), "the oversized job had company");
         drop(store);
         assert_eq!(spill_files_in(&dir), 0);

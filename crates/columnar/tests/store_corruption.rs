@@ -83,7 +83,7 @@ fn build_compressible_run(rows: usize, n_cols: usize) -> Run {
 fn spill(store: &RunStore, run: &Run) -> (RunHandle, PathBuf) {
     let handle = store.spill_batch(vec![run.clone()]).unwrap().pop().unwrap();
     let path = match &handle {
-        RunHandle::Spilled(_, s) => s.path().to_path_buf(),
+        RunHandle::Spilled(s) => s.path().to_path_buf(),
         RunHandle::Mem(_) => panic!("spilling store returned a resident handle"),
     };
     (handle, path)

@@ -12,7 +12,10 @@
 //!    task-local sub-buckets (one writer per task for what it partitions);
 //!    if no run left the task, the bucket's table holds the final groups
 //!    of this hash prefix and is emitted. Sub-buckets are spawned as new
-//!    tasks — completely independent, no synchronization.
+//!    tasks — completely independent, no synchronization. Spawning a
+//!    level also tells the run store in which order its spilled runs will
+//!    be wanted ([`spawn_buckets`]), so restores are read ahead of the
+//!    tasks that consume them.
 //!
 //! Two hard floors guarantee termination regardless of hash behavior: the
 //! recursion depth is bounded by the 8 radix digits of a 64-bit hash, and
@@ -291,7 +294,7 @@ pub(crate) fn emit_final_from_table(
 /// and the final pass of `PartitionAlways`).
 ///
 /// Spilled runs are restored one at a time, right before their rows are
-/// folded in, so at most one restored run is resident at any moment.
+/// folded in (the store may have read them ahead, inside its own window).
 fn grow_merge(ctx: &Ctx, bucket: Vec<RunHandle>, obs: &Obs) -> Result<(), AggError> {
     let rows: usize = bucket.iter().map(RunHandle::len).sum();
     obs.event(Counter::FallbackMerges, "fallback_merge", &[("rows", rows as u64)]);
@@ -303,16 +306,7 @@ fn grow_merge(ctx: &Ctx, bucket: Vec<RunHandle>, obs: &Obs) -> Result<(), AggErr
     let mut table = GrowTable::with_capacity(capacity, &ctx.ops);
     let n_cols = ctx.ops.len();
     let mut vals = vec![0u64; n_cols];
-    // Pipeline the restores: ask the store's I/O worker to decode the
-    // next spilled run while this thread folds in the current one.
-    let mut handles = bucket.into_iter().peekable();
-    if let Some(first) = handles.peek() {
-        first.prefetch();
-    }
-    while let Some(handle) = handles.next() {
-        if let Some(next) = handles.peek() {
-            next.prefetch();
-        }
+    for handle in bucket {
         let run = ctx.gate().restore(handle, obs)?;
         let aggregated = run.aggregated;
         let view = RunView::Owned(run);
@@ -402,17 +396,7 @@ pub(crate) fn process_bucket<'env>(
     let mut ws = WorkerState::new(ctx.cfg.strategy);
     let mut local = LocalBuckets::new();
 
-    // Restore prefetch: overlap the next run's disk read + decode with
-    // the hashing/partitioning of the current one (no-op for resident
-    // handles; a store without I/O workers decodes here and now).
-    let mut handles = bucket.into_iter().peekable();
-    if let Some(first) = handles.peek() {
-        first.prefetch();
-    }
-    while let Some(handle) = handles.next() {
-        if let Some(next) = handles.peek() {
-            next.prefetch();
-        }
+    for handle in bucket {
         debug_assert_eq!(handle.level(), level, "run level out of sync with recursion");
         let run = match ctx.gate().restore(handle, &obs) {
             Ok(run) => run,
@@ -469,9 +453,33 @@ pub(crate) fn process_bucket<'env>(
         ctx.pool.put(table);
     }
     done(&obs);
-    for (_digit, sub, sub_res) in local.into_nonempty() {
-        scope.spawn(move |s| process_bucket(ctx, s, sub, sub_res, level + 1));
+    spawn_buckets(ctx, scope, local.into_nonempty(), level + 1);
+}
+
+/// Spawn one [`process_bucket`] task per bucket of `level`, after telling
+/// the run store in which order their spilled runs will be wanted so it
+/// can read ahead: the spawning thread pops its own tasks newest first
+/// (`hsa-tasks` deques are owner-LIFO), so that is the last bucket's runs
+/// first. A thief takes the oldest task instead, and the store moves a
+/// bucket entered out of turn to the front of its plan.
+pub(crate) fn spawn_buckets<'env>(
+    ctx: &'env Ctx,
+    scope: &Scope<'_, 'env>,
+    buckets: impl Iterator<Item = (usize, Vec<RunHandle>, Reservation)>,
+    level: u32,
+) {
+    let spawn = |(_digit, bucket, res)| {
+        scope.spawn(move |s| process_bucket(ctx, s, bucket, res, level));
+    };
+    // Only the plan needs the level's buckets side by side, and only a
+    // store that can spill has anything to plan; otherwise each bucket
+    // goes straight from the sink to its task.
+    if !ctx.store.can_spill() {
+        return buckets.for_each(spawn);
     }
+    let buckets: Vec<_> = buckets.collect();
+    ctx.store.plan_restores(buckets.iter().rev().map(|(_, bucket, _)| bucket.as_slice()));
+    buckets.into_iter().for_each(spawn);
 }
 
 /// Run a grouped aggregation.

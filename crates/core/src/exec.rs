@@ -150,10 +150,12 @@ impl Gate<'_> {
 
     /// Materialize a handle's rows, reading spilled runs back from disk
     /// (timed and counted). Resident handles pass through untouched.
-    /// When the handle was [`RunHandle::prefetch`]ed, the rows have
-    /// already been decoded and this only collects the parked result —
-    /// the recorded restore time is then the *wait*, not
-    /// the full decode.
+    /// The recorded restore time is what the consuming thread spent here:
+    /// next to nothing when the store had read the run ahead
+    /// ([`RunStore::plan_restores`]) and the rows were parked, the wait
+    /// when a worker was still decoding it, and the whole read and decode
+    /// when this thread got to the run first or the store has no I/O
+    /// workers.
     ///
     /// Restored rows are transient working-set memory of the consuming
     /// task and are not re-reserved against the budget: the run was

@@ -79,7 +79,7 @@ pub struct OpStats {
     /// of the two is the spill compression ratio).
     pub spill_encoded_bytes: u64,
     /// Background spill I/O time that ran concurrently with compute:
-    /// nanoseconds the store's I/O workers spent writing and prefetching
+    /// nanoseconds the store's I/O workers spent writing and reading ahead
     /// minus the time compute threads spent blocked waiting on them.
     pub overlapped_io_nanos: u64,
     /// Nanoseconds compute threads spent blocked on in-flight spill I/O

@@ -23,7 +23,7 @@
 //! level, rows in, groups out — stay exact.
 
 use crate::driver::{
-    contain_panics, emit_final_from_table, process_bucket, process_view, store_for, validate_specs,
+    contain_panics, emit_final_from_table, process_view, spawn_buckets, store_for, validate_specs,
     Ctx, TablePool, WorkerState,
 };
 use crate::exec::ExecEnv;
@@ -330,12 +330,8 @@ impl AggStream {
         }
 
         // Phase 2: recurse into the buckets, one task each.
-        let (scope2, pm2) = handle.try_scope_observed(|s| {
-            for (_digit, bucket, res) in shared.into_nonempty() {
-                let ctx = &ctx;
-                s.spawn(move |s2| process_bucket(ctx, s2, bucket, res, 1));
-            }
-        });
+        let (scope2, pm2) =
+            handle.try_scope_observed(|s| spawn_buckets(&ctx, s, shared.into_nonempty(), 1));
         let pm2 = contain_panics(&ctx, scope2, pm2)?;
         if let Some(e) = ctx.take_failure() {
             return Err(e);

@@ -21,10 +21,12 @@
 
 use hsa_agg::AggSpec;
 use hsa_core::{
-    try_aggregate, AggError, AggregateConfig, DiskBudget, ExecEnv, FaultInjector, FaultPlan,
-    MemoryBudget, SpillCodec, SpillConfig, SpillFault, SpillFaultKind,
+    try_aggregate, AggError, AggStream, AggregateConfig, CancelReason, CancelToken, DiskBudget,
+    ExecEnv, FaultInjector, FaultPlan, MemoryBudget, ObsConfig, SpillCodec, SpillConfig,
+    SpillFault, SpillFaultKind,
 };
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 mod common;
 
@@ -251,4 +253,67 @@ fn failed_runs_do_not_poison_the_environment() {
         assert_eq!(out, chaos.baseline, "{kind:?}: environment poisoned");
     }
     let _ = std::fs::remove_dir_all(&chaos.dir);
+}
+
+/// Cancellation between two level-1 buckets, while the store is reading
+/// ahead of the consumer: runs parked on their tickets, one being decoded,
+/// the rest still planned. The query ends with the typed error and leaves
+/// nothing behind — no reserved byte in either budget, no scratch file,
+/// and no liveness lock, which the store retires only after joining its
+/// I/O workers.
+#[test]
+fn cancelling_between_buckets_with_reads_parked_leaves_nothing_behind() {
+    let dir = std::env::temp_dir().join(format!("hsa-chaos-cancel-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let keys: Vec<u64> = (0..200_000u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+    let budget = MemoryBudget::limited(6 << 20);
+    let disk = DiskBudget::limited(1 << 30);
+    // The trigger is the run's first restore, made visible by a transient
+    // (retried, harmless) fault on it: phase 2 has begun and all but one
+    // of its buckets are still to come. A cancel that lands after the
+    // last bucket anyway lets the query finish; then it is asked again.
+    for _ in 0..3 {
+        let first_read = SpillFault { nth: 1, kind: SpillFaultKind::ReadEio };
+        let injector =
+            FaultInjector::new(FaultPlan { spill_io: Some(first_read), ..FaultPlan::none() });
+        let token = CancelToken::new();
+        let env = ExecEnv::unrestricted()
+            .with_budget(budget.clone())
+            .with_disk_budget(disk.clone())
+            .with_spill_dir(&dir)
+            .with_faults(injector.clone())
+            .with_cancel(token.clone());
+        let finished = AtomicBool::new(false);
+        let outcome = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // ORDERING: Relaxed — a stop flag; the scope's join orders the rest.
+                while injector.spill_io_fired() == 0 && !finished.load(Ordering::Relaxed) {
+                    std::thread::yield_now();
+                }
+                token.cancel();
+            });
+            let mut stream =
+                AggStream::new(&[AggSpec::count()], &config(), &env, &ObsConfig::disabled())
+                    .unwrap();
+            for chunk in keys.chunks(8192).cycle().take(3 * keys.len().div_ceil(8192)) {
+                stream.push(chunk, &[]).unwrap();
+            }
+            let outcome = stream.finish().map(|(out, _)| out.n_groups());
+            // ORDERING: Relaxed — see above.
+            finished.store(true, Ordering::Relaxed);
+            outcome
+        });
+        assert_eq!(budget.outstanding(), 0, "memory reservations leaked");
+        assert_eq!(disk.outstanding(), 0, "disk reservations leaked");
+        common::assert_dir_empty(&dir);
+        match outcome {
+            Err(AggError::Cancelled(CancelReason::Requested)) => {
+                let _ = std::fs::remove_dir_all(&dir);
+                return;
+            }
+            Ok(groups) => assert_eq!(groups, keys.len(), "the late cancel changed the answer"),
+            Err(other) => panic!("cancel surfaced as {other:?}"),
+        }
+    }
+    panic!("three queries in a row finished before their cancel was seen");
 }

@@ -389,6 +389,36 @@ fn profile_tracks_spill_restore_and_the_budget_high_water() {
 }
 
 #[test]
+fn restore_decoded_by_its_consumer_is_restore_time_not_driver_time() {
+    // No I/O workers, one thread: every level-1 run is read and decoded
+    // by the bucket task that consumes it, inside its Restore phase. The
+    // Driver cell keeps the dispatch overhead only, so it must stay well
+    // under the cost of decoding the bucket's rows.
+    let dir = std::env::temp_dir().join(format!("hsa-obs-inline-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let keys = distinct_keys(120_000);
+    let env = ExecEnv::unrestricted()
+        .with_budget(hsa_core::MemoryBudget::limited(4 << 20))
+        .with_spill_dir(&dir)
+        .with_spill_config(hsa_core::SpillConfig {
+            codec: hsa_core::SpillCodec::Auto,
+            io_threads: 0,
+        });
+    let cfg = AggregateConfig { threads: 1, ..adaptive_cfg() };
+    let mut stream = AggStream::new(&[AggSpec::count()], &cfg, &env, &ObsConfig::full()).unwrap();
+    for chunk in keys.chunks(8192).cycle().take(3 * keys.len().div_ceil(8192)) {
+        stream.push(chunk, &[]).unwrap();
+    }
+    let (_, report) = stream.finish().unwrap();
+    assert!(report.stats.spilled_runs_per_level[1] > 0, "level 1 must restore: {:?}", report.stats);
+    let profile = report.profile.as_ref().expect("profile rides with metrics");
+    let (restore, driver) =
+        (profile.cell(1, Phase::Restore).nanos, profile.cell(1, Phase::Driver).nanos);
+    assert!(restore > driver, "level 1: restore {restore} ns, driver {driver} ns");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn progress_sampler_runs_and_stops_through_a_stream() {
     // The heartbeat thread must start with the stream, survive pushes and
     // phase 2, and be joined by finish() — finishing promptly (a leaked

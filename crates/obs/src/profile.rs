@@ -38,7 +38,9 @@ pub enum Phase {
     GrowMerge,
     /// Writing a run to the spill store.
     Spill,
-    /// Reading a spilled run back into memory.
+    /// Getting a spilled run back into memory, as seen by the thread that
+    /// consumes it: collecting rows the store read ahead, waiting for a
+    /// read in flight, or reading and decoding the run itself.
     Restore,
     /// Emitting final groups into the output collector.
     Output,
