@@ -6,7 +6,8 @@
 
 use hsa_bench::{bandwidth_gib_s, median_secs, random_keys};
 use hsa_partition::{
-    memcpy_nt, partition_naive, partition_swc_with_mode, partition_unrolled_with_mode, FlushMode,
+    memcpy_nt, partition_keys, partition_naive, partition_swc_with_mode,
+    partition_unrolled_with_mode, FlushMode,
 };
 use std::hint::black_box;
 
@@ -51,4 +52,10 @@ fn main() {
         black_box(partition_unrolled_with_mode(&data, murmur, 0, FlushMode::Cached))
     });
     report("unrolled_cached", t);
+
+    // What the operator runs: hash-ahead, direct appends, no lines.
+    let (t, _) = median_secs(REPEATS, || {
+        black_box(partition_keys([black_box(data.as_slice())].into_iter(), murmur, 0))
+    });
+    report("direct", t);
 }

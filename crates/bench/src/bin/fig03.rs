@@ -8,11 +8,14 @@
 //! * `hash`    — naive partitioning by hash bits
 //! * `swc key` / `swc hash` — software write-combining
 //! * `oo`      — swc hash + 16-way unrolled hashing
-//! * `2lvl`    — oo with the two-level output (the production kernel)
+//! * `2lvl`    — oo with the two-level output (the paper's final kernel)
+//! * `direct + 2lvl` — what the operator runs: oo's hash-ahead, each key
+//!   stored straight into its partition's open chunk, no write-combining
 //! * `map`     — applying the digit mapping to an aggregate column
 //!
 //! Paper result: swc ≈ 2.9× naive, oo +24% (3.0× total), two-level −2%,
-//! final kernel ≈ 97% of memcpy bandwidth; map ≈ 93%.
+//! final kernel ≈ 97% of memcpy bandwidth; map ≈ 93%. Why the production
+//! row is not one of the paper's rungs: EXPERIMENTS.md, Figure 3.
 //!
 //! ```sh
 //! cargo run --release -p hsa-bench --bin fig03 [rows_log2]
@@ -65,10 +68,13 @@ fn main() {
     report("oo (overalloc)", t);
     let (t, _) =
         median_secs(repeats, || part::partition_unrolled_with_mode(&keys, murmur, 0, Cached));
-    report("oo + 2lvl (production)", t);
+    report("oo + 2lvl", t);
     let (t, _) =
         median_secs(repeats, || part::partition_unrolled_with_mode(&keys, murmur, 0, Streaming));
     report("oo + 2lvl (nt stores)", t);
+    let (t, _) =
+        median_secs(repeats, || part::partition_keys([keys.as_slice()].into_iter(), murmur, 0));
+    report("direct + 2lvl (production)", t);
 
     let mut mapping = Vec::new();
     let parts = part::partition_keys_mapped([keys.as_slice()].into_iter(), murmur, 0, &mut mapping);

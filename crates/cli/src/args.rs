@@ -118,7 +118,7 @@ options:
                           writes and restore read-ahead with compute
                           (default 1; 0 = fully synchronous I/O)
   --stats                 print the full run report (per-level passes,
-                          probe lengths, SWC flushes, switch alphas, ...)
+                          probe lengths, partition bytes, switch alphas, ...)
   --explain               print the EXPLAIN ANALYZE operator tree: per
                           level and phase, exclusive time, % of wall
                           clock, rows in/out, and the observed reduction

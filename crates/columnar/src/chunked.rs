@@ -77,17 +77,29 @@ impl<T: Copy> ChunkedVec<T> {
         }
     }
 
-    /// Add a fresh chunk: capacity doubles with the stored length, clamped
-    /// to `[MIN_CHUNK_LEN, chunk_len]` (tiny vectors stay tiny, large ones
-    /// settle on the configured chunk size).
+    /// Add a fresh chunk of the capacity [`Self::push_chunk`] names.
     #[inline]
     fn grow(&mut self) {
-        let target = self
-            .len
-            .max(1)
-            .next_power_of_two()
-            .clamp(MIN_CHUNK_LEN.min(self.chunk_len), self.chunk_len);
-        self.chunks.push(Vec::with_capacity(target));
+        let capacity = self.push_chunk(Vec::new());
+        self.chunks.push(Vec::with_capacity(capacity));
+    }
+
+    /// Take over a chunk that was filled outside the vector — the partition
+    /// writer keeps every partition's open chunk as a plain `Vec`, a
+    /// capacity compare and a store per value. `chunk`'s elements join the
+    /// sequence as its new last chunk without being copied; returned is the
+    /// capacity the chunk after it should get, the ramp [`ChunkedVec::push`]
+    /// grows by, so vectors fed alike stay cut alike. An empty `chunk` adds
+    /// nothing and asks what the first chunk should hold.
+    pub fn push_chunk(&mut self, chunk: Vec<T>) -> usize {
+        if !chunk.is_empty() {
+            self.len += chunk.len();
+            self.chunks.push(chunk);
+        }
+        // Doubles with the stored length, clamped to `[MIN_CHUNK_LEN,
+        // chunk_len]`: tiny vectors stay tiny, large ones settle on the
+        // configured chunk size.
+        self.len.max(1).next_power_of_two().clamp(MIN_CHUNK_LEN.min(self.chunk_len), self.chunk_len)
     }
 
     /// The tail chunk, guaranteed to have room for at least one element
@@ -115,10 +127,6 @@ impl<T: Copy> ChunkedVec<T> {
     }
 
     /// Append a slice, splitting across chunk boundaries as needed.
-    ///
-    /// This is the hot append path: the software-write-combining flush
-    /// appends one cache line (8 × u64) at a time, and since the chunk
-    /// length is a multiple of 8 the split branch is almost never taken.
     #[inline]
     pub fn extend_from_slice(&mut self, mut values: &[T]) {
         self.len += values.len();
@@ -133,7 +141,8 @@ impl<T: Copy> ChunkedVec<T> {
 
     /// Append exactly `N` elements using a caller-supplied raw copy.
     ///
-    /// This is the hook for the partitioning crate's non-temporal flush:
+    /// This is the hook for the non-temporal flush of the partitioning
+    /// crate's write-combining rungs (the Figure 3 ablation):
     /// when the tail chunk has contiguous room for the whole line, `copy`
     /// is invoked with a destination pointer valid for `N` writes and the
     /// line's source pointer, and may use streaming stores. Otherwise the
@@ -216,19 +225,6 @@ impl<T: Copy> ChunkedVec<T> {
             remaining -= c.len();
         }
         &[]
-    }
-
-    /// Iterate contiguous slices starting at row `offset`.
-    pub fn slices_from(&self, mut offset: usize) -> impl Iterator<Item = &[T]> {
-        std::iter::from_fn(move || {
-            let s = self.tail_slice(offset);
-            if s.is_empty() {
-                None
-            } else {
-                offset += s.len();
-                Some(s)
-            }
-        })
     }
 
     /// Iterate over all elements.
@@ -428,11 +424,15 @@ mod tests {
     }
 
     #[test]
-    fn slices_from_reassembles_suffix() {
+    fn advancing_by_tail_slices_reassembles_any_suffix() {
         let mut v = ChunkedVec::with_chunk_len(5);
         v.extend_from_slice(&(0u64..23).collect::<Vec<_>>());
         for offset in [0usize, 1, 5, 7, 22, 23] {
-            let got: Vec<u64> = v.slices_from(offset).flatten().copied().collect();
+            let (mut at, mut got) = (offset, Vec::new());
+            while !v.tail_slice(at).is_empty() {
+                got.extend_from_slice(v.tail_slice(at));
+                at += v.tail_slice(at).len();
+            }
             assert_eq!(got, (offset as u64..23).collect::<Vec<_>>(), "offset {offset}");
         }
     }
@@ -445,10 +445,42 @@ mod tests {
         b.extend_from_slice(&[4u64, 5]);
         a.append(&mut b); // tail chunk of length 2 in the middle of future appends
         a.extend_from_slice(&[6u64, 7, 8]);
-        let got: Vec<u64> = a.slices_from(0).flatten().copied().collect();
-        assert_eq!(got, (0..9).collect::<Vec<u64>>());
+        assert_eq!(a.to_vec(), (0..9).collect::<Vec<u64>>());
         // The partially-filled moved chunk was topped up to [4,5,6,7].
         assert_eq!(a.tail_slice(5), &[5, 6, 7]);
+    }
+
+    #[test]
+    fn push_chunk_moves_chunks_and_follows_the_growth_ramp() {
+        // Filled through handed-over chunks sized by the returned
+        // capacity, a vector is cut exactly like one filled by `push`.
+        let mut pushed = ChunkedVec::new();
+        let mut handed = ChunkedVec::new();
+        let mut tail: Vec<u64> = Vec::new();
+        for i in 0..10_000u64 {
+            pushed.push(i);
+            if tail.len() == tail.capacity() {
+                let next = handed.push_chunk(std::mem::take(&mut tail));
+                tail = Vec::with_capacity(next);
+            }
+            tail.push(i);
+        }
+        assert_eq!(handed.len() + tail.len(), 10_000);
+        let tail_ptr = tail.as_ptr();
+        handed.push_chunk(tail);
+        assert_eq!(
+            handed.chunks().last().map(<[u64]>::as_ptr),
+            Some(tail_ptr),
+            "moved, not copied"
+        );
+        let lens = |v: &ChunkedVec<u64>| v.chunks().map(<[u64]>::len).collect::<Vec<_>>();
+        assert_eq!(lens(&handed), lens(&pushed));
+        assert_eq!(handed, pushed);
+        assert_eq!(handed.mem_bytes(), pushed.mem_bytes());
+        // An empty chunk adds nothing, whatever its capacity.
+        assert_eq!(handed.push_chunk(Vec::with_capacity(8)), DEFAULT_CHUNK_LEN);
+        assert_eq!(lens(&handed), lens(&pushed));
+        assert_eq!(ChunkedVec::<u64>::new().push_chunk(Vec::new()), MIN_CHUNK_LEN);
     }
 
     #[test]

@@ -7,15 +7,17 @@
 
 use crate::chunked::ChunkedVec;
 
-/// A run: a key column plus the state columns that travel with it.
+/// A run: a key column plus the columns that travel with it.
 #[derive(Clone, Debug, Default)]
 pub struct Run {
     /// Grouping keys (the paper's rows are 64-bit integers).
     pub keys: ChunkedVec<u64>,
-    /// Aggregate state columns. For raw input runs these are the raw
-    /// aggregate input columns; once a run has passed through `HASHING`
-    /// they are materialized aggregate states (one or two per aggregate
-    /// function, e.g. AVG carries SUM and COUNT).
+    /// The columns travelling with the keys. For raw input runs these are
+    /// the aggregate *input* columns the query reads, each once — however
+    /// many states one input feeds, and none for `COUNT(*)`; once a run
+    /// has passed through `HASHING` they are materialized aggregate
+    /// states (one or two per aggregate function, e.g. AVG carries SUM
+    /// and COUNT). The operator knows which of the two by `aggregated`.
     pub cols: Vec<ChunkedVec<u64>>,
     /// `true` if the rows are partial aggregates, in which case combining
     /// them requires the super-aggregate function (§3.1: "the
@@ -30,7 +32,7 @@ pub struct Run {
 }
 
 impl Run {
-    /// An empty run at the given level with `n_cols` state columns.
+    /// An empty run at the given level with `n_cols` travelling columns.
     pub fn empty(level: u32, n_cols: usize, aggregated: bool) -> Self {
         Self {
             keys: ChunkedVec::new(),
@@ -69,13 +71,13 @@ impl Run {
         self.keys.is_empty()
     }
 
-    /// Number of state columns.
+    /// Number of columns travelling with the keys.
     #[inline]
     pub fn n_cols(&self) -> usize {
         self.cols.len()
     }
 
-    /// Heap bytes this run holds across its key and state columns
+    /// Heap bytes this run holds across its key and travelling columns
     /// (chunk capacities — what the operator's memory budget accounts).
     pub fn mem_bytes(&self) -> u64 {
         self.keys.mem_bytes() + self.cols.iter().map(ChunkedVec::mem_bytes).sum::<u64>()

@@ -36,9 +36,9 @@ use crate::report::{ObsConfig, RunReport};
 use crate::sink::{LocalBuckets, RunSink};
 use crate::stats::OpStats;
 use crate::stream::AggStream;
-use crate::view::RunView;
+use crate::view::{RunView, StateCols};
 use crate::AggregateConfig;
-use hsa_agg::{plan, AggFn, AggSpec, StateOp};
+use hsa_agg::{plan, AggFn, AggSpec};
 use hsa_columnar::{RunHandle, RunStore};
 use hsa_fault::{AggError, CancelToken, Reservation};
 use hsa_hash::MAX_LEVEL;
@@ -125,7 +125,8 @@ pub(crate) struct Ctx {
     /// The effective cancel token: `env.cancel`, or an internal token the
     /// driver substitutes when the fault plan wants to cancel mid-run.
     pub(crate) cancel: CancelToken,
-    pub(crate) ops: Vec<StateOp>,
+    /// The state columns and which columns of a run feed them.
+    pub(crate) states: StateCols,
     pub(crate) pool: TablePool,
     pub(crate) collector: Collector,
     /// Where every event of this query is counted, one shard per worker
@@ -225,8 +226,8 @@ pub(crate) fn process_view(
                     Ok(t) => table_slot.insert(t),
                     Err(e) if is_degradable(&e) => {
                         // Even the smallest table was denied: degrade to
-                        // partitioning, which needs only the fixed SWC
-                        // buffers plus the output it would produce anyway.
+                        // partitioning, which needs only the output it
+                        // would produce anyway.
                         obs.event(
                             Counter::BudgetDowngrades,
                             "forced_partitioning",
@@ -241,7 +242,7 @@ pub(crate) fn process_view(
                 view,
                 row,
                 table,
-                &ctx.ops,
+                &ctx.states,
                 mode,
                 epoch_rows,
                 map32,
@@ -280,11 +281,9 @@ pub(crate) fn emit_final_from_table(
     let out_bytes = (table.len() * 8 * (1 + table.n_cols())) as u64;
     // On a denied reservation the timer is dropped unrecorded: the query
     // is failing and partial attribution would only skew the tree.
-    let mut res = ctx.gate().reserve(out_bytes, obs)?;
-    table.seal(|_digit, keys, cols| {
-        let block_res = res.take((keys.len() * 8 * (1 + cols.len())) as u64);
-        ctx.collector.push_block(keys, cols, block_res);
-    });
+    let res = ctx.gate().reserve(out_bytes, obs)?;
+    // One collector lock per table, not one per digit of it.
+    ctx.collector.push_blocks(res, |out| table.seal(|_digit, keys, cols| out.push(keys, cols)));
     obs.flush_table_metrics(table);
     obs.phase_end(pt, groups, groups, out_bytes);
     Ok(())
@@ -302,9 +301,9 @@ fn grow_merge(ctx: &Ctx, bucket: Vec<RunHandle>, obs: &Obs) -> Result<(), AggErr
     let pt = obs.phase_start(level, Phase::GrowMerge);
     let capacity = rows.clamp(16, 1 << 20);
     let mut res =
-        ctx.gate().reserve(GrowTable::mem_bytes_upper(capacity, rows, ctx.ops.len()), obs)?;
-    let mut table = GrowTable::with_capacity(capacity, &ctx.ops);
-    let n_cols = ctx.ops.len();
+        ctx.gate().reserve(GrowTable::mem_bytes_upper(capacity, rows, ctx.states.len()), obs)?;
+    let mut table = GrowTable::with_capacity(capacity, &ctx.states.ops);
+    let n_cols = ctx.states.len();
     let mut vals = vec![0u64; n_cols];
     for handle in bucket {
         let run = ctx.gate().restore(handle, obs)?;
@@ -312,9 +311,10 @@ fn grow_merge(ctx: &Ctx, bucket: Vec<RunHandle>, obs: &Obs) -> Result<(), AggErr
         let view = RunView::Owned(run);
         let mut row = 0;
         while row < view.len() {
-            let len = view.aligned_block_len(row, n_cols);
+            let len = view.aligned_block_len(row);
             let keys = &view.key_tail(row)[..len];
-            let cols: Vec<&[u64]> = (0..n_cols).map(|i| &view.col_tail(i, row)[..len]).collect();
+            let cols: Vec<&[u64]> =
+                (0..n_cols).map(|i| &view.state_tail(&ctx.states, i, row)[..len]).collect();
             for (j, &key) in keys.iter().enumerate() {
                 for (v, c) in vals.iter_mut().zip(&cols) {
                     *v = c[j];
@@ -334,7 +334,7 @@ fn grow_merge(ctx: &Ctx, bucket: Vec<RunHandle>, obs: &Obs) -> Result<(), AggErr
         }
     }
     let out_res = res.take((keys.len() * 8 * (1 + cols.len())) as u64);
-    ctx.collector.push_block(&keys, &cols, out_res);
+    ctx.collector.push_blocks(out_res, |out| out.push(&keys, &cols));
     obs.phase_end(pt, rows as u64, keys.len() as u64, 0);
     Ok(())
 }
@@ -372,6 +372,10 @@ pub(crate) fn process_bucket<'env>(
         ctx.fail(e);
         return;
     }
+    debug_assert!(
+        bucket.iter().all(|run| run.n_cols() == ctx.states.run_cols(run.aggregated())),
+        "a run entering level {level} does not carry its kind's columns"
+    );
     let trace_t0 = obs.now();
     let bucket_rows: u64 = bucket.iter().map(|r| r.len() as u64).sum();
     // A task that ran to its end: its time joins the level's, its span

@@ -15,8 +15,7 @@ use crate::adaptive::{ModeState, SealDecision};
 use crate::exec::Gate;
 use crate::obs::Obs;
 use crate::sink::RunSink;
-use crate::view::RunView;
-use hsa_agg::StateOp;
+use crate::view::{RunView, StateCols};
 use hsa_columnar::{ChunkedVec, Run, RunHandle};
 use hsa_fault::{AggError, Reservation};
 use hsa_hash::Murmur2;
@@ -135,7 +134,7 @@ pub(crate) fn hash_run(
     view: &RunView<'_>,
     from_row: usize,
     table: &mut AggTable,
-    ops: &[StateOp],
+    states: &StateCols,
     mode: &mut ModeState,
     epoch_rows: &mut u64,
     mapping: &mut Vec<u32>,
@@ -164,7 +163,7 @@ pub(crate) fn hash_run(
         if row == n {
             break HashOutcome::Done;
         }
-        let block_len = view.aligned_block_len(row, ops.len());
+        let block_len = view.aligned_block_len(row);
         debug_assert!(block_len > 0, "empty aligned block at row {row}/{n}");
         let keys = &view.key_tail(row)[..block_len];
         let groups_before = table.len() as u64;
@@ -173,7 +172,7 @@ pub(crate) fn hash_run(
         // Key pass: `kind` picks the row-at-a-time reference loop or the
         // hash + prefetch pipeline inside the table; DISTINCT needs no
         // mapping.
-        let BatchInsert { consumed, full: table_full } = if ops.is_empty() {
+        let BatchInsert { consumed, full: table_full } = if states.ops.is_empty() {
             table.insert_batch_distinct(hasher, keys, kind)
         } else {
             table.insert_batch(hasher, keys, kind, mapping)
@@ -182,8 +181,8 @@ pub(crate) fn hash_run(
         // Fold the block's values into the state columns, one column at a
         // time (tight loops; the mapping is cache resident). The two
         // kernel paths are bit-identical; `Scalar` is the reference loop.
-        for (i, &op) in ops.iter().enumerate() {
-            let vals = &view.col_tail(i, row)[..consumed];
+        for (i, &op) in states.ops.iter().enumerate() {
+            let vals = &view.state_tail(states, i, row)[..consumed];
             let col = table.col_mut(i);
             hsa_agg::fold_column(kind, op, aggregated, col, mapping, vals);
         }
@@ -229,6 +228,7 @@ mod tests {
     use crate::adaptive::Strategy;
     use crate::obs::testing::TestObs;
     use crate::sink::LocalBuckets;
+    use hsa_agg::{PhysicalCol, Plan, StateOp};
     use hsa_columnar::RunStore;
     use hsa_fault::{FaultInjector, MemoryBudget};
     use hsa_hash::Hasher64;
@@ -244,6 +244,12 @@ mod tests {
                 store: &RunStore::in_memory(),
             }
         };
+    }
+
+    /// The layout of a query whose every non-COUNT state reads input 0.
+    fn states_of(ops: &[StateOp]) -> StateCols {
+        let col = |&op| PhysicalCol { op, input: (op != StateOp::Count).then_some(0) };
+        StateCols::of(&Plan { cols: ops.iter().map(col).collect(), finalizers: Vec::new() })
     }
 
     fn table(slots: usize, ops: &[StateOp]) -> AggTable {
@@ -265,12 +271,18 @@ mod tests {
         let mut epoch = 0u64;
         let mut mapping = Vec::new();
         let mut sink = LocalBuckets::new();
-        let view = RunView::Borrowed { keys, cols: vec![vals; ops.len()], aggregated: false };
+        // Raw rows: the one input travels once, however many states read it.
+        let states = states_of(ops);
+        let view = RunView::Borrowed {
+            keys,
+            cols: vec![vals; states.raw_inputs().len()],
+            aggregated: false,
+        };
         let out = hash_run(
             &view,
             0,
             &mut t,
-            ops,
+            &states,
             &mut mode,
             &mut epoch,
             &mut mapping,
@@ -361,7 +373,7 @@ mod tests {
                 &v,
                 0,
                 &mut t,
-                &ops,
+                &states_of(&ops),
                 &mut mode,
                 &mut epoch,
                 &mut mapping,
@@ -404,7 +416,7 @@ mod tests {
             &view,
             0,
             &mut t,
-            &ops,
+            &states_of(&ops),
             &mut mode,
             &mut epoch,
             &mut mapping,

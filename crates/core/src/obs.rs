@@ -194,5 +194,10 @@ pub(crate) mod testing {
         pub(crate) fn stats(&self) -> OpStats {
             OpStats::lower(&self.recorder.snapshot().merged(), 0, 0)
         }
+
+        /// A counter `OpStats` does not carry.
+        pub(crate) fn counter(&self, c: Counter) -> u64 {
+            self.recorder.snapshot().merged().counter(c)
+        }
     }
 }

@@ -19,10 +19,22 @@ pub(crate) struct Collector {
     inner: Mutex<RawOut>,
 }
 
-struct RawOut {
+/// The output under construction, as [`Collector::push_blocks`] lends it.
+pub(crate) struct RawOut {
     keys: Vec<u64>,
     states: Vec<Vec<u64>>,
     res: Reservation,
+}
+
+impl RawOut {
+    /// Append one block of final groups.
+    pub(crate) fn push(&mut self, keys: &[u64], cols: &[Vec<u64>]) {
+        self.keys.extend_from_slice(keys);
+        debug_assert_eq!(cols.len(), self.states.len());
+        for (dst, src) in self.states.iter_mut().zip(cols) {
+            dst.extend_from_slice(src);
+        }
+    }
 }
 
 impl Collector {
@@ -36,15 +48,13 @@ impl Collector {
         }
     }
 
-    /// Append one block of final groups, folding in the reservation that
-    /// paid for the block's memory.
-    pub(crate) fn push_block(&self, keys: &[u64], cols: &[Vec<u64>], res: Reservation) {
+    /// Append the blocks of final groups `fill` pushes, all under one lock,
+    /// folding in the reservation that paid for their memory: a sealing
+    /// table yields a block per digit, and a lock for each is 256 round
+    /// trips a table.
+    pub(crate) fn push_blocks(&self, res: Reservation, fill: impl FnOnce(&mut RawOut)) {
         let mut g = self.inner.lock();
-        g.keys.extend_from_slice(keys);
-        debug_assert_eq!(cols.len(), g.states.len());
-        for (dst, src) in g.states.iter_mut().zip(cols) {
-            dst.extend_from_slice(src);
-        }
+        fill(&mut g);
         g.res.merge(res);
     }
 
@@ -122,8 +132,10 @@ mod tests {
     #[test]
     fn collector_appends_blocks() {
         let c = Collector::new(2);
-        c.push_block(&[1, 2], &[vec![10, 20], vec![1, 1]], Reservation::empty());
-        c.push_block(&[3], &[vec![30], vec![1]], Reservation::empty());
+        c.push_blocks(Reservation::empty(), |out| {
+            out.push(&[1, 2], &[vec![10, 20], vec![1, 1]]);
+            out.push(&[3], &[vec![30], vec![1]]);
+        });
         let out = c.into_output(plan(&[AggSpec::sum(0), AggSpec::count()]));
         assert_eq!(out.n_groups(), 3);
         assert_eq!(out.sorted_rows()[2], (3, vec![30, 1]));
@@ -133,7 +145,7 @@ mod tests {
     fn finalization_helpers() {
         let c = Collector::new(2);
         // states: sum, count → specs: avg(0), count()
-        c.push_block(&[7], &[vec![10], vec![4]], Reservation::empty());
+        c.push_blocks(Reservation::empty(), |out| out.push(&[7], &[vec![10], vec![4]]));
         let out = c.into_output(plan(&[AggSpec::avg(0), AggSpec::count()]));
         assert_eq!(out.value(0, 0), 2.5);
         assert_eq!(out.column_u64(0), None);

@@ -1,10 +1,13 @@
 //! The `PARTITIONING` routine (Algorithm 1, lines 1–4) in column-wise form.
 //!
-//! The key column is radix-partitioned with the tuned software-write-
-//! combining kernel while recording one digit per row; each state column is
-//! then scattered by replaying the digits (§3.3). The 256 outputs become
-//! runs of the next level, preserving the `aggregated` flag of the source
-//! (partitioning never aggregates — that is exactly its trade-off).
+//! The key column is radix-partitioned — hashed 16 keys ahead, each key
+//! stored straight into the open chunk of its partition — while recording
+//! one digit per row; each column travelling with the keys is then
+//! scattered by replaying the digits (§3.3). Raw rows travel as the
+//! query's distinct inputs, partial aggregates as one column per state
+//! ([`crate::view::StateCols`]). The 256 outputs become runs of the next
+//! level, preserving the `aggregated` flag of the source (partitioning
+//! never aggregates — that is exactly its trade-off).
 //!
 //! The outputs outlive the call: a [`RunWriter`] belongs to whoever
 //! partitions — a level-0 worker for the whole stream, a bucket task for
@@ -26,17 +29,19 @@ use hsa_partition::PartitionWriter;
 /// One owner's `PARTITIONING` outputs at one level, with the budget
 /// reservation that pays for them.
 ///
-/// The reservation follows the writer's memory: after every append, and
-/// once more when the partial lines are flushed at a hand-off, it is
+/// The reservation follows the writer's memory: after every append it is
 /// topped up to what the writer holds, and every run that leaves takes a
-/// slice equal to its own `mem_bytes()` along. Dropping a writer with rows
-/// still in it (a failed stream) releases all of it.
+/// slice equal to its own `mem_bytes()` along — a hand-off moves chunks
+/// and reserves nothing. Dropping a writer with rows still in it (a
+/// failed stream) releases all of it.
 pub(crate) struct RunWriter {
+    /// Built for the column count of the kind of rows it holds.
     parts: PartitionWriter,
     /// Radix level of the appended rows; runs leave at `level + 1`.
     level: u32,
     /// Whether the buffered rows are partial aggregates. A run never
-    /// mixes the two kinds, so a change of kind hands the content off.
+    /// mixes the two kinds (they carry different columns), so a change of
+    /// kind hands the content off and starts a new writer.
     aggregated: bool,
     res: Reservation,
 }
@@ -71,29 +76,20 @@ impl RunWriter {
         }
     }
 
-    fn record_flush_traffic(&mut self, obs: &Obs) -> u64 {
-        let pm = self.parts.take_metrics();
-        obs.count(Counter::SwcFlushes, pm.swc_flushes);
-        obs.count(Counter::SwcFlushBytes, pm.swc_flush_bytes);
-        pm.swc_flush_bytes
-    }
-
     /// Move every buffered row to `sink` as runs of the next level, one
     /// per non-empty digit. `resident` runs stay in memory and each takes
-    /// the slice of the reservation that covers it; the writer keeps
-    /// paying for its write-combining lines. Otherwise — or when the last
-    /// bytes the drain allocated are denied, degradably — the runs go to
-    /// the spill store as one batch (one fault ordinal; the store cuts it
-    /// into files and holds the call while too many of its bytes are
-    /// still unwritten), and the whole reservation is given back. Returns
-    /// the bytes the partial lines flushed.
+    /// the slice of the reservation that covers it (the last append
+    /// reserved every byte they hold). Otherwise the runs go to the spill
+    /// store as one batch (one fault ordinal; the store cuts it into files
+    /// and holds the call while too many of its bytes are still
+    /// unwritten), and the whole reservation is given back.
     fn flush(
         &mut self,
         resident: bool,
         sink: &mut impl RunSink,
         gate: Gate<'_>,
         obs: &Obs,
-    ) -> Result<u64, AggError> {
+    ) -> Result<(), AggError> {
         let rows = self.parts.len() as u64;
         let (level, aggregated) = (self.level + 1, self.aggregated);
         let mut runs = Vec::new();
@@ -101,19 +97,16 @@ impl RunWriter {
             let source_rows = keys.len() as u64;
             runs.push((digit, Run { keys, cols, aggregated, source_rows, level }));
         });
-        let line_bytes = self.record_flush_traffic(obs);
         if let Some(longest) = runs.iter().map(|(_, run)| run.len()).max() {
             // Per-digit skew: largest partition as % of the mean (100 = even).
             obs.observe(Hist::PartitionSkewPct, longest as u64 * FANOUT as u64 * 100 / rows);
         }
-        // Flushing the partial lines may have opened new chunks.
-        let held = self.parts.mem_bytes() + runs.iter().map(|(_, r)| r.mem_bytes()).sum::<u64>();
-        if resident && self.cover(held, gate, obs)? {
+        if resident {
             for (digit, run) in runs {
                 let run_res = self.res.take(run.mem_bytes());
                 sink.push_run(digit, RunHandle::Mem(run), run_res);
             }
-            return Ok(line_bytes);
+            return Ok(());
         }
         let (digits, runs): (Vec<usize>, Vec<Run>) = runs.into_iter().unzip();
         let handles = gate.spill_batch(runs, obs)?;
@@ -121,11 +114,11 @@ impl RunWriter {
         for (digit, handle) in digits.into_iter().zip(handles) {
             sink.push_run(digit, handle, Reservation::empty());
         }
-        Ok(line_bytes)
+        Ok(())
     }
 
     /// The owner is done (or the kind of rows changes): hand every
-    /// buffered row to `sink`, resident if the budget allows.
+    /// buffered row to `sink`, resident.
     pub(crate) fn hand_off(
         &mut self,
         sink: &mut impl RunSink,
@@ -136,8 +129,8 @@ impl RunWriter {
             return Ok(());
         }
         let pt = obs.phase_start(self.level, Phase::Partition);
-        let line_bytes = self.flush(true, sink, gate, obs)?;
-        obs.phase_end(pt, 0, 0, line_bytes);
+        self.flush(true, sink, gate, obs)?;
+        obs.phase_end(pt, 0, 0, 0);
         Ok(())
     }
 }
@@ -147,7 +140,8 @@ impl RunWriter {
 ///
 /// The rows stay in the writer; `sink` only receives runs when the writer
 /// has to let go of some: buffered rows of the other kind (`aggregated`
-/// differs) are handed off first, and when the budget denies the bytes
+/// differs) are handed off first and the writer is rebuilt for the
+/// columns this kind carries, and when the budget denies the bytes
 /// the append allocated — degradably, with a spill directory configured —
 /// the denial is downgraded and the writer's whole content goes to the
 /// spill store as one batch. Hard denials and runs without a spill
@@ -170,28 +164,31 @@ pub(crate) fn partition_run(
     if rows == 0 {
         return Ok(());
     }
-    let aggregated = view.aggregated();
-    let w = writer.get_or_insert_with(|| RunWriter::new(level, view.n_cols(), aggregated));
+    let (n_cols, aggregated) = (view.n_cols(), view.aggregated());
+    let w = writer.get_or_insert_with(|| RunWriter::new(level, n_cols, aggregated));
     debug_assert_eq!(w.level, level, "a writer serves one level");
     if w.aggregated != aggregated {
         w.hand_off(sink, gate, obs)?;
-        w.aggregated = aggregated;
+        *w = RunWriter::new(level, n_cols, aggregated);
     }
+    debug_assert_eq!(w.parts.n_cols(), n_cols, "rows of one kind carry the same columns");
     let pt = obs.phase_start(level, Phase::Partition);
     let t0 = obs.now();
-    w.parts.append(Murmur2::default(), level, view.key_slices(from_row), |i| {
-        view.col_slices(i, from_row)
+    w.parts.append(Murmur2::default(), level, view.slices(None, from_row), |j| {
+        view.slices(Some(j), from_row)
     });
     obs.count_at(LevelCounter::PartRows, level, rows);
-    let mut flush_bytes = w.record_flush_traffic(obs);
+    // What the pass wrote: the key and every column that travelled.
+    let bytes = rows * 8 * (1 + n_cols as u64);
+    obs.count(Counter::PartBytes, bytes);
     obs.span("partition_run", t0, &[("rows", rows), ("level", level as u64)]);
 
     if !w.cover(w.parts.mem_bytes(), gate, obs)? {
-        flush_bytes += w.flush(false, sink, gate, obs)?;
+        w.flush(false, sink, gate, obs)?;
     }
     // Spill time was attributed to its own phase by the nested-time
     // accounting; this cell holds the pure partition cost.
-    obs.phase_end(pt, rows, rows, flush_bytes);
+    obs.phase_end(pt, rows, rows, bytes);
     Ok(())
 }
 
@@ -305,12 +302,15 @@ mod tests {
     }
 
     #[test]
-    fn a_run_never_mixes_raw_and_aggregated_rows() {
+    fn a_change_of_kind_hands_off_and_the_next_runs_carry_the_other_columns() {
         use hsa_columnar::ChunkedVec;
+        // COUNT(*), SUM(v): partials travel as two state columns, raw
+        // rows as the one input.
         let sealed = |keys: &[u64]| {
+            let col = ChunkedVec::from_slice(&vec![5; keys.len()]);
             RunView::Owned(Run {
                 keys: ChunkedVec::from_slice(keys),
-                cols: vec![ChunkedVec::from_slice(&vec![5; keys.len()])],
+                cols: vec![col.clone(), col],
                 aggregated: true,
                 source_rows: 30,
                 level: 1,
@@ -330,22 +330,31 @@ mod tests {
         // The other kind arrives: the aggregated rows leave first.
         part(&raw_view(&raw_keys, vec![&raw_keys]), &mut sink);
         assert!(!sink.is_empty());
+        // And back again: the raw rows leave, the writer is rebuilt.
+        part(&sealed(&[6]), &mut sink);
         hand_off(&mut writer, &mut sink, open_gate!(), &rec);
         let (mut agg_rows, mut raw_rows) = (0, 0);
         for (_, bucket, _res) in sink.into_nonempty() {
             for r in bucket {
                 assert_eq!(r.level(), 2);
                 let run = r.into_run().unwrap();
+                run.check_consistent().unwrap();
                 if run.aggregated {
-                    assert!(run.keys.iter().all(|k| k <= 5), "raw keys in an aggregated run");
+                    assert_eq!(run.n_cols(), 2, "partials carry a column per state");
+                    assert!(run.keys.iter().all(|k| k <= 6), "raw keys in an aggregated run");
+                    assert!(run.cols.iter().all(|c| c.iter().all(|v| v == 5)));
                     agg_rows += run.len();
                 } else {
+                    assert_eq!(run.n_cols(), 1, "raw rows carry the one input");
                     assert!(run.keys.iter().all(|k| k >= 100), "partials in a raw run");
+                    assert_eq!(run.keys, run.cols[0]);
                     raw_rows += run.len();
                 }
             }
         }
-        assert_eq!((agg_rows, raw_rows), (5, 300));
+        assert_eq!((agg_rows, raw_rows), (6, 300));
+        let bytes = (5 + 1) * 8 * 3 + 300 * 8 * 2;
+        assert_eq!(rec.counter(Counter::PartBytes), bytes, "each kind at its own width");
     }
 
     #[test]
@@ -361,8 +370,22 @@ mod tests {
         partition(&mut writer, &raw_view(&keys, vec![&keys]), 0, &mut sink, gate, &rec).unwrap();
         let held = writer.as_ref().map(|w| w.parts.mem_bytes());
         assert_eq!(Some(budget.outstanding()), held, "the reservation is the writer's memory");
+        // A budget with not one byte to spare: the hand-off moves chunks,
+        // so it has nothing to ask for and nothing to be denied.
+        let exact = MemoryBudget::limited(held.unwrap());
+        let tight = Gate { budget: &exact, faults: &faults, store: &store };
+        let (mut other, mut other_sink) = (None, LocalBuckets::new());
+        partition(&mut other, &raw_view(&keys, vec![&keys]), 0, &mut other_sink, tight, &rec)
+            .unwrap();
+        assert_eq!(exact.outstanding(), held.unwrap());
+        hand_off(&mut other, &mut other_sink, tight, &rec);
+        assert_eq!((exact.outstanding(), exact.high_water()), (held.unwrap(), held.unwrap()));
+        assert_eq!(rec.stats().budget_denials, 0);
+        drop((other, other_sink));
+        assert_eq!(exact.outstanding(), 0);
+
         hand_off(&mut writer, &mut sink, gate, &rec);
-        assert!(budget.outstanding() >= held.unwrap(), "a hand-off moves bytes, it frees none");
+        assert_eq!(budget.outstanding(), held.unwrap(), "a hand-off moves bytes, it frees none");
         for (_, bucket, res) in sink.into_nonempty() {
             let bytes = |h: &RunHandle| match h {
                 RunHandle::Mem(run) => run.mem_bytes(),
@@ -370,7 +393,7 @@ mod tests {
             };
             assert_eq!(res.bytes(), bucket.iter().map(bytes).sum::<u64>());
         }
-        // Runs gone: the writer still pays for its lines and scratch.
+        // Runs gone: the writer still pays for its digit scratch.
         assert_eq!(budget.outstanding(), writer.as_ref().unwrap().parts.mem_bytes());
         drop(writer);
         assert_eq!(budget.outstanding(), 0);
@@ -493,6 +516,41 @@ mod tests {
             drop(store);
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// Nothing in the spill format knows the query: a raw run of a query
+    /// with more states than inputs — `COUNT(*)` alone carries no column
+    /// at all — comes back from disk as it went.
+    #[test]
+    fn a_raw_run_with_fewer_columns_than_states_survives_a_spill() {
+        use hsa_columnar::ChunkedVec;
+        let dir = std::env::temp_dir().join(format!("hsa-part-narrow-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let rec = TestObs::new();
+        let budget = MemoryBudget::unlimited();
+        let faults = FaultInjector::none();
+        let store = RunStore::spilling_to(&dir).unwrap();
+        let gate = Gate { budget: &budget, faults: &faults, store: &store };
+        let keys: Vec<u64> = (0..5_000u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+        let vals: Vec<u64> = (0..5_000).collect();
+        let raw = |cols: &[&[u64]]| Run {
+            keys: ChunkedVec::from_slice(&keys),
+            cols: cols.iter().map(|c| ChunkedVec::from_slice(c)).collect(),
+            aggregated: false,
+            source_rows: keys.len() as u64,
+            level: 1,
+        };
+        let runs = vec![raw(&[]), raw(&[&vals])];
+        let handles = gate.spill_batch(runs.clone(), &rec.obs()).unwrap();
+        for (handle, run) in handles.into_iter().zip(runs) {
+            assert!(handle.is_spilled());
+            assert_eq!((handle.n_cols(), handle.aggregated()), (run.n_cols(), false));
+            let back = gate.restore(handle, &rec.obs()).unwrap();
+            assert_eq!((back.keys, back.cols), (run.keys, run.cols));
+            assert_eq!((back.aggregated, back.source_rows, back.level), (false, 5_000, 1));
+        }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

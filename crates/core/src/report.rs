@@ -22,8 +22,11 @@ use hsa_tasks::{PoolMetrics, WorkerPoolMetrics};
 ///
 /// History: v2 added `query_id` and reinterpreted a report as the record
 /// of one admitted query on the shared runtime (ids are unique per
-/// process, so two reports from one serving process never collide).
-pub const REPORT_VERSION: u64 = 2;
+/// process, so two reports from one serving process never collide); v3
+/// removed the `swc_flushes` / `swc_flush_bytes` counters with the
+/// write-combining lines they counted (`part_bytes` is what the
+/// partitioning passes wrote).
+pub const REPORT_VERSION: u64 = 3;
 
 /// What the observed operator entry points should collect.
 #[derive(Clone, Debug)]
@@ -263,12 +266,7 @@ impl RunReport {
             );
             let _ = writeln!(s, "  probe len        {}", hist_line(&m, Hist::ProbeLen));
             let _ = writeln!(s, "  seal fill %      {}", hist_line(&m, Hist::SealFillPct));
-            let _ = writeln!(
-                s,
-                "partitioning       swc flushes {}   flushed {} B",
-                m.counter(Counter::SwcFlushes),
-                m.counter(Counter::SwcFlushBytes),
-            );
+            let _ = writeln!(s, "partitioning       wrote {} B", m.counter(Counter::PartBytes),);
             let _ = writeln!(s, "  digit skew %     {}", hist_line(&m, Hist::PartitionSkewPct));
             let _ = writeln!(s, "  morsel rows      {}", hist_line(&m, Hist::MorselRows));
             if m.alpha_count() > 0 {

@@ -33,9 +33,9 @@ use crate::output::{Collector, GroupByOutput};
 use crate::report::{ObsConfig, RunReport};
 use crate::sink::SharedBuckets;
 use crate::stats::OpStats;
-use crate::view::RunView;
+use crate::view::{RunView, StateCols};
 use crate::AggregateConfig;
-use hsa_agg::{plan, AggSpec, Plan, StateOp};
+use hsa_agg::{plan, AggSpec, Plan};
 use hsa_fault::{AggError, CancelToken};
 use hsa_hashtbl::{identity_of, AggTable};
 use hsa_obs::{
@@ -120,10 +120,10 @@ impl AggStream {
         obs_cfg: &ObsConfig,
     ) -> Result<Self, AggError> {
         let wall0 = Instant::now();
-        let ops: Vec<StateOp> = lowered.cols.iter().map(|c| c.op).collect();
-        let identities: Vec<u64> = ops.iter().map(|&o| identity_of(o)).collect();
+        let states = StateCols::of(&lowered);
+        let identities: Vec<u64> = states.ops.iter().map(|&o| identity_of(o)).collect();
         let threads = cfg.threads.max(1);
-        let table_cfg = cfg.table_config(ops.len());
+        let table_cfg = cfg.table_config(states.len());
         let observed = obs_cfg.metrics;
         // A fault plan that cancels after K rows needs a live token to
         // trip, even when the caller did not pass one.
@@ -161,7 +161,7 @@ impl AggStream {
             cfg: cfg.clone(),
             env: env.clone(),
             cancel,
-            ops,
+            states,
             pool: TablePool::new(table_cfg, identities, observed),
             collector: Collector::new(lowered.cols.len()),
             recorder: if observed { Recorder::deep(threads) } else { Recorder::counters(threads) },
@@ -203,24 +203,18 @@ impl AggStream {
                 });
             }
         }
-        // Physical column i reads from this slice; COUNT columns alias the
-        // key column (their value is ignored by the state op).
-        let mut raw_cols = Vec::with_capacity(self.lowered.cols.len());
-        for c in &self.lowered.cols {
-            raw_cols.push(match c.input {
-                Some(j) => *inputs.get(j).ok_or(AggError::MissingInputColumn {
-                    referenced: j,
-                    available: inputs.len(),
-                })?,
-                None => keys,
-            });
-        }
+        // Raw rows travel as the inputs the query reads, each once; the
+        // states find their values through `ctx.states`.
+        let missing = |j| AggError::MissingInputColumn { referenced: j, available: inputs.len() };
+        let picked = self.ctx.states.raw_inputs().iter().map(|&j| inputs.get(j).ok_or(missing(j)));
+        let raw_cols = picked.map(|col| col.copied()).collect::<Result<Vec<_>, _>>()?;
         self.push_cols(keys, &raw_cols)
     }
 
-    /// Ingest one chunk of pre-mapped physical columns (`raw_cols[i]`
-    /// feeds state column `i`) — one work-stealing morsel scope.
-    pub(crate) fn push_cols(&mut self, keys: &[u64], raw_cols: &[&[u64]]) -> Result<(), AggError> {
+    /// Ingest one chunk of rows with the columns that travel with their
+    /// kind (see [`StateCols`]): the query's distinct inputs for raw rows,
+    /// one column per state for partials — one work-stealing morsel scope.
+    pub(crate) fn push_cols(&mut self, keys: &[u64], cols: &[&[u64]]) -> Result<(), AggError> {
         let ctx = &self.ctx;
         let shared = &self.shared;
         let workers = &self.workers;
@@ -248,7 +242,7 @@ impl AggStream {
                     let mut ws = workers[s2.worker_index()].lock();
                     let view = RunView::Borrowed {
                         keys: &keys[range.clone()],
-                        cols: raw_cols.iter().map(|c| &c[range.clone()]).collect(),
+                        cols: cols.iter().map(|c| &c[range.clone()]).collect(),
                         aggregated: input_aggregated,
                     };
                     let mut sink = shared;
@@ -516,7 +510,7 @@ mod tests {
     /// claim morsels of a real push, a test of the finish rule cannot.
     fn feed_worker(stream: &AggStream, w: usize, keys: &[u64], vals: &[u64]) {
         let mut ws = stream.workers[w].lock();
-        let view = RunView::Borrowed { keys, cols: vec![vals, vals], aggregated: false };
+        let view = RunView::Borrowed { keys, cols: vec![vals], aggregated: false };
         process_view(&stream.ctx, &view, 0, &mut ws, &mut &stream.shared, &stream.ctx.obs(w))
             .unwrap();
     }
@@ -585,10 +579,11 @@ mod tests {
             strategy: Strategy::PartitionAlways { passes: 1 },
             ..cfg()
         };
-        let specs = [hsa_agg::AggSpec::count()];
+        // Two states reading one input: the raw rows carry one column.
+        let specs = [hsa_agg::AggSpec::count(), hsa_agg::AggSpec::sum(0)];
         let mut stream =
             AggStream::new(&specs, &cfg, &ExecEnv::unrestricted(), &ObsConfig::disabled()).unwrap();
-        stream.push(&keys, &[]).unwrap();
+        stream.push(&keys, &[&keys]).unwrap();
         assert!(stream.shared.is_empty(), "rows wait in the workers' writers");
         for (w, ws) in stream.workers.iter().enumerate() {
             if let Some(writer) = ws.lock().writer.as_mut() {
@@ -608,6 +603,7 @@ mod tests {
             for handle in bucket {
                 let RunHandle::Mem(run) = handle else { panic!("nothing spills here") };
                 assert!(!run.aggregated);
+                assert_eq!(run.n_cols(), 1);
                 let lens = chunk_lens(&run.keys);
                 assert_eq!(lens, chunk_lens(&run.cols[0]), "columns are cut alike");
                 let (tail, body) = lens.split_last().unwrap();
@@ -621,6 +617,151 @@ mod tests {
             }
         }
         assert_eq!(rows, keys.len());
+    }
+
+    fn all_strategies() -> [Strategy; 5] {
+        [
+            Strategy::HashingOnly,
+            Strategy::PartitionAlways { passes: 1 },
+            Strategy::PartitionAlways { passes: 2 },
+            Strategy::Adaptive(AdaptiveParams::default()),
+            Strategy::Adaptive(AdaptiveParams { alpha0: f64::INFINITY, c: 1.0 }),
+        ]
+    }
+
+    /// Whatever the query reads and however often: seeded random spec
+    /// lists over 1–3 input columns (repeats and duplicates included)
+    /// under every strategy, at one and two threads, unrestricted and
+    /// under a budget with a spill directory, equal the oracle — and the
+    /// runs entering level 1 carry exactly their kind's columns: a raw run
+    /// the plan's distinct inputs, an aggregated run one per state.
+    #[test]
+    fn any_spec_list_matches_the_oracle_and_runs_carry_their_kinds_columns() {
+        use hsa_agg::AggSpec;
+        use hsa_fault::MemoryBudget;
+        use std::collections::BTreeMap;
+        const ROWS: usize = 24_000;
+        let dir = std::env::temp_dir().join(format!("hsa-stream-specs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut s = 0x5eed_0024_u64;
+        let mut next = move |below: u64| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s % below
+        };
+        let mut spilled_cases = 0;
+        for case in 0..4 {
+            let n_inputs = 1 + next(3) as usize;
+            let specs: Vec<AggSpec> = (0..1 + next(6))
+                .map(|_| {
+                    let j = next(n_inputs as u64) as usize;
+                    match next(5) {
+                        0 => AggSpec::count(),
+                        1 => AggSpec::sum(j),
+                        2 => AggSpec::min(j),
+                        3 => AggSpec::max(j),
+                        _ => AggSpec::avg(j),
+                    }
+                })
+                .collect();
+            let lowered = plan(&specs);
+            let states = StateCols::of(&lowered);
+            let keys: Vec<u64> = (0..ROWS).map(|_| next(9_000)).collect();
+            let cols: Vec<Vec<u64>> =
+                (0..n_inputs).map(|_| (0..ROWS).map(|_| next(1_000)).collect()).collect();
+            let inputs: Vec<&[u64]> = cols.iter().map(Vec::as_slice).collect();
+            let mut oracle: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+            for (row, &k) in keys.iter().enumerate() {
+                let group = oracle.entry(k).or_insert_with(|| {
+                    states.ops.iter().map(|&op| hsa_hashtbl::identity_of(op)).collect()
+                });
+                for (state, c) in group.iter_mut().zip(&lowered.cols) {
+                    *state = c.op.combine(*state, c.input.map_or(0, |j| cols[j][row]), false);
+                }
+            }
+            let expect: Vec<(u64, Vec<u64>)> = oracle.into_iter().collect();
+            let out_bytes = (expect.len() * 8 * (1 + states.len())) as u64;
+
+            for strat in all_strategies() {
+                for threads in [1, 2] {
+                    let cfg = AggregateConfig { threads, strategy: strat, ..cfg() };
+                    let tag = format!("case {case} {specs:?} {strat:?} threads {threads}");
+                    let (out, _) = crate::try_aggregate(
+                        &keys,
+                        &inputs,
+                        &specs,
+                        &cfg,
+                        &ExecEnv::unrestricted(),
+                    )
+                    .unwrap();
+                    assert_eq!(out.sorted_rows(), expect, "{tag}");
+
+                    // One worker under a budget its intermediate runs do
+                    // not fit; two under one that only has to come back
+                    // to zero (a tight budget at two threads is ROADMAP
+                    // item 1's race, not this test's subject).
+                    let limit = if threads == 1 { out_bytes + (768 << 10) } else { 1 << 30 };
+                    let budget = MemoryBudget::limited(limit);
+                    let env =
+                        ExecEnv::unrestricted().with_budget(budget.clone()).with_spill_dir(&dir);
+                    let (out, stats) =
+                        crate::try_aggregate(&keys, &inputs, &specs, &cfg, &env).unwrap();
+                    assert_eq!(out.sorted_rows(), expect, "{tag}: budgeted");
+                    drop(out);
+                    assert_eq!(budget.outstanding(), 0, "{tag}");
+                    assert_eq!(stats.restored_runs, stats.spilled_runs(), "{tag}");
+                    spilled_cases += usize::from(stats.spilled_runs() > 0);
+
+                    // What `finish` hands to level 1: every writer's runs
+                    // and every leftover table's.
+                    let mut stream = AggStream::new(
+                        &specs,
+                        &cfg,
+                        &ExecEnv::unrestricted(),
+                        &ObsConfig::disabled(),
+                    )
+                    .unwrap();
+                    for (a, b) in [(0, ROWS / 3), (ROWS / 3, ROWS)] {
+                        let chunk: Vec<&[u64]> = inputs.iter().map(|c| &c[a..b]).collect();
+                        stream.push(&keys[a..b], &chunk).unwrap();
+                    }
+                    let (ctx, shared) = (&stream.ctx, &stream.shared);
+                    for (w, ws) in stream.workers.iter().enumerate() {
+                        let mut ws = ws.lock();
+                        if let Some(writer) = ws.writer.as_mut() {
+                            writer.hand_off(&mut &*shared, ctx.gate(), &ctx.obs(w)).unwrap();
+                        }
+                        if let Some(table) = ws.table.as_mut().filter(|t| !t.is_empty()) {
+                            seal_into(table, &mut &*shared, ctx.gate(), &ctx.obs(w)).unwrap();
+                        }
+                    }
+                    let AggStream { shared, .. } = stream;
+                    let (mut raw_rows, mut rows) = (0, 0);
+                    for (_, bucket, _res) in shared.into_nonempty() {
+                        for run in bucket {
+                            let want = states.run_cols(run.aggregated());
+                            assert_eq!(
+                                run.n_cols(),
+                                want,
+                                "{tag}: aggregated {}",
+                                run.aggregated()
+                            );
+                            raw_rows += if run.aggregated() { 0 } else { run.len() };
+                            rows += run.len();
+                        }
+                    }
+                    assert!(rows > 0, "{tag}: nothing entered level 1");
+                    if matches!(strat, Strategy::PartitionAlways { .. }) {
+                        assert_eq!(raw_rows, ROWS, "{tag}: every row travels raw");
+                    }
+                }
+            }
+        }
+        assert!(spilled_cases > 0, "no budgeted case spilled");
+        let leftover = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
+        assert_eq!(leftover, 0, "spill files must not outlive their streams");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

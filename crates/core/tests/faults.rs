@@ -354,8 +354,9 @@ fn writer_workload() -> (Vec<u64>, Vec<u64>, AggregateConfig) {
 }
 
 const WRITER_DIGITS: usize = 32;
-/// Holds about half of [`writer_workload`]'s partitioned rows.
-const WRITER_BUDGET: u64 = 512 << 10;
+/// Holds about half of [`writer_workload`]'s partitioned rows: raw rows
+/// of `COUNT(*), SUM(v)` travel as the key and `v`, 16 bytes each.
+const WRITER_BUDGET: u64 = 256 << 10;
 
 /// A denied writer with a spill directory lets go of everything it holds
 /// — runs as long as the worker's share so far, not one morsel's — and
@@ -389,7 +390,7 @@ fn a_denied_partition_writer_spills_its_whole_content() {
         "a denial spilled more than the writer's one run per digit: {stats:?}"
     );
     // … and each holds several morsels' rows of its digit.
-    let morsel_share = (config().morsel_rows / WRITER_DIGITS * 8 * 3) as u64;
+    let morsel_share = (config().morsel_rows / WRITER_DIGITS * 8 * 2) as u64;
     assert!(
         stats.spilled_bytes > 2 * morsel_share * stats.spilled_runs(),
         "spilled runs are no longer than a morsel's share: {stats:?}"

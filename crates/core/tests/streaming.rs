@@ -248,7 +248,9 @@ fn morsel_worker_and_push_grain_are_invisible() {
     let dir = std::env::temp_dir().join(format!("hsa-stream-grain-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut rng = Rng(0x0060_7a11);
-    let specs = [AggSpec::count(), AggSpec::sum(0), AggSpec::min(0), AggSpec::max(0)];
+    // Three inputs feed the four states (the same values under each, so
+    // the oracle stays one map): raw rows travel as key + three columns.
+    let specs = [AggSpec::count(), AggSpec::sum(0), AggSpec::min(1), AggSpec::max(2)];
     // Nearly as many groups as rows: ADAPTIVE hashes, seals, switches to
     // PARTITIONING and recurses, so sealed and partitioned runs meet in
     // the same buckets.
@@ -274,13 +276,13 @@ fn morsel_worker_and_push_grain_are_invisible() {
             let cfg = AggregateConfig { morsel_rows, ..small_cfg(strategy, threads) };
             let tag = format!("morsel {morsel_rows} threads {threads} {strategy:?}");
             // One worker makes the budget's verdicts repeatable, so that
-            // is where the rows are made to spill: 2 MiB holds the 1 MiB
+            // is where the rows are made to spill: 1.5 MiB holds the 1 MiB
             // of output blocks but not the intermediate runs beside them.
             let budget = MemoryBudget::limited(1 << 32);
             let env = ExecEnv::unrestricted().with_budget(budget.clone());
             let spills = threads == 1;
             let (raw_budget, raw_env) = if spills {
-                let tight = MemoryBudget::limited(2 << 20);
+                let tight = MemoryBudget::limited(3 << 19);
                 (tight.clone(), ExecEnv::unrestricted().with_budget(tight).with_spill_dir(&dir))
             } else {
                 (budget.clone(), env.clone())
@@ -294,7 +296,7 @@ fn morsel_worker_and_push_grain_are_invisible() {
                 let obs = ObsConfig { metrics, ..ObsConfig::disabled() };
                 let mut stream = AggStream::new(&specs, &cfg, &raw_env, &obs).unwrap();
                 for &(a, b) in &cuts {
-                    stream.push(&keys[a..b], &[&vals[a..b]]).unwrap();
+                    stream.push(&keys[a..b], &[&vals[a..b]; 3]).unwrap();
                 }
                 let (out, report) = stream.finish().unwrap();
                 assert_eq!(out.sorted_rows(), expect, "{tag}: raw output");
@@ -344,16 +346,20 @@ fn morsel_worker_and_push_grain_are_invisible() {
                 assert_eq!(shard_total(Counter::RestoredRuns), stats.restored_runs, "{tag}");
                 assert_eq!(shard_total(Counter::BudgetDenials), stats.budget_denials, "{tag}");
 
-                // Every partitioned value crossed a write-combining line
-                // once, whichever call flushed it.
+                // Every partitioned value was written once. Raw rows — all
+                // of level 0 — move the key and the three inputs the
+                // states read; partials move the key and four states.
                 let metrics = snapshot.merged();
                 let profile = report.profile.as_ref().expect("profile rides with metrics");
-                let line_bytes = stats.total_part_rows() * 8 * (1 + specs.len() as u64);
-                assert_eq!(metrics.counter(Counter::SwcFlushBytes), line_bytes, "{tag}");
-                let cell_bytes: u64 = (0..profile.levels_used())
-                    .map(|l| profile.cell(l, Phase::Partition).bytes)
-                    .sum();
-                assert_eq!(cell_bytes, line_bytes, "{tag}: partition cells");
+                let part_bytes = |lvl: usize| profile.cell(lvl, Phase::Partition).bytes;
+                assert_eq!(part_bytes(0), stats.part_rows_per_level[0] * 8 * 4, "{tag}");
+                for lvl in 1..profile.levels_used() {
+                    let rows = stats.part_rows_per_level[lvl];
+                    let (raw, partials) = (rows * 8 * 4, rows * 8 * (1 + specs.len() as u64));
+                    assert!((raw..=partials).contains(&part_bytes(lvl)), "{tag}: level {lvl}");
+                }
+                let cell_bytes: u64 = (0..profile.levels_used()).map(part_bytes).sum();
+                assert_eq!(metrics.counter(Counter::PartBytes), cell_bytes, "{tag}");
                 for lvl in 0..profile.levels_used() {
                     let hashed = profile.cell(lvl, Phase::HashInsert).rows_in;
                     let partitioned = profile.cell(lvl, Phase::Partition).rows_in;
@@ -377,7 +383,7 @@ fn morsel_worker_and_push_grain_are_invisible() {
             let partials: Vec<_> = cuts
                 .iter()
                 .map(|&(a, b)| {
-                    try_aggregate(&keys[a..b], &[&vals[a..b]], &specs, &cfg, &env).unwrap().0
+                    try_aggregate(&keys[a..b], &[&vals[a..b]; 3], &specs, &cfg, &env).unwrap().0
                 })
                 .collect();
             let partial_rows: usize = partials.iter().map(|p| p.n_groups()).sum();

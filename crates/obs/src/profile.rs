@@ -96,7 +96,7 @@ pub struct PhaseCell {
     pub rows_in: u64,
     /// Rows produced (groups for seal/grow-merge/output).
     pub rows_out: u64,
-    /// Bytes moved, where meaningful (spill/restore I/O, SWC flushes).
+    /// Bytes moved, where meaningful (spill/restore I/O, partition writes).
     pub bytes: u64,
 }
 

@@ -79,11 +79,9 @@ metric_enum! {
         TableInserts => "table_inserts",
         /// Total linear-probe steps beyond the home slot; deep metrics only.
         ProbeSteps => "probe_steps",
-        /// Software-write-combining cache lines flushed.
-        SwcFlushes => "swc_flushes",
-        /// Bytes moved through the SWC flush path (non-temporal when
-        /// streaming stores are enabled).
-        SwcFlushBytes => "swc_flush_bytes",
+        /// Bytes the PARTITIONING passes wrote: 8 per row for the key and
+        /// for every column that travelled with it.
+        PartBytes => "part_bytes",
         /// Memory reservations denied by the budget (including denials
         /// absorbed by degradation).
         BudgetDenials => "budget_denials",
@@ -511,8 +509,8 @@ mod tests {
     #[test]
     fn sharded_counts_merge() {
         let r = Recorder::deep(3);
-        r.add(0, Counter::SwcFlushes, 10);
-        r.add(1, Counter::SwcFlushes, 20);
+        r.add(0, Counter::TablesSealed, 10);
+        r.add(1, Counter::TablesSealed, 20);
         r.add_level(2, LevelCounter::PartRows, 0, 5);
         r.add_level(0, LevelCounter::PartRows, 1, 7);
         r.add_level(1, LevelCounter::TaskNanos, 200, 1);
@@ -521,9 +519,9 @@ mod tests {
         r.record_alpha(2, 2.5);
         let snap = r.snapshot();
         assert_eq!(snap.workers.len(), 3);
-        assert_eq!(snap.workers[0].counter(Counter::SwcFlushes), 10);
+        assert_eq!(snap.workers[0].counter(Counter::TablesSealed), 10);
         let m = snap.merged();
-        assert_eq!(m.counter(Counter::SwcFlushes), 30);
+        assert_eq!(m.counter(Counter::TablesSealed), 30);
         assert_eq!(m.level_counter(LevelCounter::PartRows)[..2], [5, 7]);
         assert_eq!(m.level_total(LevelCounter::PartRows), 12);
         assert_eq!(m.level_counter(LevelCounter::TaskNanos)[PROFILE_LEVELS - 1], 1, "clamped");
@@ -603,14 +601,14 @@ mod tests {
     #[test]
     fn snapshot_json_is_valid() {
         let r = Recorder::deep(2);
-        r.add(0, Counter::SwcFlushes, 3);
+        r.add(0, Counter::TablesSealed, 3);
         r.add_level(1, LevelCounter::SpilledRuns, 1, 4);
         r.add_level(1, LevelCounter::SpilledRuns, 2, 2);
         r.observe(1, Hist::SealFillPct, 25);
         let text = r.snapshot().to_json().to_string_pretty(2);
         let parsed = crate::json::parse(&text).unwrap();
         let merged = parsed.get("merged").unwrap();
-        assert_eq!(merged.get("swc_flushes").unwrap().as_u64(), Some(3));
+        assert_eq!(merged.get("tables_sealed").unwrap().as_u64(), Some(3));
         assert_eq!(merged.get("spilled_runs").unwrap().as_u64(), Some(6), "levels are summed");
         assert_eq!(merged.get("seal_fill_pct").unwrap().get("count").unwrap().as_u64(), Some(1));
         assert_eq!(parsed.get("workers").unwrap().as_array().unwrap().len(), 2);

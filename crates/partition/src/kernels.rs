@@ -1,16 +1,17 @@
-//! The partitioning kernel variants of the Figure 3 ablation.
+//! The partitioning kernel variants of the Figure 3 ablation, and the
+//! one-shot forms of the kernel the operator runs.
 
 use crate::swc::SwcBuffers;
-use crate::{empty_parts, Parts};
-use hsa_columnar::ChunkedVec;
+use crate::writer::ColumnOut;
+use crate::{empty_parts, FlushMode, Parts};
 use hsa_hash::{digit, Hasher64, FANOUT};
 
-/// Unroll factor of the out-of-order variant: "manually unrolling the main
+/// Unroll factor of the out-of-order rung: "manually unrolling the main
 /// loop into blocks of 16 elements, which are first all hashed and then
 /// all put into their partition buffers" (§4.2).
 const UNROLL: usize = 16;
 
-/// Naive partitioning: one pass, direct append to the two-level outputs.
+/// Naive partitioning: one pass, `ChunkedVec::push` per key.
 ///
 /// With [`hsa_hash::Identity`] this is Figure 3's `key` bar, with
 /// [`hsa_hash::Murmur2`] its `hash` bar. Throughput is limited by the TLB
@@ -27,9 +28,10 @@ pub fn partition_naive<H: Hasher64>(
     parts
 }
 
-/// Software write-combining, element-at-a-time hashing (Figure 3 `swc`).
+/// Software write-combining, element-at-a-time hashing (Figure 3 `swc`),
+/// flushing full lines with plain stores.
 pub fn partition_swc<H: Hasher64>(keys: impl Iterator<Item = u64>, hasher: H, level: u32) -> Parts {
-    partition_swc_with_mode(keys, hasher, level, crate::FlushMode::auto())
+    partition_swc_with_mode(keys, hasher, level, FlushMode::Cached)
 }
 
 /// [`partition_swc`] with an explicit flush mode (ablation hook).
@@ -37,7 +39,7 @@ pub fn partition_swc_with_mode<H: Hasher64>(
     keys: impl Iterator<Item = u64>,
     hasher: H,
     level: u32,
-    mode: crate::FlushMode,
+    mode: FlushMode,
 ) -> Parts {
     let mut parts = empty_parts();
     let mut bufs = SwcBuffers::with_mode(mode);
@@ -45,15 +47,14 @@ pub fn partition_swc_with_mode<H: Hasher64>(
         let d = digit(hasher.hash_u64(k), level);
         bufs.push(d, k, &mut parts[d]);
     }
-    bufs.drain(&mut parts);
+    bufs.drain(|d, vals| parts[d].extend_from_slice(vals));
     parts
 }
 
-/// SWC plus 16-way unrolled hash computation (Figure 3 `oo`): hashing a
-/// block of keys first lets the CPU overlap the multiply chains of the
-/// hash function with the buffer stores of the previous elements.
+/// SWC plus 16-way unrolled hash computation (Figure 3 `oo` + `2lvl`),
+/// flushing full lines with plain stores.
 pub fn partition_unrolled<H: Hasher64>(keys: &[u64], hasher: H, level: u32) -> Parts {
-    partition_unrolled_with_mode(keys, hasher, level, crate::FlushMode::auto())
+    partition_unrolled_with_mode(keys, hasher, level, FlushMode::Cached)
 }
 
 /// [`partition_unrolled`] with an explicit flush mode (ablation hook).
@@ -61,64 +62,56 @@ pub fn partition_unrolled_with_mode<H: Hasher64>(
     keys: &[u64],
     hasher: H,
     level: u32,
-    mode: crate::FlushMode,
+    mode: FlushMode,
 ) -> Parts {
     let mut parts = empty_parts();
     let mut bufs = SwcBuffers::with_mode(mode);
-    partition_unrolled_into(keys, hasher, level, &mut bufs, &mut parts, |_| {});
-    bufs.drain(&mut parts);
+    hash_ahead(keys, hasher, level, |d, k| bufs.push(d, k, &mut parts[d]));
+    bufs.drain(|d, vals| parts[d].extend_from_slice(vals));
     parts
 }
 
-/// The production kernel core: unrolled SWC partitioning with an optional
-/// per-row sink observing the digit (used to build the mapping vector of
-/// the column-wise processing model without a second hash pass).
-#[inline]
-pub(crate) fn partition_unrolled_into<H: Hasher64>(
+/// The `oo` loop, shared by the production kernel and the write-combining
+/// rungs: hash a block of [`UNROLL`] keys (independent multiply chains the
+/// CPU overlaps with the stores of the previous block), then
+/// `route(digit, key)` each of them, in input order.
+#[inline(always)]
+pub(crate) fn hash_ahead<H: Hasher64>(
     keys: &[u64],
     hasher: H,
     level: u32,
-    bufs: &mut SwcBuffers,
-    parts: &mut [ChunkedVec<u64>],
-    mut observe_digit: impl FnMut(u8),
+    mut route: impl FnMut(usize, u64),
 ) {
-    debug_assert_eq!(parts.len(), FANOUT);
     let mut hashes = [0u64; UNROLL];
     let mut blocks = keys.chunks_exact(UNROLL);
     for block in &mut blocks {
-        // Phase 1: hash the whole block (independent instruction streams).
         for (h, &k) in hashes.iter_mut().zip(block) {
             *h = hasher.hash_u64(k);
         }
-        // Phase 2: route the block through the write-combining buffers.
         for (&h, &k) in hashes.iter().zip(block) {
-            let d = digit(h, level);
-            observe_digit(d as u8);
-            bufs.push(d, k, &mut parts[d]);
+            route(digit(h, level), k);
         }
     }
     for &k in blocks.remainder() {
-        let d = digit(hasher.hash_u64(k), level);
-        observe_digit(d as u8);
-        bufs.push(d, k, &mut parts[d]);
+        route(digit(hasher.hash_u64(k), level), k);
     }
 }
 
 /// Partition a key column (given as chunk slices) into its 256 partitions
 /// with the production kernel — the one-shot form of the key pass the
-/// operator runs through a [`PartitionWriter`](crate::PartitionWriter).
+/// operator runs through a [`PartitionWriter`](crate::PartitionWriter):
+/// 16-way hash-ahead, values stored straight into each partition's open
+/// chunk.
 pub fn partition_keys<'a, H: Hasher64>(
     key_chunks: impl Iterator<Item = &'a [u64]>,
     hasher: H,
     level: u32,
 ) -> Parts {
-    let mut parts = empty_parts();
-    let mut bufs = SwcBuffers::new();
+    let mut out = ColumnOut::new();
     for chunk in key_chunks {
-        partition_unrolled_into(chunk, hasher, level, &mut bufs, &mut parts, |_| {});
+        out.partition(chunk, hasher, level, |_| {});
     }
-    bufs.drain(&mut parts);
-    parts
+    std::mem::take(out.close())
 }
 
 /// Like [`partition_keys`] but also emits the digit mapping vector needed
@@ -130,15 +123,11 @@ pub fn partition_keys_mapped<'a, H: Hasher64>(
     level: u32,
     mapping_out: &mut Vec<u8>,
 ) -> Parts {
-    let mut parts = empty_parts();
-    let mut bufs = SwcBuffers::new();
+    let mut out = ColumnOut::new();
     for chunk in key_chunks {
-        partition_unrolled_into(chunk, hasher, level, &mut bufs, &mut parts, |d| {
-            mapping_out.push(d)
-        });
+        out.partition(chunk, hasher, level, |d| mapping_out.push(d));
     }
-    bufs.drain(&mut parts);
-    parts
+    std::mem::take(out.close())
 }
 
 /// Over-allocation ablation (Figure 3): each partition is one flat `Vec`
@@ -147,23 +136,9 @@ pub fn partition_keys_mapped<'a, H: Hasher64>(
 /// kept to measure what the two-level structure costs.
 pub fn partition_overalloc<H: Hasher64>(keys: &[u64], hasher: H, level: u32) -> Vec<Vec<u64>> {
     let mut parts: Vec<Vec<u64>> = (0..FANOUT).map(|_| Vec::with_capacity(keys.len())).collect();
-    let mut bufs = SwcBuffers::new();
-    let mut hashes = [0u64; UNROLL];
-    let mut blocks = keys.chunks_exact(UNROLL);
-    for block in &mut blocks {
-        for (h, &k) in hashes.iter_mut().zip(block) {
-            *h = hasher.hash_u64(k);
-        }
-        for (&h, &k) in hashes.iter().zip(block) {
-            let d = digit(h, level);
-            bufs.push_flat(d, k, &mut parts[d]);
-        }
-    }
-    for &k in blocks.remainder() {
-        let d = digit(hasher.hash_u64(k), level);
-        bufs.push_flat(d, k, &mut parts[d]);
-    }
-    bufs.drain_flat(&mut parts);
+    let mut bufs = SwcBuffers::with_mode(FlushMode::Cached);
+    hash_ahead(keys, hasher, level, |d, k| bufs.push_flat(d, k, &mut parts[d]));
+    bufs.drain(|d, vals| parts[d].extend_from_slice(vals));
     parts
 }
 

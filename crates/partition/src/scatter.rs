@@ -1,51 +1,34 @@
 //! Applying the digit mapping to aggregate columns (§3.3, Figure 3 `map`).
 //!
 //! Once the grouping column of a run has been partitioned and its digit
-//! mapping recorded, every aggregate column is scattered by replaying the
-//! digits through a fresh set of write-combining buffers. Because rows are
-//! routed in the same order, each value lands at exactly the offset of its
-//! key — no per-row offsets need to be stored, the mapping is one byte per
-//! row ("their memory access pattern is equivalent", §4.2).
+//! mapping recorded, every other column is scattered by replaying the
+//! digits into a fresh set of partitions. Because rows are routed in the
+//! same order, each value lands at exactly the offset of its key — no
+//! per-row offsets need to be stored, the mapping is one byte per row
+//! ("their memory access pattern is equivalent", §4.2).
 
-use crate::swc::SwcBuffers;
-use crate::{empty_parts, Parts};
-use hsa_columnar::ChunkedVec;
-
-/// Route `values` through `bufs` into `parts` by their recorded `digits`
-/// (one per value) — the replay loop shared by the one-shot scatter and
-/// the [`PartitionWriter`](crate::PartitionWriter).
-#[inline]
-pub(crate) fn scatter_into(
-    digits: &[u8],
-    values: &[u64],
-    bufs: &mut SwcBuffers,
-    parts: &mut [ChunkedVec<u64>],
-) {
-    debug_assert_eq!(digits.len(), values.len());
-    for (&d, &v) in digits.iter().zip(values) {
-        bufs.push(d as usize, v, &mut parts[d as usize]);
-    }
-}
+use crate::writer::ColumnOut;
+use crate::Parts;
 
 /// Scatter one value column into 256 partitions according to the digit
 /// mapping produced by
-/// [`partition_keys_mapped`](crate::partition_keys_mapped).
+/// [`partition_keys_mapped`](crate::partition_keys_mapped) — the one-shot
+/// form of the replay a [`PartitionWriter`](crate::PartitionWriter) runs
+/// per travelling column.
 ///
 /// `value_chunks` must yield exactly `digits.len()` values in total.
 pub fn scatter_by_digits<'a>(
     digits: &[u8],
     value_chunks: impl Iterator<Item = &'a [u64]>,
 ) -> Parts {
-    let mut parts = empty_parts();
-    let mut bufs = SwcBuffers::new();
+    let mut out = ColumnOut::new();
     let mut offset = 0usize;
     for chunk in value_chunks {
-        scatter_into(&digits[offset..offset + chunk.len()], chunk, &mut bufs, &mut parts);
+        out.scatter(&digits[offset..offset + chunk.len()], chunk);
         offset += chunk.len();
     }
     assert_eq!(offset, digits.len(), "value column shorter than mapping");
-    bufs.drain(&mut parts);
-    parts
+    std::mem::take(out.close())
 }
 
 #[cfg(test)]

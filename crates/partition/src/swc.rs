@@ -1,19 +1,17 @@
-//! Software-write-combining buffers and non-temporal stores.
+//! Software-write-combining buffers and non-temporal stores — the
+//! paper's partitioning kernel, kept as the `swc` / `oo` / `2lvl` rungs of
+//! the Figure 3 ablation; nothing here is on the operator's path (see the
+//! crate documentation for why).
 //!
-//! The paper flushes the per-partition cache-line buffers with
-//! **non-temporal stores** that bypass the cache (§4.2). On bare-metal
-//! x86_64 that avoids the read-before-write of normal stores. On the
-//! virtualized hosts this reproduction also runs on, however, `movnti`
-//! rotating across 256 output streams measurably *regresses* (the
-//! hypervisor's write-combining emulation drains partial buffers), while
-//! plain stores of a full 64-byte line perform as intended. [`FlushMode`]
-//! therefore selects the flush instruction: `Auto` uses plain stores
-//! unless `HSA_NT_STORES=1` is set, and the `fig03` harness measures both
-//! so the trade-off is visible on every machine.
+//! The paper buffers one cache line per partition and flushes it with
+//! **non-temporal stores** that bypass the cache (§4.2); on bare-metal
+//! x86_64 that avoids the read-before-write of normal stores, under a
+//! hypervisor `movnti` rotating across 256 output streams regresses.
+//! [`FlushMode`] selects the flush instruction of a rung; `fig03` measures
+//! both beside the production kernel.
 
 use hsa_columnar::ChunkedVec;
 use hsa_hash::FANOUT;
-use std::sync::OnceLock;
 
 /// u64 words per cache line (64 B).
 pub const LINE_U64S: usize = 8;
@@ -28,47 +26,6 @@ pub enum FlushMode {
     Streaming,
 }
 
-impl FlushMode {
-    /// `Streaming` iff the environment sets `HSA_NT_STORES=1`, else
-    /// `Cached` (the safe default on virtualized hardware).
-    pub fn auto() -> Self {
-        static MODE: OnceLock<FlushMode> = OnceLock::new();
-        *MODE.get_or_init(|| {
-            if std::env::var("HSA_NT_STORES").is_ok_and(|v| v == "1") {
-                FlushMode::Streaming
-            } else {
-                FlushMode::Cached
-            }
-        })
-    }
-}
-
-/// Flush-traffic metrics of one partitioning or scatter pass, accumulated
-/// from the [`SwcBuffers`] it used. The counters live in the buffer struct
-/// itself and cost one add per *flushed line* (every 8 pushes), so they are
-/// always on; observed kernel variants surface them to callers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PartitionMetrics {
-    /// Full 64-byte lines flushed out of the write-combining buffers.
-    pub swc_flushes: u64,
-    /// Bytes moved through the flush path: 64 per full line plus the
-    /// residual values drained at end of input.
-    pub swc_flush_bytes: u64,
-    /// Whether the flushes used non-temporal (`movnti`) stores; when true,
-    /// `swc_flushes * 64` of `swc_flush_bytes` bypassed the cache.
-    pub streaming: bool,
-}
-
-impl PartitionMetrics {
-    /// Fold `other` into `self` (`streaming` is OR-ed: any streaming pass
-    /// marks the total as containing non-temporal traffic).
-    pub fn merge(&mut self, other: &PartitionMetrics) {
-        self.swc_flushes += other.swc_flushes;
-        self.swc_flush_bytes += other.swc_flush_bytes;
-        self.streaming |= other.streaming;
-    }
-}
-
 /// One cache-line-aligned buffer line.
 #[repr(align(64))]
 #[derive(Copy, Clone)]
@@ -80,32 +37,15 @@ pub(crate) struct SwcBuffers {
     lines: Box<[Line; FANOUT]>,
     fill: [u8; FANOUT],
     streaming: bool,
-    flushes: u64,
-    drained_values: u64,
 }
 
 impl SwcBuffers {
-    pub(crate) fn new() -> Self {
-        Self::with_mode(FlushMode::auto())
-    }
-
     pub(crate) fn with_mode(mode: FlushMode) -> Self {
         Self {
             lines: Box::new([Line([0; LINE_U64S]); FANOUT]),
             fill: [0; FANOUT],
             streaming: mode == FlushMode::Streaming,
-            flushes: 0,
-            drained_values: 0,
         }
-    }
-
-    /// Move this buffer's flush traffic since the previous call into `m`.
-    pub(crate) fn take_metrics_into(&mut self, m: &mut PartitionMetrics) {
-        m.swc_flushes += self.flushes;
-        m.swc_flush_bytes += self.flushes * (LINE_U64S as u64 * 8) + self.drained_values * 8;
-        m.streaming |= self.streaming;
-        self.flushes = 0;
-        self.drained_values = 0;
     }
 
     /// Append `value` to partition `d`, flushing the line into `dst` when
@@ -129,7 +69,6 @@ impl SwcBuffers {
                     std::ptr::copy_nonoverlapping(src, spare, LINE_U64S)
                 });
             }
-            self.flushes += 1;
             self.fill[d] = 0;
         } else {
             self.fill[d] = fill as u8 + 1;
@@ -156,32 +95,18 @@ impl SwcBuffers {
                 }
                 dst.set_len(len + LINE_U64S);
             }
-            self.flushes += 1;
             self.fill[d] = 0;
         } else {
             self.fill[d] = fill as u8 + 1;
         }
     }
 
-    /// Drain all partially filled lines (end of input) into the chunked
-    /// destinations.
-    pub(crate) fn drain(&mut self, dsts: &mut [ChunkedVec<u64>]) {
-        for ((dst, line), fill) in dsts.iter_mut().zip(self.lines.iter()).zip(&mut self.fill) {
+    /// Drain all partially filled lines (end of input): `put(d, values)`
+    /// receives what partition `d`'s line still holds.
+    pub(crate) fn drain(&mut self, mut put: impl FnMut(usize, &[u64])) {
+        for (d, (line, fill)) in self.lines.iter().zip(&mut self.fill).enumerate() {
             if *fill > 0 {
-                dst.extend_from_slice(&line.0[..*fill as usize]);
-                self.drained_values += *fill as u64;
-                *fill = 0;
-            }
-        }
-        sfence();
-    }
-
-    /// Drain into flat vectors.
-    pub(crate) fn drain_flat(&mut self, dsts: &mut [Vec<u64>]) {
-        for ((dst, line), fill) in dsts.iter_mut().zip(self.lines.iter()).zip(&mut self.fill) {
-            if *fill > 0 {
-                dst.extend_from_slice(&line.0[..*fill as usize]);
-                self.drained_values += *fill as u64;
+                put(d, &line.0[..*fill as usize]);
                 *fill = 0;
             }
         }
@@ -285,7 +210,7 @@ mod tests {
             }
             // 16 flushed (two lines), 4 still buffered.
             assert_eq!(dst[3].len(), 16, "{mode:?}");
-            bufs.drain(&mut dst);
+            bufs.drain(|d, vals| dst[d].extend_from_slice(vals));
             assert_eq!(dst[3].to_vec(), (0..20).collect::<Vec<u64>>(), "{mode:?}");
         }
     }
@@ -299,33 +224,8 @@ mod tests {
                 bufs.push_flat(7, i, &mut dst[7]);
             }
             assert_eq!(dst[7].len(), 8, "{mode:?}");
-            bufs.drain_flat(&mut dst);
+            bufs.drain(|d, vals| dst[d].extend_from_slice(vals));
             assert_eq!(dst[7], (0..9).collect::<Vec<u64>>(), "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn flush_metrics_account_for_every_value() {
-        let mut bufs = SwcBuffers::with_mode(FlushMode::Cached);
-        let mut dst = vec![ChunkedVec::new(); FANOUT];
-        for i in 0..20u64 {
-            bufs.push(3, i, &mut dst[3]);
-        }
-        bufs.drain(&mut dst);
-        let mut m = PartitionMetrics::default();
-        bufs.take_metrics_into(&mut m);
-        assert_eq!(m.swc_flushes, 2); // 16 of 20 values left in full lines
-        assert_eq!(m.swc_flush_bytes, 20 * 8); // ... but every byte is counted
-        assert!(!m.streaming);
-        bufs.take_metrics_into(&mut m);
-        assert_eq!(m.swc_flush_bytes, 20 * 8, "taken counters start over");
-    }
-
-    #[test]
-    fn auto_mode_defaults_to_cached() {
-        // Unless the env var is set in the test environment.
-        if std::env::var("HSA_NT_STORES").is_err() {
-            assert_eq!(FlushMode::auto(), FlushMode::Cached);
         }
     }
 }

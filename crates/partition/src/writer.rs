@@ -4,35 +4,103 @@
 //! The paper's threads append to their *own* 256 two-level outputs for the
 //! whole pass (§3.2), so a run's length is set by how much a thread
 //! partitioned, not by how the input was cut into morsels. A
-//! [`PartitionWriter`] is that state as one value: a set of
-//! write-combining buffers and 256 output partitions for the key column
-//! and for each state column. [`PartitionWriter::append`] routes another
-//! batch of rows into them; [`PartitionWriter::drain`] hands the
-//! partitions over and leaves the writer empty and reusable.
+//! [`PartitionWriter`] is that state as one value: 256 output partitions
+//! for the key column and for each column that travels with it.
+//! [`PartitionWriter::append`] routes another batch of rows into them;
+//! [`PartitionWriter::drain`] hands the partitions over and leaves the
+//! writer empty and reusable.
 //!
-//! Partially filled write-combining lines stay buffered between appends
-//! and are flushed only by `drain`, so every column of a partition sees
-//! the same sequence of line flushes and the chunk boundaries of its
-//! columns coincide — row `i` of the key column and row `i` of every state
-//! column are the same input row, in input order (§3.3).
+//! Values are appended directly: every column owns the *open tail chunk*
+//! of each of its partitions as a plain `Vec` whose header is the write
+//! cursor, so a value costs one capacity compare and one store. A full
+//! tail joins its partition's [`ChunkedVec`] as a whole chunk and the next
+//! is sized by the same 64 → 4096 ramp for every column, so the chunk
+//! boundaries of a partition's columns coincide — row `i` of the key
+//! column and of every other column are the same input row (§3.3). The
+//! one-shot kernels run the same loops over a fresh [`ColumnOut`].
 
-use crate::kernels::partition_unrolled_into;
-use crate::scatter::scatter_into;
-use crate::swc::SwcBuffers;
-use crate::{empty_parts, PartitionMetrics, Parts, LINE_U64S};
+use crate::kernels::hash_ahead;
+use crate::{empty_parts, Parts};
 use hsa_columnar::ChunkedVec;
 use hsa_hash::{Hasher64, FANOUT};
 
-/// One column's write-combining lines and the partitions they flush into.
-struct ColumnOut {
-    bufs: SwcBuffers,
+/// One column's 256 outputs: per partition the chunks already full, and
+/// the open tail chunk the next value is stored into.
+pub(crate) struct ColumnOut {
+    /// Never allocated and empty: a tail with capacity holds a value.
+    tails: Box<[Vec<u64>; FANOUT]>,
     parts: Parts,
 }
 
-/// Persistent outputs of `PARTITIONING` for rows of `1 + n_state_cols`
-/// columns; see the module documentation.
+impl ColumnOut {
+    pub(crate) fn new() -> Self {
+        Self { tails: Box::new(std::array::from_fn(|_| Vec::new())), parts: empty_parts() }
+    }
+
+    /// Append `value` to partition `d`.
+    #[inline(always)]
+    fn push(&mut self, d: usize, value: u64) {
+        let tail = &mut self.tails[d];
+        if tail.len() == tail.capacity() {
+            Self::roll(tail, &mut self.parts[d]);
+        }
+        tail.push(value);
+    }
+
+    /// The full (or not yet allocated) `tail` joins `part` as a whole
+    /// chunk; the next one has the capacity `part` would have grown to.
+    #[cold]
+    #[inline(never)]
+    fn roll(tail: &mut Vec<u64>, part: &mut ChunkedVec<u64>) {
+        *tail = Vec::with_capacity(part.push_chunk(std::mem::take(tail)));
+    }
+
+    /// Partition `keys` by the radix digit `level` of their hashes, showing
+    /// every row's digit to `observe_digit` in input order (the mapping
+    /// vector of the column-wise model, without a second hash pass).
+    #[inline]
+    pub(crate) fn partition<H: Hasher64>(
+        &mut self,
+        keys: &[u64],
+        hasher: H,
+        level: u32,
+        mut observe_digit: impl FnMut(u8),
+    ) {
+        hash_ahead(keys, hasher, level, |d, key| {
+            observe_digit(d as u8);
+            self.push(d, key);
+        });
+    }
+
+    /// Route `values` by their recorded `digits` (one per value): each
+    /// lands at the offset of its key, so no per-row offsets are stored.
+    #[inline]
+    pub(crate) fn scatter(&mut self, digits: &[u8], values: &[u64]) {
+        debug_assert_eq!(digits.len(), values.len());
+        for (&d, &v) in digits.iter().zip(values) {
+            self.push(d as usize, v);
+        }
+    }
+
+    /// Close the open tails: every value sits in the partitions afterwards.
+    pub(crate) fn close(&mut self) -> &mut Parts {
+        for (tail, part) in self.tails.iter_mut().zip(&mut self.parts) {
+            part.push_chunk(std::mem::take(tail));
+        }
+        &mut self.parts
+    }
+
+    /// Heap bytes held: full chunks and open tails, at capacity.
+    fn mem_bytes(&self) -> u64 {
+        let tails: usize = self.tails.iter().map(Vec::capacity).sum();
+        tails as u64 * 8 + self.parts.iter().map(ChunkedVec::mem_bytes).sum::<u64>()
+    }
+}
+
+/// Persistent outputs of `PARTITIONING` for rows of a key column and
+/// `n_cols` columns travelling with it; see the module documentation.
 pub struct PartitionWriter {
-    /// `[0]` is the key column, `[1 + i]` state column `i`.
+    /// `[0]` is the key column, `[1 + i]` travelling column `i`.
     cols: Vec<ColumnOut>,
     /// One radix digit per row of the append in progress (scratch).
     digits: Vec<u8>,
@@ -40,14 +108,19 @@ pub struct PartitionWriter {
 }
 
 impl PartitionWriter {
-    /// An empty writer for rows with `n_state_cols` state columns. This
-    /// allocates the write-combining lines (16 KiB per column); the
-    /// partitions allocate as rows arrive.
-    pub fn new(n_state_cols: usize) -> Self {
-        let cols = (0..1 + n_state_cols)
-            .map(|_| ColumnOut { bufs: SwcBuffers::new(), parts: empty_parts() })
-            .collect();
-        Self { cols, digits: Vec::new(), rows: 0 }
+    /// An empty writer for rows with `n_cols` columns beside the key. It
+    /// holds no memory worth accounting; chunks allocate as rows arrive.
+    pub fn new(n_cols: usize) -> Self {
+        Self {
+            cols: (0..1 + n_cols).map(|_| ColumnOut::new()).collect(),
+            digits: Vec::new(),
+            rows: 0,
+        }
+    }
+
+    /// Columns travelling with the key column.
+    pub fn n_cols(&self) -> usize {
+        self.cols.len() - 1
     }
 
     /// Rows appended since the last drain.
@@ -60,24 +133,22 @@ impl PartitionWriter {
         self.rows == 0
     }
 
-    /// Heap bytes the writer holds: the write-combining lines, the digit
-    /// scratch and the partitions' chunks (capacities, the quantity the
-    /// operator's memory budget accounts).
+    /// Heap bytes the writer holds: the partitions' chunks, open tails
+    /// included, and the digit scratch (capacities, the quantity the
+    /// operator's memory budget accounts). A drain hands over exactly
+    /// the chunk bytes: it allocates nothing.
     pub fn mem_bytes(&self) -> u64 {
-        let lines = (self.cols.len() * FANOUT * LINE_U64S * 8) as u64;
-        let chunks: u64 =
-            self.cols.iter().flat_map(|c| &c.parts).map(ChunkedVec::mem_bytes).sum::<u64>();
-        lines + self.digits.capacity() as u64 + chunks
+        self.digits.capacity() as u64 + self.cols.iter().map(ColumnOut::mem_bytes).sum::<u64>()
     }
 
     /// Route the rows given as chunk slices into the partitions of radix
     /// digit `level`: the key pass hashes every key and records its digit,
     /// then `col_chunks(i)` is replayed through the same digits for each
-    /// state column `i`.
+    /// travelling column `i`.
     ///
     /// # Panics
-    /// If a state column does not yield exactly as many values as there
-    /// were keys.
+    /// If a column does not yield exactly as many values as there were
+    /// keys.
     pub fn append<'a, H, K, C>(
         &mut self,
         hasher: H,
@@ -89,71 +160,45 @@ impl PartitionWriter {
         K: Iterator<Item = &'a [u64]>,
         C: Iterator<Item = &'a [u64]>,
     {
-        let Some((key_out, state_outs)) = self.cols.split_first_mut() else { return };
+        let Some((key_out, col_outs)) = self.cols.split_first_mut() else { return };
         let digits = &mut self.digits;
         digits.clear();
         let mut rows = 0;
         for chunk in key_chunks {
             rows += chunk.len();
-            if state_outs.is_empty() {
-                // DISTINCT-style rows: nothing to replay, skip the mapping.
-                partition_unrolled_into(
-                    chunk,
-                    hasher,
-                    level,
-                    &mut key_out.bufs,
-                    &mut key_out.parts,
-                    |_| {},
-                );
+            if col_outs.is_empty() {
+                // Key-only rows: nothing to replay, skip the mapping.
+                key_out.partition(chunk, hasher, level, |_| {});
             } else {
-                partition_unrolled_into(
-                    chunk,
-                    hasher,
-                    level,
-                    &mut key_out.bufs,
-                    &mut key_out.parts,
-                    |d| digits.push(d),
-                );
+                key_out.partition(chunk, hasher, level, |d| digits.push(d));
             }
         }
-        for (i, out) in state_outs.iter_mut().enumerate() {
+        for (i, out) in col_outs.iter_mut().enumerate() {
             let mut offset = 0;
             for chunk in col_chunks(i) {
                 let end = offset + chunk.len();
-                assert!(end <= rows, "state column {i} is longer than the key column");
-                scatter_into(&digits[offset..end], chunk, &mut out.bufs, &mut out.parts);
+                assert!(end <= rows, "column {i} is longer than the key column");
+                out.scatter(&digits[offset..end], chunk);
                 offset = end;
             }
-            assert_eq!(offset, rows, "state column {i} is shorter than the key column");
+            assert_eq!(offset, rows, "column {i} is shorter than the key column");
         }
         self.rows += rows;
     }
 
     /// Hand over every non-empty partition as `emit(digit, keys, cols)`,
-    /// in digit order, flushing the partially filled write-combining
-    /// lines first. The writer is empty afterwards and keeps its lines.
+    /// in digit order. The writer is empty afterwards.
     pub fn drain(&mut self, mut emit: impl FnMut(usize, ChunkedVec<u64>, Vec<ChunkedVec<u64>>)) {
-        for col in &mut self.cols {
-            col.bufs.drain(&mut col.parts);
-        }
         self.rows = 0;
-        let Some((key_out, state_outs)) = self.cols.split_first_mut() else { return };
-        for (digit, keys) in key_out.parts.iter_mut().enumerate() {
+        let mut closed = self.cols.iter_mut().map(ColumnOut::close);
+        let Some(key_parts) = closed.next() else { return };
+        let mut col_parts: Vec<&mut Parts> = closed.collect();
+        for (digit, keys) in key_parts.iter_mut().enumerate() {
             if !keys.is_empty() {
-                let cols = state_outs.iter_mut().map(|c| std::mem::take(&mut c.parts[digit]));
+                let cols = col_parts.iter_mut().map(|parts| std::mem::take(&mut parts[digit]));
                 emit(digit, std::mem::take(keys), cols.collect());
             }
         }
-    }
-
-    /// Write-combining flush traffic since the previous call. Values still
-    /// sitting in partial lines are counted by the drain that moves them.
-    pub fn take_metrics(&mut self) -> PartitionMetrics {
-        let mut m = PartitionMetrics::default();
-        for col in &mut self.cols {
-            col.bufs.take_metrics_into(&mut m);
-        }
-        m
     }
 }
 
@@ -162,7 +207,7 @@ mod tests {
     use super::*;
     use crate::testutil::pseudo_random_keys;
     use crate::{partition_keys_mapped, scatter_by_digits};
-    use hsa_hash::Murmur2;
+    use hsa_hash::{digit, Murmur2};
 
     /// Everything a writer hands over, as `(digit, keys, cols)` rows.
     fn drained(w: &mut PartitionWriter) -> Vec<(usize, Vec<u64>, Vec<Vec<u64>>)> {
@@ -191,8 +236,8 @@ mod tests {
         let v0: Vec<u64> = keys.iter().map(|k| k ^ 0xabcd).collect();
         let v1: Vec<u64> = (0..keys.len() as u64).collect();
         let mut w = PartitionWriter::new(2);
-        // Pieces that are empty, shorter than a line, and not a multiple
-        // of one; the last also arrives as several chunk slices.
+        // Pieces that are empty, shorter than a hash-ahead block, and not a
+        // multiple of one; the last also arrives as several chunk slices.
         let cuts = [0usize, 0, 1, 6, 13, 14, 500, 1_777, 3_000];
         for pair in cuts.windows(2) {
             let (a, b) = (pair[0], pair[1]);
@@ -215,7 +260,7 @@ mod tests {
             w.append(Murmur2::default(), 1, [&keys[range.clone()]].into_iter(), |_| {
                 [&vals[range.clone()]].into_iter()
             });
-            // Each hand-over starts from empty lines: it holds exactly the
+            // Each hand-over starts from empty tails: it holds exactly the
             // rows appended since the previous one, values beside keys.
             let mut rows = 0;
             w.drain(|d, ks, cols| {
@@ -242,48 +287,103 @@ mod tests {
         let mut w = PartitionWriter::new(0);
         w.append(Murmur2::default(), 0, keys.chunks(333), |_| std::iter::empty());
         assert_eq!(w.digits.capacity(), 0);
+        // All the writer holds is the key column's open tails.
+        let tails: usize = w.cols[0].tails.iter().map(Vec::capacity).sum();
+        assert_eq!(w.mem_bytes(), tails as u64 * 8);
         assert_eq!(drained(&mut w), one_shot(&keys, &[]));
+        assert_eq!(w.mem_bytes(), 0);
     }
 
     #[test]
-    fn metrics_count_every_value_once() {
+    fn every_value_is_handed_over_once() {
         let keys = pseudo_random_keys(1_500, 3);
         let mut w = PartitionWriter::new(1);
+        assert_eq!((w.n_cols(), w.len(), w.mem_bytes()), (1, 0, 0));
         w.append(Murmur2::default(), 0, [keys.as_slice()].into_iter(), |_| {
             [keys.as_slice()].into_iter()
         });
-        let appended = w.take_metrics();
-        assert_eq!(appended.swc_flush_bytes, appended.swc_flushes * 64, "full lines only so far");
-        w.drain(|_, _, _| {});
-        let residual = w.take_metrics();
-        assert_eq!(residual.swc_flushes, 0);
-        assert_eq!(appended.swc_flush_bytes + residual.swc_flush_bytes, 2 * 1_500 * 8);
-        assert_eq!(
-            w.take_metrics(),
-            PartitionMetrics { streaming: appended.streaming, ..Default::default() }
-        );
+        assert_eq!(w.len(), 1_500);
+        let held = w.mem_bytes() - w.digits.capacity() as u64;
+        let (mut values, mut handed) = (0, 0);
+        w.drain(|_, ks, cols| {
+            values += ks.len() + cols[0].len();
+            handed += ks.mem_bytes() + cols[0].mem_bytes();
+        });
+        assert_eq!(values, 2 * 1_500);
+        assert_eq!(handed, held, "a drain moves the chunks, it allocates none");
+        assert_eq!((w.len(), w.mem_bytes()), (0, w.digits.capacity() as u64));
+        w.drain(|_, _, _| panic!("nothing is left to hand over"));
     }
 
     #[test]
     fn mem_bytes_follows_the_chunks() {
         let mut w = PartitionWriter::new(1);
-        let lines = 2 * FANOUT as u64 * 64;
-        assert_eq!(w.mem_bytes(), lines);
+        assert_eq!(w.mem_bytes(), 0);
         let keys = vec![7u64; 100];
         w.append(Murmur2::default(), 0, [keys.as_slice()].into_iter(), |_| {
             [keys.as_slice()].into_iter()
         });
-        // One digit, 96 values flushed per column: chunks of 64 + 64.
-        assert_eq!(w.mem_bytes(), lines + w.digits.capacity() as u64 + 2 * 128 * 8);
+        // One digit, 100 values per column: a full chunk of 64 and an open
+        // tail of 64 holding the other 36.
+        assert_eq!(w.mem_bytes(), w.digits.capacity() as u64 + 2 * 128 * 8);
         let mut handed = 0;
         w.drain(|_, ks, cols| handed += ks.mem_bytes() + cols[0].mem_bytes());
         assert_eq!(handed, 2 * 128 * 8);
-        assert_eq!(w.mem_bytes(), lines + w.digits.capacity() as u64);
+        assert_eq!(w.mem_bytes(), w.digits.capacity() as u64);
     }
 
     #[test]
-    #[should_panic(expected = "state column 0 is shorter than the key column")]
-    fn a_short_state_column_panics() {
+    fn tails_survive_interleaved_appends_and_mem_bytes_is_the_sum_of_capacities() {
+        // Two digits fed alternately in pieces that end inside, on and past
+        // chunk boundaries, with a drain in the middle.
+        let h = Murmur2::default();
+        let key_of = |d: usize| (0u64..).find(|&k| digit(h.hash_u64(k), 0) == d).unwrap();
+        let (ka, kb) = (key_of(3), key_of(200));
+        let mut w = PartitionWriter::new(2);
+        let mut fed = [0u64; 2];
+        let mut seq = 0u64;
+        for (round, &piece) in [1usize, 62, 1, 1, 63, 64, 200, 4_096, 5_000].iter().enumerate() {
+            for (which, key) in [ka, kb].into_iter().enumerate() {
+                let n = piece + which * 7;
+                let keys = vec![key; n];
+                let v0: Vec<u64> = (seq..seq + n as u64).collect();
+                let v1: Vec<u64> = v0.iter().map(|v| !v).collect();
+                seq += n as u64;
+                fed[which] += n as u64;
+                w.append(h, 0, keys.chunks(50), |i| [&v0, &v1][i].chunks(50));
+            }
+            let capacities: usize = w
+                .cols
+                .iter()
+                .flat_map(|c| {
+                    c.tails.iter().map(Vec::capacity).chain(c.parts.iter().flat_map(
+                        |p| p.chunks().map(<[u64]>::len), // full chunks: len == capacity
+                    ))
+                })
+                .sum();
+            assert_eq!(w.mem_bytes(), w.digits.capacity() as u64 + capacities as u64 * 8);
+            if round == 4 || round == 8 {
+                let mut seen = Vec::new();
+                w.drain(|d, ks, cols| {
+                    let lens =
+                        |c: &ChunkedVec<u64>| c.chunks().map(<[u64]>::len).collect::<Vec<_>>();
+                    assert_eq!(lens(&ks), lens(&cols[0]), "chunks must coincide");
+                    assert_eq!(lens(&ks), lens(&cols[1]), "chunks must coincide");
+                    // Values arrive in input order beside their keys.
+                    assert!(cols[0].to_vec().windows(2).all(|p| p[0] < p[1]));
+                    assert!(cols[0].iter().zip(cols[1].iter()).all(|(a, b)| a == !b));
+                    seen.push((d, ks.len() as u64));
+                });
+                assert_eq!(seen, vec![(3, fed[0]), (200, fed[1])]);
+                fed = [0; 2];
+            }
+        }
+        assert!(w.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "column 0 is shorter than the key column")]
+    fn a_short_column_panics() {
         let keys = [1u64, 2, 3];
         let mut w = PartitionWriter::new(1);
         w.append(Murmur2::default(), 0, [&keys[..]].into_iter(), |_| [&keys[..2]].into_iter());
