@@ -1,10 +1,9 @@
-//! Vectorized mapped folds: the state-column update loops of §3.3 routed
-//! through the `hsa-kernels` fold primitives.
+//! Mapped folds: the state-column update loops of §3.3 routed through the
+//! `hsa-kernels` fold.
 //!
 //! The key pass leaves a mapping vector (row → slot); each state column is
-//! then folded in its own tight loop. [`fold_column`] is that loop with
-//! kernel dispatch: the scalar reference or the prefetching batched path
-//! — bit-identical, chosen per run by the driver.
+//! then folded in its own tight loop. [`fold_column`] is that loop for one
+//! [`StateOp`].
 
 use crate::StateOp;
 use hsa_kernels::{fold_mapped, FoldOp, KernelKind};
@@ -20,19 +19,12 @@ pub fn fold_op(op: StateOp) -> FoldOp {
     }
 }
 
-/// Fold `vals` into `col` through `mapping` with `op`, using the kernel
-/// path `kind`. `aggregated` selects apply vs merge semantics exactly like
-/// [`StateOp::combine`]: raw rows are applied, partial aggregates merged.
+/// Fold `vals` into `col` through `mapping` with `op`. `aggregated`
+/// selects apply vs merge semantics exactly like [`StateOp::combine`]: raw
+/// rows are applied, partial aggregates merged.
 #[inline]
-pub fn fold_column(
-    kind: KernelKind,
-    op: StateOp,
-    aggregated: bool,
-    col: &mut [u64],
-    mapping: &[u32],
-    vals: &[u64],
-) {
-    fold_mapped(kind, fold_op(op), aggregated, col, mapping, vals);
+pub fn fold_column(op: StateOp, aggregated: bool, col: &mut [u64], mapping: &[u32], vals: &[u64]) {
+    fold_mapped(KernelKind, fold_op(op), aggregated, col, mapping, vals);
 }
 
 #[cfg(test)]
@@ -49,24 +41,21 @@ mod tests {
             s ^= s << 17;
             s
         };
-        for kind in [KernelKind::Scalar, KernelKind::Batched] {
-            for &op in &ops {
-                for aggregated in [false, true] {
-                    let slots = 64usize;
-                    let rows = 500usize;
-                    let base: Vec<u64> = (0..slots as u64).map(|i| i * 7 + 1).collect();
-                    let mapping: Vec<u32> =
-                        (0..rows).map(|_| (rng() % slots as u64) as u32).collect();
-                    let vals: Vec<u64> = (0..rows).map(|_| rng()).collect();
-                    let mut got = base.clone();
-                    fold_column(kind, op, aggregated, &mut got, &mapping, &vals);
-                    let mut want = base;
-                    for (&slot, &v) in mapping.iter().zip(&vals) {
-                        let s = &mut want[slot as usize];
-                        *s = op.combine(*s, v, aggregated);
-                    }
-                    assert_eq!(got, want, "{kind:?} {op:?} aggregated={aggregated}");
+        for &op in &ops {
+            for aggregated in [false, true] {
+                let slots = 64usize;
+                let rows = 500usize;
+                let base: Vec<u64> = (0..slots as u64).map(|i| i * 7 + 1).collect();
+                let mapping: Vec<u32> = (0..rows).map(|_| (rng() % slots as u64) as u32).collect();
+                let vals: Vec<u64> = (0..rows).map(|_| rng()).collect();
+                let mut got = base.clone();
+                fold_column(op, aggregated, &mut got, &mapping, &vals);
+                let mut want = base;
+                for (&slot, &v) in mapping.iter().zip(&vals) {
+                    let s = &mut want[slot as usize];
+                    *s = op.combine(*s, v, aggregated);
                 }
+                assert_eq!(got, want, "{op:?} aggregated={aggregated}");
             }
         }
     }

@@ -143,7 +143,7 @@ fn round_trip_single_query() {
     let done = done.get("done").unwrap();
     assert_eq!(done.get("query_id").and_then(JsonValue::as_u64), Some(id));
     let report = done.get("report").unwrap();
-    assert_eq!(report.get("report_version").and_then(JsonValue::as_u64), Some(3));
+    assert_eq!(report.get("report_version").and_then(JsonValue::as_u64), Some(4));
     assert_eq!(report.get("query_id").and_then(JsonValue::as_u64), Some(id));
     assert_eq!(report.get("rows_in").and_then(JsonValue::as_u64), Some(20_000));
 }

@@ -43,7 +43,6 @@ use hsa_columnar::{RunHandle, RunStore};
 use hsa_fault::{AggError, CancelToken, Reservation};
 use hsa_hash::MAX_LEVEL;
 use hsa_hashtbl::{AggTable, GrowTable, TableConfig};
-use hsa_kernels::KernelKind;
 use hsa_obs::{Counter, LevelCounter, Phase, ProgressGauge, Recorder, Tracer};
 use hsa_tasks::sync::Mutex;
 use hsa_tasks::{PoolMetrics, Scope};
@@ -136,8 +135,6 @@ pub(crate) struct Ctx {
     /// Live progress cells read by the `--progress` sampler thread
     /// (disabled unless a sampler is running).
     pub(crate) gauge: ProgressGauge,
-    /// Kernel path resolved once per invocation from `cfg.kernel`.
-    pub(crate) kind: KernelKind,
     /// Run store the budget degrades into: spills to `env.spill_dir` when
     /// configured, otherwise memory-only (denials stay denials).
     pub(crate) store: RunStore,
@@ -249,7 +246,6 @@ pub(crate) fn process_view(
                 sink,
                 ctx.gate(),
                 obs,
-                ctx.kind,
             )? {
                 HashOutcome::Done => return Ok(()),
                 HashOutcome::Switched { next_row } => row = next_row,
@@ -660,7 +656,6 @@ mod tests {
             strategy,
             fill_percent: 25,
             morsel_rows: 1 << 12,
-            kernel: hsa_kernels::KernelPref::Auto,
         }
     }
 

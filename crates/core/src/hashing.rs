@@ -141,13 +141,11 @@ pub(crate) fn hash_run(
     sink: &mut impl RunSink,
     gate: Gate<'_>,
     obs: &Obs,
-    kind: KernelKind,
 ) -> Result<HashOutcome, AggError> {
     let hasher = Murmur2::default();
     let aggregated = view.aggregated();
     let n = view.len();
     let level = table.level();
-    let batched = kind == KernelKind::Batched;
     let mut row = from_row;
 
     // One phase span covers the whole call, not each aligned block: deep
@@ -169,22 +167,19 @@ pub(crate) fn hash_run(
         let groups_before = table.len() as u64;
 
         mapping.clear();
-        // Key pass: `kind` picks the row-at-a-time reference loop or the
-        // hash + prefetch pipeline inside the table; DISTINCT needs no
-        // mapping.
+        // Key pass; DISTINCT needs no mapping.
         let BatchInsert { consumed, full: table_full } = if states.ops.is_empty() {
-            table.insert_batch_distinct(hasher, keys, kind)
+            table.insert_batch_distinct(hasher, keys)
         } else {
-            table.insert_batch(hasher, keys, kind, mapping)
+            table.insert_batch(hasher, keys, KernelKind, mapping)
         };
 
         // Fold the block's values into the state columns, one column at a
-        // time (tight loops; the mapping is cache resident). The two
-        // kernel paths are bit-identical; `Scalar` is the reference loop.
+        // time (tight loops; the mapping is cache resident).
         for (i, &op) in states.ops.iter().enumerate() {
             let vals = &view.state_tail(states, i, row)[..consumed];
             let col = table.col_mut(i);
-            hsa_agg::fold_column(kind, op, aggregated, col, mapping, vals);
+            hsa_agg::fold_column(op, aggregated, col, mapping, vals);
         }
 
         *epoch_rows += consumed as u64;
@@ -214,10 +209,6 @@ pub(crate) fn hash_run(
         }
     };
     obs.count_at(LevelCounter::HashRows, level, span_in);
-    obs.count(
-        if batched { Counter::KernelBatchedRows } else { Counter::KernelScalarRows },
-        span_in,
-    );
     obs.phase_end(pt, span_in, span_out, 0);
     Ok(outcome)
 }
@@ -289,7 +280,6 @@ mod tests {
             &mut sink,
             open_gate!(),
             &rec.obs(),
-            hsa_kernels::select(Default::default()),
         )
         .unwrap();
         assert_eq!(out, HashOutcome::Done);
@@ -380,7 +370,6 @@ mod tests {
                 &mut sink,
                 open_gate!(),
                 &rec.obs(),
-                hsa_kernels::select(Default::default()),
             )
             .unwrap();
             assert_eq!(out, HashOutcome::Done);
@@ -423,7 +412,6 @@ mod tests {
             &mut sink,
             open_gate!(),
             &rec.obs(),
-            hsa_kernels::select(Default::default()),
         )
         .unwrap()
         {
@@ -464,14 +452,7 @@ mod tests {
         let h = Murmur2::default();
         for key in [7u64, 8, 9] {
             if let Insert::New(slot) | Insert::Hit(slot) = t.insert_key(key, h.hash_u64(key)) {
-                hsa_agg::fold_column(
-                    KernelKind::Scalar,
-                    StateOp::Sum,
-                    false,
-                    t.col_mut(0),
-                    &[slot],
-                    &[key * 10],
-                );
+                hsa_agg::fold_column(StateOp::Sum, false, t.col_mut(0), &[slot], &[key * 10]);
             }
         }
         let budget = MemoryBudget::limited(1);

@@ -62,7 +62,6 @@ pub use driver::{
     aggregate, distinct, merge_partials, try_aggregate, try_aggregate_observed, try_merge_partials,
 };
 pub use exec::ExecEnv;
-pub use hsa_kernels::{KernelKind, KernelPref};
 
 pub use hsa_columnar::{RunHandle, RunStore, SpillCodec, SpillConfig, SpilledRun};
 pub use hsa_fault::{
@@ -96,11 +95,6 @@ pub struct AggregateConfig {
     /// does not cut runs: what a worker partitions stays in its writer
     /// across morsels.
     pub morsel_rows: usize,
-    /// Kernel path for the hot loops (`HASHING` probe and fold).
-    /// [`KernelPref::Auto`] runs the batched hash + prefetch pipeline;
-    /// [`KernelPref::Scalar`] forces the row-at-a-time reference loops,
-    /// which is how tests select the path every result is compared to.
-    pub kernel: KernelPref,
 }
 
 impl Default for AggregateConfig {
@@ -111,7 +105,6 @@ impl Default for AggregateConfig {
             strategy: Strategy::Adaptive(AdaptiveParams::default()),
             fill_percent: TableConfig::PAPER_FILL_PERCENT,
             morsel_rows: 1 << 16,
-            kernel: KernelPref::Auto,
         }
     }
 }

@@ -25,8 +25,10 @@ use hsa_tasks::{PoolMetrics, WorkerPoolMetrics};
 /// process, so two reports from one serving process never collide); v3
 /// removed the `swc_flushes` / `swc_flush_bytes` counters with the
 /// write-combining lines they counted (`part_bytes` is what the
-/// partitioning passes wrote).
-pub const REPORT_VERSION: u64 = 3;
+/// partitioning passes wrote); v4 removed the top-level `kernel` member
+/// and the `kernel_batched_rows` / `kernel_scalar_rows` stats with the
+/// second kernel path (`hash_rows_per_level` counts the hashed rows).
+pub const REPORT_VERSION: u64 = 4;
 
 /// What the observed operator entry points should collect.
 #[derive(Clone, Debug)]
@@ -85,10 +87,6 @@ pub struct RunReport {
     pub groups_out: u64,
     /// Worker threads used.
     pub threads: usize,
-    /// Kernel path the hot loops ran with (`"batched"` or `"scalar"`) —
-    /// the [`crate::KernelKind`] resolved from
-    /// [`crate::AggregateConfig::kernel`].
-    pub kernel: String,
     /// Wall-clock duration of the whole invocation.
     pub wall_nanos: u64,
     /// The always-present statistics, lowered from the merged counters.
@@ -121,7 +119,6 @@ impl RunReport {
             ("rows_in".to_string(), JsonValue::U64(self.rows_in)),
             ("groups_out".to_string(), JsonValue::U64(self.groups_out)),
             ("threads".to_string(), JsonValue::U64(self.threads as u64)),
-            ("kernel".to_string(), JsonValue::Str(self.kernel.clone())),
             ("wall_nanos".to_string(), JsonValue::U64(self.wall_nanos)),
             ("rows_per_sec".to_string(), JsonValue::F64(self.rows_per_sec())),
             ("stats".to_string(), stats_json(&self.stats)),
@@ -156,11 +153,6 @@ impl RunReport {
         let _ = writeln!(s, "rows in            {}", self.rows_in);
         let _ = writeln!(s, "groups out         {}", self.groups_out);
         let _ = writeln!(s, "threads            {}", self.threads);
-        let _ = writeln!(
-            s,
-            "kernel             {}  (batched rows {}   scalar rows {})",
-            self.kernel, self.stats.kernel_batched_rows, self.stats.kernel_scalar_rows
-        );
         let _ = writeln!(
             s,
             "wall time          {ms:.2} ms  ({:.1} M rows/s)",
@@ -312,8 +304,6 @@ pub fn stats_json(stats: &OpStats) -> JsonValue {
         ("budget_high_water_bytes", JsonValue::U64(stats.budget_high_water_bytes)),
         ("cancellations", JsonValue::U64(stats.cancellations)),
         ("contained_panics", JsonValue::U64(stats.contained_panics)),
-        ("kernel_batched_rows", JsonValue::U64(stats.kernel_batched_rows)),
-        ("kernel_scalar_rows", JsonValue::U64(stats.kernel_scalar_rows)),
         ("spilled_runs", JsonValue::U64(stats.spilled_runs())),
         (
             "spilled_runs_per_level",
@@ -363,7 +353,6 @@ mod tests {
             task_nanos_per_level: vec![7_000_000, 1_000_000],
             seals: 4,
             switches_to_partitioning: 2,
-            kernel_batched_rows: 1200,
             spilled_runs_per_level: vec![0, 3],
             spilled_bytes: 4096,
             restored_runs: 3,
@@ -395,7 +384,6 @@ mod tests {
             rows_in: 1500,
             groups_out: 40,
             threads: 2,
-            kernel: "batched".to_string(),
             wall_nanos: 5_000_000,
             stats,
             pool: Some(pool),
@@ -414,11 +402,9 @@ mod tests {
         assert_eq!(parsed.get("query_id").unwrap().as_u64(), Some(7));
         assert_eq!(parsed.get("rows_in").unwrap().as_u64(), Some(1500));
         assert_eq!(parsed.get("groups_out").unwrap().as_u64(), Some(40));
-        assert_eq!(parsed.get("kernel").unwrap().as_str(), Some("batched"));
+        assert!(parsed.get("kernel").is_none());
         let stats = parsed.get("stats").unwrap();
         assert_eq!(stats.get("seals").unwrap().as_u64(), Some(4));
-        assert_eq!(stats.get("kernel_batched_rows").unwrap().as_u64(), Some(1200));
-        assert_eq!(stats.get("kernel_scalar_rows").unwrap().as_u64(), Some(0));
         assert_eq!(
             stats.get("hash_rows_per_level").unwrap().as_array().unwrap()[0].as_u64(),
             Some(1000)
@@ -445,7 +431,7 @@ mod tests {
         let text = report.pretty();
         assert!(text.contains("query id           7"));
         assert!(text.contains("rows in            1500"));
-        assert!(text.contains("kernel             batched  (batched rows 1200   scalar rows 0)"));
+        assert!(!text.contains("kernel"));
         assert!(text.contains("passes used        2"));
         assert!(text.contains("spill              runs 3"));
         assert!(text.contains("steals 1"));

@@ -39,12 +39,6 @@ pub struct OpStats {
     /// Worker panics contained by the task scope (the operator returned
     /// `AggError::WorkerPanic` instead of unwinding the caller).
     pub contained_panics: u64,
-    /// Rows whose `HASHING` hot loops ran through the batched
-    /// (prefetch-pipelined) kernels.
-    pub kernel_batched_rows: u64,
-    /// Rows whose `HASHING` hot loops ran through the scalar reference
-    /// kernels.
-    pub kernel_scalar_rows: u64,
     /// Runs flushed to the spill store, per recursion level (a denied
     /// reservation downgraded to out-of-core storage instead of failing).
     pub spilled_runs_per_level: Vec<u64>,
@@ -110,8 +104,6 @@ impl OpStats {
             budget_downgrades: n(Counter::BudgetDowngrades),
             cancellations: n(Counter::Cancellations),
             contained_panics: n(Counter::ContainedPanics),
-            kernel_batched_rows: n(Counter::KernelBatchedRows),
-            kernel_scalar_rows: n(Counter::KernelScalarRows),
             spilled_runs_per_level: per_level(LevelCounter::SpilledRuns),
             spilled_bytes: n(Counter::SpilledBytes),
             restored_runs: n(Counter::RestoredRuns),
@@ -190,8 +182,6 @@ mod tests {
         assert_eq!(s.budget_downgrades, v(Counter::BudgetDowngrades));
         assert_eq!(s.cancellations, v(Counter::Cancellations));
         assert_eq!(s.contained_panics, v(Counter::ContainedPanics));
-        assert_eq!(s.kernel_batched_rows, v(Counter::KernelBatchedRows));
-        assert_eq!(s.kernel_scalar_rows, v(Counter::KernelScalarRows));
         assert_eq!(s.spilled_bytes, v(Counter::SpilledBytes));
         assert_eq!(s.restored_runs, v(Counter::RestoredRuns));
         assert_eq!(s.restored_bytes, v(Counter::RestoredBytes));

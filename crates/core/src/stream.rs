@@ -132,7 +132,6 @@ impl AggStream {
         } else {
             env.cancel.clone()
         };
-        let kind = hsa_kernels::select(cfg.kernel);
         let store = store_for(env)?;
         // One admission per stream: every scope this query runs — all
         // pushes and the finish recursion — shares the same QueryId on
@@ -171,7 +170,6 @@ impl AggStream {
                 Tracer::disabled()
             },
             gauge,
-            kind,
             store,
             failed: Mutex::new(None),
         };
@@ -393,7 +391,6 @@ impl AggStream {
             rows_in,
             groups_out: groups,
             threads,
-            kernel: ctx.kind.label().to_string(),
             wall_nanos,
             stats,
             pool,
@@ -429,7 +426,6 @@ mod tests {
             strategy: Strategy::Adaptive(AdaptiveParams::default()),
             fill_percent: 25,
             morsel_rows: 1 << 12,
-            kernel: hsa_kernels::KernelPref::Auto,
         }
     }
 

@@ -66,7 +66,6 @@ impl Workload {
             strategy,
             fill_percent: 25,
             morsel_rows: 4096,
-            kernel: hsa_kernels::KernelPref::Auto,
         };
         let chunk = 512 + rng.below(8_000) as usize;
         Workload { keys, vals, specs: vec![AggSpec::count(), AggSpec::sum(0)], cfg, chunk }

@@ -7,9 +7,7 @@
 //! one group, and keys at `u64::MAX` (the growable table's floor probe).
 
 use hsa_agg::AggSpec;
-use hsa_core::{
-    try_aggregate, AdaptiveParams, AggregateConfig, ExecEnv, KernelPref, MemoryBudget, Strategy,
-};
+use hsa_core::{try_aggregate, AdaptiveParams, AggregateConfig, ExecEnv, MemoryBudget, Strategy};
 use std::collections::BTreeMap;
 
 /// xorshift64* — deterministic, dependency-free.
@@ -82,9 +80,6 @@ fn config(rng: &mut Rng) -> AggregateConfig {
         threads: 1 + rng.below(3) as usize,
         strategy: strategy(rng),
         morsel_rows: 1 << (8 + rng.below(6)),
-        // Half the cases run on the row-at-a-time reference loops, so the
-        // whole suite covers both kernel paths.
-        kernel: [KernelPref::Auto, KernelPref::Scalar][rng.below(2) as usize],
         ..AggregateConfig::default()
     }
 }
@@ -159,59 +154,6 @@ fn saturated_keys_hit_the_table_floor() {
     let v1: Vec<u64> = (0..10_000u64).map(|i| i ^ 0xFFFF).collect();
     for _ in 0..3 {
         check_case(&keys, &v0, &v1, &config(&mut rng));
-    }
-}
-
-/// The two kernel paths must be bit-identical: the same workload run with
-/// the forced-scalar reference loops and with the batched path must
-/// produce the same groups, the same state bits, and (single-threaded, so
-/// scheduling is deterministic) the same row/seal/switch statistics.
-#[test]
-fn kernel_tiers_are_bit_identical() {
-    let mut rng = Rng(0xC0FFEE);
-    for round in 0..12 {
-        let rows = [0, 1, 100, 4096, 20_000][(round % 5) as usize];
-        let shape = rng.below(5);
-        let keys = key_column(&mut rng, shape, rows);
-        let v0: Vec<u64> = (0..rows).map(|_| rng.below(1 << 32)).collect();
-        let v1: Vec<u64> = (0..rows).map(|_| rng.next()).collect();
-        let mut cfg = config(&mut rng);
-        cfg.threads = 1;
-
-        let run = |pref: KernelPref| {
-            let mut cfg = cfg.clone();
-            cfg.kernel = pref;
-            let specs = [AggSpec::count(), AggSpec::sum(0), AggSpec::min(1), AggSpec::max(1)];
-            let (out, stats) =
-                try_aggregate(&keys, &[&v0, &v1], &specs, &cfg, &ExecEnv::unrestricted())
-                    .unwrap_or_else(|e| panic!("{cfg:?}: {e}"));
-            (out.sorted_rows(), stats)
-        };
-
-        let (scalar_rows, scalar_stats) = run(KernelPref::Scalar);
-        assert_eq!(
-            scalar_stats.kernel_batched_rows, 0,
-            "forced scalar must not take the batched path"
-        );
-        let (rows, stats) = run(KernelPref::Auto);
-        assert_eq!(rows, scalar_rows, "batched output diverged under {cfg:?}");
-        assert_eq!(
-            stats.hash_rows_per_level, scalar_stats.hash_rows_per_level,
-            "hash rows diverged under {cfg:?}"
-        );
-        assert_eq!(
-            stats.part_rows_per_level, scalar_stats.part_rows_per_level,
-            "part rows diverged under {cfg:?}"
-        );
-        assert_eq!(stats.seals, scalar_stats.seals, "seals diverged under {cfg:?}");
-        assert_eq!(
-            stats.switches_to_partitioning, scalar_stats.switches_to_partitioning,
-            "switches diverged under {cfg:?}"
-        );
-        assert_eq!(
-            stats.kernel_scalar_rows, 0,
-            "the default must not take the scalar path on a batched run"
-        );
     }
 }
 

@@ -30,7 +30,6 @@ fn adaptive_cfg() -> AggregateConfig {
         strategy: Strategy::Adaptive(AdaptiveParams::default()),
         fill_percent: 25,
         morsel_rows: 1 << 12,
-        ..AggregateConfig::default()
     }
 }
 
@@ -132,7 +131,7 @@ fn disabled_observability_adds_no_sections() {
 /// is compatible; a missing or renamed one needs a `REPORT_VERSION` bump.
 #[test]
 fn report_json_keys_are_pinned_with_and_without_metrics() {
-    const STATS: [&str; 30] = [
+    const STATS: [&str; 28] = [
         "hash_rows_per_level",
         "part_rows_per_level",
         "task_nanos_per_level",
@@ -146,8 +145,6 @@ fn report_json_keys_are_pinned_with_and_without_metrics() {
         "budget_high_water_bytes",
         "cancellations",
         "contained_panics",
-        "kernel_batched_rows",
-        "kernel_scalar_rows",
         "spilled_runs",
         "spilled_runs_per_level",
         "spilled_bytes",
@@ -164,7 +161,7 @@ fn report_json_keys_are_pinned_with_and_without_metrics() {
         "overlapped_io_nanos",
         "spill_io_wait_nanos",
     ];
-    const COUNTERS: [&str; 30] = [
+    const COUNTERS: [&str; 28] = [
         "morsels_claimed",
         "tables_sealed",
         "switches_to_partitioning",
@@ -179,8 +176,6 @@ fn report_json_keys_are_pinned_with_and_without_metrics() {
         "budget_downgrades",
         "cancellations",
         "contained_panics",
-        "kernel_batched_rows",
-        "kernel_scalar_rows",
         "spilled_runs",
         "spilled_bytes",
         "restored_runs",
@@ -224,7 +219,6 @@ fn report_json_keys_are_pinned_with_and_without_metrics() {
         "rows_in",
         "groups_out",
         "threads",
-        "kernel",
         "wall_nanos",
         "rows_per_sec",
         "stats",
@@ -236,7 +230,7 @@ fn report_json_keys_are_pinned_with_and_without_metrics() {
     ] {
         let (_, report) = observed(&keys_in, &[], &[AggSpec::count()], &adaptive_cfg(), &obs);
         let parsed = json::parse(&report.to_json().to_string_compact()).unwrap();
-        assert_eq!(parsed.get("report_version").unwrap().as_u64(), Some(3));
+        assert_eq!(parsed.get("report_version").unwrap().as_u64(), Some(4));
         assert_eq!(keys(&parsed), sorted(&[&top, sections]), "metrics {}", obs.metrics);
         assert_eq!(keys(parsed.get("stats").unwrap()), sorted(&[&STATS]));
         let Some(metrics) = parsed.get("metrics") else { continue };

@@ -39,7 +39,6 @@ fn small_cfg(strategy: Strategy, threads: usize) -> AggregateConfig {
         strategy,
         fill_percent: 25,
         morsel_rows: 4096,
-        kernel: hsa_kernels::KernelPref::Auto,
     }
 }
 

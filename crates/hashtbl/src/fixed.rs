@@ -25,7 +25,7 @@
 //! the fastest way to build a hash table is a sorting algorithm.
 
 use hsa_hash::{digit, remaining_bits, Hasher64, FANOUT};
-use hsa_kernels::{prefetch_read, probe_scan, KernelKind, BATCH};
+use hsa_kernels::KernelKind;
 use hsa_obs::Histogram;
 
 /// Probe-behavior metrics of one [`AggTable`], collected only when enabled
@@ -171,7 +171,7 @@ impl AggTable {
             block_shift: block_slots.trailing_zeros(),
             hash_shift,
             keys: vec![0; config.total_slots],
-            occ: vec![0; config.total_slots / 64 + 1],
+            occ: vec![0; config.total_slots / 64],
             cols: identities.iter().map(|&id| vec![id; config.total_slots]).collect(),
             identities: identities.to_vec(),
             len: 0,
@@ -266,7 +266,10 @@ impl AggTable {
 
     /// Insert `key` with `hash`; aggregate state is *not* touched (state
     /// columns are updated separately, per column, via [`Self::col_mut`]).
-    #[inline]
+    ///
+    /// The one probe walk. Always inlined, so the batch loop pays no call
+    /// per row: as a call it costs `lib_hot` ≈ 1 ns of ≈ 6.4 ns a row.
+    #[inline(always)]
     pub fn insert_key(&mut self, key: u64, hash: u64) -> Insert {
         if self.len >= self.capacity {
             return Insert::Full;
@@ -300,50 +303,30 @@ impl AggTable {
 
     /// [`Self::insert_key`] over a slice of keys, recording the resolved
     /// slot of every absorbed key into `mapping` (the §3.3 mapping
-    /// vector). `kind` picks the path: `Scalar` is the `insert_key` loop
-    /// itself; `Batched` hashes keys [`BATCH`] at a time and prefetches the
-    /// home cache lines (key array and occupancy word) of the whole batch
-    /// before the first probe resolves, so the probes' cache misses overlap
-    /// instead of serializing. Outcomes, slot assignments, and probe
-    /// metrics are bit-identical between the two.
+    /// vector), up to the first key that finds the table full.
+    ///
+    /// `_kind` is ignored. A shim: `benchmark/` passes it; ROADMAP item
+    /// 4's `[benchmark]` issue removes it.
     #[inline]
     pub fn insert_batch<H: Hasher64>(
         &mut self,
         hasher: H,
         keys: &[u64],
-        kind: KernelKind,
+        _kind: KernelKind,
         mapping: &mut Vec<u32>,
     ) -> BatchInsert {
-        self.batch_impl::<H, true>(hasher, keys, kind, mapping)
+        self.insert_rows::<H, true>(hasher, keys, mapping)
     }
 
     /// [`Self::insert_batch`] without slot recording — the DISTINCT fast
     /// path, which needs no mapping vector.
     #[inline]
-    pub fn insert_batch_distinct<H: Hasher64>(
-        &mut self,
-        hasher: H,
-        keys: &[u64],
-        kind: KernelKind,
-    ) -> BatchInsert {
+    pub fn insert_batch_distinct<H: Hasher64>(&mut self, hasher: H, keys: &[u64]) -> BatchInsert {
         let mut unused = Vec::new();
-        self.batch_impl::<H, false>(hasher, keys, kind, &mut unused)
+        self.insert_rows::<H, false>(hasher, keys, &mut unused)
     }
 
-    fn batch_impl<H: Hasher64, const RECORD: bool>(
-        &mut self,
-        hasher: H,
-        keys: &[u64],
-        kind: KernelKind,
-        mapping: &mut Vec<u32>,
-    ) -> BatchInsert {
-        match kind {
-            KernelKind::Scalar => self.insert_rows::<H, RECORD>(hasher, keys, mapping),
-            KernelKind::Batched => self.insert_pipelined::<H, RECORD>(hasher, keys, mapping),
-        }
-    }
-
-    /// The reference path: one [`Self::insert_key`] per row.
+    /// One [`Self::insert_key`] per row, the walk inlined into the loop.
     fn insert_rows<H: Hasher64, const RECORD: bool>(
         &mut self,
         hasher: H,
@@ -361,138 +344,6 @@ impl AggTable {
             }
         }
         BatchInsert { consumed: keys.len(), full: false }
-    }
-
-    /// The batched path: hash ahead, prefetch, then resolve.
-    fn insert_pipelined<H: Hasher64, const RECORD: bool>(
-        &mut self,
-        hasher: H,
-        keys: &[u64],
-        mapping: &mut Vec<u32>,
-    ) -> BatchInsert {
-        let n = keys.len();
-        // Rolling [`BATCH`]-deep pipeline: key `i + BATCH` is hashed and
-        // its home lines prefetched while key `i` resolves, so every
-        // probe's loads get a full window of probe work to arrive in. The
-        // ring holds the already-computed home slots. The occupancy word
-        // is prefetched too — at large table sizes the bitmap itself
-        // falls out of cache.
-        let mut ring = [0usize; BATCH];
-        for (r, &key) in ring.iter_mut().zip(&keys[..n.min(BATCH)]) {
-            let home = self.home_slot(hasher.hash_u64(key));
-            *r = home;
-            prefetch_read(&self.keys, home);
-            prefetch_read(&self.occ, home >> 6);
-        }
-        for i in 0..n {
-            let home = ring[i & (BATCH - 1)];
-            if let Some(&key) = keys.get(i + BATCH) {
-                let ahead = self.home_slot(hasher.hash_u64(key));
-                ring[i & (BATCH - 1)] = ahead;
-                prefetch_read(&self.keys, ahead);
-                prefetch_read(&self.occ, ahead >> 6);
-            }
-            match self.probe_resolve(keys[i], home) {
-                Insert::New(slot) | Insert::Hit(slot) => {
-                    if RECORD {
-                        mapping.push(slot);
-                    }
-                }
-                Insert::Full => return BatchInsert { consumed: i, full: true },
-            }
-        }
-        BatchInsert { consumed: n, full: false }
-    }
-
-    /// Occupancy bits of slots `start..start + n` (`n` ≤ 64), bit `i` ⇔
-    /// slot `start + i`.
-    #[inline(always)]
-    fn occ_bits(&self, start: usize, n: usize) -> u64 {
-        let w = start >> 6;
-        let b = start & 63;
-        let mut bits = self.occ[w] >> b;
-        if b != 0 {
-            // The bitmap is over-allocated by one word, so `w + 1` is in
-            // bounds for every valid slot range.
-            bits |= self.occ[w + 1] << (64 - b);
-        }
-        if n < 64 {
-            bits &= (1u64 << n) - 1;
-        }
-        bits
-    }
-
-    /// One probe resolved via [`probe_scan`]: same semantics as the walk
-    /// in [`Self::insert_key`], including the capacity check, the probe
-    /// order (home → block end, wrap to block base), the metrics, and the
-    /// block-overflow `Full`.
-    #[inline]
-    fn probe_resolve(&mut self, key: u64, home: usize) -> Insert {
-        if self.len >= self.capacity {
-            return Insert::Full;
-        }
-        // Fast path: at 25% fill almost every probe ends at the home slot
-        // (which the pipeline prefetched), so resolve it with the walk's
-        // two cheap checks before setting up any scan state.
-        if !self.is_occupied(home) {
-            self.keys[home] = key;
-            self.set_occupied(home);
-            self.len += 1;
-            if let Some(m) = &mut self.metrics {
-                m.record(0, true);
-            }
-            return Insert::New(home as u32);
-        }
-        if self.keys[home] == key {
-            if let Some(m) = &mut self.metrics {
-                m.record(0, false);
-            }
-            return Insert::Hit(home as u32);
-        }
-        self.probe_collision(key, home)
-    }
-
-    /// The collision continuation of [`Self::probe_resolve`], kept out of
-    /// line so the hot fast path inlines into the batch loop. Scans the
-    /// rest of the block with [`probe_scan`], one cache line of keys at a
-    /// time, in exactly the walk's order: home → block end, wrap to block
-    /// base.
-    #[inline(never)]
-    fn probe_collision(&mut self, key: u64, home: usize) -> Insert {
-        let block_base = home & !(self.block_slots - 1);
-        let block_end = block_base + self.block_slots;
-        let segments = [(home + 1, block_end, 1), (block_base, home, block_end - home)];
-        for (start, end, step_base) in segments {
-            let mut s = start;
-            while s < end {
-                // Scan one cache line of keys at a time (8 slots, aligned
-                // upward): the probe almost always ends in the home line
-                // (25% fill), so wider scans would only add memory
-                // traffic the scalar walk never incurs.
-                let n = (((s | 7) + 1).min(end)) - s;
-                let occ = self.occ_bits(s, n);
-                match probe_scan(&self.keys[s..s + n], occ, key) {
-                    Some((i, true)) => {
-                        if let Some(m) = &mut self.metrics {
-                            m.record((step_base + (s - start) + i) as u64, false);
-                        }
-                        return Insert::Hit((s + i) as u32);
-                    }
-                    Some((i, false)) => {
-                        let slot = s + i;
-                        self.keys[slot] = key;
-                        self.set_occupied(slot);
-                        self.len += 1;
-                        if let Some(m) = &mut self.metrics {
-                            m.record((step_base + (s - start) + i) as u64, true);
-                        }
-                        return Insert::New(slot as u32);
-                    }
-                    None => s += n,
-                }
-            }
-        }
-        Insert::Full
     }
 
     /// Mutable view of state column `i` (indexed by slot).
@@ -569,6 +420,7 @@ mod tests {
     use super::*;
     use hsa_agg::StateOp;
     use hsa_hash::{Hasher64, Murmur2};
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn small() -> TableConfig {
         TableConfig { total_slots: 1 << 12, fill_percent: 25 }
@@ -772,7 +624,6 @@ mod tests {
     fn aggregation_through_columns_matches_reference() {
         // Full mini-pipeline: insert keys, update a SUM column via the
         // returned slots, seal, compare against a BTreeMap reference.
-        use std::collections::BTreeMap;
         let mut t = AggTable::new(small(), 0, &[crate::identity_of(StateOp::Sum)]);
         let h = Murmur2::default();
         let keys: Vec<u64> = (0..1000u64).map(|i| i % 97).collect();
@@ -820,9 +671,9 @@ mod tests {
         }
     }
 
-    /// Drive the scalar `insert_key` loop, mirroring what `insert_batch`
-    /// reports: (outcomes-as-batch, mapping, metrics).
-    fn scalar_drive<H: Hasher64>(
+    /// The `insert_key` loop by hand, reporting what `insert_batch`
+    /// reports: (outcome, mapping).
+    fn key_by_key<H: Hasher64>(
         t: &mut AggTable,
         hasher: H,
         keys: &[u64],
@@ -843,65 +694,85 @@ mod tests {
         out
     }
 
+    /// What a batch must have done, judged from a `BTreeMap` alone: one
+    /// mapped slot per absorbed key, the same slot for every repeat of a
+    /// key, no slot shared by two keys, and exactly those keys sealed.
+    fn check_against_map(
+        keys: &[u64],
+        out: BatchInsert,
+        mapping: &[u32],
+        sealed: &[(usize, Vec<u64>)],
+    ) {
+        assert_eq!(mapping.len(), out.consumed);
+        let mut slots: BTreeMap<u64, u32> = BTreeMap::new();
+        for (&k, &s) in keys[..out.consumed].iter().zip(mapping) {
+            assert_eq!(*slots.entry(k).or_insert(s), s, "key {k} moved slot");
+        }
+        let distinct: BTreeSet<u32> = slots.values().copied().collect();
+        assert_eq!(distinct.len(), slots.len(), "two keys share a slot");
+        let mut stored: Vec<u64> = sealed.iter().flat_map(|(_, ks)| ks.iter().copied()).collect();
+        stored.sort_unstable();
+        assert_eq!(stored, slots.into_keys().collect::<Vec<_>>());
+    }
+
     #[test]
     fn insert_batch_matches_insert_key_on_random_workloads() {
         let h = Murmur2::default();
-        for kind in [KernelKind::Scalar, KernelKind::Batched] {
-            let mut r = xorshift(0xBADC0DE ^ kind as u64);
-            for round in 0..20 {
-                let slots = [2 * FANOUT, 1 << 10, 1 << 12][round % 3];
-                let fill = [25usize, 50, 100][(round / 3) % 3];
-                let level = (round % 8) as u32;
-                let cfg = TableConfig { total_slots: slots, fill_percent: fill };
-                let n = (r() % 4000) as usize;
-                let keys: Vec<u64> = (0..n)
-                    .map(|_| match r() % 4 {
-                        0 => u64::MAX - r() % 3, // saturated keys
-                        1 => r() % 16,           // heavy duplication
-                        _ => r() % 1000,
-                    })
-                    .collect();
-                let mut a = AggTable::new(cfg, level, &[]);
-                let mut b = AggTable::new(cfg, level, &[]);
-                a.set_metrics_enabled(true);
-                b.set_metrics_enabled(true);
-                let (out_a, map_a) = scalar_drive(&mut a, h, &keys);
-                let mut map_b = Vec::new();
-                let out_b = b.insert_batch(h, &keys, kind, &mut map_b);
-                assert_eq!(out_a, out_b, "{kind:?} round {round} outcomes");
-                assert_eq!(map_a, map_b, "{kind:?} round {round} mapping");
-                assert_eq!(a.len(), b.len(), "{kind:?} round {round} len");
-                assert_eq!(
-                    a.take_metrics(),
-                    b.take_metrics(),
-                    "{kind:?} round {round} metrics drifted between scalar and batched probing"
-                );
-                assert_eq!(
-                    sealed_contents(&mut a),
-                    sealed_contents(&mut b),
-                    "{kind:?} round {round} sealed runs"
-                );
-            }
+        let mut r = xorshift(0xBADC0DE);
+        for round in 0..40 {
+            let slots = [2 * FANOUT, 1 << 10, 1 << 12][round % 3];
+            let fill = [25usize, 50, 100][(round / 3) % 3];
+            let level = (round % 8) as u32;
+            let cfg = TableConfig { total_slots: slots, fill_percent: fill };
+            let n = (r() % 4000) as usize;
+            let keys: Vec<u64> = (0..n)
+                .map(|_| match r() % 4 {
+                    0 => u64::MAX - r() % 3, // saturated keys
+                    1 => r() % 16,           // heavy duplication
+                    _ => r() % 1000,
+                })
+                .collect();
+            let mut a = AggTable::new(cfg, level, &[]);
+            let mut b = AggTable::new(cfg, level, &[]);
+            a.set_metrics_enabled(true);
+            b.set_metrics_enabled(true);
+            let (out_a, map_a) = key_by_key(&mut a, h, &keys);
+            let mut map_b = Vec::new();
+            let out_b = b.insert_batch(h, &keys, KernelKind, &mut map_b);
+            assert_eq!(out_a, out_b, "round {round} outcomes");
+            assert_eq!(map_a, map_b, "round {round} mapping");
+            assert_eq!(a.len(), b.len(), "round {round} len");
+            assert_eq!(a.take_metrics(), b.take_metrics(), "round {round} metrics");
+            let sealed = sealed_contents(&mut b);
+            assert_eq!(sealed_contents(&mut a), sealed, "round {round} sealed runs");
+            check_against_map(&keys, out_b, &map_b, &sealed);
         }
     }
 
     #[test]
-    fn insert_batch_block_overflow_matches_scalar() {
-        // ZeroHash funnels everything into block 0: the block overflows
-        // while the table is nearly empty, in both paths at the same key.
+    fn insert_batch_stops_mid_batch_where_the_table_is_full() {
+        // A block overflow: ZeroHash funnels everything into block 0, whose
+        // 8 slots fill while the table is nearly empty. Repeats of the 8
+        // keys are still hits; the ninth distinct key stops the batch.
         let cfg = TableConfig { total_slots: FANOUT * 8, fill_percent: 100 };
-        for kind in [KernelKind::Scalar, KernelKind::Batched] {
-            let keys: Vec<u64> = (0..40).collect();
-            let mut a = AggTable::new(cfg, 0, &[]);
-            let mut b = AggTable::new(cfg, 0, &[]);
-            let (out_a, map_a) = scalar_drive(&mut a, ZeroHash, &keys);
-            let mut map_b = Vec::new();
-            let out_b = b.insert_batch(ZeroHash, &keys, kind, &mut map_b);
-            assert_eq!(out_a, out_b, "{kind:?}");
-            assert!(out_b.full, "{kind:?}: 40 distinct keys must overflow an 8-slot block");
-            assert_eq!(out_b.consumed, 8, "{kind:?}");
-            assert_eq!(map_a, map_b, "{kind:?}");
-        }
+        let keys: Vec<u64> = (0..8).chain([3, 5, 8]).chain(9..40).collect();
+        let mut a = AggTable::new(cfg, 0, &[]);
+        let mut b = AggTable::new(cfg, 0, &[]);
+        let (out_a, map_a) = key_by_key(&mut a, ZeroHash, &keys);
+        let mut map_b = Vec::new();
+        let out_b = b.insert_batch(ZeroHash, &keys, KernelKind, &mut map_b);
+        assert_eq!(out_b, BatchInsert { consumed: 10, full: true });
+        assert_eq!((out_a, map_a), (out_b, map_b.clone()));
+        check_against_map(&keys, out_b, &map_b, &sealed_contents(&mut b));
+
+        // The fill limit: the capacity check comes before the walk, so
+        // once 1024 groups are in, even a repeat of a stored key is refused.
+        let keys: Vec<u64> = (0..1024).chain([0]).chain(1024..1100).collect();
+        let mut t = AggTable::new(small(), 0, &[]);
+        let mut mapping = Vec::new();
+        let out = t.insert_batch(Murmur2::default(), &keys, KernelKind, &mut mapping);
+        assert_eq!(out, BatchInsert { consumed: 1024, full: true });
+        check_against_map(&keys, out, &mapping, &sealed_contents(&mut t));
     }
 
     #[test]
@@ -909,43 +780,55 @@ mod tests {
         let h = Murmur2::default();
         let mut r = xorshift(77);
         let keys: Vec<u64> = (0..3000).map(|_| r() % 500).collect();
-        for kind in [KernelKind::Scalar, KernelKind::Batched] {
-            let mut a = AggTable::new(small(), 2, &[]);
-            let mut b = AggTable::new(small(), 2, &[]);
-            let mut mapping = Vec::new();
-            let out_a = a.insert_batch(h, &keys, kind, &mut mapping);
-            let out_b = b.insert_batch_distinct(h, &keys, kind);
-            assert_eq!(out_a, out_b, "{kind:?}");
-            assert_eq!(mapping.len(), out_a.consumed, "{kind:?}");
-            assert_eq!(sealed_contents(&mut a), sealed_contents(&mut b), "{kind:?}");
-        }
+        let mut a = AggTable::new(small(), 2, &[]);
+        let mut b = AggTable::new(small(), 2, &[]);
+        let mut mapping = Vec::new();
+        let out_a = a.insert_batch(h, &keys, KernelKind, &mut mapping);
+        let out_b = b.insert_batch_distinct(h, &keys);
+        assert_eq!(out_a, out_b);
+        let sealed = sealed_contents(&mut a);
+        assert_eq!(sealed, sealed_contents(&mut b));
+        check_against_map(&keys, out_a, &mapping, &sealed);
     }
 
     #[test]
     fn insert_batch_resumes_after_seal() {
-        // The framework's retry loop: on `full`, seal and continue from
-        // `consumed`. The union of sealed + final contents must equal the
-        // scalar single-table reference aggregation.
-        use std::collections::BTreeSet;
+        // The framework's retry loop: on `full`, fold what was absorbed,
+        // seal, and continue from `consumed`. Merging the sealed COUNTs
+        // must give the reference counts.
         let h = Murmur2::default();
-        let cfg = TableConfig { total_slots: 2 * FANOUT, fill_percent: 25 };
-        for kind in [KernelKind::Scalar, KernelKind::Batched] {
-            let keys: Vec<u64> = (0..2000u64).collect();
-            let mut t = AggTable::new(cfg, 0, &[]);
-            let mut seen: BTreeSet<u64> = BTreeSet::new();
-            let mut from = 0;
-            while from < keys.len() {
-                let out = t.insert_batch_distinct(h, &keys[from..], kind);
-                from += out.consumed;
-                if out.full {
-                    t.seal(|_, ks, _| seen.extend(ks.iter().copied()));
-                } else {
-                    break;
-                }
-            }
-            t.seal(|_, ks, _| seen.extend(ks.iter().copied()));
-            assert_eq!(seen.len(), 2000, "{kind:?}");
+        let keys: Vec<u64> = (0..15_000u64).map(|i| i * 7 % 5000).collect();
+        let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
+        for &k in &keys {
+            *reference.entry(k).or_insert(0) += 1;
         }
+        let mut t = AggTable::new(small(), 0, &[0]);
+        let mut got: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut merge_seal = |t: &mut AggTable| {
+            t.seal(|_, ks, cols| {
+                for (&k, &c) in ks.iter().zip(&cols[0]) {
+                    *got.entry(k).or_insert(0) += c;
+                }
+            })
+        };
+        let (mut from, mut seals) = (0, 0);
+        let mut mapping = Vec::new();
+        while from < keys.len() {
+            mapping.clear();
+            let out = t.insert_batch(h, &keys[from..], KernelKind, &mut mapping);
+            for &slot in &mapping {
+                t.col_mut(0)[slot as usize] += 1;
+            }
+            from += out.consumed;
+            if out.full {
+                assert_eq!(t.len(), t.capacity(), "a batch stops only at the fill limit here");
+                merge_seal(&mut t);
+                seals += 1;
+            }
+        }
+        merge_seal(&mut t);
+        assert!(seals > 4, "5000 groups must overflow a 1024-group table repeatedly");
+        assert_eq!(got, reference);
     }
 
     #[test]

@@ -1,159 +1,54 @@
-//! Hot-path primitives shared by the `HASHING` routine's inner loops.
+//! The mapped fold: the state-column half of the `HASHING` routine's
+//! inner loop (§3.3, Figure 2).
 //!
-//! Three building blocks, all built around the same observation the paper
-//! makes for `PARTITIONING` (§4, 16-way unrolled hashing): the per-element
-//! CPU cost of the probe and fold loops is dominated by cache misses that
-//! the out-of-order window cannot hide one row at a time. Processing rows
-//! in small batches exposes the memory-level parallelism:
+//! The key pass (`hsa_hashtbl::AggTable::insert_batch`) leaves a mapping
+//! vector, row → slot, and [`fold_mapped`] applies it to one state column:
+//! `col[mapping[j]] = op(col[mapping[j]], vals[j])`, rows strictly in
+//! order.
 //!
-//! * [`prefetch_read`] / [`prefetch_write`] — software prefetch hints. A
-//!   batch of 16 rows is hashed first, the home cache lines of all 16 are
-//!   prefetched, and only then are the probes resolved — by the time the
-//!   first probe runs, the other 15 loads are in flight.
-//! * [`probe_scan`] — find the first free-or-matching slot in a stretch of
-//!   a probe block: the occupancy bits and a key-compare mask produce a
-//!   candidate mask, and the answer is one `trailing_zeros`. Exactly
-//!   equivalent to the scalar walk, so outcomes and probe-step metrics are
-//!   bit-identical.
-//! * [`fold_mapped`] — apply a mapping vector (§3.3, Figure 2) to a state
-//!   column: `col[mapping[j]] = op(col[mapping[j]], vals[j])`, with
-//!   lookahead prefetch of the state slots on the batched path.
+//! # One kernel
 //!
-//! # Two paths
+//! The probe and the fold both run row at a time, with no software
+//! prefetch. The operator never builds a table larger than its
+//! `cache_bytes` (§4.1: 2 MiB, one core's L2 on the reference host), so
+//! the probes and the fold's read-modify-writes hit cache and a prefetch
+//! pipeline has no miss to hide; it only adds work (DESIGN.md §10 has the
+//! numbers). The crate is std-only and has no `unsafe`.
 //!
-//! [`select`] resolves a [`KernelPref`] to a [`KernelKind`] once per
-//! operator run: `Batched` is what runs, `Scalar` is the row-at-a-time
-//! reference every differential test compares it against. Both compute
-//! bit-identical results; `Batched` is portable code whose only
-//! machine-specific part is the prefetch hint, which compiles to nothing
-//! under Miri and off x86-64.
+//! [`KernelKind`], [`KernelPref`] and [`select`] are shims for the frozen
+//! `benchmark/` package, which names them.
 
-/// Rows per pipelined batch: hash 16 keys, prefetch 16 home slots, then
-/// resolve 16 probes. Matches the paper's 16-way unrolled hashing for
-/// `PARTITIONING`; 16 independent loads comfortably fill the ~10-16
-/// outstanding-miss budget of one core without overrunning it.
-pub const BATCH: usize = 16;
-
-/// Lookahead distance (in rows) for the fold kernels' state-slot prefetch.
-/// Far enough that the prefetch completes before the store-back, close
-/// enough that the line is rarely evicted again: one batch ahead.
-pub const FOLD_PREFETCH_AHEAD: usize = 16;
-
-/// Which implementation of the hot loops a kernel call runs.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum KernelKind {
-    /// Row-at-a-time loops — the reference semantics.
-    Scalar,
-    /// The [`BATCH`]-deep hash + prefetch pipeline and the prefetching
-    /// fold.
-    Batched,
-}
+/// The one kernel. A shim: `benchmark/` names it; ROADMAP item 4's
+/// `[benchmark]` issue removes it.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct KernelKind;
 
 impl KernelKind {
-    /// Stable lowercase label used in reports and `--stats-json`.
+    /// `"scalar"`, what `benchmark/` records as `kernel_tier`. A shim:
+    /// ROADMAP item 4's `[benchmark]` issue removes it.
     pub fn label(self) -> &'static str {
-        match self {
-            KernelKind::Scalar => "scalar",
-            KernelKind::Batched => "batched",
-        }
+        "scalar"
     }
 }
 
-impl std::fmt::Display for KernelKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Requested kernel path (configuration); resolved to a [`KernelKind`] by
-/// [`select`].
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
+/// The only kernel preference left. A shim: `benchmark/` names it;
+/// ROADMAP item 4's `[benchmark]` issue removes it.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum KernelPref {
-    /// The batched path.
-    #[default]
+    /// The one kernel.
     Auto,
-    /// Force the scalar reference path.
-    Scalar,
 }
 
-/// Resolve a preference to the kernel an operator run will use.
-pub fn select(pref: KernelPref) -> KernelKind {
-    match pref {
-        KernelPref::Auto => KernelKind::Batched,
-        KernelPref::Scalar => KernelKind::Scalar,
-    }
+/// Resolves to the one kernel. A shim: `benchmark/` calls it; ROADMAP
+/// item 4's `[benchmark]` issue removes it.
+pub fn select(_pref: KernelPref) -> KernelKind {
+    KernelKind
 }
 
-/// Prefetch `data[index]` for reading (T0 hint). A no-op when the index is
-/// out of bounds, under Miri, and off x86-64 — prefetching is only ever a
-/// hint, so the bounds check keeps the API safe without costing outcomes.
-#[inline(always)]
-pub fn prefetch_read<T>(data: &[T], index: usize) {
-    #[cfg(all(target_arch = "x86_64", not(miri)))]
-    if let Some(p) = data.get(index) {
-        // SAFETY: `p` is a live reference; prefetch dereferences nothing.
-        unsafe {
-            std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
-                p as *const T as *const i8,
-            );
-        }
-    }
-    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-    {
-        let _ = (data, index);
-    }
-}
-
-/// Prefetch `data[index]` for writing. Falls back to the T0 read hint —
-/// `prefetchw` needs its own feature gate and the read hint already pulls
-/// the line close enough for the read-modify-write folds.
-#[inline(always)]
-pub fn prefetch_write<T>(data: &[T], index: usize) {
-    prefetch_read(data, index);
-}
-
-// ---------------------------------------------------------------------------
-// Probe scan
-// ---------------------------------------------------------------------------
-
-/// Scan a contiguous stretch of probe slots for the first one that is
-/// either free or holds `needle`.
-///
-/// `keys` is the stretch (at most 64 slots), `occ` its occupancy bits
-/// (bit `i` set ⇔ `keys[i]` is a live key). Returns the first index `i`
-/// where slot `i` is unoccupied (`Some((i, false))`) or occupied with
-/// `keys[i] == needle` (`Some((i, true))`); `None` when every slot is
-/// occupied by some other key — the caller continues with the wrapped
-/// remainder of the block or reports overflow.
-///
-/// Equivalent to the scalar probe walk by construction: the candidate mask
-/// `(!occ | matches) & len_mask` stops at exactly the slot the walk would,
-/// because every lower bit being clear means every earlier slot was
-/// occupied by a non-matching key.
-#[inline]
-pub fn probe_scan(keys: &[u64], occ: u64, needle: u64) -> Option<(usize, bool)> {
-    debug_assert!(keys.len() <= 64, "probe stretch wider than the occupancy word");
-    let mut matches = 0u64;
-    for (i, &k) in keys.iter().enumerate() {
-        matches |= u64::from(k == needle) << i;
-    }
-    let len_mask = if keys.len() == 64 { u64::MAX } else { (1u64 << keys.len()) - 1 };
-    let stop = (!occ | matches) & len_mask;
-    if stop == 0 {
-        return None;
-    }
-    let idx = stop.trailing_zeros() as usize;
-    Some((idx, occ >> idx & 1 == 1))
-}
-
-// ---------------------------------------------------------------------------
-// Mapped folds
-// ---------------------------------------------------------------------------
-
-/// The four state-combining operations the fold kernels implement, each in
-/// raw (`apply`) and partial-aggregate (`merge`) form. Mirrors
+/// The four state-combining operations the fold implements, each in raw
+/// (`apply`) and partial-aggregate (`merge`) form. Mirrors
 /// `hsa_agg::StateOp` without depending on it — the dependency points the
-/// other way so `hsa-agg` can wrap these kernels.
+/// other way so `hsa-agg` can wrap this kernel.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum FoldOp {
     /// apply: `s + 1` (value ignored); merge: `s + v` (COUNT's
@@ -186,23 +81,18 @@ impl FoldOp {
 }
 
 /// Fold `vals` into `col` through `mapping`:
-/// `col[mapping[j]] = op(col[mapping[j]], vals[j], merge)` for every `j`.
+/// `col[mapping[j]] = op(col[mapping[j]], vals[j], merge)` for every `j`,
+/// in row order.
 ///
-/// * `Scalar` — the plain loop (reference semantics).
-/// * `Batched` — the same loop with the state slot
-///   [`FOLD_PREFETCH_AHEAD`] rows ahead prefetched; the fold is a
-///   scattered read-modify-write, so hiding the state-column miss is the
-///   whole win.
-///
-/// Both produce bit-identical columns: rows are applied strictly in
-/// order and the arithmetic is the same.
+/// `_kind` is ignored. A shim: `benchmark/` passes it; ROADMAP item 4's
+/// `[benchmark]` issue removes it.
 ///
 /// # Panics
-/// In debug builds, when `vals` is shorter than `mapping` or an index is
-/// out of bounds (release builds bounds-check per element as usual).
+/// In debug builds, when `vals` is shorter than `mapping`; in every build,
+/// when a mapped slot is out of bounds.
 #[inline]
 pub fn fold_mapped(
-    kind: KernelKind,
+    _kind: KernelKind,
     op: FoldOp,
     merge: bool,
     col: &mut [u64],
@@ -210,28 +100,7 @@ pub fn fold_mapped(
     vals: &[u64],
 ) {
     debug_assert!(vals.len() >= mapping.len(), "fewer values than mapped rows");
-    match kind {
-        KernelKind::Scalar => fold_scalar(op, merge, col, mapping, vals),
-        KernelKind::Batched => fold_prefetch(op, merge, col, mapping, vals),
-    }
-}
-
-#[inline]
-fn fold_scalar(op: FoldOp, merge: bool, col: &mut [u64], mapping: &[u32], vals: &[u64]) {
     for (&slot, &v) in mapping.iter().zip(vals) {
-        let s = &mut col[slot as usize];
-        *s = op.combine(*s, v, merge);
-    }
-}
-
-/// Scalar arithmetic, but the state slot of the row
-/// [`FOLD_PREFETCH_AHEAD`] positions ahead is prefetched each iteration.
-#[inline]
-fn fold_prefetch(op: FoldOp, merge: bool, col: &mut [u64], mapping: &[u32], vals: &[u64]) {
-    for (j, (&slot, &v)) in mapping.iter().zip(vals).enumerate() {
-        if let Some(&ahead) = mapping.get(j + FOLD_PREFETCH_AHEAD) {
-            prefetch_write(col, ahead as usize);
-        }
         let s = &mut col[slot as usize];
         *s = op.combine(*s, v, merge);
     }
@@ -251,109 +120,43 @@ mod tests {
         }
     }
 
-    /// Both paths, reference first.
-    const KINDS: [KernelKind; 2] = [KernelKind::Scalar, KernelKind::Batched];
-
     #[test]
-    fn select_has_two_outcomes() {
-        assert_eq!(select(KernelPref::Auto), KernelKind::Batched);
-        assert_eq!(select(KernelPref::Scalar), KernelKind::Scalar);
-        assert_eq!(select(KernelPref::default()), KernelKind::Batched);
+    fn the_shims_name_the_one_kernel() {
+        assert_eq!(select(KernelPref::Auto), KernelKind);
+        assert_eq!(select(KernelPref::Auto).label(), "scalar");
     }
 
-    #[test]
-    fn kind_labels_are_unique() {
-        assert_ne!(KernelKind::Scalar.label(), KernelKind::Batched.label());
-    }
-
-    #[test]
-    fn prefetch_is_safe_everywhere() {
-        let data = [1u64, 2, 3];
-        prefetch_read(&data, 0);
-        prefetch_read(&data, 2);
-        prefetch_read(&data, 999); // out of bounds: no-op
-        prefetch_write(&data, 1);
-        prefetch_write::<u64>(&[], 0);
-    }
-
-    /// Reference implementation of probe_scan's contract.
-    fn scan_ref(keys: &[u64], occ: u64, needle: u64) -> Option<(usize, bool)> {
-        for (i, &k) in keys.iter().enumerate() {
-            if occ >> i & 1 == 0 {
-                return Some((i, false));
-            }
-            if k == needle {
-                return Some((i, true));
-            }
-        }
-        None
-    }
-
-    #[test]
-    fn probe_scan_matches_reference_on_random_stretches() {
-        let mut r = rng(0xC0FFEE);
-        for _ in 0..500 {
-            let len = (r() % 65) as usize;
-            // Small key universe so hits happen often.
-            let keys: Vec<u64> = (0..len).map(|_| r() % 8).collect();
-            let occ = r() & if len == 64 { u64::MAX } else { (1 << len) - 1 };
-            let needle = r() % 8;
-            assert_eq!(
-                probe_scan(&keys, occ, needle),
-                scan_ref(&keys, occ, needle),
-                "len={len} occ={occ:b} needle={needle}"
-            );
-        }
-    }
-
-    #[test]
-    fn probe_scan_edge_cases() {
-        // Empty stretch.
-        assert_eq!(probe_scan(&[], 0, 7), None);
-        // Full 64-slot stretch, all occupied, no match.
-        let keys = vec![1u64; 64];
-        assert_eq!(probe_scan(&keys, u64::MAX, 2), None);
-        // Match in the last slot.
-        let mut keys = vec![1u64; 64];
-        keys[63] = u64::MAX;
-        assert_eq!(probe_scan(&keys, u64::MAX, u64::MAX), Some((63, true)));
-        // First slot free wins over a later match.
-        let keys = [5u64, 7, 7];
-        assert_eq!(probe_scan(&keys, 0b110, 7), Some((0, false)));
-        // Earlier occupied mismatches are skipped.
-        assert_eq!(probe_scan(&keys, 0b111, 7), Some((1, true)));
-    }
-
-    /// Reference fold.
+    /// The fold's contract, written out per operation.
     fn fold_ref(op: FoldOp, merge: bool, col: &mut [u64], mapping: &[u32], vals: &[u64]) {
         for (&slot, &v) in mapping.iter().zip(vals) {
-            let s = &mut col[slot as usize];
-            *s = op.combine(*s, v, merge);
+            let s = col[slot as usize];
+            col[slot as usize] = match (op, merge) {
+                (FoldOp::Count, false) => s.wrapping_add(1),
+                (FoldOp::Count, true) | (FoldOp::Sum, _) => s.wrapping_add(v),
+                (FoldOp::Min, _) => s.min(v),
+                (FoldOp::Max, _) => s.max(v),
+            };
         }
     }
 
     #[test]
-    fn fold_mapped_matches_reference_for_every_op_and_kind() {
+    fn fold_mapped_matches_reference_for_every_op() {
         let mut r = rng(0xDEC0DE);
-        let ops = [FoldOp::Count, FoldOp::Sum, FoldOp::Min, FoldOp::Max];
-        for kind in KINDS {
-            for &op in &ops {
-                for merge in [false, true] {
-                    for _ in 0..50 {
-                        let slots = 1 + (r() % 200) as usize;
-                        let rows = (r() % 300) as usize;
-                        let base: Vec<u64> = (0..slots).map(|_| r()).collect();
-                        // Heavy duplication: repeated slots within one
-                        // prefetch window.
-                        let mapping: Vec<u32> =
-                            (0..rows).map(|_| (r() % slots as u64) as u32).collect();
-                        let vals: Vec<u64> = (0..rows).map(|_| r()).collect();
-                        let mut a = base.clone();
-                        let mut b = base;
-                        fold_mapped(kind, op, merge, &mut a, &mapping, &vals);
-                        fold_ref(op, merge, &mut b, &mapping, &vals);
-                        assert_eq!(a, b, "{kind:?} {op:?} merge={merge}");
-                    }
+        for op in [FoldOp::Count, FoldOp::Sum, FoldOp::Min, FoldOp::Max] {
+            for merge in [false, true] {
+                for _ in 0..50 {
+                    let slots = 1 + (r() % 200) as usize;
+                    let rows = (r() % 300) as usize;
+                    let base: Vec<u64> = (0..slots).map(|_| r()).collect();
+                    // Heavy duplication: repeated slots close together.
+                    let mapping: Vec<u32> =
+                        (0..rows).map(|_| (r() % slots as u64) as u32).collect();
+                    let vals: Vec<u64> = (0..rows).map(|_| r()).collect();
+                    let mut a = base.clone();
+                    let mut b = base;
+                    fold_mapped(KernelKind, op, merge, &mut a, &mapping, &vals);
+                    fold_ref(op, merge, &mut b, &mapping, &vals);
+                    assert_eq!(a, b, "{op:?} merge={merge}");
                 }
             }
         }
@@ -361,41 +164,40 @@ mod tests {
 
     #[test]
     fn fold_mapped_extreme_values() {
-        for kind in KINDS {
-            // Wrapping sum.
-            let mut col = vec![u64::MAX];
-            fold_mapped(kind, FoldOp::Sum, false, &mut col, &[0, 0], &[1, 1]);
-            assert_eq!(col[0], 1, "{kind:?}");
-            // Unsigned min/max across the sign boundary.
-            let mut col = vec![1u64 << 63];
-            fold_mapped(kind, FoldOp::Min, false, &mut col, &[0], &[u64::MAX]);
-            assert_eq!(col[0], 1 << 63, "{kind:?}");
-            let mut col = vec![1u64 << 63];
-            fold_mapped(kind, FoldOp::Max, false, &mut col, &[0], &[u64::MAX]);
-            assert_eq!(col[0], u64::MAX, "{kind:?}");
-            let mut col = vec![5u64];
-            fold_mapped(kind, FoldOp::Min, false, &mut col, &[0], &[1 << 63]);
-            assert_eq!(col[0], 5, "{kind:?}");
-            // Count apply ignores the value; merge adds it.
-            let mut col = vec![10u64, 20];
-            fold_mapped(kind, FoldOp::Count, false, &mut col, &[1, 1], &[999, 999]);
-            assert_eq!(col, [10, 22], "{kind:?}");
-            let mut col = vec![10u64];
-            fold_mapped(kind, FoldOp::Count, true, &mut col, &[0], &[32]);
-            assert_eq!(col[0], 42, "{kind:?}");
-        }
+        let fold = |op, merge, col: &mut [u64], mapping: &[u32], vals: &[u64]| {
+            fold_mapped(KernelKind, op, merge, col, mapping, vals)
+        };
+        // Wrapping sum.
+        let mut col = vec![u64::MAX];
+        fold(FoldOp::Sum, false, &mut col, &[0, 0], &[1, 1]);
+        assert_eq!(col[0], 1);
+        // Unsigned min/max across the sign boundary.
+        let mut col = vec![1u64 << 63];
+        fold(FoldOp::Min, false, &mut col, &[0], &[u64::MAX]);
+        assert_eq!(col[0], 1 << 63);
+        let mut col = vec![1u64 << 63];
+        fold(FoldOp::Max, false, &mut col, &[0], &[u64::MAX]);
+        assert_eq!(col[0], u64::MAX);
+        let mut col = vec![5u64];
+        fold(FoldOp::Min, false, &mut col, &[0], &[1 << 63]);
+        assert_eq!(col[0], 5);
+        // Count apply ignores the value; merge adds it.
+        let mut col = vec![10u64, 20];
+        fold(FoldOp::Count, false, &mut col, &[1, 1], &[999, 999]);
+        assert_eq!(col, [10, 22]);
+        let mut col = vec![10u64];
+        fold(FoldOp::Count, true, &mut col, &[0], &[32]);
+        assert_eq!(col[0], 42);
     }
 
     #[test]
     fn fold_order_dependence_is_preserved_on_duplicates() {
         // Every row maps to one slot: a read-modify-write chain through
         // duplicates loses an update unless rows apply strictly in order.
-        for kind in KINDS {
-            let mut col = vec![0u64];
-            let mapping = vec![0u32; 33];
-            let vals: Vec<u64> = (0..33).collect();
-            fold_mapped(kind, FoldOp::Sum, false, &mut col, &mapping, &vals);
-            assert_eq!(col[0], (0..33).sum::<u64>(), "{kind:?}");
-        }
+        let mut col = vec![0u64];
+        let mapping = vec![0u32; 33];
+        let vals: Vec<u64> = (0..33).collect();
+        fold_mapped(KernelKind, FoldOp::Sum, false, &mut col, &mapping, &vals);
+        assert_eq!(col[0], (0..33).sum::<u64>());
     }
 }

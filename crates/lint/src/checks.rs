@@ -13,8 +13,7 @@ use std::fmt;
 pub enum Check {
     /// An external dependency in a `Cargo.toml` (the std-only contract).
     Deps,
-    /// A documented out-of-line collision path lost its `#[inline(never)]`
-    /// or `#[cold]` marker.
+    /// A documented out-of-line cold path lost its `#[cold]` marker.
     ColdPath,
     /// An atomic protocol violation: a weak ordering with no `ORDERING`
     /// annotation, an unparseable or stale one, an unpaired Release store
@@ -154,13 +153,10 @@ fn check_dep_entry(path: &str, line: usize, name: &str, value: &str, out: &mut V
 
 /// The documented out-of-line cold paths and the marker each must carry:
 /// `(file suffix, function name, required attribute)`. These keep the
-/// probe fast path small enough to inline into the batch loop (DESIGN §10).
-pub const COLD_PATHS: &[(&str, &str, &str)] = &[
-    ("crates/hashtbl/src/fixed.rs", "probe_collision", "#[inline(never)]"),
-    ("crates/hashtbl/src/grow.rs", "grow", "#[cold]"),
-];
+/// probe walk small enough to inline into its insert loop.
+pub const COLD_PATHS: &[(&str, &str, &str)] = &[("crates/hashtbl/src/grow.rs", "grow", "#[cold]")];
 
-/// The out-of-line collision paths keep their markers.
+/// The out-of-line cold paths keep their markers.
 pub fn check_cold_paths(path: &str, lines: &[SourceLine]) -> Vec<Finding> {
     let mut out = Vec::new();
     for &(suffix, func, marker) in COLD_PATHS {
@@ -260,14 +256,14 @@ rand = { version = \"0.8\" }
 
     #[test]
     fn cold_path_check_requires_marker() {
-        let with = "#[inline(never)]\nfn probe_collision() {}\n";
-        assert!(check_cold_paths("crates/hashtbl/src/fixed.rs", &scan(with)).is_empty());
-        let without = "#[inline]\nfn probe_collision() {}\n";
-        let f = check_cold_paths("crates/hashtbl/src/fixed.rs", &scan(without));
+        let with = "#[cold]\nfn grow() {}\n";
+        assert!(check_cold_paths("crates/hashtbl/src/grow.rs", &scan(with)).is_empty());
+        let without = "#[inline]\nfn grow() {}\n";
+        let f = check_cold_paths("crates/hashtbl/src/grow.rs", &scan(without));
         assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("#[inline(never)]"));
+        assert!(f[0].message.contains("#[cold]"));
         let gone = "fn something_else() {}\n";
-        let f2 = check_cold_paths("crates/hashtbl/src/fixed.rs", &scan(gone));
+        let f2 = check_cold_paths("crates/hashtbl/src/grow.rs", &scan(gone));
         assert_eq!(f2.len(), 1);
         assert_eq!(f2[0].line, 0);
     }

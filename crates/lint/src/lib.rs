@@ -20,8 +20,8 @@
 //!    potential-deadlock finding.
 //! 3. **deps** — every dependency in every manifest is an `hsa-*`
 //!    path/workspace reference (the std-only contract).
-//! 4. **cold-path** — the documented out-of-line collision paths in
-//!    `hashtbl` keep their `#[inline(never)]` / `#[cold]` markers.
+//! 4. **cold-path** — the documented out-of-line growth path in
+//!    `hashtbl` keeps its `#[cold]` marker.
 //!
 //! The binary walks `src/` and `crates/*/src` from the workspace root,
 //! prints `path:line: [check] message` findings, and exits non-zero if

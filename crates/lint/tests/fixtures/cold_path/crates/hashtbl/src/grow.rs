@@ -1,3 +1,4 @@
-//! Fixture: the documented `grow` cold path was renamed away.
+//! Fixture: the documented `grow` cold path lost its `#[cold]`.
 
-pub fn expand() {}
+#[inline]
+pub fn grow() {}

@@ -55,15 +55,11 @@ fn weak_ordering_is_flagged_only_in_scoped_crates() {
 fn lost_cold_path_markers_are_flagged() {
     let root = fixture("cold_path");
     let findings = run(&root).unwrap().findings;
-    assert_eq!(findings.len(), 2, "{findings:?}");
+    assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].check, Check::ColdPath);
-    assert_eq!(findings[0].path, "crates/hashtbl/src/fixed.rs");
+    assert_eq!(findings[0].path, "crates/hashtbl/src/grow.rs");
     assert_eq!(findings[0].line, 4);
-    assert!(findings[0].message.contains("#[inline(never)]"));
-    // `grow` is gone entirely: a whole-file (line 0) finding.
-    assert_eq!(findings[1].check, Check::ColdPath);
-    assert_eq!(findings[1].path, "crates/hashtbl/src/grow.rs");
-    assert_eq!(findings[1].line, 0);
+    assert!(findings[0].message.contains("#[cold]"));
 }
 
 #[test]

@@ -528,6 +528,7 @@ impl<'a> Reader<'a> {
 
     /// A run of at most 19 digits — which cannot overflow — that does not
     /// go on as a fraction or exponent. `pos` moves only on success.
+    #[inline(always)]
     fn plain_u64(&mut self) -> Option<u64> {
         let rest = &self.text.as_bytes()[self.pos..];
         let mut v = 0u64;

@@ -93,12 +93,6 @@ metric_enum! {
         Cancellations => "cancellations",
         /// Worker panics contained by the scope and surfaced as errors.
         ContainedPanics => "contained_panics",
-        /// Rows whose HASHING hot loops ran through the batched
-        /// (prefetch-pipelined) kernels.
-        KernelBatchedRows => "kernel_batched_rows",
-        /// Rows whose HASHING hot loops ran through the scalar reference
-        /// kernels (forced via `AggregateConfig::kernel`).
-        KernelScalarRows => "kernel_scalar_rows",
         /// Bytes written to spill files.
         SpilledBytes => "spilled_bytes",
         /// Spilled runs read back into memory for consumption.

@@ -30,7 +30,6 @@ run fig09 "$ROWS"
 run fig10 "$ROWS"
 run fig11 "$ROWS"
 run ablation_fill "$ROWS"
-run ablation_kernels "$ROWS"
 run ablation_spill "$ROWS"
 run ablation_concurrency "$((ROWS - 2))"
 

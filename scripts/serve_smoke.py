@@ -123,7 +123,7 @@ def main():
     # Reference run, alone on the server.
     _, alone, done = run_query(keys, vals)
     assert alone == want, "solo run disagrees with the oracle"
-    assert done["report"]["report_version"] == 3, done["report"]
+    assert done["report"]["report_version"] == 4, done["report"]
     assert done["report"]["query_id"] == done["query_id"], done
 
     results = {}

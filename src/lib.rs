@@ -46,10 +46,9 @@ pub use hsa_core::{
     aggregate, distinct, merge_partials, try_aggregate, try_aggregate_observed, try_merge_partials,
     AdaptiveParams, AdmissionConfig, AdmissionController, AdmissionDenied, AdmissionOutcome,
     AdmissionRequest, AggError, AggStream, AggregateConfig, CancelReason, CancelToken, DiskBudget,
-    DiskReservation, ExecEnv, FaultInjector, FaultPlan, GroupByOutput, KernelKind, KernelPref,
-    MemoryBudget, ObsConfig, OpStats, ProfileTree, QueryGrant, Reservation, RunHandle, RunReport,
-    RunStore, SpillCodec, SpillConfig, SpillFault, SpillFaultKind, SpilledRun, Strategy,
-    REPORT_VERSION,
+    DiskReservation, ExecEnv, FaultInjector, FaultPlan, GroupByOutput, MemoryBudget, ObsConfig,
+    OpStats, ProfileTree, QueryGrant, Reservation, RunHandle, RunReport, RunStore, SpillCodec,
+    SpillConfig, SpillFault, SpillFaultKind, SpilledRun, Strategy, REPORT_VERSION,
 };
 pub use query::{AggValues, Query, QueryResult};
 
@@ -79,10 +78,7 @@ pub mod xmem {
 pub mod kernels {
     pub use hsa_hash::{digit, Hasher64, Identity, Murmur2, FANOUT};
     pub use hsa_hashtbl::{identity_of, AggTable, GrowTable, Insert, TableConfig};
-    pub use hsa_kernels::{
-        fold_mapped, prefetch_read, prefetch_write, probe_scan, select, FoldOp, KernelKind,
-        KernelPref, BATCH, FOLD_PREFETCH_AHEAD,
-    };
+    pub use hsa_kernels::{fold_mapped, select, FoldOp, KernelKind, KernelPref};
     pub use hsa_partition::{
         memcpy_nt, partition_keys, partition_keys_mapped, partition_naive, partition_overalloc,
         partition_swc, partition_swc_with_mode, partition_unrolled, partition_unrolled_with_mode,

@@ -14,7 +14,6 @@ fn core_counts(keys: &[u64]) -> BTreeMap<u64, u64> {
         strategy: Strategy::Adaptive(AdaptiveParams::default()),
         fill_percent: 25,
         morsel_rows: 1 << 12,
-        ..AggregateConfig::default()
     };
     let (out, _) = aggregate(keys, &[], &[AggSpec::count()], &cfg);
     out.keys.iter().copied().zip(out.states[0].iter().copied()).collect()

@@ -33,7 +33,6 @@ fn test_cfg(strategy: Strategy) -> AggregateConfig {
         strategy,
         fill_percent: 25,
         morsel_rows: 1 << 13,
-        ..AggregateConfig::default()
     }
 }
 

@@ -71,7 +71,6 @@ fn tiny_cfg(strategy: Routing) -> AggregateConfig {
         strategy,
         fill_percent: 25,
         morsel_rows: 512,
-        ..AggregateConfig::default()
     }
 }
 

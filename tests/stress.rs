@@ -12,7 +12,6 @@ fn cfg(cache_bytes: usize, threads: usize, morsel_rows: usize) -> AggregateConfi
         strategy: Strategy::Adaptive(AdaptiveParams::default()),
         fill_percent: 25,
         morsel_rows,
-        ..AggregateConfig::default()
     }
 }
 
