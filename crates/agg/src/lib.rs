@@ -17,6 +17,8 @@
 //! list of them to physical [`StateOp`] columns plus [`Finalizer`]s that
 //! compute the visible output from the state columns.
 
+#![forbid(unsafe_code)]
+
 mod fold;
 mod ops;
 mod planning;

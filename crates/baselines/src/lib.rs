@@ -24,6 +24,8 @@
 //! The unit of work here is the paper's comparison query: a DISTINCT-style
 //! grouping with an optional COUNT, over a `u64` key column.
 
+#![forbid(unsafe_code)]
+
 mod atomic;
 mod hybrid;
 mod independent;

@@ -13,6 +13,9 @@
 //!   stored straight into its partition's open chunk, no write-combining
 //! * `map`     — applying the digit mapping to an aggregate column
 //!
+//! The paper's rungs are [`hsa_bench::ladder`]'s; the last two rows run
+//! `hsa-partition`, the operator's crate.
+//!
 //! Paper result: swc ≈ 2.9× naive, oo +24% (3.0× total), two-level −2%,
 //! final kernel ≈ 97% of memcpy bandwidth; map ≈ 93%. Why the production
 //! row is not one of the paper's rungs: EXPERIMENTS.md, Figure 3.
@@ -21,6 +24,7 @@
 //! cargo run --release -p hsa-bench --bin fig03 [rows_log2]
 //! ```
 
+use hsa_bench::ladder::{self, FlushMode::*};
 use hsa_bench::*;
 use hsa_partition as part;
 
@@ -38,7 +42,7 @@ fn main() {
     out.header(&cells!["variant", "GiB/s", "vs memcpy"]);
 
     let mut dst = Vec::new();
-    let (t_memcpy, _) = median_secs(repeats, || part::memcpy_nt(&mut dst, &keys));
+    let (t_memcpy, _) = median_secs(repeats, || ladder::memcpy_nt(&mut dst, &keys));
     let memcpy_bw = bandwidth_gib_s(t_memcpy, n);
     out.row(&cells!["memcpy_nt", format!("{memcpy_bw:.2}"), "1.00"]);
 
@@ -47,30 +51,30 @@ fn main() {
         out.row(&cells![name, format!("{bw:.2}"), format!("{:.2}", bw / memcpy_bw)]);
     };
 
-    let (t, _) = median_secs(repeats, || part::partition_naive(keys.iter().copied(), identity, 0));
+    let (t, _) =
+        median_secs(repeats, || ladder::partition_naive(keys.iter().copied(), identity, 0));
     report("naive key", t);
-    let (t, _) = median_secs(repeats, || part::partition_naive(keys.iter().copied(), murmur, 0));
+    let (t, _) = median_secs(repeats, || ladder::partition_naive(keys.iter().copied(), murmur, 0));
     report("naive hash", t);
-    use part::FlushMode::{Cached, Streaming};
     let (t, _) = median_secs(repeats, || {
-        part::partition_swc_with_mode(keys.iter().copied(), identity, 0, Cached)
+        ladder::partition_swc_with_mode(keys.iter().copied(), identity, 0, Cached)
     });
     report("swc key", t);
     let (t, _) = median_secs(repeats, || {
-        part::partition_swc_with_mode(keys.iter().copied(), murmur, 0, Cached)
+        ladder::partition_swc_with_mode(keys.iter().copied(), murmur, 0, Cached)
     });
     report("swc hash", t);
     let (t, _) = median_secs(repeats, || {
-        part::partition_swc_with_mode(keys.iter().copied(), murmur, 0, Streaming)
+        ladder::partition_swc_with_mode(keys.iter().copied(), murmur, 0, Streaming)
     });
     report("swc hash (nt stores)", t);
-    let (t, _) = median_secs(repeats, || part::partition_overalloc(&keys, murmur, 0));
+    let (t, _) = median_secs(repeats, || ladder::partition_overalloc(&keys, murmur, 0));
     report("oo (overalloc)", t);
     let (t, _) =
-        median_secs(repeats, || part::partition_unrolled_with_mode(&keys, murmur, 0, Cached));
+        median_secs(repeats, || ladder::partition_unrolled_with_mode(&keys, murmur, 0, Cached));
     report("oo + 2lvl", t);
     let (t, _) =
-        median_secs(repeats, || part::partition_unrolled_with_mode(&keys, murmur, 0, Streaming));
+        median_secs(repeats, || ladder::partition_unrolled_with_mode(&keys, murmur, 0, Streaming));
     report("oo + 2lvl (nt stores)", t);
     let (t, _) =
         median_secs(repeats, || part::partition_keys([keys.as_slice()].into_iter(), murmur, 0));

@@ -18,6 +18,7 @@ use hsa_obs::json::JsonValue;
 use std::time::Instant;
 
 pub mod diff;
+pub mod ladder;
 
 /// Measure `f`, returning (median seconds, last result).
 pub fn median_secs<R>(repeats: usize, mut f: impl FnMut() -> R) -> (f64, R) {

@@ -11,6 +11,8 @@
 //! The binary lives in `src/main.rs`; everything here is library code so
 //! the whole pipeline is unit-testable.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod csv;
 mod error;

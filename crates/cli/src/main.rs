@@ -4,6 +4,8 @@
 //! exit with the class's code: 1 internal, 2 budget, 3 timeout, 4 I/O,
 //! 5 invalid input (including usage errors). `--help` exits 0.
 
+#![forbid(unsafe_code)]
+
 use hsa_cli::{
     parse_args, parse_serve_args, run_on_csv_text, serve, CliError, ErrorClass, UsageError,
     SERVE_USAGE, USAGE,

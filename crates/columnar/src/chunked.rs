@@ -62,12 +62,6 @@ impl<T: Copy> ChunkedVec<T> {
         self.len == 0
     }
 
-    /// The configured chunk length.
-    #[inline]
-    pub fn chunk_len(&self) -> usize {
-        self.chunk_len
-    }
-
     /// Remaining capacity in the tail chunk (0 if a new chunk is needed).
     #[inline]
     fn tail_room(&self) -> usize {
@@ -137,49 +131,6 @@ impl<T: Copy> ChunkedVec<T> {
             chunk.extend_from_slice(head);
             values = rest;
         }
-    }
-
-    /// Append exactly `N` elements using a caller-supplied raw copy.
-    ///
-    /// This is the hook for the non-temporal flush of the partitioning
-    /// crate's write-combining rungs (the Figure 3 ablation):
-    /// when the tail chunk has contiguous room for the whole line, `copy`
-    /// is invoked with a destination pointer valid for `N` writes and the
-    /// line's source pointer, and may use streaming stores. Otherwise the
-    /// line is appended through the ordinary (cached) path.
-    ///
-    /// `copy` must write exactly `N` elements from `src` to `dst` — it is
-    /// handed raw pointers whose validity this method guarantees.
-    #[inline]
-    pub fn extend_with_line<const N: usize>(
-        &mut self,
-        line: &[T; N],
-        copy: impl FnOnce(*mut T, *const T),
-    ) {
-        let mut room = self.tail_room();
-        if room < N {
-            if room == 0 && self.chunk_len >= N {
-                self.grow();
-                room = self.tail_room();
-            }
-            if room < N {
-                // Chunk geometry can't host a whole line contiguously.
-                self.extend_from_slice(line);
-                return;
-            }
-        }
-        debug_assert!(room >= N);
-        // room ≥ N > 0 implies a tail chunk exists; the helper won't grow.
-        let chunk = self.tail_with_room();
-        let len = chunk.len();
-        chunk.reserve(N);
-        // SAFETY: `reserve` guarantees capacity for N more elements; `copy`
-        // is contracted to initialize exactly N elements.
-        unsafe {
-            copy(chunk.as_mut_ptr().add(len), line.as_ptr());
-            chunk.set_len(len + N);
-        }
-        self.len += N;
     }
 
     /// Random access (O(#chunks) walk; the kernels never use this — they
@@ -481,36 +432,5 @@ mod tests {
         assert_eq!(handed.push_chunk(Vec::with_capacity(8)), DEFAULT_CHUNK_LEN);
         assert_eq!(lens(&handed), lens(&pushed));
         assert_eq!(ChunkedVec::<u64>::new().push_chunk(Vec::new()), MIN_CHUNK_LEN);
-    }
-
-    #[test]
-    fn extend_with_line_fast_path() {
-        let mut v = ChunkedVec::with_chunk_len(16);
-        let line = [1u64, 2, 3, 4, 5, 6, 7, 8];
-        let mut used_fast = 0;
-        for _ in 0..4 {
-            v.extend_with_line(&line, |dst, src| {
-                used_fast += 1;
-                // SAFETY: `extend_with_line` passes `dst` valid for 8
-                // writes and `src` is the 8-element line above.
-                unsafe { std::ptr::copy_nonoverlapping(src, dst, 8) }
-            });
-        }
-        assert_eq!(used_fast, 4, "all appends should take the raw path");
-        assert_eq!(v.len(), 32);
-        assert_eq!(v.to_vec(), line.repeat(4));
-    }
-
-    #[test]
-    fn extend_with_line_falls_back_on_awkward_geometry() {
-        // chunk_len 12 is not a multiple of 8: the second line straddles.
-        let mut v = ChunkedVec::with_chunk_len(12);
-        let line = [9u64; 8];
-        // SAFETY: same contract as above — `dst` valid for 8 writes,
-        // `src` is the 8-element line.
-        v.extend_with_line(&line, |dst, src| unsafe { std::ptr::copy_nonoverlapping(src, dst, 8) });
-        // SAFETY: as above.
-        v.extend_with_line(&line, |dst, src| unsafe { std::ptr::copy_nonoverlapping(src, dst, 8) });
-        assert_eq!(v.to_vec(), vec![9u64; 16]);
     }
 }

@@ -26,6 +26,8 @@
 //! * [`Table`] — a small named-column table used by the examples to stand in
 //!   for a column-store relation.
 
+#![forbid(unsafe_code)]
+
 mod chunked;
 mod codec;
 mod crc;

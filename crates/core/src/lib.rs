@@ -8,7 +8,8 @@
 //!   block-probing table ([`hsa_hashtbl::AggTable`]); a full table splits
 //!   into 256 digit ranges, each an (early-aggregated) run, and
 //! * `PARTITIONING` (Algorithm 1, line 1) — move rows to 256 runs by hash
-//!   digit with software write-combining ([`hsa_partition`]).
+//!   digit, each value appended straight into its run's open chunk
+//!   ([`hsa_partition`]).
 //!
 //! Both emit runs keyed by the same hash digit, so the recursion of
 //! Algorithm 2 can mix them freely: buckets recurse until one fully
@@ -43,6 +44,8 @@
 //! assert_eq!(rows[1], (2, vec![2, 70]));
 //! assert_eq!(rows[2], (3, vec![1, 40]));
 //! ```
+
+#![forbid(unsafe_code)]
 
 mod adaptive;
 mod driver;

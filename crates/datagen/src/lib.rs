@@ -17,6 +17,8 @@
 //! assert!((4000..6000).contains(&heavy));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod prng;
 mod zipf;
 

@@ -33,6 +33,8 @@
 //! disabled: the unlimited budget, the never-cancelled token, and the
 //! empty fault plan are all a `None` behind an `Option<Arc<_>>`.
 
+#![forbid(unsafe_code)]
+
 mod account;
 mod admission;
 mod budget;

@@ -21,6 +21,8 @@
 //! here so that every crate agrees on the bucket geometry (§4.2: "this scheme
 //! works best with 256 partitions").
 
+#![forbid(unsafe_code)]
+
 mod murmur2;
 
 pub use murmur2::Murmur2;

@@ -19,6 +19,8 @@
 //! are pre-filled with the state operation's identity so that the key pass
 //! never touches them — the column-wise processing model of §3.3.
 
+#![forbid(unsafe_code)]
+
 mod fixed;
 mod grow;
 

@@ -18,6 +18,8 @@
 //! [`KernelKind`], [`KernelPref`] and [`select`] are shims for the frozen
 //! `benchmark/` package, which names them.
 
+#![forbid(unsafe_code)]
+
 /// The one kernel. A shim: `benchmark/` names it; ROADMAP item 4's
 /// `[benchmark]` issue removes it.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]

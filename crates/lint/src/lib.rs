@@ -27,6 +27,8 @@
 //! prints `path:line: [check] message` findings, and exits non-zero if
 //! any. `scripts/lint.sh` is the one entry point, pre-push and in CI.
 
+#![forbid(unsafe_code)]
+
 mod atomics;
 mod checks;
 mod locks;

@@ -2,6 +2,8 @@
 //!
 //! Exit codes: 0 = clean, 1 = findings, 2 = usage or I/O error.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -2,49 +2,30 @@
 //!
 //! `PARTITIONING` is the framework's fast path when early aggregation does
 //! not pay off. The operator runs it through a [`PartitionWriter`]: keys
-//! are hashed 16 at a time and every value is stored straight into the
-//! open chunk of its partition's two-level [`hsa_columnar::ChunkedVec`]
-//! (list of arrays), whose outputs persist across calls so a partition
-//! grows for as long as its owner keeps appending (§3.2). The one-shot
-//! functions run the same loops over fresh outputs, which is what the
-//! ablation and the benchmark's replay measure.
+//! are hashed 16 at a time ([`hash_ahead`], Figure 3's `oo`) and every
+//! value is stored straight into the open chunk of its partition's
+//! two-level [`hsa_columnar::ChunkedVec`] (list of arrays, `2lvl`), whose
+//! outputs persist across calls so a partition grows for as long as its
+//! owner keeps appending (§3.2). The one-shot functions
+//! ([`partition_keys`], [`partition_keys_mapped`], [`scatter_by_digits`] —
+//! Figure 3's `map`) run the same loops over fresh outputs, which is what
+//! `fig03` and the benchmark's replay measure.
 //!
-//! The crate also keeps the ablation ladder the paper measures in
-//! Figure 3:
-//!
-//! | variant | Figure 3 label | function |
-//! |---|---|---|
-//! | naive, partition by key bits | `key` | [`partition_naive`] + [`hsa_hash::Identity`] |
-//! | naive, partition by hash | `hash` | [`partition_naive`] + [`hsa_hash::Murmur2`] |
-//! | software write-combining | `swc` | [`partition_swc`] |
-//! | + 16-way unrolled hashing | `oo` | [`partition_overalloc`] |
-//! | + two-level output | `2lvl` | [`partition_unrolled`] |
-//! | direct appends + `oo` + `2lvl` (production) | — | [`partition_keys`] / [`partition_keys_mapped`] |
-//! | scatter an aggregate column (production) | `map` | [`scatter_by_digits`] |
-//! | reference bandwidth | `memcpy` | [`memcpy_nt`] |
-//!
-//! **Software write-combining** (Intel; also Balkesen et al., Wassenberg &
-//! Sanders) buffers one 64-byte cache line per partition and flushes it
-//! with non-temporal stores that bypass the cache, avoiding the
-//! read-before-write of normal stores and confining the TLB working set to
-//! the 256-line buffer array; the paper's kernel reaches ≈ 97 % of `memcpy`
-//! with it. On the virtualized hosts this reproduction is measured on it
-//! is the slowest hashed rung (`fig03`: staging every value in a line costs
-//! more than the misses it saves, and `movnti` loses outright), so the
-//! `swc*`, `unrolled*` and `overalloc` functions stay as the paper's rungs
-//! only and the production kernel stores each value once.
+//! The paper's kernel buffers values in software write-combining lines
+//! flushed with non-temporal stores. On the virtualized hosts this
+//! reproduction is measured on, that is the slowest hashed rung of Figure
+//! 3, so the operator stores each value once; the paper's rungs live in
+//! `hsa-bench`'s `ladder` module beside `fig03`, and this crate ships only
+//! what the operator runs.
+
+#![forbid(unsafe_code)]
 
 mod kernels;
 mod scatter;
-mod swc;
 mod writer;
 
-pub use kernels::{
-    partition_keys, partition_keys_mapped, partition_naive, partition_overalloc, partition_swc,
-    partition_swc_with_mode, partition_unrolled, partition_unrolled_with_mode,
-};
+pub use kernels::{hash_ahead, partition_keys, partition_keys_mapped};
 pub use scatter::scatter_by_digits;
-pub use swc::{memcpy_nt, FlushMode, LINE_U64S};
 pub use writer::PartitionWriter;
 
 use hsa_columnar::ChunkedVec;

@@ -17,6 +17,8 @@
 //! hashing), sort- and hash-based aggregation transfer **the same** number
 //! of cache lines — "hashing is sorting".
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod model;
 pub mod traced;

@@ -5,8 +5,9 @@
 //! Färber — SIGMOD 2015): a relational `GROUP BY` operator that is
 //! cache-efficient without prior knowledge of input skew or output
 //! cardinality, built as a radix sort over hash values that switches
-//! per-thread between an early-aggregating `HASHING` routine and a
-//! software-write-combining `PARTITIONING` routine.
+//! per-thread between an early-aggregating `HASHING` routine and a radix
+//! `PARTITIONING` routine that hashes 16 keys ahead and appends each value
+//! straight into its partition's open chunk.
 //!
 //! This facade crate re-exports the public API of the workspace:
 //!
@@ -37,6 +38,8 @@
 //! assert_eq!(out.n_groups(), 2);
 //! assert!(stats.total_hash_rows() >= 5);
 //! ```
+
+#![forbid(unsafe_code)]
 
 mod query;
 
@@ -79,9 +82,5 @@ pub mod kernels {
     pub use hsa_hash::{digit, Hasher64, Identity, Murmur2, FANOUT};
     pub use hsa_hashtbl::{identity_of, AggTable, GrowTable, Insert, TableConfig};
     pub use hsa_kernels::{fold_mapped, select, FoldOp, KernelKind, KernelPref};
-    pub use hsa_partition::{
-        memcpy_nt, partition_keys, partition_keys_mapped, partition_naive, partition_overalloc,
-        partition_swc, partition_swc_with_mode, partition_unrolled, partition_unrolled_with_mode,
-        scatter_by_digits, FlushMode,
-    };
+    pub use hsa_partition::{partition_keys, partition_keys_mapped, scatter_by_digits};
 }
