@@ -365,7 +365,14 @@ fn handle_conn(stream: TcpStream, state: &ServeState) {
             let _ = conn.flush();
             break;
         }
-        let Ok(text) = std::str::from_utf8(&line) else { break };
+        let Ok(text) = std::str::from_utf8(&line) else {
+            let err = CliError::invalid("request line is not UTF-8");
+            conn.error(&err, conn.active.as_ref().map(|a| a.id));
+            if conn.flush().is_err() {
+                break;
+            }
+            continue;
+        };
         if text.trim().is_empty() {
             continue;
         }

@@ -397,3 +397,25 @@ fn an_endless_request_line_is_refused_and_the_connection_closed() {
     let err = reply.get("error").and_then(JsonValue::as_str).expect("no query in flight");
     assert!(err.contains("no query in flight"), "error: {err}");
 }
+
+/// A line that is not UTF-8 is a bad request like any other: one typed
+/// `invalid-input` answer, tagged with the query in flight, and the query
+/// and the connection go on.
+#[test]
+fn a_non_utf8_line_is_answered_and_the_query_goes_on() {
+    let addr = start_server(default_args());
+    let (keys, vals) = test_data(10_000);
+    let mut client = Client::connect(addr);
+    let id = client.submit(SUBMIT);
+    client.push_ok(&keys[..4_000], &[&vals[..4_000]]);
+    client.writer.write_all(b"\xff\n").expect("send");
+    let reply = client.recv();
+    let err = reply.get("error").and_then(JsonValue::as_str).expect("typed error");
+    assert_eq!(err, "request line is not UTF-8");
+    assert_eq!(reply.get("class").and_then(JsonValue::as_str), Some("invalid-input"));
+    assert_eq!(reply.get("exit_class").and_then(JsonValue::as_u64), Some(5));
+    assert_eq!(reply.get("query_id").and_then(JsonValue::as_u64), Some(id));
+    client.push_ok(&keys[4_000..], &[&vals[4_000..]]);
+    let (rows, _) = client.finish();
+    assert_eq!(rows, expected_rows(&keys, &vals));
+}

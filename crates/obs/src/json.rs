@@ -267,6 +267,15 @@ const MAX_DEPTH: u32 = 128;
 /// it is still consumed and validated — so the caller chooses between
 /// ignoring and rejecting it, as `value.get(k).and_then(as_u64)` let it.
 /// What [`parse`] rejects the reader rejects, with the same error.
+///
+/// Arrays of unsigned integers — [`Reader::u64_array`] and every array
+/// [`Reader::value`] meets below the depth bound — are first read by one
+/// scan that keeps its position in a register while the array is compact
+/// (`[d,d,…,d]`, at most 19 digits a number, 20 bytes of text left). At
+/// anything else it hands the number it stopped at to the
+/// whitespace-tolerant loop, and an array that is not all plain integers
+/// is re-read from its `[` by the general grammar, so the fast path
+/// changes no answer and no error.
 pub struct Reader<'a> {
     text: &'a str,
     pos: usize,
@@ -297,7 +306,12 @@ impl<'a> Reader<'a> {
             Some(b'f') => self.eat_lit("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::Str(self.string()?.into_owned())),
             Some(b'[') => {
-                let mut items = Vec::new();
+                let (start, mut items) = (self.pos, Vec::new());
+                if self.plain_u64_array(|v| items.push(JsonValue::U64(v))) {
+                    return Ok(JsonValue::Array(items));
+                }
+                self.pos = start;
+                items.clear();
                 self.array(|r| {
                     items.push(r.value()?);
                     Ok(())
@@ -377,7 +391,7 @@ impl<'a> Reader<'a> {
     pub fn u64_array(&mut self, out: &mut Vec<u64>) -> Result<bool, ParseError> {
         self.skip_ws();
         let (start, len) = (self.pos, out.len());
-        if self.plain_u64_array(out) {
+        if self.plain_u64_array(|v| out.push(v)) {
             return Ok(true);
         }
         // Not an array of plain digit runs (another type, `-0`, twenty
@@ -548,10 +562,16 @@ impl<'a> Reader<'a> {
         Some(v)
     }
 
-    /// `[d, d, …]` of plain digit runs; `false` (wherever `pos` got to) on
-    /// anything else.
-    fn plain_u64_array(&mut self, out: &mut Vec<u64>) -> bool {
-        if self.peek() != Some(b'[') {
+    /// `[d, d, …]` of plain digit runs, opened below [`MAX_DEPTH`], each
+    /// handed to `push`; `false` (wherever `pos` got to, some members
+    /// possibly pushed) on anything else.
+    ///
+    /// The compact shape every `rows` request and result block has,
+    /// `d,d,…,d]`, is read by [`Reader::compact_u64s`]; at the first number
+    /// it cannot take, the whitespace-tolerant loop below goes on from that
+    /// number, so what is accepted does not depend on which loop read it.
+    fn plain_u64_array(&mut self, mut push: impl FnMut(u64)) -> bool {
+        if self.peek() != Some(b'[') || self.depth >= MAX_DEPTH {
             return false;
         }
         self.pos += 1;
@@ -560,10 +580,13 @@ impl<'a> Reader<'a> {
             self.pos += 1;
             return true;
         }
+        if self.compact_u64s(&mut push) {
+            return true;
+        }
         loop {
             self.skip_ws();
             let Some(v) = self.plain_u64() else { return false };
-            out.push(v);
+            push(v);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -574,6 +597,43 @@ impl<'a> Reader<'a> {
                 _ => return false,
             }
         }
+    }
+
+    /// The fast path of [`Reader::plain_u64_array`]: numbers of at most 19
+    /// digits, each followed directly by `,` or `]` and starting at least
+    /// 20 bytes before the end of the text, read with the position in a
+    /// register. `true` past the `]`; otherwise `false` with `pos` at the
+    /// start of the number it could not take (the last few of a document
+    /// among them) and the ones before it pushed.
+    #[inline(always)]
+    fn compact_u64s(&mut self, push: &mut impl FnMut(u64)) -> bool {
+        let bytes = self.text.as_bytes();
+        let mut pos = self.pos;
+        // Room for 19 digits and the separator, so no read is checked.
+        while let Some(window) = bytes.get(pos..pos + 20) {
+            let mut n = 0;
+            let mut v = 0u64;
+            while n < 19 {
+                let d = window[n].wrapping_sub(b'0');
+                if d > 9 {
+                    break;
+                }
+                v = v * 10 + u64::from(d);
+                n += 1;
+            }
+            match window[n] {
+                b',' if n > 0 => push(v),
+                b']' if n > 0 => {
+                    push(v);
+                    self.pos = pos + n + 1;
+                    return true;
+                }
+                _ => break,
+            }
+            pos += n + 1;
+        }
+        self.pos = pos;
+        false
     }
 
     fn number(&mut self) -> Result<JsonValue, ParseError> {
@@ -721,7 +781,21 @@ mod tests {
         "[1,2] x",
         "-",
         "[1,2",
+        "[007,1]",
+        "[1,2, 3]",
+        "[1,2,3.5]",
+        "[1,2,-0]",
+        "[1,2,1e3]",
+        "[1,2,]",
+        "[1,,2]",
+        "[12345678901234567890,1]",
     ];
+
+    /// `n` nested arrays around the numeric leaf `[1,2]`: the leaf opens at
+    /// depth `n + 1`.
+    fn deep_leaf(n: usize) -> String {
+        "[".repeat(n) + "[1,2]" + &"]".repeat(n)
+    }
 
     /// Run one typed getter over the whole of `doc`.
     fn typed<T>(
@@ -736,7 +810,8 @@ mod tests {
 
     #[test]
     fn typed_getters_agree_with_the_tree_on_the_corpus() {
-        for doc in CORPUS {
+        let deep = [deep_leaf(MAX_DEPTH as usize - 1), deep_leaf(MAX_DEPTH as usize)];
+        for doc in CORPUS.iter().copied().chain(deep.iter().map(String::as_str)) {
             let tree = parse(doc);
             // What the tree says a getter must answer: its error, or `f`
             // of its value.
@@ -807,6 +882,135 @@ mod tests {
         assert_eq!(vals, [u64::MAX]);
     }
 
+    /// The reference for a document that should be an array of numbers,
+    /// which never touches the reader: split on `[`, `,` and `]`, trim, and
+    /// judge each member by the tree's number rules. `None` if it is not
+    /// valid JSON; every document the differential test builds is either
+    /// that or an array.
+    fn split_array(doc: &str) -> Option<Vec<JsonValue>> {
+        const WS: &[char] = &[' ', '\t', '\n', '\r'];
+        let inner = doc.trim_matches(WS).strip_prefix('[')?.strip_suffix(']')?;
+        if inner.trim_matches(WS).is_empty() {
+            return Some(Vec::new());
+        }
+        inner.split(',').map(|m| number_member(m.trim_matches(WS))).collect()
+    }
+
+    /// One member as [`Reader::value`] reads a number: `-?d*(.d*)?([eE][+-]?d*)?`
+    /// starting with `-` or a digit, then the first of `u64`, `i64`, `f64`
+    /// that parses it, integer lanes only without `.` or an exponent.
+    fn number_member(m: &str) -> Option<JsonValue> {
+        let b = m.as_bytes();
+        let digits = |mut i: usize| {
+            while b.get(i).is_some_and(u8::is_ascii_digit) {
+                i += 1;
+            }
+            i
+        };
+        if !b.first().is_some_and(|&c| c == b'-' || c.is_ascii_digit()) {
+            return None;
+        }
+        let mut i = digits(usize::from(b[0] == b'-'));
+        let int_end = i;
+        if b.get(i) == Some(&b'.') {
+            i = digits(i + 1);
+        }
+        if matches!(b.get(i), Some(b'e' | b'E')) {
+            i += 1;
+            if matches!(b.get(i), Some(b'+' | b'-')) {
+                i += 1;
+            }
+            i = digits(i);
+        }
+        if i != b.len() {
+            return None;
+        }
+        if int_end == b.len() {
+            if let Ok(v) = m.parse::<u64>() {
+                return Some(JsonValue::U64(v));
+            }
+            if let Ok(v) = m.parse::<i64>() {
+                return Some(JsonValue::I64(v));
+            }
+        }
+        m.parse::<f64>().ok().map(JsonValue::F64)
+    }
+
+    /// Arrays of 0–40 numbers of 1–20 digits (leading zeros, `u64::MAX`
+    /// and one past it included), compact and then mutated once — space
+    /// at some offset, one byte replaced, truncated, or a comma doubled —
+    /// read by [`parse`] and [`Reader::u64_array`], both of which take the
+    /// compact fast path, and by [`split_array`], which does not. Each is
+    /// read once more with trailing whitespace, which changes no answer
+    /// but gives the numbers before the last `]` the fast path's 20-byte
+    /// window.
+    #[test]
+    fn u64_arrays_agree_with_a_reference_that_never_takes_the_fast_path() {
+        let mut s = 42u64;
+        let mut rand = move |n: usize| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s % n as u64) as usize
+        };
+        let (mut fast, mut members) = (0, 0);
+        for _ in 0..20_000 {
+            let len = rand(41);
+            let nums: Vec<String> = (0..len)
+                .map(|_| match rand(20) {
+                    0 => u64::MAX.to_string(),
+                    1 => "18446744073709551616".to_string(),
+                    2 => "0".repeat(1 + rand(4)) + &rand(1000).to_string(),
+                    _ => (0..1 + rand(20)).map(|_| char::from(b'0' + rand(10) as u8)).collect(),
+                })
+                .collect();
+            let compact = format!("[{}]", nums.join(","));
+            let mut mutated = compact.clone();
+            let at = rand(compact.len());
+            match rand(4) {
+                0 => mutated.insert(at + rand(2), [' ', '\t', '\n', '\r'][rand(4)]),
+                1 => {
+                    mutated.replace_range(at..at + 1, ["-", ".", "e", ",", "]", "x", "é"][rand(7)])
+                }
+                2 => mutated.truncate(at),
+                _ => match compact.find(',') {
+                    Some(comma) => mutated.insert(comma, ','),
+                    None => mutated.insert(at, ','),
+                },
+            }
+            let pad = |d: &str| d.to_string() + &" ".repeat(20);
+            for doc in [&compact, &mutated, &pad(&compact), &pad(&mutated)] {
+                let want = split_array(doc);
+                let tree = parse(doc);
+                assert_eq!(
+                    tree.as_ref().ok(),
+                    want.clone().map(JsonValue::Array).as_ref(),
+                    "{doc:?}"
+                );
+                let mut vals = vec![99];
+                let got = typed(doc, |r| r.u64_array(&mut vals));
+                let want_u64s =
+                    want.map(|w| w.iter().map(JsonValue::as_u64).collect::<Option<Vec<_>>>());
+                match (want_u64s, tree) {
+                    (Some(Some(u64s)), _) => {
+                        assert_eq!(got, Ok(true), "{doc:?}");
+                        assert_eq!(vals[1..], u64s, "{doc:?}");
+                        fast += 1;
+                        members += u64s.len();
+                    }
+                    (Some(None), _) => {
+                        assert_eq!(got, Ok(false), "{doc:?}");
+                        assert_eq!(vals, [99], "{doc:?}: untouched on a mismatch");
+                    }
+                    (None, tree) => assert_eq!(got.err(), tree.err(), "{doc:?}"),
+                }
+            }
+        }
+        // The generator must reach both sides: plenty of all-`u64` arrays
+        // and plenty of everything else.
+        assert!(fast > 10_000 && fast < 70_000 && members > 100_000, "{fast} {members}");
+    }
+
     /// `(op, keys, cols)` of a `rows` request.
     type RowsLine = (String, Vec<u64>, Vec<Vec<u64>>);
 
@@ -870,6 +1074,10 @@ mod tests {
         assert!(parse(&deep(MAX_DEPTH as usize)).is_ok());
         let e = parse(&deep(MAX_DEPTH as usize + 1)).unwrap_err();
         assert_eq!(e.msg, "nesting too deep");
+        // A numeric leaf takes the array fast path, under the same bound.
+        assert!(parse(&deep_leaf(MAX_DEPTH as usize - 1)).is_ok());
+        let e = parse(&deep_leaf(MAX_DEPTH as usize)).unwrap_err();
+        assert_eq!((e.at, e.msg.as_str()), (MAX_DEPTH as usize + 1, "nesting too deep"));
         // Far past any stack the recursion could have used.
         assert!(parse(&"[".repeat(1 << 20)).is_err());
         assert!(parse(&"{\"a\":".repeat(1 << 20)).is_err());

@@ -13,7 +13,11 @@ real external client against the real binary:
   * a victim cancelled mid-stream from a separate control connection:
     must die with `class == "timeout"`, `exit_class == 3`;
   * a victim whose memory slice is far below the resident floor: must die
-    with `class == "budget"`, `exit_class == 2`.
+    with `class == "budget"`, `exit_class == 2`;
+  * on one connection, a `rows` line with whitespace inside both arrays
+    (the decoder's slow path) answers bit-identically to the compact line
+    (its fast path), and a non-UTF-8 line gets `class == "invalid-input"`
+    while the connection's next query still completes.
 
 Every assertion failure raises, so the process exits non-zero on any
 protocol or correctness violation. Scratch-file hygiene is checked by the
@@ -35,7 +39,10 @@ class Conn:
         self.f = self.sock.makefile("rwb")
 
     def send(self, obj):
-        self.f.write((json.dumps(obj) + "\n").encode())
+        self.send_raw((json.dumps(obj) + "\n").encode())
+
+    def send_raw(self, line):
+        self.f.write(line)
         self.f.flush()
 
     def recv(self):
@@ -116,9 +123,40 @@ def run_query(keys, vals, chunk=4096, extra=None):
     return qid, rows, done
 
 
+def wire_forms(keys, vals, want):
+    """Compact vs spaced `rows` lines, then a non-UTF-8 line, on one connection."""
+    compact = json.dumps(
+        {"op": "rows", "keys": keys, "cols": [vals]}, separators=(",", ":")
+    )
+    spaced = compact.replace(",", " , ").replace("[", "[ ").replace("]", " ]")
+    c = Conn()
+    answers = []
+    for line in (compact, spaced):
+        submit(c)
+        c.send_raw(line.encode() + b"\n")
+        r = c.recv()
+        assert r.get("ok") == "rows", f"push failed: {r}"
+        answers.append(finish(c)[0])
+    assert answers[0] == want, "compact rows line disagrees with the oracle"
+    assert answers[1] == answers[0], "whitespace inside the arrays changed the answer"
+
+    qid = submit(c)
+    c.send_raw(b"\xff\n")
+    r = c.recv()
+    assert r.get("class") == "invalid-input" and r.get("exit_class") == 5, r
+    assert r.get("query_id") == qid, r
+    c.send_raw(compact.encode() + b"\n")
+    r = c.recv()
+    assert r.get("ok") == "rows", f"push after a non-UTF-8 line failed: {r}"
+    assert finish(c)[0] == want, "the query after a non-UTF-8 line changed its answer"
+    c.close()
+    print("serve smoke: compact = spaced rows line; non-UTF-8 line answered", flush=True)
+
+
 def main():
     keys, vals = data(20_000, 500)
     want = expected(keys, vals)
+    wire_forms(keys, vals, want)
 
     # Reference run, alone on the server.
     _, alone, done = run_query(keys, vals)
