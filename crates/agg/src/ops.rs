@@ -67,17 +67,6 @@ impl StateOp {
             self.apply(s, v)
         }
     }
-
-    /// State for a new group from an incoming value that may already be a
-    /// partial aggregate.
-    #[inline(always)]
-    pub fn init_from(self, v: u64, incoming_aggregated: bool) -> u64 {
-        if incoming_aggregated {
-            v
-        } else {
-            self.init(v)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +113,5 @@ mod tests {
     fn combine_dispatches_on_flag() {
         assert_eq!(StateOp::Count.combine(5, 100, false), 6);
         assert_eq!(StateOp::Count.combine(5, 100, true), 105);
-        assert_eq!(StateOp::Count.init_from(100, false), 1);
-        assert_eq!(StateOp::Count.init_from(100, true), 100);
     }
 }

@@ -82,14 +82,6 @@ impl Finalizer {
             }
         }
     }
-
-    /// Evaluate as an integer where exact (everything but AVG).
-    pub fn eval_u64(&self, states: &[u64]) -> Option<u64> {
-        match *self {
-            Finalizer::State(i) => Some(states[i]),
-            Finalizer::Ratio { .. } => None,
-        }
-    }
 }
 
 /// A lowered aggregation plan.
@@ -190,8 +182,6 @@ mod tests {
         assert_eq!(Finalizer::State(1).eval(&[7, 9]), 9.0);
         assert_eq!(Finalizer::Ratio { sum: 0, count: 1 }.eval(&[10, 4]), 2.5);
         assert!(Finalizer::Ratio { sum: 0, count: 1 }.eval(&[10, 0]).is_nan());
-        assert_eq!(Finalizer::State(0).eval_u64(&[7]), Some(7));
-        assert_eq!(Finalizer::Ratio { sum: 0, count: 1 }.eval_u64(&[7, 1]), None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Hand-rolled argument parsing (no CLI dependency).
 
-use hsa_core::{AdaptiveParams, AggregateConfig, SpillCodec, Strategy};
+use hsa_core::{AdaptiveParams, AggregateConfig, Strategy};
 use std::fmt;
 
 /// Invalid command line.
@@ -54,12 +54,6 @@ pub struct CliArgs {
     /// Feed the operator in chunks of this many rows (`--chunk-rows`)
     /// through the streaming API instead of one slice.
     pub chunk_rows: Option<usize>,
-    /// Per-extent spill compression policy (`--spill-compress`): `auto`
-    /// (default) or `off`.
-    pub spill_codec: Option<SpillCodec>,
-    /// Background spill I/O worker threads (`--spill-io-threads`); 0
-    /// makes spill writes and restores fully synchronous.
-    pub spill_io_threads: Option<usize>,
 }
 
 impl CliArgs {
@@ -111,12 +105,6 @@ options:
   --chunk-rows <n>        feed the operator <n> rows at a time through the
                           streaming API (bounds operator-side ingestion;
                           the CSV itself is still parsed in memory)
-  --spill-compress <c>    per-extent spill compression: auto (default,
-                          per extent the smaller of delta and rle, raw
-                          when neither shrinks) or off
-  --spill-io-threads <n>  background spill I/O workers overlapping spill
-                          writes and restore read-ahead with compute
-                          (default 1; 0 = fully synchronous I/O)
   --stats                 print the full run report (per-level passes,
                           probe lengths, partition bytes, switch alphas, ...)
   --explain               print the EXPLAIN ANALYZE operator tree: per
@@ -176,8 +164,6 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<CliArgs, Usa
     let mut spill_dir = None;
     let mut spill_limit = None;
     let mut chunk_rows = None;
-    let mut spill_codec = None;
-    let mut spill_io_threads = None;
 
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -240,18 +226,6 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<CliArgs, Usa
                 }
                 chunk_rows = Some(n);
             }
-            "--spill-compress" => {
-                let v = take_value(&mut args, "--spill-compress")?;
-                spill_codec = Some(
-                    SpillCodec::parse(&v)
-                        .ok_or_else(|| UsageError(format!("unknown codec {v:?} (auto | off)")))?,
-                );
-            }
-            "--spill-io-threads" => {
-                let v = take_value(&mut args, "--spill-io-threads")?;
-                spill_io_threads =
-                    Some(v.parse().map_err(|_| UsageError(format!("bad I/O thread count {v:?}")))?);
-            }
             other if is_flag(other) => {
                 return Err(UsageError(format!("unknown option {other:?}")));
             }
@@ -282,8 +256,6 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<CliArgs, Usa
         spill_dir,
         spill_limit,
         chunk_rows,
-        spill_codec,
-        spill_io_threads,
     })
 }
 
@@ -482,8 +454,6 @@ mod tests {
         assert_eq!(b.spill_dir, None);
         assert_eq!(b.spill_limit, None);
         assert_eq!(b.chunk_rows, None);
-        assert_eq!(b.spill_codec, None);
-        assert_eq!(b.spill_io_threads, None);
 
         assert!(parse(&["f.csv", "--group-by", "k", "--spill-dir"]).is_err());
         assert!(parse(&["f.csv", "--group-by", "k", "--spill-limit"]).is_err());
@@ -491,37 +461,6 @@ mod tests {
         assert!(parse(&["f.csv", "--group-by", "k", "--chunk-rows", "zero"]).is_err());
         let e = parse(&["f.csv", "--group-by", "k", "--chunk-rows", "0"]).unwrap_err();
         assert!(e.0.contains("at least 1"), "{e}");
-    }
-
-    #[test]
-    fn spill_io_flags() {
-        let a = parse(&[
-            "f.csv",
-            "--group-by",
-            "k",
-            "--spill-compress",
-            "off",
-            "--spill-io-threads",
-            "2",
-        ])
-        .unwrap();
-        assert_eq!(a.spill_codec, Some(SpillCodec::Off));
-        assert_eq!(a.spill_io_threads, Some(2));
-        for (arg, want) in [("auto", SpillCodec::Auto), ("raw", SpillCodec::Off)] {
-            let a = parse(&["f.csv", "--group-by", "k", "--spill-compress", arg]).unwrap();
-            assert_eq!(a.spill_codec, Some(want), "--spill-compress {arg}");
-        }
-        let zero = parse(&["f.csv", "--group-by", "k", "--spill-io-threads", "0"]).unwrap();
-        assert_eq!(zero.spill_io_threads, Some(0), "0 selects synchronous I/O");
-
-        // The forced single-codec policies are gone with their spellings.
-        for gone in ["zip", "delta", "rle"] {
-            let e = parse(&["f.csv", "--group-by", "k", "--spill-compress", gone]).unwrap_err();
-            assert!(e.0.contains(gone), "{e}");
-        }
-        assert!(parse(&["f.csv", "--group-by", "k", "--spill-compress"]).is_err());
-        assert!(parse(&["f.csv", "--group-by", "k", "--spill-io-threads", "many"]).is_err());
-        assert!(parse(&["f.csv", "--group-by", "k", "--spill-io-threads"]).is_err());
     }
 
     #[test]

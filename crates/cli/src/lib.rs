@@ -26,7 +26,7 @@ pub use load::{load_table, LoadedTable};
 pub use serve::{parse_serve_args, serve, serve_on, ServeArgs, SERVE_USAGE};
 
 use hashing_is_sorting::{
-    CancelToken, DiskBudget, ExecEnv, MemoryBudget, ObsConfig, Query, RunReport, SpillConfig,
+    CancelToken, DiskBudget, ExecEnv, MemoryBudget, ObsConfig, Query, RunReport,
 };
 use std::time::Duration;
 
@@ -67,7 +67,6 @@ pub fn run_on_csv_text(text: &str, args: &CliArgs) -> Result<CliRun, CliError> {
         metrics: args.wants_metrics(),
         trace: args.trace.is_some(),
         progress: args.progress_ms.map(Duration::from_millis),
-        ..ObsConfig::disabled()
     };
     let mut env = ExecEnv::unrestricted();
     if let Some(bytes) = args.mem_budget {
@@ -81,13 +80,6 @@ pub fn run_on_csv_text(text: &str, args: &CliArgs) -> Result<CliRun, CliError> {
     }
     if let Some(bytes) = args.spill_limit {
         env = env.with_disk_budget(DiskBudget::limited(bytes));
-    }
-    if args.spill_codec.is_some() || args.spill_io_threads.is_some() {
-        let defaults = SpillConfig::default();
-        env = env.with_spill_config(SpillConfig {
-            codec: args.spill_codec.unwrap_or(defaults.codec),
-            io_threads: args.spill_io_threads.unwrap_or(defaults.io_threads),
-        });
     }
     let mut q =
         Query::over(&loaded.table).with_config(args.config.clone()).with_obs(obs).with_env(env);

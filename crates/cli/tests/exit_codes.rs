@@ -48,12 +48,13 @@ fn help_is_zero_and_prints_usage() {
 
 #[test]
 fn usage_error_is_invalid_input() {
-    // `--kernel` was a flag once, `delta` a `--spill-compress` value;
-    // they are rejected like any unknown one, naming what was not known.
+    // `--kernel`, `--spill-compress` and `--spill-io-threads` were flags
+    // once; they are rejected like any unknown one, naming the flag.
     for (args, named) in [
         (&["--frobnicate"][..], "--frobnicate"),
         (&["--kernel", "scalar"], "--kernel"),
-        (&["f.csv", "--group-by", "k", "--spill-compress", "delta"], "delta"),
+        (&["f.csv", "--group-by", "k", "--spill-compress", "auto"], "--spill-compress"),
+        (&["f.csv", "--group-by", "k", "--spill-io-threads", "0"], "--spill-io-threads"),
     ] {
         let out = hsa(args);
         assert_eq!(code(&out), 5, "stderr: {}", stderr(&out));

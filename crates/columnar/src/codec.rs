@@ -19,52 +19,16 @@
 //! * **RLE (2)** — `(varint value, varint run length)` pairs. Constant
 //!   columns (COUNT state, partition digits) collapse to a few bytes.
 //!
-//! [`SpillCodec`] is the *policy* (whether the writer may compress at
-//! all); the codec *byte* in the extent descriptor records what was
-//! actually used, so readers never consult the policy. Encoding never
-//! loses information: `decode(encode(words))` is the identity for every
-//! input, and auto-selection only picks an encoding that is strictly
-//! smaller than Raw.
-
-use std::fmt;
+//! The writer picks one per extent (`encode`) and the codec *byte* in
+//! the extent descriptor records which, so readers need no configuration.
+//! Encoding never loses information: `decode(encode(words))` is the
+//! identity for every input, and the choice only falls on an encoding
+//! that is strictly smaller than Raw.
 
 /// Wire codec ids (the `codec` byte of an extent descriptor).
 pub(crate) const CODEC_RAW: u8 = 0;
 pub(crate) const CODEC_DELTA: u8 = 1;
 pub(crate) const CODEC_RLE: u8 = 2;
-
-/// Compression policy for spill-file extents (the CLI's
-/// `--spill-compress`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SpillCodec {
-    /// Pick per extent: the smaller of Delta and RLE, or Raw when neither
-    /// actually shrinks the payload.
-    #[default]
-    Auto,
-    /// No compression: every extent is written Raw (HSARUN02-shaped
-    /// payloads inside the HSARUN03 frame).
-    Off,
-}
-
-impl SpillCodec {
-    /// Parse a CLI/user spelling.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "auto" => Some(SpillCodec::Auto),
-            "off" | "raw" => Some(SpillCodec::Off),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for SpillCodec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SpillCodec::Auto => "auto",
-            SpillCodec::Off => "off",
-        })
-    }
-}
 
 /// Zigzag-fold a signed delta into an unsigned varint payload.
 #[inline]
@@ -185,18 +149,15 @@ fn candidate_sizes(words: &[u64]) -> (usize, usize) {
     (delta, rle)
 }
 
-/// Encode `words` under `policy` into `out` (cleared first). Returns the
-/// wire codec id actually used. A compressed form is only chosen when it
-/// is strictly smaller than the Raw payload, so `out.len() <=
-/// words.len() * 8` always holds — the invariant the HSARUN03
-/// upper-bound file size is built on.
-pub(crate) fn encode(words: &[u64], policy: SpillCodec, out: &mut Vec<u8>) -> u8 {
+/// Encode `words` into `out` (cleared first) with the smaller of Delta
+/// and RLE, or Raw when neither is strictly smaller than the Raw
+/// payload. Returns the wire codec id used. `out.len() <= words.len() *
+/// 8` always holds — the invariant the HSARUN03 upper-bound file size is
+/// built on.
+pub(crate) fn encode(words: &[u64], out: &mut Vec<u8>) -> u8 {
     out.clear();
     let raw_len = words.len() * 8;
-    let (delta_len, rle_len) = match policy {
-        SpillCodec::Off => (usize::MAX, usize::MAX),
-        SpillCodec::Auto => candidate_sizes(words),
-    };
+    let (delta_len, rle_len) = candidate_sizes(words);
     if delta_len < raw_len && delta_len <= rle_len {
         encode_delta(words, out);
         debug_assert_eq!(out.len(), delta_len, "delta size formula out of sync");
@@ -282,25 +243,29 @@ pub(crate) fn decode(
 mod tests {
     use super::*;
 
-    fn round_trip(words: &[u64], policy: SpillCodec) -> u8 {
+    fn round_trip(words: &[u64]) -> u8 {
         let mut enc = Vec::new();
-        let codec = encode(words, policy, &mut enc);
-        assert!(enc.len() <= words.len() * 8, "{policy:?} grew the payload");
+        let codec = encode(words, &mut enc);
+        assert!(enc.len() <= words.len() * 8, "codec {codec} grew the payload");
         let mut back = Vec::new();
         decode(codec, &enc, words.len(), &mut back).unwrap();
-        assert_eq!(back, words, "{policy:?} round trip");
+        assert_eq!(back, words, "codec {codec} round trip");
         codec
     }
 
-    /// Every wire codec on `words`, whether or not a policy would pick
-    /// it: both policies through `encode`, then the two compressing
+    /// Every wire codec on `words`, whether or not `encode` would pick
+    /// it: `encode`'s choice, the Raw escape, then the two compressing
     /// encoders called directly (they may grow the payload; `encode`
     /// is what never lets that reach a file).
     fn round_trip_all(words: &[u64]) {
-        round_trip(words, SpillCodec::Auto);
-        round_trip(words, SpillCodec::Off);
+        round_trip(words);
         type Encoder = fn(&[u64], &mut Vec<u8>);
-        for (codec, encoder) in [(CODEC_DELTA, encode_delta as Encoder), (CODEC_RLE, encode_rle)] {
+        let encoders = [
+            (CODEC_RAW, encode_raw as Encoder),
+            (CODEC_DELTA, encode_delta),
+            (CODEC_RLE, encode_rle),
+        ];
+        for (codec, encoder) in encoders {
             let (mut enc, mut back) = (Vec::new(), Vec::new());
             encoder(words, &mut enc);
             decode(codec, &enc, words.len(), &mut back).unwrap();
@@ -310,7 +275,7 @@ mod tests {
 
     /// The adversarial distribution lattice from the issue: constant,
     /// strictly increasing, saw-tooth, u64::MAX deltas, single-element,
-    /// empty — under every policy and every wire codec.
+    /// empty — under `encode`'s choice and every wire codec.
     #[test]
     fn adversarial_distributions_round_trip_under_every_codec() {
         let n = if cfg!(miri) { 64 } else { 4096 };
@@ -335,12 +300,11 @@ mod tests {
     fn auto_picks_the_expected_codec_per_shape() {
         let n = 1024u64;
         let sorted: Vec<u64> = (0..n).collect();
-        assert_eq!(round_trip(&sorted, SpillCodec::Auto), CODEC_DELTA);
+        assert_eq!(round_trip(&sorted), CODEC_DELTA);
         let constant = vec![7u64; n as usize];
-        assert_eq!(round_trip(&constant, SpillCodec::Auto), CODEC_RLE);
+        assert_eq!(round_trip(&constant), CODEC_RLE);
         let random: Vec<u64> = (0..n).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
-        assert_eq!(round_trip(&random, SpillCodec::Auto), CODEC_RAW);
-        assert_eq!(round_trip(&sorted, SpillCodec::Off), CODEC_RAW);
+        assert_eq!(round_trip(&random), CODEC_RAW);
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl Dictionary {
         self.encode(value.as_bytes())
     }
 
-    /// Look up a code without inserting.
-    pub fn code_of(&self, value: &[u8]) -> Option<u64> {
-        self.ids.get(value).copied()
-    }
-
     /// Decode an id back to its bytes.
     pub fn decode(&self, id: u64) -> Option<&[u8]> {
         self.values.get(id as usize).map(Vec::as_slice)
@@ -73,11 +68,6 @@ impl Dictionary {
     /// Decode an id to `&str` (None if the id is unknown or not UTF-8).
     pub fn decode_str(&self, id: u64) -> Option<&str> {
         self.decode(id).and_then(|b| std::str::from_utf8(b).ok())
-    }
-
-    /// Encode a whole column.
-    pub fn encode_column<'a>(&mut self, values: impl IntoIterator<Item = &'a str>) -> Vec<u64> {
-        values.into_iter().map(|v| self.encode_str(v)).collect()
     }
 }
 
@@ -126,8 +116,6 @@ mod tests {
         assert_eq!(d.decode_str(0), Some("x"));
         assert_eq!(d.decode_str(2), Some("z"));
         assert_eq!(d.decode_str(3), None);
-        assert_eq!(d.code_of(b"y"), Some(1));
-        assert_eq!(d.code_of(b"nope"), None);
     }
 
     #[test]
@@ -139,13 +127,6 @@ mod tests {
         assert_eq!(d.decode(a), Some(&b""[..]));
         assert_eq!(d.decode(b), Some(&[0xff, 0x00, 0x7f][..]));
         assert_eq!(d.decode_str(b), None, "not UTF-8");
-    }
-
-    #[test]
-    fn encode_column_helper() {
-        let mut d = Dictionary::new();
-        let codes = d.encode_column(["a", "b", "a"]);
-        assert_eq!(codes, vec![0, 1, 0]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!          CRC32C of every byte before the footer, magic again
 //! ```
 //!
-//! Extent payloads are compressed per extent (see [`SpillCodec`]): delta +
+//! Extent payloads are compressed per extent (see `crate::codec`): delta +
 //! zigzag varint for near-sorted data, run-length for low-cardinality
 //! columns, raw whenever neither is strictly smaller — Graefe's
 //! bandwidth-for-CPU trade applied to exactly the run/merge machinery the
@@ -33,7 +33,7 @@
 //! back to back, each read from its own offset.
 
 use crate::chunked::ChunkedVec;
-use crate::codec::{self, SpillCodec};
+use crate::codec;
 use crate::crc::{crc32c, Crc32c};
 use crate::run::Run;
 use hsa_fault::SpillFaultKind;
@@ -135,7 +135,7 @@ impl<W: Write> SpillWriter<W> {
     }
 
     /// Append `run`'s whole stream — header, framed extents, footer.
-    pub(crate) fn write_run(&mut self, run: &Run, policy: SpillCodec) -> io::Result<()> {
+    pub(crate) fn write_run(&mut self, run: &Run) -> io::Result<()> {
         // Each stream carries its own rolling CRC; the footer of the
         // previous one must not leak into it.
         self.crc = Crc32c::new();
@@ -151,9 +151,9 @@ impl<W: Write> SpillWriter<W> {
         for word in header {
             self.write_word(word)?;
         }
-        let mut extents = write_column(self, &run.keys, policy)?;
+        let mut extents = write_column(self, &run.keys)?;
         for col in &run.cols {
-            extents += write_column(self, col, policy)?;
+            extents += write_column(self, col)?;
         }
         let body_bytes = self.bytes - start;
         let stream_crc = self.crc.finalize() as u64;
@@ -284,13 +284,9 @@ pub(crate) fn read_run(
 }
 
 /// Write one column as fixed-boundary extents (the last may be short),
-/// each encoded under `policy` and framed with descriptor, descriptor
+/// each encoded on its own and framed with descriptor, descriptor
 /// CRC, padded payload, and trailer. Returns the extent count.
-fn write_column<W: Write>(
-    w: &mut SpillWriter<W>,
-    col: &ChunkedVec<u64>,
-    policy: SpillCodec,
-) -> io::Result<u64> {
+fn write_column<W: Write>(w: &mut SpillWriter<W>, col: &ChunkedVec<u64>) -> io::Result<u64> {
     let mut extents = 0u64;
     let mut words: Vec<u64> = Vec::with_capacity(EXTENT_WORDS.min(col.len()).max(1));
     let mut enc: Vec<u8> = Vec::new();
@@ -304,12 +300,12 @@ fn write_column<W: Write>(
             words.extend_from_slice(&rest[..take]);
             rest = &rest[take..];
             if words.len() == EXTENT_WORDS {
-                flush_extent(w, &mut words, &mut enc, &mut extents, policy)?;
+                flush_extent(w, &mut words, &mut enc, &mut extents)?;
             }
         }
     }
     if !words.is_empty() {
-        flush_extent(w, &mut words, &mut enc, &mut extents, policy)?;
+        flush_extent(w, &mut words, &mut enc, &mut extents)?;
     }
     Ok(extents)
 }
@@ -319,9 +315,8 @@ fn flush_extent<W: Write>(
     words: &mut Vec<u64>,
     enc: &mut Vec<u8>,
     extents: &mut u64,
-    policy: SpillCodec,
 ) -> io::Result<()> {
-    let codec_id = codec::encode(words, policy, enc);
+    let codec_id = codec::encode(words, enc);
     let n = words.len() as u64;
     let enc_len = enc.len() as u64;
     // Field widths: codec id 8 bits; word count ≤ EXTENT_WORDS fits the

@@ -37,7 +37,6 @@
 //! ahead of it. Workers never submit, so the executor cannot deadlock on
 //! its own queue.
 
-use crate::codec::SpillCodec;
 use crate::format::{read_run, ReadError, SpillWriter, HEADER_BYTES};
 use crate::run::Run;
 use hsa_fault::{
@@ -309,8 +308,8 @@ fn run_read(core: &StoreCore, read: PlannedRead, charge: Charge) {
 }
 
 /// The store state every job runs against, shared between the owning
-/// `FileStore` and the executor's workers: directory identity, policies,
-/// counters, and the deferred first-error slot.
+/// `FileStore` and the executor's workers: directory identity, fault and
+/// retry policy, counters, and the deferred first-error slot.
 #[derive(Debug)]
 pub(crate) struct StoreCore {
     pub(crate) dir: PathBuf,
@@ -319,7 +318,6 @@ pub(crate) struct StoreCore {
     pub(crate) faults: FaultInjector,
     pub(crate) disk: DiskBudget,
     pub(crate) retry: RetryPolicy,
-    pub(crate) codec: SpillCodec,
     pub(crate) spill_retries: AtomicU64,
     pub(crate) restore_retries: AtomicU64,
     pub(crate) io_abandons: AtomicU64,
@@ -448,7 +446,7 @@ impl StoreCore {
             // Offsets are deterministic across retries (same runs, same
             // codec), so the once-cell never sees a conflicting value.
             let _ = item.meta.offset.set(w.bytes);
-            w.write_run(&item.run, self.codec)?;
+            w.write_run(&item.run)?;
         }
         let actual = w.finish()?;
         debug_assert!(actual <= nominal, "upper-bound size formula out of sync with writer");

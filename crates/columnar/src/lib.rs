@@ -41,7 +41,6 @@ mod sweep;
 mod table;
 
 pub use chunked::{ChunkedVec, DEFAULT_CHUNK_LEN};
-pub use codec::SpillCodec;
 pub use crc::{crc32c, Crc32c};
 pub use dictionary::{encode_composite, Dictionary};
 pub use format::EXTENT_WORDS;

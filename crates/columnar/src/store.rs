@@ -67,7 +67,6 @@
 //! dead handles are still held. Opening a store sweeps its directory
 //! for spill files orphaned by dead processes (`crate::sweep`).
 
-use crate::codec::SpillCodec;
 use crate::format::stream_size_upper;
 use crate::io::{
     lock, Executor, IoTicket, SpillFile, SpillMeta, StoreCore, TicketState, WriteItem, WriteJob,
@@ -83,21 +82,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Storage policy knobs of one [`FileStore`]: which codec compresses
-/// extent payloads and how many I/O worker threads overlap spill I/O
-/// with compute (`0` = every write and read runs on the calling thread).
+/// How one [`FileStore`] runs its I/O: how many worker threads overlap
+/// spill I/O with compute (`0` = every write and read runs on the calling
+/// thread). Extent compression is not configured: every extent is written
+/// with whichever codec is strictly smaller than raw, or raw.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpillConfig {
-    /// Per-extent compression policy (default: [`SpillCodec::Auto`]).
-    pub codec: SpillCodec,
-    /// I/O worker threads; with `0` a write is finished when the call
-    /// that submitted it returns.
+    /// I/O worker threads (default 1); with `0` a write is finished when
+    /// the call that submitted it returns.
     pub io_threads: usize,
 }
 
 impl Default for SpillConfig {
     fn default() -> Self {
-        Self { codec: SpillCodec::Auto, io_threads: 1 }
+        Self { io_threads: 1 }
     }
 }
 
@@ -147,8 +145,8 @@ pub struct FileStore {
 impl FileStore {
     /// Open (creating if needed) a spill directory wired to an execution
     /// environment: spill writes reserve against `disk`, storage-level
-    /// faults come from `faults`, `config` picks the codec and I/O thread
-    /// count, the executor admits `queue_bytes` of payload (`QUEUE_BYTES`
+    /// faults come from `faults`, `config` picks the I/O thread count, the
+    /// executor admits `queue_bytes` of payload (`QUEUE_BYTES`
     /// outside tests), and the directory is swept for scratch files
     /// orphaned by dead processes before any new file is written.
     fn open(
@@ -172,7 +170,6 @@ impl FileStore {
             faults,
             disk,
             retry: RetryPolicy::default(),
-            codec: config.codec,
             spill_retries: AtomicU64::new(0),
             restore_retries: AtomicU64::new(0),
             io_abandons: AtomicU64::new(0),
@@ -498,8 +495,8 @@ impl RunHandle {
 /// The run storage policy for one operator invocation.
 ///
 /// `in_memory()` is the MemStore backend: every handle stays resident and
-/// budget exhaustion remains a hard denial. `spilling_to(dir)` attaches a
-/// shared [`FileStore`] so run producers can downgrade a denied
+/// budget exhaustion remains a hard denial. `spilling_with_config(dir, …)`
+/// attaches a shared [`FileStore`] so run producers can downgrade a denied
 /// reservation into a spill instead of failing the query.
 #[derive(Clone, Debug)]
 pub struct RunStore {
@@ -512,21 +509,10 @@ impl RunStore {
         Self { file: None }
     }
 
-    /// Storage backed by a spill directory (created if missing), with no
-    /// fault injection, no disk limit, and the default [`SpillConfig`].
-    pub fn spilling_to(dir: impl Into<PathBuf>) -> Result<Self, AggError> {
-        Self::spilling_with_config(
-            dir,
-            FaultInjector::none(),
-            DiskBudget::unlimited(),
-            SpillConfig::default(),
-        )
-    }
-
     /// Storage backed by a spill directory (created if missing) wired to
     /// an execution environment: spill writes reserve against `disk`,
-    /// storage-level faults come from `faults`, `config` picks the codec
-    /// and I/O thread count. The directory is swept for scratch files
+    /// storage-level faults come from `faults`, `config` picks the I/O
+    /// thread count. The directory is swept for scratch files
     /// orphaned by dead processes before any new file is written.
     pub fn spilling_with_config(
         dir: impl Into<PathBuf>,
@@ -653,10 +639,6 @@ mod tests {
         })
     }
 
-    fn cfg(codec: SpillCodec, io_threads: usize) -> SpillConfig {
-        SpillConfig { codec, io_threads }
-    }
-
     /// A store with synchronous in-line I/O: files are fully on disk the
     /// moment `spill` returns, which several tests below rely on.
     fn sync_store(dir: &Path) -> RunStore {
@@ -664,7 +646,7 @@ mod tests {
             dir,
             FaultInjector::none(),
             DiskBudget::unlimited(),
-            cfg(SpillCodec::Auto, 0),
+            SpillConfig { io_threads: 0 },
         )
         .unwrap()
     }
@@ -672,6 +654,11 @@ mod tests {
     /// A default-configured store wired to `faults` and `disk`.
     fn env_store(dir: &Path, faults: FaultInjector, disk: DiskBudget) -> RunStore {
         RunStore::spilling_with_config(dir, faults, disk, SpillConfig::default()).unwrap()
+    }
+
+    /// A default-configured store with no faults and no disk limit.
+    fn default_store(dir: &Path) -> RunStore {
+        env_store(dir, FaultInjector::none(), DiskBudget::unlimited())
     }
 
     /// Spill one run as a batch of its own.
@@ -688,7 +675,7 @@ mod tests {
         io_threads: usize,
         queue_bytes: u64,
     ) -> Arc<FileStore> {
-        let config = cfg(SpillCodec::Auto, io_threads);
+        let config = SpillConfig { io_threads };
         let disk = DiskBudget::unlimited();
         Arc::new(FileStore::open(dir.to_path_buf(), faults, disk, config, queue_bytes).unwrap())
     }
@@ -768,7 +755,7 @@ mod tests {
     #[test]
     fn spill_round_trip_preserves_rows_and_meta() {
         let dir = temp_dir("roundtrip");
-        let store = RunStore::spilling_to(&dir).unwrap();
+        let store = default_store(&dir);
         let run = sample_run();
         let handle = spill(&store, run.clone()).unwrap();
         assert!(handle.is_spilled());
@@ -792,7 +779,7 @@ mod tests {
     #[test]
     fn empty_and_zero_column_runs_round_trip() {
         let dir = temp_dir("shapes");
-        let store = RunStore::spilling_to(&dir).unwrap();
+        let store = default_store(&dir);
         for run in [Run::empty(0, 0, false), Run::empty(7, 4, true)] {
             let (n_cols, level, aggregated) = (run.n_cols(), run.level, run.aggregated);
             let back = spill(&store, run).unwrap().into_run().unwrap();
@@ -851,28 +838,30 @@ mod tests {
     #[test]
     fn upper_bound_is_exact_uncompressed_and_loose_compressed() {
         let dir = temp_dir("sizes");
-        // Codec Off: every extent is raw, so the upper bound is exact.
-        let off = RunStore::spilling_with_config(
-            &dir,
-            FaultInjector::none(),
-            DiskBudget::unlimited(),
-            cfg(SpillCodec::Off, 0),
-        )
-        .unwrap();
+        // Xorshift words: neither delta nor run-length coding is smaller
+        // than raw, so every extent is written raw and the bound is exact.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut xorshift = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let raw = sync_store(&dir);
         for rows in [0usize, 1, EXTENT_WORDS - 1, EXTENT_WORDS, EXTENT_WORDS + 1, 3 * EXTENT_WORDS]
         {
             let mut run = Run::empty(0, 1, false);
-            for i in 0..rows as u64 {
-                run.keys.push(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                run.cols[0].push(i.rotate_left(7) ^ 0xdead_beef);
+            for _ in 0..rows {
+                run.keys.push(xorshift());
+                run.cols[0].push(xorshift());
             }
-            let handle = spill(&off, run).unwrap();
+            let handle = spill(&raw, run).unwrap();
             let on_disk = fs::metadata(handle_path(&handle)).unwrap().len();
             assert_eq!(on_disk, handle.spilled_bytes(), "rows {rows}");
             assert_eq!(handle.into_run().unwrap().len(), rows);
         }
-        drop(off);
-        // Codec Auto on compressible data: strictly under the bound.
+        drop(raw);
+        // Compressible data: strictly under the bound.
         let auto = sync_store(&dir);
         let run = compressible_run(3 * EXTENT_WORDS as u64);
         let handle = spill(&auto, run.clone()).unwrap();
@@ -898,7 +887,7 @@ mod tests {
             &dir,
             FaultInjector::none(),
             disk.clone(),
-            cfg(SpillCodec::Auto, 0),
+            SpillConfig { io_threads: 0 },
         )
         .unwrap();
         let handle = spill(&store, compressible_run(10_000)).unwrap();
@@ -1073,36 +1062,34 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// The acceptance-criteria invariant: for every codec and thread
-    /// count, spilled-and-restored rows are bit-identical to the
-    /// synchronous uncompressed path.
+    /// The acceptance-criteria invariant: for every thread count,
+    /// spilled-and-restored rows are bit-identical to what was spilled —
+    /// over runs whose extents take every wire codec (raw keys and
+    /// columns, delta keys, run-length constants).
     #[cfg(not(miri))]
     #[test]
     fn every_codec_and_thread_count_round_trips_bit_identically() {
         let runs =
             [sample_run(), compressible_run(2 * EXTENT_WORDS as u64 + 17), Run::empty(2, 1, true)];
         let expected: Vec<_> = runs.iter().map(rows_of).collect();
-        for codec in [SpillCodec::Auto, SpillCodec::Off] {
-            for io_threads in [0usize, 1, 2] {
-                let dir = temp_dir(&format!("matrix-{codec}-{io_threads}"));
-                let store = RunStore::spilling_with_config(
-                    &dir,
-                    FaultInjector::none(),
-                    DiskBudget::unlimited(),
-                    cfg(codec, io_threads),
-                )
-                .unwrap();
-                let handles: Vec<_> =
-                    runs.iter().map(|r| spill(&store, r.clone()).unwrap()).collect();
-                store.plan_restores([handles.as_slice()]);
-                for (h, want) in handles.into_iter().zip(&expected) {
-                    let got = rows_of(&h.into_run().unwrap());
-                    assert_eq!(&got, want, "codec {codec} io_threads {io_threads}");
-                }
-                store.drain().unwrap();
-                drop(store);
-                let _ = fs::remove_dir_all(&dir);
+        for io_threads in [0usize, 1, 2] {
+            let dir = temp_dir(&format!("matrix-{io_threads}"));
+            let store = RunStore::spilling_with_config(
+                &dir,
+                FaultInjector::none(),
+                DiskBudget::unlimited(),
+                SpillConfig { io_threads },
+            )
+            .unwrap();
+            let handles: Vec<_> = runs.iter().map(|r| spill(&store, r.clone()).unwrap()).collect();
+            store.plan_restores([handles.as_slice()]);
+            for (h, want) in handles.into_iter().zip(&expected) {
+                let got = rows_of(&h.into_run().unwrap());
+                assert_eq!(&got, want, "io_threads {io_threads}");
             }
+            store.drain().unwrap();
+            drop(store);
+            let _ = fs::remove_dir_all(&dir);
         }
     }
 
@@ -1179,7 +1166,7 @@ mod tests {
             &dir,
             FaultInjector::none(),
             DiskBudget::unlimited(),
-            cfg(SpillCodec::Auto, 2),
+            SpillConfig { io_threads: 2 },
         )
         .unwrap();
         std::thread::scope(|scope| {
@@ -1220,7 +1207,7 @@ mod tests {
         let other = dir.join("run-00000000.bin");
         fs::write(&other, b"legacy").unwrap();
 
-        let store = RunStore::spilling_to(&dir).unwrap();
+        let store = default_store(&dir);
         let stats = store.io_stats().unwrap();
         assert_eq!(stats.reclaimed_files, 1, "exactly the dead pid's file");
         assert_eq!(stats.reclaimed_bytes, 256);
@@ -1251,7 +1238,7 @@ mod tests {
         let live = dir.join("hsarun-1-00000000.bin");
         fs::write(&live, b"live").unwrap();
 
-        let store = RunStore::spilling_to(&dir).unwrap();
+        let store = default_store(&dir);
         assert_eq!(store.io_stats().unwrap().reclaimed_files, 1);
         assert!(!stale.exists());
         assert!(!dir.join(lock_name(pid)).exists(), "stale lock swept too");
@@ -1336,7 +1323,7 @@ mod tests {
     fn planned_handles_dropped_unconsumed_leave_no_bytes_no_file_and_no_reservation() {
         let dir = temp_dir("plan-drop");
         let disk = DiskBudget::limited(1 << 30);
-        let config = cfg(SpillCodec::Auto, 1);
+        let config = SpillConfig { io_threads: 1 };
         let bound = 12 * 2 * DECODED_BYTES;
         let file = FileStore::open(dir.clone(), FaultInjector::none(), disk.clone(), config, bound);
         let file = Arc::new(file.unwrap());
@@ -1372,7 +1359,7 @@ mod tests {
             &dir,
             injected(SpillFaultKind::WriteEnospc, 1),
             disk.clone(),
-            cfg(SpillCodec::Auto, 0),
+            SpillConfig { io_threads: 0 },
         )
         .unwrap();
         let err = spill(&store, compressible_run(500)).unwrap_err();

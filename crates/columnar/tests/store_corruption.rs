@@ -17,7 +17,7 @@
 //! the write): the tests mutate scratch files directly, so the file must
 //! be complete on disk the moment `spill_batch` returns.
 
-use hsa_columnar::{crc32c, Run, RunHandle, RunStore, SpillCodec, SpillConfig, EXTENT_WORDS};
+use hsa_columnar::{crc32c, Run, RunHandle, RunStore, SpillConfig, EXTENT_WORDS};
 use hsa_fault::{AggError, DiskBudget, FaultInjector};
 use std::path::{Path, PathBuf};
 
@@ -47,7 +47,7 @@ fn sync_store(dir: &Path) -> RunStore {
         dir,
         FaultInjector::none(),
         DiskBudget::unlimited(),
-        SpillConfig { codec: SpillCodec::Auto, io_threads: 0 },
+        SpillConfig { io_threads: 0 },
     )
     .unwrap()
 }

@@ -8,8 +8,9 @@
 //! (including 0 and `u64::MAX`), reading a spill file back yields exactly
 //! the run that was written.
 
-use hsa_columnar::{Run, RunHandle, RunStore, EXTENT_WORDS};
-use std::path::PathBuf;
+use hsa_columnar::{Run, RunHandle, RunStore, SpillConfig, EXTENT_WORDS};
+use hsa_fault::{DiskBudget, FaultInjector};
+use std::path::{Path, PathBuf};
 
 /// xorshift64* — deterministic, dependency-free.
 struct Rng(u64);
@@ -29,6 +30,12 @@ fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hsa-roundtrip-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// A default-configured store: no faults, no disk limit.
+fn open_store(dir: &Path) -> RunStore {
+    let (faults, disk) = (FaultInjector::none(), DiskBudget::unlimited());
+    RunStore::spilling_with_config(dir, faults, disk, SpillConfig::default()).unwrap()
 }
 
 /// Spill one run as a batch of its own.
@@ -57,7 +64,7 @@ fn build_run(rng: &mut Rng, rows: usize, n_cols: usize, aggregated: bool, level:
 #[test]
 fn every_accepted_run_shape_round_trips() {
     let dir = temp_dir("shapes");
-    let store = RunStore::spilling_to(&dir).unwrap();
+    let store = open_store(&dir);
     let mut rng = Rng(0x0dd_ba11);
 
     // Row counts straddle the extent boundary on both sides (8192 words
@@ -122,7 +129,7 @@ fn every_accepted_run_shape_round_trips() {
 #[test]
 fn concurrent_spills_do_not_collide() {
     let dir = temp_dir("concurrent");
-    let store = RunStore::spilling_to(&dir).unwrap();
+    let store = open_store(&dir);
     std::thread::scope(|scope| {
         for t in 0..4u64 {
             let store = &store;

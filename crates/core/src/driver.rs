@@ -556,21 +556,14 @@ pub fn try_aggregate_observed(
 /// step: run the operator over `(keys, state columns)` pairs produced by
 /// earlier [`aggregate`] calls (possibly on other machines), combining
 /// states with the **super-aggregate** functions (§3.1: COUNT merges by
-/// SUM). All partials must come from the same aggregate `specs`.
+/// SUM), under `env`'s budget, cancellation token and fault plan. All
+/// partials must come from the same aggregate `specs`.
 ///
-/// Panics on mismatched specs; see [`try_merge_partials`].
-// The documented panicking wrapper; `try_merge_partials` is the fallible form.
-#[allow(clippy::panic)]
-pub fn merge_partials(
-    partials: &[&GroupByOutput],
-    specs: &[AggSpec],
-    cfg: &AggregateConfig,
-) -> (GroupByOutput, OpStats) {
-    try_merge_partials(partials, specs, cfg, &ExecEnv::unrestricted())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`merge_partials`].
+/// Every partial's shape is checked before any row is merged: a partial
+/// from other specs, or one missing a state column, is
+/// [`AggError::MismatchedSpecs`]; a state column whose length differs
+/// from the partial's `keys` is [`AggError::RowCountMismatch`] (both
+/// fields are public, so either can be built by hand).
 pub fn try_merge_partials(
     partials: &[&GroupByOutput],
     specs: &[AggSpec],
@@ -579,11 +572,18 @@ pub fn try_merge_partials(
 ) -> Result<(GroupByOutput, OpStats), AggError> {
     validate_specs(specs)?;
     let lowered = plan(specs);
-    let mut stream = AggStream::from_plan(lowered.clone(), true, cfg, env, &ObsConfig::disabled())?;
     for p in partials {
-        if p.plan() != &lowered {
+        if p.plan() != &lowered || p.states.len() != lowered.cols.len() {
             return Err(AggError::MismatchedSpecs);
         }
+        let expected = p.keys.len();
+        if let Some((column, col)) = p.states.iter().enumerate().find(|(_, c)| c.len() != expected)
+        {
+            return Err(AggError::RowCountMismatch { column, got: col.len(), expected });
+        }
+    }
+    let mut stream = AggStream::from_plan(lowered, true, cfg, env, &ObsConfig::disabled())?;
+    for p in partials {
         let state_slices: Vec<&[u64]> = p.states.iter().map(Vec::as_slice).collect();
         stream.push_cols(&p.keys, &state_slices)?;
     }
@@ -623,6 +623,13 @@ pub(crate) fn store_for(env: &ExecEnv) -> Result<RunStore, AggError> {
     }
 }
 
+/// The store a query that sets only `dir` spills into: no faults, no disk
+/// limit, one I/O worker.
+#[cfg(test)]
+pub(crate) fn spill_store(dir: &std::path::Path) -> RunStore {
+    store_for(&ExecEnv::unrestricted().with_spill_dir(dir)).expect("spill directory opens")
+}
+
 /// `SELECT DISTINCT key` — the C = 1, no-aggregates query the paper uses
 /// for its architecture-neutral comparison with prior work (§6.4).
 pub fn distinct(keys: &[u64], cfg: &AggregateConfig) -> (GroupByOutput, OpStats) {
@@ -633,6 +640,7 @@ pub fn distinct(keys: &[u64], cfg: &AggregateConfig) -> (GroupByOutput, OpStats)
 mod tests {
     use super::*;
     use crate::AdaptiveParams;
+    use hsa_fault::MemoryBudget;
     use std::collections::BTreeMap;
 
     fn reference(keys: &[u64], vals: &[u64]) -> BTreeMap<u64, (u64, u64, u64, u64)> {
@@ -851,7 +859,8 @@ mod tests {
             .map(|w| aggregate(&keys[w[0]..w[1]], &[&vals[w[0]..w[1]]], &specs, &cfg).0)
             .collect();
         let refs: Vec<&GroupByOutput> = parts.iter().collect();
-        let (merged, _) = merge_partials(&refs, &specs, &cfg);
+        let (merged, _) =
+            try_merge_partials(&refs, &specs, &cfg, &ExecEnv::unrestricted()).unwrap();
 
         assert_eq!(merged.sorted_rows(), whole.sorted_rows());
         // AVG survives the merge because its SUM and COUNT states do.
@@ -862,11 +871,42 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different aggregate specs")]
     fn merge_partials_rejects_mismatched_plans() {
         let cfg = AggregateConfig::default();
         let (a, _) = aggregate(&[1], &[&[1]], &[AggSpec::sum(0)], &cfg);
-        let _ = merge_partials(&[&a], &[AggSpec::count()], &cfg);
+        let err = try_merge_partials(&[&a], &[AggSpec::count()], &cfg, &ExecEnv::unrestricted())
+            .unwrap_err();
+        assert_eq!(err, AggError::MismatchedSpecs);
+        assert!(err.to_string().contains("different aggregate specs"), "{err}");
+    }
+
+    /// A partial whose public fields were edited out of shape is an input
+    /// error reported before any row is merged — not a panic inside a
+    /// task — and leaves nothing reserved.
+    #[test]
+    fn merge_partials_rejects_malformed_partials_before_merging() {
+        let specs = [AggSpec::count(), AggSpec::sum(0)];
+        let cfg = small_cfg(Strategy::Adaptive(AdaptiveParams::default()));
+        let (keys, vals) = keys_and_vals(20_000, 1_000, 8);
+        let (good, _) = aggregate(&keys, &[&vals], &specs, &cfg);
+        assert_eq!(good.n_groups(), 1_000);
+        let mut missing = good.clone();
+        missing.states.pop();
+        let mut short = good.clone();
+        short.states[1].truncate(10);
+        let cases = [
+            (missing, AggError::MismatchedSpecs),
+            (short, AggError::RowCountMismatch { column: 1, got: 10, expected: 1_000 }),
+        ];
+        for (bad, want) in cases {
+            let budget = MemoryBudget::limited(64 << 20);
+            let env = ExecEnv::unrestricted().with_budget(budget.clone());
+            // The malformed partial comes second: the first is well formed.
+            let err = try_merge_partials(&[&good, &bad], &specs, &cfg, &env).unwrap_err();
+            assert_eq!(err, want);
+            assert_eq!(budget.outstanding(), 0, "{want:?} left bytes reserved");
+            assert_eq!(budget.high_water(), 0, "{want:?} reserved before the check");
+        }
     }
 
     #[test]

@@ -30,9 +30,9 @@ pub struct ExecEnv {
     /// end of the degradation ladder and surfaces as a typed
     /// `AggError::DiskBudgetExceeded`. Unlimited by default.
     pub disk: DiskBudget,
-    /// Spill I/O shape: per-extent compression codec and the number of
-    /// background I/O worker threads (0 = writes and restores run on the
-    /// calling thread). Defaults to `Auto` compression with one worker.
+    /// Spill I/O shape: the number of background I/O worker threads (0 =
+    /// writes and restores run on the calling thread). Defaults to one
+    /// worker.
     pub spill: SpillConfig,
 }
 
@@ -72,7 +72,7 @@ impl ExecEnv {
         self
     }
 
-    /// Replace the spill I/O configuration (codec + worker threads).
+    /// Replace the spill I/O configuration (worker threads).
     pub fn with_spill_config(mut self, spill: SpillConfig) -> Self {
         self.spill = spill;
         self
@@ -188,6 +188,7 @@ pub(crate) fn is_degradable(e: &AggError) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::spill_store;
     use crate::obs::testing::TestObs;
     use hsa_fault::FaultPlan;
 
@@ -199,7 +200,7 @@ mod tests {
             .with_faults(FaultInjector::new(FaultPlan { fail_alloc: Some(1), ..FaultPlan::none() }))
             .with_spill_dir("/tmp/hsa-spill-test")
             .with_disk_budget(DiskBudget::limited(4096))
-            .with_spill_config(SpillConfig { codec: hsa_columnar::SpillCodec::Off, io_threads: 0 });
+            .with_spill_config(SpillConfig { io_threads: 0 });
         assert_eq!(env.budget.limit(), Some(1024));
         assert!(env.cancel.check().is_ok());
         assert!(env.faults.should_fail_alloc());
@@ -242,7 +243,7 @@ mod tests {
         let rec = TestObs::new();
         let budget = MemoryBudget::unlimited();
         let faults = FaultInjector::none();
-        let store = RunStore::spilling_to(&dir).unwrap();
+        let store = spill_store(&dir);
         let gate = Gate { budget: &budget, faults: &faults, store: &store };
         let obs = rec.obs();
 
@@ -271,7 +272,7 @@ mod tests {
         let rec = TestObs::new();
         let budget = MemoryBudget::unlimited();
         let faults = FaultInjector::new(FaultPlan { fail_spill: Some(1), ..FaultPlan::none() });
-        let store = RunStore::spilling_to(&dir).unwrap();
+        let store = spill_store(&dir);
         let gate = Gate { budget: &budget, faults: &faults, store: &store };
         let obs = rec.obs();
 

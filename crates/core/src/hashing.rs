@@ -217,6 +217,7 @@ pub(crate) fn hash_run(
 mod tests {
     use super::*;
     use crate::adaptive::Strategy;
+    use crate::driver::spill_store;
     use crate::obs::testing::TestObs;
     use crate::sink::LocalBuckets;
     use hsa_agg::{PhysicalCol, Plan, StateOp};
@@ -457,7 +458,7 @@ mod tests {
         }
         let budget = MemoryBudget::limited(1);
         let faults = FaultInjector::none();
-        let store = RunStore::spilling_to(&dir).unwrap();
+        let store = spill_store(&dir);
         let gate = Gate { budget: &budget, faults: &faults, store: &store };
         let mut sink = LocalBuckets::new();
         seal_into(&mut t, &mut sink, gate, &rec.obs()).unwrap();

@@ -61,12 +61,10 @@ mod stream;
 mod view;
 
 pub use adaptive::{AdaptiveParams, Strategy};
-pub use driver::{
-    aggregate, distinct, merge_partials, try_aggregate, try_aggregate_observed, try_merge_partials,
-};
+pub use driver::{aggregate, distinct, try_aggregate, try_aggregate_observed, try_merge_partials};
 pub use exec::ExecEnv;
 
-pub use hsa_columnar::{RunHandle, RunStore, SpillCodec, SpillConfig, SpilledRun};
+pub use hsa_columnar::{RunHandle, RunStore, SpillConfig, SpilledRun};
 pub use hsa_fault::{
     AdmissionConfig, AdmissionController, AdmissionDenied, AdmissionOutcome, AdmissionRequest,
     AggError, CancelReason, CancelToken, DiskBudget, DiskReservation, FaultInjector, FaultPlan,
@@ -113,11 +111,6 @@ impl Default for AggregateConfig {
 }
 
 impl AggregateConfig {
-    /// Configuration with a specific strategy, defaults elsewhere.
-    pub fn with_strategy(strategy: Strategy) -> Self {
-        Self { strategy, ..Self::default() }
-    }
-
     /// Single-threaded variant (used by the scaling benchmarks).
     pub fn single_threaded(mut self) -> Self {
         self.threads = 1;

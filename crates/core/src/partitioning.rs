@@ -195,6 +195,7 @@ pub(crate) fn partition_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::spill_store;
     use crate::obs::testing::TestObs;
     use crate::sink::LocalBuckets;
     use hsa_columnar::{RunStore, SpillConfig};
@@ -455,7 +456,7 @@ mod tests {
                 &dir,
                 faults.clone(),
                 DiskBudget::unlimited(),
-                SpillConfig { io_threads: 0, ..SpillConfig::default() },
+                SpillConfig { io_threads: 0 },
             )
             .unwrap();
             let gate = Gate { budget: &budget, faults: &faults, store: &store };
@@ -529,7 +530,7 @@ mod tests {
         let rec = TestObs::new();
         let budget = MemoryBudget::unlimited();
         let faults = FaultInjector::none();
-        let store = RunStore::spilling_to(&dir).unwrap();
+        let store = spill_store(&dir);
         let gate = Gate { budget: &budget, faults: &faults, store: &store };
         let keys: Vec<u64> = (0..5_000u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
         let vals: Vec<u64> = (0..5_000).collect();
@@ -563,7 +564,7 @@ mod tests {
         let rec = TestObs::new();
         let budget = MemoryBudget::limited(1 << 30);
         let faults = FaultInjector::new(FaultPlan { fail_alloc: Some(1), ..FaultPlan::none() });
-        let store = RunStore::spilling_to(&dir).unwrap();
+        let store = spill_store(&dir);
         let gate = Gate { budget: &budget, faults: &faults, store: &store };
         let mut writer = None;
         let err =

@@ -10,9 +10,7 @@
 
 use crate::stats::OpStats;
 use hsa_obs::json::JsonValue;
-use hsa_obs::{
-    Counter, Hist, MetricsSnapshot, ProfileTree, WorkerSnapshot, DEFAULT_TRACE_CAPACITY,
-};
+use hsa_obs::{Counter, Hist, MetricsSnapshot, ProfileTree, WorkerSnapshot};
 use hsa_tasks::{PoolMetrics, WorkerPoolMetrics};
 
 /// Version of the [`RunReport::to_json`] schema, emitted as
@@ -37,11 +35,10 @@ pub struct ObsConfig {
     /// histograms, per-switch α, phase attribution, scheduler counters)
     /// and return the per-worker counters beside the [`OpStats`] totals.
     pub metrics: bool,
-    /// Record the task timeline (Chrome trace events).
-    pub trace: bool,
-    /// Per-worker trace buffer capacity, in events; once full, further
+    /// Record the task timeline (Chrome trace events), up to
+    /// [`hsa_obs::DEFAULT_TRACE_CAPACITY`] events per worker; further
     /// events are counted as dropped.
-    pub trace_capacity: usize,
+    pub trace: bool,
     /// Emit a live progress heartbeat to stderr at this interval (the
     /// CLI's `--progress <ms>`). Runs a background sampler thread over
     /// relaxed-atomic gauge cells — the metrics shards are never read
@@ -52,12 +49,7 @@ pub struct ObsConfig {
 impl ObsConfig {
     /// Collect nothing beyond the counters [`OpStats`] is lowered from.
     pub fn disabled() -> Self {
-        Self {
-            metrics: false,
-            trace: false,
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
-            progress: None,
-        }
+        Self { metrics: false, trace: false, progress: None }
     }
 
     /// Collect everything (except the progress heartbeat, which is

@@ -172,7 +172,7 @@ mod tests {
     fn spilled_handles_ride_with_empty_reservations() {
         let dir = std::env::temp_dir().join(format!("hsa-sink-spill-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = hsa_columnar::RunStore::spilling_to(&dir).unwrap();
+        let store = crate::driver::spill_store(&dir);
         let spilled =
             store.spill_batch(vec![Run::from_rows(&[1, 2], &[&[3, 4]])]).unwrap().pop().unwrap();
         let mut b = LocalBuckets::new();

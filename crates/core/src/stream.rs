@@ -40,7 +40,7 @@ use hsa_fault::{AggError, CancelToken};
 use hsa_hashtbl::{identity_of, AggTable};
 use hsa_obs::{
     BudgetProbe, Counter, Hist, LevelCounter, Phase, ProfileTree, ProgressGauge, ProgressSampler,
-    Recorder, Tracer,
+    Recorder, Tracer, DEFAULT_TRACE_CAPACITY,
 };
 use hsa_tasks::sync::Mutex;
 use hsa_tasks::{chunk_ranges, PoolMetrics, QueryHandle, Runtime};
@@ -165,7 +165,7 @@ impl AggStream {
             collector: Collector::new(lowered.cols.len()),
             recorder: if observed { Recorder::deep(threads) } else { Recorder::counters(threads) },
             tracer: if obs_cfg.trace {
-                Tracer::enabled(threads, obs_cfg.trace_capacity)
+                Tracer::enabled(threads, DEFAULT_TRACE_CAPACITY)
             } else {
                 Tracer::disabled()
             },

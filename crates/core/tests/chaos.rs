@@ -22,8 +22,8 @@
 use hsa_agg::AggSpec;
 use hsa_core::{
     try_aggregate, AggError, AggStream, AggregateConfig, CancelReason, CancelToken, DiskBudget,
-    ExecEnv, FaultInjector, FaultPlan, MemoryBudget, ObsConfig, SpillCodec, SpillConfig,
-    SpillFault, SpillFaultKind,
+    ExecEnv, FaultInjector, FaultPlan, MemoryBudget, ObsConfig, SpillConfig, SpillFault,
+    SpillFaultKind,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -184,56 +184,54 @@ fn truncate_on_read_is_detected_as_corruption() {
     });
 }
 
-/// The durability contract is configuration-independent: under every
-/// codec and with the async pipeline off, on, and widened, an injected
-/// in-flight failure still surfaces typed, drains both budgets, and
-/// leaves zero scratch files — and the un-injected run stays
-/// bit-identical to the (async, auto-compressed) baseline.
+/// The durability contract is configuration-independent: over extents
+/// of every codec, with the async pipeline off, on, and widened, an
+/// injected in-flight failure still surfaces typed, drains both budgets,
+/// and leaves zero scratch files — and the un-injected run stays
+/// bit-identical to the (async) baseline.
 #[test]
 fn every_codec_and_pipeline_width_upholds_the_durability_contract() {
     let chaos = Chaos::new("matrix");
-    for codec in [SpillCodec::Auto, SpillCodec::Off] {
-        for io_threads in [0usize, 1, 2] {
-            let spill = SpillConfig { codec, io_threads };
-            let tag = format!("codec {codec} io_threads {io_threads}");
+    for io_threads in [0usize, 1, 2] {
+        let spill = SpillConfig { io_threads };
+        let tag = format!("io_threads {io_threads}");
 
-            let (out, stats) = chaos
-                .run_with(FaultInjector::none(), spill)
-                .unwrap_or_else(|e| panic!("{tag}: clean run failed: {e:?}"));
-            assert_eq!(out, chaos.baseline, "{tag}: output diverged from baseline");
-            assert!(stats.spilled_runs() > 0, "{tag}: workload stopped spilling");
-            assert!(
-                stats.spill_encoded_bytes <= stats.spilled_bytes,
-                "{tag}: encoded footprint above the reserved bound: {stats:?}"
-            );
-            if io_threads == 0 {
-                assert_eq!(stats.overlapped_io_nanos, 0, "{tag}: sync I/O claimed overlap");
-                assert_eq!(stats.spill_io_wait_nanos, 0, "{tag}: sync I/O claimed waits");
-            }
-
-            // An in-flight write failure: with workers, the error parks in
-            // the store and surfaces at the next synchronization point —
-            // still typed, still fully drained.
-            let plan = FaultPlan {
-                spill_io: Some(SpillFault { nth: 1, kind: SpillFaultKind::WriteEnospc }),
-                ..FaultPlan::none()
-            };
-            match chaos.run_with(FaultInjector::new(plan), spill) {
-                Err(AggError::SpillFailed { .. }) => {}
-                other => panic!("{tag}: in-flight ENOSPC surfaced as {other:?}"),
-            }
-
-            // A transient fault keeps recovering invisibly.
-            let plan = FaultPlan {
-                spill_io: Some(SpillFault { nth: 1, kind: SpillFaultKind::WriteEio }),
-                ..FaultPlan::none()
-            };
-            let (out, stats) = chaos
-                .run_with(FaultInjector::new(plan), spill)
-                .unwrap_or_else(|e| panic!("{tag}: WriteEio not absorbed: {e:?}"));
-            assert_eq!(out, chaos.baseline, "{tag}: retry diverged");
-            assert!(stats.spill_retries >= 1, "{tag}: retry not counted: {stats:?}");
+        let (out, stats) = chaos
+            .run_with(FaultInjector::none(), spill)
+            .unwrap_or_else(|e| panic!("{tag}: clean run failed: {e:?}"));
+        assert_eq!(out, chaos.baseline, "{tag}: output diverged from baseline");
+        assert!(stats.spilled_runs() > 0, "{tag}: workload stopped spilling");
+        assert!(
+            stats.spill_encoded_bytes <= stats.spilled_bytes,
+            "{tag}: encoded footprint above the reserved bound: {stats:?}"
+        );
+        if io_threads == 0 {
+            assert_eq!(stats.overlapped_io_nanos, 0, "{tag}: sync I/O claimed overlap");
+            assert_eq!(stats.spill_io_wait_nanos, 0, "{tag}: sync I/O claimed waits");
         }
+
+        // An in-flight write failure: with workers, the error parks in
+        // the store and surfaces at the next synchronization point —
+        // still typed, still fully drained.
+        let plan = FaultPlan {
+            spill_io: Some(SpillFault { nth: 1, kind: SpillFaultKind::WriteEnospc }),
+            ..FaultPlan::none()
+        };
+        match chaos.run_with(FaultInjector::new(plan), spill) {
+            Err(AggError::SpillFailed { .. }) => {}
+            other => panic!("{tag}: in-flight ENOSPC surfaced as {other:?}"),
+        }
+
+        // A transient fault keeps recovering invisibly.
+        let plan = FaultPlan {
+            spill_io: Some(SpillFault { nth: 1, kind: SpillFaultKind::WriteEio }),
+            ..FaultPlan::none()
+        };
+        let (out, stats) = chaos
+            .run_with(FaultInjector::new(plan), spill)
+            .unwrap_or_else(|e| panic!("{tag}: WriteEio not absorbed: {e:?}"));
+        assert_eq!(out, chaos.baseline, "{tag}: retry diverged");
+        assert!(stats.spill_retries >= 1, "{tag}: retry not counted: {stats:?}");
     }
     let _ = std::fs::remove_dir_all(&chaos.dir);
 }

@@ -458,8 +458,7 @@ fn dropping_a_stream_mid_input_leaks_neither_bytes_nor_files() {
     let (keys, vals, cfg) = writer_workload();
     let budget = MemoryBudget::limited(WRITER_BUDGET);
     // In-line I/O: a spilled batch is a file by the time `push` returns.
-    let env = spill_env(&budget, &dir)
-        .with_spill_config(SpillConfig { io_threads: 0, ..SpillConfig::default() });
+    let env = spill_env(&budget, &dir).with_spill_config(SpillConfig { io_threads: 0 });
     let mut stream = AggStream::new(&specs(), &cfg, &env, &ObsConfig::disabled()).unwrap();
     let scratch = || {
         std::fs::read_dir(&dir)

@@ -366,10 +366,7 @@ fn profile_tracks_spill_restore_and_the_budget_high_water() {
 
     // With the async pipeline disabled, everything is foreground again:
     // zero overlap, zero waits, bit-identical output.
-    let sync_env = env.with_spill_config(hsa_core::SpillConfig {
-        codec: hsa_core::SpillCodec::Auto,
-        io_threads: 0,
-    });
+    let sync_env = env.with_spill_config(hsa_core::SpillConfig { io_threads: 0 });
     let mut sync_stream = AggStream::new(&specs, &cfg, &sync_env, &ObsConfig::full()).unwrap();
     push_all(&mut sync_stream);
     let (sync_out, sync_report) = sync_stream.finish().unwrap();
@@ -393,10 +390,7 @@ fn restore_decoded_by_its_consumer_is_restore_time_not_driver_time() {
     let env = ExecEnv::unrestricted()
         .with_budget(hsa_core::MemoryBudget::limited(4 << 20))
         .with_spill_dir(&dir)
-        .with_spill_config(hsa_core::SpillConfig {
-            codec: hsa_core::SpillCodec::Auto,
-            io_threads: 0,
-        });
+        .with_spill_config(hsa_core::SpillConfig { io_threads: 0 });
     let cfg = AggregateConfig { threads: 1, ..adaptive_cfg() };
     let mut stream = AggStream::new(&[AggSpec::count()], &cfg, &env, &ObsConfig::full()).unwrap();
     for chunk in keys.chunks(8192).cycle().take(3 * keys.len().div_ceil(8192)) {

@@ -35,7 +35,8 @@ pub enum AggError {
         /// Index of the offending spec.
         spec: usize,
     },
-    /// `merge_partials` received partials produced by different specs.
+    /// `try_merge_partials` received a partial produced by different specs
+    /// (or missing some of their state columns).
     MismatchedSpecs,
     /// A query referenced a column the table does not have.
     UnknownColumn(String),

@@ -408,11 +408,6 @@ impl AggTable {
         }
         self.len = 0;
     }
-
-    /// Iterate over occupied `(slot, key)` pairs in slot order.
-    pub fn iter_keys(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        (0..self.total_slots()).filter(|&s| self.is_occupied(s)).map(|s| (s as u32, self.keys[s]))
-    }
 }
 
 #[cfg(test)]

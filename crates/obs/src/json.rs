@@ -4,7 +4,8 @@
 //! decoder of `hsa serve` are built on.
 //!
 //! This is deliberately not a serde replacement: reports are built
-//! explicitly as [`JsonValue`] trees and written with [`JsonValue::write`].
+//! explicitly as [`JsonValue`] trees and written with
+//! [`JsonValue::write_compact`] or [`JsonValue::to_string_pretty`].
 //! Numbers are kept in two lanes — `U64` for exact counters (row counts up
 //! to 2⁶⁴ must not round-trip through `f64`) and `F64` for derived ratios.
 

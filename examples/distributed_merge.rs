@@ -1,4 +1,4 @@
-//! Distributed-style aggregation with `merge_partials`.
+//! Distributed-style aggregation with `try_merge_partials`.
 //!
 //! The paper's super-aggregate machinery (§3.1) is exactly what a
 //! scale-out aggregation needs: each "node" aggregates its shard, ships
@@ -11,9 +11,11 @@
 //! ```
 
 use hashing_is_sorting::datagen::{generate, generate_values, Distribution};
-use hashing_is_sorting::{aggregate, merge_partials, AggSpec, AggregateConfig};
+use hashing_is_sorting::{
+    aggregate, try_merge_partials, AggError, AggSpec, AggregateConfig, ExecEnv,
+};
 
-fn main() {
+fn main() -> Result<(), AggError> {
     let shards = 4;
     let rows_per_shard = 500_000;
     let k = 10_000;
@@ -42,9 +44,10 @@ fn main() {
         );
     }
 
-    // The coordinator merges the partials with one more operator run.
+    // The coordinator merges the partials with one more operator run;
+    // a partial from other specs, or out of shape, is a typed error.
     let refs: Vec<_> = partials.iter().collect();
-    let (merged, stats) = merge_partials(&refs, &specs, &cfg);
+    let (merged, stats) = try_merge_partials(&refs, &specs, &cfg, &ExecEnv::unrestricted())?;
     println!(
         "\nmerged: {} groups from {} partial rows ({} hashed, {} partitioned)",
         merged.n_groups(),
@@ -69,4 +72,5 @@ fn main() {
         merged.value(2, r),
         merged.value(3, r),
     );
+    Ok(())
 }

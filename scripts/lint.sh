@@ -18,6 +18,8 @@
 #                     is covered without a header to forget; the three
 #                     excluded crates are the binaries and harnesses
 #                     whose job is to print an error and exit.
+# 6. rustdoc        — workspace docs with warnings as errors, so an
+#                     intra-doc link to a deleted or private item fails
 # DESIGN.md §12 has the invariant → enforcer table.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -38,5 +40,8 @@ echo "==> cargo clippy, library targets (deny unwrap / expect / panic!)"
 cargo clippy --workspace --lib -q \
     --exclude hsa-cli --exclude hsa-bench --exclude hsa-lint \
     -- -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic
+
+echo "==> cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline -q
 
 echo "lint.sh: all clean"

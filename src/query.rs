@@ -131,16 +131,8 @@ impl<'t> Query<'t> {
     /// `chunk_rows` at a time through an [`AggStream`] instead of as one
     /// slice. Combined with a memory budget and a spill directory on the
     /// query's [`ExecEnv`], the operator's resident set stays bounded
-    /// while the result is identical to [`Query::run`].
-    ///
-    /// Panics exactly like [`Query::run`]; see [`Query::try_run_streaming`].
-    // The documented panicking wrapper; `try_run_streaming` is the fallible form.
-    #[allow(clippy::panic)]
-    pub fn run_streaming(self, chunk_rows: usize) -> QueryResult {
-        self.try_run_streaming(chunk_rows).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Query::run_streaming`].
+    /// while the result is identical to [`Query::try_run`]'s, and so are
+    /// the errors.
     pub fn try_run_streaming(self, chunk_rows: usize) -> Result<QueryResult, AggError> {
         self.execute(Some(chunk_rows))
     }
@@ -471,7 +463,8 @@ mod tests {
                 .group_by("item")
                 .count("n")
                 .sum("amount", "total")
-                .run_streaming(chunk_rows);
+                .try_run_streaming(chunk_rows)
+                .unwrap();
             assert_eq!(chunked.sorted_rows(), whole.sorted_rows(), "chunk_rows {chunk_rows}");
         }
     }
@@ -480,7 +473,7 @@ mod tests {
     fn run_streaming_on_empty_table() {
         let mut t = Table::new();
         t.add_column("k", vec![]);
-        let r = Query::over(&t).group_by("k").count("n").run_streaming(64);
+        let r = Query::over(&t).group_by("k").count("n").try_run_streaming(64).unwrap();
         assert_eq!(r.n_rows(), 0);
     }
 

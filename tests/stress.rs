@@ -114,7 +114,7 @@ fn large_scale_smoke() {
         Strategy::PartitionAlways { passes: 1 },
         Strategy::Adaptive(AdaptiveParams::default()),
     ] {
-        let (out, _) = distinct(&keys, &AggregateConfig::with_strategy(strategy));
+        let (out, _) = distinct(&keys, &AggregateConfig { strategy, ..AggregateConfig::default() });
         assert_eq!(out.n_groups(), hashing_is_sorting::datagen::distinct(&keys));
     }
 }
