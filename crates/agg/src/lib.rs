@@ -41,25 +41,3 @@ pub enum AggFn {
     /// `AVG(col)` — algebraic: carried as (SUM, COUNT), finalized to f64.
     Avg,
 }
-
-impl AggFn {
-    /// Whether the function's state is a single u64 that combines with
-    /// itself (distributive) or decomposes into such parts (algebraic).
-    pub fn is_distributive(&self) -> bool {
-        !matches!(self, AggFn::Avg)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn classification() {
-        assert!(AggFn::Count.is_distributive());
-        assert!(AggFn::Sum.is_distributive());
-        assert!(AggFn::Min.is_distributive());
-        assert!(AggFn::Max.is_distributive());
-        assert!(!AggFn::Avg.is_distributive());
-    }
-}

@@ -33,7 +33,7 @@
 //! Framing: a response — however many lines — is assembled in one
 //! per-connection buffer and written once, on a socket with
 //! `TCP_NODELAY` set, so no line of a reply waits for the client's ACK of
-//! the one before it (DESIGN §16). A request line is decoded in one pass
+//! the one before it (DESIGN §14). A request line is decoded in one pass
 //! into reused buffers and may be at most 64 MiB; past that the server
 //! answers `invalid-input` and closes the connection.
 

@@ -15,17 +15,25 @@
 //! # Phase timing
 //!
 //! [`Obs::phase_start`]/[`Obs::phase_end`] bracket one phase of the
-//! operator (see [`Phase`]) and record **exclusive** time: the `nested`
+//! operator (see [`Phase`]) and record **exclusive** time: a per-thread
 //! cell accumulates the total duration of every completed phase on this
-//! task, so an enclosing phase can subtract the time its children already
-//! claimed (a spill inside a seal lands in `spill`, not twice). When
-//! neither the deep metrics nor the gauge are on, `phase_start` returns
-//! `None` without reading the clock.
+//! thread, so an enclosing phase can subtract the time its children already
+//! claimed (a spill inside a seal lands in `spill`, not twice). The cell is
+//! per thread, not per task, so the driver's own phase around a scope
+//! subtracts the tasks the driving thread ran inside it. When neither the
+//! deep metrics nor the gauge are on, `phase_start` returns `None` without
+//! reading the clock.
 
 use hsa_hashtbl::AggTable;
 use hsa_obs::{Counter, Hist, LevelCounter, Phase, PhaseCell, ProgressGauge, Recorder, Tracer};
 use std::cell::Cell;
 use std::time::Instant;
+
+thread_local! {
+    /// Total nanoseconds of phases completed on this thread so far; the
+    /// delta across a phase's lifetime is its children's time.
+    static NESTED: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Observability context of one task: where to record, and as whom.
 pub(crate) struct Obs<'a> {
@@ -33,9 +41,6 @@ pub(crate) struct Obs<'a> {
     tracer: &'a Tracer,
     gauge: &'a ProgressGauge,
     worker: usize,
-    /// Total nanoseconds of phases completed on this task so far; the
-    /// delta across a phase's lifetime is its children's time.
-    nested: Cell<u64>,
 }
 
 /// An in-flight phase measurement returned by [`Obs::phase_start`].
@@ -53,7 +58,7 @@ impl<'a> Obs<'a> {
         gauge: &'a ProgressGauge,
         worker: usize,
     ) -> Self {
-        Self { recorder, tracer, gauge, worker, nested: Cell::new(0) }
+        Self { recorder, tracer, gauge, worker }
     }
 
     /// Add `n` to counter `c`.
@@ -102,11 +107,35 @@ impl<'a> Obs<'a> {
     /// touching the clock — when neither deep metrics nor progress is on.
     #[inline]
     pub(crate) fn phase_start(&self, level: u32, phase: Phase) -> Option<PhaseTimer> {
-        if !self.recorder.is_deep() && !self.gauge.is_enabled() {
+        if !self.timed() {
+            return None;
+        }
+        self.phase_since(Instant::now(), level, phase)
+    }
+
+    /// [`Obs::phase_start`] for a phase that began at `t0`, before this
+    /// handle existed (the set-up of a query, timed from its first line).
+    pub(crate) fn phase_since(&self, t0: Instant, level: u32, phase: Phase) -> Option<PhaseTimer> {
+        if !self.timed() {
             return None;
         }
         self.gauge.set_state(self.worker, level, phase);
-        Some(PhaseTimer { level, phase, t0: Instant::now(), nested0: self.nested.get() })
+        Some(PhaseTimer { level, phase, t0, nested0: NESTED.get() })
+    }
+
+    /// Take `nanos` out of the phases open on this thread, as a child
+    /// phase would: time the thread spent parked, which is no phase's.
+    /// Untimed queries touch nothing.
+    pub(crate) fn exclude(&self, nanos: u64) {
+        if self.timed() {
+            NESTED.set(NESTED.get().saturating_add(nanos));
+        }
+    }
+
+    /// Whether phases are timed: deep metrics or the progress gauge.
+    #[inline]
+    fn timed(&self) -> bool {
+        self.recorder.is_deep() || self.gauge.is_enabled()
     }
 
     /// Finish a phase: fold its exclusive time and row/byte deltas into
@@ -120,7 +149,7 @@ impl<'a> Obs<'a> {
     ) {
         let Some(t) = timer else { return };
         let total = t.t0.elapsed().as_nanos() as u64;
-        let child = self.nested.get().saturating_sub(t.nested0);
+        let child = NESTED.get().saturating_sub(t.nested0);
         self.recorder.phase(
             self.worker,
             t.level,
@@ -128,7 +157,7 @@ impl<'a> Obs<'a> {
             PhaseCell { nanos: total.saturating_sub(child), calls: 1, rows_in, rows_out, bytes },
         );
         self.gauge.add_rows(self.worker, rows_in);
-        self.nested.set(t.nested0.saturating_add(total));
+        NESTED.set(t.nested0.saturating_add(total));
     }
 
     /// Begin a phase that ends when the returned guard drops — on every

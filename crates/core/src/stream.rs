@@ -174,6 +174,10 @@ impl AggStream {
             failed: Mutex::new(None),
         };
         let workers = (0..threads).map(|_| Mutex::new(WorkerState::new(cfg.strategy))).collect();
+        // Opening the query (spill store, admission, recorder) is the
+        // driver's level-0 work, timed from the first line.
+        let obs = ctx.obs(0);
+        obs.phase_end(obs.phase_since(wall0, 0, Phase::Driver), 0, 0, 0);
         Ok(Self {
             ctx,
             lowered,
@@ -217,6 +221,11 @@ impl AggStream {
         let shared = &self.shared;
         let workers = &self.workers;
         let input_aggregated = self.input_aggregated;
+        // The calling thread drives the scope and runs worker 0's morsels:
+        // its time outside those tasks' phases, less the time it sat
+        // parked, is level-0 Driver time.
+        let obs = ctx.obs(0);
+        let _driver = obs.phase_scope(0, Phase::Driver);
         let n_morsels = keys.len().div_ceil(ctx.cfg.morsel_rows.max(1)).max(1);
         let (scope, pm) = self.handle.try_scope_observed(|s| {
             for range in chunk_ranges(keys.len(), n_morsels) {
@@ -256,6 +265,7 @@ impl AggStream {
                 });
             }
         });
+        obs.exclude(pm.workers.first().map_or(0, |w| w.idle_nanos));
         let pm = contain_panics(ctx, scope, pm)?;
         self.pool_metrics.merge(&pm);
 
@@ -287,6 +297,12 @@ impl AggStream {
             sampler,
             ..
         } = self;
+        // Everything the calling thread does from here to the end of the
+        // query outside another phase, and not parked, is level-0 Driver
+        // time. (Field borrows, not `ctx.obs(0)`: the collector is about
+        // to move out of the context.)
+        let obs = Obs::new(&ctx.recorder, &ctx.tracer, &ctx.gauge, 0);
+        let driver = obs.phase_start(0, Phase::Driver);
 
         // All push scopes have quiesced, so recording into each worker's
         // shard from here preserves the sharding contract. First, what
@@ -324,6 +340,7 @@ impl AggStream {
         // Phase 2: recurse into the buckets, one task each.
         let (scope2, pm2) =
             handle.try_scope_observed(|s| spawn_buckets(&ctx, s, shared.into_nonempty(), 1));
+        obs.exclude(pm2.workers.first().map_or(0, |w| w.idle_nanos));
         let pm2 = contain_panics(&ctx, scope2, pm2)?;
         if let Some(e) = ctx.take_failure() {
             return Err(e);
@@ -349,9 +366,7 @@ impl AggStream {
         // The workers have quiesced, so shard 0 is the caller's to write:
         // the final lowering is its level-0 output phase, and what the
         // disk budget and the run store counted themselves joins the
-        // counters here, once. (Field borrows, not `ctx.obs(0)`: the
-        // collector is about to move out of the context.)
-        let obs = Obs::new(&ctx.recorder, &ctx.tracer, &ctx.gauge, 0);
+        // counters here, once.
         let pt = obs.phase_start(0, Phase::Output);
         let output = ctx.collector.into_output(lowered);
         let groups = output.n_groups() as u64;
@@ -369,6 +384,7 @@ impl AggStream {
         obs.count(Counter::SpillIoWaitNanos, io.io_wait_nanos);
         obs.count(Counter::DiskBudgetDenials, ctx.env.disk.denials());
         // The query ends here; what follows only reads the cells out.
+        obs.phase_end(driver, 0, 0, 0);
         let wall_nanos = wall0.elapsed().as_nanos() as u64;
         let snapshot = ctx.recorder.snapshot();
         let stats = OpStats::lower(

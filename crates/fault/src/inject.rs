@@ -6,8 +6,10 @@
 //! panic in the Nth task, cancel after K input rows — and the driver
 //! consults the shared [`FaultInjector`] counters at those points. Sweeping
 //! N over a fixed workload visits every reservation and task of the run,
-//! which is how `crates/core/tests/faults.rs` proves that each failure site
-//! surfaces a clean `Err` and leaks nothing.
+//! which is how the `faults::` and `chaos::` slices of `tests/scenarios.rs`
+//! prove that each failure site surfaces a clean `Err` and leaks nothing;
+//! [`SpillFaultKind::is_transient`] is their rule for what an I/O fault
+//! must end in.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -44,12 +44,14 @@ pub enum Phase {
     Restore,
     /// Emitting final groups into the output collector.
     Output,
-    /// Task dispatch around the work phases: run restoration plumbing,
-    /// view setup, table pooling, and intermediate-run teardown. Recorded
-    /// by wrapping each morsel/bucket task in this phase — the nested-time
-    /// accounting subtracts every inner phase, leaving exactly the
-    /// driver's bookkeeping as its exclusive time, so the leaves still
-    /// sum to the attributed total.
+    /// Dispatch around the work phases: run restoration plumbing, view
+    /// setup, table pooling and intermediate-run teardown inside tasks,
+    /// and opening the query and dispatching its scopes on the thread
+    /// that drives it. Recorded by wrapping each morsel/bucket task, and
+    /// the driving thread's part of the query, in this phase — the
+    /// nested-time accounting subtracts every inner phase, leaving
+    /// exactly the driver's bookkeeping as its exclusive time, so the
+    /// leaves still sum to the attributed total.
     Driver,
 }
 

@@ -204,13 +204,6 @@ impl Tracer {
         self.for_each_buffer(|buf| buf.dropped).into_iter().sum()
     }
 
-    /// Events dropped per worker (empty when disabled). A nonzero entry
-    /// means that worker's timeline is truncated — raise the capacity via
-    /// `--trace-capacity`/[`Tracer::enabled`] to capture the full run.
-    pub fn dropped_counts(&self) -> Vec<u64> {
-        self.for_each_buffer(|buf| buf.dropped)
-    }
-
     fn for_each_buffer<R>(&self, mut f: impl FnMut(&WorkerBuffer) -> R) -> Vec<R> {
         match self.inner.as_deref() {
             None => Vec::new(),
@@ -319,7 +312,6 @@ mod tests {
         t.instant(1, "e", &[]);
         assert_eq!(t.event_count(), 5);
         assert_eq!(t.dropped_count(), 6);
-        assert_eq!(t.dropped_counts(), vec![6, 0]);
         let parsed = crate::json::parse(&t.to_chrome_json()).unwrap();
         assert_eq!(parsed.get("droppedEvents").unwrap().as_u64(), Some(6));
         let by_worker = parsed.get("droppedEventsByWorker").unwrap().as_array().unwrap();

@@ -1,53 +1,105 @@
-//! Property-based tests for the DESIGN.md §7 invariants.
+//! Property tests. The operator's own — many small random inputs, narrow
+//! or nearly distinct keys, over tiny tables — are a slice of the scenario
+//! harness (`tests/scenarios/harness.rs`), held to its one `check`. The
+//! building blocks under it — partitioning, sealing, histograms and the
+//! counters-only recorder — are checked directly.
 //!
-//! Hand-rolled harness: a deterministic splitmix64 generator drives many
-//! randomized cases per invariant, so failures reproduce exactly (the
-//! failing case index and seed are in the panic message) without any
-//! external property-testing dependency.
+//! Each property runs over many seeded cases drawn from `datagen`'s
+//! splitmix64, so a failure reproduces exactly: a failing scenario is
+//! shrunk and printed, a failing building-block case prints its seed.
 
+// This target uses part of the harness; `tests/scenarios.rs` uses all of
+// it and keeps the dead-code warnings.
+#[allow(dead_code)]
+#[path = "scenarios/harness.rs"]
+mod harness;
+
+use harness::{check, draws, four, strategies, Cuts, Door, Keys, Scenario};
+use hashing_is_sorting::datagen::{Distribution, SplitMix64};
 use hashing_is_sorting::kernels::{
     digit, partition_keys_mapped, scatter_by_digits, AggTable, Hasher64, Insert, Murmur2,
     TableConfig,
 };
 use hashing_is_sorting::obs::{Counter, Hist, Histogram, Recorder};
-use hashing_is_sorting::{
-    aggregate, try_aggregate_observed, AdaptiveParams, AggSpec, AggregateConfig, ExecEnv,
-    ObsConfig, Strategy as Routing,
-};
-use std::collections::BTreeMap;
+use hashing_is_sorting::{AdaptiveParams, AggSpec, Strategy};
 
 const CASES: u64 = 64;
 
-/// Deterministic splitmix64 stream.
-struct Gen(u64);
+fn case(seed: u64) -> Scenario {
+    let mut draw = draws(seed);
+    let keys = [Keys::Data(Distribution::Uniform), Keys::Wide][draw(2) as usize];
+    let (n, k) = (draw(2_000) as usize, 64);
+    let s = Scenario {
+        keys,
+        n,
+        k,
+        seed,
+        specs: four(),
+        strategy: strategies()[draw(4) as usize],
+        ..Scenario::default()
+    };
+    Scenario { cache_bytes: 32 << 10, morsel_rows: 512, ..s }
+}
+
+#[test]
+fn operator_matches_reference() {
+    for seed in 0..CASES {
+        check(&case(seed));
+    }
+}
+
+#[test]
+fn split_aggregation_composes() {
+    for seed in 0..CASES {
+        let s = Scenario { strategy: Strategy::Adaptive(AdaptiveParams::default()), ..case(seed) };
+        check(&Scenario { door: Door::Merge, cuts: Cuts::Every(s.n.div_ceil(2)), ..s });
+    }
+}
+
+#[test]
+fn metrics_account_for_every_row() {
+    for seed in 0..CASES {
+        let mut draw = draws(!seed);
+        let alpha0 = draw(5_000) as f64 / 100.0;
+        let strategy = [
+            strategies()[0],
+            strategies()[1],
+            strategies()[3],
+            Strategy::Adaptive(AdaptiveParams { alpha0, c: 0.5 }),
+        ];
+        let strategy = strategy[draw(4) as usize];
+        check(&Scenario { specs: vec![AggSpec::count()], strategy, ..case(seed) });
+    }
+}
+
+#[test]
+fn counts_conserved_under_any_adaptive_params() {
+    for seed in 0..CASES {
+        let mut draw = draws(!seed);
+        let (alpha0, c) = (draw(10_000) as f64 / 100.0, draw(2_000) as f64 / 100.0);
+        let strategy = Strategy::Adaptive(AdaptiveParams { alpha0, c });
+        check(&Scenario { specs: vec![AggSpec::count()], strategy, ..case(seed) });
+    }
+}
+
+/// `datagen`'s splitmix64 with the draws the properties need.
+struct Gen(SplitMix64);
 
 impl Gen {
-    fn new(seed: u64) -> Self {
-        Gen(seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1))
-    }
-
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
+        self.0.next_u64()
     }
 
     fn below(&mut self, bound: u64) -> u64 {
         self.next() % bound.max(1)
-    }
-
-    fn vec(&mut self, len: usize, bound: u64) -> Vec<u64> {
-        (0..len).map(|_| self.below(bound)).collect()
     }
 }
 
 /// Run `body` for `CASES` seeds, labelling any panic with the case seed.
 fn cases(name: &str, body: impl Fn(&mut Gen)) {
     for case in 0..CASES {
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut Gen::new(case))));
+        let mut g = Gen(SplitMix64::new(case));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut g)));
         if let Err(payload) = result {
             eprintln!("property `{name}` failed at case seed {case}");
             std::panic::resume_unwind(payload);
@@ -55,63 +107,8 @@ fn cases(name: &str, body: impl Fn(&mut Gen)) {
     }
 }
 
-/// Row generator: keys from a narrow domain (forces collisions) or a wide
-/// one (forces distinctness), values arbitrary.
-fn rows(g: &mut Gen) -> (Vec<u64>, Vec<u64>) {
-    let n = g.below(2000) as usize;
-    let key_bound = if g.next().is_multiple_of(2) { 64 } else { 1 << 30 };
-    (g.vec(n, key_bound), g.vec(n, 1_000_000))
-}
-
-/// Small cache + morsels so recursion happens at test input sizes.
-fn tiny_cfg(strategy: Routing) -> AggregateConfig {
-    AggregateConfig {
-        cache_bytes: 32 << 10,
-        threads: 2,
-        strategy,
-        fill_percent: 25,
-        morsel_rows: 512,
-    }
-}
-
-fn reference(keys: &[u64], vals: &[u64]) -> BTreeMap<u64, (u64, u64, u64, u64)> {
-    let mut m = BTreeMap::new();
-    for (&k, &v) in keys.iter().zip(vals) {
-        let e = m.entry(k).or_insert((0u64, 0u64, u64::MAX, 0u64));
-        e.0 += 1;
-        e.1 = e.1.wrapping_add(v);
-        e.2 = e.2.min(v);
-        e.3 = e.3.max(v);
-    }
-    m
-}
-
-/// Invariant 1: operator output equals a scalar fold, any strategy.
-#[test]
-fn operator_matches_reference() {
-    cases("operator_matches_reference", |g| {
-        let (keys, vals) = rows(g);
-        let strategy = [
-            Routing::HashingOnly,
-            Routing::PartitionAlways { passes: 1 },
-            Routing::PartitionAlways { passes: 2 },
-            Routing::Adaptive(AdaptiveParams::default()),
-        ][g.below(4) as usize];
-        let (out, _) = aggregate(
-            &keys,
-            &[&vals],
-            &[AggSpec::count(), AggSpec::sum(0), AggSpec::min(0), AggSpec::max(0)],
-            &tiny_cfg(strategy),
-        );
-        let got: BTreeMap<u64, (u64, u64, u64, u64)> =
-            out.sorted_rows().into_iter().map(|(k, s)| (k, (s[0], s[1], s[2], s[3]))).collect();
-        assert_eq!(got, reference(&keys, &vals), "strategy {strategy:?}");
-    });
-}
-
-/// Invariant 3: partitioning is a stable permutation into the right
-/// digits, and the mapping replay (invariant 4) aligns values with
-/// their keys.
+/// Partitioning is a stable permutation into the right digits, and the
+/// mapping replay aligns values with their keys.
 #[test]
 fn partitioning_permutes_and_mapping_aligns() {
     cases("partitioning_permutes_and_mapping_aligns", |g| {
@@ -142,8 +139,8 @@ fn partitioning_permutes_and_mapping_aligns() {
     });
 }
 
-/// Invariant 2: a sealed table partitions its keys by digit and emits
-/// every inserted key exactly once.
+/// A sealed table partitions its keys by digit and emits every inserted
+/// key exactly once.
 #[test]
 fn sealed_table_is_a_radix_partition() {
     cases("sealed_table_is_a_radix_partition", |g| {
@@ -174,71 +171,6 @@ fn sealed_table_is_a_radix_partition() {
         emitted.sort_unstable();
         inserted.sort_unstable();
         assert_eq!(emitted, inserted);
-    });
-}
-
-/// Invariant 6: aggregating pre-aggregated halves equals aggregating
-/// the whole (super-aggregate correctness through the full operator).
-#[test]
-fn split_aggregation_composes() {
-    cases("split_aggregation_composes", |g| {
-        let (keys, vals) = rows(g);
-        if keys.len() < 2 {
-            return;
-        }
-        let cfg = tiny_cfg(Routing::Adaptive(AdaptiveParams::default()));
-        let mid = keys.len() / 2;
-        let specs = [AggSpec::count(), AggSpec::sum(0), AggSpec::min(0), AggSpec::max(0)];
-
-        // Whole input in one operator call.
-        let (whole, _) = aggregate(&keys, &[&vals], &specs, &cfg);
-
-        // Two halves, recombined by a BTreeMap super-aggregate.
-        let (a, _) = aggregate(&keys[..mid], &[&vals[..mid]], &specs, &cfg);
-        let (b, _) = aggregate(&keys[mid..], &[&vals[mid..]], &specs, &cfg);
-        let mut merged: BTreeMap<u64, (u64, u64, u64, u64)> = BTreeMap::new();
-        for part in [a, b] {
-            for (k, s) in part.sorted_rows() {
-                let e = merged.entry(k).or_insert((0, 0, u64::MAX, 0));
-                e.0 += s[0];
-                e.1 = e.1.wrapping_add(s[1]);
-                e.2 = e.2.min(s[2]);
-                e.3 = e.3.max(s[3]);
-            }
-        }
-        let got: BTreeMap<u64, (u64, u64, u64, u64)> =
-            whole.sorted_rows().into_iter().map(|(k, s)| (k, (s[0], s[1], s[2], s[3]))).collect();
-        assert_eq!(got, merged);
-    });
-}
-
-/// Metrics invariant: every level-0 row goes through exactly one routine,
-/// and every counted seal left one fill sample in the deep part.
-#[test]
-fn metrics_account_for_every_row() {
-    cases("metrics_account_for_every_row", |g| {
-        let (keys, _) = rows(g);
-        let strategy = [
-            Routing::HashingOnly,
-            Routing::PartitionAlways { passes: 1 },
-            Routing::Adaptive(AdaptiveParams::default()),
-            Routing::Adaptive(AdaptiveParams { alpha0: g.below(5_000) as f64 / 100.0, c: 0.5 }),
-        ][g.below(4) as usize];
-        let (_, report) = try_aggregate_observed(
-            &keys,
-            &[],
-            &[AggSpec::count()],
-            &tiny_cfg(strategy),
-            &ExecEnv::unrestricted(),
-            &ObsConfig::full(),
-        )
-        .unwrap();
-        let st = &report.stats;
-        let level0 = st.hash_rows_per_level.first().copied().unwrap_or(0)
-            + st.part_rows_per_level.first().copied().unwrap_or(0);
-        assert_eq!(level0, keys.len() as u64, "strategy {strategy:?}");
-        let m = report.metrics.as_ref().unwrap().merged();
-        assert_eq!(m.counter(Counter::TablesSealed), m.hist(Hist::SealFillPct).count());
     });
 }
 
@@ -300,19 +232,5 @@ fn counters_only_recorder_keeps_counts_and_no_deep_part() {
         assert!(Hist::ALL.iter().all(|&h| m.hist(h).is_empty()));
         assert_eq!(m.alpha_count(), 0);
         assert!(m.alphas().is_empty());
-    });
-}
-
-/// COUNT conservation: counts sum to N under any adaptive parameters.
-#[test]
-fn counts_conserved_under_any_adaptive_params() {
-    cases("counts_conserved_under_any_adaptive_params", |g| {
-        let (keys, _) = rows(g);
-        let alpha0 = g.below(10_000) as f64 / 100.0;
-        let c = g.below(2_000) as f64 / 100.0;
-        let cfg = tiny_cfg(Routing::Adaptive(AdaptiveParams { alpha0, c }));
-        let (out, _) = aggregate(&keys, &[], &[AggSpec::count()], &cfg);
-        let total: u64 = out.states[0].iter().sum();
-        assert_eq!(total, keys.len() as u64, "alpha0={alpha0} c={c}");
     });
 }
