@@ -51,9 +51,6 @@ pub struct CliArgs {
     /// beyond this degrade into a typed disk-budget error instead of
     /// filling the disk.
     pub spill_limit: Option<u64>,
-    /// Feed the operator in chunks of this many rows (`--chunk-rows`)
-    /// through the streaming API instead of one slice.
-    pub chunk_rows: Option<usize>,
 }
 
 impl CliArgs {
@@ -102,9 +99,6 @@ options:
                           (K/M/G suffixes accepted); exceeding it fails
                           the query with a disk-budget error (exit 2)
                           instead of filling the disk
-  --chunk-rows <n>        feed the operator <n> rows at a time through the
-                          streaming API (bounds operator-side ingestion;
-                          the CSV itself is still parsed in memory)
   --stats                 print the full run report (per-level passes,
                           probe lengths, partition bytes, switch alphas, ...)
   --explain               print the EXPLAIN ANALYZE operator tree: per
@@ -163,7 +157,6 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<CliArgs, Usa
     let mut timeout_ms = None;
     let mut spill_dir = None;
     let mut spill_limit = None;
-    let mut chunk_rows = None;
 
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -217,15 +210,6 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<CliArgs, Usa
                 let v = take_value(&mut args, "--spill-limit")?;
                 spill_limit = Some(parse_size(&v)?);
             }
-            "--chunk-rows" => {
-                let v = take_value(&mut args, "--chunk-rows")?;
-                let n: usize =
-                    v.parse().map_err(|_| UsageError(format!("bad chunk size {v:?}")))?;
-                if n == 0 {
-                    return Err(UsageError("--chunk-rows must be at least 1".into()));
-                }
-                chunk_rows = Some(n);
-            }
             other if is_flag(other) => {
                 return Err(UsageError(format!("unknown option {other:?}")));
             }
@@ -255,7 +239,6 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<CliArgs, Usa
         timeout_ms,
         spill_dir,
         spill_limit,
-        chunk_rows,
     })
 }
 
@@ -433,7 +416,7 @@ mod tests {
     }
 
     #[test]
-    fn spill_and_chunk_flags() {
+    fn spill_flags() {
         let a = parse(&[
             "f.csv",
             "--group-by",
@@ -442,25 +425,22 @@ mod tests {
             "/tmp/spill",
             "--spill-limit",
             "64M",
-            "--chunk-rows",
-            "4096",
         ])
         .unwrap();
         assert_eq!(a.spill_dir.as_deref(), Some("/tmp/spill"));
         assert_eq!(a.spill_limit, Some(64 << 20));
-        assert_eq!(a.chunk_rows, Some(4096));
 
         let b = parse(&["f.csv", "--group-by", "k"]).unwrap();
         assert_eq!(b.spill_dir, None);
         assert_eq!(b.spill_limit, None);
-        assert_eq!(b.chunk_rows, None);
 
         assert!(parse(&["f.csv", "--group-by", "k", "--spill-dir"]).is_err());
         assert!(parse(&["f.csv", "--group-by", "k", "--spill-limit"]).is_err());
         assert!(parse(&["f.csv", "--group-by", "k", "--spill-limit", "lots"]).is_err());
-        assert!(parse(&["f.csv", "--group-by", "k", "--chunk-rows", "zero"]).is_err());
-        let e = parse(&["f.csv", "--group-by", "k", "--chunk-rows", "0"]).unwrap_err();
-        assert!(e.0.contains("at least 1"), "{e}");
+        // The CSV is parsed whole before the first row reaches the
+        // operator, so there is no chunk size to choose.
+        let e = parse(&["f.csv", "--group-by", "k", "--chunk-rows", "4096"]).unwrap_err();
+        assert!(e.0.contains("unknown option"), "{e}");
     }
 
     #[test]

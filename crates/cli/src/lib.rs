@@ -97,10 +97,7 @@ pub fn run_on_csv_text(text: &str, args: &CliArgs) -> Result<CliRun, CliError> {
         };
     }
     // Operator errors carry their own class (budget, timeout, I/O, …).
-    let result = match args.chunk_rows {
-        Some(n) => q.try_run_streaming(n),
-        None => q.try_run(),
-    }?;
+    let result = q.try_run()?;
 
     let group_names = args.group_by.clone();
     let mut out =
@@ -269,8 +266,6 @@ mod tests {
             "2M",
             "--spill-dir",
             &spill,
-            "--chunk-rows",
-            "4096",
         ]);
         let run = run_on_csv_text(&csv, &a).unwrap();
         assert_eq!(run.rendered, unbudgeted.rendered, "spilled run must match in-memory result");
@@ -313,8 +308,6 @@ mod tests {
             &spill,
             "--spill-limit",
             "4k",
-            "--chunk-rows",
-            "4096",
         ]);
         let err = run_on_csv_text(&csv, &a).unwrap_err();
         assert!(err.to_string().contains("spill disk budget exceeded"), "{err}");
@@ -356,8 +349,6 @@ mod tests {
             &spill,
             "--spill-limit",
             "256M",
-            "--chunk-rows",
-            "4096",
         ]);
         let run = run_on_csv_text(&csv, &a).unwrap();
         assert_eq!(run.rendered, unbudgeted.rendered, "bounded spill must match in-memory");

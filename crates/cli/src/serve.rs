@@ -41,8 +41,8 @@ use crate::args::{parse_size, UsageError};
 use crate::error::{CliError, ErrorClass};
 use hashing_is_sorting::obs::json::{write_u64_array, JsonValue, ParseError, Reader};
 use hashing_is_sorting::{
-    AdmissionConfig, AdmissionController, AdmissionDenied, AdmissionOutcome, AdmissionRequest,
-    AggSpec, AggStream, AggregateConfig, CancelToken, ExecEnv, ObsConfig, QueryGrant,
+    AdmissionConfig, AdmissionController, AdmissionOutcome, AdmissionRequest, AggSpec, AggStream,
+    AggregateConfig, CancelToken, ExecEnv, ObsConfig, QueryGrant,
 };
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -471,6 +471,14 @@ impl Conn<'_> {
         };
         let mut cfg = AggregateConfig { threads, ..AggregateConfig::default() };
         if let Some(kb) = req.cache_kb {
+            // A client may shrink its tables, never grow them: on a server
+            // without `--mem-total` nothing else bounds their size.
+            let most = cfg.cache_bytes as u64 >> 10;
+            if kb > most {
+                let err = CliError::invalid(format!("cache_kb {kb} is above the default {most}"));
+                self.error(&err, None);
+                return Ok(());
+            }
             cfg.cache_bytes = (kb.max(1) as usize) << 10;
         }
         let admission = AdmissionRequest {
@@ -495,11 +503,7 @@ impl Conn<'_> {
         let grant = match outcome {
             AdmissionOutcome::Admitted(grant) => grant,
             AdmissionOutcome::Denied(denied) => {
-                let class = match denied {
-                    AdmissionDenied::ShuttingDown => ErrorClass::Internal,
-                    _ => ErrorClass::Budget,
-                };
-                self.error(&CliError::new(class, format!("denied: {denied}")), None);
+                self.error(&CliError::new(ErrorClass::Budget, format!("denied: {denied}")), None);
                 return Ok(());
             }
             AdmissionOutcome::Queued { waiting_for, .. } => {
@@ -665,7 +669,8 @@ impl Conn<'_> {
 }
 
 /// Parse `"aggs": [["count"],["sum",0],...]` into specs. An omitted or
-/// empty list is `DISTINCT` over the keys.
+/// empty list is `DISTINCT` over the keys. Every function but `count`
+/// names its input column as a u64.
 fn parse_specs(aggs: Option<&JsonValue>) -> Result<Vec<AggSpec>, CliError> {
     let Some(aggs) = aggs else { return Ok(Vec::new()) };
     let Some(entries) = aggs.as_array() else {
@@ -678,13 +683,18 @@ fn parse_specs(aggs: Option<&JsonValue>) -> Result<Vec<AggSpec>, CliError> {
             .and_then(|p| p.first())
             .and_then(JsonValue::as_str)
             .ok_or_else(|| CliError::invalid("each agg needs a function name"))?;
-        let col = parts.and_then(|p| p.get(1)).and_then(JsonValue::as_u64).unwrap_or(0) as usize;
+        let col = || {
+            let col = parts.and_then(|p| p.get(1)).and_then(JsonValue::as_u64);
+            col.and_then(|c| usize::try_from(c).ok()).ok_or_else(|| {
+                CliError::invalid(format!("{func:?} needs an input column index (a u64)"))
+            })
+        };
         specs.push(match func {
             "count" => AggSpec::count(),
-            "sum" => AggSpec::sum(col),
-            "min" => AggSpec::min(col),
-            "max" => AggSpec::max(col),
-            "avg" => AggSpec::avg(col),
+            "sum" => AggSpec::sum(col()?),
+            "min" => AggSpec::min(col()?),
+            "max" => AggSpec::max(col()?),
+            "avg" => AggSpec::avg(col()?),
             other => return Err(CliError::invalid(format!("unknown aggregate {other:?}"))),
         });
     }
@@ -742,6 +752,15 @@ mod tests {
         assert_eq!(specs.len(), 3);
         let req = decode(r#"{"aggs":[["median",0]]}"#);
         assert!(parse_specs(req.aggs.as_ref()).is_err());
+        // Only COUNT goes without a column: a missing, named, negative or
+        // fractional one is not column 0.
+        for aggs in [r#"[["sum"]]"#, r#"[["sum","amount"]]"#, r#"[["min",-1]]"#, r#"[["avg",1.5]]"#]
+        {
+            let line = format!(r#"{{"aggs":{aggs}}}"#);
+            let req = Request::decode(&line, &mut Vec::new(), &mut Vec::new()).unwrap();
+            let e = parse_specs(req.aggs.as_ref()).unwrap_err();
+            assert_eq!(e.class, ErrorClass::InvalidInput, "{aggs}");
+        }
         let req = decode(r#"{}"#);
         assert!(parse_specs(req.aggs.as_ref()).unwrap().is_empty(), "no aggs = DISTINCT");
     }

@@ -106,8 +106,6 @@ fn spill_limit_exhaustion_is_two_and_leaves_no_files() {
         dir.to_str().unwrap(),
         "--spill-limit",
         "4k",
-        "--chunk-rows",
-        "4096",
     ]);
     assert_eq!(code(&out), 2, "stderr: {}", stderr(&out));
     assert!(stderr(&out).contains("spill disk budget exceeded"), "{}", stderr(&out));

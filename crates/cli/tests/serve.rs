@@ -419,3 +419,20 @@ fn a_non_utf8_line_is_answered_and_the_query_goes_on() {
     let (rows, _) = client.finish();
     assert_eq!(rows, expected_rows(&keys, &vals));
 }
+
+/// A client may shrink its tables below the default 2048 KiB, never grow
+/// them: on a server without `--mem-total` nothing else bounds a table.
+/// The refusal is `invalid-input`, and the connection stays usable.
+#[test]
+fn a_cache_above_the_default_is_refused_and_the_connection_kept() {
+    let addr = start_server(default_args());
+    let (keys, vals) = test_data(5_000);
+    let mut client = Client::connect(addr);
+    client.send(r#"{"op":"submit","aggs":[["count"],["sum",0]],"cache_kb":4096}"#);
+    let reply = client.recv();
+    assert_eq!(reply.get("class").and_then(JsonValue::as_str), Some("invalid-input"), "{reply:?}");
+    client.submit(r#"{"op":"submit","aggs":[["count"],["sum",0]],"cache_kb":2048}"#);
+    client.push_ok(&keys, &[&vals]);
+    let (rows, _) = client.finish();
+    assert_eq!(rows, expected_rows(&keys, &vals));
+}

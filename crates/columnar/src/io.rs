@@ -321,13 +321,11 @@ pub(crate) struct StoreCore {
     pub(crate) spill_retries: AtomicU64,
     pub(crate) restore_retries: AtomicU64,
     pub(crate) io_abandons: AtomicU64,
-    pub(crate) logical_bytes: AtomicU64,
     pub(crate) encoded_bytes: AtomicU64,
     pub(crate) async_io_nanos: AtomicU64,
     pub(crate) io_wait_nanos: AtomicU64,
     pub(crate) reclaimed_files: u64,
     pub(crate) reclaimed_bytes: u64,
-    pub(crate) reclaim_nanos: u64,
     /// First write error no submitter was there to receive, held until
     /// the next synchronization point surfaces it (submit or drain).
     pub(crate) first_error: Mutex<Option<AggError>>,
@@ -370,12 +368,7 @@ impl StoreCore {
             match self.write_attempt(batch, inject) {
                 Ok(actual) => {
                     reservation.shrink_to(actual);
-                    let logical: u64 = batch
-                        .iter()
-                        .map(|it| (1 + it.run.n_cols() as u64) * it.run.len() as u64 * 8)
-                        .sum();
-                    // ORDERING: Relaxed — monotonic statistics counters.
-                    self.logical_bytes.fetch_add(logical, Ordering::Relaxed);
+                    // ORDERING: Relaxed — monotonic statistics counter.
                     self.encoded_bytes.fetch_add(actual, Ordering::Relaxed);
                     return Ok(());
                 }

@@ -80,7 +80,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 /// How one [`FileStore`] runs its I/O: how many worker threads overlap
 /// spill I/O with compute (`0` = every write and read runs on the calling
@@ -114,11 +113,6 @@ pub struct StoreIoStats {
     pub reclaimed_files: u64,
     /// Bytes those reclaimed files occupied.
     pub reclaimed_bytes: u64,
-    /// Wall time the startup sweep took, in nanoseconds.
-    pub reclaim_nanos: u64,
-    /// Uncompressed payload bytes across all completed spill writes
-    /// (rows × columns × 8; the pre-codec size).
-    pub logical_bytes: u64,
     /// Bytes the encoded spill files actually occupied on disk
     /// (header + framed compressed extents + footer).
     pub encoded_bytes: u64,
@@ -161,7 +155,6 @@ impl FileStore {
         fs::create_dir_all(&dir).map_err(fail)?;
         let pid = std::process::id();
         sweep::write_lock(&dir, pid).map_err(fail)?;
-        let t0 = Instant::now();
         let (reclaimed_files, reclaimed_bytes) = sweep::sweep_orphans(&dir, pid);
         let core = Arc::new(StoreCore {
             dir,
@@ -173,13 +166,11 @@ impl FileStore {
             spill_retries: AtomicU64::new(0),
             restore_retries: AtomicU64::new(0),
             io_abandons: AtomicU64::new(0),
-            logical_bytes: AtomicU64::new(0),
             encoded_bytes: AtomicU64::new(0),
             async_io_nanos: AtomicU64::new(0),
             io_wait_nanos: AtomicU64::new(0),
             reclaimed_files,
             reclaimed_bytes,
-            reclaim_nanos: t0.elapsed().as_nanos() as u64,
             first_error: Mutex::new(None),
         });
         let exec = Executor::new(Arc::clone(&core), config.io_threads, queue_bytes);
@@ -198,8 +189,6 @@ impl FileStore {
             io_abandons: self.core.io_abandons.load(Ordering::Relaxed),
             reclaimed_files: self.core.reclaimed_files,
             reclaimed_bytes: self.core.reclaimed_bytes,
-            reclaim_nanos: self.core.reclaim_nanos,
-            logical_bytes: self.core.logical_bytes.load(Ordering::Relaxed),
             encoded_bytes: self.core.encoded_bytes.load(Ordering::Relaxed),
             async_io_nanos: self.core.async_io_nanos.load(Ordering::Relaxed),
             io_wait_nanos: self.core.io_wait_nanos.load(Ordering::Relaxed),
@@ -872,7 +861,6 @@ mod tests {
             handle.spilled_bytes()
         );
         let stats = auto.io_stats().unwrap();
-        assert_eq!(stats.logical_bytes, 3 * run.len() as u64 * 8);
         assert_eq!(stats.encoded_bytes, on_disk);
         assert_eq!(rows_of(&handle.into_run().unwrap()), rows_of(&run));
         drop(auto);

@@ -635,289 +635,3 @@ pub(crate) fn spill_store(dir: &std::path::Path) -> RunStore {
 pub fn distinct(keys: &[u64], cfg: &AggregateConfig) -> (GroupByOutput, OpStats) {
     aggregate(keys, &[], &[], cfg)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::AdaptiveParams;
-    use hsa_fault::MemoryBudget;
-    use std::collections::BTreeMap;
-
-    fn reference(keys: &[u64], vals: &[u64]) -> BTreeMap<u64, (u64, u64, u64, u64)> {
-        let mut m = BTreeMap::new();
-        for (&k, &v) in keys.iter().zip(vals) {
-            let e = m.entry(k).or_insert((0u64, 0u64, u64::MAX, 0u64));
-            e.0 += 1;
-            e.1 += v;
-            e.2 = e.2.min(v);
-            e.3 = e.3.max(v);
-        }
-        m
-    }
-
-    fn small_cfg(strategy: Strategy) -> AggregateConfig {
-        AggregateConfig {
-            // Tiny cache so multi-pass behavior kicks in at test sizes:
-            // 64 Ki slots? No — 8 Ki slots ≈ 2 Ki groups per table.
-            cache_bytes: 128 << 10,
-            threads: 2,
-            strategy,
-            fill_percent: 25,
-            morsel_rows: 1 << 12,
-        }
-    }
-
-    fn all_strategies() -> Vec<Strategy> {
-        vec![
-            Strategy::HashingOnly,
-            Strategy::PartitionAlways { passes: 1 },
-            Strategy::PartitionAlways { passes: 2 },
-            Strategy::Adaptive(AdaptiveParams::default()),
-            Strategy::Adaptive(AdaptiveParams { alpha0: f64::INFINITY, c: 1.0 }),
-        ]
-    }
-
-    fn keys_and_vals(n: usize, k: u64, seed: u64) -> (Vec<u64>, Vec<u64>) {
-        let mut s = seed | 1;
-        let mut next = move || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            s >> 33
-        };
-        let keys: Vec<u64> = (0..n).map(|_| next() % k).collect();
-        let vals: Vec<u64> = (0..n).map(|_| next() % 1000).collect();
-        (keys, vals)
-    }
-
-    #[test]
-    fn all_strategies_match_reference_small_k() {
-        let (keys, vals) = keys_and_vals(40_000, 100, 1);
-        let expect = reference(&keys, &vals);
-        for strat in all_strategies() {
-            let (out, _) = aggregate(
-                &keys,
-                &[&vals],
-                &[AggSpec::count(), AggSpec::sum(0), AggSpec::min(0), AggSpec::max(0)],
-                &small_cfg(strat),
-            );
-            let got: BTreeMap<u64, (u64, u64, u64, u64)> =
-                out.sorted_rows().into_iter().map(|(k, s)| (k, (s[0], s[1], s[2], s[3]))).collect();
-            assert_eq!(got, expect, "strategy {strat:?}");
-        }
-    }
-
-    #[test]
-    fn all_strategies_match_reference_large_k() {
-        // K far beyond the tiny table capacity forces real recursion.
-        let (keys, vals) = keys_and_vals(60_000, 30_000, 2);
-        let expect = reference(&keys, &vals);
-        for strat in all_strategies() {
-            let (out, stats) = aggregate(
-                &keys,
-                &[&vals],
-                &[AggSpec::count(), AggSpec::sum(0), AggSpec::min(0), AggSpec::max(0)],
-                &small_cfg(strat),
-            );
-            let got: BTreeMap<u64, (u64, u64, u64, u64)> =
-                out.sorted_rows().into_iter().map(|(k, s)| (k, (s[0], s[1], s[2], s[3]))).collect();
-            assert_eq!(got, expect, "strategy {strat:?}");
-            assert!(stats.passes_used() >= 1, "strategy {strat:?}");
-        }
-    }
-
-    #[test]
-    fn distinct_query() {
-        let (keys, _) = keys_and_vals(50_000, 5_000, 3);
-        let mut expect: Vec<u64> = keys.clone();
-        expect.sort_unstable();
-        expect.dedup();
-        for strat in all_strategies() {
-            let (out, _) = distinct(&keys, &small_cfg(strat));
-            let mut got = out.keys.clone();
-            got.sort_unstable();
-            assert_eq!(got, expect, "strategy {strat:?}");
-        }
-    }
-
-    #[test]
-    fn empty_input() {
-        let (out, stats) = aggregate(&[], &[], &[AggSpec::count()], &AggregateConfig::default());
-        assert_eq!(out.n_groups(), 0);
-        assert_eq!(stats.total_hash_rows() + stats.total_part_rows(), 0);
-    }
-
-    #[test]
-    fn single_row() {
-        let (out, _) = aggregate(&[7], &[&[99]], &[AggSpec::sum(0)], &AggregateConfig::default());
-        assert_eq!(out.sorted_rows(), vec![(7, vec![99])]);
-    }
-
-    #[test]
-    fn all_rows_same_key() {
-        let keys = vec![5u64; 10_000];
-        let vals: Vec<u64> = (0..10_000).collect();
-        for strat in all_strategies() {
-            let (out, _) =
-                aggregate(&keys, &[&vals], &[AggSpec::count(), AggSpec::sum(0)], &small_cfg(strat));
-            assert_eq!(out.sorted_rows(), vec![(5, vec![10_000, 49_995_000])], "{strat:?}");
-        }
-    }
-
-    #[test]
-    fn every_row_distinct() {
-        let keys: Vec<u64> = (0..50_000).collect();
-        for strat in all_strategies() {
-            let (out, _) = distinct(&keys, &small_cfg(strat));
-            assert_eq!(out.n_groups(), 50_000, "{strat:?}");
-        }
-    }
-
-    #[test]
-    fn count_is_conserved_across_passes() {
-        // The COUNT invariant: whatever the routing, the counts sum to N.
-        let (keys, _) = keys_and_vals(80_000, 10_000, 4);
-        for strat in all_strategies() {
-            let (out, _) = aggregate(&keys, &[], &[AggSpec::count()], &small_cfg(strat));
-            let total: u64 = out.states[0].iter().sum();
-            assert_eq!(total, 80_000, "{strat:?}");
-        }
-    }
-
-    #[test]
-    fn hashing_only_single_pass_for_tiny_k() {
-        let (keys, _) = keys_and_vals(40_000, 16, 5);
-        let (_, stats) =
-            aggregate(&keys, &[], &[AggSpec::count()], &small_cfg(Strategy::HashingOnly));
-        // Level 0 hashes everything; level 1 only merges tiny runs.
-        assert_eq!(stats.part_rows_per_level.iter().sum::<u64>(), 0);
-        assert_eq!(stats.hash_rows_per_level[0], 40_000);
-        assert!(stats.hash_rows_per_level[1] <= 16 * 2 * 2, "tiny merge pass");
-    }
-
-    #[test]
-    fn adaptive_partitions_when_no_locality() {
-        // Distinct keys, K ≫ table: α = 1 at every seal → adaptive must
-        // route the bulk of the data through partitioning.
-        let keys: Vec<u64> = (0..100_000).collect();
-        let (_, stats) =
-            aggregate(&keys, &[], &[], &small_cfg(Strategy::Adaptive(AdaptiveParams::default())));
-        assert!(stats.switches_to_partitioning > 0);
-        assert!(
-            stats.total_part_rows() > stats.total_hash_rows() / 2,
-            "partitioning should carry substantial load: part={} hash={}",
-            stats.total_part_rows(),
-            stats.total_hash_rows()
-        );
-    }
-
-    #[test]
-    fn adaptive_keeps_hashing_on_heavy_locality() {
-        // One key: every table absorbs rows without filling; never switch.
-        let keys = vec![1u64; 100_000];
-        let (_, stats) =
-            aggregate(&keys, &[], &[], &small_cfg(Strategy::Adaptive(AdaptiveParams::default())));
-        assert_eq!(stats.switches_to_partitioning, 0);
-        assert_eq!(stats.total_part_rows(), 0);
-    }
-
-    #[test]
-    fn avg_finalizes() {
-        let keys = vec![1u64, 1, 2];
-        let vals = vec![10u64, 20, 5];
-        let (out, _) = aggregate(&keys, &[&vals], &[AggSpec::avg(0)], &AggregateConfig::default());
-        let rows = out.sorted_rows();
-        assert_eq!(rows.len(), 2);
-        // keys sorted: group 1 then 2.
-        let avg1 = out.value(0, out.keys.iter().position(|&k| k == 1).unwrap());
-        let avg2 = out.value(0, out.keys.iter().position(|&k| k == 2).unwrap());
-        assert_eq!(avg1, 15.0);
-        assert_eq!(avg2, 5.0);
-    }
-
-    #[test]
-    fn single_threaded_matches_multi() {
-        let (keys, vals) = keys_and_vals(30_000, 3_000, 6);
-        let specs = [AggSpec::sum(0), AggSpec::count()];
-        let mut cfg = small_cfg(Strategy::Adaptive(AdaptiveParams::default()));
-        let (a, _) = aggregate(&keys, &[&vals], &specs, &cfg);
-        cfg.threads = 1;
-        let (b, _) = aggregate(&keys, &[&vals], &specs, &cfg);
-        assert_eq!(a.sorted_rows(), b.sorted_rows());
-    }
-
-    #[test]
-    fn merge_partials_equals_single_pass() {
-        let (keys, vals) = keys_and_vals(40_000, 2_000, 7);
-        let specs = [AggSpec::count(), AggSpec::sum(0), AggSpec::min(0), AggSpec::avg(0)];
-        let cfg = small_cfg(Strategy::Adaptive(AdaptiveParams::default()));
-
-        let (whole, _) = aggregate(&keys, &[&vals], &specs, &cfg);
-
-        // Split into three uneven shards, aggregate each, merge.
-        let cuts = [0usize, 13_000, 27_500, 40_000];
-        let parts: Vec<GroupByOutput> = cuts
-            .windows(2)
-            .map(|w| aggregate(&keys[w[0]..w[1]], &[&vals[w[0]..w[1]]], &specs, &cfg).0)
-            .collect();
-        let refs: Vec<&GroupByOutput> = parts.iter().collect();
-        let (merged, _) =
-            try_merge_partials(&refs, &specs, &cfg, &ExecEnv::unrestricted()).unwrap();
-
-        assert_eq!(merged.sorted_rows(), whole.sorted_rows());
-        // AVG survives the merge because its SUM and COUNT states do.
-        let k0 = whole.keys[0];
-        let r_whole = whole.keys.iter().position(|&k| k == k0).unwrap();
-        let r_merged = merged.keys.iter().position(|&k| k == k0).unwrap();
-        assert_eq!(whole.value(3, r_whole), merged.value(3, r_merged));
-    }
-
-    #[test]
-    fn merge_partials_rejects_mismatched_plans() {
-        let cfg = AggregateConfig::default();
-        let (a, _) = aggregate(&[1], &[&[1]], &[AggSpec::sum(0)], &cfg);
-        let err = try_merge_partials(&[&a], &[AggSpec::count()], &cfg, &ExecEnv::unrestricted())
-            .unwrap_err();
-        assert_eq!(err, AggError::MismatchedSpecs);
-        assert!(err.to_string().contains("different aggregate specs"), "{err}");
-    }
-
-    /// A partial whose public fields were edited out of shape is an input
-    /// error reported before any row is merged — not a panic inside a
-    /// task — and leaves nothing reserved.
-    #[test]
-    fn merge_partials_rejects_malformed_partials_before_merging() {
-        let specs = [AggSpec::count(), AggSpec::sum(0)];
-        let cfg = small_cfg(Strategy::Adaptive(AdaptiveParams::default()));
-        let (keys, vals) = keys_and_vals(20_000, 1_000, 8);
-        let (good, _) = aggregate(&keys, &[&vals], &specs, &cfg);
-        assert_eq!(good.n_groups(), 1_000);
-        let mut missing = good.clone();
-        missing.states.pop();
-        let mut short = good.clone();
-        short.states[1].truncate(10);
-        let cases = [
-            (missing, AggError::MismatchedSpecs),
-            (short, AggError::RowCountMismatch { column: 1, got: 10, expected: 1_000 }),
-        ];
-        for (bad, want) in cases {
-            let budget = MemoryBudget::limited(64 << 20);
-            let env = ExecEnv::unrestricted().with_budget(budget.clone());
-            // The malformed partial comes second: the first is well formed.
-            let err = try_merge_partials(&[&good, &bad], &specs, &cfg, &env).unwrap_err();
-            assert_eq!(err, want);
-            assert_eq!(budget.outstanding(), 0, "{want:?} left bytes reserved");
-            assert_eq!(budget.high_water(), 0, "{want:?} reserved before the check");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "row count mismatch")]
-    fn mismatched_columns_panic() {
-        let _ = aggregate(&[1, 2], &[&[1]], &[AggSpec::sum(0)], &AggregateConfig::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "missing input column")]
-    fn missing_input_panics() {
-        let _ = aggregate(&[1, 2], &[], &[AggSpec::sum(0)], &AggregateConfig::default());
-    }
-}

@@ -208,7 +208,7 @@ mod tests {
         assert_eq!(env.disk.limit(), Some(4096));
         assert_eq!(env.spill.io_threads, 0);
         assert!(ExecEnv::default().spill_dir.is_none());
-        assert!(!ExecEnv::default().disk.is_limited());
+        assert_eq!(ExecEnv::default().disk.limit(), None);
         assert_eq!(ExecEnv::default().spill, SpillConfig::default());
     }
 

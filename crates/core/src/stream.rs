@@ -445,78 +445,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chunked_pushes_match_one_shot() {
-        let keys: Vec<u64> = (0..30_000u64).map(|i| i * 2654435761 % 3000).collect();
-        let vals: Vec<u64> = (0..30_000).collect();
-        let specs = [hsa_agg::AggSpec::count(), hsa_agg::AggSpec::sum(0)];
-        let (whole, _) = crate::aggregate(&keys, &[&vals], &specs, &cfg());
-
-        let mut stream =
-            AggStream::new(&specs, &cfg(), &ExecEnv::unrestricted(), &ObsConfig::disabled())
-                .unwrap();
-        for chunk in keys.chunks(7001).zip(vals.chunks(7001)) {
-            stream.push(chunk.0, &[chunk.1]).unwrap();
-        }
-        assert_eq!(stream.rows_pushed(), 30_000);
-        let (out, report) = stream.finish().unwrap();
-        assert_eq!(report.rows_in, 30_000);
-        assert_eq!(out.sorted_rows(), whole.sorted_rows());
-    }
-
-    #[test]
-    fn empty_and_single_row_chunks_are_fine() {
-        let mut stream = AggStream::new(
-            &[hsa_agg::AggSpec::sum(0)],
-            &cfg(),
-            &ExecEnv::unrestricted(),
-            &ObsConfig::disabled(),
-        )
-        .unwrap();
-        stream.push(&[], &[&[]]).unwrap();
-        stream.push(&[9], &[&[100]]).unwrap();
-        stream.push(&[], &[&[]]).unwrap();
-        stream.push(&[9], &[&[1]]).unwrap();
-        let (out, _) = stream.finish().unwrap();
-        assert_eq!(out.sorted_rows(), vec![(9, vec![101])]);
-    }
-
-    #[test]
-    fn push_validates_each_chunk() {
-        let mut stream = AggStream::new(
-            &[hsa_agg::AggSpec::sum(0)],
-            &cfg(),
-            &ExecEnv::unrestricted(),
-            &ObsConfig::disabled(),
-        )
-        .unwrap();
-        let e = stream.push(&[1, 2], &[&[1]]).unwrap_err();
-        assert!(matches!(e, AggError::RowCountMismatch { .. }));
-        let mut stream2 = AggStream::new(
-            &[hsa_agg::AggSpec::sum(0)],
-            &cfg(),
-            &ExecEnv::unrestricted(),
-            &ObsConfig::disabled(),
-        )
-        .unwrap();
-        let e = stream2.push(&[1, 2], &[]).unwrap_err();
-        assert!(matches!(e, AggError::MissingInputColumn { .. }));
-    }
-
-    #[test]
-    fn finish_without_pushes_is_empty() {
-        let stream = AggStream::new(
-            &[hsa_agg::AggSpec::count()],
-            &cfg(),
-            &ExecEnv::unrestricted(),
-            &ObsConfig::disabled(),
-        )
-        .unwrap();
-        let (out, report) = stream.finish().unwrap();
-        assert_eq!(out.n_groups(), 0);
-        assert_eq!(report.rows_in, 0);
-    }
-
     /// Hash `keys`/`vals` into worker `w`'s table directly, as a morsel
     /// claimed by that worker would — the scheduler decides which workers
     /// claim morsels of a real push, a test of the finish rule cannot.
@@ -557,26 +485,6 @@ mod tests {
         let rows = out.sorted_rows();
         assert_eq!(rows.len(), 200);
         assert_eq!(rows[7], (7, vec![50, 2 * 25 * 7]));
-    }
-
-    #[test]
-    fn a_run_in_the_shared_buckets_keeps_the_seal_path() {
-        // More groups than one table holds: it seals mid-input, so the
-        // leftover table's groups may continue in the sealed runs.
-        let keys: Vec<u64> = (0..20_000u64).map(|i| i % 5_000).collect();
-        let mut stream = AggStream::new(
-            &[hsa_agg::AggSpec::count()],
-            &AggregateConfig { threads: 1, strategy: Strategy::HashingOnly, ..cfg() },
-            &ExecEnv::unrestricted(),
-            &ObsConfig::disabled(),
-        )
-        .unwrap();
-        stream.push(&keys, &[]).unwrap();
-        let (out, report) = stream.finish().unwrap();
-        assert!(report.stats.seals >= 2, "mid-input seal plus the leftover: {:?}", report.stats);
-        assert!(report.stats.hash_rows_per_level[1] > 0);
-        assert_eq!(out.n_groups(), 5_000);
-        assert!(out.states[0].iter().all(|&c| c == 4));
     }
 
     #[test]
@@ -773,47 +681,6 @@ mod tests {
         assert!(spilled_cases > 0, "no budgeted case spilled");
         let leftover = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
         assert_eq!(leftover, 0, "spill files must not outlive their streams");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn direct_emit_under_a_denied_output_reservation_is_typed_and_drains() {
-        let keys: Vec<u64> = (0..5_000u64).map(|i| i % 500).collect();
-        // Room for the worker table and 1 KiB more; the 500 groups' output
-        // block needs 12 000 bytes.
-        let table = cfg().table_config(2).mem_bytes(2);
-        let budget = hsa_fault::MemoryBudget::limited(table + 1024);
-        let mut stream = count_sum_stream(1, &ExecEnv::unrestricted().with_budget(budget.clone()));
-        stream.push(&keys, &[&keys]).unwrap();
-        let e = stream.finish().unwrap_err();
-        assert!(matches!(e, AggError::BudgetExceeded { requested: 12_000, .. }), "{e:?}");
-        assert_eq!(budget.outstanding(), 0, "the failed finish released the table");
-    }
-
-    #[test]
-    fn budget_with_spill_dir_stays_bounded_and_correct() {
-        let dir = std::env::temp_dir().join(format!("hsa-stream-spill-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // ≈2.4 MiB of rows whose runs, with chunk slack, the two tables and
-        // the 0.8 MiB of output blocks peak just under 4 MiB when nothing
-        // bounds them: 3 MiB is clear of that and of the resident floor.
-        let keys: Vec<u64> = (0..150_000u64).map(|i| i * 2654435761 % 50_000).collect();
-        let vals: Vec<u64> = (0..150_000).collect();
-        let specs = [hsa_agg::AggSpec::sum(0)];
-        let (whole, _) = crate::aggregate(&keys, &[&vals], &specs, &cfg());
-
-        let budget = hsa_fault::MemoryBudget::limited(3 << 20);
-        let env = ExecEnv::unrestricted().with_budget(budget.clone()).with_spill_dir(&dir);
-        let mut stream = AggStream::new(&specs, &cfg(), &env, &ObsConfig::disabled()).unwrap();
-        for chunk in keys.chunks(8192).zip(vals.chunks(8192)) {
-            stream.push(chunk.0, &[chunk.1]).unwrap();
-        }
-        let (out, report) = stream.finish().unwrap();
-        assert_eq!(out.sorted_rows(), whole.sorted_rows());
-        assert_eq!(budget.outstanding(), 0, "output blocks released with the stream");
-        // With a 3 MiB budget this input must spill.
-        assert!(report.stats.spilled_runs() > 0, "stats: {:?}", report.stats);
-        assert_eq!(report.stats.restored_runs, report.stats.spilled_runs());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

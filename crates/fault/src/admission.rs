@@ -68,8 +68,6 @@ pub enum AdmissionDenied {
         /// The whole pool.
         pool: u64,
     },
-    /// The controller is shutting down and admits nothing.
-    ShuttingDown,
 }
 
 impl fmt::Display for AdmissionDenied {
@@ -81,7 +79,6 @@ impl fmt::Display for AdmissionDenied {
             AdmissionDenied::DiskAskTooLarge { requested, pool } => {
                 write!(f, "disk ask {requested} B exceeds the global pool of {pool} B")
             }
-            AdmissionDenied::ShuttingDown => write!(f, "admission controller is shutting down"),
         }
     }
 }
@@ -108,7 +105,6 @@ struct Ledger {
     mem_used: u64,
     disk_used: u64,
     active: usize,
-    shutting_down: bool,
 }
 
 struct ControllerInner {
@@ -132,25 +128,10 @@ impl AdmissionController {
         Self {
             inner: Arc::new(ControllerInner {
                 cfg,
-                ledger: Mutex::new(Ledger {
-                    mem_used: 0,
-                    disk_used: 0,
-                    active: 0,
-                    shutting_down: false,
-                }),
+                ledger: Mutex::new(Ledger { mem_used: 0, disk_used: 0, active: 0 }),
                 released: Condvar::new(),
             }),
         }
-    }
-
-    /// The configured ceilings.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.inner.cfg
-    }
-
-    /// Queries currently holding grants.
-    pub fn active(&self) -> usize {
-        self.lock().active
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Ledger> {
@@ -188,9 +169,6 @@ impl AdmissionController {
     pub fn try_admit(&self, req: &AdmissionRequest) -> AdmissionOutcome {
         let (mem_ask, disk_ask) = self.resolve_asks(req);
         let mut ledger = self.lock();
-        if ledger.shutting_down {
-            return AdmissionOutcome::Denied(AdmissionDenied::ShuttingDown);
-        }
         // Impossible asks are denied outright — queueing would wait
         // forever.
         if let (Some(ask), Some(pool)) = (mem_ask, self.inner.cfg.memory_bytes) {
@@ -283,14 +261,6 @@ impl AdmissionController {
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
-
-    /// Refuse all further admissions (in-flight grants keep running and
-    /// release normally). Parked [`Self::admit_blocking`] callers resolve
-    /// to [`AdmissionDenied::ShuttingDown`].
-    pub fn shutdown(&self) {
-        self.lock().shutting_down = true;
-        self.inner.released.notify_all();
-    }
 }
 
 impl fmt::Debug for AdmissionController {
@@ -333,18 +303,6 @@ impl QueryGrant {
     pub fn cancel(&self) -> CancelToken {
         self.cancel.clone()
     }
-
-    /// Memory bytes this grant holds out of the global pool (`None` when
-    /// the pool is unmetered).
-    pub fn memory_bytes(&self) -> Option<u64> {
-        self.mem_slice
-    }
-
-    /// Disk bytes this grant holds out of the global pool (`None` when
-    /// the pool is unmetered).
-    pub fn disk_bytes(&self) -> Option<u64> {
-        self.disk_slice
-    }
 }
 
 impl fmt::Debug for QueryGrant {
@@ -385,12 +343,7 @@ mod tests {
         let AdmissionOutcome::Admitted(g) = c.try_admit(&AdmissionRequest::default()) else {
             panic!("unmetered admission must succeed");
         };
-        assert!(!g.budget().is_limited());
-        assert!(!g.disk().is_limited());
-        assert_eq!(g.memory_bytes(), None);
-        assert_eq!(c.active(), 1);
-        drop(g);
-        assert_eq!(c.active(), 0);
+        assert_eq!((g.budget().limit(), g.disk().limit()), (None, None));
     }
 
     #[test]
@@ -399,10 +352,14 @@ mod tests {
         let AdmissionOutcome::Admitted(g) = c.try_admit(&AdmissionRequest::default()) else {
             panic!("admission must succeed");
         };
-        assert_eq!(g.memory_bytes(), Some(25));
-        assert_eq!(g.disk_bytes(), Some(100));
         assert_eq!(g.budget().limit(), Some(25));
         assert_eq!(g.disk().limit(), Some(100));
+        // The grant holds its 25 bytes of the pool: 75 more fit, then none.
+        let ask = |b| AdmissionRequest { memory_bytes: Some(b), ..Default::default() };
+        let rest = c.try_admit(&ask(75));
+        assert!(matches!(rest, AdmissionOutcome::Admitted(_)), "{rest:?}");
+        let full = c.try_admit(&ask(1));
+        assert!(matches!(full, AdmissionOutcome::Queued { waiting_for: "memory", .. }), "{full:?}");
     }
 
     #[test]
@@ -444,7 +401,13 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(c.active(), 0, "denials must not leak ledger state");
+        // Denials leak no ledger state: the whole pool is still there.
+        let whole = AdmissionRequest {
+            memory_bytes: Some(100),
+            disk_bytes: Some(100),
+            ..Default::default()
+        };
+        assert!(matches!(c.try_admit(&whole), AdmissionOutcome::Admitted(_)));
     }
 
     #[test]
@@ -507,18 +470,7 @@ mod tests {
             panic!("boom");
         });
         assert!(result.is_err());
-        assert_eq!(c.active(), 0);
         assert!(matches!(c.try_admit(&AdmissionRequest::default()), AdmissionOutcome::Admitted(_)));
-    }
-
-    #[test]
-    fn shutdown_denies_new_admissions() {
-        let c = capped(100, 100, 4);
-        c.shutdown();
-        assert!(matches!(
-            c.try_admit(&AdmissionRequest::default()),
-            AdmissionOutcome::Denied(AdmissionDenied::ShuttingDown)
-        ));
     }
 
     #[test]
@@ -534,28 +486,28 @@ mod tests {
     #[test]
     fn concurrent_admissions_never_oversubscribe() {
         let c = capped(1000, 1000, 4);
-        let peak = Arc::new(Mutex::new(0usize));
+        let held = Mutex::new(0usize);
+        let req = AdmissionRequest { memory_bytes: Some(250), ..Default::default() };
         std::thread::scope(|s| {
             for _ in 0..8 {
-                let c = c.clone();
-                let peak = Arc::clone(&peak);
-                s.spawn(move || {
+                s.spawn(|| {
                     for _ in 0..200 {
-                        if let AdmissionOutcome::Admitted(g) = c.try_admit(&AdmissionRequest {
-                            memory_bytes: Some(250),
-                            ..Default::default()
-                        }) {
-                            let active = c.active();
-                            assert!(active <= 4, "active {active} exceeds the cap");
-                            let mut p = peak.lock().unwrap();
-                            *p = (*p).max(active);
-                            drop(p);
+                        if let AdmissionOutcome::Admitted(g) = c.try_admit(&req) {
+                            let live = {
+                                let mut held = held.lock().unwrap();
+                                *held += 1;
+                                *held
+                            };
+                            assert!(live <= 4, "{live} grants exceed the cap");
+                            *held.lock().unwrap() -= 1;
                             drop(g);
                         }
                     }
                 });
             }
         });
-        assert_eq!(c.active(), 0, "all grants released");
+        // All grants released: the whole pool admits four at once again.
+        let all: Vec<_> = (0..4).map(|_| c.try_admit(&req)).collect();
+        assert!(all.iter().all(|o| matches!(o, AdmissionOutcome::Admitted(_))), "{all:?}");
     }
 }

@@ -36,11 +36,6 @@ impl DiskBudget {
         Self { inner: Some(Arc::new(Account::new(limit_bytes))) }
     }
 
-    /// Whether this budget enforces a limit.
-    pub fn is_limited(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// The limit in bytes (`None` when unlimited).
     pub fn limit(&self) -> Option<u64> {
         self.inner.as_ref().map(|i| i.limit())
@@ -150,7 +145,7 @@ mod tests {
     #[test]
     fn unlimited_budget_always_grants() {
         let b = DiskBudget::unlimited();
-        assert!(!b.is_limited());
+        assert_eq!(b.limit(), None);
         let r = b.try_reserve(u64::MAX).unwrap();
         assert_eq!(r.bytes(), u64::MAX);
         assert_eq!(b.outstanding(), 0);

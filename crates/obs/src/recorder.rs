@@ -591,20 +591,4 @@ mod tests {
             assert!(seen.insert(label), "dup {label}");
         }
     }
-
-    #[test]
-    fn snapshot_json_is_valid() {
-        let r = Recorder::deep(2);
-        r.add(0, Counter::TablesSealed, 3);
-        r.add_level(1, LevelCounter::SpilledRuns, 1, 4);
-        r.add_level(1, LevelCounter::SpilledRuns, 2, 2);
-        r.observe(1, Hist::SealFillPct, 25);
-        let text = r.snapshot().to_json().to_string_pretty(2);
-        let parsed = crate::json::parse(&text).unwrap();
-        let merged = parsed.get("merged").unwrap();
-        assert_eq!(merged.get("tables_sealed").unwrap().as_u64(), Some(3));
-        assert_eq!(merged.get("spilled_runs").unwrap().as_u64(), Some(6), "levels are summed");
-        assert_eq!(merged.get("seal_fill_pct").unwrap().get("count").unwrap().as_u64(), Some(1));
-        assert_eq!(parsed.get("workers").unwrap().as_array().unwrap().len(), 2);
-    }
 }

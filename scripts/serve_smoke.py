@@ -17,7 +17,10 @@ real external client against the real binary:
   * on one connection, a `rows` line with whitespace inside both arrays
     (the decoder's slow path) answers bit-identically to the compact line
     (its fast path), and a non-UTF-8 line gets `class == "invalid-input"`
-    while the connection's next query still completes.
+    while the connection's next query still completes;
+  * on one connection, a `sum` without an input column and a `cache_kb`
+    above the default 2048 are each refused with `invalid-input`, and the
+    connection's next query completes.
 
 Every assertion failure raises, so the process exits non-zero on any
 protocol or correctness violation. Scratch-file hygiene is checked by the
@@ -153,10 +156,26 @@ def wire_forms(keys, vals, want):
     print("serve smoke: compact = spaced rows line; non-UTF-8 line answered", flush=True)
 
 
+def refusals(keys, vals, want):
+    """Requests the server refuses without running, then a query, on one connection."""
+    c = Conn()
+    for bad in ({"aggs": [["sum"]]}, {"cache_kb": 4096}):
+        c.send({"op": "submit", "aggs": [["count"], ["sum", 0]], **bad})
+        r = c.recv()
+        assert r.get("class") == "invalid-input" and r.get("exit_class") == 5, (bad, r)
+    submit(c)
+    r = push(c, keys, vals)
+    assert r.get("ok") == "rows", f"push after the refusals failed: {r}"
+    assert finish(c)[0] == want, "the query after the refusals changed its answer"
+    c.close()
+    print("serve smoke: column-less sum and cache_kb 4096 refused", flush=True)
+
+
 def main():
     keys, vals = data(20_000, 500)
     want = expected(keys, vals)
     wire_forms(keys, vals, want)
+    refusals(keys, vals, want)
 
     # Reference run, alone on the server.
     _, alone, done = run_query(keys, vals)

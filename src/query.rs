@@ -25,8 +25,8 @@
 //! ```
 
 use crate::{
-    try_aggregate_observed, AggError, AggFn, AggSpec, AggStream, AggregateConfig, ExecEnv,
-    GroupByOutput, ObsConfig, RunReport, Table,
+    try_aggregate_observed, AggError, AggFn, AggSpec, AggregateConfig, ExecEnv, ObsConfig,
+    RunReport, Table,
 };
 use hsa_columnar::encode_composite;
 
@@ -124,20 +124,6 @@ impl<'t> Query<'t> {
     /// `GROUP BY`, and anything the operator reports under the query's
     /// [`ExecEnv`] (budget exhaustion, cancellation, contained panics).
     pub fn try_run(self) -> Result<QueryResult, AggError> {
-        self.execute(None)
-    }
-
-    /// Execute with bounded-chunk ingestion: rows enter the operator
-    /// `chunk_rows` at a time through an [`AggStream`] instead of as one
-    /// slice. Combined with a memory budget and a spill directory on the
-    /// query's [`ExecEnv`], the operator's resident set stays bounded
-    /// while the result is identical to [`Query::try_run`]'s, and so are
-    /// the errors.
-    pub fn try_run_streaming(self, chunk_rows: usize) -> Result<QueryResult, AggError> {
-        self.execute(Some(chunk_rows))
-    }
-
-    fn execute(self, chunk_rows: Option<usize>) -> Result<QueryResult, AggError> {
         if self.group_by.is_empty() {
             return Err(AggError::EmptyGroupBy);
         }
@@ -172,29 +158,9 @@ impl<'t> Query<'t> {
         }
         let inputs: Vec<&[u64]> = input_names.iter().map(|n| col(n)).collect::<Result<_, _>>()?;
 
-        // One-shot or chunked ingestion over the (possibly fused) keys.
-        let run = |keys: &[u64]| -> Result<(GroupByOutput, RunReport), AggError> {
-            match chunk_rows {
-                None => {
-                    try_aggregate_observed(keys, &inputs, &specs, &self.cfg, &self.env, &self.obs)
-                }
-                Some(step) => {
-                    let mut stream = AggStream::new(&specs, &self.cfg, &self.env, &self.obs)?;
-                    let step = step.max(1);
-                    let mut at = 0;
-                    loop {
-                        let end = (at + step).min(keys.len());
-                        let chunk_inputs: Vec<&[u64]> =
-                            inputs.iter().map(|c| &c[at..end]).collect();
-                        stream.push(&keys[at..end], &chunk_inputs)?;
-                        at = end;
-                        if at >= keys.len() {
-                            break;
-                        }
-                    }
-                    stream.finish()
-                }
-            }
+        // One operator call over the (possibly fused) keys.
+        let run = |keys: &[u64]| {
+            try_aggregate_observed(keys, &inputs, &specs, &self.cfg, &self.env, &self.obs)
         };
 
         // Fuse composite keys; single-column keys pass through untouched.
@@ -446,35 +412,6 @@ mod tests {
         assert_eq!(err, AggError::UnknownColumn("nope".to_string()));
         let err = Query::over(&t).group_by("store").sum("nope2", "x").try_run().unwrap_err();
         assert_eq!(err, AggError::UnknownColumn("nope2".to_string()));
-    }
-
-    #[test]
-    fn run_streaming_matches_run() {
-        let t = table();
-        let whole = Query::over(&t)
-            .group_by("store")
-            .group_by("item")
-            .count("n")
-            .sum("amount", "total")
-            .run();
-        for chunk_rows in [1, 2, 4, 100] {
-            let chunked = Query::over(&t)
-                .group_by("store")
-                .group_by("item")
-                .count("n")
-                .sum("amount", "total")
-                .try_run_streaming(chunk_rows)
-                .unwrap();
-            assert_eq!(chunked.sorted_rows(), whole.sorted_rows(), "chunk_rows {chunk_rows}");
-        }
-    }
-
-    #[test]
-    fn run_streaming_on_empty_table() {
-        let mut t = Table::new();
-        t.add_column("k", vec![]);
-        let r = Query::over(&t).group_by("k").count("n").try_run_streaming(64).unwrap();
-        assert_eq!(r.n_rows(), 0);
     }
 
     #[test]

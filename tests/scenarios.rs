@@ -4,9 +4,8 @@
 //! is the clause table). The slices carry the names of the suites they
 //! replaced, so CI runs one by name: `cargo test --test scenarios --
 //! chaos::`. A failing scenario is shrunk and printed as a literal; commit
-//! it in [`named`]. Three more slices are test targets of their own under
-//! their old names: `tests/integration.rs`, `tests/stress.rs` and the
-//! operator properties of `tests/properties.rs`.
+//! it in [`named`]. One more slice is a test target of its own under its
+//! old name: the operator properties of `tests/properties.rs`.
 
 #[path = "scenarios/harness.rs"]
 mod harness;
@@ -14,7 +13,9 @@ mod harness;
 use harness::{check, draws, four, strategies, sweep, Cancel, Cuts, Door, Keys, Scenario};
 use hashing_is_sorting::datagen::Distribution;
 use hashing_is_sorting::{
-    AdaptiveParams, AggFn, AggSpec, FaultPlan, SpillFault, SpillFaultKind, Strategy,
+    try_aggregate, try_merge_partials, AdaptiveParams, AggError, AggFn, AggSpec, AggStream,
+    AggregateConfig, ExecEnv, FaultPlan, MemoryBudget, ObsConfig, SpillFault, SpillFaultKind,
+    Strategy,
 };
 
 /// The spill sweeps' workload: one worker, and a 96 KiB budget that admits
@@ -77,6 +78,84 @@ mod differential {
     }
 }
 
+/// The one-shot door under five strategies from one group to one group
+/// per row, the rows each routine takes, partials merged with AVG, and an
+/// output block the budget denies.
+mod driver {
+    use super::*;
+    use hashing_is_sorting::kernels::TableConfig;
+
+    /// [`strategies`] and ADAPTIVE that never judges a table worth
+    /// switching for.
+    fn five() -> [Strategy; 5] {
+        let [a, b, c, d] = strategies();
+        [a, b, c, d, Strategy::Adaptive(AdaptiveParams { alpha0: f64::INFINITY, c: 1.0 })]
+    }
+
+    fn small(keys: Distribution, n: usize, k: u64) -> Scenario {
+        Scenario { keys: Keys::Data(keys), n, k, cache_bytes: 128 << 10, ..Scenario::default() }
+    }
+
+    #[test]
+    fn every_strategy_from_one_group_to_one_per_row() {
+        let (one, uniform) = (Distribution::Sequential, Distribution::Uniform);
+        for (s, specs) in [
+            (small(one, 10_000, 1), four()),
+            (small(uniform, 40_000, 100), four()),
+            (small(uniform, 60_000, 30_000), four()),
+            (small(uniform, 50_000, 5_000), vec![]),
+            (small(one, 50_000, 50_000), vec![]),
+        ] {
+            for strategy in five() {
+                check(&Scenario { specs: specs.clone(), strategy, ..s.clone() });
+            }
+        }
+    }
+
+    /// HASHINGONLY over 16 keys hashes every row at level 0 and merges
+    /// only tiny runs below it; ADAPTIVE over one key never switches; a
+    /// table that seals mid-input leaves runs its leftover groups join.
+    #[test]
+    fn each_routine_takes_its_rows() {
+        let count = vec![AggSpec::count()];
+        let few = Scenario { specs: count.clone(), ..small(Distribution::Uniform, 40_000, 16) };
+        let st = check(&Scenario { strategy: Strategy::HashingOnly, ..few }).result.unwrap().stats;
+        assert_eq!((st.total_part_rows(), st.hash_rows_per_level[0]), (0, 40_000), "{st:?}");
+        assert!(st.hash_rows_per_level[1] <= 16 * 2 * 2, "{st:?}");
+        let one = Scenario { specs: vec![], ..small(Distribution::Sequential, 100_000, 1) };
+        let st = check(&one).result.unwrap().stats;
+        assert_eq!((st.switches_to_partitioning, st.total_part_rows()), (0, 0), "{st:?}");
+        let sealing = Scenario { specs: count, ..small(Distribution::Sequential, 20_000, 5_000) };
+        let sealing =
+            Scenario { threads: 1, strategy: Strategy::HashingOnly, door: Door::Stream, ..sealing };
+        let st = check(&sealing).result.unwrap().stats;
+        assert!(st.seals >= 2 && st.hash_rows_per_level[1] > 0, "{st:?}");
+    }
+
+    /// Three uneven partials merge into the one-shot answer; AVG survives
+    /// because its SUM and COUNT states do.
+    #[test]
+    fn partials_merge_into_the_answer_avg_included() {
+        let specs = vec![AggSpec::count(), AggSpec::sum(0), AggSpec::min(0), AggSpec::avg(0)];
+        let s = Scenario { specs, ..small(Distribution::Uniform, 40_000, 2_000) };
+        check(&Scenario { door: Door::Merge, cuts: Cuts::Every(13_000), ..s });
+    }
+
+    /// One worker and room for its table plus 1 KiB: the 500 groups'
+    /// output block (12 000 bytes) is denied at finish, typed.
+    #[test]
+    fn a_denied_output_block_is_typed() {
+        let table = TableConfig::for_cache_bytes(128 << 10, 2).mem_bytes(2);
+        let s = Scenario {
+            threads: 1,
+            door: Door::Stream,
+            ..small(Distribution::Sequential, 5_000, 500)
+        };
+        let e = check(&Scenario { mem_budget: Some(table + 1024), ..s }).result.err();
+        assert!(matches!(e, Some(AggError::BudgetExceeded { requested: 12_000, .. })), "{e:?}");
+    }
+}
+
 /// Chunk boundaries, morsel length, workers and partials are invisible.
 mod streaming {
     use super::*;
@@ -110,7 +189,15 @@ mod streaming {
             cuts: Cuts::Every(4096),
             ..s
         };
-        assert!(check(&s).result.unwrap().stats.spilled_runs() > 0, "3 MiB must spill");
+        let report = check(&s).result.unwrap().report.expect("the stream is observed");
+        let st = &report.stats;
+        let spilled = st.spilled_runs() > 0 && st.spill_encoded_bytes > 0;
+        assert!(spilled && st.budget_high_water_bytes > 0, "3 MiB must spill: {st:?}");
+        // The default store has an I/O worker: its time and the waits on
+        // it are seen, and the overlap is a fraction.
+        let profile = report.profile.expect("the profile rides with metrics");
+        assert!(profile.io_nanos() > 0 && st.overlapped_io_nanos + st.spill_io_wait_nanos > 0);
+        assert!((0.0..1.0).contains(&profile.overlap_fraction()), "{profile:?}");
     }
 
     #[test]
@@ -253,6 +340,50 @@ mod faults {
         let specs = vec![AggSpec { func: AggFn::Sum, input: None }];
         assert!(check(&Scenario { specs, ..Scenario::default() }).result.is_err());
     }
+
+    /// Malformed calls are typed errors before any row is merged, and
+    /// leave nothing reserved: a column of the wrong length or one a spec
+    /// reads but the call lacks, through the one-shot door and each push;
+    /// partials of another plan or cut out of shape. A stream finished
+    /// without a push is empty.
+    #[test]
+    fn malformed_calls_are_typed() {
+        let (cfg, env) = (AggregateConfig::default(), ExecEnv::unrestricted());
+        let sum = [AggSpec::sum(0)];
+        let e = try_aggregate(&[1, 2], &[&[1]], &sum, &cfg, &env).err();
+        assert!(matches!(e, Some(AggError::RowCountMismatch { column: 0, got: 1, expected: 2 })));
+        let e = try_aggregate(&[1, 2], &[], &sum, &cfg, &env).err();
+        assert!(matches!(e, Some(AggError::MissingInputColumn { referenced: 0, available: 0 })));
+        let open = |specs: &[AggSpec]| AggStream::new(specs, &cfg, &env, &ObsConfig::disabled());
+        let e = open(&sum).unwrap().push(&[1, 2], &[&[1]]).err();
+        assert!(matches!(e, Some(AggError::RowCountMismatch { .. })), "{e:?}");
+        let e = open(&sum).unwrap().push(&[1, 2], &[]).err();
+        assert!(matches!(e, Some(AggError::MissingInputColumn { .. })), "{e:?}");
+        let (out, report) = open(&[AggSpec::count()]).unwrap().finish().unwrap();
+        assert_eq!((out.n_groups(), report.rows_in), (0, 0));
+
+        let specs = [AggSpec::count(), AggSpec::sum(0)];
+        let keys: Vec<u64> = (0..20_000).map(|i| i % 1_000).collect();
+        let good = try_aggregate(&keys, &[&keys], &specs, &cfg, &env).unwrap().0;
+        let e = try_merge_partials(&[&good], &[AggSpec::count()], &cfg, &env).err();
+        assert_eq!(e, Some(AggError::MismatchedSpecs));
+        let mut missing = good.clone();
+        missing.states.pop();
+        let mut short = good.clone();
+        short.states[1].truncate(10);
+        let cases = [
+            (missing, AggError::MismatchedSpecs),
+            (short, AggError::RowCountMismatch { column: 1, got: 10, expected: 1_000 }),
+        ];
+        for (bad, want) in cases {
+            let budget = MemoryBudget::limited(64 << 20);
+            let env = ExecEnv::unrestricted().with_budget(budget.clone());
+            // The malformed partial comes second: the first is well formed.
+            let e = try_merge_partials(&[&good, &bad], &specs, &cfg, &env).err();
+            assert_eq!(e.as_ref(), Some(&want));
+            assert_eq!((budget.outstanding(), budget.high_water()), (0, 0), "{want:?}");
+        }
+    }
 }
 
 /// Every injectable spill-I/O fault at every ordinal, at each of the three
@@ -343,6 +474,293 @@ mod concurrency {
                 ..s
             });
         }
+    }
+}
+
+/// Every strategy and §6.5 distribution, through the facade.
+mod integration {
+    use super::*;
+
+    fn data(keys: Distribution, n: usize, k: u64, seed: u64) -> Scenario {
+        let s =
+            Scenario { keys: Keys::Data(keys), n, k, seed, specs: vec![], ..Scenario::default() };
+        Scenario { cache_bytes: 256 << 10, morsel_rows: 1 << 13, ..s }
+    }
+
+    #[test]
+    fn every_distribution_every_strategy_matches_reference() {
+        for d in Distribution::all() {
+            for strategy in strategies() {
+                check(&Scenario { specs: four(), strategy, ..data(d, 50_000, 8_192, 99) });
+            }
+        }
+    }
+
+    #[test]
+    fn distinct_counts_match_datagen() {
+        for d in Distribution::all() {
+            check(&data(d, 30_000, 4_096, 7));
+        }
+    }
+
+    #[test]
+    fn thread_counts_agree() {
+        let s = Scenario {
+            specs: vec![AggSpec::sum(0)],
+            ..data(Distribution::SelfSimilar, 60_000, 10_000, 3)
+        };
+        for threads in [1, 2, 3, 4, 8] {
+            check(&Scenario { threads, ..s.clone() });
+        }
+    }
+
+    #[test]
+    fn multiple_aggregate_columns_are_independent() {
+        let (sum, min, max) = (AggSpec::sum, AggSpec::min, AggSpec::max);
+        let specs = vec![sum(0), sum(1), max(0), min(1), AggSpec::avg(0)];
+        check(&Scenario { specs, ..data(Distribution::Uniform, 20_000, 500, 11) });
+    }
+
+    #[test]
+    fn extreme_cardinalities() {
+        for k in [1, 30_000] {
+            check(&data(Distribution::Sequential, 30_000, k, 1));
+        }
+    }
+
+    #[test]
+    fn stats_account_for_all_rows() {
+        for strategy in strategies() {
+            check(&Scenario { strategy, ..data(Distribution::Uniform, 40_000, 20_000, 5) });
+        }
+    }
+
+    #[test]
+    fn adaptive_alpha_extremes_stay_correct() {
+        for (alpha0, c) in [(0.0, 10.0), (f64::INFINITY, 0.5), (f64::INFINITY, 1e9)] {
+            let strategy = Strategy::Adaptive(AdaptiveParams { alpha0, c });
+            check(&Scenario { strategy, ..data(Distribution::MovingCluster, 50_000, 20_000, 8) });
+        }
+    }
+}
+
+/// Adversarial inputs and aggressive configurations.
+mod stress {
+    use super::*;
+
+    #[test]
+    fn adversarial_shared_first_digit() {
+        let s = Scenario { keys: Keys::Digits(1), n: 60_000, k: 30_000, ..Scenario::default() };
+        let stats = check(&Scenario { specs: vec![AggSpec::count()], ..s }).result.unwrap().stats;
+        assert!(stats.passes_used() >= 2, "must recurse past the shared digit");
+    }
+
+    #[test]
+    fn minimum_table_maximum_fill() {
+        let s = Scenario { n: 20_000, k: 5_000, seed: 9, specs: vec![], ..Scenario::default() };
+        let tiny = Scenario { cache_bytes: 1, fill_percent: 100, morsel_rows: 1 << 10, ..s };
+        let stats =
+            check(&Scenario { strategy: Strategy::HashingOnly, ..tiny }).result.unwrap().stats;
+        assert!(stats.seals > 10, "tiny tables must seal constantly: {}", stats.seals);
+    }
+
+    #[test]
+    fn one_row_morsels() {
+        let s = Scenario {
+            keys: Keys::Data(Distribution::Zipf),
+            n: 5_000,
+            k: 100,
+            seed: 3,
+            ..Scenario::default()
+        };
+        check(&Scenario { specs: vec![AggSpec::count()], threads: 4, morsel_rows: 1, ..s });
+    }
+
+    /// Four queries at once, five times over, none cancelled, at one to
+    /// three workers each: operators share no hidden mutable state.
+    #[test]
+    fn concurrent_operator_invocations() {
+        let s = Scenario { n: 30_000, k: 2_000, seed: 5, specs: vec![], ..Scenario::default() };
+        for round in 0..5 {
+            let threads = 1 + round % 3;
+            check(&Scenario { threads, cache_bytes: 128 << 10, neighbours: 3, ..s.clone() });
+        }
+    }
+
+    #[test]
+    fn extreme_key_and_value_ranges() {
+        check(&Scenario {
+            keys: Keys::Extremes,
+            n: 10_000,
+            k: 8,
+            specs: four(),
+            ..Scenario::default()
+        });
+    }
+
+    /// The scale the benches use, at `AggregateConfig::default()`.
+    #[test]
+    #[ignore = "slow; run with --ignored"]
+    fn large_scale_smoke() {
+        let d = AggregateConfig::default();
+        let s = Scenario { n: 1 << 22, k: 1 << 19, specs: vec![], ..Scenario::default() };
+        let s = Scenario {
+            cache_bytes: d.cache_bytes,
+            threads: d.threads,
+            fill_percent: d.fill_percent,
+            morsel_rows: d.morsel_rows,
+            ..s
+        };
+        for strategy in [strategies()[0], strategies()[1], strategies()[3]] {
+            check(&Scenario { strategy, ..s.clone() });
+        }
+    }
+}
+
+/// The report's deep views on a run that shows in all of them, and the
+/// mechanisms no clause may hold every scenario to: the trace's format,
+/// the heartbeat thread's lifetime, and two timing properties of the
+/// profile.
+mod observability {
+    use super::*;
+    use hashing_is_sorting::obs::json::{parse, JsonValue};
+    use hashing_is_sorting::obs::{Counter, Hist, Phase};
+    use hashing_is_sorting::try_aggregate_observed;
+    use std::time::Duration;
+
+    /// Small tables and morsels, so seals, switches and recursion happen
+    /// at test sizes.
+    fn adaptive() -> AggregateConfig {
+        AggregateConfig {
+            cache_bytes: 64 << 10,
+            threads: 2,
+            morsel_rows: 1 << 12,
+            ..AggregateConfig::default()
+        }
+    }
+
+    /// Distinct keys far beyond one table: ADAPTIVE seals at α ≈ 1,
+    /// switches, partitions most rows and recurses, and every deep view
+    /// shows it.
+    #[test]
+    fn an_adaptive_run_on_distinct_keys_shows_in_every_view() {
+        let n = 200_000;
+        let s = Scenario { keys: Keys::Wide, n, specs: vec![], ..Scenario::default() };
+        let report = check(&s).result.unwrap().report.expect("the one-shot door is observed");
+        let st = &report.stats;
+        assert!(st.switches_to_partitioning > 0, "{st:?}");
+        assert!(st.total_part_rows() > st.total_hash_rows() / 2, "{st:?}");
+        let m = report.metrics.as_ref().expect("metrics").merged();
+        assert!(m.counter(Counter::TableInserts) > 0 && m.hist(Hist::ProbeLen).count() > 0);
+        assert!(m.hist(Hist::PartitionSkewPct).count() > 0 && m.alpha_count() > 0);
+        let mean_alpha = m.alpha_sum() / m.alpha_count() as f64;
+        assert!(mean_alpha < 4.0, "distinct keys, yet α averages {mean_alpha}");
+        let pool = report.pool.as_ref().expect("pool").totals();
+        assert!(pool.tasks_executed >= (n / 4096) as u64, "{pool:?}");
+        assert!(pool.steals + pool.failed_steal_scans + pool.idle_nanos > 0, "{pool:?}");
+        let hash0 = *report.profile.as_ref().expect("profile").cell(0, Phase::HashInsert);
+        assert!(hash0.rows_out > 0 && hash0.rows_in < 2 * hash0.rows_out, "{hash0:?}");
+        let explain = report.explain();
+        for node in ["hash_insert", "partition", "level 1"] {
+            assert!(explain.contains(node), "{explain}");
+        }
+        let pretty = report.pretty();
+        assert!(pretty.contains(&format!("rows in            {n}")), "{pretty}");
+        assert!(pretty.contains("passes used"), "{pretty}");
+    }
+
+    /// The trace is Chrome JSON: the operator's span and instant names,
+    /// and every complete event with a time, a duration and a lane.
+    #[test]
+    fn trace_is_valid_chrome_json_with_span_events() {
+        let keys: Vec<u64> =
+            (0..100_000u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+        let env = ExecEnv::unrestricted();
+        let (_, report) =
+            try_aggregate_observed(&keys, &[], &[], &adaptive(), &env, &ObsConfig::full()).unwrap();
+        let trace = parse(&report.trace_json.expect("trace requested")).expect("the trace parses");
+        let events = trace.get("traceEvents").and_then(JsonValue::as_array).expect("traceEvents");
+        let names: Vec<&str> = events.iter().filter_map(|e| e.get("name")?.as_str()).collect();
+        for name in ["morsel", "seal", "bucket", "switch_to_partitioning"] {
+            assert!(names.contains(&name), "no {name} event");
+        }
+        for e in events {
+            let ph = e.get("ph").and_then(JsonValue::as_str).expect("every event has a ph");
+            if ph == "X" {
+                let time = |k| e.get(k).and_then(JsonValue::as_f64).is_some();
+                let lane = e.get("tid").and_then(JsonValue::as_u64).is_some();
+                assert!(time("ts") && time("dur") && lane, "{e:?}");
+            }
+        }
+    }
+
+    /// The heartbeat thread starts with the stream, lives through pushes
+    /// and the recursion, and is joined by `finish`; progress alone
+    /// collects no metrics and no profile.
+    #[test]
+    fn progress_sampler_runs_and_stops_through_a_stream() {
+        let obs = ObsConfig { progress: Some(Duration::from_millis(1)), ..ObsConfig::disabled() };
+        let count = [AggSpec::count()];
+        let mut stream =
+            AggStream::new(&count, &adaptive(), &ExecEnv::unrestricted(), &obs).unwrap();
+        let keys: Vec<u64> = (0..60_000).collect();
+        for chunk in keys.chunks(4096) {
+            stream.push(chunk, &[]).unwrap();
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let (out, report) = stream.finish().unwrap();
+        assert_eq!(out.n_groups(), 60_000);
+        assert!(report.metrics.is_none() && report.profile.is_none());
+    }
+
+    /// At one thread the phase tree explains the wall clock: at least 95 %
+    /// of it lands in leaf phases, and not more than all of it.
+    #[test]
+    fn explain_attributes_nearly_all_wall_time_single_threaded() {
+        let s = Scenario {
+            keys: Keys::Wide,
+            n: 400_000,
+            specs: vec![],
+            threads: 1,
+            ..Scenario::default()
+        };
+        let report = check(&s).result.unwrap().report.expect("the one-shot door is observed");
+        let profile = report.profile.expect("the profile rides with metrics");
+        assert_eq!(profile.threads, 1);
+        let coverage = profile.coverage();
+        assert!(
+            (0.95..=1.05).contains(&coverage),
+            "{:.1}% of wall time attributed",
+            coverage * 100.0
+        );
+    }
+
+    /// No I/O worker and one thread: each level-1 run is read and decoded
+    /// by the bucket task that consumes it, inside its Restore phase, so
+    /// the Driver cell keeps only the dispatch and stays below it.
+    #[test]
+    fn restore_decoded_by_its_consumer_is_restore_time_not_driver_time() {
+        let s = Scenario {
+            keys: Keys::Data(Distribution::Sequential),
+            n: 360_000,
+            k: 120_000,
+            ..Scenario::default()
+        };
+        let s = Scenario {
+            specs: vec![AggSpec::count()],
+            threads: 1,
+            door: Door::Stream,
+            cuts: Cuts::Every(8192),
+            ..s
+        };
+        let s = Scenario { mem_budget: Some(4 << 20), spill: true, io_threads: 0, ..s };
+        let report = check(&s).result.unwrap().report.expect("the stream is observed");
+        let st = &report.stats;
+        assert!(st.spilled_runs_per_level[1] > 0, "level 1 must restore: {st:?}");
+        let profile = report.profile.expect("the profile rides with metrics");
+        let (restore, driver) =
+            (profile.cell(1, Phase::Restore).nanos, profile.cell(1, Phase::Driver).nanos);
+        assert!(restore > driver, "level 1: restore {restore} ns, driver {driver} ns");
     }
 }
 

@@ -4,12 +4,13 @@
 //! [`sweep`], and a shrinker that halves a failing scenario one dimension
 //! at a time and prints the smallest one as a Rust literal.
 //!
-//! Four test targets include it. `scenarios.rs` uses all of it, so an
-//! unused item warns there; `integration.rs`, `stress.rs` and
-//! `properties.rs` use part of it and allow dead code on their `mod`.
+//! Two test targets include it. `scenarios.rs` uses all of it, so an
+//! unused item warns there; `properties.rs` uses part of it and allows
+//! dead code on its `mod`.
 
 use hashing_is_sorting::datagen::{generate, Distribution, SplitMix64};
 use hashing_is_sorting::kernels::{digit, Hasher64, Murmur2};
+use hashing_is_sorting::obs::json::{parse, JsonValue};
 use hashing_is_sorting::obs::{Counter, Hist, LevelCounter, Phase};
 use hashing_is_sorting::{
     try_aggregate, try_aggregate_observed, try_merge_partials, AdaptiveParams, AggError, AggFn,
@@ -324,6 +325,9 @@ fn check_unshrunk(s: &Scenario) -> Outcome {
             oracle(&s.specs, &keys, &cols),
             "the oracle disagrees"
         );
+        if let Some(report) = report {
+            one_report(report, true);
+        }
         accounting(s, out, stats, report.as_ref(), *level0);
         spill_accounting(s, stats);
         let quiet = s.faults == FaultPlan::none() && s.cancel == Cancel::Never;
@@ -385,11 +389,14 @@ fn oracle(specs: &[AggSpec], keys: &[u64], cols: &[&[u64]]) -> Vec<(u64, Vec<u64
 fn twin(s: &Scenario, keys: &[u64], cols: &[&[u64]], out: &GroupByOutput, stats: &OpStats) {
     let single = s.door == Door::Stream && s.ranges().len() == 1;
     let twin = Scenario { door: if single { Door::OneShot } else { s.door }, ..s.clone() };
-    let Ok(Ran { out: Some(twin_out), stats: twin_stats, .. }) =
+    let Ok(Ran { out: Some(twin_out), stats: twin_stats, report, .. }) =
         run(&twin, keys, cols, false).result
     else {
         panic!("the unobserved twin failed where the observed run succeeded");
     };
+    if let Some(report) = &report {
+        one_report(report, false);
+    }
     assert_eq!(twin_out.sorted_rows(), out.sorted_rows(), "the unobserved twin's rows differ");
     let counted = |s: &OpStats| OpStats {
         task_nanos_per_level: Vec::new(),
@@ -479,6 +486,212 @@ fn accounting(
         assert_eq!(hashed + parted + merged_in, from_above, "rows entering level {l}");
     }
     assert_eq!(merged.counter(Counter::PartBytes), part_bytes, "part_bytes is the cells' sum");
+}
+
+/// The report's members consumers read by name (`--stats-json` files,
+/// serve's `done` lines, `benchmark/`, CI): adding one is compatible, a
+/// missing or renamed one needs a `REPORT_VERSION` bump.
+const TOP: [&str; 8] = [
+    "report_version",
+    "query_id",
+    "rows_in",
+    "groups_out",
+    "threads",
+    "wall_nanos",
+    "rows_per_sec",
+    "stats",
+];
+
+/// What an observed run adds to [`TOP`].
+const SECTIONS: [&str; 3] = ["pool", "metrics", "profile"];
+
+/// An [`OpStats`] field as the report renders it: a number or a list.
+type Field = fn(&OpStats) -> Vec<u64>;
+
+/// The `stats` members, each with the field it renders.
+const STATS: [(&str, Field); 28] = [
+    ("hash_rows_per_level", |s| s.hash_rows_per_level.clone()),
+    ("part_rows_per_level", |s| s.part_rows_per_level.clone()),
+    ("task_nanos_per_level", |s| s.task_nanos_per_level.clone()),
+    ("passes_used", |s| vec![s.passes_used() as u64]),
+    ("seals", |s| vec![s.seals]),
+    ("switches_to_partitioning", |s| vec![s.switches_to_partitioning]),
+    ("switches_to_hashing", |s| vec![s.switches_to_hashing]),
+    ("fallback_merges", |s| vec![s.fallback_merges]),
+    ("budget_denials", |s| vec![s.budget_denials]),
+    ("budget_downgrades", |s| vec![s.budget_downgrades]),
+    ("budget_high_water_bytes", |s| vec![s.budget_high_water_bytes]),
+    ("cancellations", |s| vec![s.cancellations]),
+    ("contained_panics", |s| vec![s.contained_panics]),
+    ("spilled_runs", |s| vec![s.spilled_runs()]),
+    ("spilled_runs_per_level", |s| s.spilled_runs_per_level.clone()),
+    ("spilled_bytes", |s| vec![s.spilled_bytes]),
+    ("restored_runs", |s| vec![s.restored_runs]),
+    ("restored_bytes", |s| vec![s.restored_bytes]),
+    ("spill_retries", |s| vec![s.spill_retries]),
+    ("restore_retries", |s| vec![s.restore_retries]),
+    ("spill_io_abandons", |s| vec![s.spill_io_abandons]),
+    ("spill_reclaimed_files", |s| vec![s.spill_reclaimed_files]),
+    ("spill_reclaimed_bytes", |s| vec![s.spill_reclaimed_bytes]),
+    ("disk_budget_denials", |s| vec![s.disk_budget_denials]),
+    ("disk_high_water_bytes", |s| vec![s.disk_high_water_bytes]),
+    ("spill_encoded_bytes", |s| vec![s.spill_encoded_bytes]),
+    ("overlapped_io_nanos", |s| vec![s.overlapped_io_nanos]),
+    ("spill_io_wait_nanos", |s| vec![s.spill_io_wait_nanos]),
+];
+
+/// The counters of `metrics.merged` and of every worker, each with the
+/// `stats` member it is lowered to (summed over levels), if any.
+const COUNTERS: [(&str, &str); 28] = [
+    ("morsels_claimed", ""),
+    ("tables_sealed", "seals"),
+    ("switches_to_partitioning", "switches_to_partitioning"),
+    ("switches_to_hashing", "switches_to_hashing"),
+    ("fallback_merges", "fallback_merges"),
+    ("hash_rows", "hash_rows_per_level"),
+    ("part_rows", "part_rows_per_level"),
+    ("table_inserts", ""),
+    ("probe_steps", ""),
+    ("part_bytes", ""),
+    ("budget_denials", "budget_denials"),
+    ("budget_downgrades", "budget_downgrades"),
+    ("cancellations", "cancellations"),
+    ("contained_panics", "contained_panics"),
+    ("spilled_runs", "spilled_runs_per_level"),
+    ("spilled_bytes", "spilled_bytes"),
+    ("restored_runs", "restored_runs"),
+    ("restored_bytes", "restored_bytes"),
+    ("spill_retries", "spill_retries"),
+    ("restore_retries", "restore_retries"),
+    ("spill_abandons", "spill_io_abandons"),
+    ("spill_reclaimed_files", "spill_reclaimed_files"),
+    ("spill_reclaimed_bytes", "spill_reclaimed_bytes"),
+    ("disk_budget_denials", "disk_budget_denials"),
+    ("spill_encoded_bytes", "spill_encoded_bytes"),
+    ("overlapped_io_nanos", "overlapped_io_nanos"),
+    ("spill_io_wait_nanos", "spill_io_wait_nanos"),
+    ("task_nanos", "task_nanos_per_level"),
+];
+
+/// The deep cells beside the counters: the histograms, the phase cells and
+/// the per-switch α.
+const DEEP: [&str; 11] = [
+    "probe_len",
+    "block_displacement",
+    "seal_fill_pct",
+    "morsel_rows",
+    "partition_skew_pct",
+    "spill_nanos",
+    "restore_nanos",
+    "phases",
+    "alphas",
+    "alpha_count",
+    "alpha_sum",
+];
+
+/// Clause 8: the report is one record. Its JSON parses back with every
+/// member consumers read by name; `stats` renders each statistic,
+/// `metrics.merged` holds the counter each is lowered from and the
+/// workers' shards sum to it, as the pool's slots sum to its totals; one
+/// fill sample per seal; and the profile's spill and restore bytes,
+/// budget high water and overlap are the statistics' own. A run that was
+/// not observed carries no `metrics`, `pool`, `profile` or trace.
+fn one_report(report: &RunReport, observed: bool) {
+    let sorted = |names: &[&[&'static str]]| {
+        let mut all = names.concat();
+        all.sort_unstable();
+        all
+    };
+    let json = parse(&report.to_json().to_string_compact()).expect("the report parses back");
+    let sections: &[&str] = if observed { &SECTIONS } else { &[] };
+    assert_eq!(
+        names(&json),
+        sorted(&[&TOP, sections]),
+        "the report's members (observed {observed})"
+    );
+    assert_eq!(u64s(member(&json, "report_version")), [4], "a new report_version");
+    let st = &report.stats;
+    for (k, v) in [
+        ("query_id", report.query_id),
+        ("rows_in", report.rows_in),
+        ("groups_out", report.groups_out),
+        ("wall_nanos", report.wall_nanos),
+    ] {
+        assert_eq!(u64s(member(&json, k)), [v], "{k} is not the report's");
+    }
+    let stats = member(&json, "stats");
+    assert_eq!(names(stats), sorted(&[&STATS.map(|(k, _)| k)]), "the stats members");
+    for (k, field) in STATS {
+        assert_eq!(u64s(member(stats, k)), field(st), "stats.{k} is not its field");
+    }
+    if !observed {
+        let deep = (&report.metrics, &report.pool, &report.profile, &report.trace_json);
+        assert!(matches!(deep, (None, None, None, None)), "unobserved, yet {deep:?}");
+        return;
+    }
+    assert!(report.trace_json.is_none(), "a trace nobody asked for");
+    let metrics = member(&json, "metrics");
+    let merged = member(metrics, "merged");
+    let workers = member(metrics, "workers").as_array().expect("metrics.workers is a list");
+    assert_eq!(workers.len(), report.threads, "one shard per worker");
+    let cells = sorted(&[&COUNTERS.map(|(k, _)| k), &DEEP]);
+    for shard in workers.iter().chain([merged]) {
+        assert_eq!(names(shard), cells, "the metrics cells");
+    }
+    for (counter, stat) in COUNTERS {
+        let total = u64s(member(merged, counter));
+        let shards: u64 = workers.iter().map(|w| u64s(member(w, counter))[0]).sum();
+        assert_eq!(total, [shards], "{counter}: the workers do not sum to metrics.merged");
+        if !stat.is_empty() {
+            let lowered: u64 = u64s(member(stats, stat)).iter().sum();
+            assert_eq!(total, [lowered], "metrics.merged.{counter} is not stats.{stat}");
+        }
+    }
+    let fills = u64s(member(member(merged, "seal_fill_pct"), "count"));
+    assert_eq!(fills, [st.seals], "one seal_fill_pct sample per seal");
+    let pool = member(&json, "pool");
+    let slots = member(pool, "workers").as_array().expect("pool.workers is a list");
+    for k in ["tasks_executed", "steals", "failed_steal_scans", "idle_nanos"] {
+        let sum: u64 = slots.iter().map(|w| u64s(member(w, k))[0]).sum();
+        assert_eq!(u64s(member(member(pool, "totals"), k)), [sum], "pool.totals.{k}");
+    }
+    let profile = member(&json, "profile");
+    let (mut spill, mut restore) = (0, 0);
+    for level in member(profile, "levels").as_array().expect("profile.levels is a list") {
+        let phases = member(level, "phases");
+        let bytes = |phase| phases.get(phase).map_or(0, |cell| u64s(member(cell, "bytes"))[0]);
+        (spill, restore) = (spill + bytes("spill"), restore + bytes("restore"));
+    }
+    assert_eq!((spill, restore), (st.spilled_bytes, st.restored_bytes), "the profile's I/O bytes");
+    for (k, stat) in [
+        ("budget_high_water_bytes", st.budget_high_water_bytes),
+        ("overlapped_io_nanos", st.overlapped_io_nanos),
+        ("wall_nanos", report.wall_nanos),
+        ("threads", report.threads as u64),
+    ] {
+        assert_eq!(u64s(member(profile, k)), [stat], "profile.{k} is not the report's");
+    }
+    let fraction = report.profile.as_ref().map(|p| p.overlap_fraction());
+    assert_eq!(member(profile, "spill_overlap_fraction").as_f64(), fraction, "the overlap");
+}
+
+/// Member `k` of a JSON object.
+fn member<'a>(v: &'a JsonValue, k: &str) -> &'a JsonValue {
+    v.get(k).unwrap_or_else(|| panic!("no member {k:?}"))
+}
+
+/// A number, or a list of them.
+fn u64s(v: &JsonValue) -> Vec<u64> {
+    let all = v.as_array().map_or_else(|| vec![v], |items| items.iter().collect());
+    all.into_iter().map(|x| x.as_u64().unwrap_or_else(|| panic!("{x:?} is not a u64"))).collect()
+}
+
+/// An object's member names, sorted.
+fn names(v: &JsonValue) -> Vec<&str> {
+    let JsonValue::Object(pairs) = v else { panic!("not an object: {v:?}") };
+    let mut names: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+    names.sort_unstable();
+    names
 }
 
 /// Clause 7, with the budgets' bounds: what spills comes back, byte for
@@ -635,6 +848,7 @@ fn through_door(
                 stream.push(&keys[r.clone()], &pick(r))?;
             }
             if s.door == Door::Stream {
+                assert_eq!(stream.rows_pushed(), level0, "rows_pushed is every pushed row");
                 return stream.finish().map(ran);
             }
             let bins = scratch(dir).iter().filter(|f| f.ends_with(".bin")).count();
