@@ -20,6 +20,16 @@
 //! final kernel ≈ 97% of memcpy bandwidth; map ≈ 93%. Why the production
 //! row is not one of the paper's rungs: EXPERIMENTS.md, Figure 3.
 //!
+//! Every rung but `memcpy_nt` and `oo (overalloc)` cuts its output into
+//! `ChunkedVec` chunks, which come from the process-wide chunk depot: after
+//! the first such rung, and from the second repeat on, they may reuse
+//! chunks given back earlier instead of fresh pages. Against allocator-fed
+//! chunks (2^24 keys, 5 alternating runs each, 2-vCPU VM) the two-level
+//! rungs did not move (`oo + 2lvl` read 0.89 of `oo (overalloc)` either
+//! way); `naive hash` read 0.30 → 0.49 GiB/s, and as much with the depot
+//! emptied before every rung, so not through chunk reuse
+//! (`EXPERIMENTS_RESULTS/pr32_fig03.txt`).
+//!
 //! ```sh
 //! cargo run --release -p hsa-bench --bin fig03 [rows_log2]
 //! ```

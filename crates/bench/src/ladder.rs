@@ -17,7 +17,7 @@
 //! rung, so the operator stores each value once and the rungs live here.
 //! The `oo` rungs run the operator's [`hsa_partition::hash_ahead`]; the
 //! two-level rungs hand each partition's full tail chunk to
-//! [`hsa_columnar::ChunkedVec::push_chunk`], so they are cut into the
+//! [`hsa_columnar::ChunkedVec::roll`], so they are cut into the
 //! operator's chunks.
 
 use hsa_hash::{digit, Hasher64, FANOUT};
@@ -123,7 +123,7 @@ impl TwoLevel {
     fn flush(&mut self, bufs: &SwcBuffers, d: usize) {
         let tail = &mut self.tails[d];
         if tail.capacity() - tail.len() < LINE_U64S {
-            *tail = Vec::with_capacity(self.parts[d].push_chunk(std::mem::take(tail)));
+            self.parts[d].roll(tail);
         }
         bufs.flush(d, tail);
     }
@@ -134,7 +134,7 @@ impl TwoLevel {
     fn close(self, mut bufs: SwcBuffers) -> Parts {
         let Self { tails, mut parts } = self;
         for (tail, part) in tails.into_iter().zip(&mut parts) {
-            part.push_chunk(tail);
+            part.adopt(tail);
         }
         bufs.drain(|d, vals| parts[d].extend_from_slice(vals));
         parts

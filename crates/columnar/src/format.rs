@@ -35,6 +35,7 @@
 use crate::chunked::ChunkedVec;
 use crate::codec;
 use crate::crc::{crc32c, Crc32c};
+use crate::depot::DepotAccount;
 use crate::run::Run;
 use hsa_fault::SpillFaultKind;
 use std::io::{self, Read, Write};
@@ -225,12 +226,13 @@ impl<R: Read> SpillReader<R> {
 
 /// Read and verify one stream from `source`, which must stand at the
 /// stream's first byte. `rows` and `n_cols` are what the writer's side
-/// remembers of the run's shape; `flip` injects a single encoded-payload
-/// bit flip.
+/// remembers of the run's shape, `account` what its chunks are lent
+/// through; `flip` injects a single encoded-payload bit flip.
 pub(crate) fn read_run(
     source: impl Read,
     rows: usize,
     n_cols: usize,
+    account: &DepotAccount,
     mut flip: bool,
 ) -> Result<Run, ReadError> {
     let mut r = SpillReader { inner: source, crc: Crc32c::new(), bytes: 0 };
@@ -248,10 +250,10 @@ pub(crate) fn read_run(
         return Err(corrupt(u64::MAX, n_cols as u64, header[2], "shape"));
     }
     let mut extent = 0u64;
-    let keys = read_column(&mut r, rows, &mut extent, &mut flip)?;
+    let keys = read_column(&mut r, rows, account, &mut extent, &mut flip)?;
     let mut cols = Vec::with_capacity(n_cols);
     for _ in 0..n_cols {
-        cols.push(read_column(&mut r, rows, &mut extent, &mut flip)?);
+        cols.push(read_column(&mut r, rows, account, &mut extent, &mut flip)?);
     }
     let body_bytes = r.bytes;
     let mut stream_crc = r.crc.finalize() as u64;
@@ -286,7 +288,7 @@ pub(crate) fn read_run(
 /// Write one column as fixed-boundary extents (the last may be short),
 /// each encoded on its own and framed with descriptor, descriptor
 /// CRC, padded payload, and trailer. Returns the extent count.
-fn write_column<W: Write>(w: &mut SpillWriter<W>, col: &ChunkedVec<u64>) -> io::Result<u64> {
+fn write_column<W: Write>(w: &mut SpillWriter<W>, col: &ChunkedVec) -> io::Result<u64> {
     let mut extents = 0u64;
     let mut words: Vec<u64> = Vec::with_capacity(EXTENT_WORDS.min(col.len()).max(1));
     let mut enc: Vec<u8> = Vec::new();
@@ -347,10 +349,11 @@ fn flush_extent<W: Write>(
 fn read_column<R: Read>(
     r: &mut SpillReader<R>,
     rows: usize,
+    account: &DepotAccount,
     extent: &mut u64,
     flip_pending: &mut bool,
-) -> Result<ChunkedVec<u64>, ReadError> {
-    let mut out = ChunkedVec::new();
+) -> Result<ChunkedVec, ReadError> {
+    let mut out = ChunkedVec::new_in(account);
     let mut remaining = rows;
     let mut enc: Vec<u8> = Vec::new();
     let mut words: Vec<u64> = Vec::with_capacity(EXTENT_WORDS.min(rows.max(1)));

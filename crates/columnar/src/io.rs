@@ -37,6 +37,7 @@
 //! ahead of it. Workers never submit, so the executor cannot deadlock on
 //! its own queue.
 
+use crate::depot::DepotAccount;
 use crate::format::{read_run, ReadError, SpillWriter, HEADER_BYTES};
 use crate::run::Run;
 use hsa_fault::{
@@ -219,6 +220,9 @@ pub(crate) struct SpillMeta {
     /// The reserved upper-bound size of this run's stream (also the
     /// torn-write detection reference for truncated files).
     pub(crate) nominal_bytes: u64,
+    /// The depot account the spilled run's chunks were lent through; the
+    /// restored run's chunks are lent through it again.
+    pub(crate) account: DepotAccount,
 }
 
 impl SpillMeta {
@@ -523,7 +527,7 @@ impl StoreCore {
             slot.as_ref().ok_or_else(|| io::Error::other("spill descriptor missing"))?;
         file.seek(SeekFrom::Start(offset))?;
         let flip = inject == Some(SpillFaultKind::ReadBitFlip);
-        read_run(BufReader::new(file), meta.rows, meta.n_cols, flip)
+        read_run(BufReader::new(file), meta.rows, meta.n_cols, &meta.account, flip)
     }
 }
 

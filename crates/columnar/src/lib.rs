@@ -8,7 +8,8 @@
 //! special memory management.
 //!
 //! * [`ChunkedVec`] — the two-level list-of-arrays, the backing store of
-//!   every run and partition.
+//!   every run and partition, built from chunks the process-wide
+//!   [`depot`] lends and takes back.
 //! * [`Run`] — a sequence of rows (a key column plus any number of state
 //!   columns) produced by one invocation of `HASHING` or `PARTITIONING`,
 //!   carrying the metadata the framework needs: whether its rows are
@@ -31,6 +32,7 @@
 mod chunked;
 mod codec;
 mod crc;
+pub mod depot;
 mod dictionary;
 mod format;
 mod io;
@@ -42,6 +44,7 @@ mod table;
 
 pub use chunked::{ChunkedVec, DEFAULT_CHUNK_LEN};
 pub use crc::{crc32c, Crc32c};
+pub use depot::{DepotAccount, DepotUsage};
 pub use dictionary::{encode_composite, Dictionary};
 pub use format::EXTENT_WORDS;
 pub use mapping::Mapping;

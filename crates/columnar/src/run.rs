@@ -11,14 +11,14 @@ use crate::chunked::ChunkedVec;
 #[derive(Clone, Debug, Default)]
 pub struct Run {
     /// Grouping keys (the paper's rows are 64-bit integers).
-    pub keys: ChunkedVec<u64>,
+    pub keys: ChunkedVec,
     /// The columns travelling with the keys. For raw input runs these are
     /// the aggregate *input* columns the query reads, each once — however
     /// many states one input feeds, and none for `COUNT(*)`; once a run
     /// has passed through `HASHING` they are materialized aggregate
     /// states (one or two per aggregate function, e.g. AVG carries SUM
     /// and COUNT). The operator knows which of the two by `aggregated`.
-    pub cols: Vec<ChunkedVec<u64>>,
+    pub cols: Vec<ChunkedVec>,
     /// `true` if the rows are partial aggregates, in which case combining
     /// them requires the super-aggregate function (§3.1: "the
     /// super-aggregate function of COUNT is SUM").

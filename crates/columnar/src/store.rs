@@ -265,6 +265,7 @@ impl FileStore {
                     source_rows: run.source_rows,
                     level: run.level,
                     nominal_bytes,
+                    account: run.keys.account().clone(),
                 },
                 run,
                 ticket: IoTicket::new(),
@@ -1098,7 +1099,7 @@ mod tests {
         let parked: Vec<bool> = handles.iter().map(is_parked).collect();
         assert_eq!(parked, [true, true, true, false, false, false, false, false]);
         for (i, handle) in handles.into_iter().enumerate() {
-            assert_eq!(handle.into_run().unwrap().keys.get(0), first_key(i));
+            assert_eq!(handle.into_run().unwrap().keys.iter().next(), first_key(i));
         }
         wait_for_in_flight(&file, 0);
         let (_, peak) = file.exec.queue_bytes();
@@ -1124,7 +1125,7 @@ mod tests {
         let mut handles: Vec<Option<RunHandle>> = handles.into_iter().map(Some).collect();
         let take = |handles: &mut [Option<RunHandle>], i: usize| {
             let run = handles[i].take().unwrap().into_run().unwrap();
-            assert_eq!(run.keys.get(0), first_key(i));
+            assert_eq!(run.keys.iter().next(), first_key(i));
         };
         // Runs 0 and 1 are parked, the plan reads [2 | 3 4 5]. Enter the
         // second bucket at its head: nobody has read run 3, so this
@@ -1278,7 +1279,7 @@ mod tests {
         assert!(!is_parked(&handles[4]), "the window stayed shut meanwhile");
         assert_eq!(written.into_run().unwrap().len() as u64, 44 * RUN_ROWS);
         for (i, handle) in handles.into_iter().enumerate() {
-            assert_eq!(handle.into_run().unwrap().keys.get(0), first_key(i));
+            assert_eq!(handle.into_run().unwrap().keys.iter().next(), first_key(i));
         }
         drop((store, file));
         assert_eq!(spill_files_in(&dir), 0);
@@ -1295,7 +1296,7 @@ mod tests {
         assert_eq!(file.exec.queue_bytes(), (0, 0));
         for (i, handle) in handles.into_iter().enumerate() {
             assert!(matches!(*spilled(&handle).ticket.lock(), TicketState::Written));
-            assert_eq!(handle.into_run().unwrap().keys.get(0), first_key(i));
+            assert_eq!(handle.into_run().unwrap().keys.iter().next(), first_key(i));
         }
         assert_eq!(store.io_stats().unwrap().async_io_nanos, 0);
         drop((store, file));
@@ -1376,7 +1377,11 @@ mod tests {
             assert_eq!(files.len(), 10, "segment files");
             for (i, spilled) in handles.into_iter().enumerate() {
                 let run = RunHandle::Spilled(spilled).into_run().unwrap();
-                assert_eq!(run.keys.get(0), Some(i as u64 * RUN_ROWS), "handle {i} out of order");
+                assert_eq!(
+                    run.keys.iter().next(),
+                    Some(i as u64 * RUN_ROWS),
+                    "handle {i} out of order"
+                );
                 assert_eq!(run.len() as u64, RUN_ROWS);
             }
             store.drain().unwrap();
@@ -1438,7 +1443,7 @@ mod tests {
             .flat_map(|run| store.write_batch(vec![run]).unwrap())
             .collect();
         for (i, handle) in planned.into_iter().enumerate() {
-            assert_eq!(handle.into_run().unwrap().keys.get(0), first_key(i));
+            assert_eq!(handle.into_run().unwrap().keys.iter().next(), first_key(i));
         }
         drop(more);
         wait_for_in_flight(&store, 0);

@@ -39,7 +39,7 @@ use crate::stream::AggStream;
 use crate::view::{RunView, StateCols};
 use crate::AggregateConfig;
 use hsa_agg::{plan, AggFn, AggSpec};
-use hsa_columnar::{RunHandle, RunStore};
+use hsa_columnar::{DepotAccount, RunHandle, RunStore};
 use hsa_fault::{AggError, CancelToken, Reservation};
 use hsa_hash::MAX_LEVEL;
 use hsa_hashtbl::{AggTable, GrowTable, TableConfig};
@@ -140,6 +140,8 @@ pub(crate) struct Ctx {
     pub(crate) store: RunStore,
     /// First error any task hit; later tasks bail out early once set.
     pub(crate) failed: Mutex<Option<AggError>>,
+    /// The query's account at the chunk depot (see [`Gate::depot`]).
+    pub(crate) depot: DepotAccount,
 }
 
 impl Ctx {
@@ -152,7 +154,8 @@ impl Ctx {
 
     /// The allocation gate tasks reserve memory through.
     pub(crate) fn gate(&self) -> Gate<'_> {
-        Gate { budget: &self.env.budget, faults: &self.env.faults, store: &self.store }
+        let env = &self.env;
+        Gate { budget: &env.budget, faults: &env.faults, store: &self.store, depot: &self.depot }
     }
 
     /// Record the first error; subsequent errors are dropped.

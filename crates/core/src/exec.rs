@@ -2,7 +2,7 @@
 //! spill store the budget can degrade into.
 
 use crate::obs::Obs;
-use hsa_columnar::{Run, RunHandle, RunStore, SpillConfig};
+use hsa_columnar::{DepotAccount, Run, RunHandle, RunStore, SpillConfig};
 use hsa_fault::{AggError, CancelToken, DiskBudget, FaultInjector, MemoryBudget, Reservation};
 use hsa_obs::{Counter, Hist, LevelCounter, Phase};
 use std::path::PathBuf;
@@ -80,7 +80,7 @@ impl ExecEnv {
 }
 
 /// The allocation gate the routines reserve memory through: budget +
-/// injector + spill store. Borrowed from the driver context and passed to
+/// injector + spill store + depot account. Borrowed from the driver context and passed to
 /// every pass that materializes runs; what happens at the gate is counted
 /// through the caller's [`Obs`].
 #[derive(Clone, Copy)]
@@ -88,6 +88,9 @@ pub(crate) struct Gate<'a> {
     pub(crate) budget: &'a MemoryBudget,
     pub(crate) faults: &'a FaultInjector,
     pub(crate) store: &'a RunStore,
+    /// The query's account at the chunk depot: every chunk a run is
+    /// materialized in is lent through it.
+    pub(crate) depot: &'a DepotAccount,
 }
 
 impl Gate<'_> {
@@ -218,7 +221,12 @@ mod tests {
         let budget = MemoryBudget::limited(100);
         let faults = FaultInjector::new(FaultPlan { fail_alloc: Some(1), ..FaultPlan::none() });
         let store = RunStore::in_memory();
-        let gate = Gate { budget: &budget, faults: &faults, store: &store };
+        let gate = Gate {
+            budget: &budget,
+            faults: &faults,
+            store: &store,
+            depot: &DepotAccount::default(),
+        };
         let obs = rec.obs();
 
         let injected = gate.reserve(10, &obs).unwrap_err();
@@ -244,7 +252,12 @@ mod tests {
         let budget = MemoryBudget::unlimited();
         let faults = FaultInjector::none();
         let store = spill_store(&dir);
-        let gate = Gate { budget: &budget, faults: &faults, store: &store };
+        let gate = Gate {
+            budget: &budget,
+            faults: &faults,
+            store: &store,
+            depot: &DepotAccount::default(),
+        };
         let obs = rec.obs();
 
         let denied = AggError::BudgetExceeded { requested: 1, limit: 64, reserved: 64 };
@@ -273,7 +286,12 @@ mod tests {
         let budget = MemoryBudget::unlimited();
         let faults = FaultInjector::new(FaultPlan { fail_spill: Some(1), ..FaultPlan::none() });
         let store = spill_store(&dir);
-        let gate = Gate { budget: &budget, faults: &faults, store: &store };
+        let gate = Gate {
+            budget: &budget,
+            faults: &faults,
+            store: &store,
+            depot: &DepotAccount::default(),
+        };
         let obs = rec.obs();
 
         let run = Run::from_rows(&[1], &[]);

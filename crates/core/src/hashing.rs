@@ -86,10 +86,15 @@ pub(crate) fn seal_into(
     // budget already admitted.
     let mut spill_digits: Vec<usize> = Vec::new();
     let mut spill_runs: Vec<Run> = Vec::new();
+    let lent = |values: &[u64]| {
+        let mut col = ChunkedVec::new_in(gate.depot);
+        col.extend_from_slice(values);
+        col
+    };
     table.seal(|digit, keys, cols| {
         let run = Run {
-            keys: ChunkedVec::from_slice(keys),
-            cols: cols.iter().map(|c| ChunkedVec::from_slice(c)).collect(),
+            keys: lent(keys),
+            cols: cols.iter().map(|c| lent(c)).collect(),
             aggregated: true,
             source_rows: keys.len() as u64,
             level: next_level,
@@ -221,7 +226,7 @@ mod tests {
     use crate::obs::testing::TestObs;
     use crate::sink::LocalBuckets;
     use hsa_agg::{PhysicalCol, Plan, StateOp};
-    use hsa_columnar::RunStore;
+    use hsa_columnar::{DepotAccount, RunStore};
     use hsa_fault::{FaultInjector, MemoryBudget};
     use hsa_hash::Hasher64;
     use hsa_hashtbl::{Insert, TableConfig};
@@ -234,6 +239,7 @@ mod tests {
                 budget: &MemoryBudget::unlimited(),
                 faults: &FaultInjector::none(),
                 store: &RunStore::in_memory(),
+                depot: &DepotAccount::default(),
             }
         };
     }
@@ -295,12 +301,13 @@ mod tests {
                 assert_eq!(run.level, 1);
                 run.check_consistent().unwrap();
                 let ks = run.keys.to_vec();
+                let cols: Vec<Vec<u64>> = run.cols.iter().map(ChunkedVec::to_vec).collect();
                 for (j, k) in ks.iter().enumerate() {
                     let e = merged.entry(*k).or_insert_with(|| {
                         ops.iter().map(|&o| hsa_hashtbl::identity_of(o)).collect()
                     });
                     for (i, &op) in ops.iter().enumerate() {
-                        e[i] = op.merge(e[i], run.cols[i].get(j).unwrap());
+                        e[i] = op.merge(e[i], cols[i][j]);
                     }
                 }
             }
@@ -381,7 +388,7 @@ mod tests {
             for handle in bucket {
                 let run = handle.into_run().unwrap();
                 assert_eq!(run.keys.to_vec(), vec![42]);
-                total = Some(run.cols[0].get(0).unwrap());
+                total = Some(run.cols[0].iter().next().unwrap());
             }
         }
         assert_eq!(total, Some(7));
@@ -434,7 +441,12 @@ mod tests {
         let budget = MemoryBudget::limited(1);
         let faults = FaultInjector::none();
         let store = RunStore::in_memory();
-        let gate = Gate { budget: &budget, faults: &faults, store: &store };
+        let gate = Gate {
+            budget: &budget,
+            faults: &faults,
+            store: &store,
+            depot: &DepotAccount::default(),
+        };
         let mut sink = LocalBuckets::new();
         let err = seal_into(&mut t, &mut sink, gate, &rec.obs()).unwrap_err();
         assert!(matches!(err, AggError::BudgetExceeded { limit: 1, .. }));
@@ -459,7 +471,12 @@ mod tests {
         let budget = MemoryBudget::limited(1);
         let faults = FaultInjector::none();
         let store = spill_store(&dir);
-        let gate = Gate { budget: &budget, faults: &faults, store: &store };
+        let gate = Gate {
+            budget: &budget,
+            faults: &faults,
+            store: &store,
+            depot: &DepotAccount::default(),
+        };
         let mut sink = LocalBuckets::new();
         seal_into(&mut t, &mut sink, gate, &rec.obs()).unwrap();
         assert_eq!(budget.outstanding(), 0, "spilled runs hold no reservation");
@@ -469,9 +486,7 @@ mod tests {
             for handle in bucket {
                 assert!(handle.is_spilled());
                 let run = handle.into_run().unwrap();
-                for (j, k) in run.keys.to_vec().into_iter().enumerate() {
-                    rows.insert(k, run.cols[0].get(j).unwrap());
-                }
+                rows.extend(run.keys.to_vec().into_iter().zip(run.cols[0].to_vec()));
             }
         }
         assert_eq!(rows, BTreeMap::from([(7, 70), (8, 80), (9, 90)]));

@@ -64,7 +64,7 @@ pub use adaptive::{AdaptiveParams, Strategy};
 pub use driver::{aggregate, distinct, try_aggregate, try_aggregate_observed, try_merge_partials};
 pub use exec::ExecEnv;
 
-pub use hsa_columnar::{RunHandle, RunStore, SpillConfig, SpilledRun};
+pub use hsa_columnar::{depot, RunHandle, RunStore, SpillConfig, SpilledRun};
 pub use hsa_fault::{
     AdmissionConfig, AdmissionController, AdmissionDenied, AdmissionOutcome, AdmissionRequest,
     AggError, CancelReason, CancelToken, DiskBudget, DiskReservation, FaultInjector, FaultPlan,

@@ -1,16 +1,22 @@
 //! The operator's result and the shared collector it is assembled in.
 
 use hsa_agg::{Finalizer, Plan};
+use hsa_columnar::{ChunkedVec, DepotAccount};
 use hsa_fault::Reservation;
 use hsa_tasks::sync::Mutex;
 
 /// Shared sink for final groups. Leaf tasks append whole blocks under one
 /// short lock — coarse enough to be negligible (§3.2).
 ///
-/// The collector holds the budget reservations backing its growing output
-/// vectors until the output is handed to the caller. Unlike intermediate
-/// runs, final output blocks are never spilled: they are the caller's
-/// result, so a denied output reservation stays a hard
+/// The groups are assembled in chunks lent by the depot, like every run,
+/// so the output never doubles a vector under the lock; the finished
+/// result is copied once into vectors of exactly its length
+/// ([`Collector::into_output`]) and the chunks go back.
+///
+/// The collector holds the budget reservations backing its output chunks
+/// until the output is handed to the caller. Unlike intermediate runs,
+/// final output blocks are never spilled: they are the caller's result,
+/// so a denied output reservation stays a hard
 /// `AggError::BudgetExceeded` even when a spill directory is configured.
 /// One collector spans all chunks of a streaming ingestion
 /// ([`crate::AggStream`]) — it lives in the driver context, not in any
@@ -21,8 +27,8 @@ pub(crate) struct Collector {
 
 /// The output under construction, as [`Collector::push_blocks`] lends it.
 pub(crate) struct RawOut {
-    keys: Vec<u64>,
-    states: Vec<Vec<u64>>,
+    keys: ChunkedVec,
+    states: Vec<ChunkedVec>,
     res: Reservation,
 }
 
@@ -38,11 +44,13 @@ impl RawOut {
 }
 
 impl Collector {
-    pub(crate) fn new(n_cols: usize) -> Self {
+    /// An empty collector for `n_cols` state columns, its chunks lent
+    /// through `depot`.
+    pub(crate) fn new(n_cols: usize, depot: &DepotAccount) -> Self {
         Self {
             inner: Mutex::new(RawOut {
-                keys: Vec::new(),
-                states: (0..n_cols).map(|_| Vec::new()).collect(),
+                keys: ChunkedVec::new_in(depot),
+                states: (0..n_cols).map(|_| ChunkedVec::new_in(depot)).collect(),
                 res: Reservation::empty(),
             }),
         }
@@ -58,12 +66,24 @@ impl Collector {
         g.res.merge(res);
     }
 
+    /// The result in vectors of exactly its length; the chunks it was
+    /// assembled in go back to the depot.
     pub(crate) fn into_output(self, plan: Plan) -> GroupByOutput {
-        let raw = self.inner.into_inner();
-        // The reservations covering the output rows are released here: the
-        // result now belongs to the caller, outside the operator's budget.
-        drop(raw.res);
-        GroupByOutput { keys: raw.keys, states: raw.states, plan }
+        let RawOut { keys, states, mut res } = self.inner.into_inner();
+        // One column at a time: each is copied, then its chunks go back
+        // and its share of the reservations is released, so the copy
+        // never holds more than one column twice. The copies belong to
+        // the caller, outside the operator's budget.
+        let mut exact = |column: ChunkedVec| {
+            let copy = column.to_vec();
+            let share = column.mem_bytes();
+            drop(column);
+            drop(res.take(share));
+            copy
+        };
+        let keys = exact(keys);
+        let states = states.into_iter().map(&mut exact).collect();
+        GroupByOutput { keys, states, plan }
     }
 }
 
@@ -131,19 +151,22 @@ mod tests {
 
     #[test]
     fn collector_appends_blocks() {
-        let c = Collector::new(2);
+        let c = Collector::new(2, &DepotAccount::default());
         c.push_blocks(Reservation::empty(), |out| {
             out.push(&[1, 2], &[vec![10, 20], vec![1, 1]]);
             out.push(&[3], &[vec![30], vec![1]]);
         });
         let out = c.into_output(plan(&[AggSpec::sum(0), AggSpec::count()]));
         assert_eq!(out.n_groups(), 3);
+        for col in std::iter::once(&out.keys).chain(&out.states) {
+            assert_eq!(col.capacity(), 3, "the result is sized exactly");
+        }
         assert_eq!(out.sorted_rows()[2], (3, vec![30, 1]));
     }
 
     #[test]
     fn finalization_helpers() {
-        let c = Collector::new(2);
+        let c = Collector::new(2, &DepotAccount::default());
         // states: sum, count → specs: avg(0), count()
         c.push_blocks(Reservation::empty(), |out| out.push(&[7], &[vec![10], vec![4]]));
         let out = c.into_output(plan(&[AggSpec::avg(0), AggSpec::count()]));

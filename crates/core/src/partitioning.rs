@@ -20,7 +20,7 @@ use crate::exec::Gate;
 use crate::obs::Obs;
 use crate::sink::RunSink;
 use crate::view::RunView;
-use hsa_columnar::{Run, RunHandle};
+use hsa_columnar::{DepotAccount, Run, RunHandle};
 use hsa_fault::{AggError, Reservation};
 use hsa_hash::{Murmur2, FANOUT};
 use hsa_obs::{Counter, Hist, LevelCounter, Phase};
@@ -47,8 +47,9 @@ pub(crate) struct RunWriter {
 }
 
 impl RunWriter {
-    fn new(level: u32, n_cols: usize, aggregated: bool) -> Self {
-        Self { parts: PartitionWriter::new(n_cols), level, aggregated, res: Reservation::empty() }
+    fn new(level: u32, n_cols: usize, aggregated: bool, depot: &DepotAccount) -> Self {
+        let parts = PartitionWriter::new(n_cols, depot);
+        Self { parts, level, aggregated, res: Reservation::empty() }
     }
 
     /// Bring the reservation up to `bytes`. `Ok(false)` is a denial the
@@ -165,11 +166,11 @@ pub(crate) fn partition_run(
         return Ok(());
     }
     let (n_cols, aggregated) = (view.n_cols(), view.aggregated());
-    let w = writer.get_or_insert_with(|| RunWriter::new(level, n_cols, aggregated));
+    let w = writer.get_or_insert_with(|| RunWriter::new(level, n_cols, aggregated, gate.depot));
     debug_assert_eq!(w.level, level, "a writer serves one level");
     if w.aggregated != aggregated {
         w.hand_off(sink, gate, obs)?;
-        *w = RunWriter::new(level, n_cols, aggregated);
+        *w = RunWriter::new(level, n_cols, aggregated, gate.depot);
     }
     debug_assert_eq!(w.parts.n_cols(), n_cols, "rows of one kind carry the same columns");
     let pt = obs.phase_start(level, Phase::Partition);
@@ -208,6 +209,7 @@ mod tests {
                 budget: &MemoryBudget::unlimited(),
                 faults: &FaultInjector::none(),
                 store: &RunStore::in_memory(),
+                depot: &DepotAccount::default(),
             }
         };
     }
@@ -365,7 +367,12 @@ mod tests {
         let faults = FaultInjector::none();
         let rec = TestObs::new();
         let store = RunStore::in_memory();
-        let gate = Gate { budget: &budget, faults: &faults, store: &store };
+        let gate = Gate {
+            budget: &budget,
+            faults: &faults,
+            store: &store,
+            depot: &DepotAccount::default(),
+        };
         let mut sink = LocalBuckets::new();
         let mut writer = None;
         partition(&mut writer, &raw_view(&keys, vec![&keys]), 0, &mut sink, gate, &rec).unwrap();
@@ -374,7 +381,12 @@ mod tests {
         // A budget with not one byte to spare: the hand-off moves chunks,
         // so it has nothing to ask for and nothing to be denied.
         let exact = MemoryBudget::limited(held.unwrap());
-        let tight = Gate { budget: &exact, faults: &faults, store: &store };
+        let tight = Gate {
+            budget: &exact,
+            faults: &faults,
+            store: &store,
+            depot: &DepotAccount::default(),
+        };
         let (mut other, mut other_sink) = (None, LocalBuckets::new());
         partition(&mut other, &raw_view(&keys, vec![&keys]), 0, &mut other_sink, tight, &rec)
             .unwrap();
@@ -409,7 +421,12 @@ mod tests {
         let budget = MemoryBudget::limited(200 << 10);
         let faults = FaultInjector::none();
         let store = RunStore::in_memory();
-        let gate = Gate { budget: &budget, faults: &faults, store: &store };
+        let gate = Gate {
+            budget: &budget,
+            faults: &faults,
+            store: &store,
+            depot: &DepotAccount::default(),
+        };
         let mut writer = None;
         partition(&mut writer, &raw_view(&keys[..10_000], vec![]), 0, &mut sink, gate, &rec)
             .unwrap();
@@ -459,7 +476,12 @@ mod tests {
                 SpillConfig { io_threads: 0 },
             )
             .unwrap();
-            let gate = Gate { budget: &budget, faults: &faults, store: &store };
+            let gate = Gate {
+                budget: &budget,
+                faults: &faults,
+                store: &store,
+                depot: &DepotAccount::default(),
+            };
             let spill_files = || {
                 std::fs::read_dir(&dir)
                     .unwrap()
@@ -531,7 +553,12 @@ mod tests {
         let budget = MemoryBudget::unlimited();
         let faults = FaultInjector::none();
         let store = spill_store(&dir);
-        let gate = Gate { budget: &budget, faults: &faults, store: &store };
+        let gate = Gate {
+            budget: &budget,
+            faults: &faults,
+            store: &store,
+            depot: &DepotAccount::default(),
+        };
         let keys: Vec<u64> = (0..5_000u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
         let vals: Vec<u64> = (0..5_000).collect();
         let raw = |cols: &[&[u64]]| Run {
@@ -565,7 +592,12 @@ mod tests {
         let budget = MemoryBudget::limited(1 << 30);
         let faults = FaultInjector::new(FaultPlan { fail_alloc: Some(1), ..FaultPlan::none() });
         let store = spill_store(&dir);
-        let gate = Gate { budget: &budget, faults: &faults, store: &store };
+        let gate = Gate {
+            budget: &budget,
+            faults: &faults,
+            store: &store,
+            depot: &DepotAccount::default(),
+        };
         let mut writer = None;
         let err =
             partition(&mut writer, &raw_view(&keys, vec![]), 0, &mut sink, gate, &rec).unwrap_err();

@@ -36,6 +36,7 @@ use crate::stats::OpStats;
 use crate::view::{RunView, StateCols};
 use crate::AggregateConfig;
 use hsa_agg::{plan, AggSpec, Plan};
+use hsa_columnar::DepotAccount;
 use hsa_fault::{AggError, CancelToken};
 use hsa_hashtbl::{identity_of, AggTable};
 use hsa_obs::{
@@ -92,6 +93,19 @@ pub struct AggStream {
     /// and phase 2, stopped and joined before the report is assembled —
     /// or on drop, including an unwinding one.
     sampler: Option<ProgressSampler>,
+    /// Declared last: every field above holds chunks the query's depot
+    /// account lent, and the account closes after they are gone.
+    _depot: DepotLease,
+}
+
+/// Closes the query's depot account — counting it if a chunk it lent is
+/// still out, then trimming the depot — when dropped.
+struct DepotLease(DepotAccount);
+
+impl Drop for DepotLease {
+    fn drop(&mut self) {
+        self.0.close();
+    }
 }
 
 impl AggStream {
@@ -133,6 +147,7 @@ impl AggStream {
             env.cancel.clone()
         };
         let store = store_for(env)?;
+        let depot = DepotAccount::open();
         // One admission per stream: every scope this query runs — all
         // pushes and the finish recursion — shares the same QueryId on
         // the process-wide runtime.
@@ -162,7 +177,7 @@ impl AggStream {
             cancel,
             states,
             pool: TablePool::new(table_cfg, identities, observed),
-            collector: Collector::new(lowered.cols.len()),
+            collector: Collector::new(lowered.cols.len(), &depot),
             recorder: if observed { Recorder::deep(threads) } else { Recorder::counters(threads) },
             tracer: if obs_cfg.trace {
                 Tracer::enabled(threads, DEFAULT_TRACE_CAPACITY)
@@ -172,6 +187,7 @@ impl AggStream {
             gauge,
             store,
             failed: Mutex::new(None),
+            depot: depot.clone(),
         };
         let workers = (0..threads).map(|_| Mutex::new(WorkerState::new(cfg.strategy))).collect();
         // Opening the query (spill store, admission, recorder) is the
@@ -190,6 +206,7 @@ impl AggStream {
             rows_in: 0,
             wall0,
             sampler,
+            _depot: DepotLease(depot),
         })
     }
 
@@ -284,6 +301,9 @@ impl AggStream {
     /// When one worker table holds every group and no run was ever
     /// produced, the table is emitted directly and phase 2 has no work.
     pub fn finish(self) -> Result<(GroupByOutput, RunReport), AggError> {
+        // `_depot` and `input_aggregated` stay in `self`, which as a
+        // parameter drops after every local: the account closes once the
+        // query's state is gone, on every exit.
         let AggStream {
             ctx,
             lowered,
@@ -371,6 +391,12 @@ impl AggStream {
         let output = ctx.collector.into_output(lowered);
         let groups = output.n_groups() as u64;
         obs.phase_end(pt, groups, groups, 0);
+        // Every chunk the query was lent is back now.
+        let depot = ctx.depot.usage();
+        debug_assert_eq!(depot.outstanding(), 0, "a chunk outlived its run");
+        obs.count(Counter::DepotHits, depot.hits);
+        obs.count(Counter::DepotFresh, depot.fresh);
+        obs.count(Counter::DepotLentHighWater, depot.lent_high_water_bytes);
         let io = ctx.store.io_stats().unwrap_or_default();
         obs.count(Counter::SpillRetries, io.spill_retries);
         obs.count(Counter::RestoreRetries, io.restore_retries);
@@ -516,7 +542,7 @@ mod tests {
 
         // A chunked column grows 64, 64, 128, … up to the full chunk
         // length and every chunk but the last is filled to that size.
-        let chunk_lens = |c: &ChunkedVec<u64>| c.chunks().map(<[u64]>::len).collect::<Vec<_>>();
+        let chunk_lens = |c: &ChunkedVec| c.chunks().map(<[u64]>::len).collect::<Vec<_>>();
         let mut rows = 0;
         for (digit, bucket, _res) in shared.into_nonempty() {
             assert!(bucket.len() <= THREADS, "digit {digit}: {} runs", bucket.len());

@@ -155,9 +155,11 @@ mod tests {
     use hsa_agg::{plan, AggSpec};
     use hsa_columnar::ChunkedVec;
 
-    fn owned_run(n: u64, chunk: usize) -> Run {
-        let mut keys = ChunkedVec::with_chunk_len(chunk);
-        let mut col = ChunkedVec::with_chunk_len(chunk);
+    /// `0..n` with a column of doubles, pushed one row at a time: chunks
+    /// of 64, 64, 128, … rows.
+    fn owned_run(n: u64) -> Run {
+        let mut keys = ChunkedVec::new();
+        let mut col = ChunkedVec::new();
         for i in 0..n {
             keys.push(i);
             col.push(i * 2);
@@ -207,20 +209,20 @@ mod tests {
 
     #[test]
     fn owned_view_blocks_follow_chunks() {
-        let v = RunView::Owned(owned_run(10, 4));
+        let v = RunView::Owned(owned_run(200));
         assert!(v.aggregated());
-        assert_eq!(v.aligned_block_len(0), 4);
-        assert_eq!(v.aligned_block_len(3), 1);
-        assert_eq!(v.aligned_block_len(8), 2);
+        assert_eq!(v.aligned_block_len(0), 64);
+        assert_eq!(v.aligned_block_len(63), 1);
+        assert_eq!(v.aligned_block_len(128), 72);
         let all: Vec<u64> = v.slices(None, 0).flatten().copied().collect();
-        assert_eq!(all, (0..10).collect::<Vec<_>>());
-        let col: Vec<u64> = v.slices(Some(0), 5).flatten().copied().collect();
-        assert_eq!(col, (5..10).map(|i| i * 2).collect::<Vec<_>>());
+        assert_eq!(all, (0..200).collect::<Vec<_>>());
+        let col: Vec<u64> = v.slices(Some(0), 130).flatten().copied().collect();
+        assert_eq!(col, (130..200).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn walking_aligned_blocks_covers_all_rows() {
-        let v = RunView::Owned(owned_run(23, 5));
+        let v = RunView::Owned(owned_run(300));
         let mut row = 0;
         let mut seen = Vec::new();
         while row < v.len() {
@@ -229,6 +231,6 @@ mod tests {
             seen.extend_from_slice(&v.key_tail(row)[..len]);
             row += len;
         }
-        assert_eq!(seen, (0..23).collect::<Vec<u64>>());
+        assert_eq!(seen, (0..300).collect::<Vec<u64>>());
     }
 }

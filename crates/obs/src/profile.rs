@@ -15,7 +15,7 @@
 //! figure in [`ProfileTree::render`] reports.
 
 use crate::json::JsonValue;
-use crate::recorder::MetricsSnapshot;
+use crate::recorder::{Counter, MetricsSnapshot};
 
 /// Levels tracked by the profiler. The operator's recursion is bounded by
 /// its hash-digit budget (8 levels today); one extra slot absorbs any
@@ -149,6 +149,9 @@ pub struct ProfileTree {
     /// the time compute threads spent blocked waiting on tickets). 0 with
     /// a spill store without I/O workers (`io_threads: 0`) or no spilling.
     pub overlapped_io_nanos: u64,
+    /// Chunk depot traffic, summed over the workers' counters: chunks
+    /// recycled, chunks freshly allocated, bytes lent at the high water.
+    depot: [u64; 3],
     cells: [[PhaseCell; Phase::COUNT]; PROFILE_LEVELS],
 }
 
@@ -171,7 +174,9 @@ impl ProfileTree {
                 }
             }
         }
-        Self { wall_nanos, threads, budget_high_water, overlapped_io_nanos, cells }
+        let depot = [Counter::DepotHits, Counter::DepotFresh, Counter::DepotLentHighWater]
+            .map(|c| snap.workers.iter().map(|w| w.counter(c)).sum());
+        Self { wall_nanos, threads, budget_high_water, overlapped_io_nanos, depot, cells }
     }
 
     /// The merged cell of one `(level, phase)` node.
@@ -254,6 +259,14 @@ impl ProfileTree {
         );
         if self.budget_high_water > 0 {
             let _ = writeln!(out, "├─ budget high-water {}", fmt_bytes(self.budget_high_water));
+        }
+        let [recycled, fresh, lent] = self.depot;
+        if recycled + fresh > 0 {
+            let _ = writeln!(
+                out,
+                "├─ depot chunks {recycled} recycled · {fresh} allocated · lent high-water {}",
+                fmt_bytes(lent)
+            );
         }
         let io = self.io_nanos();
         if io > 0 {
@@ -468,9 +481,13 @@ mod tests {
         r.phase(0, 0, Phase::HashInsert, delta(600_000, 8000, 2000, 0));
         r.phase(0, 0, Phase::Seal, delta(200_000, 2000, 2000, 0));
         r.phase(0, 1, Phase::Output, delta(200_000, 2000, 2000, 0));
+        r.add(0, Counter::DepotHits, 30);
+        r.add(0, Counter::DepotFresh, 2);
+        r.add(0, Counter::DepotLentHighWater, 3 << 20);
         let t = ProfileTree::build(&r.snapshot(), 1_000_000, 1, 0, 0);
         let expected = "\
 query · wall 1.00 ms · 1 thread · 100.0% of 1×wall attributed to leaf phases
+├─ depot chunks 30 recycled · 2 allocated · lent high-water 3.00 MiB
 ├─ level 0 · 800.00 µs · 80.0%
 │  ├─ hash_insert · 600.00 µs · 60.0% · 1 calls · rows 8000 → 2000 · α 4.00
 │  └─ seal · 200.00 µs · 20.0% · 1 calls · rows 2000 → 2000

@@ -122,6 +122,12 @@ metric_enum! {
         /// Nanoseconds compute threads spent blocked on in-flight
         /// background spill I/O.
         SpillIoWaitNanos => "spill_io_wait_nanos",
+        /// Chunks the query was lent from the depot's shelves.
+        DepotHits => "depot_hits",
+        /// Chunks the query was lent freshly allocated (shelf empty).
+        DepotFresh => "depot_fresh",
+        /// Most bytes of chunks the query held lent at once.
+        DepotLentHighWater => "depot_lent_high_water_bytes",
     }
 }
 

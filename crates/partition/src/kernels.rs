@@ -3,6 +3,7 @@
 
 use crate::writer::ColumnOut;
 use crate::Parts;
+use hsa_columnar::DepotAccount;
 use hsa_hash::{digit, Hasher64};
 
 /// Unroll factor of the hash-ahead loop: "manually unrolling the main loop
@@ -47,7 +48,7 @@ pub fn partition_keys<'a, H: Hasher64>(
     hasher: H,
     level: u32,
 ) -> Parts {
-    let mut out = ColumnOut::new();
+    let mut out = ColumnOut::new(&DepotAccount::default());
     for chunk in key_chunks {
         out.partition(chunk, hasher, level, |_| {});
     }
@@ -63,7 +64,7 @@ pub fn partition_keys_mapped<'a, H: Hasher64>(
     level: u32,
     mapping_out: &mut Vec<u8>,
 ) -> Parts {
-    let mut out = ColumnOut::new();
+    let mut out = ColumnOut::new(&DepotAccount::default());
     for chunk in key_chunks {
         out.partition(chunk, hasher, level, |d| mapping_out.push(d));
     }

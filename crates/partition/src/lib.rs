@@ -32,7 +32,7 @@ use hsa_columnar::ChunkedVec;
 use hsa_hash::FANOUT;
 
 /// The 256 output partitions of one partitioning pass.
-pub type Parts = Vec<ChunkedVec<u64>>;
+pub type Parts = Vec<ChunkedVec>;
 
 /// Fresh empty partitions.
 pub fn empty_parts() -> Parts {

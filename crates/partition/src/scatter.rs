@@ -9,6 +9,7 @@
 
 use crate::writer::ColumnOut;
 use crate::Parts;
+use hsa_columnar::DepotAccount;
 
 /// Scatter one value column into 256 partitions according to the digit
 /// mapping produced by
@@ -21,7 +22,7 @@ pub fn scatter_by_digits<'a>(
     digits: &[u8],
     value_chunks: impl Iterator<Item = &'a [u64]>,
 ) -> Parts {
-    let mut out = ColumnOut::new();
+    let mut out = ColumnOut::new(&DepotAccount::default());
     let mut offset = 0usize;
     for chunk in value_chunks {
         out.scatter(&digits[offset..offset + chunk.len()], chunk);

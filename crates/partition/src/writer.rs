@@ -20,8 +20,8 @@
 //! one-shot kernels run the same loops over a fresh [`ColumnOut`].
 
 use crate::kernels::hash_ahead;
-use crate::{empty_parts, Parts};
-use hsa_columnar::ChunkedVec;
+use crate::Parts;
+use hsa_columnar::{ChunkedVec, DepotAccount};
 use hsa_hash::{Hasher64, FANOUT};
 
 /// One column's 256 outputs: per partition the chunks already full, and
@@ -33,8 +33,10 @@ pub(crate) struct ColumnOut {
 }
 
 impl ColumnOut {
-    pub(crate) fn new() -> Self {
-        Self { tails: Box::new(std::array::from_fn(|_| Vec::new())), parts: empty_parts() }
+    /// Empty outputs whose chunks are lent through `account`.
+    pub(crate) fn new(account: &DepotAccount) -> Self {
+        let parts = (0..FANOUT).map(|_| ChunkedVec::new_in(account)).collect();
+        Self { tails: Box::new(std::array::from_fn(|_| Vec::new())), parts }
     }
 
     /// Append `value` to partition `d`.
@@ -48,11 +50,12 @@ impl ColumnOut {
     }
 
     /// The full (or not yet allocated) `tail` joins `part` as a whole
-    /// chunk; the next one has the capacity `part` would have grown to.
+    /// chunk; the next one is lent at the capacity `part` would have
+    /// grown to.
     #[cold]
     #[inline(never)]
-    fn roll(tail: &mut Vec<u64>, part: &mut ChunkedVec<u64>) {
-        *tail = Vec::with_capacity(part.push_chunk(std::mem::take(tail)));
+    fn roll(tail: &mut Vec<u64>, part: &mut ChunkedVec) {
+        part.roll(tail);
     }
 
     /// Partition `keys` by the radix digit `level` of their hashes, showing
@@ -85,7 +88,7 @@ impl ColumnOut {
     /// Close the open tails: every value sits in the partitions afterwards.
     pub(crate) fn close(&mut self) -> &mut Parts {
         for (tail, part) in self.tails.iter_mut().zip(&mut self.parts) {
-            part.push_chunk(std::mem::take(tail));
+            part.adopt(std::mem::take(tail));
         }
         &mut self.parts
     }
@@ -94,6 +97,14 @@ impl ColumnOut {
     fn mem_bytes(&self) -> u64 {
         let tails: usize = self.tails.iter().map(Vec::capacity).sum();
         tails as u64 * 8 + self.parts.iter().map(ChunkedVec::mem_bytes).sum::<u64>()
+    }
+}
+
+/// Open tails are lent chunks too: a writer dropped with rows in it (a
+/// failed query) gives them back with its partitions.
+impl Drop for ColumnOut {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -108,11 +119,12 @@ pub struct PartitionWriter {
 }
 
 impl PartitionWriter {
-    /// An empty writer for rows with `n_cols` columns beside the key. It
-    /// holds no memory worth accounting; chunks allocate as rows arrive.
-    pub fn new(n_cols: usize) -> Self {
+    /// An empty writer for rows with `n_cols` columns beside the key,
+    /// its chunks lent through `account`. It holds no memory worth
+    /// accounting; chunks are lent as rows arrive.
+    pub fn new(n_cols: usize, account: &DepotAccount) -> Self {
         Self {
-            cols: (0..1 + n_cols).map(|_| ColumnOut::new()).collect(),
+            cols: (0..1 + n_cols).map(|_| ColumnOut::new(account)).collect(),
             digits: Vec::new(),
             rows: 0,
         }
@@ -188,15 +200,15 @@ impl PartitionWriter {
 
     /// Hand over every non-empty partition as `emit(digit, keys, cols)`,
     /// in digit order. The writer is empty afterwards.
-    pub fn drain(&mut self, mut emit: impl FnMut(usize, ChunkedVec<u64>, Vec<ChunkedVec<u64>>)) {
+    pub fn drain(&mut self, mut emit: impl FnMut(usize, ChunkedVec, Vec<ChunkedVec>)) {
         self.rows = 0;
         let mut closed = self.cols.iter_mut().map(ColumnOut::close);
         let Some(key_parts) = closed.next() else { return };
         let mut col_parts: Vec<&mut Parts> = closed.collect();
         for (digit, keys) in key_parts.iter_mut().enumerate() {
             if !keys.is_empty() {
-                let cols = col_parts.iter_mut().map(|parts| std::mem::take(&mut parts[digit]));
-                emit(digit, std::mem::take(keys), cols.collect());
+                let cols = col_parts.iter_mut().map(|parts| parts[digit].take_all());
+                emit(digit, keys.take_all(), cols.collect());
             }
         }
     }
@@ -235,7 +247,7 @@ mod tests {
         let keys = pseudo_random_keys(3_000, 21);
         let v0: Vec<u64> = keys.iter().map(|k| k ^ 0xabcd).collect();
         let v1: Vec<u64> = (0..keys.len() as u64).collect();
-        let mut w = PartitionWriter::new(2);
+        let mut w = PartitionWriter::new(2, &DepotAccount::default());
         // Pieces that are empty, shorter than a hash-ahead block, and not a
         // multiple of one; the last also arrives as several chunk slices.
         let cuts = [0usize, 0, 1, 6, 13, 14, 500, 1_777, 3_000];
@@ -254,7 +266,7 @@ mod tests {
     fn a_drain_between_appends_keeps_rows_aligned() {
         let keys = pseudo_random_keys(2_000, 5);
         let vals: Vec<u64> = keys.iter().map(|k| !k).collect();
-        let mut w = PartitionWriter::new(1);
+        let mut w = PartitionWriter::new(1, &DepotAccount::default());
         let mut seen = 0;
         for range in [0..700usize, 700..701, 701..2_000] {
             w.append(Murmur2::default(), 1, [&keys[range.clone()]].into_iter(), |_| {
@@ -266,8 +278,7 @@ mod tests {
             w.drain(|d, ks, cols| {
                 assert_eq!(cols.len(), 1);
                 assert_eq!(ks.len(), cols[0].len());
-                let chunk_lens =
-                    |c: &ChunkedVec<u64>| c.chunks().map(<[u64]>::len).collect::<Vec<_>>();
+                let chunk_lens = |c: &ChunkedVec| c.chunks().map(<[u64]>::len).collect::<Vec<_>>();
                 assert_eq!(chunk_lens(&ks), chunk_lens(&cols[0]), "chunks must coincide");
                 for (k, v) in ks.iter().zip(cols[0].iter()) {
                     assert_eq!(hsa_hash::digit(Murmur2::default().hash_u64(k), 1), d);
@@ -284,7 +295,7 @@ mod tests {
     #[test]
     fn key_only_rows_need_no_mapping() {
         let keys = pseudo_random_keys(1_000, 9);
-        let mut w = PartitionWriter::new(0);
+        let mut w = PartitionWriter::new(0, &DepotAccount::default());
         w.append(Murmur2::default(), 0, keys.chunks(333), |_| std::iter::empty());
         assert_eq!(w.digits.capacity(), 0);
         // All the writer holds is the key column's open tails.
@@ -295,9 +306,29 @@ mod tests {
     }
 
     #[test]
+    fn a_writer_dropped_with_rows_gives_every_chunk_back() {
+        let keys = pseudo_random_keys(5_000, 8);
+        let account = DepotAccount::open();
+        let mut w = PartitionWriter::new(1, &account);
+        w.append(Murmur2::default(), 0, [keys.as_slice()].into_iter(), |_| {
+            [keys.as_slice()].into_iter()
+        });
+        let usage = account.usage();
+        assert!(usage.outstanding() >= 2 * 256, "open tails and full chunks are lent");
+        assert_eq!(usage.lent_high_water_bytes, w.mem_bytes() - w.digits.capacity() as u64);
+        drop(drained(&mut w));
+        assert_eq!(account.usage().outstanding(), 0, "drained runs give their chunks back");
+        // A drained writer keeps lending through the same account.
+        w.append(Murmur2::default(), 0, [&keys[..10]].into_iter(), |_| [&keys[..10]].into_iter());
+        assert!(account.usage().outstanding() > 0);
+        drop(w);
+        assert_eq!(account.usage().outstanding(), 0);
+    }
+
+    #[test]
     fn every_value_is_handed_over_once() {
         let keys = pseudo_random_keys(1_500, 3);
-        let mut w = PartitionWriter::new(1);
+        let mut w = PartitionWriter::new(1, &DepotAccount::default());
         assert_eq!((w.n_cols(), w.len(), w.mem_bytes()), (1, 0, 0));
         w.append(Murmur2::default(), 0, [keys.as_slice()].into_iter(), |_| {
             [keys.as_slice()].into_iter()
@@ -317,7 +348,7 @@ mod tests {
 
     #[test]
     fn mem_bytes_follows_the_chunks() {
-        let mut w = PartitionWriter::new(1);
+        let mut w = PartitionWriter::new(1, &DepotAccount::default());
         assert_eq!(w.mem_bytes(), 0);
         let keys = vec![7u64; 100];
         w.append(Murmur2::default(), 0, [keys.as_slice()].into_iter(), |_| {
@@ -339,7 +370,7 @@ mod tests {
         let h = Murmur2::default();
         let key_of = |d: usize| (0u64..).find(|&k| digit(h.hash_u64(k), 0) == d).unwrap();
         let (ka, kb) = (key_of(3), key_of(200));
-        let mut w = PartitionWriter::new(2);
+        let mut w = PartitionWriter::new(2, &DepotAccount::default());
         let mut fed = [0u64; 2];
         let mut seq = 0u64;
         for (round, &piece) in [1usize, 62, 1, 1, 63, 64, 200, 4_096, 5_000].iter().enumerate() {
@@ -365,8 +396,7 @@ mod tests {
             if round == 4 || round == 8 {
                 let mut seen = Vec::new();
                 w.drain(|d, ks, cols| {
-                    let lens =
-                        |c: &ChunkedVec<u64>| c.chunks().map(<[u64]>::len).collect::<Vec<_>>();
+                    let lens = |c: &ChunkedVec| c.chunks().map(<[u64]>::len).collect::<Vec<_>>();
                     assert_eq!(lens(&ks), lens(&cols[0]), "chunks must coincide");
                     assert_eq!(lens(&ks), lens(&cols[1]), "chunks must coincide");
                     // Values arrive in input order beside their keys.
@@ -385,7 +415,7 @@ mod tests {
     #[should_panic(expected = "column 0 is shorter than the key column")]
     fn a_short_column_panics() {
         let keys = [1u64, 2, 3];
-        let mut w = PartitionWriter::new(1);
+        let mut w = PartitionWriter::new(1, &DepotAccount::default());
         w.append(Murmur2::default(), 0, [&keys[..]].into_iter(), |_| [&keys[..2]].into_iter());
     }
 }

@@ -46,12 +46,12 @@ mod query;
 pub use hsa_agg::{AggFn, AggSpec};
 pub use hsa_columnar::{encode_composite, Column, Dictionary, Table, TableError};
 pub use hsa_core::{
-    aggregate, distinct, try_aggregate, try_aggregate_observed, try_merge_partials, AdaptiveParams,
-    AdmissionConfig, AdmissionController, AdmissionDenied, AdmissionOutcome, AdmissionRequest,
-    AggError, AggStream, AggregateConfig, CancelReason, CancelToken, DiskBudget, DiskReservation,
-    ExecEnv, FaultInjector, FaultPlan, GroupByOutput, MemoryBudget, ObsConfig, OpStats,
-    ProfileTree, QueryGrant, Reservation, RunHandle, RunReport, RunStore, SpillConfig, SpillFault,
-    SpillFaultKind, SpilledRun, Strategy, REPORT_VERSION,
+    aggregate, depot, distinct, try_aggregate, try_aggregate_observed, try_merge_partials,
+    AdaptiveParams, AdmissionConfig, AdmissionController, AdmissionDenied, AdmissionOutcome,
+    AdmissionRequest, AggError, AggStream, AggregateConfig, CancelReason, CancelToken, DiskBudget,
+    DiskReservation, ExecEnv, FaultInjector, FaultPlan, GroupByOutput, MemoryBudget, ObsConfig,
+    OpStats, ProfileTree, QueryGrant, Reservation, RunHandle, RunReport, RunStore, SpillConfig,
+    SpillFault, SpillFaultKind, SpilledRun, Strategy, REPORT_VERSION,
 };
 pub use query::{AggValues, Query, QueryResult};
 

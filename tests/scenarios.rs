@@ -4,8 +4,9 @@
 //! is the clause table). The slices carry the names of the suites they
 //! replaced, so CI runs one by name: `cargo test --test scenarios --
 //! chaos::`. A failing scenario is shrunk and printed as a literal; commit
-//! it in [`named`]. One more slice is a test target of its own under its
-//! old name: the operator properties of `tests/properties.rs`.
+//! it in [`named`]. Two more slices are test targets of their own: the
+//! operator properties of `tests/properties.rs`, under their old name,
+//! and `tests/memory.rs`, which needs the chunk depot to itself.
 
 #[path = "scenarios/harness.rs"]
 mod harness;
@@ -661,7 +662,7 @@ mod observability {
         let hash0 = *report.profile.as_ref().expect("profile").cell(0, Phase::HashInsert);
         assert!(hash0.rows_out > 0 && hash0.rows_in < 2 * hash0.rows_out, "{hash0:?}");
         let explain = report.explain();
-        for node in ["hash_insert", "partition", "level 1"] {
+        for node in ["hash_insert", "partition", "level 1", "depot chunks"] {
             assert!(explain.contains(node), "{explain}");
         }
         let pretty = report.pretty();

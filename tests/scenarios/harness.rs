@@ -13,8 +13,8 @@ use hashing_is_sorting::kernels::{digit, Hasher64, Murmur2};
 use hashing_is_sorting::obs::json::{parse, JsonValue};
 use hashing_is_sorting::obs::{Counter, Hist, LevelCounter, Phase};
 use hashing_is_sorting::{
-    try_aggregate, try_aggregate_observed, try_merge_partials, AdaptiveParams, AggError, AggFn,
-    AggSpec, AggStream, AggregateConfig, CancelReason, CancelToken, DiskBudget, ExecEnv,
+    depot, try_aggregate, try_aggregate_observed, try_merge_partials, AdaptiveParams, AggError,
+    AggFn, AggSpec, AggStream, AggregateConfig, CancelReason, CancelToken, DiskBudget, ExecEnv,
     FaultInjector, FaultPlan, GroupByOutput, MemoryBudget, ObsConfig, OpStats, RunReport,
     SpillConfig, Strategy,
 };
@@ -248,6 +248,11 @@ pub struct Ran {
     pub level0: u64,
     /// Budget bytes and scratch files the abandoned stream held.
     pub held: (u64, usize),
+    /// Bytes idle in the chunk depot once the run was over: the run's
+    /// own only in a process that runs one query at a time, so it is
+    /// read by `tests/memory.rs` alone.
+    #[allow(dead_code)]
+    pub idle_after: u64,
 }
 
 /// Run `s` and hold the outcome to every clause; on a violation, shrink
@@ -325,6 +330,7 @@ fn check_unshrunk(s: &Scenario) -> Outcome {
             oracle(&s.specs, &keys, &cols),
             "the oracle disagrees"
         );
+        exact_size(out);
         if let Some(report) = report {
             one_report(report, true);
         }
@@ -355,6 +361,14 @@ fn finalized(out: &GroupByOutput, specs: &[AggSpec]) -> Vec<(u64, Vec<u64>)> {
         .collect();
     rows.sort_unstable_by_key(|r: &(u64, Vec<u64>)| r.0);
     rows
+}
+
+/// Clause 1, the result's shape: every column holds exactly its groups,
+/// no spare capacity.
+fn exact_size(out: &GroupByOutput) {
+    for (i, col) in std::iter::once(&out.keys).chain(&out.states).enumerate() {
+        assert_eq!((col.len(), col.capacity()), (out.n_groups(), out.n_groups()), "column {i}");
+    }
 }
 
 /// The reference fold the output must equal.
@@ -542,7 +556,7 @@ const STATS: [(&str, Field); 28] = [
 
 /// The counters of `metrics.merged` and of every worker, each with the
 /// `stats` member it is lowered to (summed over levels), if any.
-const COUNTERS: [(&str, &str); 28] = [
+const COUNTERS: [(&str, &str); 31] = [
     ("morsels_claimed", ""),
     ("tables_sealed", "seals"),
     ("switches_to_partitioning", "switches_to_partitioning"),
@@ -571,6 +585,9 @@ const COUNTERS: [(&str, &str); 28] = [
     ("overlapped_io_nanos", "overlapped_io_nanos"),
     ("spill_io_wait_nanos", "spill_io_wait_nanos"),
     ("task_nanos", "task_nanos_per_level"),
+    ("depot_hits", ""),
+    ("depot_fresh", ""),
+    ("depot_lent_high_water_bytes", ""),
 ];
 
 /// The deep cells beside the counters: the histograms, the phase cells and
@@ -646,6 +663,12 @@ fn one_report(report: &RunReport, observed: bool) {
             let lowered: u64 = u64s(member(stats, stat)).iter().sum();
             assert_eq!(total, [lowered], "metrics.merged.{counter} is not stats.{stat}");
         }
+    }
+    // Groups are assembled in chunks lent by the depot.
+    let lent = ["depot_hits", "depot_fresh", "depot_lent_high_water_bytes"]
+        .map(|counter| u64s(member(merged, counter))[0]);
+    if report.groups_out > 0 {
+        assert!(lent[0] + lent[1] > 0 && lent[2] > 0, "no chunk lent for the output: {lent:?}");
     }
     let fills = u64s(member(member(merged, "seal_fill_pct"), "count"));
     assert_eq!(fills, [st.seals], "one seal_fill_pct sample per seal");
@@ -759,8 +782,9 @@ fn expected_outcome(s: &Scenario, o: &Outcome) {
 }
 
 /// One run through the scenario's door under a fresh environment;
-/// afterwards, whatever the outcome, both budgets must be drained (clause
-/// 4) and the spill directory empty (clause 5).
+/// afterwards, whatever the outcome, both budgets must be drained and no
+/// query may have closed its depot account with a chunk still lent
+/// (clause 4), and the spill directory must be empty (clause 5).
 fn run(s: &Scenario, keys: &[u64], cols: &[&[u64]], metrics: bool) -> Outcome {
     static RUNS: AtomicUsize = AtomicUsize::new(0);
     // ORDERING: Relaxed — a unique-name counter, nothing is published.
@@ -804,8 +828,10 @@ fn run(s: &Scenario, keys: &[u64], cols: &[&[u64]], metrics: bool) -> Outcome {
         done.store(true, Ordering::Relaxed);
         result
     });
+    let idle_after = depot::idle_bytes();
     assert_eq!(budget.outstanding(), 0, "memory reservations leaked");
     assert_eq!(disk.outstanding(), 0, "disk reservations leaked");
+    assert_eq!(depot::unbalanced_closes(), 0, "a query closed with depot chunks still lent");
     assert_eq!(scratch(&dir), Vec::<String>::new(), "scratch files leaked");
     let _ = std::fs::remove_dir_all(&dir);
     let injected = |e: &AggError| match e {
@@ -816,6 +842,7 @@ fn run(s: &Scenario, keys: &[u64], cols: &[&[u64]], metrics: bool) -> Outcome {
         _ => false,
     };
     let fired = faults.spill_io_fired() > 0 || result.as_ref().err().is_some_and(injected);
+    let result = result.map(|ran| Ran { idle_after, ..ran });
     Outcome { result, fired }
 }
 
@@ -837,6 +864,7 @@ fn through_door(
         report: Some(report),
         level0,
         held: (0, 0),
+        idle_after: 0,
     };
     match s.door {
         Door::OneShot => try_aggregate_observed(keys, cols, &s.specs, &cfg, env, &obs).map(ran),
@@ -854,7 +882,8 @@ fn through_door(
             let bins = scratch(dir).iter().filter(|f| f.ends_with(".bin")).count();
             let held = (env.budget.outstanding(), bins);
             drop(stream);
-            Ok(Ran { out: None, stats: OpStats::default(), report: None, level0, held })
+            let stats = OpStats::default();
+            Ok(Ran { out: None, stats, report: None, level0, held, idle_after: 0 })
         }
         Door::Merge => {
             let partials = s
@@ -867,7 +896,7 @@ fn through_door(
             let level0 = partials.iter().map(|p| p.n_groups() as u64).sum();
             let refs: Vec<&GroupByOutput> = partials.iter().collect();
             let (out, stats) = try_merge_partials(&refs, &s.specs, &cfg, env)?;
-            Ok(Ran { out: Some(out), stats, report: None, level0, held: (0, 0) })
+            Ok(Ran { out: Some(out), stats, report: None, level0, held: (0, 0), idle_after: 0 })
         }
     }
 }
