@@ -43,7 +43,7 @@ use hsa_columnar::{DepotAccount, RunHandle, RunStore};
 use hsa_fault::{AggError, CancelToken, Reservation};
 use hsa_hash::MAX_LEVEL;
 use hsa_hashtbl::{AggTable, GrowTable, TableConfig};
-use hsa_obs::{Counter, LevelCounter, Phase, ProgressGauge, Recorder, Tracer};
+use hsa_obs::{Counter, LevelCounter, Phase, Recorder, Tracer};
 use hsa_tasks::sync::Mutex;
 use hsa_tasks::{PoolMetrics, Scope};
 use std::time::Instant;
@@ -129,12 +129,10 @@ pub(crate) struct Ctx {
     pub(crate) pool: TablePool,
     pub(crate) collector: Collector,
     /// Where every event of this query is counted, one shard per worker
-    /// (deep metrics on top when `ObsConfig::metrics` asked for them).
+    /// (deep metrics on top when `ObsConfig::metrics` asked for them);
+    /// the `--progress` sampler thread reads it while the query runs.
     pub(crate) recorder: Recorder,
     pub(crate) tracer: Tracer,
-    /// Live progress cells read by the `--progress` sampler thread
-    /// (disabled unless a sampler is running).
-    pub(crate) gauge: ProgressGauge,
     /// Run store the budget degrades into: spills to `env.spill_dir` when
     /// configured, otherwise memory-only (denials stay denials).
     pub(crate) store: RunStore,
@@ -145,11 +143,11 @@ pub(crate) struct Ctx {
 }
 
 impl Ctx {
-    /// The observability handle for a task running as `worker`. Under
-    /// the recorder's sharding contract: call it as the thread acting as
-    /// that worker, or — for worker 0 — while no worker runs.
+    /// The observability handle for a task running as `worker`: its
+    /// events land in that worker's shard, which no other task writes
+    /// while it runs.
     pub(crate) fn obs(&self, worker: usize) -> Obs<'_> {
-        Obs::new(&self.recorder, &self.tracer, &self.gauge, worker)
+        Obs::new(&self.recorder, &self.tracer, worker)
     }
 
     /// The allocation gate tasks reserve memory through.
@@ -595,7 +593,7 @@ pub fn try_merge_partials(
 }
 
 /// Convert a contained task panic into `AggError::WorkerPanic`, counting
-/// it. Runs post-quiescence, so recording into shard 0 is race-free.
+/// it. Runs once the scope has quiesced.
 pub(crate) fn contain_panics(
     ctx: &Ctx,
     result: Result<(), hsa_tasks::TaskPanic>,

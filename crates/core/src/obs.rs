@@ -1,16 +1,16 @@
 //! The per-task observability handle.
 //!
 //! [`Obs`] is the one handle a routine records through: it borrows the
-//! query's [`Recorder`], [`Tracer`] and [`ProgressGauge`] from the driver
-//! context and carries the worker index of the task currently running, so
-//! building one per task touches no shared reference count and every
-//! recording call lands in the calling worker's own shard. An event is
-//! recorded by one call: [`Obs::count`] / [`Obs::count_at`] for the
-//! always-on counter cells `OpStats` is lowered from, [`Obs::event`] when
-//! the event also marks the timeline. Histograms, α samples and phase
-//! cells are the recorder's deep part and the tracer and gauge are off
-//! unless asked for; recording into an absent one is a null check, so the
-//! routines are instrumented unconditionally.
+//! query's [`Recorder`] and [`Tracer`] from the driver context and
+//! carries the worker index of the task currently running, so building one
+//! per task touches no shared reference count and every recording call
+//! lands in the calling worker's own shard. An event is recorded by one
+//! call: [`Obs::count`] / [`Obs::count_at`] for the always-on counter
+//! cells `OpStats` is lowered from, [`Obs::event`] when the event also
+//! marks the timeline. Histograms, α samples and phase cells are the
+//! recorder's deep part and the tracer is off unless asked for; recording
+//! into an absent one is a null check, so the routines are instrumented
+//! unconditionally.
 //!
 //! # Phase timing
 //!
@@ -20,12 +20,13 @@
 //! thread, so an enclosing phase can subtract the time its children already
 //! claimed (a spill inside a seal lands in `spill`, not twice). The cell is
 //! per thread, not per task, so the driver's own phase around a scope
-//! subtracts the tasks the driving thread ran inside it. When neither the
-//! deep metrics nor the gauge are on, `phase_start` returns `None` without
-//! reading the clock.
+//! subtracts the tasks the driving thread ran inside it. Entering a phase
+//! always stores the worker's position (the `(level, phase)` the progress
+//! heartbeat shows); without deep metrics `phase_start` returns `None`
+//! without reading the clock.
 
 use hsa_hashtbl::AggTable;
-use hsa_obs::{Counter, Hist, LevelCounter, Phase, PhaseCell, ProgressGauge, Recorder, Tracer};
+use hsa_obs::{Counter, Hist, LevelCounter, Phase, PhaseCell, Recorder, Tracer};
 use std::cell::Cell;
 use std::time::Instant;
 
@@ -39,7 +40,6 @@ thread_local! {
 pub(crate) struct Obs<'a> {
     recorder: &'a Recorder,
     tracer: &'a Tracer,
-    gauge: &'a ProgressGauge,
     worker: usize,
 }
 
@@ -52,13 +52,8 @@ pub(crate) struct PhaseTimer {
 }
 
 impl<'a> Obs<'a> {
-    pub(crate) fn new(
-        recorder: &'a Recorder,
-        tracer: &'a Tracer,
-        gauge: &'a ProgressGauge,
-        worker: usize,
-    ) -> Self {
-        Self { recorder, tracer, gauge, worker }
+    pub(crate) fn new(recorder: &'a Recorder, tracer: &'a Tracer, worker: usize) -> Self {
+        Self { recorder, tracer, worker }
     }
 
     /// Add `n` to counter `c`.
@@ -103,43 +98,38 @@ impl<'a> Obs<'a> {
         self.tracer.span_args(self.worker, name, start, args);
     }
 
-    /// Begin timing one phase at `level`. Returns `None` — without
-    /// touching the clock — when neither deep metrics nor progress is on.
+    /// Enter one phase at `level`: store it as the worker's position and,
+    /// with deep metrics, begin timing it. Returns `None` — without
+    /// touching the clock — without deep metrics.
     #[inline]
     pub(crate) fn phase_start(&self, level: u32, phase: Phase) -> Option<PhaseTimer> {
-        if !self.timed() {
-            return None;
-        }
-        self.phase_since(Instant::now(), level, phase)
+        self.recorder.set_position(self.worker, level, phase);
+        self.recorder.is_deep().then(|| PhaseTimer {
+            level,
+            phase,
+            t0: Instant::now(),
+            nested0: NESTED.get(),
+        })
     }
 
     /// [`Obs::phase_start`] for a phase that began at `t0`, before this
     /// handle existed (the set-up of a query, timed from its first line).
     pub(crate) fn phase_since(&self, t0: Instant, level: u32, phase: Phase) -> Option<PhaseTimer> {
-        if !self.timed() {
-            return None;
-        }
-        self.gauge.set_state(self.worker, level, phase);
-        Some(PhaseTimer { level, phase, t0, nested0: NESTED.get() })
+        let timer = self.phase_start(level, phase)?;
+        Some(PhaseTimer { t0, ..timer })
     }
 
     /// Take `nanos` out of the phases open on this thread, as a child
     /// phase would: time the thread spent parked, which is no phase's.
     /// Untimed queries touch nothing.
     pub(crate) fn exclude(&self, nanos: u64) {
-        if self.timed() {
+        if self.recorder.is_deep() {
             NESTED.set(NESTED.get().saturating_add(nanos));
         }
     }
 
-    /// Whether phases are timed: deep metrics or the progress gauge.
-    #[inline]
-    fn timed(&self) -> bool {
-        self.recorder.is_deep() || self.gauge.is_enabled()
-    }
-
     /// Finish a phase: fold its exclusive time and row/byte deltas into
-    /// the recorder's `(worker, level, phase)` cell and bump the gauge.
+    /// the recorder's `(worker, level, phase)` cell.
     pub(crate) fn phase_end(
         &self,
         timer: Option<PhaseTimer>,
@@ -156,7 +146,6 @@ impl<'a> Obs<'a> {
             t.phase,
             PhaseCell { nanos: total.saturating_sub(child), calls: 1, rows_in, rows_out, bytes },
         );
-        self.gauge.add_rows(self.worker, rows_in);
         NESTED.set(t.nested0.saturating_add(total));
     }
 
@@ -204,20 +193,15 @@ pub(crate) mod testing {
     pub(crate) struct TestObs {
         recorder: Recorder,
         tracer: Tracer,
-        gauge: ProgressGauge,
     }
 
     impl TestObs {
         pub(crate) fn new() -> Self {
-            Self {
-                recorder: Recorder::counters(1),
-                tracer: Tracer::disabled(),
-                gauge: ProgressGauge::disabled(),
-            }
+            Self { recorder: Recorder::counters(1), tracer: Tracer::disabled() }
         }
 
         pub(crate) fn obs(&self) -> Obs<'_> {
-            Obs::new(&self.recorder, &self.tracer, &self.gauge, 0)
+            Obs::new(&self.recorder, &self.tracer, 0)
         }
 
         pub(crate) fn stats(&self) -> OpStats {

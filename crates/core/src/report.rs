@@ -40,9 +40,9 @@ pub struct ObsConfig {
     /// events are counted as dropped.
     pub trace: bool,
     /// Emit a live progress heartbeat to stderr at this interval (the
-    /// CLI's `--progress <ms>`). Runs a background sampler thread over
-    /// relaxed-atomic gauge cells — the metrics shards are never read
-    /// before quiescence — and works with or without `metrics`.
+    /// CLI's `--progress <ms>`). Runs a background sampler thread that
+    /// reads the query's recorder while it runs, and works with or without
+    /// `metrics`.
     pub progress: Option<std::time::Duration>,
 }
 

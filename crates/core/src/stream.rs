@@ -40,8 +40,8 @@ use hsa_columnar::DepotAccount;
 use hsa_fault::{AggError, CancelToken};
 use hsa_hashtbl::{identity_of, AggTable};
 use hsa_obs::{
-    BudgetProbe, Counter, Hist, LevelCounter, Phase, ProfileTree, ProgressGauge, ProgressSampler,
-    Recorder, Tracer, DEFAULT_TRACE_CAPACITY,
+    BudgetProbe, Counter, Hist, LevelCounter, Phase, ProfileTree, ProgressSampler, Recorder,
+    Tracer, DEFAULT_TRACE_CAPACITY,
 };
 use hsa_tasks::sync::Mutex;
 use hsa_tasks::{chunk_ranges, PoolMetrics, QueryHandle, Runtime};
@@ -152,19 +152,13 @@ impl AggStream {
         // pushes and the finish recursion — shares the same QueryId on
         // the process-wide runtime.
         let handle = Runtime::global().admit(threads);
-        // The gauge mirrors coarse per-worker position in relaxed atomics
-        // so the sampler thread never reads the recorder's shards.
-        let gauge = if obs_cfg.progress.is_some() {
-            ProgressGauge::enabled(threads)
-        } else {
-            ProgressGauge::disabled()
-        };
+        let recorder = if observed { Recorder::deep(threads) } else { Recorder::counters(threads) };
         let sampler = obs_cfg.progress.map(|interval| {
             let budget = env.budget.clone();
             let probe: BudgetProbe =
                 Box::new(move || budget.limit().map(|limit| (budget.outstanding(), limit)));
             ProgressSampler::start(
-                gauge.clone(),
+                recorder.clone(),
                 interval,
                 Some(probe),
                 Some(handle.id().to_string()),
@@ -178,13 +172,12 @@ impl AggStream {
             states,
             pool: TablePool::new(table_cfg, identities, observed),
             collector: Collector::new(lowered.cols.len(), &depot),
-            recorder: if observed { Recorder::deep(threads) } else { Recorder::counters(threads) },
+            recorder,
             tracer: if obs_cfg.trace {
                 Tracer::enabled(threads, DEFAULT_TRACE_CAPACITY)
             } else {
                 Tracer::disabled()
             },
-            gauge,
             store,
             failed: Mutex::new(None),
             depot: depot.clone(),
@@ -321,13 +314,12 @@ impl AggStream {
         // query outside another phase, and not parked, is level-0 Driver
         // time. (Field borrows, not `ctx.obs(0)`: the collector is about
         // to move out of the context.)
-        let obs = Obs::new(&ctx.recorder, &ctx.tracer, &ctx.gauge, 0);
+        let obs = Obs::new(&ctx.recorder, &ctx.tracer, 0);
         let driver = obs.phase_start(0, Phase::Driver);
 
-        // All push scopes have quiesced, so recording into each worker's
-        // shard from here preserves the sharding contract. First, what
-        // the workers partitioned joins the level-1 buckets: one run per
-        // worker and digit, however many morsels and pushes fed it.
+        // All push scopes have quiesced. First, what the workers
+        // partitioned joins the level-1 buckets: one run per worker and
+        // digit, however many morsels and pushes fed it.
         let mut tables: Vec<(usize, AggTable)> = Vec::new();
         for (w_idx, w) in workers.into_iter().enumerate() {
             let ws = w.into_inner();
@@ -383,10 +375,9 @@ impl AggStream {
         // store — surface it rather than returning a silently short
         // result.
         ctx.store.drain()?;
-        // The workers have quiesced, so shard 0 is the caller's to write:
-        // the final lowering is its level-0 output phase, and what the
-        // disk budget and the run store counted themselves joins the
-        // counters here, once.
+        // The workers have quiesced: the final lowering is the caller's
+        // level-0 output phase, and what the disk budget and the run store
+        // counted themselves joins the counters here, once.
         let pt = obs.phase_start(0, Phase::Output);
         let output = ctx.collector.into_output(lowered);
         let groups = output.n_groups() as u64;

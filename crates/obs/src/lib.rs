@@ -5,33 +5,30 @@
 //! and write-combining flushes (§4.2). This crate holds the cells every
 //! layer records into and the views built from them:
 //!
-//! * [`Recorder`] — one cache-line-padded shard of plain `u64` cells per
-//!   worker (no hot-path atomics, no false sharing). The [`Counter`] and
-//!   per-level [`LevelCounter`] cells are always on: they are the only
-//!   place an operator event is counted, and `hsa-core` lowers its
-//!   `OpStats` from them. [`Recorder::deep`] adds [`Histogram`]s, phase
-//!   cells and α samples. Shards are copied into a [`MetricsSnapshot`]
-//!   once the operator has quiesced;
+//! * [`Recorder`] — one cache-line-padded shard of cells per worker, so
+//!   workers never share a line. The [`Counter`] and per-level
+//!   [`LevelCounter`] cells and the worker's current `(level, phase)` are
+//!   always on, as relaxed atomics: they are the only place an operator
+//!   event is counted, and `hsa-core` lowers its `OpStats` from them.
+//!   [`Recorder::deep`] adds [`Histogram`]s, phase cells and α samples
+//!   behind one uncontended mutex per shard. [`Recorder::snapshot`] copies
+//!   the shards into a [`MetricsSnapshot`] at any time, mid-query too;
 //! * [`ProfileTree`] — the EXPLAIN ANALYZE phase tree (query → level →
 //!   phase), a view of the snapshot's [`PhaseCell`]s;
-//! * [`Tracer`] — bounded per-worker span buffers emitting Chrome
-//!   trace-event JSON ([`Tracer::to_chrome_json`]) loadable in Perfetto;
-//! * [`ProgressGauge`] / [`ProgressSampler`] — relaxed-atomic live
-//!   progress cells plus the background heartbeat thread that reads them
-//!   (the recorder's shards themselves must never be read live);
+//! * [`Tracer`] — bounded per-worker span buffers, one mutex each,
+//!   emitting Chrome trace-event JSON ([`Tracer::to_chrome_json`])
+//!   loadable in Perfetto;
+//! * [`ProgressSampler`] — the background heartbeat thread that reads a
+//!   query's recorder while it runs;
 //! * [`json`] — a dependency-free JSON writer/parser used by every
 //!   machine-readable report in the workspace;
 //! * [`Histogram`] — fixed-size log₂-bucketed histograms of `u64`
 //!   samples, plain cells, mergeable.
 //!
-//! # Sharding contract
-//!
-//! [`Recorder`] and [`Tracer`] are indexed by *worker* and hold plain
-//! memory, not atomics: a given worker index is used from one thread at a
-//! time (the work-stealing pool's `worker_index` gives exactly this) and
-//! snapshots/serialization happen only after those threads have quiesced.
-//! `recorder.rs` states the contract in full; it holds on every query,
-//! since the counter cells are always on.
+//! Every cell is sound to touch from any thread at any time; the crate
+//! has no `unsafe` code.
+
+#![forbid(unsafe_code)]
 
 pub mod json;
 
@@ -43,7 +40,7 @@ mod trace;
 
 pub use hist::{Histogram, HIST_BUCKETS};
 pub use profile::{Phase, PhaseCell, ProfileTree, PROFILE_LEVELS};
-pub use progress::{BudgetProbe, ProgressGauge, ProgressSampler, ProgressSink};
+pub use progress::{BudgetProbe, ProgressSampler, ProgressSink};
 pub use recorder::{Counter, Hist, LevelCounter, MetricsSnapshot, Recorder, WorkerSnapshot};
 pub use trace::{TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY};
 

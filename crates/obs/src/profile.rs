@@ -6,7 +6,8 @@
 //! time is recorded through the deep part of the sharded
 //! [`crate::Recorder`] (one [`PhaseCell`] per `(worker, level, phase)`), so
 //! the hot path pays the same cost as any other deep metric: two clock
-//! reads per phase when collected, one null check when not.
+//! reads and one uncontended lock per phase when collected, one null check
+//! when not.
 //!
 //! Phase cells store **exclusive** (self) time: when a seal spills a run
 //! mid-flight, the spill's nanoseconds land in the `spill` cell and are

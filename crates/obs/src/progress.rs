@@ -1,114 +1,18 @@
-//! Live progress: a lock-free gauge the workers update at coarse
-//! boundaries, and a background sampler thread that turns it into
-//! heartbeat lines.
+//! Live progress: a background sampler thread that reads the query's
+//! [`Recorder`] every interval and turns it into heartbeat lines.
 //!
-//! The [`crate::Recorder`]'s shards are plain `UnsafeCell` memory that may
-//! only be read after quiescence — a live sampler must not touch them. The
-//! [`ProgressGauge`] is the concurrent mirror: one cache-padded pair of
-//! relaxed atomics per worker (row count, packed phase/level), updated
-//! once per phase boundary rather than per row, so the hot path cost is a
-//! couple of relaxed stores per block. The [`ProgressSampler`] owns a
-//! thread that reads the gauge every interval and emits one line per tick
+//! The recorder's always-on cells may be read while workers record, so
+//! the heartbeat needs no cells of its own: rows are the rows the HASHING
+//! and PARTITIONING routines consumed so far (`hash_rows` + `part_rows`
+//! over every level), and each worker's position is the `(level, phase)`
+//! it last entered. The [`ProgressSampler`] emits one line per tick
 //! through the caller's sink; dropping the sampler — including during a
 //! panic unwind — signals and joins the thread.
 
 use crate::profile::Phase;
-use crate::CachePadded;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::recorder::{LevelCounter, Recorder};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-struct GaugeCell {
-    /// Rows consumed by this worker so far.
-    rows: AtomicU64,
-    /// Packed current position: `(level + 1) << 8 | (phase + 1)`; 0 = idle.
-    state: AtomicU64,
-}
-
-struct GaugeInner {
-    cells: Vec<CachePadded<GaugeCell>>,
-}
-
-/// Cheap cloneable handle to the per-worker progress cells, or a no-op
-/// when built with [`ProgressGauge::disabled`]. Unlike the recorder this
-/// is safely concurrent: workers store, the sampler loads, all relaxed.
-#[derive(Clone)]
-pub struct ProgressGauge {
-    inner: Option<Arc<GaugeInner>>,
-}
-
-impl ProgressGauge {
-    /// A gauge whose every operation is a null check.
-    pub fn disabled() -> Self {
-        Self { inner: None }
-    }
-
-    /// A gauge with one cell per worker.
-    pub fn enabled(workers: usize) -> Self {
-        let cells = (0..workers.max(1))
-            .map(|_| CachePadded(GaugeCell { rows: AtomicU64::new(0), state: AtomicU64::new(0) }))
-            .collect();
-        Self { inner: Some(Arc::new(GaugeInner { cells })) }
-    }
-
-    /// Whether progress is actually tracked.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Publish worker `worker`'s current position.
-    #[inline]
-    pub fn set_state(&self, worker: usize, level: u32, phase: Phase) {
-        if let Some(inner) = self.inner.as_deref() {
-            let packed = ((u64::from(level) + 1) << 8) | (phase as u64 + 1);
-            // ORDERING: Relaxed — the gauge is an advisory monitor; the
-            // sampler tolerates stale or torn-across-cells views and no
-            // other memory is published through it.
-            inner.cells[worker].0.state.store(packed, Ordering::Relaxed);
-        }
-    }
-
-    /// Add `n` rows consumed by worker `worker`.
-    #[inline]
-    pub fn add_rows(&self, worker: usize, n: u64) {
-        if let Some(inner) = self.inner.as_deref() {
-            // ORDERING: Relaxed — monotonic counter read only for display.
-            inner.cells[worker].0.rows.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Total rows consumed across workers (0 when disabled).
-    pub fn total_rows(&self) -> u64 {
-        match self.inner.as_deref() {
-            None => 0,
-            // ORDERING: Relaxed — display-only aggregate, staleness is fine.
-            Some(inner) => inner.cells.iter().map(|c| c.0.rows.load(Ordering::Relaxed)).sum(),
-        }
-    }
-
-    /// Current `(level, phase)` per worker; `None` entries are idle.
-    pub fn worker_states(&self) -> Vec<Option<(u32, Phase)>> {
-        match self.inner.as_deref() {
-            None => Vec::new(),
-            Some(inner) => inner
-                .cells
-                .iter()
-                // ORDERING: Relaxed — display-only, staleness is fine.
-                .map(|c| unpack(c.0.state.load(Ordering::Relaxed)))
-                .collect(),
-        }
-    }
-}
-
-fn unpack(packed: u64) -> Option<(u32, Phase)> {
-    if packed == 0 {
-        return None;
-    }
-    let level = ((packed >> 8) - 1) as u32;
-    let phase_idx = (packed & 0xff) as usize;
-    Phase::ALL.get(phase_idx.wrapping_sub(1)).map(|&p| (level, p))
-}
 
 /// Probe returning `(outstanding_bytes, limit_bytes)` of the memory
 /// budget, or `None` when the budget is unlimited.
@@ -130,13 +34,13 @@ pub struct ProgressSampler {
 }
 
 impl ProgressSampler {
-    /// Start a sampler over `gauge`: one heartbeat line per `interval`
+    /// Start a sampler over `recorder`: one heartbeat line per `interval`
     /// through `sink`. With a `query` tag every line leads with
     /// `[progress q<tag>]`, so queries running concurrently on one shared
     /// runtime stay attributable; the tag is a plain string (the engine
     /// passes its query id) so this crate stays scheduler-agnostic.
     pub fn start(
-        gauge: ProgressGauge,
+        recorder: Recorder,
         interval: Duration,
         budget: Option<BudgetProbe>,
         query: Option<String>,
@@ -147,7 +51,7 @@ impl ProgressSampler {
         let interval = interval.max(Duration::from_millis(1));
         let handle = std::thread::Builder::new()
             .name("hsa-progress".to_string())
-            .spawn(move || sample_loop(&gauge, interval, budget, query.as_deref(), sink, &sd))
+            .spawn(move || sample_loop(&recorder, interval, budget, query.as_deref(), sink, &sd))
             .ok();
         Self { shutdown, handle }
     }
@@ -171,7 +75,7 @@ impl Drop for ProgressSampler {
 }
 
 fn sample_loop(
-    gauge: &ProgressGauge,
+    recorder: &Recorder,
     interval: Duration,
     budget: Option<BudgetProbe>,
     query: Option<&str>,
@@ -193,7 +97,10 @@ fn sample_loop(
             }
         }
         let now = Instant::now();
-        let rows = gauge.total_rows();
+        let snap = recorder.snapshot();
+        let merged = snap.merged();
+        let rows =
+            merged.level_total(LevelCounter::HashRows) + merged.level_total(LevelCounter::PartRows);
         let dt = now.duration_since(prev_t).as_secs_f64().max(1e-9);
         let rate = (rows.saturating_sub(prev_rows)) as f64 / dt;
         prev_rows = rows;
@@ -202,7 +109,7 @@ fn sample_loop(
             t0.elapsed(),
             rows,
             rate,
-            &gauge.worker_states(),
+            &snap.workers.iter().map(|w| w.position()).collect::<Vec<_>>(),
             budget.as_deref(),
             query,
         ));
@@ -275,61 +182,19 @@ fn fmt_count(n: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::Counter;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
-    #[test]
-    fn disabled_gauge_is_inert() {
-        let g = ProgressGauge::disabled();
-        g.set_state(0, 1, Phase::Seal);
-        g.add_rows(0, 100);
-        assert!(!g.is_enabled());
-        assert_eq!(g.total_rows(), 0);
-        assert!(g.worker_states().is_empty());
-    }
-
-    #[test]
-    fn gauge_tracks_rows_and_states_across_threads() {
-        let g = ProgressGauge::enabled(3);
-        std::thread::scope(|s| {
-            for w in 0..3usize {
-                let g = g.clone();
-                s.spawn(move || {
-                    g.set_state(w, w as u32, Phase::HashInsert);
-                    for _ in 0..100 {
-                        g.add_rows(w, 10);
-                    }
-                });
-            }
-        });
-        assert_eq!(g.total_rows(), 3000);
-        let states = g.worker_states();
-        assert_eq!(states.len(), 3);
-        for (w, s) in states.iter().enumerate() {
-            assert_eq!(*s, Some((w as u32, Phase::HashInsert)));
-        }
-    }
-
-    #[test]
-    fn state_roundtrips_every_phase_and_level_zero() {
-        let g = ProgressGauge::enabled(1);
-        for &p in Phase::ALL {
-            g.set_state(0, 0, p);
-            assert_eq!(g.worker_states()[0], Some((0, p)));
-        }
-    }
-
-    #[test]
-    fn sampler_emits_lines_and_joins_on_stop() {
-        let g = ProgressGauge::enabled(2);
-        g.add_rows(0, 1234);
-        g.set_state(0, 0, Phase::HashInsert);
-        g.set_state(1, 0, Phase::HashInsert);
+    /// The first line a sampler over `recorder` emits, through a
+    /// capturing sink; the sampler is stopped and joined before returning.
+    fn first_line(recorder: &Recorder, budget: Option<BudgetProbe>, query: Option<&str>) -> String {
         let lines = Arc::new(Mutex::new(Vec::new()));
         let sink_lines = Arc::clone(&lines);
         let mut sampler = ProgressSampler::start(
-            g.clone(),
+            recorder.clone(),
             Duration::from_millis(5),
-            Some(Box::new(|| Some((1 << 20, 4 << 20)))),
-            Some("7".to_string()),
+            budget,
+            query.map(str::to_string),
             Box::new(move |line| {
                 if let Ok(mut v) = sink_lines.lock() {
                     v.push(line.to_string());
@@ -346,21 +211,51 @@ mod tests {
         sampler.stop();
         let lines = lines.lock().unwrap();
         assert!(!lines.is_empty(), "sampler never ticked");
-        let line = &lines[0];
+        lines[0].clone()
+    }
+
+    #[test]
+    fn sampler_emits_lines_and_joins_on_stop() {
+        let r = Recorder::counters(2);
+        r.add_level(0, LevelCounter::HashRows, 0, 1234);
+        r.set_position(0, 0, Phase::HashInsert);
+        r.set_position(1, 0, Phase::HashInsert);
+        let line = first_line(&r, Some(Box::new(|| Some((1 << 20, 4 << 20)))), Some("7"));
         assert!(line.starts_with("[progress q7]"), "line: {line}");
         assert!(line.contains("rows"), "line: {line}");
         assert!(line.contains("hash_insert@L0×2"), "line: {line}");
         assert!(line.contains("budget 1.0/4.0 MiB"), "line: {line}");
     }
 
+    /// Rows are what HASHING and PARTITIONING consumed, summed over
+    /// workers and levels — no other cell, however large, counts — and
+    /// each worker shows the position it stored last.
+    #[test]
+    fn heartbeat_rows_are_hashed_plus_partitioned_rows() {
+        let r = Recorder::counters(2);
+        r.add_level(0, LevelCounter::HashRows, 0, 1000);
+        r.add_level(0, LevelCounter::PartRows, 0, 2000);
+        r.add_level(1, LevelCounter::HashRows, 1, 500);
+        r.add_level(1, LevelCounter::PartRows, 2, 434);
+        r.add_level(0, LevelCounter::TaskNanos, 0, 1 << 40);
+        r.add(1, Counter::TablesSealed, 77);
+        r.set_position(0, 0, Phase::Partition);
+        r.set_position(0, 1, Phase::Seal);
+        r.set_position(1, 1, Phase::HashInsert);
+        let line = first_line(&r, None, None);
+        assert!(line.contains("  3934 rows  "), "line: {line}");
+        assert!(line.contains("seal@L1 hash_insert@L1"), "line: {line}");
+        assert!(!line.contains("partition"), "line: {line}");
+    }
+
     #[test]
     fn sampler_shuts_down_on_drop_during_panic() {
-        let g = ProgressGauge::enabled(1);
+        let r = Recorder::counters(1);
         let ticks = Arc::new(AtomicU64::new(0));
         let sink_ticks = Arc::clone(&ticks);
         let result = std::panic::catch_unwind(move || {
             let _sampler = ProgressSampler::start(
-                g,
+                r,
                 Duration::from_millis(2),
                 None,
                 None,

@@ -2,35 +2,32 @@
 //! counted.
 //!
 //! One cache-line-padded shard per worker. Every shard has an always-on
-//! part — the flat [`Counter`] cells and the per-level [`LevelCounter`]
-//! cells, ≈ 0.5 KB of plain `u64`s that the operator's statistics are
-//! lowered from — and, when built with [`Recorder::deep`], a deep part:
-//! [`Histogram`]s, phase cells and α samples. Recording is a handful of
-//! unsynchronized adds into the worker's own shard — the design the
-//! paper's own per-thread hash tables use, applied to metrics. Shards are
-//! merged into one [`MetricsSnapshot`] after the operator has quiesced.
+//! part — the flat [`Counter`] cells, the per-level [`LevelCounter`]
+//! cells and the worker's current `(level, phase)` position, ≈ 0.5 KB of
+//! `AtomicU64`s that the operator's statistics are lowered from — and,
+//! when built with [`Recorder::deep`], a deep part behind one mutex:
+//! [`Histogram`]s, phase cells and α samples. Recording is a relaxed
+//! atomic add into the worker's own shard (or one uncontended lock for
+//! the deep part) — the per-thread design the paper's own hash tables
+//! use, applied to metrics. Every recording site fires per morsel, run,
+//! seal or event, never per row.
+//!
+//! Nothing here needs the writers to stop: [`Recorder::snapshot`] may be
+//! taken at any time, also while a query runs. Each cell it reads is
+//! exact on its own; a snapshot taken mid-query is not consistent across
+//! cells (a seal may show in one counter and not yet in another), one
+//! taken after the workers finished is the query's final account.
 //!
 //! A [`Recorder::counters`] recorder allocates no deep part; the deep
 //! recording calls are a null check on it, so instrumented code needs no
 //! `if enabled` of its own.
-//!
-//! # Sharding contract
-//!
-//! The cells are plain memory, not atomics, and every query records into
-//! them: while workers run, shard `i` is written only by the thread
-//! currently acting as worker `i` (the work-stealing pool's
-//! `worker_index` gives exactly this); the thread that drives the query
-//! writes — shard 0, or a worker's shard on its behalf — only while no
-//! worker runs, and [`Recorder::snapshot`] reads only then. No call
-//! touches another worker's shard and none takes a lock; the `SAFETY:`
-//! comments below all cite this paragraph. It is the contract under which
-//! the operator's per-worker hash tables are sound.
 
 use crate::hist::Histogram;
 use crate::json::JsonValue;
 use crate::profile::{Phase, PhaseCell, PROFILE_LEVELS};
 use crate::CachePadded;
-use std::cell::UnsafeCell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Per-switch α samples kept verbatim per worker; later switches are still
 /// counted in the aggregate sum/count once the list is full.
@@ -208,36 +205,59 @@ impl DeepCells {
 /// What a shard without a deep part reads as.
 static NO_DEEP: DeepCells = DeepCells::new();
 
-/// One worker's cells. Plain data; merged at snapshot time.
-#[derive(Clone, Debug)]
-struct WorkerShard {
-    counters: [u64; Counter::COUNT],
-    levels: [[u64; PROFILE_LEVELS]; LevelCounter::COUNT],
-    deep: Option<Box<DeepCells>>,
+/// One worker's cells.
+struct Shard {
+    counters: [AtomicU64; Counter::COUNT],
+    levels: [[AtomicU64; PROFILE_LEVELS]; LevelCounter::COUNT],
+    /// Where the worker is: `(level + 1) << 8 | (phase + 1)`, 0 before
+    /// its first phase.
+    position: AtomicU64,
+    deep: Option<Box<Mutex<DeepCells>>>,
 }
 
-impl WorkerShard {
+impl Shard {
     fn new(deep: bool) -> Self {
         Self {
-            counters: [0; Counter::COUNT],
-            levels: [[0; PROFILE_LEVELS]; LevelCounter::COUNT],
-            deep: deep.then(|| Box::new(DeepCells::new())),
+            counters: [const { AtomicU64::new(0) }; Counter::COUNT],
+            levels: [const { [const { AtomicU64::new(0) }; PROFILE_LEVELS] }; LevelCounter::COUNT],
+            position: AtomicU64::new(0),
+            deep: deep.then(|| Box::new(Mutex::new(DeepCells::new()))),
+        }
+    }
+
+    fn deep(&self) -> Option<MutexGuard<'_, DeepCells>> {
+        // A panic while the lock was held left whole cells behind: every
+        // update under it is a single add or push.
+        self.deep.as_deref().map(|m| m.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    fn read(&self) -> WorkerSnapshot {
+        // ORDERING: Relaxed — statistics cells; each load is exact for its
+        // cell, and no other memory is read through them.
+        let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+        WorkerSnapshot {
+            counters: self.counters.each_ref().map(load),
+            levels: self.levels.each_ref().map(|row| row.each_ref().map(load)),
+            position: unpack(load(&self.position)),
+            deep: self.deep().map(|d| Box::new(d.clone())),
         }
     }
 }
 
-/// The sharded cells of one query. Owned by the query's context; tasks
-/// record through a shared reference under the sharding contract.
-pub struct Recorder {
-    shards: Box<[CachePadded<UnsafeCell<WorkerShard>>]>,
-    deep: bool,
+fn unpack(packed: u64) -> Option<(u32, Phase)> {
+    let level = ((packed >> 8) as u32).checked_sub(1)?;
+    let phase = *Phase::ALL.get(((packed & 0xff) as usize).checked_sub(1)?)?;
+    Some((level, phase))
 }
 
-// SAFETY: a shard is written only by the thread acting as its worker and
-// read only after the writers have quiesced (module doc, "Sharding
-// contract"), so no two threads ever access one shard's cells at the same
-// time; `deep` and the slice itself are never written after construction.
-unsafe impl Sync for Recorder {}
+/// The sharded cells of one query: a cheap cloneable handle, so the
+/// query's context and a live reader (the progress sampler) share it.
+/// Every method is safe to call from any thread at any time.
+#[derive(Clone)]
+pub struct Recorder {
+    shards: Arc<[CachePadded<Shard>]>,
+    deep: bool,
+}
 
 impl Recorder {
     /// A recorder with the always-on counter cells only, one shard per
@@ -253,9 +273,7 @@ impl Recorder {
     }
 
     fn new(workers: usize, deep: bool) -> Self {
-        let shards = (0..workers.max(1))
-            .map(|_| CachePadded(UnsafeCell::new(WorkerShard::new(deep))))
-            .collect();
+        let shards = (0..workers.max(1)).map(|_| CachePadded(Shard::new(deep))).collect();
         Self { shards, deep }
     }
 
@@ -266,99 +284,111 @@ impl Recorder {
     }
 
     #[inline]
-    #[allow(clippy::mut_from_ref)] // exclusive access per the sharding contract
-    fn shard(&self, worker: usize) -> &mut WorkerShard {
-        // SAFETY: per the sharding contract, shard `worker` is accessed by
-        // no other thread while the calling thread acts as that worker (or
-        // writes it post-quiescence), and no reference into it outlives
-        // the recording call that took it.
-        unsafe { &mut *self.shards[worker].0.get() }
+    fn shard(&self, worker: usize) -> &Shard {
+        &self.shards[worker].0
     }
 
     /// Add `n` to counter `c` of `worker`.
     #[inline]
     pub fn add(&self, worker: usize, c: Counter, n: u64) {
-        self.shard(worker).counters[c as usize] += n;
+        // ORDERING: Relaxed — a statistics cell; concurrent adds stay
+        // exact, and no other memory is published through it.
+        self.shard(worker).counters[c as usize].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Add `n` to the `level` cell of per-level counter `c` of `worker`.
     /// Levels beyond [`PROFILE_LEVELS`] clamp into the last slot.
     #[inline]
     pub fn add_level(&self, worker: usize, c: LevelCounter, level: u32, n: u64) {
-        self.shard(worker).levels[c as usize][(level as usize).min(PROFILE_LEVELS - 1)] += n;
+        let cell = &self.shard(worker).levels[c as usize][(level as usize).min(PROFILE_LEVELS - 1)];
+        // ORDERING: Relaxed — a statistics cell, as in `add`.
+        cell.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Store where `worker` is now: the phase it entered, at `level`.
     #[inline]
-    fn deep_cells(&self, worker: usize) -> Option<&mut DeepCells> {
-        self.shard(worker).deep.as_deref_mut()
+    pub fn set_position(&self, worker: usize, level: u32, phase: Phase) {
+        let packed = ((u64::from(level) + 1) << 8) | (phase as u64 + 1);
+        // ORDERING: Relaxed — an advisory position for the heartbeat; a
+        // reader tolerates a stale one and nothing else rides on it.
+        self.shard(worker).position.store(packed, Ordering::Relaxed);
+    }
+
+    /// Run `f` on `worker`'s deep cells under the shard's lock; a null
+    /// check without the deep part.
+    #[inline]
+    fn with_deep(&self, worker: usize, f: impl FnOnce(&mut DeepCells)) {
+        if let Some(mut deep) = self.shard(worker).deep() {
+            f(&mut deep);
+        }
     }
 
     /// Record `value` into histogram `h` of `worker`.
     #[inline]
     pub fn observe(&self, worker: usize, h: Hist, value: u64) {
-        if let Some(deep) = self.deep_cells(worker) {
-            deep.hists[h as usize].record(value);
-        }
+        self.with_deep(worker, |deep| deep.hists[h as usize].record(value));
     }
 
     /// Fold a locally collected histogram into histogram `h` of `worker`
     /// (used to flush per-table collectors at seal time).
     pub fn merge_hist(&self, worker: usize, h: Hist, other: &Histogram) {
-        if let Some(deep) = self.deep_cells(worker) {
-            deep.hists[h as usize].merge(other);
-        }
+        self.with_deep(worker, |deep| deep.hists[h as usize].merge(other));
     }
 
     /// Fold `delta` into the `(level, phase)` cell of `worker`. Levels
     /// beyond [`PROFILE_LEVELS`] clamp into the last slot.
     #[inline]
     pub fn phase(&self, worker: usize, level: u32, phase: Phase, delta: PhaseCell) {
-        if let Some(deep) = self.deep_cells(worker) {
-            let level = (level as usize).min(PROFILE_LEVELS - 1);
-            deep.phases[level][phase as usize].add(&delta);
-        }
+        let level = (level as usize).min(PROFILE_LEVELS - 1);
+        self.with_deep(worker, |deep| deep.phases[level][phase as usize].add(&delta));
     }
 
     /// Record the reduction factor observed at one adaptive switch.
     #[inline]
     pub fn record_alpha(&self, worker: usize, alpha: f64) {
-        if let Some(deep) = self.deep_cells(worker) {
+        self.with_deep(worker, |deep| {
             if deep.alphas.len() < MAX_ALPHAS_PER_WORKER {
                 deep.alphas.push(alpha);
             }
             deep.alpha_count += 1;
             deep.alpha_sum += alpha;
-        }
+        });
     }
 
-    /// Copy all shards into a snapshot. Must only be called after the
-    /// recording threads have quiesced.
+    /// Copy all shards into a snapshot. Legal at any time; mid-query each
+    /// cell is exact on its own but the cells are not read at one instant.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let workers = self
-            .shards
-            .iter()
-            // SAFETY: quiescence is the caller's contract; we only read.
-            .map(|s| WorkerSnapshot { shard: unsafe { &*s.0.get() }.clone() })
-            .collect();
-        MetricsSnapshot { workers }
+        MetricsSnapshot { workers: self.shards.iter().map(|s| s.0.read()).collect() }
     }
 }
 
 /// Immutable copy of one worker's shard.
 #[derive(Clone, Debug)]
 pub struct WorkerSnapshot {
-    shard: WorkerShard,
+    counters: [u64; Counter::COUNT],
+    levels: [[u64; PROFILE_LEVELS]; LevelCounter::COUNT],
+    position: Option<(u32, Phase)>,
+    deep: Option<Box<DeepCells>>,
 }
 
 impl WorkerSnapshot {
+    fn empty() -> Self {
+        Self {
+            counters: [0; Counter::COUNT],
+            levels: [[0; PROFILE_LEVELS]; LevelCounter::COUNT],
+            position: None,
+            deep: None,
+        }
+    }
+
     /// Value of counter `c`.
     pub fn counter(&self, c: Counter) -> u64 {
-        self.shard.counters[c as usize]
+        self.counters[c as usize]
     }
 
     /// The per-level cells of counter `c`, index = recursion level.
     pub fn level_counter(&self, c: LevelCounter) -> &[u64; PROFILE_LEVELS] {
-        &self.shard.levels[c as usize]
+        &self.levels[c as usize]
     }
 
     /// Counter `c` summed over the levels.
@@ -366,8 +396,14 @@ impl WorkerSnapshot {
         self.level_counter(c).iter().sum()
     }
 
+    /// The `(level, phase)` the worker last entered; `None` before its
+    /// first phase, and on a merged snapshot.
+    pub fn position(&self) -> Option<(u32, Phase)> {
+        self.position
+    }
+
     fn deep(&self) -> &DeepCells {
-        self.shard.deep.as_deref().unwrap_or(&NO_DEEP)
+        self.deep.as_deref().unwrap_or(&NO_DEEP)
     }
 
     /// Histogram `h` (empty without the deep part).
@@ -397,15 +433,14 @@ impl WorkerSnapshot {
     }
 
     fn merge_from(&mut self, other: &WorkerSnapshot) {
-        for (a, b) in self.shard.counters.iter_mut().zip(&other.shard.counters) {
+        for (a, b) in self.counters.iter_mut().zip(&other.counters) {
             *a += b;
         }
-        let levels = self.shard.levels.iter_mut().flatten();
-        for (a, b) in levels.zip(other.shard.levels.iter().flatten()) {
+        for (a, b) in self.levels.iter_mut().flatten().zip(other.levels.iter().flatten()) {
             *a += b;
         }
-        if let Some(deep) = &other.shard.deep {
-            self.shard.deep.get_or_insert_with(|| Box::new(DeepCells::new())).merge_from(deep);
+        if let Some(deep) = &other.deep {
+            self.deep.get_or_insert_with(|| Box::new(DeepCells::new())).merge_from(deep);
         }
     }
 
@@ -448,7 +483,7 @@ impl WorkerSnapshot {
     }
 }
 
-/// All workers' cells, frozen after a run.
+/// All workers' cells, copied at one [`Recorder::snapshot`].
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// Per-worker snapshots, index = worker index.
@@ -458,7 +493,7 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// All workers folded into one.
     pub fn merged(&self) -> WorkerSnapshot {
-        let mut out = WorkerSnapshot { shard: WorkerShard::new(false) };
+        let mut out = WorkerSnapshot::empty();
         for w in &self.workers {
             out.merge_from(w);
         }
@@ -503,7 +538,7 @@ mod tests {
     #[test]
     fn the_always_on_part_of_a_shard_stays_small() {
         // What every query pays per worker, observed or not.
-        assert!(std::mem::size_of::<WorkerShard>() <= 640);
+        assert!(std::mem::size_of::<Shard>() <= 640);
     }
 
     #[test]
@@ -585,6 +620,21 @@ mod tests {
         let cell = phases.get("level0").unwrap().get("hash_insert").unwrap();
         assert_eq!(cell.get("rows_in").unwrap().as_u64(), Some(1500));
         assert!(phases.get("level1").is_none(), "empty levels are omitted");
+    }
+
+    #[test]
+    fn position_roundtrips_every_phase_and_level() {
+        let r = Recorder::counters(2);
+        assert_eq!(r.snapshot().workers[0].position(), None, "no phase entered yet");
+        for &p in Phase::ALL {
+            for level in [0, 1, PROFILE_LEVELS as u32 + 3] {
+                r.set_position(0, level, p);
+                let snap = r.snapshot();
+                assert_eq!(snap.workers[0].position(), Some((level, p)));
+                assert_eq!(snap.workers[1].position(), None);
+                assert_eq!(snap.merged().position(), None);
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Task timeline tracer emitting Chrome trace-event JSON.
 //!
 //! Each worker appends complete-span (`"ph":"X"`) and instant
-//! (`"ph":"i"`) events into its own bounded, cache-line-padded buffer —
-//! the same sharding model (and contract, see `recorder.rs`) as the
-//! recorder, so tracing adds no atomics to the hot path. Once a buffer is full further events are
-//! counted as dropped rather than grown; the timeline stays bounded no
-//! matter how long the run is.
+//! (`"ph":"i"`) events into its own bounded, cache-line-padded buffer
+//! behind its own mutex — the recorder's per-worker sharding, so the lock
+//! is uncontended while a query runs, and any thread may read the buffers
+//! at any time. Once a buffer is full further events are counted as
+//! dropped rather than grown; the timeline stays bounded no matter how
+//! long the run is.
 //!
 //! [`Tracer::to_chrome_json`] renders the merged buffers in the Chrome
 //! trace-event format (`{"traceEvents": [...]}`), loadable directly in
@@ -13,8 +14,7 @@
 
 use crate::json::JsonValue;
 use crate::CachePadded;
-use std::cell::UnsafeCell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Default per-worker event capacity (~64 bytes/event ⇒ ~512 KiB/worker).
@@ -69,20 +69,16 @@ struct WorkerBuffer {
 }
 
 struct Inner {
-    buffers: Vec<CachePadded<UnsafeCell<WorkerBuffer>>>,
+    buffers: Vec<CachePadded<Mutex<WorkerBuffer>>>,
     capacity: usize,
     epoch: Instant,
 }
 
-// SAFETY: buffer `i` is only written by the thread currently acting as
-// worker `i` (the crate-level sharding contract), and serialization reads
-// only after those threads have quiesced.
-unsafe impl Sync for Inner {}
-// SAFETY: sending differs from sharing in that no two threads touch a
-// buffer at once: a move hands every `UnsafeCell` over whole, and what the
-// cells own — `Vec`s of `&'static str` and integers, a counter — is `Send`
-// with no tie to the thread that built it, as are `capacity` and `epoch`.
-unsafe impl Send for Inner {}
+fn lock(buffer: &Mutex<WorkerBuffer>) -> MutexGuard<'_, WorkerBuffer> {
+    // A panic while the lock was held left whole events behind: every
+    // update under it is a single push or add.
+    buffer.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Cheap cloneable handle to the per-worker timeline buffers, or a no-op
 /// when built with [`Tracer::disabled`].
@@ -102,7 +98,7 @@ impl Tracer {
     pub fn enabled(workers: usize, capacity: usize) -> Self {
         let buffers = (0..workers.max(1))
             .map(|_| {
-                CachePadded(UnsafeCell::new(WorkerBuffer {
+                CachePadded(Mutex::new(WorkerBuffer {
                     events: Vec::with_capacity(capacity.min(1024)),
                     dropped: 0,
                 }))
@@ -127,18 +123,10 @@ impl Tracer {
         }
     }
 
-    #[inline]
-    #[allow(clippy::mut_from_ref)] // exclusive access per the sharding contract
-    fn buffer(&self, worker: usize) -> Option<(&mut WorkerBuffer, usize)> {
-        let inner = self.inner.as_deref()?;
-        // SAFETY: per the sharding contract, `worker` is exclusively owned
-        // by the calling thread while the operator runs.
-        Some((unsafe { &mut *inner.buffers[worker].0.get() }, inner.capacity))
-    }
-
     fn push(&self, worker: usize, event: TraceEvent) {
-        if let Some((buf, capacity)) = self.buffer(worker) {
-            if buf.events.len() < capacity {
+        if let Some(inner) = self.inner.as_deref() {
+            let mut buf = lock(&inner.buffers[worker].0);
+            if buf.events.len() < inner.capacity {
                 buf.events.push(event);
             } else {
                 buf.dropped += 1;
@@ -193,8 +181,7 @@ impl Tracer {
         self.push(worker, TraceEvent { name, start_nanos: now, dur_nanos: None, args: packed });
     }
 
-    /// Total events recorded across workers. Must only be called after the
-    /// recording threads have quiesced.
+    /// Total events recorded across workers so far.
     pub fn event_count(&self) -> usize {
         self.for_each_buffer(|buf| buf.events.len()).into_iter().sum()
     }
@@ -207,19 +194,14 @@ impl Tracer {
     fn for_each_buffer<R>(&self, mut f: impl FnMut(&WorkerBuffer) -> R) -> Vec<R> {
         match self.inner.as_deref() {
             None => Vec::new(),
-            Some(inner) => inner
-                .buffers
-                .iter()
-                // SAFETY: quiescence is the caller's contract; we only read.
-                .map(|b| f(unsafe { &*b.0.get() }))
-                .collect(),
+            Some(inner) => inner.buffers.iter().map(|b| f(&lock(&b.0))).collect(),
         }
     }
 
     /// Render all buffers as a Chrome trace-event JSON document:
     /// `{"traceEvents": [...], "displayTimeUnit": "ns", ...}`. Load the
     /// result in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`.
-    /// Must only be called after the recording threads have quiesced.
+    /// Called mid-query, it renders what each buffer held when read.
     pub fn to_chrome_json(&self) -> String {
         let Some(inner) = self.inner.as_deref() else {
             return JsonValue::obj([("traceEvents", JsonValue::Array(Vec::new()))])
@@ -242,8 +224,7 @@ impl Tracer {
         let mut dropped = 0u64;
         let mut dropped_by_worker = Vec::with_capacity(inner.buffers.len());
         for (tid, buffer) in inner.buffers.iter().enumerate() {
-            // SAFETY: quiescence is the caller's contract; we only read.
-            let buffer = unsafe { &*buffer.0.get() };
+            let buffer = lock(&buffer.0);
             dropped += buffer.dropped;
             dropped_by_worker.push(JsonValue::U64(buffer.dropped));
             events.extend(buffer.events.iter().map(|e| e.to_json(tid)));

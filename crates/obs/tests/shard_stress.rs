@@ -1,18 +1,21 @@
-//! Concurrency stress for the sharded recorder and tracer: one thread per
-//! worker shard hammering its own cells (the sharding contract), with the
-//! merged snapshot checked for exact totals — on the always-on counter
-//! cells every query records into, and on the deep part. Runs under plain
-//! `cargo test` and in the ThreadSanitizer CI job — if the `UnsafeCell`
-//! sharding or the cache-padding layout were wrong, concurrent writers
-//! would corrupt adjacent shards and the balances below would drift.
+//! Concurrency stress for the sharded recorder and tracer: threads
+//! hammering per-worker cells — one thread per shard as the operator
+//! records, two threads on one shard, and a reader taking snapshots while
+//! the writers run — with the merged snapshot checked for exact totals,
+//! on the always-on counter cells every query records into and on the
+//! deep part. Runs under plain `cargo test`, Miri and the ThreadSanitizer
+//! CI job: a lost update, a write smeared into a neighbouring shard or a
+//! torn read would make the balances below drift, and a data race in the
+//! cells would be reported by the sanitizer.
 
-use hsa_obs::{Counter, Hist, LevelCounter, Recorder, Tracer};
+use hsa_obs::{Counter, Hist, LevelCounter, Phase, PhaseCell, Recorder, Tracer, WorkerSnapshot};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const WORKERS: usize = 8;
 #[cfg(not(miri))]
 const OPS: u64 = 20_000;
-/// Miri interprets every access; a few hundred ops per shard still proves
-/// the sharding contract without minutes of interpretation.
+/// Miri interprets every access; a few hundred ops per shard still
+/// exercises every interleaving shape without minutes of interpretation.
 #[cfg(miri)]
 const OPS: u64 = 256;
 
@@ -73,14 +76,14 @@ fn tracer_shards_account_for_every_event() {
     let total = tracer.event_count() as u64 + tracer.dropped_count();
     assert_eq!(total, WORKERS as u64 * OPS);
     assert_eq!(tracer.event_count(), WORKERS * capacity);
-    // The JSON renderer walks every shard after quiescence.
+    // The JSON renderer walks every shard.
     let json = tracer.to_chrome_json();
     assert!(json.contains("\"traceEvents\""));
 }
 
 #[test]
 fn counter_cells_are_exact_without_the_deep_part() {
-    // The path every query takes, observed or not: plain adds into the
+    // The path every query takes, observed or not: relaxed adds into the
     // worker's own counter cells, the deep calls a null check beside them.
     let rec = Recorder::counters(WORKERS);
     let tracer = Tracer::disabled();
@@ -110,4 +113,108 @@ fn counter_cells_are_exact_without_the_deep_part() {
     assert!(merged.hist(Hist::ProbeLen).is_empty());
     assert_eq!(merged.alpha_count(), 0);
     assert_eq!(tracer.event_count(), 0);
+}
+
+/// One round of recording as worker `w`: every kind of cell, deep included.
+fn record_round(rec: &Recorder, tracer: &Tracer, w: usize, i: u64) {
+    rec.add(w, Counter::TablesSealed, 1);
+    rec.add_level(w, LevelCounter::HashRows, (i % 3) as u32, 2);
+    rec.set_position(w, (i % 3) as u32, Phase::HashInsert);
+    rec.observe(w, Hist::ProbeLen, i % 11);
+    rec.phase(w, 0, Phase::Seal, PhaseCell { nanos: 3, calls: 1, ..PhaseCell::default() });
+    rec.record_alpha(w, 2.0);
+    tracer.instant(w, "tick", &[("i", i)]);
+}
+
+#[test]
+fn two_threads_on_one_worker_index_stay_exact() {
+    // The operator gives each shard one writer at a time; nothing in the
+    // recorder relies on it. Every cell of worker 1 takes both threads'
+    // updates, worker 0 none.
+    let rec = Recorder::deep(2);
+    let tracer = Tracer::enabled(2, OPS as usize);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            let (rec, tracer) = (&rec, &tracer);
+            s.spawn(move || (0..OPS).for_each(|i| record_round(rec, tracer, 1, i)));
+        }
+    });
+    let snap = rec.snapshot();
+    let shard = &snap.workers[1];
+    assert_eq!(shard.counter(Counter::TablesSealed), 2 * OPS);
+    assert_eq!(shard.level_total(LevelCounter::HashRows), 4 * OPS);
+    assert_eq!(shard.hist(Hist::ProbeLen).count(), 2 * OPS);
+    assert_eq!(shard.phase_cell(0, Phase::Seal).calls, 2 * OPS);
+    assert_eq!(shard.phase_cell(0, Phase::Seal).nanos, 6 * OPS);
+    assert_eq!(shard.alpha_count(), 2 * OPS);
+    assert!((shard.alpha_sum() - 4.0 * OPS as f64).abs() < 1e-6);
+    assert_eq!(cells(&snap.workers[0]).iter().sum::<u64>(), 0, "worker 0 untouched");
+    assert_eq!(tracer.event_count() as u64 + tracer.dropped_count(), 2 * OPS);
+    assert_eq!(tracer.event_count(), OPS as usize, "capacity is OPS");
+}
+
+/// Every monotone cell of one worker snapshot, flattened.
+fn cells(w: &WorkerSnapshot) -> Vec<u64> {
+    let mut out: Vec<u64> = Counter::ALL.iter().map(|&c| w.counter(c)).collect();
+    for &c in LevelCounter::ALL {
+        out.extend(w.level_counter(c));
+    }
+    out.extend(Hist::ALL.iter().map(|&h| w.hist(h).count()));
+    out.extend((0..hsa_obs::PROFILE_LEVELS).flat_map(|l| {
+        Phase::ALL.iter().flat_map(move |&p| {
+            let c = w.phase_cell(l, p);
+            [c.nanos, c.calls]
+        })
+    }));
+    out.push(w.alpha_count());
+    out
+}
+
+#[test]
+fn snapshots_taken_while_writers_run_never_exceed_the_final_one() {
+    let rec = Recorder::deep(WORKERS);
+    // A small timeline keeps each mid-run rendering cheap.
+    let capacity = 64;
+    let tracer = Tracer::enabled(WORKERS, capacity);
+    let finished = AtomicUsize::new(0);
+    let mid: Vec<(Vec<Vec<u64>>, usize)> = std::thread::scope(|s| {
+        for w in 0..WORKERS {
+            let (rec, tracer, finished) = (&rec, &tracer, &finished);
+            s.spawn(move || {
+                (0..OPS).for_each(|i| record_round(rec, tracer, w, i));
+                finished.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        let mut readings = Vec::new();
+        while finished.load(Ordering::SeqCst) < WORKERS && readings.len() < 64 {
+            let snap = rec.snapshot();
+            assert!(tracer.to_chrome_json().contains("\"traceEvents\""));
+            readings.push((snap.workers.iter().map(cells).collect(), tracer.event_count()));
+        }
+        readings
+    });
+    let last = rec.snapshot();
+    let final_cells: Vec<Vec<u64>> = last.workers.iter().map(cells).collect();
+    // Each cell is exact on its own: a mid-query reading may lag the
+    // final one, never lead it, and later readings never go back.
+    let mut prev = vec![vec![0; final_cells[0].len()]; WORKERS];
+    for (reading, events) in &mid {
+        for ((now, before), fin) in reading.iter().zip(&prev).zip(&final_cells) {
+            assert!(now.iter().zip(fin).all(|(a, b)| a <= b), "{now:?} exceeds {fin:?}");
+            assert!(now.iter().zip(before).all(|(a, b)| a >= b), "{now:?} went back");
+        }
+        assert!(*events <= tracer.event_count());
+        prev = reading.clone();
+    }
+    let merged = last.merged();
+    assert_eq!(merged.counter(Counter::TablesSealed), WORKERS as u64 * OPS);
+    assert_eq!(merged.level_total(LevelCounter::HashRows), 2 * WORKERS as u64 * OPS);
+    assert_eq!(merged.hist(Hist::ProbeLen).count(), WORKERS as u64 * OPS);
+    assert_eq!(merged.phase_cell(0, Phase::Seal).calls, WORKERS as u64 * OPS);
+    assert_eq!(merged.alpha_count(), WORKERS as u64 * OPS);
+    assert_eq!(tracer.event_count() as u64 + tracer.dropped_count(), WORKERS as u64 * OPS);
+    assert_eq!(tracer.event_count(), WORKERS * capacity);
+    for w in &last.workers {
+        assert!(w.position().is_some_and(|(level, p)| level < 3 && p == Phase::HashInsert));
+    }
 }

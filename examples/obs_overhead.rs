@@ -1,9 +1,9 @@
 //! Measures what observability costs: the same 8M-row adaptive DISTINCT
 //! with `ObsConfig::disabled()`, with deep metrics, and with metrics +
 //! tracing. The disabled run is not free of recording: it keeps the
-//! always-on counter cells `OpStats` is lowered from (a few plain adds
-//! into the worker's own shard per task, seal and flush) and skips the
-//! deep part — null checks, no phase clock reads. It is the baseline the
+//! always-on counter cells `OpStats` is lowered from (a few relaxed
+//! atomic adds into the worker's own shard per task, seal and flush) and
+//! skips the deep part — null checks, no phase clock reads, no locks. It is the baseline the
 //! other two are compared with; what the counters themselves cost is the
 //! parent-vs-change comparison of the repo benchmark, not this example.
 //!
