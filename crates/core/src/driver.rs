@@ -33,7 +33,7 @@ use crate::obs::Obs;
 use crate::output::{Collector, GroupByOutput};
 use crate::partitioning::{partition_run, RunWriter};
 use crate::report::{ObsConfig, RunReport};
-use crate::sink::{LocalBuckets, RunSink};
+use crate::sink::{LocalBuckets, Pending, RunSink};
 use crate::stats::OpStats;
 use crate::stream::AggStream;
 use crate::view::{RunView, StateCols};
@@ -77,8 +77,10 @@ impl TablePool {
     ///
     /// Degradation ladder: when the configured size is denied by a real
     /// budget limit, retry with half the slots, down to
-    /// [`TableConfig::MIN_TOTAL_SLOTS`]. A shrunken table counts as one
-    /// budget downgrade. Injected failures (`limit: 0`) never degrade.
+    /// [`TableConfig::MIN_TOTAL_SLOTS`], which reclaims resident runs
+    /// before it gives up ([`Gate::reserve_or_reclaim`]). A shrunken table
+    /// counts as one budget downgrade. Injected failures (`limit: 0`)
+    /// never degrade.
     fn get(&self, level: u32, gate: Gate<'_>, obs: &Obs) -> Result<AggTable, AggError> {
         if let Some(mut t) = self.free.lock().pop() {
             t.set_level(level);
@@ -86,7 +88,14 @@ impl TablePool {
         }
         let mut cfg = self.cfg;
         loop {
-            match gate.reserve(cfg.mem_bytes(self.identities.len()), obs) {
+            let bytes = cfg.mem_bytes(self.identities.len());
+            let last_rung = cfg.total_slots / 2 < TableConfig::MIN_TOTAL_SLOTS;
+            let granted = if last_rung {
+                gate.reserve_or_reclaim(bytes, obs)
+            } else {
+                gate.reserve(bytes, obs)
+            };
+            match granted {
                 Ok(res) => {
                     self.held.lock().merge(res);
                     let mut t = AggTable::new(cfg, level, &self.identities);
@@ -100,11 +109,7 @@ impl TablePool {
                     }
                     return Ok(t);
                 }
-                Err(e)
-                    if is_degradable(&e) && cfg.total_slots / 2 >= TableConfig::MIN_TOTAL_SLOTS =>
-                {
-                    cfg.total_slots /= 2;
-                }
+                Err(e) if is_degradable(&e) && !last_rung => cfg.total_slots /= 2,
                 Err(e) => return Err(e),
             }
         }
@@ -113,6 +118,14 @@ impl TablePool {
     pub(crate) fn put(&self, table: AggTable) {
         debug_assert!(table.is_empty(), "tables must be sealed before returning");
         self.free.lock().push(table);
+    }
+
+    /// The share of the pool's reservation that paid for `table`, which
+    /// leaves the pool for good: the caller drops it instead of putting it
+    /// back.
+    fn retire_share(&self, table: &AggTable) -> Reservation {
+        let cfg = TableConfig { total_slots: table.total_slots(), ..self.cfg };
+        self.held.lock().take(cfg.mem_bytes(self.identities.len()))
     }
 }
 
@@ -140,6 +153,9 @@ pub(crate) struct Ctx {
     pub(crate) failed: Mutex<Option<AggError>>,
     /// The query's account at the chunk depot (see [`Gate::depot`]).
     pub(crate) depot: DepotAccount,
+    /// The level-1 buckets the level-0 workers fill, then the buckets
+    /// spawned and not yet claimed (see [`Gate::pending`]).
+    pub(crate) pending: Pending,
 }
 
 impl Ctx {
@@ -153,7 +169,13 @@ impl Ctx {
     /// The allocation gate tasks reserve memory through.
     pub(crate) fn gate(&self) -> Gate<'_> {
         let env = &self.env;
-        Gate { budget: &env.budget, faults: &env.faults, store: &self.store, depot: &self.depot }
+        Gate {
+            budget: &env.budget,
+            faults: &env.faults,
+            store: &self.store,
+            depot: &self.depot,
+            pending: &self.pending,
+        }
     }
 
     /// Record the first error; subsequent errors are dropped.
@@ -244,6 +266,7 @@ pub(crate) fn process_view(
                 mode,
                 epoch_rows,
                 map32,
+                writer,
                 sink,
                 ctx.gate(),
                 obs,
@@ -267,10 +290,20 @@ pub(crate) fn process_view(
     Ok(())
 }
 
-/// Emit a table that absorbed its whole input as final groups.
+/// Emit a table that absorbed its whole input as final groups, then give
+/// it back to the pool.
+///
+/// The output block is the last rung of the budget's ladder: when even
+/// reclaiming leaves it denied and a spill directory is set, nothing
+/// resident is left but the tables and the output itself, and the table
+/// pays for its own output — the block is carved from the table's share
+/// of the pool's reservation, and the table leaves the pool instead of
+/// returning to it (the next one is reserved down the ladder). While the
+/// groups are copied, the table and its block share one reservation: the
+/// overshoot is at most the block.
 pub(crate) fn emit_final_from_table(
     ctx: &Ctx,
-    table: &mut AggTable,
+    mut table: AggTable,
     obs: &Obs,
 ) -> Result<(), AggError> {
     let pt = obs.phase_start(table.level(), Phase::Output);
@@ -278,11 +311,24 @@ pub(crate) fn emit_final_from_table(
     let out_bytes = (table.len() * 8 * (1 + table.n_cols())) as u64;
     // On a denied reservation the timer is dropped unrecorded: the query
     // is failing and partial attribution would only skew the tree.
-    let res = ctx.gate().reserve(out_bytes, obs)?;
+    // A retiring table keeps what its share holds beyond the block until
+    // the table drops.
+    let (res, retiring) = match ctx.gate().reserve_or_reclaim(out_bytes, obs) {
+        Ok(res) => (res, None),
+        Err(e) if ctx.gate().can_spill(&e) => {
+            obs.event(Counter::BudgetDowngrades, "table_retire", &[("groups", groups)]);
+            let mut share = ctx.pool.retire_share(&table);
+            (share.take(out_bytes), Some(share))
+        }
+        Err(e) => return Err(e),
+    };
     // One collector lock per table, not one per digit of it.
     ctx.collector.push_blocks(res, |out| table.seal(|_digit, keys, cols| out.push(keys, cols)));
-    obs.flush_table_metrics(table);
+    obs.flush_table_metrics(&mut table);
     obs.phase_end(pt, groups, groups, out_bytes);
+    if retiring.is_none() {
+        ctx.pool.put(table);
+    }
     Ok(())
 }
 
@@ -297,8 +343,8 @@ fn grow_merge(ctx: &Ctx, bucket: Vec<RunHandle>, obs: &Obs) -> Result<(), AggErr
     let level = bucket.first().map_or(0, RunHandle::level);
     let pt = obs.phase_start(level, Phase::GrowMerge);
     let capacity = rows.clamp(16, 1 << 20);
-    let mut res =
-        ctx.gate().reserve(GrowTable::mem_bytes_upper(capacity, rows, ctx.states.len()), obs)?;
+    let upper = GrowTable::mem_bytes_upper(capacity, rows, ctx.states.len());
+    let mut res = ctx.gate().reserve_or_reclaim(upper, obs)?;
     let mut table = GrowTable::with_capacity(capacity, &ctx.states.ops);
     let n_cols = ctx.states.len();
     let mut vals = vec![0u64; n_cols];
@@ -423,21 +469,17 @@ pub(crate) fn process_bucket<'env>(
     // The bucket is consumed: what it partitioned leaves as one run per
     // digit (and kind), not one per input run.
     if let Some(mut writer) = ws.writer {
-        if let Err(e) = writer.hand_off(&mut local, ctx.gate(), &obs) {
-            ctx.fail(e);
-            return;
-        }
+        writer.hand_off(&mut local, &obs);
     }
 
     if local.is_empty() {
         // The entire bucket was absorbed by one table: its groups are
         // final — "the recursion stops automatically" (§5).
-        if let Some(mut table) = ws.table {
-            if let Err(e) = emit_final_from_table(ctx, &mut table, &obs) {
+        if let Some(table) = ws.table {
+            if let Err(e) = emit_final_from_table(ctx, table, &obs) {
                 ctx.fail(e);
                 return;
             }
-            ctx.pool.put(table);
         }
         done(&obs);
         return;
@@ -446,7 +488,7 @@ pub(crate) fn process_bucket<'env>(
     // Something spilled: the leftover table content is one more run set.
     if let Some(mut table) = ws.table {
         if !table.is_empty() {
-            if let Err(e) = seal_into(&mut table, &mut local, ctx.gate(), &obs) {
+            if let Err(e) = seal_into(&mut table, None, &mut local, ctx.gate(), &obs) {
                 ctx.fail(e);
                 return;
             }
@@ -463,24 +505,32 @@ pub(crate) fn process_bucket<'env>(
 /// (`hsa-tasks` deques are owner-LIFO), so that is the last bucket's runs
 /// first. A thief takes the oldest task instead, and the store moves a
 /// bucket entered out of turn to the front of its plan.
+///
+/// With a store that can spill, the buckets wait parked in
+/// [`Ctx::pending`] until their tasks claim them, so a denied request
+/// elsewhere can reclaim their resident runs meanwhile.
 pub(crate) fn spawn_buckets<'env>(
     ctx: &'env Ctx,
     scope: &Scope<'_, 'env>,
     buckets: impl Iterator<Item = (usize, Vec<RunHandle>, Reservation)>,
     level: u32,
 ) {
-    let spawn = |(_digit, bucket, res)| {
-        scope.spawn(move |s| process_bucket(ctx, s, bucket, res, level));
-    };
     // Only the plan needs the level's buckets side by side, and only a
-    // store that can spill has anything to plan; otherwise each bucket
-    // goes straight from the sink to its task.
+    // store that can spill has anything to plan or reclaim; otherwise
+    // each bucket goes straight from the sink to its task.
     if !ctx.store.can_spill() {
-        return buckets.for_each(spawn);
+        return buckets.for_each(|(_digit, bucket, res)| {
+            scope.spawn(move |s| process_bucket(ctx, s, bucket, res, level));
+        });
     }
-    let buckets: Vec<_> = buckets.collect();
-    ctx.store.plan_restores(buckets.iter().rev().map(|(_, bucket, _)| bucket.as_slice()));
-    buckets.into_iter().for_each(spawn);
+    let buckets: Vec<_> = buckets.map(|(_digit, bucket, res)| (bucket, res)).collect();
+    ctx.store.plan_restores(buckets.iter().rev().map(|(bucket, _)| bucket.as_slice()));
+    for ticket in ctx.pending.park(buckets) {
+        scope.spawn(move |s| {
+            let (bucket, res) = ctx.pending.claim(ticket);
+            process_bucket(ctx, s, bucket, res, level);
+        });
+    }
 }
 
 /// Run a grouped aggregation.

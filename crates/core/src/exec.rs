@@ -2,6 +2,7 @@
 //! spill store the budget can degrade into.
 
 use crate::obs::Obs;
+use crate::sink::Pending;
 use hsa_columnar::{DepotAccount, Run, RunHandle, RunStore, SpillConfig};
 use hsa_fault::{AggError, CancelToken, DiskBudget, FaultInjector, MemoryBudget, Reservation};
 use hsa_obs::{Counter, Hist, LevelCounter, Phase};
@@ -80,7 +81,8 @@ impl ExecEnv {
 }
 
 /// The allocation gate the routines reserve memory through: budget +
-/// injector + spill store + depot account. Borrowed from the driver context and passed to
+/// injector + spill store + depot account, and the resident runs a denied
+/// request may reclaim. Borrowed from the driver context and passed to
 /// every pass that materializes runs; what happens at the gate is counted
 /// through the caller's [`Obs`].
 #[derive(Clone, Copy)]
@@ -91,6 +93,8 @@ pub(crate) struct Gate<'a> {
     /// The query's account at the chunk depot: every chunk a run is
     /// materialized in is lent through it.
     pub(crate) depot: &'a DepotAccount,
+    /// Resident runs waiting for their tasks ([`Gate::reserve_or_reclaim`]).
+    pub(crate) pending: &'a Pending,
 }
 
 impl Gate<'_> {
@@ -106,6 +110,41 @@ impl Gate<'_> {
             self.budget.try_reserve(bytes)
         };
         granted.inspect_err(|_| obs.count(Counter::BudgetDenials, 1))
+    }
+
+    /// Reserve `bytes` for a request that has no rows of its own to spill
+    /// (an output block, a grow-merge table, the smallest worker table).
+    /// A denial that [`Gate::can_spill`] reclaims: resident runs waiting
+    /// for their tasks are spilled, furthest from use first, until the
+    /// request fits ([`Pending::reclaim`]), each round one batch and one
+    /// budget downgrade. It fails only when nothing resident is left.
+    pub(crate) fn reserve_or_reclaim(
+        &self,
+        bytes: u64,
+        obs: &Obs,
+    ) -> Result<Reservation, AggError> {
+        loop {
+            let e = match self.reserve(bytes, obs) {
+                Ok(res) => return Ok(res),
+                Err(e) => e,
+            };
+            let AggError::BudgetExceeded { requested, limit, reserved } = e else {
+                return Err(e);
+            };
+            if !self.can_spill(&e) {
+                return Err(e);
+            }
+            let need = (reserved + requested).saturating_sub(limit).max(1);
+            let runs = self.pending.reclaim(need, |runs| self.spill_batch(runs, obs))?;
+            if runs == 0 {
+                return Err(e);
+            }
+            obs.event(
+                Counter::BudgetDowngrades,
+                "reclaim_spill",
+                &[("runs", runs as u64), ("bytes", need)],
+            );
+        }
     }
 
     /// Whether a denied reservation at a run-materialization site may be
@@ -226,6 +265,7 @@ mod tests {
             faults: &faults,
             store: &store,
             depot: &DepotAccount::default(),
+            pending: &Pending::new(),
         };
         let obs = rec.obs();
 
@@ -257,6 +297,7 @@ mod tests {
             faults: &faults,
             store: &store,
             depot: &DepotAccount::default(),
+            pending: &Pending::new(),
         };
         let obs = rec.obs();
 
@@ -291,6 +332,7 @@ mod tests {
             faults: &faults,
             store: &store,
             depot: &DepotAccount::default(),
+            pending: &Pending::new(),
         };
         let obs = rec.obs();
 

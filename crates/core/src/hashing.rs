@@ -14,6 +14,7 @@
 use crate::adaptive::{ModeState, SealDecision};
 use crate::exec::Gate;
 use crate::obs::Obs;
+use crate::partitioning::RunWriter;
 use crate::sink::RunSink;
 use crate::view::{RunView, StateCols};
 use hsa_columnar::{ChunkedVec, Run, RunHandle};
@@ -51,19 +52,34 @@ fn seal_bytes_upper(groups: u64, n_cols: usize) -> u64 {
 /// first; each run carries an exact-sized slice of that reservation into
 /// the sink and the transient remainder is released on return. When the
 /// reservation is denied degradably and a spill directory is configured,
-/// the denial is downgraded: the sealed runs are flushed to the spill
-/// store instead and travel as disk-backed handles with empty
+/// the denial is downgraded: the same worker's partition `writer`, whose
+/// runs go to the same buckets and are far longer than a sealed digit's,
+/// spills its largest partitions until the estimate fits; if it has none
+/// to spill or the retry is denied too, the sealed runs are flushed to
+/// the spill store instead and travel as disk-backed handles with empty
 /// reservations. Hard denials (injected faults, zero-byte budgets) and
 /// runs without a spill directory still surface `BudgetExceeded`.
 pub(crate) fn seal_into(
     table: &mut AggTable,
+    writer: Option<&mut RunWriter>,
     sink: &mut impl RunSink,
     gate: Gate<'_>,
     obs: &Obs,
 ) -> Result<(), AggError> {
     let pt = obs.phase_start(table.level(), Phase::Seal);
     let groups = table.len() as u64;
-    let mut res = match gate.reserve(seal_bytes_upper(groups, table.n_cols()), obs) {
+    let estimate = seal_bytes_upper(groups, table.n_cols());
+    let mut granted = gate.reserve(estimate, obs);
+    if let (Err(e), Some(w)) = (&granted, writer) {
+        if let AggError::BudgetExceeded { requested, limit, reserved } = *e {
+            if gate.can_spill(e) && w.held() > 0 {
+                let need = (reserved + requested).saturating_sub(limit);
+                w.spill_victims(w.held().saturating_sub(need), sink, gate, obs)?;
+                granted = gate.reserve(estimate, obs);
+            }
+        }
+    }
+    let mut res = match granted {
         Ok(res) => Some(res),
         Err(e) if gate.can_spill(&e) => {
             obs.event(
@@ -143,6 +159,7 @@ pub(crate) fn hash_run(
     mode: &mut ModeState,
     epoch_rows: &mut u64,
     mapping: &mut Vec<u32>,
+    writer: &mut Option<RunWriter>,
     sink: &mut impl RunSink,
     gate: Gate<'_>,
     obs: &Obs,
@@ -200,7 +217,7 @@ pub(crate) fn hash_run(
             let alpha = *epoch_rows as f64 / table.len().max(1) as f64;
             obs.alpha(alpha);
             let decision = mode.on_seal(*epoch_rows, table.len(), table.total_slots());
-            seal_into(table, sink, gate, obs)?;
+            seal_into(table, writer.as_mut(), sink, gate, obs)?;
             *epoch_rows = 0;
             if decision == SealDecision::SwitchToPartitioning {
                 obs.event(
@@ -224,7 +241,7 @@ mod tests {
     use crate::adaptive::Strategy;
     use crate::driver::spill_store;
     use crate::obs::testing::TestObs;
-    use crate::sink::LocalBuckets;
+    use crate::sink::{LocalBuckets, Pending};
     use hsa_agg::{PhysicalCol, Plan, StateOp};
     use hsa_columnar::{DepotAccount, RunStore};
     use hsa_fault::{FaultInjector, MemoryBudget};
@@ -240,6 +257,7 @@ mod tests {
                 faults: &FaultInjector::none(),
                 store: &RunStore::in_memory(),
                 depot: &DepotAccount::default(),
+                pending: &Pending::new(),
             }
         };
     }
@@ -284,13 +302,14 @@ mod tests {
             &mut mode,
             &mut epoch,
             &mut mapping,
+            &mut None,
             &mut sink,
             open_gate!(),
             &rec.obs(),
         )
         .unwrap();
         assert_eq!(out, HashOutcome::Done);
-        seal_into(&mut t, &mut sink, open_gate!(), &rec.obs()).unwrap();
+        seal_into(&mut t, None, &mut sink, open_gate!(), &rec.obs()).unwrap();
 
         // Merge all emitted runs with the super-aggregate.
         let mut merged: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
@@ -375,6 +394,7 @@ mod tests {
                 &mut mode,
                 &mut epoch,
                 &mut mapping,
+                &mut None,
                 &mut sink,
                 open_gate!(),
                 &rec.obs(),
@@ -382,7 +402,7 @@ mod tests {
             .unwrap();
             assert_eq!(out, HashOutcome::Done);
         }
-        seal_into(&mut t, &mut sink, open_gate!(), &rec.obs()).unwrap();
+        seal_into(&mut t, None, &mut sink, open_gate!(), &rec.obs()).unwrap();
         let mut total = None;
         for (_, bucket, _res) in sink.into_nonempty() {
             for handle in bucket {
@@ -417,6 +437,7 @@ mod tests {
             &mut mode,
             &mut epoch,
             &mut mapping,
+            &mut None,
             &mut sink,
             open_gate!(),
             &rec.obs(),
@@ -446,13 +467,80 @@ mod tests {
             faults: &faults,
             store: &store,
             depot: &DepotAccount::default(),
+            pending: &Pending::new(),
         };
         let mut sink = LocalBuckets::new();
-        let err = seal_into(&mut t, &mut sink, gate, &rec.obs()).unwrap_err();
+        let err = seal_into(&mut t, None, &mut sink, gate, &rec.obs()).unwrap_err();
         assert!(matches!(err, AggError::BudgetExceeded { limit: 1, .. }));
         assert!(sink.is_empty(), "no run may be emitted on a denied seal");
         assert_eq!(budget.outstanding(), 0);
         assert_eq!(rec.stats().budget_denials, 1);
+    }
+
+    /// A denied seal first spills the same worker's largest partitions —
+    /// long runs bound for the same buckets — and its own runs stay
+    /// resident.
+    #[test]
+    fn a_denied_seal_spills_the_workers_largest_partitions_first() {
+        use crate::partitioning::partition_run;
+        use crate::view::RunView;
+        use hsa_partition::PartitionWriter;
+        let dir = std::env::temp_dir().join(format!("hsa-seal-writer-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let rec = TestObs::new();
+        let keys: Vec<u64> =
+            (0..20_000u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+        let view = RunView::Borrowed { keys: &keys, cols: vec![&keys], aggregated: false };
+        // Room for the writer's chunks and 1 KiB: not for the seal.
+        let mut twin = PartitionWriter::new(1, &DepotAccount::default());
+        twin.append(Murmur2::default(), 0, view.slices(None, 0), |j| view.slices(Some(j), 0));
+        let budget = MemoryBudget::limited(twin.mem_bytes() + 1024);
+        let faults = FaultInjector::none();
+        let store = spill_store(&dir);
+        let gate = Gate {
+            budget: &budget,
+            faults: &faults,
+            store: &store,
+            depot: &DepotAccount::default(),
+            pending: &Pending::new(),
+        };
+        let mut sink = LocalBuckets::new();
+        let mut writer = None;
+        partition_run(&mut writer, &view, 0, 0, &mut sink, gate, &rec.obs()).unwrap();
+        let held = writer.as_ref().map(|w| w.held()).unwrap();
+        assert_eq!(held, budget.outstanding());
+
+        let ops = [StateOp::Sum];
+        let mut t = table(1 << 10, &ops);
+        for key in 0..200u64 {
+            if let Insert::New(slot) | Insert::Hit(slot) =
+                t.insert_key(key, Murmur2::default().hash_u64(key))
+            {
+                hsa_agg::fold_column(StateOp::Sum, false, t.col_mut(0), &[slot], &[key]);
+            }
+        }
+        seal_into(&mut t, writer.as_mut(), &mut sink, gate, &rec.obs()).unwrap();
+        let s = rec.stats();
+        assert_eq!((s.budget_denials, s.budget_downgrades), (1, 1));
+        assert!(writer.as_ref().unwrap().held() < held, "the writer gave bytes back");
+        let (mut sealed, mut spilled) = (0, 0);
+        for (_, bucket, _) in sink.into_nonempty() {
+            for handle in bucket {
+                if handle.aggregated() {
+                    assert!(!handle.is_spilled(), "the seal's runs stay resident");
+                    sealed += handle.len();
+                } else {
+                    assert!(handle.is_spilled(), "only spilled partitions leave the writer");
+                    spilled += handle.len();
+                }
+            }
+        }
+        assert_eq!(sealed, 200);
+        assert!(spilled > 0 && spilled < keys.len(), "largest partitions, not all: {spilled}");
+        drop(writer);
+        assert_eq!(budget.outstanding(), 0);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -476,9 +564,10 @@ mod tests {
             faults: &faults,
             store: &store,
             depot: &DepotAccount::default(),
+            pending: &Pending::new(),
         };
         let mut sink = LocalBuckets::new();
-        seal_into(&mut t, &mut sink, gate, &rec.obs()).unwrap();
+        seal_into(&mut t, None, &mut sink, gate, &rec.obs()).unwrap();
         assert_eq!(budget.outstanding(), 0, "spilled runs hold no reservation");
         let mut rows = BTreeMap::new();
         for (_, bucket, res) in sink.into_nonempty() {

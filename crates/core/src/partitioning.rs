@@ -53,8 +53,8 @@ impl RunWriter {
     }
 
     /// Bring the reservation up to `bytes`. `Ok(false)` is a denial the
-    /// caller may spill around (degradable, spill directory configured),
-    /// already counted as a downgrade; any other denial is the error.
+    /// caller may spill around (degradable, spill directory configured);
+    /// any other denial is the error.
     fn cover(&mut self, bytes: u64, gate: Gate<'_>, obs: &Obs) -> Result<bool, AggError> {
         let grown = bytes.saturating_sub(self.res.bytes());
         if grown == 0 {
@@ -65,74 +65,90 @@ impl RunWriter {
                 self.res.merge(more);
                 Ok(true)
             }
-            Err(e) if gate.can_spill(&e) => {
-                obs.event(
-                    Counter::BudgetDowngrades,
-                    "partition_spill",
-                    &[("level", self.level as u64), ("rows", self.parts.len() as u64)],
-                );
-                Ok(false)
-            }
+            Err(e) if gate.can_spill(&e) => Ok(false),
             Err(e) => Err(e),
         }
     }
 
-    /// Move every buffered row to `sink` as runs of the next level, one
-    /// per non-empty digit. `resident` runs stay in memory and each takes
-    /// the slice of the reservation that covers it (the last append
-    /// reserved every byte they hold). Otherwise the runs go to the spill
-    /// store as one batch (one fault ordinal; the store cuts it into files
-    /// and holds the call while too many of its bytes are still
-    /// unwritten), and the whole reservation is given back.
-    fn flush(
+    /// Bytes the writer's reservation holds.
+    pub(crate) fn held(&self) -> u64 {
+        self.res.bytes()
+    }
+
+    /// The buffered rows of the `selected` digits as runs of the next
+    /// level, one per non-empty digit, in digit order.
+    fn take_runs(&mut self, selected: impl FnMut(usize) -> bool) -> Vec<(usize, Run)> {
+        let (level, aggregated) = (self.level + 1, self.aggregated);
+        let mut runs = Vec::new();
+        self.parts.drain_where(selected, |digit, keys, cols| {
+            let source_rows = keys.len() as u64;
+            runs.push((digit, Run { keys, cols, aggregated, source_rows, level }));
+        });
+        runs
+    }
+
+    /// Spill the largest partitions, whole, as one batch (one fault
+    /// ordinal; the store cuts it into files and holds the call while too
+    /// many of its bytes are still unwritten), until what stays fits in
+    /// `keep` bytes — then give back what the reservation holds beyond
+    /// what stays. The other partitions stay resident and keep appending.
+    /// A denied cover keeps what the writer held before the append; a
+    /// denied seal of the same worker's table keeps less, by what the
+    /// seal was denied.
+    pub(crate) fn spill_victims(
         &mut self,
-        resident: bool,
+        keep: u64,
         sink: &mut impl RunSink,
         gate: Gate<'_>,
         obs: &Obs,
     ) -> Result<(), AggError> {
-        let rows = self.parts.len() as u64;
-        let (level, aggregated) = (self.level + 1, self.aggregated);
-        let mut runs = Vec::new();
-        self.parts.drain(|digit, keys, cols| {
-            let source_rows = keys.len() as u64;
-            runs.push((digit, Run { keys, cols, aggregated, source_rows, level }));
-        });
-        if let Some(longest) = runs.iter().map(|(_, run)| run.len()).max() {
-            // Per-digit skew: largest partition as % of the mean (100 = even).
-            obs.observe(Hist::PartitionSkewPct, longest as u64 * FANOUT as u64 * 100 / rows);
-        }
-        if resident {
-            for (digit, run) in runs {
-                let run_res = self.res.take(run.mem_bytes());
-                sink.push_run(digit, RunHandle::Mem(run), run_res);
+        let mut sizes: Vec<(u64, usize)> =
+            (0..FANOUT).map(|d| (self.parts.digit_mem_bytes(d), d)).filter(|s| s.0 > 0).collect();
+        sizes.sort_unstable_by(|a, b| b.cmp(a));
+        let mut resident = self.parts.mem_bytes();
+        let mut victim = [false; FANOUT];
+        for (bytes, digit) in sizes {
+            if resident <= keep {
+                break;
             }
-            return Ok(());
+            victim[digit] = true;
+            resident -= bytes;
         }
-        let (digits, runs): (Vec<usize>, Vec<Run>) = runs.into_iter().unzip();
+        obs.event(
+            Counter::BudgetDowngrades,
+            "partition_spill",
+            &[("level", self.level as u64), ("rows", self.parts.len() as u64)],
+        );
+        let (digits, runs): (Vec<usize>, Vec<Run>) =
+            self.take_runs(|d| victim[d]).into_iter().unzip();
         let handles = gate.spill_batch(runs, obs)?;
-        self.res = Reservation::empty();
         for (digit, handle) in digits.into_iter().zip(handles) {
             sink.push_run(digit, handle, Reservation::empty());
         }
+        drop(self.res.take(self.res.bytes().saturating_sub(self.parts.mem_bytes())));
         Ok(())
     }
 
     /// The owner is done (or the kind of rows changes): hand every
-    /// buffered row to `sink`, resident.
-    pub(crate) fn hand_off(
-        &mut self,
-        sink: &mut impl RunSink,
-        gate: Gate<'_>,
-        obs: &Obs,
-    ) -> Result<(), AggError> {
+    /// buffered row to `sink` as resident runs, each taking the slice of
+    /// the reservation that covers it (the last append reserved every
+    /// byte they hold).
+    pub(crate) fn hand_off(&mut self, sink: &mut impl RunSink, obs: &Obs) {
         if self.parts.is_empty() {
-            return Ok(());
+            return;
         }
         let pt = obs.phase_start(self.level, Phase::Partition);
-        self.flush(true, sink, gate, obs)?;
+        let rows = self.parts.len() as u64;
+        let runs = self.take_runs(|_| true);
+        if let Some(longest) = runs.iter().map(|(_, run)| run.len()).max() {
+            // Per-digit skew: largest partition as % of the mean (100 = even).
+            obs.observe(Hist::PartitionSkewPct, longest as u64 * FANOUT as u64 * 100 / rows);
+        }
+        for (digit, run) in runs {
+            let run_res = self.res.take(run.mem_bytes());
+            sink.push_run(digit, RunHandle::Mem(run), run_res);
+        }
         obs.phase_end(pt, 0, 0, 0);
-        Ok(())
     }
 }
 
@@ -144,9 +160,10 @@ impl RunWriter {
 /// differs) are handed off first and the writer is rebuilt for the
 /// columns this kind carries, and when the budget denies the bytes
 /// the append allocated — degradably, with a spill directory configured —
-/// the denial is downgraded and the writer's whole content goes to the
-/// spill store as one batch. Hard denials and runs without a spill
-/// directory surface `BudgetExceeded` with nothing pushed.
+/// the denial is downgraded and the largest partitions go to the spill
+/// store as one batch, until the rest fits what the writer had reserved
+/// before the append. Hard denials and runs without a spill directory
+/// surface `BudgetExceeded` with nothing pushed.
 ///
 /// The writer is the one growth site that reserves *after* allocating:
 /// which partitions grow depends on digits it has not computed yet, and
@@ -169,7 +186,7 @@ pub(crate) fn partition_run(
     let w = writer.get_or_insert_with(|| RunWriter::new(level, n_cols, aggregated, gate.depot));
     debug_assert_eq!(w.level, level, "a writer serves one level");
     if w.aggregated != aggregated {
-        w.hand_off(sink, gate, obs)?;
+        w.hand_off(sink, obs);
         *w = RunWriter::new(level, n_cols, aggregated, gate.depot);
     }
     debug_assert_eq!(w.parts.n_cols(), n_cols, "rows of one kind carry the same columns");
@@ -185,7 +202,7 @@ pub(crate) fn partition_run(
     obs.span("partition_run", t0, &[("rows", rows), ("level", level as u64)]);
 
     if !w.cover(w.parts.mem_bytes(), gate, obs)? {
-        w.flush(false, sink, gate, obs)?;
+        w.spill_victims(w.held(), sink, gate, obs)?;
     }
     // Spill time was attributed to its own phase by the nested-time
     // accounting; this cell holds the pure partition cost.
@@ -198,7 +215,7 @@ mod tests {
     use super::*;
     use crate::driver::spill_store;
     use crate::obs::testing::TestObs;
-    use crate::sink::LocalBuckets;
+    use crate::sink::{LocalBuckets, Pending};
     use hsa_columnar::{RunStore, SpillConfig};
     use hsa_fault::{DiskBudget, FaultInjector, MemoryBudget};
     use hsa_hash::{digit, Hasher64};
@@ -210,6 +227,7 @@ mod tests {
                 faults: &FaultInjector::none(),
                 store: &RunStore::in_memory(),
                 depot: &DepotAccount::default(),
+                pending: &Pending::new(),
             }
         };
     }
@@ -230,13 +248,8 @@ mod tests {
         partition_run(writer, view, from_row, 0, sink, gate, &rec.obs())
     }
 
-    fn hand_off(
-        writer: &mut Option<RunWriter>,
-        sink: &mut LocalBuckets,
-        gate: Gate<'_>,
-        rec: &TestObs,
-    ) {
-        writer.as_mut().expect("a writer exists").hand_off(sink, gate, &rec.obs()).unwrap();
+    fn hand_off(writer: &mut Option<RunWriter>, sink: &mut LocalBuckets, rec: &TestObs) {
+        writer.as_mut().expect("a writer exists").hand_off(sink, &rec.obs());
     }
 
     #[test]
@@ -253,7 +266,7 @@ mod tests {
             assert!(sink.is_empty(), "an append must not emit runs");
         }
         assert_eq!(rec.stats().part_rows_per_level[0], 10_000);
-        hand_off(&mut writer, &mut sink, open_gate!(), &rec);
+        hand_off(&mut writer, &mut sink, &rec);
 
         let h = Murmur2::default();
         let mut total = 0usize;
@@ -286,7 +299,7 @@ mod tests {
         let mut writer = None;
         partition(&mut writer, &raw_view(&keys, vec![]), 900, &mut sink, open_gate!(), &rec)
             .unwrap();
-        hand_off(&mut writer, &mut sink, open_gate!(), &rec);
+        hand_off(&mut writer, &mut sink, &rec);
         let total: usize =
             sink.into_nonempty().map(|(_, b, _)| b.iter().map(RunHandle::len).sum::<usize>()).sum();
         assert_eq!(total, 100);
@@ -335,7 +348,7 @@ mod tests {
         assert!(!sink.is_empty());
         // And back again: the raw rows leave, the writer is rebuilt.
         part(&sealed(&[6]), &mut sink);
-        hand_off(&mut writer, &mut sink, open_gate!(), &rec);
+        hand_off(&mut writer, &mut sink, &rec);
         let (mut agg_rows, mut raw_rows) = (0, 0);
         for (_, bucket, _res) in sink.into_nonempty() {
             for r in bucket {
@@ -372,6 +385,7 @@ mod tests {
             faults: &faults,
             store: &store,
             depot: &DepotAccount::default(),
+            pending: &Pending::new(),
         };
         let mut sink = LocalBuckets::new();
         let mut writer = None;
@@ -386,18 +400,19 @@ mod tests {
             faults: &faults,
             store: &store,
             depot: &DepotAccount::default(),
+            pending: &Pending::new(),
         };
         let (mut other, mut other_sink) = (None, LocalBuckets::new());
         partition(&mut other, &raw_view(&keys, vec![&keys]), 0, &mut other_sink, tight, &rec)
             .unwrap();
         assert_eq!(exact.outstanding(), held.unwrap());
-        hand_off(&mut other, &mut other_sink, tight, &rec);
+        hand_off(&mut other, &mut other_sink, &rec);
         assert_eq!((exact.outstanding(), exact.high_water()), (held.unwrap(), held.unwrap()));
         assert_eq!(rec.stats().budget_denials, 0);
         drop((other, other_sink));
         assert_eq!(exact.outstanding(), 0);
 
-        hand_off(&mut writer, &mut sink, gate, &rec);
+        hand_off(&mut writer, &mut sink, &rec);
         assert_eq!(budget.outstanding(), held.unwrap(), "a hand-off moves bytes, it frees none");
         for (_, bucket, res) in sink.into_nonempty() {
             let bytes = |h: &RunHandle| match h {
@@ -426,6 +441,7 @@ mod tests {
             faults: &faults,
             store: &store,
             depot: &DepotAccount::default(),
+            pending: &Pending::new(),
         };
         let mut writer = None;
         partition(&mut writer, &raw_view(&keys[..10_000], vec![]), 0, &mut sink, gate, &rec)
@@ -441,12 +457,14 @@ mod tests {
         assert_eq!(budget.outstanding(), 0);
     }
 
-    /// One denial, one batch: a single gate ordinal however many segment
-    /// files the store cuts the flush into — one for a flush of a few
-    /// hundred KiB, two or more (a storage ordinal each) once the content
-    /// outgrows a segment.
+    /// A denial spills whole digits, largest first, until what stays fits
+    /// the reservation the writer held before the append — as one batch:
+    /// a single gate ordinal however many segment files the store cuts it
+    /// into (one for a few hundred KiB, two or more, a storage ordinal
+    /// each, once the victims outgrow a segment). Every row comes back
+    /// once.
     #[test]
-    fn a_denial_spills_the_whole_content_as_one_batch() {
+    fn a_denial_spills_the_largest_digits_whole_as_one_batch() {
         use hsa_fault::{FaultPlan, SpillFault, SpillFaultKind};
         // (rows per morsel, distinct keys, budget, segment files)
         for (part, modulus, limit, files) in
@@ -460,7 +478,7 @@ mod tests {
             let rec = TestObs::new();
             let budget = MemoryBudget::limited(limit);
             // The second gate ordinal fails, and the second storage write
-            // is retried: a flush that took an ordinal per file would trip
+            // is retried: a batch that took an ordinal per file would trip
             // over the first, and one that wrote a single file never
             // reaches the second.
             let faults = FaultInjector::new(FaultPlan {
@@ -481,6 +499,7 @@ mod tests {
                 faults: &faults,
                 store: &store,
                 depot: &DepotAccount::default(),
+                pending: &Pending::new(),
             };
             let spill_files = || {
                 std::fs::read_dir(&dir)
@@ -490,16 +509,27 @@ mod tests {
                     .count()
             };
             let mut writer = None;
-            let mut part_of = |nth: usize, sink: &mut LocalBuckets| {
-                let range = nth * part..(nth + 1) * part;
-                let view = raw_view(&keys[range.clone()], vec![&vals[range]]);
-                partition(&mut writer, &view, 0, sink, gate, &rec).unwrap();
+            // A morsel, then one twice its size.
+            let morsel = |nth: usize| {
+                let range = [0..part, part..3 * part][nth].clone();
+                raw_view(&keys[range.clone()], vec![&vals[range]])
             };
+            // What each digit holds once both morsels are in: a writer
+            // fed alike is cut alike.
+            let mut twin = PartitionWriter::new(1, &DepotAccount::default());
+            for nth in 0..2 {
+                let view = morsel(nth);
+                twin.append(Murmur2::default(), 0, view.slices(None, 0), |j| {
+                    view.slices(Some(j), 0)
+                });
+            }
+            let sizes: Vec<u64> = (0..FANOUT).map(|d| twin.digit_mem_bytes(d)).collect();
 
-            part_of(0, &mut sink);
-            assert!(sink.is_empty() && budget.outstanding() > 0, "the first morsel fits");
-            // The second morsel's chunks do not: both morsels leave together.
-            part_of(1, &mut sink);
+            partition(&mut writer, &morsel(0), 0, &mut sink, gate, &rec).unwrap();
+            let held = budget.outstanding();
+            assert!(sink.is_empty() && held > 0, "the first morsel fits");
+            // The second's chunks do not: the largest digits leave.
+            partition(&mut writer, &morsel(1), 0, &mut sink, gate, &rec).unwrap();
             let s = rec.stats();
             assert_eq!((s.budget_denials, s.budget_downgrades), (1, 1));
             assert!(
@@ -508,32 +538,42 @@ mod tests {
                 spill_files()
             );
             assert_eq!(faults.spill_io_fired(), spill_files().min(2) as u64 - 1);
-            assert!(s.spilled_runs() <= FANOUT as u64);
-            assert_eq!(budget.outstanding(), 0, "the flush released everything");
-            // The writer carries on from empty within the same budget.
-            part_of(2, &mut sink);
-            assert_eq!(rec.stats().budget_denials, 1);
-            hand_off(&mut writer, &mut sink, gate, &rec);
+            let w = writer.as_ref().unwrap();
+            let resident = w.parts.mem_bytes();
+            assert_eq!(budget.outstanding(), resident, "the surplus was given back");
+            assert!(resident <= held, "what stays fits the reservation held");
+
+            let victims: Vec<usize> = (0..FANOUT).filter(|&d| sizes[d] > 0).collect();
+            let (victims, kept): (Vec<usize>, Vec<usize>) =
+                victims.into_iter().partition(|&d| w.parts.digit_mem_bytes(d) == 0);
+            assert!(!victims.is_empty() && !kept.is_empty(), "a share of the digits spilled");
+            assert_eq!(s.spilled_runs(), victims.len() as u64, "whole digits, one run each");
+            let smallest_victim = victims.iter().map(|&d| sizes[d]).min().unwrap();
+            assert!(kept.iter().all(|&d| sizes[d] <= smallest_victim), "largest first");
+            assert!(resident + smallest_victim > held, "no more than the overflow");
+            hand_off(&mut writer, &mut sink, &rec);
             drop(writer);
 
             let h = Murmur2::default();
-            let (mut spilled_rows, mut resident_rows) = (0usize, 0usize);
+            let (mut spilled_rows, mut rows) = (0usize, 0usize);
             for (d, bucket, _res) in sink.into_nonempty() {
-                assert!(bucket.len() <= 2, "digit {d}: one spilled run, one resident");
-                for handle in bucket {
-                    let spilled = handle.is_spilled();
-                    let run = handle.into_run().unwrap();
-                    run.check_consistent().unwrap();
-                    // Handles came back in digit order, across segments:
-                    // every run sits in the bucket of its own digit.
-                    for (k, v) in run.keys.iter().zip(run.cols[0].iter()) {
-                        assert_eq!(digit(h.hash_u64(k), 0), d);
-                        assert_eq!(k, v * 2654435761 % modulus);
-                    }
-                    *(if spilled { &mut spilled_rows } else { &mut resident_rows }) += run.len();
+                assert_eq!(bucket.len(), 1, "digit {d}: spilled or resident, whole");
+                let handle = bucket.into_iter().next().unwrap();
+                assert_eq!(handle.is_spilled(), victims.contains(&d), "digit {d}");
+                let spilled = handle.is_spilled();
+                let run = handle.into_run().unwrap();
+                run.check_consistent().unwrap();
+                // Handles came back in digit order, across segments:
+                // every run sits in the bucket of its own digit.
+                for (k, v) in run.keys.iter().zip(run.cols[0].iter()) {
+                    assert_eq!(digit(h.hash_u64(k), 0), d);
+                    assert_eq!(k, v * 2654435761 % modulus);
                 }
+                spilled_rows += if spilled { run.len() } else { 0 };
+                rows += run.len();
             }
-            assert_eq!((spilled_rows, resident_rows), (2 * part, part));
+            assert!(spilled_rows > 0);
+            assert_eq!(rows, 3 * part, "every row once");
             assert_eq!(budget.outstanding(), 0);
             assert_eq!(spill_files(), 0, "consumed runs left files behind");
             drop(store);
@@ -558,6 +598,7 @@ mod tests {
             faults: &faults,
             store: &store,
             depot: &DepotAccount::default(),
+            pending: &Pending::new(),
         };
         let keys: Vec<u64> = (0..5_000u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
         let vals: Vec<u64> = (0..5_000).collect();
@@ -597,6 +638,7 @@ mod tests {
             faults: &faults,
             store: &store,
             depot: &DepotAccount::default(),
+            pending: &Pending::new(),
         };
         let mut writer = None;
         let err =

@@ -31,7 +31,7 @@ use crate::hashing::seal_into;
 use crate::obs::Obs;
 use crate::output::{Collector, GroupByOutput};
 use crate::report::{ObsConfig, RunReport};
-use crate::sink::SharedBuckets;
+use crate::sink::Pending;
 use crate::stats::OpStats;
 use crate::view::{RunView, StateCols};
 use crate::AggregateConfig;
@@ -84,7 +84,6 @@ pub struct AggStream {
     /// stream's work carries one `QueryId` from open to report.
     handle: QueryHandle,
     threads: usize,
-    shared: SharedBuckets,
     workers: Vec<Mutex<WorkerState>>,
     pool_metrics: PoolMetrics,
     rows_in: u64,
@@ -181,6 +180,7 @@ impl AggStream {
             store,
             failed: Mutex::new(None),
             depot: depot.clone(),
+            pending: Pending::new(),
         };
         let workers = (0..threads).map(|_| Mutex::new(WorkerState::new(cfg.strategy))).collect();
         // Opening the query (spill store, admission, recorder) is the
@@ -193,7 +193,6 @@ impl AggStream {
             input_aggregated,
             handle,
             threads,
-            shared: SharedBuckets::new(),
             workers,
             pool_metrics: PoolMetrics::default(),
             rows_in: 0,
@@ -228,7 +227,7 @@ impl AggStream {
     /// one column per state for partials — one work-stealing morsel scope.
     pub(crate) fn push_cols(&mut self, keys: &[u64], cols: &[&[u64]]) -> Result<(), AggError> {
         let ctx = &self.ctx;
-        let shared = &self.shared;
+        let shared = &ctx.pending.shared;
         let workers = &self.workers;
         let input_aggregated = self.input_aggregated;
         // The calling thread drives the scope and runs worker 0's morsels:
@@ -300,7 +299,6 @@ impl AggStream {
         let AggStream {
             ctx,
             lowered,
-            shared,
             workers,
             handle,
             threads,
@@ -316,6 +314,7 @@ impl AggStream {
         // to move out of the context.)
         let obs = Obs::new(&ctx.recorder, &ctx.tracer, 0);
         let driver = obs.phase_start(0, Phase::Driver);
+        let mut shared = &ctx.pending.shared;
 
         // All push scopes have quiesced. First, what the workers
         // partitioned joins the level-1 buckets: one run per worker and
@@ -324,7 +323,7 @@ impl AggStream {
         for (w_idx, w) in workers.into_iter().enumerate() {
             let ws = w.into_inner();
             if let Some(mut writer) = ws.writer {
-                writer.hand_off(&mut &shared, ctx.gate(), &ctx.obs(w_idx))?;
+                writer.hand_off(&mut shared, &ctx.obs(w_idx));
             }
             tables.extend(ws.table.map(|t| (w_idx, t)));
         }
@@ -338,20 +337,20 @@ impl AggStream {
         let live = tables.iter().filter(|(_, t)| !t.is_empty()).count();
         let stops_here = live == 1 && shared.is_empty();
         for (w_idx, mut table) in tables {
-            if !table.is_empty() {
-                let obs = ctx.obs(w_idx);
-                if stops_here {
-                    emit_final_from_table(&ctx, &mut table, &obs)?;
-                } else {
-                    seal_into(&mut table, &mut &shared, ctx.gate(), &obs)?;
-                }
+            let obs = ctx.obs(w_idx);
+            if table.is_empty() {
+                ctx.pool.put(table);
+            } else if stops_here {
+                emit_final_from_table(&ctx, table, &obs)?;
+            } else {
+                seal_into(&mut table, None, &mut shared, ctx.gate(), &obs)?;
+                ctx.pool.put(table);
             }
-            ctx.pool.put(table);
         }
 
         // Phase 2: recurse into the buckets, one task each.
-        let (scope2, pm2) =
-            handle.try_scope_observed(|s| spawn_buckets(&ctx, s, shared.into_nonempty(), 1));
+        let level1 = shared.take_nonempty().into_iter();
+        let (scope2, pm2) = handle.try_scope_observed(|s| spawn_buckets(&ctx, s, level1, 1));
         obs.exclude(pm2.workers.first().map_or(0, |w| w.idle_nanos));
         let pm2 = contain_panics(&ctx, scope2, pm2)?;
         if let Some(e) = ctx.take_failure() {
@@ -468,8 +467,8 @@ mod tests {
     fn feed_worker(stream: &AggStream, w: usize, keys: &[u64], vals: &[u64]) {
         let mut ws = stream.workers[w].lock();
         let view = RunView::Borrowed { keys, cols: vec![vals], aggregated: false };
-        process_view(&stream.ctx, &view, 0, &mut ws, &mut &stream.shared, &stream.ctx.obs(w))
-            .unwrap();
+        let mut sink = &stream.ctx.pending.shared;
+        process_view(&stream.ctx, &view, 0, &mut ws, &mut sink, &stream.ctx.obs(w)).unwrap();
     }
 
     fn count_sum_stream(threads: usize, env: &ExecEnv) -> AggStream {
@@ -521,21 +520,19 @@ mod tests {
         let mut stream =
             AggStream::new(&specs, &cfg, &ExecEnv::unrestricted(), &ObsConfig::disabled()).unwrap();
         stream.push(&keys, &[&keys]).unwrap();
-        assert!(stream.shared.is_empty(), "rows wait in the workers' writers");
+        let (ctx, mut shared) = (&stream.ctx, &stream.ctx.pending.shared);
+        assert!(shared.is_empty(), "rows wait in the workers' writers");
         for (w, ws) in stream.workers.iter().enumerate() {
             if let Some(writer) = ws.lock().writer.as_mut() {
-                writer
-                    .hand_off(&mut &stream.shared, stream.ctx.gate(), &stream.ctx.obs(w))
-                    .unwrap();
+                writer.hand_off(&mut shared, &ctx.obs(w));
             }
         }
-        let AggStream { shared, .. } = stream;
 
         // A chunked column grows 64, 64, 128, … up to the full chunk
         // length and every chunk but the last is filled to that size.
         let chunk_lens = |c: &ChunkedVec| c.chunks().map(<[u64]>::len).collect::<Vec<_>>();
         let mut rows = 0;
-        for (digit, bucket, _res) in shared.into_nonempty() {
+        for (digit, bucket, _res) in shared.take_nonempty() {
             assert!(bucket.len() <= THREADS, "digit {digit}: {} runs", bucket.len());
             for handle in bucket {
                 let RunHandle::Mem(run) = handle else { panic!("nothing spills here") };
@@ -663,19 +660,18 @@ mod tests {
                         let chunk: Vec<&[u64]> = inputs.iter().map(|c| &c[a..b]).collect();
                         stream.push(&keys[a..b], &chunk).unwrap();
                     }
-                    let (ctx, shared) = (&stream.ctx, &stream.shared);
+                    let (ctx, mut shared) = (&stream.ctx, &stream.ctx.pending.shared);
                     for (w, ws) in stream.workers.iter().enumerate() {
                         let mut ws = ws.lock();
                         if let Some(writer) = ws.writer.as_mut() {
-                            writer.hand_off(&mut &*shared, ctx.gate(), &ctx.obs(w)).unwrap();
+                            writer.hand_off(&mut shared, &ctx.obs(w));
                         }
                         if let Some(table) = ws.table.as_mut().filter(|t| !t.is_empty()) {
-                            seal_into(table, &mut &*shared, ctx.gate(), &ctx.obs(w)).unwrap();
+                            seal_into(table, None, &mut shared, ctx.gate(), &ctx.obs(w)).unwrap();
                         }
                     }
-                    let AggStream { shared, .. } = stream;
                     let (mut raw_rows, mut rows) = (0, 0);
-                    for (_, bucket, _res) in shared.into_nonempty() {
+                    for (_, bucket, _res) in shared.take_nonempty() {
                         for run in bucket {
                             let want = states.run_cols(run.aggregated());
                             assert_eq!(

@@ -93,10 +93,29 @@ impl ColumnOut {
         &mut self.parts
     }
 
+    /// Partition `d` with its tail closed, leaving it empty: the next
+    /// value starts a new chunk at the bottom of the ramp, as in every
+    /// other column taken at the same digit.
+    fn take(&mut self, d: usize) -> ChunkedVec {
+        let part = &mut self.parts[d];
+        part.adopt(std::mem::take(&mut self.tails[d]));
+        part.take_all()
+    }
+
+    /// True if partition `d` holds no value (then neither has it an open
+    /// tail: one is lent only to store a value).
+    fn is_empty_at(&self, d: usize) -> bool {
+        self.tails[d].is_empty() && self.parts[d].is_empty()
+    }
+
+    /// Heap bytes partition `d` holds: full chunks and open tail.
+    fn digit_bytes(&self, d: usize) -> u64 {
+        self.tails[d].capacity() as u64 * 8 + self.parts[d].mem_bytes()
+    }
+
     /// Heap bytes held: full chunks and open tails, at capacity.
     fn mem_bytes(&self) -> u64 {
-        let tails: usize = self.tails.iter().map(Vec::capacity).sum();
-        tails as u64 * 8 + self.parts.iter().map(ChunkedVec::mem_bytes).sum::<u64>()
+        (0..FANOUT).map(|d| self.digit_bytes(d)).sum()
     }
 }
 
@@ -198,18 +217,35 @@ impl PartitionWriter {
         self.rows += rows;
     }
 
+    /// Heap bytes partition `digit` holds across all columns: what
+    /// draining it alone would hand over.
+    pub fn digit_mem_bytes(&self, digit: usize) -> u64 {
+        self.cols.iter().map(|c| c.digit_bytes(digit)).sum()
+    }
+
     /// Hand over every non-empty partition as `emit(digit, keys, cols)`,
     /// in digit order. The writer is empty afterwards.
-    pub fn drain(&mut self, mut emit: impl FnMut(usize, ChunkedVec, Vec<ChunkedVec>)) {
-        self.rows = 0;
-        let mut closed = self.cols.iter_mut().map(ColumnOut::close);
-        let Some(key_parts) = closed.next() else { return };
-        let mut col_parts: Vec<&mut Parts> = closed.collect();
-        for (digit, keys) in key_parts.iter_mut().enumerate() {
-            if !keys.is_empty() {
-                let cols = col_parts.iter_mut().map(|parts| parts[digit].take_all());
-                emit(digit, keys.take_all(), cols.collect());
+    pub fn drain(&mut self, emit: impl FnMut(usize, ChunkedVec, Vec<ChunkedVec>)) {
+        self.drain_where(|_| true, emit);
+    }
+
+    /// Hand over the non-empty partitions whose digit is `selected`, as
+    /// [`PartitionWriter::drain`] does; the others stay, and keep
+    /// appending where they were. A drained partition restarts every
+    /// column at the same chunk size, so chunk boundaries still coincide.
+    pub fn drain_where(
+        &mut self,
+        mut selected: impl FnMut(usize) -> bool,
+        mut emit: impl FnMut(usize, ChunkedVec, Vec<ChunkedVec>),
+    ) {
+        let Some((key_out, col_outs)) = self.cols.split_first_mut() else { return };
+        for digit in 0..FANOUT {
+            if key_out.is_empty_at(digit) || !selected(digit) {
+                continue;
             }
+            let keys = key_out.take(digit);
+            self.rows -= keys.len();
+            emit(digit, keys, col_outs.iter_mut().map(|c| c.take(digit)).collect());
         }
     }
 }
@@ -290,6 +326,63 @@ mod tests {
             seen += rows;
         }
         assert_eq!(seen, keys.len());
+    }
+
+    #[test]
+    fn a_selective_drain_takes_whole_digits_and_keeps_columns_aligned() {
+        let keys = pseudo_random_keys(6_000, 17);
+        let v0: Vec<u64> = keys.iter().map(|k| k ^ 0x5a5a).collect();
+        let v1: Vec<u64> = (0..keys.len() as u64).collect();
+        let (first, second) = (4_000, keys.len());
+        let mut w = PartitionWriter::new(2, &DepotAccount::default());
+        let lens = |c: &ChunkedVec| c.chunks().map(<[u64]>::len).collect::<Vec<_>>();
+        w.append(Murmur2::default(), 0, [&keys[..first]].into_iter(), |i| {
+            [&[&v0, &v1][i][..first]].into_iter()
+        });
+        let per_digit: Vec<u64> = (0..FANOUT).map(|d| w.digit_mem_bytes(d)).collect();
+        let scratch = w.digits.capacity() as u64;
+        assert_eq!(per_digit.iter().sum::<u64>() + scratch, w.mem_bytes());
+
+        // Every third digit leaves; what it hands over is exactly its bytes.
+        let (held, rows) = (w.mem_bytes(), w.len());
+        let mut early: Vec<Option<Vec<Vec<u64>>>> = vec![None; FANOUT];
+        let (mut handed, mut handed_rows) = (0, 0);
+        w.drain_where(
+            |d| d % 3 == 0,
+            |d, ks, cols| {
+                assert_eq!(d % 3, 0, "digit {d} was not selected");
+                assert!(cols.iter().all(|c| lens(c) == lens(&ks)), "chunks must coincide");
+                let bytes = ks.mem_bytes() + cols.iter().map(ChunkedVec::mem_bytes).sum::<u64>();
+                assert_eq!(bytes, per_digit[d], "digit {d} handed over what it held");
+                (handed, handed_rows) = (handed + bytes, handed_rows + ks.len());
+                early[d] = Some([&ks, &cols[0], &cols[1]].map(ChunkedVec::to_vec).to_vec());
+            },
+        );
+        assert!(handed_rows > 0);
+        assert_eq!((w.len(), w.mem_bytes()), (rows - handed_rows, held - handed));
+        assert!((0..FANOUT).all(|d| (d % 3 == 0) == (w.digit_mem_bytes(d) == 0)));
+
+        // The drained digits start over, the others append where they
+        // were; together the pieces are the one-shot partitioning.
+        w.append(Murmur2::default(), 0, [&keys[first..second]].into_iter(), |i| {
+            [&[&v0, &v1][i][first..second]].into_iter()
+        });
+        let mut rest = Vec::new();
+        w.drain(|d, ks, cols| {
+            assert!(cols.iter().all(|c| lens(c) == lens(&ks)), "chunks must coincide");
+            rest.push((d, [&ks, &cols[0], &cols[1]].map(ChunkedVec::to_vec).to_vec()));
+        });
+        assert!(w.is_empty());
+        let mut rest = rest.into_iter().peekable();
+        for (d, ks, cols) in one_shot(&keys, &[&v0, &v1]) {
+            let mut got = early[d].take().unwrap_or_else(|| vec![Vec::new(); 3]);
+            if rest.peek().is_some_and(|(rd, _)| *rd == d) {
+                let (_, tail) = rest.next().unwrap();
+                got.iter_mut().zip(tail).for_each(|(g, t)| g.extend(t));
+            }
+            assert_eq!(got, [vec![ks], cols].concat(), "digit {d}");
+        }
+        assert!(rest.next().is_none() && early.iter().all(Option::is_none));
     }
 
     #[test]

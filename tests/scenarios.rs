@@ -313,11 +313,12 @@ mod faults {
         sweep(&seal_burst(), spill);
     }
 
-    /// A denied writer lets go of everything it holds, runs as long as its
-    /// share so far; without a directory the denial is the query's error;
-    /// a stream dropped mid-input gives back every byte and file.
+    /// A denied writer lets go of its largest digits, each a run as long
+    /// as the digit's share so far; without a directory the denial is the
+    /// query's error; a stream dropped mid-input gives back every byte and
+    /// file.
     #[test]
-    fn a_denied_partition_writer_spills_its_whole_content() {
+    fn a_denied_partition_writer_spills_its_largest_digits() {
         assert!(check(&Scenario { spill: false, ..writer() }).result.is_err());
         let stats = check(&writer()).result.unwrap().stats;
         assert_eq!(stats.part_rows_per_level[0], 20_000);
@@ -774,11 +775,10 @@ mod named {
     use hashing_is_sorting::{AggFn::*, SpillFaultKind::*, Strategy::*};
 
     /// ROADMAP item 1, `ablation_spill 20`'s 1.25x rung: at two workers a
-    /// reservation that cannot spill (an output block, a seal's scratch) is
-    /// denied because resident runs, which may fill the budget, got there
-    /// first.
+    /// reservation that cannot spill (an output block, a seal's scratch)
+    /// was denied because resident runs, which may fill the budget, got
+    /// there first. Such a request now reclaims them.
     #[test]
-    #[ignore = "ROADMAP item 1: two workers race for the last bytes of a 1.25x output budget"]
     fn two_workers_under_one_and_a_quarter_outputs() {
         let s = Scenario {
             keys: Data(Uniform),
@@ -804,5 +804,48 @@ mod named {
         };
         let result = check(&s).result;
         assert!(result.is_ok(), "{:?}", result.err());
+    }
+
+    /// A denial spills in proportion to the overflow: one uniform input
+    /// under 1.5x, 2x and 3x its output state (2^19 groups, a key and two
+    /// states each), at one and two workers, spills no more bytes as the
+    /// budget grows. (When a denial spilled the writer's whole content,
+    /// one worker spilled 27.6, 17.3 and 32.8 MB here.)
+    #[test]
+    fn spilled_bytes_fall_as_the_budget_grows() {
+        let output = (1u64 << 19) * 8 * 3;
+        for threads in [1, 2] {
+            let spilled: Vec<u64> = [3, 4, 6]
+                .into_iter()
+                .map(|halves| {
+                    let s = Scenario {
+                        keys: Data(Uniform),
+                        n: 1 << 21,
+                        k: 1 << 19,
+                        seed: 42,
+                        specs: vec![AggSpec::count(), AggSpec::sum(0)],
+                        strategy: Adaptive(AdaptiveParams::default()),
+                        cache_bytes: 2 << 20,
+                        fill_percent: 25,
+                        morsel_rows: 1 << 16,
+                        threads,
+                        cuts: Every(1 << 16),
+                        mem_budget: Some(output * halves / 2),
+                        disk_budget: None,
+                        spill: true,
+                        io_threads: 1,
+                        faults: FaultPlan::none(),
+                        cancel: Never,
+                        neighbours: 0,
+                        victims: false,
+                        door: Stream,
+                    };
+                    let result = check(&s).result;
+                    assert!(result.is_ok(), "{threads} threads, {halves}/2x: {:?}", result.err());
+                    result.unwrap().stats.spilled_bytes
+                })
+                .collect();
+            assert!(spilled.windows(2).all(|w| w[0] >= w[1]), "{threads} threads: {spilled:?}");
+        }
     }
 }
