@@ -408,6 +408,40 @@ impl AggTable {
         }
         self.len = 0;
     }
+
+    /// Seal the table into the caller's slices: the groups [`Self::seal`]
+    /// yields, in the same order, written straight into `keys` and
+    /// `cols[i]`, each exactly [`Self::len`] long. One column at a time,
+    /// so every pass writes one sequential stream. The table is left empty
+    /// and reusable, as after [`Self::seal`].
+    pub fn seal_to(&mut self, keys: &mut [u64], cols: &mut [&mut [u64]]) {
+        debug_assert_eq!(keys.len(), self.len);
+        debug_assert_eq!(cols.len(), self.cols.len());
+        for (dst, slot) in keys.iter_mut().zip(occupied(&self.occ)) {
+            *dst = self.keys[slot];
+        }
+        for ((dst, col), &id) in cols.iter_mut().zip(&mut self.cols).zip(&self.identities) {
+            debug_assert_eq!(dst.len(), self.len);
+            for (d, slot) in dst.iter_mut().zip(occupied(&self.occ)) {
+                *d = col[slot];
+                col[slot] = id;
+            }
+        }
+        self.occ.fill(0);
+        self.len = 0;
+    }
+}
+
+/// The occupied slots of an occupancy bitmap, in slot order.
+fn occupied(occ: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    occ.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            let bit = bits.trailing_zeros();
+            bits &= bits.wrapping_sub(1);
+            (bit < 64).then_some((w << 6) | bit as usize)
+        })
+    })
 }
 
 #[cfg(test)]
@@ -640,6 +674,47 @@ mod tests {
             }
         });
         assert_eq!(got, reference);
+    }
+
+    /// A seal into slices writes exactly the groups `seal` yields, in its
+    /// order, and leaves the table as `seal` does: empty, identities back.
+    #[test]
+    fn seal_to_writes_what_seal_emits() {
+        let ids = [crate::identity_of(StateOp::Min), crate::identity_of(StateOp::Sum)];
+        let h = Murmur2::default();
+        let filled = || {
+            let mut t = AggTable::new(small(), 0, &ids);
+            let mut rng = xorshift(7);
+            for _ in 0..700 {
+                let k = rng() % 900;
+                if let Insert::New(s) | Insert::Hit(s) = t.insert_key(k, h.hash_u64(k)) {
+                    let v = rng() % 1000;
+                    t.col_mut(0)[s as usize] = StateOp::Min.apply(t.col(0)[s as usize], v);
+                    t.col_mut(1)[s as usize] = StateOp::Sum.apply(t.col(1)[s as usize], v);
+                }
+            }
+            t
+        };
+        let (mut a, mut b) = (filled(), filled());
+        let mut want = (Vec::new(), vec![Vec::new(), Vec::new()]);
+        a.seal(|_, keys, cols| {
+            want.0.extend_from_slice(keys);
+            for (w, c) in want.1.iter_mut().zip(cols) {
+                w.extend_from_slice(c);
+            }
+        });
+        let n = b.len();
+        assert_eq!(n, want.0.len());
+        let (mut keys, mut c0, mut c1) = (vec![0; n], vec![0; n], vec![0; n]);
+        b.seal_to(&mut keys, &mut [&mut c0, &mut c1]);
+        assert_eq!((keys, vec![c0, c1]), want);
+        assert!(b.is_empty());
+        assert!(b.col(0).iter().all(|&s| s == u64::MAX) && b.col(1).iter().all(|&s| s == 0));
+        assert!(matches!(b.insert_key(3, h.hash_u64(3)), Insert::New(_)), "reusable");
+
+        let mut empty = AggTable::new(small(), 0, &ids);
+        empty.seal_to(&mut [], &mut [&mut [], &mut []]);
+        assert!(empty.is_empty());
     }
 
     /// Adversarial hasher: every key maps to the same hash, so probes

@@ -43,7 +43,7 @@ pub enum Phase {
     /// consumes it: collecting rows the store read ahead, waiting for a
     /// read in flight, or reading and decoding the run itself.
     Restore,
-    /// Emitting final groups into the output collector.
+    /// Writing final groups into the result.
     Output,
     /// Dispatch around the work phases: run restoration plumbing, view
     /// setup, table pooling and intermediate-run teardown inside tasks,
@@ -153,6 +153,8 @@ pub struct ProfileTree {
     /// Chunk depot traffic, summed over the workers' counters: chunks
     /// recycled, chunks freshly allocated, bytes lent at the high water.
     depot: [u64; 3],
+    /// Minor page faults of the process while the query ran.
+    minor_faults: u64,
     cells: [[PhaseCell; Phase::COUNT]; PROFILE_LEVELS],
 }
 
@@ -177,7 +179,16 @@ impl ProfileTree {
         }
         let depot = [Counter::DepotHits, Counter::DepotFresh, Counter::DepotLentHighWater]
             .map(|c| snap.workers.iter().map(|w| w.counter(c)).sum());
-        Self { wall_nanos, threads, budget_high_water, overlapped_io_nanos, depot, cells }
+        let minor_faults = snap.workers.iter().map(|w| w.counter(Counter::MinorFaults)).sum();
+        Self {
+            wall_nanos,
+            threads,
+            budget_high_water,
+            overlapped_io_nanos,
+            depot,
+            minor_faults,
+            cells,
+        }
     }
 
     /// The merged cell of one `(level, phase)` node.
@@ -268,6 +279,9 @@ impl ProfileTree {
                 "├─ depot chunks {recycled} recycled · {fresh} allocated · lent high-water {}",
                 fmt_bytes(lent)
             );
+        }
+        if self.minor_faults > 0 {
+            let _ = writeln!(out, "├─ minor faults {} (whole process)", self.minor_faults);
         }
         let io = self.io_nanos();
         if io > 0 {
@@ -485,10 +499,12 @@ mod tests {
         r.add(0, Counter::DepotHits, 30);
         r.add(0, Counter::DepotFresh, 2);
         r.add(0, Counter::DepotLentHighWater, 3 << 20);
+        r.add(0, Counter::MinorFaults, 6_000);
         let t = ProfileTree::build(&r.snapshot(), 1_000_000, 1, 0, 0);
         let expected = "\
 query · wall 1.00 ms · 1 thread · 100.0% of 1×wall attributed to leaf phases
 ├─ depot chunks 30 recycled · 2 allocated · lent high-water 3.00 MiB
+├─ minor faults 6000 (whole process)
 ├─ level 0 · 800.00 µs · 80.0%
 │  ├─ hash_insert · 600.00 µs · 60.0% · 1 calls · rows 8000 → 2000 · α 4.00
 │  └─ seal · 200.00 µs · 20.0% · 1 calls · rows 2000 → 2000

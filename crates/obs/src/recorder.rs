@@ -125,6 +125,9 @@ metric_enum! {
         DepotFresh => "depot_fresh",
         /// Most bytes of chunks the query held lent at once.
         DepotLentHighWater => "depot_lent_high_water_bytes",
+        /// Minor page faults of the whole process while the query ran
+        /// (see [`crate::minor_faults`]); deep metrics only.
+        MinorFaults => "minor_faults",
     }
 }
 

@@ -301,9 +301,12 @@ impl<'run, 'env> Scope<'run, 'env> {
         };
         self.run.slots[self.slot].queue.lock().push_back(task);
         // Wake the submitting thread (it may be parked in its help loop)
-        // and one shared worker.
+        // and one shared worker — unless the query has one slot, which
+        // no shared worker may claim (see [`QueryRun::claim_slot`]).
         self.run.idle_cv.notify_one();
-        self.run.runtime.notify_workers();
+        if self.run.slots.len() > 1 {
+            self.run.runtime.notify_workers();
+        }
     }
 
     /// Number of execution slots of this query's scope (= the query's
@@ -351,7 +354,13 @@ impl RuntimeInner {
         self.idle_cv.notify_one();
     }
 
+    /// Make `run` visible to the shared workers. A one-slot run is not
+    /// listed: its only slot is the submitting thread's, so a worker could
+    /// only wake, scan it and park again.
     fn register(&self, run: &Arc<QueryRun>) {
+        if run.slots.len() == 1 {
+            return;
+        }
         self.active.lock().push(Arc::clone(run));
         // Taking the idle lock before notifying closes the race against a
         // worker that just found the active list empty and is about to
@@ -361,6 +370,9 @@ impl RuntimeInner {
     }
 
     fn deregister(&self, run: &Arc<QueryRun>) {
+        if run.slots.len() == 1 {
+            return;
+        }
         self.active.lock().retain(|q| !Arc::ptr_eq(q, run));
     }
 
@@ -648,4 +660,43 @@ where
     R: Send,
 {
     Runtime::global().admit(threads).scope_observed(root).0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Whether query `id` is in the runtime's active list.
+    fn listed(id: QueryId) -> bool {
+        Runtime::global().inner.active.lock().iter().any(|run| run.id == id)
+    }
+
+    /// A one-slot scope runs every task on its submitting thread and is
+    /// never listed for the shared workers; a two-slot scope is, until it
+    /// winds down.
+    #[test]
+    fn a_one_slot_scope_is_never_listed() {
+        use std::sync::{Arc, Mutex};
+        let one = Runtime::global().admit(1);
+        let me = std::thread::current().id();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (root_listed, _) = one.scope_observed(|s| {
+            for _ in 0..8 {
+                let seen = Arc::clone(&seen);
+                s.spawn(move |s2| {
+                    let elsewhere = std::thread::current().id() != me;
+                    seen.lock().unwrap().push(listed(s2.query_id()) || elsewhere);
+                });
+            }
+            listed(s.query_id())
+        });
+        assert!(!root_listed && !listed(one.id()));
+        let seen = seen.lock().unwrap().clone();
+        assert_eq!(seen, [false; 8], "a task saw its scope listed, or ran off the submitter");
+
+        let two = Runtime::global().admit(2);
+        let (inside, _) = two.scope_observed(|s| listed(s.query_id()));
+        assert!(inside, "a two-slot scope is listed while it runs");
+        assert!(!listed(two.id()), "and delisted when it winds down");
+    }
 }
