@@ -14,14 +14,13 @@ use hsa_core::{AdaptiveParams, AggregateConfig, Strategy};
 use hsa_datagen::{generate, Distribution};
 
 fn main() {
-    let mut out = Sidecar::from_args("ablation_fill");
     let rows_log2: u32 = arg(1).unwrap_or(22);
     let n = 1usize << rows_log2;
     let threads = default_threads();
     let repeats = repeats_for(n).min(3);
 
     println!("# Ablation: table fill limit, uniform, N = 2^{rows_log2}");
-    out.header(&cells!["log2(K)", "fill %", "ns/element", "seals"]);
+    row(&cells!["log2(K)", "fill %", "ns/element", "seals"]);
 
     for k in [1u64 << 12, 1 << 16, 1 << 20] {
         let keys = generate(Distribution::Uniform, n, k, 42);
@@ -33,7 +32,7 @@ fn main() {
                 ..AggregateConfig::default()
             };
             let (secs, stats) = time_distinct(&keys, &cfg, repeats);
-            out.row(&cells![
+            row(&cells![
                 k.ilog2(),
                 fill,
                 format!("{:.1}", element_time_ns(secs, threads, n, 1)),

@@ -19,15 +19,14 @@ use hsa_xmem::traced::{traced_hash_aggregation, traced_sort_aggregation};
 use hsa_xmem::CacheSim;
 
 fn main() {
-    let mut out = Sidecar::from_args("fig01");
     let p = ModelParams::FIGURE1;
     let n: u64 = 1 << 32;
 
     println!("# Figure 1 (analytic): cache-line transfers, N=2^32, M=2^16, B=16");
-    out.header(&cells!["log2(K)", "SORTAGG", "SORTAGG_OPT", "HASHAGG", "HASHAGG_OPT"]);
+    row(&cells!["log2(K)", "SORTAGG", "SORTAGG_OPT", "HASHAGG", "HASHAGG_OPT"]);
     for e in (0..=32).step_by(2) {
         let k = 1u64 << e;
-        out.row(&cells![
+        row(&cells![
             e,
             sort_agg(p, n, k),
             sort_agg_opt(p, n, k),
@@ -46,7 +45,7 @@ fn main() {
     let sp = ModelParams { m: 4096, b: 8 };
     let hash_p = ModelParams { m: 2048, b: 8 };
     println!("\n# Figure 1 (simulated): N=2*10^5, 32 KiB LRU cache, 64 B lines");
-    out.header(&cells![
+    row(&cells![
         "log2(K)",
         "sim SORT",
         "model SORT (fanout 16)",
@@ -68,7 +67,7 @@ fn main() {
         let sort = traced_sort_aggregation(cache(), &keys, 16, 2048);
         let hash = traced_hash_aggregation(cache(), &keys, (k * 2).next_power_of_two());
         assert_eq!(sort.groups, hash.groups);
-        out.row(&cells![
+        row(&cells![
             e,
             sort.stats.transfers(),
             hsa_xmem::model::sort_agg_with_fanout(sp, sim_n as u64, k, 16),

@@ -39,7 +39,6 @@ use hsa_bench::*;
 use hsa_partition as part;
 
 fn main() {
-    let mut out = Sidecar::from_args("fig03");
     let rows_log2: u32 = arg(1).unwrap_or(24);
     let n = 1usize << rows_log2;
     let repeats = repeats_for(n);
@@ -49,16 +48,16 @@ fn main() {
 
     println!("# Figure 3: partitioning bandwidth, N = 2^{rows_log2} uniform random u64");
     println!("# paper: swc ≈ 2.9x naive-key, oo +24%, 2lvl -2%, final ≈ 97% of memcpy");
-    out.header(&cells!["variant", "GiB/s", "vs memcpy"]);
+    row(&cells!["variant", "GiB/s", "vs memcpy"]);
 
     let mut dst = Vec::new();
     let (t_memcpy, _) = median_secs(repeats, || ladder::memcpy_nt(&mut dst, &keys));
     let memcpy_bw = bandwidth_gib_s(t_memcpy, n);
-    out.row(&cells!["memcpy_nt", format!("{memcpy_bw:.2}"), "1.00"]);
+    row(&cells!["memcpy_nt", format!("{memcpy_bw:.2}"), "1.00"]);
 
-    let mut report = |name: &str, secs: f64| {
+    let report = |name: &str, secs: f64| {
         let bw = bandwidth_gib_s(secs, n);
-        out.row(&cells![name, format!("{bw:.2}"), format!("{:.2}", bw / memcpy_bw)]);
+        row(&cells![name, format!("{bw:.2}"), format!("{:.2}", bw / memcpy_bw)]);
     };
 
     let (t, _) =

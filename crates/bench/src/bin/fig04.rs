@@ -18,14 +18,13 @@ use hsa_core::Strategy;
 use hsa_datagen::{generate, Distribution};
 
 fn main() {
-    let mut out = Sidecar::from_args("fig04");
     let rows_log2: u32 = arg(1).unwrap_or(22);
     let n = 1usize << rows_log2;
     let threads = default_threads();
     let repeats = repeats_for(n).min(5);
 
     println!("# Figure 4: pass breakdown on uniform data, N = 2^{rows_log2}, P = {threads}");
-    out.header(&cells![
+    row(&cells![
         "strategy",
         "log2(K)",
         "total ns/el",
@@ -48,7 +47,7 @@ fn main() {
             let (secs, stats) = time_distinct(&keys, &cfg, repeats);
             let per_level: Vec<f64> =
                 stats.task_nanos_per_level.iter().map(|&ns| ns as f64 / n as f64).collect();
-            out.row(&cells![
+            row(&cells![
                 name,
                 k.ilog2(),
                 format!("{:.2}", element_time_ns(secs, threads, n, 1)),

@@ -14,7 +14,6 @@ use hsa_core::{AdaptiveParams, Strategy};
 use hsa_datagen::{generate, Distribution};
 
 fn main() {
-    let mut out = Sidecar::from_args("fig05");
     let rows_log2: u32 = arg(1).unwrap_or(22);
     let n = 1usize << rows_log2;
     let threads = default_threads();
@@ -22,7 +21,7 @@ fn main() {
 
     println!("# Figure 5: ADAPTIVE vs illustrative strategies, uniform, N = 2^{rows_log2}, P = {threads}");
     println!("# expectation: ADAPTIVE ≈ min(HashingOnly, PartitionAlways*) at every K");
-    out.header(&cells![
+    row(&cells![
         "log2(K)",
         "HashingOnly",
         "Part(1)+H",
@@ -46,7 +45,7 @@ fn main() {
         }
         let part_share = 100.0 * results[3].1.total_part_rows() as f64
             / (results[3].1.total_part_rows() + results[3].1.total_hash_rows()).max(1) as f64;
-        out.row(&cells![
+        row(&cells![
             k.ilog2(),
             format!("{:.2}", results[0].0),
             format!("{:.2}", results[1].0),

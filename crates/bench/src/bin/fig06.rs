@@ -19,7 +19,6 @@ use hsa_core::{AdaptiveParams, Strategy};
 use hsa_datagen::{generate, Distribution};
 
 fn main() {
-    let mut out = Sidecar::from_args("fig06");
     let rows_log2: u32 = arg(1).unwrap_or(22);
     let max_threads: usize = arg(2).unwrap_or_else(|| default_threads().max(4));
     let n = 1usize << rows_log2;
@@ -29,7 +28,7 @@ fn main() {
         "# Figure 6: speedup vs threads, uniform, N = 2^{rows_log2} (host parallelism: {})",
         default_threads()
     );
-    out.header(&cells!["log2(K)", "threads", "seconds", "speedup vs 1 thread"]);
+    row(&cells!["log2(K)", "threads", "seconds", "speedup vs 1 thread"]);
 
     for k in [1u64 << 6, 1 << 12, 1 << 18] {
         let keys = generate(Distribution::Uniform, n, k, 42);
@@ -39,7 +38,7 @@ fn main() {
             let cfg = sweep_cfg(Strategy::Adaptive(AdaptiveParams::default()), t);
             let (secs, _) = time_distinct(&keys, &cfg, repeats);
             let baseline = *base.get_or_insert(secs);
-            out.row(&cells![k.ilog2(), t, format!("{secs:.4}"), format!("{:.2}", baseline / secs)]);
+            row(&cells![k.ilog2(), t, format!("{secs:.4}"), format!("{:.2}", baseline / secs)]);
             t *= 2;
         }
     }

@@ -16,7 +16,6 @@ use hsa_core::{aggregate, AdaptiveParams, Strategy};
 use hsa_datagen::{generate, generate_values, Distribution};
 
 fn main() {
-    let mut out = Sidecar::from_args("fig07");
     let rows_log2: u32 = arg(1).unwrap_or(21);
     let n = 1usize << rows_log2;
     let threads = default_threads();
@@ -24,7 +23,7 @@ fn main() {
 
     println!("# Figure 7: ns per element-cell vs number of aggregate columns, N = 2^{rows_log2}");
     println!("# expectation: roughly flat per K (columns scale linearly)");
-    out.header(&cells!["log2(K)", "C", "ns/element-cell", "total seconds"]);
+    row(&cells!["log2(K)", "C", "ns/element-cell", "total seconds"]);
 
     let value_cols: Vec<Vec<u64>> = (0..8).map(|i| generate_values(n, 100 + i)).collect();
 
@@ -35,7 +34,7 @@ fn main() {
             let specs: Vec<AggSpec> = (0..c).map(AggSpec::sum).collect();
             let cfg = sweep_cfg(Strategy::Adaptive(AdaptiveParams::default()), threads);
             let (secs, _) = median_secs(repeats, || aggregate(&keys, &inputs, &specs, &cfg));
-            out.row(&cells![
+            row(&cells![
                 k.ilog2(),
                 c,
                 format!("{:.2}", element_time_ns(secs, threads, n, c + 1)),

@@ -20,7 +20,6 @@ use hsa_core::{AdaptiveParams, Strategy};
 use hsa_datagen::{generate, Distribution};
 
 fn main() {
-    let mut out = Sidecar::from_args("fig08");
     let rows_log2: u32 = arg(1).unwrap_or(22);
     let n = 1usize << rows_log2;
     let threads = default_threads();
@@ -33,7 +32,7 @@ fn main() {
     println!("# element time in ns; baselines get k_hint = true K (§6.4)");
     let mut header = vec!["log2(K)".to_string(), "ADAPTIVE".to_string()];
     header.extend(baselines.iter().map(|b| b.name().to_string()));
-    out.header(&header);
+    row(&header);
 
     for k in k_sweep(4, rows_log2) {
         let keys = generate(Distribution::Uniform, n, k, 42);
@@ -53,6 +52,6 @@ fn main() {
             let (secs, _) = median_secs(repeats, || b.run(&keys, &bcfg));
             line.push(format!("{:.1}", element_time_ns(secs, threads, n, 1)));
         }
-        out.row(&line);
+        row(&line);
     }
 }

@@ -16,7 +16,6 @@ use hsa_core::{distinct, AdaptiveParams, Strategy};
 use hsa_datagen::{generate, Distribution};
 
 fn main() {
-    let mut out = Sidecar::from_args("fig09");
     let rows_log2: u32 = arg(1).unwrap_or(22);
     let n = 1usize << rows_log2;
     let threads = default_threads();
@@ -24,7 +23,7 @@ fn main() {
 
     println!("# Figure 9: ADAPTIVE per distribution, N = 2^{rows_log2}, P = {threads}");
     println!("# hash% = share of rows routed through HASHING (the paper's solid markers)");
-    out.header(&cells!["distribution", "log2(K)", "ns/element", "hash%", "groups"]);
+    row(&cells!["distribution", "log2(K)", "ns/element", "hash%", "groups"]);
 
     for dist in Distribution::all() {
         for k in k_sweep(6, rows_log2).into_iter().step_by(2) {
@@ -33,7 +32,7 @@ fn main() {
             let (secs, (agg, stats)) = median_secs(repeats, || distinct(&keys, &cfg));
             let hash_share = 100.0 * stats.total_hash_rows() as f64
                 / (stats.total_hash_rows() + stats.total_part_rows()).max(1) as f64;
-            out.row(&cells![
+            row(&cells![
                 dist.name(),
                 k.ilog2(),
                 format!("{:.1}", element_time_ns(secs, threads, n, 1)),

@@ -16,7 +16,6 @@ use hsa_core::Strategy;
 use hsa_datagen::{generate, Distribution};
 
 fn main() {
-    let mut out = Sidecar::from_args("fig10");
     let rows_log2: u32 = arg(1).unwrap_or(22);
     let n = 1usize << rows_log2;
     let threads = default_threads();
@@ -24,7 +23,7 @@ fn main() {
 
     println!("# Figure 10: HashingOnly vs PartitionAlways(1) as a function of observed alpha");
     println!("# N = 2^{rows_log2}; alpha = N / rows entering pass 2 under HashingOnly");
-    out.header(&cells![
+    row(&cells![
         "distribution",
         "log2(K)",
         "alpha",
@@ -59,7 +58,7 @@ fn main() {
             let h_ns = element_time_ns(h_secs, threads, n, 1);
             let p_ns = element_time_ns(p_secs, threads, n, 1);
             let hash_wins = h_ns < p_ns;
-            out.row(&cells![
+            row(&cells![
                 dist.name(),
                 e,
                 format!("{alpha:.1}"),

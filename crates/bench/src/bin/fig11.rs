@@ -16,21 +16,20 @@ use hsa_core::{AdaptiveParams, Strategy};
 use hsa_datagen::{generate, Distribution};
 
 fn main() {
-    let mut out = Sidecar::from_args("fig11");
     let rows_log2: u32 = arg(1).unwrap_or(22);
     let n = 1usize << rows_log2;
     let threads = default_threads();
     let repeats = repeats_for(n).min(3);
 
     println!("# Figure 11: impact of switch-back constant c, uniform, N = 2^{rows_log2}");
-    out.header(&cells!["log2(K)", "c", "ns/element", "switches to part", "switches back"]);
+    row(&cells!["log2(K)", "c", "ns/element", "switches to part", "switches back"]);
 
     for k in [1u64 << 10, 1 << 16, 1u64 << (rows_log2 - 2)] {
         let keys = generate(Distribution::Uniform, n, k, 42);
         for c in [0.25, 1.0, 2.0, 5.0, 10.0, 20.0, 100.0] {
             let cfg = sweep_cfg(Strategy::Adaptive(AdaptiveParams { alpha0: 11.0, c }), threads);
             let (secs, stats) = time_distinct(&keys, &cfg, repeats);
-            out.row(&cells![
+            row(&cells![
                 k.ilog2(),
                 c,
                 format!("{:.1}", element_time_ns(secs, threads, n, 1)),

@@ -10,14 +10,9 @@
 //!   cache miss.
 //! * **Median of repeats**: "all presented numbers are the median of 10
 //!   runs"; the repeat count scales down for the slowest configurations.
-//!
-//! Every binary also accepts `--json <path>` and then writes the tables it
-//! printed as a machine-readable sidecar (see [`Sidecar`]).
 
-use hsa_obs::json::JsonValue;
 use std::time::Instant;
 
-pub mod diff;
 pub mod ladder;
 
 /// Measure `f`, returning (median seconds, last result).
@@ -55,24 +50,9 @@ pub fn row(cells: &[String]) {
     println!("{}", cells.join("\t"));
 }
 
-/// CLI arguments with any `--json <path>` pair removed, program name
-/// excluded — what positional parsing should index into.
-pub fn positional_args() -> Vec<String> {
-    let mut out = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            let _ = args.next();
-        } else {
-            out.push(a);
-        }
-    }
-    out
-}
-
-/// Parse positional CLI argument `i` (1-based, flags skipped) as a number.
+/// Parse positional CLI argument `i` (1-based) as a number.
 pub fn arg<T: std::str::FromStr>(i: usize) -> Option<T> {
-    positional_args().get(i - 1).and_then(|s| s.parse().ok())
+    std::env::args().nth(i).and_then(|s| s.parse().ok())
 }
 
 /// Repeat counts that keep total run time reasonable at any size.
@@ -120,106 +100,6 @@ pub fn time_distinct(
     (secs, stats)
 }
 
-/// TSV printer that doubles as a JSON sidecar writer.
-///
-/// Every `fig*` binary routes its tables through one of these: rows still
-/// print as TSV for eyeballing and plotting scripts, and when the binary
-/// was invoked with `--json <path>` the same tables are written on drop as
-///
-/// ```json
-/// {"bench": "fig04", "tables": [{"columns": [...], "rows": [[...], ...]}]}
-/// ```
-///
-/// with cells that parse as numbers emitted as JSON numbers.
-pub struct Sidecar {
-    name: String,
-    path: Option<String>,
-    tables: Vec<(Vec<String>, Vec<Vec<String>>)>,
-}
-
-impl Sidecar {
-    /// Build from `std::env::args`, honoring `--json <path>`.
-    pub fn from_args(name: &str) -> Self {
-        let mut path = None;
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            if a == "--json" {
-                path = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--json needs a path");
-                    std::process::exit(2);
-                }));
-            }
-        }
-        Self { name: name.to_string(), path, tables: Vec::new() }
-    }
-
-    /// Print a header row and start a new table in the sidecar.
-    pub fn header(&mut self, cells: &[String]) {
-        row(cells);
-        self.tables.push((cells.to_vec(), Vec::new()));
-    }
-
-    /// Print a data row and append it to the current table.
-    pub fn row(&mut self, cells: &[String]) {
-        row(cells);
-        if self.tables.is_empty() {
-            self.tables.push((Vec::new(), Vec::new()));
-        }
-        let Some(table) = self.tables.last_mut() else { return };
-        table.1.push(cells.to_vec());
-    }
-
-    fn json_cell(cell: &str) -> JsonValue {
-        if let Ok(u) = cell.parse::<u64>() {
-            JsonValue::U64(u)
-        } else if let Ok(f) = cell.parse::<f64>() {
-            JsonValue::F64(f)
-        } else {
-            JsonValue::Str(cell.to_string())
-        }
-    }
-
-    /// The sidecar document for the tables collected so far.
-    pub fn to_json(&self) -> JsonValue {
-        let tables: Vec<JsonValue> = self
-            .tables
-            .iter()
-            .map(|(header, rows)| {
-                JsonValue::obj([
-                    ("columns", JsonValue::Array(header.iter().map(JsonValue::str).collect())),
-                    (
-                        "rows",
-                        JsonValue::Array(
-                            rows.iter()
-                                .map(|r| {
-                                    JsonValue::Array(r.iter().map(|c| Self::json_cell(c)).collect())
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        JsonValue::obj([
-            ("bench", JsonValue::str(&self.name)),
-            ("tables", JsonValue::Array(tables)),
-        ])
-    }
-}
-
-impl Drop for Sidecar {
-    fn drop(&mut self) {
-        if let Some(path) = &self.path {
-            let text = self.to_json().to_string_pretty(2);
-            if let Err(e) = std::fs::write(path, text + "\n") {
-                eprintln!("failed to write {path}: {e}");
-            } else {
-                eprintln!("# wrote JSON sidecar to {path}");
-            }
-        }
-    }
-}
-
 /// Format helper for mixed cells.
 #[macro_export]
 macro_rules! cells {
@@ -259,22 +139,6 @@ mod tests {
     fn k_sweep_endpoints() {
         let ks = k_sweep(4, 8);
         assert_eq!(ks, vec![16, 32, 64, 128, 256]);
-    }
-
-    #[test]
-    fn sidecar_collects_tables_and_serializes() {
-        let mut s = Sidecar { name: "test".into(), path: None, tables: Vec::new() };
-        s.header(&cells!["k", "ns"]);
-        s.row(&cells![16, format!("{:.1}", 2.5)]);
-        s.row(&cells![32, "fast"]);
-        let parsed = hsa_obs::json::parse(&s.to_json().to_string_pretty(2)).unwrap();
-        assert_eq!(parsed.get("bench").unwrap().as_str(), Some("test"));
-        let tables = parsed.get("tables").unwrap().as_array().unwrap();
-        assert_eq!(tables.len(), 1);
-        let rows = tables[0].get("rows").unwrap().as_array().unwrap();
-        assert_eq!(rows[0].as_array().unwrap()[0].as_u64(), Some(16));
-        assert_eq!(rows[0].as_array().unwrap()[1].as_f64(), Some(2.5));
-        assert_eq!(rows[1].as_array().unwrap()[1].as_str(), Some("fast"));
     }
 
     #[test]

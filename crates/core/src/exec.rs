@@ -72,12 +72,6 @@ impl ExecEnv {
         self.disk = disk;
         self
     }
-
-    /// Replace the spill I/O configuration (worker threads).
-    pub fn with_spill_config(mut self, spill: SpillConfig) -> Self {
-        self.spill = spill;
-        self
-    }
 }
 
 /// The allocation gate the routines reserve memory through: budget +
@@ -241,14 +235,12 @@ mod tests {
             .with_cancel(CancelToken::new())
             .with_faults(FaultInjector::new(FaultPlan { fail_alloc: Some(1), ..FaultPlan::none() }))
             .with_spill_dir("/tmp/hsa-spill-test")
-            .with_disk_budget(DiskBudget::limited(4096))
-            .with_spill_config(SpillConfig { io_threads: 0 });
+            .with_disk_budget(DiskBudget::limited(4096));
         assert_eq!(env.budget.limit(), Some(1024));
         assert!(env.cancel.check().is_ok());
         assert!(env.faults.should_fail_alloc());
         assert_eq!(env.spill_dir.as_deref(), Some(std::path::Path::new("/tmp/hsa-spill-test")));
         assert_eq!(env.disk.limit(), Some(4096));
-        assert_eq!(env.spill.io_threads, 0);
         assert!(ExecEnv::default().spill_dir.is_none());
         assert_eq!(ExecEnv::default().disk.limit(), None);
         assert_eq!(ExecEnv::default().spill, SpillConfig::default());

@@ -327,7 +327,7 @@ fn worker_pool_json(w: &WorkerPoolMetrics) -> JsonValue {
 }
 
 /// JSON form of the scheduler counters.
-pub fn pool_json(pool: &PoolMetrics) -> JsonValue {
+fn pool_json(pool: &PoolMetrics) -> JsonValue {
     JsonValue::obj([
         ("totals", worker_pool_json(&pool.totals())),
         ("workers", JsonValue::Array(pool.workers.iter().map(worker_pool_json).collect())),

@@ -23,7 +23,7 @@ impl Murmur2 {
 
     /// Create a hasher with an explicit seed.
     #[inline]
-    pub const fn with_seed(seed: u64) -> Self {
+    const fn with_seed(seed: u64) -> Self {
         Self { seed }
     }
 

@@ -25,7 +25,7 @@ impl Histogram {
 
     /// Bucket index of `value`.
     #[inline]
-    pub fn bucket_of(value: u64) -> usize {
+    fn bucket_of(value: u64) -> usize {
         if value == 0 {
             0
         } else {

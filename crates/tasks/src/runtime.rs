@@ -428,9 +428,8 @@ impl RuntimeInner {
 }
 
 /// The process-wide shared worker runtime: one pool of worker threads,
-/// started on first use and sized to the machine (overridable with
-/// `HSA_RUNTIME_THREADS`), executing the tasks of every admitted query
-/// with round-robin fairness across queries.
+/// started on first use and sized to the machine, executing the tasks of
+/// every admitted query with round-robin fairness across queries.
 pub struct Runtime {
     inner: Arc<RuntimeInner>,
 }
@@ -439,7 +438,9 @@ impl Runtime {
     /// The shared runtime, started on first use.
     pub fn global() -> &'static Runtime {
         static GLOBAL: OnceLock<Runtime> = OnceLock::new();
-        GLOBAL.get_or_init(|| Runtime::start(default_workers()))
+        GLOBAL.get_or_init(|| {
+            Runtime::start(std::thread::available_parallelism().map_or(1, |n| n.get()))
+        })
     }
 
     fn start(workers: usize) -> Runtime {
@@ -474,17 +475,6 @@ impl Runtime {
         let id = QueryId(self.inner.next_id.fetch_add(1, Ordering::Relaxed));
         QueryHandle { runtime: Arc::clone(&self.inner), id, threads: threads.max(1) }
     }
-}
-
-/// Number of shared workers: the machine's parallelism, overridable with
-/// `HSA_RUNTIME_THREADS` (useful for tests and benchmarks on small boxes).
-fn default_workers() -> usize {
-    if let Ok(v) = std::env::var("HSA_RUNTIME_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.clamp(1, 512);
-        }
-    }
-    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
 /// One admitted query's ticket into the shared runtime: a stable
@@ -698,5 +688,84 @@ mod tests {
         let (inside, _) = two.scope_observed(|s| listed(s.query_id()));
         assert!(inside, "a two-slot scope is listed while it runs");
         assert!(!listed(two.id()), "and delisted when it winds down");
+    }
+
+    /// How long a rendezvous waits before it breaks. It only turns a hang
+    /// into a failure: nothing is timed.
+    const HANG_GUARD: Duration = Duration::from_secs(10);
+
+    /// A barrier of `parties` that breaks, releasing every waiter, when it
+    /// has not filled within [`HANG_GUARD`].
+    struct Rendezvous {
+        /// Arrivals before any break, and whether it broke.
+        state: std::sync::Mutex<(usize, bool)>,
+        cv: std::sync::Condvar,
+        parties: usize,
+    }
+
+    impl Rendezvous {
+        /// Arrive and wait; whether every party arrived before the break.
+        fn meet(&self) -> bool {
+            let mut state = self.state.lock().unwrap();
+            if state.1 {
+                return false;
+            }
+            state.0 += 1;
+            self.cv.notify_all();
+            let (mut state, _) = self
+                .cv
+                .wait_timeout_while(state, HANG_GUARD, |&mut (arrived, broken)| {
+                    arrived < self.parties && !broken
+                })
+                .unwrap();
+            if state.0 < self.parties {
+                state.1 = true;
+                self.cv.notify_all();
+            }
+            state.0 == self.parties
+        }
+    }
+
+    /// Two queries of two slots each run at once on a private two-worker
+    /// runtime, and each spawns two tasks that meet at one 4-party
+    /// rendezvous. A query's slot 0 is its submitting thread and it has one
+    /// other slot, so the rendezvous fills only when each query holds a
+    /// shared worker at the same moment: the runtime does not serialise
+    /// concurrent queries. The counted cells say so: slot 1 of each query
+    /// ran a task.
+    #[test]
+    fn concurrent_queries_each_hold_a_shared_worker_at_once() {
+        let runtime = Runtime::start(2);
+        let rendezvous =
+            Rendezvous { state: Default::default(), cv: Default::default(), parties: 4 };
+        let queries = [runtime.admit(2), runtime.admit(2)];
+        let ran: Vec<(usize, PoolMetrics)> = std::thread::scope(|threads| {
+            let submitters: Vec<_> = queries
+                .iter()
+                .map(|query| {
+                    let rendezvous = &rendezvous;
+                    threads.spawn(move || {
+                        let met = AtomicUsize::new(0);
+                        let ((), pool) = query.scope_observed(|s| {
+                            for _ in 0..2 {
+                                let met = &met;
+                                s.spawn(move |_| {
+                                    if rendezvous.meet() {
+                                        // ORDERING: Relaxed — read after the scope's quiescence.
+                                        met.fetch_add(1, Ordering::Relaxed);
+                                    }
+                                });
+                            }
+                        });
+                        (met.into_inner(), pool)
+                    })
+                })
+                .collect();
+            submitters.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        let slot_one: Vec<u64> =
+            ran.iter().map(|(_, pool)| pool.workers[1].tasks_executed).collect();
+        assert!(slot_one.iter().all(|&tasks| tasks >= 1), "slot 1 tasks {slot_one:?}: {ran:?}");
+        assert!(ran.iter().all(|&(met, _)| met == 2), "the rendezvous broke: {ran:?}");
     }
 }

@@ -30,7 +30,5 @@ run fig09 "$ROWS"
 run fig10 "$ROWS"
 run fig11 "$ROWS"
 run ablation_fill "$ROWS"
-run ablation_spill "$ROWS"
-run ablation_concurrency "$((ROWS - 2))"
 
 echo "All figures written to $OUT/"

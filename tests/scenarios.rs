@@ -872,7 +872,7 @@ mod named {
     use hashing_is_sorting::datagen::Distribution::*;
     use hashing_is_sorting::{AggFn::*, SpillFaultKind::*, Strategy::*};
 
-    /// ROADMAP item 1, `ablation_spill 20`'s 1.25x rung: at two workers a
+    /// ROADMAP item 1, the spill ablation's 1.25x rung at 2^20 rows: at two workers a
     /// reservation that cannot spill (an output block, a seal's scratch)
     /// was denied because resident runs, which may fill the budget, got
     /// there first. Such a request now reclaims them.
@@ -904,18 +904,19 @@ mod named {
         assert!(result.is_ok(), "{:?}", result.err());
     }
 
-    /// A denial spills in proportion to the overflow: one uniform input
-    /// under 1.5x, 2x and 3x its output state (2^19 groups, a key and two
-    /// states each), at one and two workers, spills no more bytes as the
-    /// budget grows. (When a denial spilled the writer's whole content,
-    /// one worker spilled 27.6, 17.3 and 32.8 MB here.)
+    /// The budget ladder: one uniform input under 1.25x, 1.5x, 2x, 3x and
+    /// 4x its output state (2^19 groups, a key and two states each), at one
+    /// and two workers. Every rung completes, and since a denial spills in
+    /// proportion to the overflow, no rung spills more bytes than a tighter
+    /// one. (When a denial spilled the writer's whole content, one worker
+    /// spilled 27.6, 17.3 and 32.8 MB at 1.5x, 2x and 3x.)
     #[test]
     fn spilled_bytes_fall_as_the_budget_grows() {
         let output = (1u64 << 19) * 8 * 3;
         for threads in [1, 2] {
-            let spilled: Vec<u64> = [3, 4, 6]
+            let spilled: Vec<u64> = [5, 6, 8, 12, 16]
                 .into_iter()
-                .map(|halves| {
+                .map(|quarters| {
                     let s = Scenario {
                         keys: Data(Uniform),
                         n: 1 << 21,
@@ -928,7 +929,7 @@ mod named {
                         morsel_rows: 1 << 16,
                         threads,
                         cuts: Every(1 << 16),
-                        mem_budget: Some(output * halves / 2),
+                        mem_budget: Some(output * quarters / 4),
                         disk_budget: None,
                         spill: true,
                         io_threads: 1,
@@ -939,7 +940,7 @@ mod named {
                         door: Stream,
                     };
                     let result = check(&s).result;
-                    assert!(result.is_ok(), "{threads} threads, {halves}/2x: {:?}", result.err());
+                    assert!(result.is_ok(), "{threads} threads, {quarters}/4x: {:?}", result.err());
                     result.unwrap().stats.spilled_bytes
                 })
                 .collect();
