@@ -15,15 +15,17 @@
 //!
 //! [`AggFn`] is the logical function a query asks for; [`plan`] lowers a
 //! list of them to physical [`StateOp`] columns plus [`Finalizer`]s that
-//! compute the visible output from the state columns.
+//! compute the visible output from the state columns; [`fold_column`]
+//! folds one state column through the key pass's mapping vector.
 
 #![forbid(unsafe_code)]
 
 mod fold;
 mod ops;
 mod planning;
+pub mod shims;
 
-pub use fold::{fold_column, fold_op};
+pub use fold::fold_column;
 pub use ops::StateOp;
 pub use planning::{plan, AggSpec, Finalizer, PhysicalCol, Plan};
 

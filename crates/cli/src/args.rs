@@ -27,9 +27,8 @@ pub struct CliArgs {
     pub aggs: Vec<(String, String, String)>,
     /// Operator configuration.
     pub config: AggregateConfig,
-    /// Print the full run report after the result.
-    pub show_stats: bool,
-    /// Print the EXPLAIN ANALYZE phase tree after the result.
+    /// Print the run report (the counters, then the EXPLAIN ANALYZE phase
+    /// tree) after the result.
     pub explain: bool,
     /// Emit a live progress heartbeat to stderr every this many
     /// milliseconds (`--progress <ms>`).
@@ -56,7 +55,7 @@ pub struct CliArgs {
 impl CliArgs {
     /// Whether any form of deep observability was requested.
     pub fn wants_metrics(&self) -> bool {
-        self.show_stats || self.stats_json.is_some() || self.explain
+        self.stats_json.is_some() || self.explain
     }
 }
 
@@ -99,12 +98,11 @@ options:
                           (K/M/G suffixes accepted); exceeding it fails
                           the query with a disk-budget error (exit 2)
                           instead of filling the disk
-  --stats                 print the full run report (per-level passes,
-                          probe lengths, partition bytes, switch alphas, ...)
-  --explain               print the EXPLAIN ANALYZE operator tree: per
-                          level and phase, exclusive time, % of wall
-                          clock, rows in/out, and the observed reduction
-                          factor alpha
+  --explain               print the run report: rows, seals, switches,
+                          spill, pool and histogram counters, then the
+                          EXPLAIN ANALYZE operator tree (per level and
+                          phase: exclusive time, % of wall clock, rows
+                          in/out, the observed reduction factor alpha)
   --progress <ms>         emit a live heartbeat line to stderr every <ms>
                           milliseconds (rows/s, current phases, budget
                           usage) from a background sampler thread
@@ -148,7 +146,6 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<CliArgs, Usa
     let mut group_by = Vec::new();
     let mut aggs: Vec<(String, String, String)> = Vec::new();
     let mut config = AggregateConfig::default();
-    let mut show_stats = false;
     let mut explain = false;
     let mut progress_ms = None;
     let mut stats_json = None;
@@ -184,7 +181,6 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<CliArgs, Usa
                 let v = take_value(&mut args, "--strategy")?;
                 config.strategy = parse_strategy(&v)?;
             }
-            "--stats" => show_stats = true,
             "--explain" => explain = true,
             "--progress" => {
                 let v = take_value(&mut args, "--progress")?;
@@ -230,7 +226,6 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<CliArgs, Usa
         group_by,
         aggs,
         config,
-        show_stats,
         explain,
         progress_ms,
         stats_json,
@@ -300,7 +295,7 @@ mod tests {
             "3",
             "--strategy",
             "partition:2",
-            "--stats",
+            "--explain",
         ])
         .unwrap();
         assert_eq!(a.file, "data.csv");
@@ -315,22 +310,22 @@ mod tests {
         );
         assert_eq!(a.config.threads, 3);
         assert_eq!(a.config.strategy, Strategy::PartitionAlways { passes: 2 });
-        assert!(a.show_stats);
+        assert!(a.explain);
     }
 
     #[test]
     fn defaults() {
         let a = parse(&["f.csv", "--group-by", "k"]).unwrap();
         assert!(a.aggs.is_empty());
-        assert!(!a.show_stats);
+        assert!(!a.explain);
         assert!(matches!(a.config.strategy, Strategy::Adaptive(_)));
     }
 
     #[test]
     fn count_without_name() {
-        let a = parse(&["f.csv", "--group-by", "k", "--count", "--stats"]).unwrap();
+        let a = parse(&["f.csv", "--group-by", "k", "--count", "--explain"]).unwrap();
         assert_eq!(a.aggs[0].2, "count");
-        assert!(a.show_stats);
+        assert!(a.explain);
     }
 
     #[test]
@@ -342,7 +337,7 @@ mod tests {
     #[test]
     fn value_flags_require_values() {
         assert!(parse(&["f.csv", "--group-by"]).is_err());
-        assert!(parse(&["f.csv", "--group-by", "k", "--sum", "--stats"]).is_err());
+        assert!(parse(&["f.csv", "--group-by", "k", "--sum", "--explain"]).is_err());
     }
 
     #[test]
@@ -374,7 +369,7 @@ mod tests {
         .unwrap();
         assert_eq!(a.stats_json.as_deref(), Some("report.json"));
         assert_eq!(a.trace.as_deref(), Some("trace.json"));
-        assert!(!a.show_stats);
+        assert!(!a.explain);
         assert!(a.wants_metrics(), "--stats-json implies metrics collection");
 
         let b = parse(&["f.csv", "--group-by", "k"]).unwrap();
@@ -382,7 +377,7 @@ mod tests {
         assert!(b.trace.is_none());
 
         assert!(parse(&["f.csv", "--group-by", "k", "--stats-json"]).is_err());
-        assert!(parse(&["f.csv", "--group-by", "k", "--trace", "--stats"]).is_err());
+        assert!(parse(&["f.csv", "--group-by", "k", "--trace", "--explain"]).is_err());
     }
 
     #[test]

@@ -31,11 +31,11 @@ use hashing_is_sorting::{
 use std::time::Duration;
 
 /// Everything one CLI invocation produced: the rendered result table plus
-/// the run report behind `--stats` / `--stats-json` / `--trace`.
+/// the run report behind `--explain` / `--stats-json` / `--trace`.
 #[derive(Debug)]
 pub struct CliRun {
-    /// Aligned result table, with the pretty report appended when
-    /// `--stats` was given.
+    /// Aligned result table, with the run report appended when
+    /// `--explain` was given.
     pub rendered: String,
     /// The operator's run report (deep sections populated only when
     /// requested).
@@ -105,10 +105,6 @@ pub fn run_on_csv_text(text: &str, args: &CliArgs) -> Result<CliRun, CliError> {
             Some(dict) => dict.decode_str(v).unwrap_or("<?>").to_string(),
             None => v.to_string(),
         });
-    if args.show_stats {
-        out.push('\n');
-        out.push_str(&result.report.pretty());
-    }
     if args.explain {
         out.push('\n');
         out.push_str(&result.report.explain());
@@ -172,26 +168,17 @@ mod tests {
     }
 
     #[test]
-    fn stats_flag_appends_the_full_report() {
-        let a = args(&["x.csv", "--group-by", "country", "--stats"]);
-        let run = run_on_csv_text(CSV, &a).unwrap();
-        assert!(run.rendered.contains("rows in            4"), "{}", run.rendered);
-        assert!(run.rendered.contains("groups out         2"), "{}", run.rendered);
-        assert!(run.rendered.contains("passes used"), "{}", run.rendered);
-        // --stats implies deep metrics; tracing stays off.
-        assert!(run.report.metrics.is_some());
-        assert!(run.report.trace_json.is_none());
-    }
-
-    #[test]
     fn explain_flag_appends_the_phase_tree() {
         let a = args(&["x.csv", "--group-by", "country", "--sum", "amount", "--explain"]);
         let run = run_on_csv_text(CSV, &a).unwrap();
+        assert!(run.rendered.contains("rows 4 in → 2 groups out"), "{}", run.rendered);
         assert!(run.rendered.contains("query · wall"), "{}", run.rendered);
         assert!(run.rendered.contains("hash_insert"), "{}", run.rendered);
         assert!(run.rendered.contains("output"), "{}", run.rendered);
-        // --explain implies deep metrics and a profile in the report.
+        // --explain implies deep metrics and a profile in the report;
+        // tracing stays off.
         assert!(run.report.profile.is_some());
+        assert!(run.report.trace_json.is_none());
         let json = run.report.to_json().to_string_compact();
         assert!(json.contains("\"profile\""), "{json}");
     }
@@ -371,8 +358,8 @@ mod tests {
             "t.json",
         ]);
         let run = run_on_csv_text(CSV, &a).unwrap();
-        // No report text on stdout unless --stats was given...
-        assert!(!run.rendered.contains("rows in"));
+        // No report text on stdout unless --explain was given...
+        assert!(!run.rendered.contains("groups out"));
         // ...but both artifacts are present and valid JSON.
         let report = json::parse(&run.report.to_json().to_string_pretty(2)).unwrap();
         assert_eq!(report.get("rows_in").unwrap().as_u64(), Some(4));

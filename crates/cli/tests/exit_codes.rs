@@ -48,10 +48,12 @@ fn help_is_zero_and_prints_usage() {
 
 #[test]
 fn usage_error_is_invalid_input() {
-    // `--kernel`, `--spill-compress` and `--spill-io-threads` were flags
-    // once; they are rejected like any unknown one, naming the flag.
+    // `--kernel`, `--spill-compress`, `--spill-io-threads` and `--stats`
+    // were flags once; they are rejected like any unknown one, naming the
+    // flag.
     for (args, named) in [
         (&["--frobnicate"][..], "--frobnicate"),
+        (&["x.csv", "--group-by", "k", "--stats"], "--stats"),
         (&["--kernel", "scalar"], "--kernel"),
         (&["f.csv", "--group-by", "k", "--spill-compress", "auto"], "--spill-compress"),
         (&["f.csv", "--group-by", "k", "--spill-io-threads", "0"], "--spill-io-threads"),

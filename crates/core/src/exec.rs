@@ -55,12 +55,6 @@ impl ExecEnv {
         self
     }
 
-    /// Replace the fault injector.
-    pub fn with_faults(mut self, faults: FaultInjector) -> Self {
-        self.faults = faults;
-        self
-    }
-
     /// Enable spilling to the given directory (created on first use).
     pub fn with_spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
@@ -230,12 +224,12 @@ mod tests {
 
     #[test]
     fn env_builders_compose() {
-        let env = ExecEnv::unrestricted()
+        let mut env = ExecEnv::unrestricted()
             .with_budget(MemoryBudget::limited(1024))
             .with_cancel(CancelToken::new())
-            .with_faults(FaultInjector::new(FaultPlan { fail_alloc: Some(1), ..FaultPlan::none() }))
             .with_spill_dir("/tmp/hsa-spill-test")
             .with_disk_budget(DiskBudget::limited(4096));
+        env.faults = FaultInjector::new(FaultPlan { fail_alloc: Some(1), ..FaultPlan::none() });
         assert_eq!(env.budget.limit(), Some(1024));
         assert!(env.cancel.check().is_ok());
         assert!(env.faults.should_fail_alloc());

@@ -17,11 +17,11 @@ use crate::obs::Obs;
 use crate::partitioning::RunWriter;
 use crate::sink::RunSink;
 use crate::view::{RunView, StateCols};
+use hsa_agg::shims::KernelKind;
 use hsa_columnar::{ChunkedVec, Run, RunHandle};
 use hsa_fault::{AggError, Reservation};
 use hsa_hash::Murmur2;
 use hsa_hashtbl::{AggTable, BatchInsert};
-use hsa_kernels::KernelKind;
 use hsa_obs::{Counter, Hist, LevelCounter, Phase};
 
 /// Outcome of hashing (part of) a run.

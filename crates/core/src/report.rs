@@ -6,11 +6,11 @@
 //! [`hsa_obs::MetricsSnapshot`] and the [`ProfileTree`] — beside the
 //! scheduler counters ([`hsa_tasks::PoolMetrics`]) and the rendered
 //! Chrome trace. It serializes to JSON with the dependency-free writer in
-//! `hsa_obs::json` and pretty-prints for the CLI's `--stats`.
+//! `hsa_obs::json` and renders for the CLI's `--explain`.
 
 use crate::stats::OpStats;
 use hsa_obs::json::JsonValue;
-use hsa_obs::{Counter, Hist, MetricsSnapshot, ProfileTree, WorkerSnapshot};
+use hsa_obs::{Counter, Hist, MetricsSnapshot, ProfileTree};
 use hsa_tasks::{PoolMetrics, WorkerPoolMetrics};
 
 /// Version of the [`RunReport::to_json`] schema, emitted as
@@ -127,92 +127,55 @@ impl RunReport {
         JsonValue::Object(pairs)
     }
 
-    /// The `--explain` rendering: the indented phase tree, or a hint when
-    /// the run was not profiled.
+    /// The `--explain` rendering, the one human-readable report: what the
+    /// run counted — rows and groups, seals and switches, robustness, spill
+    /// and disk, the scheduler, and with deep metrics the probe, fill, skew
+    /// and morsel histograms and the mean α at switches — then the indented
+    /// phase tree, or a hint when the run was not profiled.
     pub fn explain(&self) -> String {
-        match &self.profile {
-            Some(profile) => profile.render(),
-            None => "no profile collected (run with metrics enabled)\n".to_string(),
-        }
-    }
-
-    /// Multi-line human-readable rendering (the CLI's `--stats`).
-    pub fn pretty(&self) -> String {
         use std::fmt::Write;
         let mut s = String::new();
-        let ms = self.wall_nanos as f64 / 1e6;
-        let _ = writeln!(s, "query id           {}", self.query_id);
-        let _ = writeln!(s, "rows in            {}", self.rows_in);
-        let _ = writeln!(s, "groups out         {}", self.groups_out);
-        let _ = writeln!(s, "threads            {}", self.threads);
+        let st = &self.stats;
         let _ = writeln!(
             s,
-            "wall time          {ms:.2} ms  ({:.1} M rows/s)",
+            "query {} · rows {} in → {} groups out · {} passes · {:.2} M rows/s",
+            self.query_id,
+            self.rows_in,
+            self.groups_out,
+            st.passes_used(),
             self.rows_per_sec() / 1e6
         );
-        let st = &self.stats;
-        let _ = writeln!(s, "passes used        {}", st.passes_used());
-        let _ = writeln!(s, "  level   hash_rows   part_rows   task_ms");
-        for lvl in 0..st.passes_used().max(1) {
-            let _ = writeln!(
-                s,
-                "  {lvl:<5} {:>11} {:>11} {:>9.2}",
-                st.hash_rows_per_level.get(lvl).copied().unwrap_or(0),
-                st.part_rows_per_level.get(lvl).copied().unwrap_or(0),
-                st.task_nanos_per_level.get(lvl).copied().unwrap_or(0) as f64 / 1e6,
-            );
-        }
         let _ = writeln!(
             s,
-            "seals {}   switches to partitioning {}   to hashing {}   fallback merges {}",
+            "seals {} · switches {} to partitioning, {} to hashing · fallback merges {}",
             st.seals, st.switches_to_partitioning, st.switches_to_hashing, st.fallback_merges
         );
         if st.budget_denials + st.budget_downgrades + st.cancellations + st.contained_panics > 0 {
             let _ = writeln!(
                 s,
-                "robustness         budget denials {}   downgrades {}   cancellations {}   contained panics {}",
+                "robustness · budget denials {} · downgrades {} · cancellations {} · contained panics {}",
                 st.budget_denials, st.budget_downgrades, st.cancellations, st.contained_panics
-            );
-        }
-        if st.budget_high_water_bytes > 0 {
-            let _ = writeln!(
-                s,
-                "budget high-water  {:.2} MiB",
-                st.budget_high_water_bytes as f64 / (1024.0 * 1024.0)
             );
         }
         if st.spilled_runs() > 0 {
             let _ = writeln!(
                 s,
-                "spill              runs {}   {} B out   restored {} ({} B)",
+                "spill · {} runs · {} B out · {} B encoded · restored {} ({} B) · {:.2} ms hidden · {:.2} ms waited",
                 st.spilled_runs(),
                 st.spilled_bytes,
+                st.spill_encoded_bytes,
                 st.restored_runs,
-                st.restored_bytes
+                st.restored_bytes,
+                st.overlapped_io_nanos as f64 / 1e6,
+                st.spill_io_wait_nanos as f64 / 1e6
             );
-            if st.spill_encoded_bytes > 0 {
-                let _ = writeln!(
-                    s,
-                    "spill compression  {} B on disk   ratio {:.2}",
-                    st.spill_encoded_bytes,
-                    st.spill_encoded_bytes as f64 / st.spilled_bytes.max(1) as f64
-                );
-            }
-            if st.overlapped_io_nanos + st.spill_io_wait_nanos > 0 {
-                let _ = writeln!(
-                    s,
-                    "spill overlap      {:.2} ms hidden   {:.2} ms waited",
-                    st.overlapped_io_nanos as f64 / 1e6,
-                    st.spill_io_wait_nanos as f64 / 1e6
-                );
-            }
         }
         if st.spill_retries + st.restore_retries + st.spill_io_abandons + st.spill_reclaimed_files
             > 0
         {
             let _ = writeln!(
                 s,
-                "spill i/o          retries {}+{}   abandons {}   reclaimed {} ({} B)",
+                "spill i/o · retries {}+{} · abandons {} · reclaimed {} ({} B)",
                 st.spill_retries,
                 st.restore_retries,
                 st.spill_io_abandons,
@@ -223,16 +186,15 @@ impl RunReport {
         if st.disk_high_water_bytes > 0 || st.disk_budget_denials > 0 {
             let _ = writeln!(
                 s,
-                "disk high-water    {:.2} MiB   denials {}",
-                st.disk_high_water_bytes as f64 / (1024.0 * 1024.0),
-                st.disk_budget_denials
+                "disk high-water {} B · denials {}",
+                st.disk_high_water_bytes, st.disk_budget_denials
             );
         }
         if let Some(pool) = &self.pool {
             let t = pool.totals();
             let _ = writeln!(
                 s,
-                "pool               tasks {}   steals {}   failed scans {}   idle {:.2} ms",
+                "pool · tasks {} · steals {} · failed scans {} · idle {:.2} ms",
                 t.tasks_executed,
                 t.steals,
                 t.failed_steal_scans,
@@ -243,41 +205,43 @@ impl RunReport {
             let m = metrics.merged();
             let _ = writeln!(
                 s,
-                "tables             inserts {}   probe steps {}   sealed {}",
+                "tables · inserts {} · probe steps {}",
                 m.counter(Counter::TableInserts),
-                m.counter(Counter::ProbeSteps),
-                m.counter(Counter::TablesSealed),
+                m.counter(Counter::ProbeSteps)
             );
-            let _ = writeln!(s, "  probe len        {}", hist_line(&m, Hist::ProbeLen));
-            let _ = writeln!(s, "  seal fill %      {}", hist_line(&m, Hist::SealFillPct));
-            let _ = writeln!(s, "partitioning       wrote {} B", m.counter(Counter::PartBytes),);
-            let _ = writeln!(s, "  digit skew %     {}", hist_line(&m, Hist::PartitionSkewPct));
-            let _ = writeln!(s, "  morsel rows      {}", hist_line(&m, Hist::MorselRows));
+            for (label, h) in [
+                ("probe len", Hist::ProbeLen),
+                ("seal fill %", Hist::SealFillPct),
+                ("digit skew %", Hist::PartitionSkewPct),
+                ("morsel rows", Hist::MorselRows),
+            ] {
+                let hist = m.hist(h);
+                if !hist.is_empty() {
+                    let _ = writeln!(
+                        s,
+                        "{label} · n {} · mean {:.2} · p99 ≤ {} · max {}",
+                        hist.count(),
+                        hist.mean(),
+                        hist.quantile_bound(0.99),
+                        hist.max()
+                    );
+                }
+            }
             if m.alpha_count() > 0 {
                 let _ = writeln!(
                     s,
-                    "alpha at switches  count {}   mean {:.2}",
+                    "α at switches · count {} · mean {:.2}",
                     m.alpha_count(),
                     m.alpha_sum() / m.alpha_count() as f64
                 );
             }
         }
+        match &self.profile {
+            Some(profile) => s.push_str(&profile.render()),
+            None => s.push_str("no profile collected (run with metrics enabled)\n"),
+        }
         s
     }
-}
-
-fn hist_line(w: &WorkerSnapshot, h: Hist) -> String {
-    let hist = w.hist(h);
-    if hist.is_empty() {
-        return "-".to_string();
-    }
-    format!(
-        "n {}   mean {:.2}   p99 ≤ {}   max {}",
-        hist.count(),
-        hist.mean(),
-        hist.quantile_bound(0.99),
-        hist.max()
-    )
 }
 
 /// JSON form of [`OpStats`].
@@ -337,6 +301,7 @@ fn pool_json(pool: &PoolMetrics) -> JsonValue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hsa_obs::{Phase, PhaseCell};
 
     fn sample_report() -> RunReport {
         let stats = OpStats {
@@ -369,8 +334,23 @@ mod tests {
         };
         let rec = hsa_obs::Recorder::deep(2);
         rec.add(0, Counter::TableInserts, 1000);
-        rec.observe(0, Hist::ProbeLen, 0);
+        rec.add(0, Counter::ProbeSteps, 1200);
+        for h in [Hist::ProbeLen, Hist::SealFillPct, Hist::PartitionSkewPct, Hist::MorselRows] {
+            rec.observe(0, h, 0);
+        }
         rec.record_alpha(1, 3.5);
+        let cell = |nanos, rows_in, rows_out, bytes| PhaseCell {
+            nanos,
+            calls: 1,
+            rows_in,
+            rows_out,
+            bytes,
+        };
+        rec.phase(0, 0, Phase::HashInsert, cell(4_000_000, 1000, 250, 0));
+        rec.phase(0, 0, Phase::Partition, cell(2_000_000, 500, 500, 4000));
+        rec.phase(1, 1, Phase::HashInsert, cell(1_000_000, 200, 40, 0));
+        let snapshot = rec.snapshot();
+        let profile = ProfileTree::build(&snapshot, 5_000_000, 2, 3 << 20, 0);
         RunReport {
             query_id: 7,
             rows_in: 1500,
@@ -379,37 +359,72 @@ mod tests {
             wall_nanos: 5_000_000,
             stats,
             pool: Some(pool),
-            metrics: Some(rec.snapshot()),
-            profile: None,
+            metrics: Some(snapshot),
+            profile: Some(profile),
             trace_json: None,
         }
     }
 
+    /// `--explain` is the one human report: it states every fact of the
+    /// run — the counters, the scheduler, the deep histograms and α — and
+    /// the phase tree's wall, threads, budget high water and per-level
+    /// rows and bytes.
     #[test]
-    fn pretty_mentions_the_headline_numbers() {
-        let report = sample_report();
-        let text = report.pretty();
-        assert!(text.contains("query id           7"));
-        assert!(text.contains("rows in            1500"));
+    fn explain_states_every_fact_of_the_run() {
+        let mut report = sample_report();
+        report.stats = OpStats {
+            switches_to_hashing: 1,
+            fallback_merges: 1,
+            budget_denials: 2,
+            budget_downgrades: 3,
+            cancellations: 4,
+            contained_panics: 5,
+            spill_encoded_bytes: 2048,
+            overlapped_io_nanos: 1_500_000,
+            spill_io_wait_nanos: 500_000,
+            spill_retries: 6,
+            restore_retries: 7,
+            spill_io_abandons: 8,
+            spill_reclaimed_files: 9,
+            spill_reclaimed_bytes: 999,
+            disk_high_water_bytes: 12345,
+            disk_budget_denials: 10,
+            ..report.stats
+        };
+        let text = report.explain();
+        for fact in [
+            "query 7 · rows 1500 in → 40 groups out · 2 passes · 0.30 M rows/s",
+            "seals 4 · switches 2 to partitioning, 1 to hashing · fallback merges 1",
+            "budget denials 2 · downgrades 3 · cancellations 4 · contained panics 5",
+            "spill · 3 runs · 4096 B out · 2048 B encoded · restored 3 (4096 B)",
+            "1.50 ms hidden · 0.50 ms waited",
+            "spill i/o · retries 6+7 · abandons 8 · reclaimed 9 (999 B)",
+            "disk high-water 12345 B · denials 10",
+            "pool · tasks 8 · steals 1 · failed scans 3 · idle 0.00 ms",
+            "tables · inserts 1000 · probe steps 1200",
+            "probe len · n 1 · mean 0.00",
+            "seal fill % · n 1",
+            "digit skew % · n 1",
+            "morsel rows · n 1",
+            "α at switches · count 1 · mean 3.50",
+            "query · wall 5.00 ms · 2 threads",
+            "budget high-water 3.00 MiB",
+            "level 0",
+            "hash_insert · 4.00 ms",
+            "rows 1000 → 250",
+            "partition · 2.00 ms",
+            "rows 500 → 500 · 3.91 KiB",
+            "level 1",
+            "rows 200 → 40",
+        ] {
+            assert!(text.contains(fact), "{fact:?} missing from:\n{text}");
+        }
         assert!(!text.contains("kernel"));
-        assert!(text.contains("passes used        2"));
-        assert!(text.contains("spill              runs 3"));
-        assert!(text.contains("steals 1"));
-        assert!(text.contains("inserts 1000"));
-        assert!(text.contains("alpha at switches  count 1   mean 3.50"));
     }
 
     #[test]
     fn explain_without_a_profile_says_so() {
-        let report = sample_report();
+        let report = RunReport { profile: None, ..sample_report() };
         assert!(report.explain().contains("no profile collected"));
-    }
-
-    #[test]
-    fn pretty_shows_the_budget_high_water_when_nonzero() {
-        let mut report = sample_report();
-        assert!(!report.pretty().contains("budget high-water"));
-        report.stats.budget_high_water_bytes = 3 * 1024 * 1024;
-        assert!(report.pretty().contains("budget high-water  3.00 MiB"));
     }
 }

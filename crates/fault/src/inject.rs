@@ -86,7 +86,7 @@ impl SpillFaultKind {
     }
 
     /// Whether this fault fires on the read (restore) path.
-    pub fn is_read(self) -> bool {
+    fn is_read(self) -> bool {
         !self.is_write()
     }
 

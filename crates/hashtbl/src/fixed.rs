@@ -24,8 +24,8 @@
 //! displacement) **sorted by hash value**, which is the paper's point:
 //! the fastest way to build a hash table is a sorting algorithm.
 
+use hsa_agg::shims::KernelKind;
 use hsa_hash::{digit, remaining_bits, Hasher64, FANOUT};
-use hsa_kernels::KernelKind;
 use hsa_obs::Histogram;
 
 /// Probe-behavior metrics of one [`AggTable`], collected only when enabled

@@ -1,7 +1,6 @@
 //! The repo-specific invariants `hsa-lint` enforces.
 //!
-//! Each check consumes scanned [`SourceLine`]s (or a raw `Cargo.toml`)
-//! and yields [`Finding`]s. The checks are deliberately line-oriented and
+//! Each check consumes scanned [`SourceLine`]s and yields [`Finding`]s. The checks are deliberately line-oriented and
 //! conservative: they flag what they can prove from the token channels,
 //! nothing speculative.
 
@@ -11,8 +10,6 @@ use std::fmt;
 /// Which invariant a finding violates.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Check {
-    /// An external dependency in a `Cargo.toml` (the std-only contract).
-    Deps,
     /// A documented out-of-line cold path lost its `#[cold]` marker.
     ColdPath,
     /// An atomic protocol violation: a weak ordering with no `ORDERING`
@@ -29,7 +26,6 @@ impl Check {
     /// Stable lowercase label used in findings.
     pub fn label(self) -> &'static str {
         match self {
-            Check::Deps => "deps",
             Check::ColdPath => "cold-path",
             Check::Atomics => "atomics",
             Check::LockOrder => "lock-order",
@@ -59,95 +55,6 @@ pub struct Finding {
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}: [{}] {}", self.path, self.line, self.check, self.message)
-    }
-}
-
-/// Sections of a `Cargo.toml` whose `name = spec` entries are
-/// dependencies.
-fn is_dep_section(name: &str) -> bool {
-    let name = name.trim();
-    name == "dependencies"
-        || name == "dev-dependencies"
-        || name == "build-dependencies"
-        || name == "workspace.dependencies"
-        || (name.starts_with("target.") && name.ends_with("dependencies"))
-}
-
-/// For `[dependencies.foo]`-style headers, the dependency name; the body
-/// of such a section is the dep's attribute table, not more dependencies.
-fn dep_name_in_header(section: &str) -> Option<&str> {
-    const PREFIXES: &[&str] =
-        &["dependencies.", "dev-dependencies.", "build-dependencies.", "workspace.dependencies."];
-    PREFIXES
-        .iter()
-        .find_map(|p| section.strip_prefix(p))
-        .filter(|rest| !rest.is_empty() && !rest.contains('.'))
-}
-
-/// Dependency names the std-only contract allows: workspace members only.
-fn is_internal_dep(name: &str) -> bool {
-    name.starts_with("hsa-") || name == "hashing-is-sorting"
-}
-
-/// Every dependency in every manifest is a workspace-internal
-/// path dependency. This encodes the std-only contract: the build cannot
-/// silently grow an external dependency because CI runs this check.
-pub fn check_manifest(path: &str, text: &str) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let mut section = String::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if line.starts_with('[') {
-            section = line.trim_matches(|c| c == '[' || c == ']').to_string();
-            // `[dependencies.foo]` names the dependency in the header; its
-            // body is foo's attribute table, scanned for path/workspace.
-            if let Some(name) = dep_name_in_header(&section) {
-                check_dep_entry(path, i + 1, name, "", &mut out);
-            }
-            continue;
-        }
-        if !is_dep_section(&section) {
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else { continue };
-        let name = key.trim().split('.').next().unwrap_or("").trim_matches('"');
-        check_dep_entry(path, i + 1, name, value.trim(), &mut out);
-    }
-    out
-}
-
-fn check_dep_entry(path: &str, line: usize, name: &str, value: &str, out: &mut Vec<Finding>) {
-    if name.is_empty() {
-        return;
-    }
-    if !is_internal_dep(name) {
-        out.push(Finding {
-            check: Check::Deps,
-            path: path.to_string(),
-            line,
-            message: format!(
-                "external dependency `{name}` violates the std-only contract \
-                 (only hsa-* workspace crates are allowed)"
-            ),
-        });
-        return;
-    }
-    // Internal deps must stay path/workspace references — a version
-    // requirement would resolve against a registry.
-    let ok = value.is_empty()
-        || value.contains("workspace")
-        || value.contains("path")
-        || value == "true";
-    if !ok {
-        out.push(Finding {
-            check: Check::Deps,
-            path: path.to_string(),
-            line,
-            message: format!("dependency `{name}` must be a path/workspace reference, got {value}"),
-        });
     }
 }
 
@@ -219,40 +126,6 @@ pub fn check_cold_paths(path: &str, lines: &[SourceLine]) -> Vec<Finding> {
 mod tests {
     use super::*;
     use crate::scan::scan;
-
-    #[test]
-    fn manifest_check_accepts_internal_rejects_external() {
-        let toml = "\
-[package]
-name = \"hsa-x\"
-
-[dependencies]
-hsa-hash.workspace = true
-hsa-core = { path = \"../core\" }
-serde = \"1\"
-
-[dev-dependencies]
-rand = { version = \"0.8\" }
-";
-        let f = check_manifest("crates/x/Cargo.toml", toml);
-        assert_eq!(f.len(), 2);
-        assert!(f[0].message.contains("serde"));
-        assert!(f[1].message.contains("rand"));
-    }
-
-    #[test]
-    fn manifest_check_rejects_versioned_internal_dep() {
-        let toml = "[dependencies]\nhsa-hash = \"0.1\"\n";
-        let f = check_manifest("Cargo.toml", toml);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("path/workspace"));
-    }
-
-    #[test]
-    fn manifest_check_ignores_non_dep_sections() {
-        let toml = "[lints]\nworkspace = true\n\n[features]\ndefault = []\n";
-        assert!(check_manifest("Cargo.toml", toml).is_empty());
-    }
 
     #[test]
     fn cold_path_check_requires_marker() {

@@ -18,14 +18,13 @@
 //! 2. **lock-order** — `.lock()` nestings across the whole workspace form
 //!    a graph (with one-hop intra-crate call resolution); a cycle is a
 //!    potential-deadlock finding.
-//! 3. **deps** — every dependency in every manifest is an `hsa-*`
-//!    path/workspace reference (the std-only contract).
-//! 4. **cold-path** — the documented out-of-line growth path in
+//! 3. **cold-path** — the documented out-of-line growth path in
 //!    `hashtbl` keeps its `#[cold]` marker.
 //!
 //! The binary walks `src/` and `crates/*/src` from the workspace root,
 //! prints `path:line: [check] message` findings, and exits non-zero if
-//! any. `scripts/lint.sh` is the one entry point, pre-push and in CI.
+//! any. `scripts/lint.sh` is the one entry point, pre-push and in CI; it
+//! also holds the std-only contract, with `cargo tree`.
 
 #![forbid(unsafe_code)]
 
@@ -35,7 +34,7 @@ mod locks;
 mod scan;
 
 pub use atomics::{check_annotations, check_pairing, extract_sites, parse_annotation, AtomicSite};
-pub use checks::{check_cold_paths, check_manifest, Check, Finding, COLD_PATHS};
+pub use checks::{check_cold_paths, Check, Finding, COLD_PATHS};
 pub use locks::LockGraph;
 pub use scan::{scan, SourceLine};
 
@@ -113,8 +112,7 @@ pub fn run(root: &Path) -> io::Result<Report> {
     let mut sites: Vec<AtomicSite> = Vec::new();
     let mut findings = Vec::new();
 
-    let members = members(root)?;
-    for member in &members {
+    for member in &members(root)? {
         let mut files = Vec::new();
         rust_files(&member.join("src"), &mut files)?;
         for file in files {
@@ -132,11 +130,6 @@ pub fn run(root: &Path) -> io::Result<Report> {
     findings.extend(check_pairing(&sites));
     let (lock_edges, cycles) = lock_graph.finish();
     findings.extend(cycles);
-
-    for manifest in members.iter().map(|m| m.join("Cargo.toml")).filter(|m| m.is_file()) {
-        let path = rel(root, &manifest);
-        findings.extend(check_manifest(&path, &fs::read_to_string(&manifest)?));
-    }
 
     findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     Ok(Report { findings, atomic_sites: sites.len(), lock_edges })

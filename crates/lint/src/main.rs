@@ -19,9 +19,9 @@ fn main() -> ExitCode {
                      workspace) and enforces the invariants DESIGN.md §12 leaves to\n\
                      it: machine-checked ORDERING protocol annotations on weak atomics\n\
                      (presence, pairing, publication), an acyclic workspace lock\n\
-                     graph, std-only manifests, cold-path markers. What clippy can\n\
-                     say (SAFETY comments, panic-free library code, leaked guards) is\n\
-                     clippy's: run scripts/lint.sh for both."
+                     graph, cold-path markers. What clippy and cargo can say (SAFETY\n\
+                     comments, panic-free library code, leaked guards, std-only\n\
+                     dependencies) is theirs: run scripts/lint.sh for all of it."
                 );
                 return ExitCode::SUCCESS;
             }

@@ -27,19 +27,6 @@ fn clean_tree_has_no_findings_and_exits_zero() {
 }
 
 #[test]
-fn smuggled_dependency_is_flagged_in_the_manifest() {
-    let root = fixture("smuggled_dep");
-    let findings = run(&root).unwrap().findings;
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].check, Check::Deps);
-    assert_eq!(findings[0].path, "crates/bad/Cargo.toml");
-    assert_eq!(findings[0].line, 6);
-    assert!(findings[0].message.contains("serde"), "{}", findings[0].message);
-
-    assert_eq!(lint_bin(&root).status.code(), Some(1));
-}
-
-#[test]
 fn weak_ordering_is_flagged_only_in_scoped_crates() {
     let root = fixture("weak_ordering");
     let findings = run(&root).unwrap().findings;

@@ -35,7 +35,7 @@ impl Histogram {
 
     /// Inclusive lower bound of bucket `i` (samples `v` with
     /// `bucket_of(v) == i` satisfy `lower_bound(i) <= v`).
-    pub fn lower_bound(i: usize) -> u64 {
+    fn lower_bound(i: usize) -> u64 {
         match i {
             0 => 0,
             _ => 1u64 << (i - 1),

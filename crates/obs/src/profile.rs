@@ -197,12 +197,12 @@ impl ProfileTree {
     }
 
     /// Exclusive nanoseconds attributed to one level across phases.
-    pub fn level_nanos(&self, level: usize) -> u64 {
+    fn level_nanos(&self, level: usize) -> u64 {
         self.cells[level.min(PROFILE_LEVELS - 1)].iter().map(|c| c.nanos).sum()
     }
 
     /// Total exclusive nanoseconds across all leaves.
-    pub fn total_nanos(&self) -> u64 {
+    fn total_nanos(&self) -> u64 {
         (0..PROFILE_LEVELS).map(|l| self.level_nanos(l)).sum()
     }
 

@@ -74,16 +74,6 @@ impl CacheSim {
         Self::new(capacity_bytes, line_bytes, ways)
     }
 
-    /// Cache capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.line_bytes * self.n_sets * self.ways as u64
-    }
-
-    /// Line size in bytes.
-    pub fn line_bytes(&self) -> u64 {
-        self.line_bytes
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -227,7 +217,6 @@ mod tests {
         let c = CacheSim::fully_associative(4096, 64);
         assert_eq!(c.n_sets, 1);
         assert_eq!(c.ways, 64);
-        assert_eq!(c.capacity_bytes(), 4096);
     }
 
     #[test]

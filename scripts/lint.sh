@@ -3,26 +3,42 @@
 #
 #   ./scripts/lint.sh
 #
-# 1. hsa-lint tests — analyzer unit tests + fixture workspaces
+# 1. std-only       — cargo resolves the dependency graph offline
+#                     (normal, build and dev edges) and every package in
+#                     it is a local path: a registry or git dependency
+#                     fails here, first, because every later step would
+#                     fail to build without saying why
+# 2. hsa-lint tests — analyzer unit tests + fixture workspaces
 #                     (each seeded with one known violation)
-# 2. hsa-lint       — what no toolchain lint can say: the ORDERING
+# 3. hsa-lint       — what no toolchain lint can say: the ORDERING
 #                     protocol on weak atomics, the lock-order graph,
-#                     std-only manifests, cold-path markers
-# 3. rustfmt        — formatting, check-only
-# 4. clippy         — all targets, warnings are errors; the workspace lint
+#                     cold-path markers
+# 4. rustfmt        — formatting, check-only
+# 5. clippy         — all targets, warnings are errors; the workspace lint
 #                     table and clippy.toml add SAFETY comments on every
 #                     `unsafe` and no mem::forget / ManuallyDrop::new /
 #                     Box::leak
-# 5. clippy, libs   — no unwrap / expect / panic! in library code. Passed
+# 6. clippy, libs   — no unwrap / expect / panic! in library code. Passed
 #                     on the command line, not per crate, so a new crate
 #                     is covered without a header to forget; the three
 #                     excluded crates are the binaries and harnesses
 #                     whose job is to print an error and exit.
-# 6. rustdoc        — workspace docs with warnings as errors, so an
+# 7. rustdoc        — workspace docs with warnings as errors, so an
 #                     intra-doc link to a deleted or private item fails
 # DESIGN.md §12 has the invariant → enforcer table.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "==> std-only dependencies (cargo tree)"
+packages=$(cargo tree --offline --workspace -e normal,build,dev --prefix none --format '{p}' |
+    sed -e 's/ (\*)$//' -e '/^$/d' | sort -u)
+external=$(grep -v ' (/' <<<"$packages" || true)
+if [ -n "$external" ]; then
+    echo "not a workspace path (the workspace is std-only):" >&2
+    echo "$external" >&2
+    exit 1
+fi
+echo "$(wc -l <<<"$packages") packages, each from a local path"
 
 echo "==> hsa-lint self-tests (unit + fixtures)"
 cargo test --release -q -p hsa-lint

@@ -79,8 +79,8 @@ pub mod xmem {
 
 /// Low-level building blocks, exposed for benchmarking and extension.
 pub mod kernels {
+    pub use hsa_agg::shims::{fold_mapped, select, FoldOp, KernelKind, KernelPref};
     pub use hsa_hash::{digit, Hasher64, Identity, Murmur2, FANOUT};
     pub use hsa_hashtbl::{identity_of, AggTable, GrowTable, Insert, TableConfig};
-    pub use hsa_kernels::{fold_mapped, select, FoldOp, KernelKind, KernelPref};
     pub use hsa_partition::{partition_keys, partition_keys_mapped, scatter_by_digits};
 }

@@ -216,7 +216,7 @@ pub enum AggValues {
 
 impl AggValues {
     /// Value at `row` as f64.
-    pub fn get_f64(&self, row: usize) -> f64 {
+    fn get_f64(&self, row: usize) -> f64 {
         match self {
             AggValues::U64(v) => v[row] as f64,
             AggValues::F64(v) => v[row],
