@@ -59,20 +59,6 @@ impl CliArgs {
     }
 }
 
-impl CliArgs {
-    /// All column names the query references.
-    pub fn all_column_refs(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.group_by.iter().map(String::as_str).collect();
-        v.extend(self.aggs.iter().filter(|(f, ..)| f != "count").map(|(_, c, _)| c.as_str()));
-        v
-    }
-
-    /// Column names that must be numeric (aggregate inputs).
-    pub fn numeric_column_refs(&self) -> Vec<&str> {
-        self.aggs.iter().filter(|(f, ..)| f != "count").map(|(_, c, _)| c.as_str()).collect()
-    }
-}
-
 /// Usage text shown by `hsa --help`.
 pub const USAGE: &str = "\
 usage: hsa <file.csv> --group-by <col>[,<col>...] [aggregates] [options]
@@ -90,7 +76,9 @@ options:
   --strategy <s>          adaptive | hashing | partition:<passes>
   --mem-budget <size>     cap operator working memory (bytes; K/M/G
                           suffixes accepted, e.g. 512M)
-  --timeout-ms <n>        abort the aggregation after <n> milliseconds
+  --timeout-ms <n>        abort after <n> milliseconds, counted (as the
+                          report's wall time is) from the second pass over
+                          the CSV, which streams its rows into the operator
   --spill-dir <path>      out-of-core aggregation: runs that do not fit
                           --mem-budget are flushed to files under <path>
                           instead of failing the query
@@ -432,8 +420,8 @@ mod tests {
         assert!(parse(&["f.csv", "--group-by", "k", "--spill-dir"]).is_err());
         assert!(parse(&["f.csv", "--group-by", "k", "--spill-limit"]).is_err());
         assert!(parse(&["f.csv", "--group-by", "k", "--spill-limit", "lots"]).is_err());
-        // The CSV is parsed whole before the first row reaches the
-        // operator, so there is no chunk size to choose.
+        // The CSV reaches the operator in chunks of one morsel per
+        // worker, a derived size, so there is no chunk size to choose.
         let e = parse(&["f.csv", "--group-by", "k", "--chunk-rows", "4096"]).unwrap_err();
         assert!(e.0.contains("unknown option"), "{e}");
     }

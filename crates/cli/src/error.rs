@@ -98,9 +98,7 @@ impl From<AggError> for CliError {
             AggError::RowCountMismatch { .. }
             | AggError::MissingInputColumn { .. }
             | AggError::SpecNeedsInput { .. }
-            | AggError::MismatchedSpecs
-            | AggError::UnknownColumn(_)
-            | AggError::EmptyGroupBy => ErrorClass::InvalidInput,
+            | AggError::MismatchedSpecs => ErrorClass::InvalidInput,
         };
         Self::new(class, e)
     }
@@ -148,7 +146,7 @@ mod tests {
         assert_eq!(CliError::from(corrupt).class, ErrorClass::Io);
         let panic = AggError::WorkerPanic { message: "boom".into() };
         assert_eq!(CliError::from(panic).class, ErrorClass::Internal);
-        let input = AggError::EmptyGroupBy;
+        let input = AggError::MismatchedSpecs;
         assert_eq!(CliError::from(input).class, ErrorClass::InvalidInput);
     }
 

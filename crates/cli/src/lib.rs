@@ -1,8 +1,9 @@
 //! `hsa` — GROUP BY aggregation over CSV files from the command line.
 //!
-//! A small end-to-end application of the operator: load a CSV into
-//! columns (numeric columns as `u64`, everything else dictionary-encoded),
-//! run an aggregation query, print an aligned result table.
+//! A small end-to-end application of the operator: read a CSV twice —
+//! once to validate it and type the columns the query names (numeric
+//! columns as `u64`, everything else dictionary-encoded), once to stream
+//! its rows into an [`AggStream`] — and print an aligned result table.
 //!
 //! ```text
 //! hsa data.csv --group-by country,city --count orders --sum amount --avg amount
@@ -15,19 +16,23 @@
 
 mod args;
 mod csv;
+mod dictionary;
+mod door;
 mod error;
-mod load;
+mod render;
 mod serve;
 
 pub use args::{parse_args, CliArgs, UsageError, USAGE};
-pub use csv::{parse_csv, CsvError};
 pub use error::{CliError, ErrorClass};
-pub use load::{load_table, LoadedTable};
 pub use serve::{parse_serve_args, serve, serve_on, ServeArgs, SERVE_USAGE};
 
+use dictionary::Dictionary;
+use door::{Column, Layout};
 use hashing_is_sorting::{
-    CancelToken, DiskBudget, ExecEnv, MemoryBudget, ObsConfig, Query, RunReport,
+    AggFn, AggSpec, AggStream, CancelToken, DiskBudget, ExecEnv, MemoryBudget, ObsConfig, RunReport,
 };
+use std::fs::File;
+use std::io::{self, BufRead, BufReader};
 use std::time::Duration;
 
 /// Everything one CLI invocation produced: the rendered result table plus
@@ -47,21 +52,70 @@ pub struct CliRun {
 /// Failures come back as a [`CliError`] whose class decides the process
 /// exit code (budget 2, timeout 3, I/O 4, invalid input 5).
 pub fn run_on_csv_text(text: &str, args: &CliArgs) -> Result<CliRun, CliError> {
-    let rows = parse_csv(text).map_err(CliError::invalid)?;
-    let loaded = load_table(&rows).map_err(CliError::invalid)?;
+    run("input", || Ok(text.as_bytes()), args)
+}
 
-    for name in args.all_column_refs() {
-        if loaded.table.column(name).is_none() {
-            return Err(CliError::invalid(format!("no column named {name:?} in the input")));
-        }
+/// Run a parsed CLI invocation against the file `args.file`.
+///
+/// A regular file is opened once per pass and never held whole; any
+/// other input (a pipe, `/dev/stdin`) cannot be read twice, so it is read
+/// into memory once and both passes run over the bytes.
+pub fn run_on_file(args: &CliArgs) -> Result<CliRun, CliError> {
+    let path = args.file.as_str();
+    let cannot = |e| door::cannot_read(path, e);
+    if std::fs::metadata(path).map_err(cannot)?.is_file() {
+        run(path, || Ok(BufReader::with_capacity(1 << 16, File::open(path)?)), args)
+    } else {
+        let bytes = std::fs::read(path).map_err(cannot)?;
+        run(path, || Ok(bytes.as_slice()), args)
     }
-    for name in &args.numeric_column_refs() {
-        if loaded.dictionary_of(name).is_some() {
-            return Err(CliError::invalid(format!(
-                "column {name:?} is not numeric and cannot be aggregated (only grouped)"
-            )));
-        }
+}
+
+/// The two passes over input `name`, each reading what `open` returns.
+fn run<R: BufRead>(
+    name: &str,
+    open: impl Fn() -> io::Result<R>,
+    args: &CliArgs,
+) -> Result<CliRun, CliError> {
+    let inputs_named = args.aggs.iter().filter(|(f, ..)| f != "count").map(|(_, c, _)| c);
+    let refs: Vec<&str> = args.group_by.iter().chain(inputs_named).map(String::as_str).collect();
+    let schema = door::scan(name, open().map_err(|e| door::cannot_read(name, e))?, &refs)?;
+
+    // Each referenced column once, and each distinct input once: the
+    // order of first appearance is its spec index.
+    let field = |col: &String| {
+        let field = schema.header.iter().position(|h| h == col);
+        field.ok_or_else(|| CliError::invalid(format!("no column named {col:?} in the input")))
+    };
+    let mut fields = Vec::new();
+    let group = (args.group_by.iter())
+        .map(|c| Ok(index_of(&mut fields, field(c)?)))
+        .collect::<Result<_, CliError>>()?;
+    let (mut inputs, mut specs) = (Vec::new(), Vec::with_capacity(args.aggs.len()));
+    for (func, col, _) in &args.aggs {
+        let func = match func.as_str() {
+            "count" => AggFn::Count,
+            "sum" => AggFn::Sum,
+            "min" => AggFn::Min,
+            "max" => AggFn::Max,
+            "avg" => AggFn::Avg,
+            other => return Err(CliError::invalid(format!("unknown aggregate {other:?}"))),
+        };
+        let input = match func {
+            AggFn::Count => None,
+            _ => Some(index_of(&mut inputs, index_of(&mut fields, field(col)?))),
+        };
+        specs.push(AggSpec { func, input });
     }
+    if let Some(&i) = inputs.iter().find(|&&i| !schema.numeric[fields[i]]) {
+        let col = &schema.header[fields[i]];
+        return Err(CliError::invalid(format!(
+            "column {col:?} is not numeric and cannot be aggregated (only grouped)"
+        )));
+    }
+    let dict = |f: usize| (!schema.numeric[f]).then(Dictionary::default);
+    let columns = fields.iter().map(|&field| Column { field, dict: dict(field) }).collect();
+    let mut at = Layout { width: schema.header.len(), columns, group, inputs };
 
     let obs = ObsConfig {
         metrics: args.wants_metrics(),
@@ -81,35 +135,34 @@ pub fn run_on_csv_text(text: &str, args: &CliArgs) -> Result<CliRun, CliError> {
     if let Some(bytes) = args.spill_limit {
         env = env.with_disk_budget(DiskBudget::limited(bytes));
     }
-    let mut q =
-        Query::over(&loaded.table).with_config(args.config.clone()).with_obs(obs).with_env(env);
-    for g in &args.group_by {
-        q = q.group_by(g);
-    }
-    for (func, col, name) in &args.aggs {
-        q = match func.as_str() {
-            "count" => q.count(name),
-            "sum" => q.sum(col, name),
-            "min" => q.min(col, name),
-            "max" => q.max(col, name),
-            "avg" => q.avg(col, name),
-            other => return Err(CliError::invalid(format!("unknown aggregate {other:?}"))),
-        };
-    }
     // Operator errors carry their own class (budget, timeout, I/O, …).
-    let result = q.try_run()?;
+    let mut stream = AggStream::new(&specs, &args.config, &env, &obs)?;
+    // One push is one morsel per worker.
+    let chunk = args.config.threads.max(1) * args.config.morsel_rows.max(1);
+    let src = open().map_err(|e| door::cannot_read(name, e))?;
+    let tuples = door::feed(name, src, &mut at, chunk, &mut stream)?;
+    let (out, report) = stream.finish()?;
 
-    let group_names = args.group_by.clone();
-    let mut out =
-        result.format_table(|col_ix, v| match loaded.dictionary_of(&group_names[col_ix]) {
-            Some(dict) => dict.decode_str(v).unwrap_or("<?>").to_string(),
-            None => v.to_string(),
-        });
+    let dicts: Vec<_> = at.columns.into_iter().map(|c| c.dict.map(|d| d.into_values())).collect();
+    let groups: Vec<_> = (args.group_by.iter().zip(&at.group))
+        .map(|(name, &i)| (name.as_str(), dicts[i].as_deref()))
+        .collect();
+    let tuples = tuples.map(|t| t.into_values());
+    let names: Vec<&str> = args.aggs.iter().map(|(.., name)| name.as_str()).collect();
+    let mut rendered = render::render(&out, &groups, tuples.as_deref(), &names);
     if args.explain {
-        out.push('\n');
-        out.push_str(&result.report.explain());
+        rendered.push('\n');
+        rendered.push_str(&report.explain());
     }
-    Ok(CliRun { rendered: out, report: result.report })
+    Ok(CliRun { rendered, report })
+}
+
+/// The index of `x` in `v`, appended if it is not there yet.
+fn index_of(v: &mut Vec<usize>, x: usize) -> usize {
+    v.iter().position(|&y| y == x).unwrap_or_else(|| {
+        v.push(x);
+        v.len() - 1
+    })
 }
 
 #[cfg(test)]

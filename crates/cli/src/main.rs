@@ -7,7 +7,7 @@
 #![forbid(unsafe_code)]
 
 use hsa_cli::{
-    parse_args, parse_serve_args, run_on_csv_text, serve, CliError, ErrorClass, UsageError,
+    parse_args, parse_serve_args, run_on_file, serve, CliError, ErrorClass, UsageError,
     SERVE_USAGE, USAGE,
 };
 use std::process::ExitCode;
@@ -54,13 +54,7 @@ fn main() -> ExitCode {
             return ExitCode::from(ErrorClass::InvalidInput.exit_code());
         }
     };
-    let text = match std::fs::read_to_string(&args.file) {
-        Ok(t) => t,
-        Err(e) => {
-            return fail(&CliError::new(ErrorClass::Io, format!("cannot read {}: {e}", args.file)))
-        }
-    };
-    let run = match run_on_csv_text(&text, &args) {
+    let run = match run_on_file(&args) {
         Ok(run) => run,
         Err(e) => return fail(&e),
     };

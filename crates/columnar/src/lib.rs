@@ -15,17 +15,10 @@
 //!   carrying the metadata the framework needs: whether its rows are
 //!   partial aggregates (so the *super-aggregate* function must be used to
 //!   combine them, §3.1) and how many source rows it represents.
-//! * [`Bucket`] — all runs that share a hash-digit prefix; the unit of
-//!   recursion of Algorithm 2.
-//! * [`Mapping`] — the per-run mapping vector of the column-wise processing
-//!   model (§3.3, Figure 2): hashing emits slot indexes, partitioning emits
-//!   radix digits.
 //! * [`RunHandle`] / [`RunStore`] — the storage identity of a run: resident
 //!   in memory or spilled to a [`FileStore`] scratch file, so the operator
 //!   can degrade to disk instead of failing when its memory budget is
 //!   exhausted.
-//! * [`Table`] — a small named-column table used by the examples to stand in
-//!   for a column-store relation.
 
 #![forbid(unsafe_code)]
 
@@ -33,21 +26,15 @@ mod chunked;
 mod codec;
 mod crc;
 pub mod depot;
-mod dictionary;
 mod format;
 mod io;
-mod mapping;
 mod run;
 mod store;
 mod sweep;
-mod table;
 
 pub use chunked::{ChunkedVec, DEFAULT_CHUNK_LEN};
 pub use crc::{crc32c, Crc32c};
 pub use depot::{DepotAccount, DepotUsage};
-pub use dictionary::{encode_composite, Dictionary};
 pub use format::EXTENT_WORDS;
-pub use mapping::Mapping;
-pub use run::{Bucket, Run};
+pub use run::Run;
 pub use store::{FileStore, RunHandle, RunStore, SpillConfig, SpilledRun, StoreIoStats};
-pub use table::{Column, Table, TableError};

@@ -1,9 +1,9 @@
 //! Runs and buckets — the intermediate currency of the framework (§3.1).
 //!
 //! "Both routines produce partitions in form of 'runs'": a run is a batch of
-//! rows that share a hash-digit prefix. A [`Bucket`] collects all runs with
-//! the same prefix; Algorithm 2 recurses bucket by bucket until each bucket
-//! is a single, fully aggregated run.
+//! rows that share a hash-digit prefix. A bucket collects all runs with the
+//! same prefix; Algorithm 2 recurses bucket by bucket until each bucket is
+//! a single, fully aggregated run.
 
 use crate::chunked::ChunkedVec;
 
@@ -97,10 +97,6 @@ impl Run {
         Ok(())
     }
 }
-
-/// A bucket: all runs sharing the same hash-digit prefix. The `∪`-operations
-/// of Algorithm 2 simply push runs into these vectors.
-pub type Bucket = Vec<Run>;
 
 #[cfg(test)]
 mod tests {

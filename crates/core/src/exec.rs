@@ -167,6 +167,7 @@ impl Gate<'_> {
             return Err(AggError::SpillFailed { message: "injected fault: spill write".into() });
         }
         let level = runs.first().map_or(0, |r| r.level);
+        let rows: u64 = runs.iter().map(|r| r.len() as u64).sum();
         let pt = obs.phase_start(level, Phase::Spill);
         let t0 = Instant::now();
         let handles = self.store.spill_batch(runs)?;
@@ -174,7 +175,7 @@ impl Gate<'_> {
         obs.count_at(LevelCounter::SpilledRuns, level, handles.len() as u64);
         obs.count(Counter::SpilledBytes, total);
         obs.observe(Hist::SpillNanos, t0.elapsed().as_nanos() as u64);
-        obs.phase_end(pt, 0, 0, total);
+        obs.phase_end(pt, rows, 0, total);
         Ok(handles)
     }
 

@@ -38,10 +38,6 @@ pub enum AggError {
     /// `try_merge_partials` received a partial produced by different specs
     /// (or missing some of their state columns).
     MismatchedSpecs,
-    /// A query referenced a column the table does not have.
-    UnknownColumn(String),
-    /// A query had no grouping column.
-    EmptyGroupBy,
     /// A memory reservation was denied (after all degradation options
     /// were exhausted).
     BudgetExceeded {
@@ -119,8 +115,6 @@ impl fmt::Display for AggError {
             AggError::MismatchedSpecs => {
                 write!(f, "partials were produced with different aggregate specs")
             }
-            AggError::UnknownColumn(name) => write!(f, "no column named {name:?}"),
-            AggError::EmptyGroupBy => write!(f, "query needs at least one GROUP BY column"),
             AggError::BudgetExceeded { requested, limit, reserved } => write!(
                 f,
                 "memory budget exceeded: requested {requested} B with {reserved} of {limit} B reserved"
@@ -191,7 +185,6 @@ mod tests {
         assert!(!e.to_string().contains("extent 18446"), "{e}");
         let e = AggError::DiskBudgetExceeded { requested: 64, limit: 128, reserved: 100 };
         assert!(e.to_string().contains("spill disk budget exceeded"));
-        assert!(AggError::UnknownColumn("x".into()).to_string().contains("no column named \"x\""));
     }
 
     #[test]

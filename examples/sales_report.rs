@@ -1,4 +1,4 @@
-//! A realistic analytical query on a column-store table.
+//! A realistic analytical query over the columns of a fact table.
 //!
 //! Builds a synthetic `sales(store, product, revenue, quantity)` fact
 //! table with a skewed store distribution (big flagship stores, long tail)
@@ -16,24 +16,23 @@
 //! ```
 
 use hashing_is_sorting::datagen::{generate, generate_values, Distribution};
-use hashing_is_sorting::{aggregate, AggSpec, AggregateConfig, Table};
+use hashing_is_sorting::{aggregate, AggSpec, AggregateConfig};
 
 fn main() {
     let n = 2_000_000;
-    let mut sales = Table::new();
     // ~200 stores, self-similar: flagship stores dominate.
-    sales.add_column("store", generate(Distribution::SelfSimilar, n, 200, 7));
+    let store = generate(Distribution::SelfSimilar, n, 200, 7);
     // ~1M products, uniform.
-    sales.add_column("product", generate(Distribution::Uniform, n, 1 << 20, 8));
-    sales.add_column("revenue", generate_values(n, 9));
-    sales.add_column("quantity", generate(Distribution::Uniform, n, 50, 10));
+    let product = generate(Distribution::Uniform, n, 1 << 20, 8);
+    let revenue = generate_values(n, 9);
+    let quantity = generate(Distribution::Uniform, n, 50, 10);
 
     let cfg = AggregateConfig::default();
 
     // Query 1: per-store report.
     let (by_store, s1) = aggregate(
-        sales.col("store"),
-        &[sales.col("revenue"), sales.col("quantity")],
+        &store,
+        &[&revenue, &quantity],
         &[AggSpec::count(), AggSpec::sum(0), AggSpec::avg(1)],
         &cfg,
     );
@@ -57,8 +56,7 @@ fn main() {
     );
 
     // Query 2: per-product revenue (huge K).
-    let (by_product, s2) =
-        aggregate(sales.col("product"), &[sales.col("revenue")], &[AggSpec::sum(0)], &cfg);
+    let (by_product, s2) = aggregate(&product, &[&revenue], &[AggSpec::sum(0)], &cfg);
     println!(
         "{} distinct products; total revenue {}",
         by_product.n_groups(),
@@ -72,5 +70,5 @@ fn main() {
     );
 
     // Cross-check the revenue total against the raw column.
-    assert_eq!(by_product.states[0].iter().sum::<u64>(), sales.col("revenue").iter().sum::<u64>());
+    assert_eq!(by_product.states[0].iter().sum::<u64>(), revenue.iter().sum::<u64>());
 }

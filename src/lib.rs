@@ -15,8 +15,8 @@
 //!   the operator (`hsa-core`),
 //! * [`AggSpec`] — the aggregate functions (COUNT/SUM/MIN/MAX/AVG) with
 //!   super-aggregate handling (`hsa-agg`),
-//! * [`Table`] — a small named-column table for application code
-//!   (`hsa-columnar`),
+//! * [`AggStream`] — the same operator fed in bounded chunks, for input
+//!   that arrives in pieces (the `hsa` CLI streams its CSV through it),
 //! * [`datagen`] — the paper's synthetic data distributions,
 //! * [`baselines`] — the five prior-work algorithms of the Figure 8
 //!   comparison,
@@ -41,10 +41,7 @@
 
 #![forbid(unsafe_code)]
 
-mod query;
-
 pub use hsa_agg::{AggFn, AggSpec};
-pub use hsa_columnar::{encode_composite, Column, Dictionary, Table, TableError};
 pub use hsa_core::{
     aggregate, depot, distinct, try_aggregate, try_aggregate_observed, try_merge_partials,
     AdaptiveParams, AdmissionConfig, AdmissionController, AdmissionDenied, AdmissionOutcome,
@@ -53,7 +50,6 @@ pub use hsa_core::{
     OpStats, ProfileTree, QueryGrant, Reservation, RunHandle, RunReport, RunStore, SpillConfig,
     SpillFault, SpillFaultKind, SpilledRun, Strategy, REPORT_VERSION,
 };
-pub use query::{AggValues, Query, QueryResult};
 
 /// Observability building blocks: per-worker metrics, histograms, the
 /// task-timeline tracer, and the dependency-free JSON value they serialize

@@ -635,8 +635,9 @@ const DEEP: [&str; 11] = [
 /// `metrics.merged` holds the counter each is lowered from and the
 /// workers' shards sum to it, as the pool's slots sum to its totals; the
 /// result is `groups_out` rows written in place, lent no depot chunk; one
-/// fill sample per seal; and the profile's spill and restore bytes,
-/// budget high water and overlap are the statistics' own. A run that was
+/// fill sample per seal; the profile's spill and restore bytes, budget
+/// high water and overlap are the statistics' own; and per level, the
+/// rows the Spill cell wrote are the rows the Restore cell read back. A run that was
 /// not observed carries no `metrics`, `pool`, `profile` or trace.
 fn one_report(report: &RunReport, out: &GroupByOutput, observed: bool) {
     let sorted = |names: &[&[&'static str]]| {
@@ -709,8 +710,10 @@ fn one_report(report: &RunReport, out: &GroupByOutput, observed: bool) {
     let (mut spill, mut restore) = (0, 0);
     for level in member(profile, "levels").as_array().expect("profile.levels is a list") {
         let phases = member(level, "phases");
-        let bytes = |phase| phases.get(phase).map_or(0, |cell| u64s(member(cell, "bytes"))[0]);
-        (spill, restore) = (spill + bytes("spill"), restore + bytes("restore"));
+        let field = |phase, k| phases.get(phase).map_or(0, |cell| u64s(member(cell, k))[0]);
+        (spill, restore) = (spill + field("spill", "bytes"), restore + field("restore", "bytes"));
+        let rows = (field("spill", "rows_in"), field("restore", "rows_out"));
+        assert_eq!(rows.0, rows.1, "rows spilled and restored at {:?}", member(level, "level"));
     }
     assert_eq!((spill, restore), (st.spilled_bytes, st.restored_bytes), "the profile's I/O bytes");
     for (k, stat) in [
