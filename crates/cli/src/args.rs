@@ -96,7 +96,9 @@ options:
                           usage) from a background sampler thread
   --stats-json <path>     write the run report as JSON to <path>
   --trace <path>          write a Chrome trace of the task timeline to
-                          <path> (open with Perfetto or chrome://tracing)
+                          <path>: a span per timed phase call and an
+                          instant per operator event, one lane per
+                          worker (open with Perfetto or chrome://tracing)
   --help                  this text
 
 With no aggregates the query is SELECT DISTINCT over the group columns.";

@@ -84,9 +84,9 @@ options:
                           suffixes; default unmetered)
   --disk-total <size>     global spill-disk pool (default unmetered)
   --max-queries <n>       concurrent-query cap (default unbounded)
-  --spill-dir <path>      base scratch directory; each query spills
-                          into a private subdirectory of it, removed
-                          when the query finishes, fails, or is dropped
+  --spill-dir <path>      scratch directory every query spills into;
+                          a query's files are removed when it
+                          finishes, fails, or is dropped
   --admit-timeout-ms <n>  how long a saturated server keeps a new query
                           queued before failing it (default 10000)
   --help                  this text";
@@ -213,7 +213,6 @@ struct ActiveQuery {
     _grant: QueryGrant,
     /// Number of input columns the submitted specs reference.
     n_inputs: usize,
-    scratch: Option<PathBuf>,
 }
 
 /// The operation a request line names.
@@ -386,20 +385,13 @@ fn handle_conn(stream: TcpStream, state: &ServeState) {
     }
 }
 
-/// Deregister the cancel token and remove the scratch directory; the
-/// grant (and with it the global-pool slice) releases on drop.
+/// Deregister the cancel token; the stream's spill files and the grant
+/// (and with it the global-pool slice) release on drop.
 fn cleanup_query(q: ActiveQuery, state: &ServeState) {
     if let Ok(mut cancels) = state.cancels.lock() {
         cancels.remove(&q.id);
     }
-    drop(q.stream);
-    if let Some(dir) = q.scratch {
-        let _ = std::fs::remove_dir_all(dir);
-    }
 }
-
-/// Scratch-directory name counter shared by all connections.
-static SCRATCH_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 impl Conn<'_> {
     /// Answer one request line. `Err` means the socket failed.
@@ -519,33 +511,14 @@ impl Conn<'_> {
             .with_budget(grant.budget())
             .with_disk_budget(grant.disk())
             .with_cancel(grant.cancel());
-        // The query id is only known once the stream exists, but the spill
-        // store captures its directory at open — so scratch directories get
-        // a process-unique sequence number instead of the query id. Each is
-        // removed when its query completes, on every path.
-        let scratch = match &state.spill_dir {
-            Some(base) => {
-                // ORDERING: Relaxed — a unique-name counter, nothing else is
-                // published through it.
-                let n = SCRATCH_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let dir = base.join(format!("scratch-{}-{n}", std::process::id()));
-                if let Err(e) = std::fs::create_dir_all(&dir) {
-                    let err =
-                        CliError::new(ErrorClass::Io, format!("cannot create scratch dir: {e}"));
-                    self.error(&err, None);
-                    return Ok(());
-                }
-                env = env.with_spill_dir(&dir);
-                Some(dir)
-            }
-            None => None,
-        };
+        // Every query spills into the one directory: the stores of one
+        // process name their files apart and share its liveness marker.
+        if let Some(dir) = &state.spill_dir {
+            env = env.with_spill_dir(dir);
+        }
         let agg = match AggStream::new(&specs, &cfg, &env, &ObsConfig::disabled()) {
             Ok(s) => s,
             Err(e) => {
-                if let Some(dir) = &scratch {
-                    let _ = std::fs::remove_dir_all(dir);
-                }
                 self.error(&CliError::from(e), None);
                 return Ok(());
             }
@@ -554,7 +527,7 @@ impl Conn<'_> {
         if let Ok(mut cancels) = state.cancels.lock() {
             cancels.insert(id, grant.cancel());
         }
-        self.active = Some(ActiveQuery { id, stream: agg, _grant: grant, n_inputs, scratch });
+        self.active = Some(ActiveQuery { id, stream: agg, _grant: grant, n_inputs });
         self.reply(&JsonValue::obj([
             ("ok", JsonValue::str("admitted")),
             ("query_id", JsonValue::U64(id)),
@@ -600,15 +573,13 @@ impl Conn<'_> {
             self.error(&CliError::invalid("no query in flight (submit first)"), None);
             return Ok(());
         };
-        let ActiveQuery { id, stream, _grant, scratch, .. } = q;
+        let ActiveQuery { id, stream, _grant, .. } = q;
         let finished = stream.finish();
-        // The query is over either way: free the id and the scratch space
-        // before streaming results (the output is already materialized).
+        // The query is over either way, its spill files gone with the
+        // stream: free the id before streaming results (the output is
+        // already materialized).
         if let Ok(mut cancels) = self.state.cancels.lock() {
             cancels.remove(&id);
-        }
-        if let Some(dir) = &scratch {
-            let _ = std::fs::remove_dir_all(dir);
         }
         let (out, report) = match finished {
             Ok(v) => v,

@@ -196,7 +196,8 @@ impl Drop for SpillFile {
     fn drop(&mut self) {
         drop(lock(&self.file).take());
         // A file that was never created, or already unlinked by its
-        // failed write, has nothing to remove; names are never reused.
+        // failed write, has nothing to remove; a process never reuses a
+        // name, whichever of its stores drew it.
         let _ = fs::remove_file(&self.path);
     }
 }
@@ -318,7 +319,6 @@ fn run_read(core: &StoreCore, read: PlannedRead, charge: Charge) {
 pub(crate) struct StoreCore {
     pub(crate) dir: PathBuf,
     pub(crate) pid: u32,
-    pub(crate) seq: AtomicU64,
     pub(crate) faults: FaultInjector,
     pub(crate) disk: DiskBudget,
     pub(crate) retry: RetryPolicy,

@@ -128,12 +128,15 @@ pub struct StoreIoStats {
 /// segment files, written and read back through one executor. Opened
 /// and driven through [`RunStore`]; spilled handles keep it alive.
 ///
-/// Shared via `Arc`; the sequence counter makes concurrent spills from
-/// many workers race-free without any locking.
+/// Shared via `Arc`; the process-wide sequence counter makes concurrent
+/// spills from many workers, and from many stores on one directory,
+/// race-free without any locking.
 #[derive(Debug)]
 pub struct FileStore {
     core: Arc<StoreCore>,
     exec: Executor,
+    /// Dropped after `exec` has joined (see `Drop`).
+    _live: sweep::Liveness,
 }
 
 impl FileStore {
@@ -154,12 +157,11 @@ impl FileStore {
             |e: io::Error| AggError::SpillFailed { message: format!("{}: {e}", dir.display()) };
         fs::create_dir_all(&dir).map_err(fail)?;
         let pid = std::process::id();
-        sweep::write_lock(&dir, pid).map_err(fail)?;
+        let live = sweep::Liveness::take(&dir, pid).map_err(fail)?;
         let (reclaimed_files, reclaimed_bytes) = sweep::sweep_orphans(&dir, pid);
         let core = Arc::new(StoreCore {
             dir,
             pid,
-            seq: AtomicU64::new(0),
             faults,
             disk,
             retry: RetryPolicy::default(),
@@ -174,7 +176,7 @@ impl FileStore {
             first_error: Mutex::new(None),
         });
         let exec = Executor::new(Arc::clone(&core), config.io_threads, queue_bytes);
-        Ok(Self { core, exec })
+        Ok(Self { core, exec, _live: live })
     }
 
     /// This store's I/O robustness counters (retries, abandons, orphan
@@ -248,10 +250,7 @@ impl FileStore {
     ) -> Result<WriteJob, AggError> {
         let nominals: Vec<u64> = runs.iter().map(stream_size_upper).collect();
         let reservation = Arc::new(self.core.disk.try_reserve(nominals.iter().sum())?);
-        // ORDERING: Relaxed — the RMW's atomicity alone makes sequence
-        // numbers unique; no other memory rides on the counter.
-        let seq = self.core.seq.fetch_add(1, Ordering::Relaxed);
-        let file = SpillFile::new(sweep::spill_path(&self.core.dir, self.core.pid, seq));
+        let file = SpillFile::new(sweep::next_spill_path(&self.core.dir, self.core.pid));
         let batch: Vec<WriteItem> = runs
             .into_iter()
             .zip(nominals)
@@ -314,10 +313,9 @@ impl FileStore {
 impl Drop for FileStore {
     fn drop(&mut self) {
         // Join the I/O workers first: all queued writes land (or fail and
-        // unlink) before the liveness marker retires, so a sweeping
-        // sibling never sees live scratch without its lock.
+        // unlink) before the store's share of the liveness marker drops,
+        // so a sweeping sibling never sees live scratch without its lock.
         self.exec.join();
-        sweep::retire_lock(&self.core.dir, self.core.pid);
     }
 }
 
@@ -1208,6 +1206,26 @@ mod tests {
             !dir.join(lock_name(std::process::id())).exists(),
             "clean drop retires the lock file"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The liveness marker is the process's, not one store's: while a
+    /// sibling store is open on the directory, a sweep by another process
+    /// spares its scratch, and the last store to close retires the lock.
+    #[cfg(not(miri))]
+    #[test]
+    fn a_store_keeps_the_lock_its_closed_sibling_shared() {
+        let dir = temp_dir("sibling-lock");
+        let (first, second) = (sync_store(&dir), sync_store(&dir));
+        let handle = spill(&second, sample_run()).unwrap();
+        drop(first);
+        let lock = dir.join(lock_name(std::process::id()));
+        assert!(lock.exists(), "a live store's lock was retired");
+        let (files, _) = sweep::sweep_orphans(&dir, std::process::id().wrapping_add(1));
+        assert_eq!(files, 0, "another process swept a live store's segment");
+        assert_eq!(rows_of(&handle.into_run().unwrap()), rows_of(&sample_run()));
+        drop(second);
+        assert!(!lock.exists(), "the last store retires the lock");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -2,20 +2,36 @@
 //! sweep that reclaims what a crashed process left in a spill directory.
 //!
 //! Spill files are `hsarun-<pid>-<seq>.bin`; the pid makes a file
-//! attributable to its writing process. A process marks itself live with
-//! `hsarun-<pid>.lock` for as long as it has a store open on the
-//! directory; a clean shutdown retires the lock, a crash leaves it behind,
-//! and the next store to open the directory pairs it with a liveness check
-//! before reclaiming.
+//! attributable to its writing process, and `seq` is drawn from one
+//! counter per process, so stores sharing a directory never name the same
+//! file. A process marks itself live with `hsarun-<pid>.lock` for as long
+//! as any of its stores is open on the directory; the last store to
+//! close retires the lock, a crash leaves it behind, and the next store
+//! to open the directory pairs it with a liveness check before
+//! reclaiming.
 
+use crate::io::lock;
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 const SPILL_PREFIX: &str = "hsarun-";
 
-/// Path of this process's `seq`-th scratch file in `dir`.
-pub(crate) fn spill_path(dir: &Path, pid: u32, seq: u64) -> PathBuf {
+/// Scratch files this process has named, in every directory.
+static SEGMENTS: AtomicU64 = AtomicU64::new(0);
+
+/// This process's stores open on each directory, by canonical path.
+static OPEN_STORES: Mutex<BTreeMap<PathBuf, usize>> = Mutex::new(BTreeMap::new());
+
+/// Path of a scratch file in `dir` that no store of this process has
+/// named before.
+pub(crate) fn next_spill_path(dir: &Path, pid: u32) -> PathBuf {
+    // ORDERING: Relaxed — the RMW's atomicity alone makes sequence
+    // numbers unique; no other memory rides on the counter.
+    let seq = SEGMENTS.fetch_add(1, Ordering::Relaxed);
     dir.join(format!("{SPILL_PREFIX}{pid}-{seq:08}.bin"))
 }
 
@@ -23,17 +39,41 @@ pub(crate) fn lock_name(pid: u32) -> String {
     format!("{SPILL_PREFIX}{pid}.lock")
 }
 
-/// Mark `pid` live in `dir`, so concurrent sweeps by sibling processes
-/// leave its scratch alone.
-pub(crate) fn write_lock(dir: &Path, pid: u32) -> io::Result<()> {
-    fs::write(dir.join(lock_name(pid)), pid.to_string())
+/// One store's share of its process's liveness marker in a directory:
+/// the first share writes `hsarun-<pid>.lock`, so concurrent sweeps by
+/// sibling processes leave the process's scratch alone, and dropping the
+/// last share retires it, so a later sweep can reclaim anything the
+/// process failed to delete. Crashes skip the retirement — that is
+/// exactly the case the sweep's liveness check covers.
+#[derive(Debug)]
+pub(crate) struct Liveness {
+    /// The directory's canonical path.
+    dir: PathBuf,
+    pid: u32,
 }
 
-/// Retire `pid`'s liveness marker so a later sweep can reclaim anything
-/// the process failed to delete. Crashes skip this — that is exactly the
-/// case the sweep's liveness check covers.
-pub(crate) fn retire_lock(dir: &Path, pid: u32) {
-    let _ = fs::remove_file(dir.join(lock_name(pid)));
+impl Liveness {
+    pub(crate) fn take(dir: &Path, pid: u32) -> io::Result<Self> {
+        let dir = fs::canonicalize(dir).unwrap_or_else(|_| dir.to_path_buf());
+        let mut open = lock(&OPEN_STORES);
+        if !open.contains_key(&dir) {
+            fs::write(dir.join(lock_name(pid)), pid.to_string())?;
+        }
+        *open.entry(dir.clone()).or_insert(0) += 1;
+        Ok(Self { dir, pid })
+    }
+}
+
+impl Drop for Liveness {
+    fn drop(&mut self) {
+        let mut open = lock(&OPEN_STORES);
+        let Some(stores) = open.get_mut(&self.dir) else { return };
+        *stores -= 1;
+        if *stores == 0 {
+            open.remove(&self.dir);
+            let _ = fs::remove_file(self.dir.join(lock_name(self.pid)));
+        }
+    }
 }
 
 /// Parse `hsarun-<pid>-<seq>.bin` / `hsarun-<pid>.lock` names into

@@ -150,3 +150,35 @@ fn concurrent_spills_do_not_collide() {
     });
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Two stores of one process on one directory — two queries that share
+/// a spill directory — each read back their own rows: the stores never
+/// name the same scratch file, so neither overwrites the other's run.
+#[test]
+fn stores_sharing_a_directory_restore_their_own_rows() {
+    let dir = temp_dir("shared");
+    let sync = |dir: &Path| {
+        let (faults, disk) = (FaultInjector::none(), DiskBudget::unlimited());
+        RunStore::spilling_with_config(dir, faults, disk, SpillConfig { io_threads: 0 }).unwrap()
+    };
+    let run_from = |first: u64| {
+        let mut run = Run::empty(1, 1, false);
+        for key in first..first + 500 {
+            run.keys.push(key);
+            run.cols[0].push(key * 3);
+        }
+        run.source_rows = 500;
+        run
+    };
+    let (a, b) = (sync(&dir), sync(&dir));
+    let (run_a, run_b) = (run_from(1_000), run_from(9_000));
+    let (spilled_a, spilled_b) = (spill(&a, run_a.clone()), spill(&b, run_b.clone()));
+    for (name, spilled, run) in [("A", spilled_a, run_a), ("B", spilled_b, run_b)] {
+        let back = spilled.into_run().unwrap_or_else(|e| panic!("store {name}: {e}"));
+        let (keys, cols) = (back.keys.to_vec(), back.cols[0].to_vec());
+        assert!(keys == run.keys.to_vec(), "store {name} read keys from {:?}", keys.first());
+        assert!(cols == run.cols[0].to_vec(), "store {name} read other values");
+    }
+    drop((a, b));
+    let _ = std::fs::remove_dir_all(&dir);
+}

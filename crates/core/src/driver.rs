@@ -43,7 +43,7 @@ use hsa_columnar::{DepotAccount, RunHandle, RunStore};
 use hsa_fault::{AggError, CancelToken, Reservation};
 use hsa_hash::MAX_LEVEL;
 use hsa_hashtbl::{AggTable, GrowTable, TableConfig};
-use hsa_obs::{Counter, LevelCounter, Phase, Recorder, Tracer};
+use hsa_obs::{Counter, LevelCounter, Phase, Recorder};
 use hsa_tasks::sync::Mutex;
 use hsa_tasks::{PoolMetrics, Scope};
 use std::time::Instant;
@@ -141,10 +141,10 @@ pub(crate) struct Ctx {
     pub(crate) states: StateCols,
     pub(crate) pool: TablePool,
     /// Where every event of this query is counted, one shard per worker
-    /// (deep metrics on top when `ObsConfig::metrics` asked for them);
-    /// the `--progress` sampler thread reads it while the query runs.
+    /// (deep metrics on top when `ObsConfig::metrics` asked for them, the
+    /// timeline when `ObsConfig::trace` did); the `--progress` sampler
+    /// thread reads it while the query runs.
     pub(crate) recorder: Recorder,
-    pub(crate) tracer: Tracer,
     /// Run store the budget degrades into: spills to `env.spill_dir` when
     /// configured, otherwise memory-only (denials stay denials).
     pub(crate) store: RunStore,
@@ -162,7 +162,7 @@ impl Ctx {
     /// events land in that worker's shard, which no other task writes
     /// while it runs.
     pub(crate) fn obs(&self, worker: usize) -> Obs<'_> {
-        Obs::new(&self.recorder, &self.tracer, worker)
+        Obs::new(&self.recorder, worker)
     }
 
     /// The allocation gate tasks reserve memory through.
@@ -425,13 +425,10 @@ pub(crate) fn process_bucket<'env, 'out: 'env>(
         bucket.iter().all(|run| run.n_cols() == ctx.states.run_cols(run.aggregated())),
         "a run entering level {level} does not carry its kind's columns"
     );
-    let trace_t0 = obs.now();
-    let bucket_rows: u64 = bucket.iter().map(|r| r.len() as u64).sum();
-    // A task that ran to its end: its time joins the level's, its span
-    // the timeline. Tasks that fail record neither.
+    // A task that ran to its end: its time joins the level's. Tasks that
+    // fail do not record it.
     let done = |obs: &Obs| {
         obs.count_at(LevelCounter::TaskNanos, level, t0.elapsed().as_nanos() as u64);
-        obs.span("bucket", trace_t0, &[("level", level as u64), ("rows", bucket_rows)]);
     };
     let final_hash_pass = matches!(
         ctx.cfg.strategy,

@@ -1,16 +1,16 @@
 //! The per-task observability handle.
 //!
 //! [`Obs`] is the one handle a routine records through: it borrows the
-//! query's [`Recorder`] and [`Tracer`] from the driver context and
-//! carries the worker index of the task currently running, so building one
-//! per task touches no shared reference count and every recording call
-//! lands in the calling worker's own shard. An event is recorded by one
-//! call: [`Obs::count`] / [`Obs::count_at`] for the always-on counter
-//! cells `OpStats` is lowered from, [`Obs::event`] when the event also
-//! marks the timeline. Histograms, α samples and phase cells are the
-//! recorder's deep part and the tracer is off unless asked for; recording
-//! into an absent one is a null check, so the routines are instrumented
-//! unconditionally.
+//! query's [`Recorder`] from the driver context and carries the worker
+//! index of the task currently running, so building one per task touches
+//! no shared reference count and every recording call lands in the
+//! calling worker's own shard. An event is recorded by one call:
+//! [`Obs::count`] / [`Obs::count_at`] for the always-on counter cells
+//! `OpStats` is lowered from, [`Obs::event`] when the event also marks
+//! the timeline. Histograms, α samples and phase cells are the
+//! recorder's deep part and the timeline is off unless asked for;
+//! recording into an absent one is a null check, so the routines are
+//! instrumented unconditionally.
 //!
 //! # Phase timing
 //!
@@ -20,13 +20,15 @@
 //! thread, so an enclosing phase can subtract the time its children already
 //! claimed (a spill inside a seal lands in `spill`, not twice). The cell is
 //! per thread, not per task, so the driver's own phase around a scope
-//! subtracts the tasks the driving thread ran inside it. Entering a phase
-//! always stores the worker's position (the `(level, phase)` the progress
-//! heartbeat shows); without deep metrics `phase_start` returns `None`
-//! without reading the clock.
+//! subtracts the tasks the driving thread ran inside it. The same call
+//! is the timeline's span: with a trace, `phase_end` also appends the
+//! phase's start and **inclusive** duration to the worker's timeline.
+//! Entering a phase always stores the worker's position (the
+//! `(level, phase)` the progress heartbeat shows); without deep metrics
+//! or a trace `phase_start` returns `None` without reading the clock.
 
 use hsa_hashtbl::AggTable;
-use hsa_obs::{Counter, Hist, LevelCounter, Phase, PhaseCell, Recorder, Tracer};
+use hsa_obs::{Counter, Hist, LevelCounter, Phase, PhaseCell, Recorder};
 use std::cell::Cell;
 use std::time::Instant;
 
@@ -39,7 +41,6 @@ thread_local! {
 /// Observability context of one task: where to record, and as whom.
 pub(crate) struct Obs<'a> {
     recorder: &'a Recorder,
-    tracer: &'a Tracer,
     worker: usize,
 }
 
@@ -52,8 +53,8 @@ pub(crate) struct PhaseTimer {
 }
 
 impl<'a> Obs<'a> {
-    pub(crate) fn new(recorder: &'a Recorder, tracer: &'a Tracer, worker: usize) -> Self {
-        Self { recorder, tracer, worker }
+    pub(crate) fn new(recorder: &'a Recorder, worker: usize) -> Self {
+        Self { recorder, worker }
     }
 
     /// Add `n` to counter `c`.
@@ -72,7 +73,7 @@ impl<'a> Obs<'a> {
     /// timeline as the instant `name`.
     pub(crate) fn event(&self, c: Counter, name: &'static str, args: &[(&'static str, u64)]) {
         self.count(c, 1);
-        self.tracer.instant(self.worker, name, args);
+        self.recorder.instant(self.worker, name, args);
     }
 
     /// Record `value` into histogram `h` (deep metrics).
@@ -87,24 +88,13 @@ impl<'a> Obs<'a> {
         self.recorder.record_alpha(self.worker, alpha);
     }
 
-    /// Timeline clock: the start to pass back into [`Obs::span`].
-    #[inline]
-    pub(crate) fn now(&self) -> u64 {
-        self.tracer.now()
-    }
-
-    /// Mark the timeline span `name` from `start` (an [`Obs::now`]) to now.
-    pub(crate) fn span(&self, name: &'static str, start: u64, args: &[(&'static str, u64)]) {
-        self.tracer.span_args(self.worker, name, start, args);
-    }
-
     /// Enter one phase at `level`: store it as the worker's position and,
-    /// with deep metrics, begin timing it. Returns `None` — without
-    /// touching the clock — without deep metrics.
+    /// with deep metrics or a trace, begin timing it. Returns `None` —
+    /// without touching the clock — with neither.
     #[inline]
     pub(crate) fn phase_start(&self, level: u32, phase: Phase) -> Option<PhaseTimer> {
         self.recorder.set_position(self.worker, level, phase);
-        self.recorder.is_deep().then(|| PhaseTimer {
+        self.recorder.is_timed().then(|| PhaseTimer {
             level,
             phase,
             t0: Instant::now(),
@@ -123,13 +113,14 @@ impl<'a> Obs<'a> {
     /// phase would: time the thread spent parked, which is no phase's.
     /// Untimed queries touch nothing.
     pub(crate) fn exclude(&self, nanos: u64) {
-        if self.recorder.is_deep() {
+        if self.recorder.is_timed() {
             NESTED.set(NESTED.get().saturating_add(nanos));
         }
     }
 
     /// Finish a phase: fold its exclusive time and row/byte deltas into
-    /// the recorder's `(worker, level, phase)` cell.
+    /// the recorder's `(worker, level, phase)` cell, and with a trace
+    /// append its span to the worker's timeline.
     pub(crate) fn phase_end(
         &self,
         timer: Option<PhaseTimer>,
@@ -145,6 +136,8 @@ impl<'a> Obs<'a> {
             t.level,
             t.phase,
             PhaseCell { nanos: total.saturating_sub(child), calls: 1, rows_in, rows_out, bytes },
+            t.t0,
+            total,
         );
         NESTED.set(t.nested0.saturating_add(total));
     }
@@ -192,16 +185,15 @@ pub(crate) mod testing {
 
     pub(crate) struct TestObs {
         recorder: Recorder,
-        tracer: Tracer,
     }
 
     impl TestObs {
         pub(crate) fn new() -> Self {
-            Self { recorder: Recorder::counters(1), tracer: Tracer::disabled() }
+            Self { recorder: Recorder::counters(1) }
         }
 
         pub(crate) fn obs(&self) -> Obs<'_> {
-            Obs::new(&self.recorder, &self.tracer, 0)
+            Obs::new(&self.recorder, 0)
         }
 
         pub(crate) fn stats(&self) -> OpStats {

@@ -191,7 +191,6 @@ pub(crate) fn partition_run(
     }
     debug_assert_eq!(w.parts.n_cols(), n_cols, "rows of one kind carry the same columns");
     let pt = obs.phase_start(level, Phase::Partition);
-    let t0 = obs.now();
     w.parts.append(Murmur2::default(), level, view.slices(None, from_row), |j| {
         view.slices(Some(j), from_row)
     });
@@ -199,7 +198,6 @@ pub(crate) fn partition_run(
     // What the pass wrote: the key and every column that travelled.
     let bytes = rows * 8 * (1 + n_cols as u64);
     obs.count(Counter::PartBytes, bytes);
-    obs.span("partition_run", t0, &[("rows", rows), ("level", level as u64)]);
 
     if !w.cover(w.parts.mem_bytes(), gate, obs)? {
         w.spill_victims(w.held(), sink, gate, obs)?;

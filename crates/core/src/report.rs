@@ -28,6 +28,9 @@ use hsa_tasks::{PoolMetrics, WorkerPoolMetrics};
 /// second kernel path (`hash_rows_per_level` counts the hashed rows).
 pub const REPORT_VERSION: u64 = 4;
 
+/// Marks a worker's timeline holds before it counts the rest as dropped.
+pub(crate) const TRACE_CAPACITY: usize = 8192;
+
 /// What the observed operator entry points should collect.
 #[derive(Clone, Debug)]
 pub struct ObsConfig {
@@ -35,9 +38,9 @@ pub struct ObsConfig {
     /// histograms, per-switch α, phase attribution, scheduler counters)
     /// and return the per-worker counters beside the [`OpStats`] totals.
     pub metrics: bool,
-    /// Record the task timeline (Chrome trace events), up to
-    /// [`hsa_obs::DEFAULT_TRACE_CAPACITY`] events per worker; further
-    /// events are counted as dropped.
+    /// Record the task timeline (Chrome trace events): a span per timed
+    /// phase call and an instant per operator event, up to 8192 per
+    /// worker; further ones are counted as dropped.
     pub trace: bool,
     /// Emit a live progress heartbeat to stderr at this interval (the
     /// CLI's `--progress <ms>`). Runs a background sampler thread that
@@ -302,6 +305,7 @@ fn pool_json(pool: &PoolMetrics) -> JsonValue {
 mod tests {
     use super::*;
     use hsa_obs::{Phase, PhaseCell};
+    use std::time::Instant;
 
     fn sample_report() -> RunReport {
         let stats = OpStats {
@@ -346,9 +350,9 @@ mod tests {
             rows_out,
             bytes,
         };
-        rec.phase(0, 0, Phase::HashInsert, cell(4_000_000, 1000, 250, 0));
-        rec.phase(0, 0, Phase::Partition, cell(2_000_000, 500, 500, 4000));
-        rec.phase(1, 1, Phase::HashInsert, cell(1_000_000, 200, 40, 0));
+        rec.phase(0, 0, Phase::HashInsert, cell(4_000_000, 1000, 250, 0), Instant::now(), 0);
+        rec.phase(0, 0, Phase::Partition, cell(2_000_000, 500, 500, 4000), Instant::now(), 0);
+        rec.phase(1, 1, Phase::HashInsert, cell(1_000_000, 200, 40, 0), Instant::now(), 0);
         let snapshot = rec.snapshot();
         let profile = ProfileTree::build(&snapshot, 5_000_000, 2, 3 << 20, 0);
         RunReport {

@@ -29,7 +29,7 @@ use crate::driver::{
 use crate::exec::ExecEnv;
 use crate::hashing::seal_into;
 use crate::output::{GroupByOutput, OutColumns};
-use crate::report::{ObsConfig, RunReport};
+use crate::report::{ObsConfig, RunReport, TRACE_CAPACITY};
 use crate::sink::Pending;
 use crate::stats::OpStats;
 use crate::view::{RunView, StateCols};
@@ -40,7 +40,7 @@ use hsa_fault::{AggError, CancelToken};
 use hsa_hashtbl::{identity_of, AggTable};
 use hsa_obs::{
     minor_faults, BudgetProbe, Counter, Hist, LevelCounter, Phase, ProfileTree, ProgressSampler,
-    Recorder, Tracer, DEFAULT_TRACE_CAPACITY,
+    Recorder,
 };
 use hsa_tasks::sync::Mutex;
 use hsa_tasks::{chunk_ranges, PoolMetrics, QueryHandle, Runtime};
@@ -154,7 +154,11 @@ impl AggStream {
         // pushes and the finish recursion — shares the same QueryId on
         // the process-wide runtime.
         let handle = Runtime::global().admit(threads);
-        let recorder = if observed { Recorder::deep(threads) } else { Recorder::counters(threads) };
+        let recorder = match (observed, obs_cfg.trace) {
+            (deep, true) => Recorder::traced(threads, deep, wall0, TRACE_CAPACITY),
+            (true, false) => Recorder::deep(threads),
+            (false, false) => Recorder::counters(threads),
+        };
         let sampler = obs_cfg.progress.map(|interval| {
             let budget = env.budget.clone();
             let probe: BudgetProbe =
@@ -174,11 +178,6 @@ impl AggStream {
             states,
             pool: TablePool::new(table_cfg, identities, observed),
             recorder,
-            tracer: if obs_cfg.trace {
-                Tracer::enabled(threads, DEFAULT_TRACE_CAPACITY)
-            } else {
-                Tracer::disabled()
-            },
             store,
             failed: Mutex::new(None),
             depot: depot.clone(),
@@ -254,7 +253,6 @@ impl AggStream {
                         ctx.fail(e);
                         return;
                     }
-                    let trace_t0 = obs.now();
                     let rows = range.len() as u64;
                     obs.count(Counter::MorselsClaimed, 1);
                     obs.observe(Hist::MorselRows, rows);
@@ -273,7 +271,6 @@ impl AggStream {
                         ctx.cancel.cancel();
                     }
                     obs.count_at(LevelCounter::TaskNanos, 0, t0.elapsed().as_nanos() as u64);
-                    obs.span("morsel", trace_t0, &[("rows", rows)]);
                 });
             }
         });
@@ -462,7 +459,7 @@ impl AggStream {
             pool,
             metrics,
             profile,
-            trace_json: ctx.tracer.is_enabled().then(|| ctx.tracer.to_chrome_json()),
+            trace_json: ctx.recorder.trace_json(),
         };
         Ok((output, report))
     }

@@ -15,9 +15,10 @@
 //!   the shards into a [`MetricsSnapshot`] at any time, mid-query too;
 //! * [`ProfileTree`] — the EXPLAIN ANALYZE phase tree (query → level →
 //!   phase), a view of the snapshot's [`PhaseCell`]s;
-//! * [`Tracer`] — bounded per-worker span buffers, one mutex each,
-//!   emitting Chrome trace-event JSON ([`Tracer::to_chrome_json`])
-//!   loadable in Perfetto;
+//! * the task timeline — with [`Recorder::traced`], each timed phase
+//!   call's span and each event's instant, bounded per worker and kept
+//!   under the deep part's lock; [`Recorder::trace_json`] renders it as
+//!   Chrome trace-event JSON loadable in Perfetto;
 //! * [`ProgressSampler`] — the background heartbeat thread that reads a
 //!   query's recorder while it runs;
 //! * [`json`] — a dependency-free JSON writer/parser used by every
@@ -42,7 +43,6 @@ pub use hist::{Histogram, HIST_BUCKETS};
 pub use profile::{Phase, PhaseCell, ProfileTree, PROFILE_LEVELS};
 pub use progress::{BudgetProbe, ProgressSampler, ProgressSink};
 pub use recorder::{Counter, Hist, LevelCounter, MetricsSnapshot, Recorder, WorkerSnapshot};
-pub use trace::{TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY};
 
 /// Minor page faults this process has taken so far — field 10 of
 /// `/proc/self/stat` — or `None` where that file is missing or

@@ -401,6 +401,7 @@ fn fmt_bytes(b: u64) -> String {
 mod tests {
     use super::*;
     use crate::Recorder;
+    use std::time::Instant;
 
     fn delta(nanos: u64, rows_in: u64, rows_out: u64, bytes: u64) -> PhaseCell {
         PhaseCell { nanos, calls: 1, rows_in, rows_out, bytes }
@@ -418,10 +419,10 @@ mod tests {
     #[test]
     fn build_merges_workers_and_levels_sum() {
         let r = Recorder::deep(2);
-        r.phase(0, 0, Phase::HashInsert, delta(100, 1000, 250, 0));
-        r.phase(1, 0, Phase::HashInsert, delta(300, 3000, 750, 0));
-        r.phase(0, 0, Phase::Seal, delta(50, 1000, 1000, 0));
-        r.phase(1, 1, Phase::GrowMerge, delta(70, 500, 100, 0));
+        r.phase(0, 0, Phase::HashInsert, delta(100, 1000, 250, 0), Instant::now(), 0);
+        r.phase(1, 0, Phase::HashInsert, delta(300, 3000, 750, 0), Instant::now(), 0);
+        r.phase(0, 0, Phase::Seal, delta(50, 1000, 1000, 0), Instant::now(), 0);
+        r.phase(1, 1, Phase::GrowMerge, delta(70, 500, 100, 0), Instant::now(), 0);
         let t = ProfileTree::build(&r.snapshot(), 1000, 2, 4096, 0);
 
         let hi = t.cell(0, Phase::HashInsert);
@@ -446,7 +447,7 @@ mod tests {
     #[test]
     fn deep_levels_clamp_into_the_last_slot() {
         let r = Recorder::deep(1);
-        r.phase(0, 200, Phase::Partition, delta(5, 10, 10, 0));
+        r.phase(0, 200, Phase::Partition, delta(5, 10, 10, 0), Instant::now(), 0);
         let t = ProfileTree::build(&r.snapshot(), 100, 1, 0, 0);
         assert_eq!(t.cell(PROFILE_LEVELS - 1, Phase::Partition).nanos, 5);
         assert_eq!(t.cell(PROFILE_LEVELS + 7, Phase::Partition).nanos, 5);
@@ -455,8 +456,8 @@ mod tests {
     #[test]
     fn coverage_is_leaf_time_over_wall_times_threads() {
         let r = Recorder::deep(2);
-        r.phase(0, 0, Phase::HashInsert, delta(900, 0, 0, 0));
-        r.phase(1, 0, Phase::Partition, delta(500, 0, 0, 0));
+        r.phase(0, 0, Phase::HashInsert, delta(900, 0, 0, 0), Instant::now(), 0);
+        r.phase(1, 0, Phase::Partition, delta(500, 0, 0, 0), Instant::now(), 0);
         let t = ProfileTree::build(&r.snapshot(), 1000, 2, 0, 0);
         assert!((t.coverage() - 0.7).abs() < 1e-12);
         let empty = ProfileTree::build(&Recorder::counters(1).snapshot(), 0, 1, 0, 0);
@@ -466,8 +467,8 @@ mod tests {
     #[test]
     fn overlap_fraction_is_zero_for_synchronous_io() {
         let r = Recorder::deep(1);
-        r.phase(0, 0, Phase::Spill, delta(100, 50, 0, 4096));
-        r.phase(0, 1, Phase::Restore, delta(60, 0, 50, 4096));
+        r.phase(0, 0, Phase::Spill, delta(100, 50, 0, 4096), Instant::now(), 0);
+        r.phase(0, 1, Phase::Restore, delta(60, 0, 50, 4096), Instant::now(), 0);
         let t = ProfileTree::build(&r.snapshot(), 1000, 1, 0, 0);
         assert_eq!(t.io_nanos(), 160);
         assert_eq!(t.overlap_fraction(), 0.0);
@@ -476,8 +477,8 @@ mod tests {
     #[test]
     fn overlap_fraction_is_overlapped_over_total_io() {
         let r = Recorder::deep(1);
-        r.phase(0, 0, Phase::Spill, delta(100, 50, 0, 4096));
-        r.phase(0, 1, Phase::Restore, delta(60, 0, 50, 4096));
+        r.phase(0, 0, Phase::Spill, delta(100, 50, 0, 4096), Instant::now(), 0);
+        r.phase(0, 1, Phase::Restore, delta(60, 0, 50, 4096), Instant::now(), 0);
         // 480 ns of background I/O ran while compute threads spent 160 ns
         // in the foreground phases: 480 / (480 + 160) = 75% hidden.
         let t = ProfileTree::build(&r.snapshot(), 1000, 1, 0, 480);
@@ -493,9 +494,9 @@ mod tests {
     fn render_golden() {
         // Timings are inputs, so the rendering is fully deterministic.
         let r = Recorder::deep(1);
-        r.phase(0, 0, Phase::HashInsert, delta(600_000, 8000, 2000, 0));
-        r.phase(0, 0, Phase::Seal, delta(200_000, 2000, 2000, 0));
-        r.phase(0, 1, Phase::Output, delta(200_000, 2000, 2000, 0));
+        r.phase(0, 0, Phase::HashInsert, delta(600_000, 8000, 2000, 0), Instant::now(), 0);
+        r.phase(0, 0, Phase::Seal, delta(200_000, 2000, 2000, 0), Instant::now(), 0);
+        r.phase(0, 1, Phase::Output, delta(200_000, 2000, 2000, 0), Instant::now(), 0);
         r.add(0, Counter::DepotHits, 30);
         r.add(0, Counter::DepotFresh, 2);
         r.add(0, Counter::DepotLentHighWater, 3 << 20);
@@ -517,7 +518,7 @@ query · wall 1.00 ms · 1 thread · 100.0% of 1×wall attributed to leaf phases
     #[test]
     fn json_round_trips_and_omits_empty_cells() {
         let r = Recorder::deep(1);
-        r.phase(0, 0, Phase::HashInsert, delta(100, 10, 5, 0));
+        r.phase(0, 0, Phase::HashInsert, delta(100, 10, 5, 0), Instant::now(), 0);
         let t = ProfileTree::build(&r.snapshot(), 500, 1, 123, 0);
         let parsed = crate::json::parse(&t.to_json().to_string_pretty(2)).unwrap();
         assert_eq!(parsed.get("wall_nanos").unwrap().as_u64(), Some(500));

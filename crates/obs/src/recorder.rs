@@ -6,7 +6,10 @@
 //! cells and the worker's current `(level, phase)` position, ≈ 0.5 KB of
 //! `AtomicU64`s that the operator's statistics are lowered from — and,
 //! when built with [`Recorder::deep`], a deep part behind one mutex:
-//! [`Histogram`]s, phase cells and α samples. Recording is a relaxed
+//! [`Histogram`]s, phase cells and α samples. A recorder built with
+//! [`Recorder::traced`] also keeps the task timeline behind that mutex:
+//! each timed phase call's span and each event's instant, bounded per
+//! worker (`crate::trace`). Recording is a relaxed
 //! atomic add into the worker's own shard (or one uncontended lock for
 //! the deep part) — the per-thread design the paper's own hash tables
 //! use, applied to metrics. Every recording site fires per morsel, run,
@@ -16,7 +19,9 @@
 //! taken at any time, also while a query runs. Each cell it reads is
 //! exact on its own; a snapshot taken mid-query is not consistent across
 //! cells (a seal may show in one counter and not yet in another), one
-//! taken after the workers finished is the query's final account.
+//! taken after the workers finished is the query's final account. The
+//! timeline stays out of the snapshot: [`Recorder::trace_json`] renders
+//! it, and a heartbeat's snapshot copies none of it.
 //!
 //! A [`Recorder::counters`] recorder allocates no deep part; the deep
 //! recording calls are a null check on it, so instrumented code needs no
@@ -25,9 +30,11 @@
 use crate::hist::Histogram;
 use crate::json::JsonValue;
 use crate::profile::{Phase, PhaseCell, PROFILE_LEVELS};
+use crate::trace::{self, Timeline};
 use crate::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 /// Per-switch α samples kept verbatim per worker; later switches are still
 /// counted in the aggregate sum/count once the list is full.
@@ -208,6 +215,13 @@ impl DeepCells {
 /// What a shard without a deep part reads as.
 static NO_DEEP: DeepCells = DeepCells::new();
 
+/// What a shard keeps behind its one lock: the deep cells, written with
+/// deep metrics, and the timeline, written with a trace.
+struct Locked {
+    cells: DeepCells,
+    timeline: Timeline,
+}
+
 /// One worker's cells.
 struct Shard {
     counters: [AtomicU64; Counter::COUNT],
@@ -215,26 +229,29 @@ struct Shard {
     /// Where the worker is: `(level + 1) << 8 | (phase + 1)`, 0 before
     /// its first phase.
     position: AtomicU64,
-    deep: Option<Box<Mutex<DeepCells>>>,
+    locked: Option<Box<Mutex<Locked>>>,
 }
 
 impl Shard {
-    fn new(deep: bool) -> Self {
+    fn new(locked: bool, capacity: usize) -> Self {
         Self {
             counters: [const { AtomicU64::new(0) }; Counter::COUNT],
             levels: [const { [const { AtomicU64::new(0) }; PROFILE_LEVELS] }; LevelCounter::COUNT],
             position: AtomicU64::new(0),
-            deep: deep.then(|| Box::new(Mutex::new(DeepCells::new()))),
+            locked: locked.then(|| {
+                let timeline = Timeline::new(capacity);
+                Box::new(Mutex::new(Locked { cells: DeepCells::new(), timeline }))
+            }),
         }
     }
 
-    fn deep(&self) -> Option<MutexGuard<'_, DeepCells>> {
+    fn lock(&self) -> Option<MutexGuard<'_, Locked>> {
         // A panic while the lock was held left whole cells behind: every
         // update under it is a single add or push.
-        self.deep.as_deref().map(|m| m.lock().unwrap_or_else(PoisonError::into_inner))
+        self.locked.as_deref().map(|m| m.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
-    fn read(&self) -> WorkerSnapshot {
+    fn read(&self, deep: bool) -> WorkerSnapshot {
         // ORDERING: Relaxed — statistics cells; each load is exact for its
         // cell, and no other memory is read through them.
         let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
@@ -242,7 +259,7 @@ impl Shard {
             counters: self.counters.each_ref().map(load),
             levels: self.levels.each_ref().map(|row| row.each_ref().map(load)),
             position: unpack(load(&self.position)),
-            deep: self.deep().map(|d| Box::new(d.clone())),
+            deep: if deep { self.lock().map(|l| Box::new(l.cells.clone())) } else { None },
         }
     }
 }
@@ -260,30 +277,48 @@ fn unpack(packed: u64) -> Option<(u32, Phase)> {
 pub struct Recorder {
     shards: Arc<[CachePadded<Shard>]>,
     deep: bool,
+    /// The timeline's time zero, when it is kept.
+    epoch: Option<Instant>,
 }
 
 impl Recorder {
     /// A recorder with the always-on counter cells only, one shard per
     /// worker; the deep recording calls are null checks on it.
     pub fn counters(workers: usize) -> Self {
-        Self::new(workers, false)
+        Self::new(workers, false, None, 0)
     }
 
     /// A recorder that also collects the deep part: histograms, phase
     /// cells and α samples.
     pub fn deep(workers: usize) -> Self {
-        Self::new(workers, true)
+        Self::new(workers, true, None, 0)
     }
 
-    fn new(workers: usize, deep: bool) -> Self {
-        let shards = (0..workers.max(1)).map(|_| CachePadded(Shard::new(deep))).collect();
-        Self { shards, deep }
+    /// A recorder that keeps the task timeline — up to `capacity` marks
+    /// per worker, timed from `epoch`; later marks are counted as dropped
+    /// — and, when `deep`, the deep part too.
+    pub fn traced(workers: usize, deep: bool, epoch: Instant, capacity: usize) -> Self {
+        Self::new(workers, deep, Some(epoch), capacity)
+    }
+
+    fn new(workers: usize, deep: bool, epoch: Option<Instant>, capacity: usize) -> Self {
+        let locked = deep || epoch.is_some();
+        let shards =
+            (0..workers.max(1)).map(|_| CachePadded(Shard::new(locked, capacity))).collect();
+        Self { shards, deep, epoch }
     }
 
     /// Whether the deep part is collected.
     #[inline]
     pub fn is_deep(&self) -> bool {
         self.deep
+    }
+
+    /// Whether phase calls are timed: for the deep part's phase cells,
+    /// the timeline's spans, or both.
+    #[inline]
+    pub fn is_timed(&self) -> bool {
+        self.deep || self.epoch.is_some()
     }
 
     #[inline]
@@ -321,8 +356,11 @@ impl Recorder {
     /// check without the deep part.
     #[inline]
     fn with_deep(&self, worker: usize, f: impl FnOnce(&mut DeepCells)) {
-        if let Some(mut deep) = self.shard(worker).deep() {
-            f(&mut deep);
+        if !self.deep {
+            return;
+        }
+        if let Some(mut locked) = self.shard(worker).lock() {
+            f(&mut locked.cells);
         }
     }
 
@@ -338,12 +376,41 @@ impl Recorder {
         self.with_deep(worker, |deep| deep.hists[h as usize].merge(other));
     }
 
-    /// Fold `delta` into the `(level, phase)` cell of `worker`. Levels
-    /// beyond [`PROFILE_LEVELS`] clamp into the last slot.
+    /// Record one phase call of `worker`: fold `delta` into its
+    /// `(level, phase)` cell (levels beyond [`PROFILE_LEVELS`] clamp into
+    /// the last slot) and, with a timeline, append the call's span — from
+    /// `start`, `inclusive_nanos` long, nested phases included, carrying
+    /// the level and `delta.rows_in` — under the same lock.
     #[inline]
-    pub fn phase(&self, worker: usize, level: u32, phase: Phase, delta: PhaseCell) {
-        let level = (level as usize).min(PROFILE_LEVELS - 1);
-        self.with_deep(worker, |deep| deep.phases[level][phase as usize].add(&delta));
+    pub fn phase(
+        &self,
+        worker: usize,
+        level: u32,
+        phase: Phase,
+        delta: PhaseCell,
+        start: Instant,
+        inclusive_nanos: u64,
+    ) {
+        let Some(mut locked) = self.shard(worker).lock() else { return };
+        if self.deep {
+            let cell = (level as usize).min(PROFILE_LEVELS - 1);
+            locked.cells.phases[cell][phase as usize].add(&delta);
+        }
+        if let Some(epoch) = self.epoch {
+            let start_nanos = start.saturating_duration_since(epoch).as_nanos() as u64;
+            let args = [("level", u64::from(level)), ("rows", delta.rows_in)];
+            locked.timeline.push(phase.label(), start_nanos, Some(inclusive_nanos), &args);
+        }
+    }
+
+    /// Mark the instant `name` on `worker`'s timeline, with up to two
+    /// numeric args; a null check without a timeline.
+    pub fn instant(&self, worker: usize, name: &'static str, args: &[(&'static str, u64)]) {
+        let Some(epoch) = self.epoch else { return };
+        if let Some(mut locked) = self.shard(worker).lock() {
+            let at = epoch.elapsed().as_nanos() as u64;
+            locked.timeline.push(name, at, None, args);
+        }
     }
 
     /// Record the reduction factor observed at one adaptive switch.
@@ -361,7 +428,21 @@ impl Recorder {
     /// Copy all shards into a snapshot. Legal at any time; mid-query each
     /// cell is exact on its own but the cells are not read at one instant.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot { workers: self.shards.iter().map(|s| s.0.read()).collect() }
+        MetricsSnapshot { workers: self.shards.iter().map(|s| s.0.read(self.deep)).collect() }
+    }
+
+    /// The timeline as a Chrome trace-event JSON document, one lane per
+    /// worker (`{"traceEvents": [...], "droppedEvents": n, ...}`: load it
+    /// in Perfetto or `chrome://tracing`); `None` without a timeline.
+    /// Legal at any time: each lane is read under its shard's lock, one
+    /// shard at a time.
+    pub fn trace_json(&self) -> Option<String> {
+        self.epoch?;
+        let mut events = Vec::new();
+        let dropped: Vec<u64> = (self.shards.iter().enumerate())
+            .map(|(tid, s)| s.0.lock().map_or(0, |locked| locked.timeline.lane(tid, &mut events)))
+            .collect();
+        Some(trace::chrome_json(events, &dropped))
     }
 }
 
@@ -526,7 +607,14 @@ mod tests {
         r.add_level(0, LevelCounter::HashRows, 2, 100);
         r.observe(0, Hist::ProbeLen, 5);
         r.record_alpha(0, 3.0);
-        r.phase(1, 0, Phase::Seal, PhaseCell { nanos: 9, calls: 1, ..PhaseCell::EMPTY });
+        r.phase(
+            1,
+            0,
+            Phase::Seal,
+            PhaseCell { nanos: 9, calls: 1, ..PhaseCell::EMPTY },
+            Instant::now(),
+            0,
+        );
         assert!(!r.is_deep());
         let snap = r.snapshot();
         assert_eq!(snap.workers.len(), 2);
@@ -606,9 +694,9 @@ mod tests {
     fn phase_cells_shard_and_merge() {
         let r = Recorder::deep(2);
         let d = |nanos, rows_in| PhaseCell { nanos, calls: 1, rows_in, rows_out: 0, bytes: 0 };
-        r.phase(0, 0, Phase::HashInsert, d(100, 1000));
-        r.phase(1, 0, Phase::HashInsert, d(50, 500));
-        r.phase(0, 3, Phase::Restore, d(9, 0));
+        r.phase(0, 0, Phase::HashInsert, d(100, 1000), Instant::now(), 0);
+        r.phase(1, 0, Phase::HashInsert, d(50, 500), Instant::now(), 0);
+        r.phase(0, 3, Phase::Restore, d(9, 0), Instant::now(), 0);
         let snap = r.snapshot();
         assert_eq!(snap.workers[0].phase_cell(0, Phase::HashInsert).nanos, 100);
         assert_eq!(snap.workers[1].phase_cell(0, Phase::HashInsert).rows_in, 500);
@@ -623,6 +711,75 @@ mod tests {
         let cell = phases.get("level0").unwrap().get("hash_insert").unwrap();
         assert_eq!(cell.get("rows_in").unwrap().as_u64(), Some(1500));
         assert!(phases.get("level1").is_none(), "empty levels are omitted");
+    }
+
+    /// Spans and instants of each lane, parsed back from the trace.
+    fn marks(r: &Recorder) -> Vec<Vec<(String, String, u64)>> {
+        let trace = crate::json::parse(&r.trace_json().expect("a timeline")).unwrap();
+        let events = trace.get("traceEvents").unwrap().as_array().unwrap();
+        let mut lanes = vec![Vec::new(); r.shards.len()];
+        for e in events {
+            let ph = e.get("ph").unwrap().as_str().unwrap();
+            if ph != "M" {
+                let lane = e.get("tid").unwrap().as_u64().unwrap() as usize;
+                let level = e.get("args").and_then(|a| a.get("level")).and_then(|l| l.as_u64());
+                let name = e.get("name").unwrap().as_str().unwrap().to_string();
+                lanes[lane].push((ph.to_string(), name, level.unwrap_or(u64::MAX)));
+            }
+        }
+        lanes
+    }
+
+    #[test]
+    fn a_timeline_holds_one_span_per_phase_call_and_the_instants() {
+        let epoch = Instant::now();
+        let r = Recorder::traced(2, true, epoch, 64);
+        let d = PhaseCell { nanos: 5, calls: 1, rows_in: 7, ..PhaseCell::EMPTY };
+        r.phase(0, 0, Phase::HashInsert, d, epoch, 40);
+        r.phase(1, PROFILE_LEVELS as u32 + 2, Phase::Seal, d, epoch, 9);
+        r.instant(1, "seal", &[("groups", 3)]);
+        let m = r.snapshot().merged();
+        assert_eq!(m.phase_cell(0, Phase::HashInsert).calls, 1);
+        assert_eq!(m.phase_cell(PROFILE_LEVELS, Phase::Seal).calls, 1, "clamped");
+        let lanes = marks(&r);
+        assert_eq!(lanes[0], [("X".into(), "hash_insert".into(), 0)]);
+        let deep_level = PROFILE_LEVELS as u64 + 2;
+        assert_eq!(
+            lanes[1],
+            [("X".into(), "seal".into(), deep_level), ("i".into(), "seal".into(), u64::MAX)],
+            "a span carries its level unclamped"
+        );
+        let trace = crate::json::parse(&r.trace_json().unwrap()).unwrap();
+        let events = trace.get("traceEvents").unwrap().as_array().unwrap();
+        let span = events.iter().find(|e| e.get("ph").unwrap().as_str() == Some("X")).unwrap();
+        assert_eq!(span.get("ts").unwrap().as_f64(), Some(0.0), "timed from the epoch");
+        assert_eq!(span.get("dur").unwrap().as_f64(), Some(0.04), "inclusive, not the cell's 5");
+        assert_eq!(span.get("args").unwrap().get("rows").unwrap().as_u64(), Some(7));
+    }
+
+    #[test]
+    fn a_timeline_without_the_deep_part_fills_no_cell() {
+        let r = Recorder::traced(1, false, Instant::now(), 2);
+        assert!(!r.is_deep() && r.is_timed());
+        let d = PhaseCell { nanos: 5, calls: 1, ..PhaseCell::EMPTY };
+        for _ in 0..3 {
+            r.phase(0, 0, Phase::Partition, d, Instant::now(), 5);
+        }
+        r.observe(0, Hist::ProbeLen, 1);
+        let m = r.snapshot().merged();
+        assert!(m.phase_cell(0, Phase::Partition).is_empty() && m.hist(Hist::ProbeLen).is_empty());
+        assert_eq!(marks(&r)[0].len(), 2, "bounded at the capacity");
+        let trace = crate::json::parse(&r.trace_json().unwrap()).unwrap();
+        assert_eq!(trace.get("droppedEvents").unwrap().as_u64(), Some(1));
+    }
+
+    #[test]
+    fn without_a_timeline_there_is_no_trace() {
+        for r in [Recorder::counters(1), Recorder::deep(1)] {
+            r.instant(0, "seal", &[]);
+            assert!(r.trace_json().is_none());
+        }
+        assert!(!Recorder::counters(1).is_timed() && Recorder::deep(1).is_timed());
     }
 
     #[test]

@@ -25,6 +25,9 @@
 #                     whose job is to print an error and exit.
 # 7. rustdoc        — workspace docs with warnings as errors, so an
 #                     intra-doc link to a deleted or private item fails
+# 8. workflows      — every .github/workflows/*.yml loads with python3's
+#                     yaml module (a file that does not parse runs no job);
+#                     skipped with a notice where the module is missing
 # DESIGN.md §12 has the invariant → enforcer table.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -59,5 +62,15 @@ cargo clippy --workspace --lib -q \
 
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline -q
+
+echo "==> workflow files load (python3 yaml)"
+if python3 -c "import yaml" 2>/dev/null; then
+    for f in .github/workflows/*.yml; do
+        python3 -c 'import sys, yaml; yaml.safe_load(open(sys.argv[1]))' "$f"
+    done
+    echo "$(find .github/workflows -name '*.yml' | wc -l) workflow files load"
+else
+    echo "notice: python3 has no yaml module here; workflow files not checked"
+fi
 
 echo "lint.sh: all clean"

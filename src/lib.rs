@@ -52,7 +52,7 @@ pub use hsa_core::{
 };
 
 /// Observability building blocks: per-worker metrics, histograms, the
-/// task-timeline tracer, and the dependency-free JSON value they serialize
+/// task timeline, and the dependency-free JSON value they serialize
 /// through.
 pub mod obs {
     pub use hsa_obs::*;

@@ -625,8 +625,8 @@ mod stress {
 mod observability {
     use super::*;
     use hashing_is_sorting::obs::json::{parse, JsonValue};
-    use hashing_is_sorting::obs::{Counter, Hist, Phase};
-    use hashing_is_sorting::try_aggregate_observed;
+    use hashing_is_sorting::obs::{Counter, Hist, Phase, PROFILE_LEVELS};
+    use hashing_is_sorting::{try_aggregate_observed, RunReport, SpillConfig};
     use std::time::Duration;
 
     /// Small tables and morsels, so seals, switches and recursion happen
@@ -670,22 +670,44 @@ mod observability {
         }
     }
 
-    /// The trace is Chrome JSON: the operator's span and instant names,
-    /// and every complete event with a time, a duration and a lane.
+    /// One traced run with the deep part on: its report and its trace's
+    /// events.
+    fn traced(keys: &[u64], cfg: &AggregateConfig, env: &ExecEnv) -> (RunReport, Vec<JsonValue>) {
+        let (_, report) = try_aggregate_observed(keys, &[], &[], cfg, env, &ObsConfig::full())
+            .expect("the traced run completes");
+        let trace = parse(report.trace_json.as_ref().expect("trace requested")).expect("parses");
+        assert_eq!(trace.get("droppedEvents").and_then(JsonValue::as_u64), Some(0), "bounded");
+        let events = trace.get("traceEvents").and_then(JsonValue::as_array).expect("traceEvents");
+        (report, events.to_vec())
+    }
+
+    /// Every complete event's name and `level` arg.
+    fn spans(events: &[JsonValue]) -> Vec<(&str, u64)> {
+        fn span(e: &JsonValue) -> Option<(&str, u64)> {
+            let level = e.get("args")?.get("level")?.as_u64()?;
+            Some((e.get("name")?.as_str()?, level))
+        }
+        let complete =
+            events.iter().filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("X"));
+        complete
+            .map(|e| span(e).unwrap_or_else(|| panic!("a span without a level: {e:?}")))
+            .collect()
+    }
+
+    /// The trace is Chrome JSON: the phase calls' spans and the events'
+    /// instants, every complete event with a time, a duration and a lane.
+    /// A level-0 `driver` span wraps each morsel, a level-1 one each
+    /// bucket task.
     #[test]
     fn trace_is_valid_chrome_json_with_span_events() {
         let keys: Vec<u64> =
             (0..100_000u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
-        let env = ExecEnv::unrestricted();
-        let (_, report) =
-            try_aggregate_observed(&keys, &[], &[], &adaptive(), &env, &ObsConfig::full()).unwrap();
-        let trace = parse(&report.trace_json.expect("trace requested")).expect("the trace parses");
-        let events = trace.get("traceEvents").and_then(JsonValue::as_array).expect("traceEvents");
+        let (report, events) = traced(&keys, &adaptive(), &ExecEnv::unrestricted());
         let names: Vec<&str> = events.iter().filter_map(|e| e.get("name")?.as_str()).collect();
-        for name in ["morsel", "seal", "bucket", "switch_to_partitioning"] {
+        for name in ["driver", "hash_insert", "seal", "partition", "switch_to_partitioning"] {
             assert!(names.contains(&name), "no {name} event");
         }
-        for e in events {
+        for e in &events {
             let ph = e.get("ph").and_then(JsonValue::as_str).expect("every event has a ph");
             if ph == "X" {
                 let time = |k| e.get(k).and_then(JsonValue::as_f64).is_some();
@@ -693,6 +715,62 @@ mod observability {
                 assert!(time("ts") && time("dur") && lane, "{e:?}");
             }
         }
+        let spans = spans(&events);
+        let drivers = |level| spans.iter().filter(|&&s| s == ("driver", level)).count();
+        let morsels = report.metrics.as_ref().expect("metrics").merged();
+        let morsels = morsels.counter(Counter::MorselsClaimed);
+        assert!(
+            drivers(0) as u64 >= morsels,
+            "{} level-0 driver spans, {morsels} morsels",
+            drivers(0)
+        );
+        let st = &report.stats;
+        let level1 = [&st.hash_rows_per_level, &st.part_rows_per_level]
+            .iter()
+            .any(|rows| rows.get(1).is_some_and(|&r| r > 0));
+        assert!(level1, "the run never reached level 1: {st:?}");
+        assert!(drivers(1) > 0, "level 1 ran, yet no level-1 driver span");
+    }
+
+    /// The timeline and the profile are one model: every timed phase call
+    /// is one span and one `calls` of its cell, so with nothing dropped
+    /// the spans of each (level, phase) — levels clamped as the cells
+    /// clamp them — count exactly that cell's calls. Counted, not timed:
+    /// over a multi-level run and a spilling one.
+    #[test]
+    fn trace_spans_are_the_profile_cells_calls() {
+        let wide: Vec<u64> =
+            (0..100_000u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+        let hot: Vec<u64> = (0..300_000u64).map(|i| (i % 90_000) * 7).collect();
+        let dir = std::env::temp_dir().join(format!("hsa-trace-spill-{}", std::process::id()));
+        let spilling = ExecEnv {
+            budget: MemoryBudget::limited(4 << 20),
+            spill_dir: Some(dir.clone()),
+            spill: SpillConfig { io_threads: 0 },
+            ..ExecEnv::unrestricted()
+        };
+        let one_thread = AggregateConfig { threads: 1, ..adaptive() };
+        for (keys, cfg, env) in
+            [(&wide, adaptive(), ExecEnv::unrestricted()), (&hot, one_thread, spilling)]
+        {
+            let (report, events) = traced(keys, &cfg, &env);
+            let profile = report.profile.as_ref().expect("the profile rides with metrics");
+            let mut counted = [[0u64; Phase::COUNT]; PROFILE_LEVELS];
+            for (name, level) in spans(&events) {
+                let phase = Phase::ALL.iter().find(|p| p.label() == name).expect("a phase label");
+                counted[(level as usize).min(PROFILE_LEVELS - 1)][*phase as usize] += 1;
+            }
+            for (level, row) in counted.iter().enumerate() {
+                for &phase in Phase::ALL {
+                    let calls = profile.cell(level, phase).calls;
+                    assert_eq!(row[phase as usize], calls, "{} at level {level}", phase.label());
+                }
+            }
+            assert!(counted[1].iter().sum::<u64>() > 0, "no level-1 phase call");
+            let spilled = report.stats.spilled_runs_per_level.iter().sum::<u64>();
+            assert!(env.spill_dir.is_none() || spilled > 0, "the budgeted run did not spill");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The heartbeat thread starts with the stream, lives through pushes
